@@ -127,10 +127,9 @@ func BenchmarkPiggybackMessage(b *testing.B) {
 					sender.Send(dst, payload(sender.ID(), uint64(i+2)))
 					bed.pump()
 					// Keep the bench on the message path: drop the
-					// sender's optimistic log (otherwise the ack scan
-					// and the log append grow O(N)) and the mock
-					// app's delivery journal.
-					sender.log = sender.log[:0]
+					// sender's optimistic log (otherwise it grows O(N))
+					// and the mock app's delivery journal.
+					sender.resetLog()
 					app.delivered = app.delivered[:0]
 				}
 			})
@@ -223,6 +222,89 @@ func BenchmarkClusterCheckpoint(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				bed.commitCLC(0)
+			}
+		})
+	}
+}
+
+// deepHistoryBed builds a two-node cluster (plus a one-node peer
+// cluster to log towards) whose nodes each store clcs CLCs and whose
+// node 1 holds logged inter-cluster messages in its log, mirrored on
+// node 0: the state between two garbage collections that the commit,
+// ack and mirror paths must not pay for.
+func deepHistoryBed(b *testing.B, clcs, logged int) *testbed {
+	bed := newTestbed(b, []int{2, 1}, 1, false)
+	for bed.node(0, 0).StoredCount() < clcs {
+		bed.commitCLC(0)
+	}
+	sender, dst := bed.node(0, 1), bed.node(1, 0).ID()
+	for i := 0; i < logged; i++ {
+		sender.Send(dst, payload(sender.ID(), uint64(i+1)))
+		bed.pump()
+	}
+	bed.app(1, 0).delivered = nil
+	return bed
+}
+
+// BenchmarkCommitDeepHistory measures one two-phase commit of a
+// two-node cluster holding 1024 log entries and 8 or 4096 stored CLCs.
+// The leader samples StorageBytes on every commit; each iteration
+// drops the oldest CLC again so the depth stays what the name says.
+func BenchmarkCommitDeepHistory(b *testing.B) {
+	for _, clcs := range []int{8, 4096} {
+		b.Run(fmt.Sprintf("%dclcs", clcs), func(b *testing.B) {
+			bed := deepHistoryBed(b, clcs, 1024)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bed.commitCLC(0)
+				bed.node(0, 0).dropOldestCLC()
+				bed.node(0, 1).dropOldestCLC()
+			}
+		})
+	}
+}
+
+// BenchmarkAppAckDeepLog measures one AppAck at a sender whose log
+// holds 16 or 4096 entries, acknowledging the entries in turn.
+func BenchmarkAppAckDeepLog(b *testing.B) {
+	for _, logged := range []int{16, 4096} {
+		b.Run(fmt.Sprintf("%dentries", logged), func(b *testing.B) {
+			bed := deepHistoryBed(b, 1, logged)
+			sender, src := bed.node(0, 1), bed.node(1, 0).ID()
+			first := sender.log[0].msgID
+			ack := &AppAck{SrcCluster: 1, ReceiverSN: 2}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ack.MsgID = first + uint64(i%logged)
+				sender.OnMessage(src, ack)
+			}
+			if bed.stats["log.ack_orphan"] != 0 {
+				b.Fatal("acks missed their entries")
+			}
+		})
+	}
+}
+
+// BenchmarkLogMirrorDeep measures storing one new LogMirror at a
+// holder that already mirrors 16 or 4096 entries of the owner; each
+// iteration drops the new entry again so the depth stays fixed.
+func BenchmarkLogMirrorDeep(b *testing.B) {
+	for _, mirrored := range []int{16, 4096} {
+		b.Run(fmt.Sprintf("%dentries", mirrored), func(b *testing.B) {
+			bed := deepHistoryBed(b, 1, mirrored)
+			holder, owner := bed.node(0, 0), bed.node(0, 1).ID()
+			m := LogMirror{Owner: owner, Dst: bed.node(1, 0).ID(), Payload: payload(owner, 1), PiggySN: 1, SendSN: 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.MsgID = 1<<40 + uint64(i)
+				holder.OnMessage(owner, m)
+				holder.dropNewestMirror(owner)
+			}
+			if got := holder.mirrorLen(owner); got != mirrored {
+				b.Fatalf("mirror depth drifted to %d", got)
 			}
 		})
 	}

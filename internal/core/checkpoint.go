@@ -467,7 +467,7 @@ func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) 
 		// decoded fresh by the live runtime).
 		rec.deltaPairs = pairs
 	}
-	n.clcs = append(n.clcs, rec)
+	n.appendCLC(rec)
 	n.provisional = nil
 	n.phase = cpIdle
 	n.frozenSends = false

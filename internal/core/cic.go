@@ -72,18 +72,14 @@ func (n *Node) doSend(dst topology.NodeID, p AppPayload) {
 				logPiggy = m.PiggyDDV
 			}
 		}
-		n.log = append(n.log, &logEntry{
+		n.appendLog(&logEntry{
 			msgID:      m.MsgID,
 			dst:        dst,
 			dstCluster: dst.Cluster,
 			payload:    p,
 			piggySN:    n.sn,
 			piggyDDV:   logPiggy,
-			sendSN:     n.sn,
 		})
-		if len(n.log) > n.logPeak {
-			n.logPeak = len(n.log)
-		}
 		n.env.Stat("log.appended", 1)
 		if n.cfg.Replicas > 0 {
 			mir := LogMirror{
@@ -202,9 +198,10 @@ func (n *Node) drainInbound() {
 // in-transit messages (§2.2).
 func (n *Node) deliverIntra(src topology.NodeID, m AppMsg) {
 	if m.SendSN < n.sn {
-		for _, rec := range n.clcs {
-			if rec.meta.SN > m.SendSN && rec.meta.SN <= n.sn {
-				rec.lateLog = append(rec.lateLog, inbound{src: src, msg: m})
+		// n.clcs is SN-ordered: only a suffix can lie above the send.
+		for i := len(n.clcs) - 1; i >= 0 && n.clcs[i].meta.SN > m.SendSN; i-- {
+			if rec := n.clcs[i]; rec.meta.SN <= n.sn {
+				n.logLate(rec, inbound{src: src, msg: m})
 			}
 		}
 		n.env.Stat("app.late_logged", 1)
@@ -530,12 +527,10 @@ func (n *Node) onAppAck(src topology.NodeID, m AppAck) {
 	if m.SrcEpoch > n.knownEpoch[src.Cluster] {
 		n.knownEpoch[src.Cluster] = m.SrcEpoch
 	}
-	for _, e := range n.log {
-		if e.msgID == m.MsgID {
-			e.acked = true
-			e.ackSN = m.ReceiverSN
-			return
-		}
+	if e := n.logIndex[m.MsgID]; e != nil {
+		e.acked = true
+		e.ackSN = m.ReceiverSN
+		return
 	}
 	// Entry already garbage-collected or pruned by a rollback: ignore.
 	n.env.Stat("log.ack_orphan", 1)
@@ -577,11 +572,5 @@ func (n *Node) resendLoggedTo(c topology.ClusterID, alertSN SN, newEpoch Epoch) 
 // the restored state (they will be re-executed by the application):
 // "logged messages are used only if the sender does not rollback".
 func (n *Node) pruneLogForOwnRollback(toSN SN) {
-	kept := n.log[:0]
-	for _, e := range n.log {
-		if e.sendSN < toSN {
-			kept = append(kept, e)
-		}
-	}
-	n.log = kept
+	n.filterLog(func(e *logEntry) bool { return e.piggySN < toSN })
 }

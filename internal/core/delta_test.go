@@ -109,55 +109,6 @@ func TestDeltaMergeOracle(t *testing.T) {
 	}
 }
 
-// storageBytesRecount is the pre-counter walk of StorageBytes,
-// including the map iterations the running counters replaced; the two
-// must always agree.
-func (n *Node) storageBytesRecount() uint64 {
-	var total uint64
-	for _, r := range n.clcs {
-		if !r.remote {
-			total += uint64(r.stateSize)
-		}
-		for _, l := range r.lateLog {
-			total += uint64(l.msg.Payload.Size)
-		}
-	}
-	for _, rep := range n.replicas {
-		total += uint64(rep.Size)
-	}
-	for _, e := range n.log {
-		total += uint64(e.payload.Size)
-	}
-	for _, ml := range n.mirrorLogs {
-		for _, e := range ml {
-			total += uint64(e.Payload.Size)
-		}
-	}
-	return total
-}
-
-// TestStorageBytesCountersExact drives a testbed cluster through
-// commits and checks the running replica/mirror byte counters against
-// a full recount (rollback and GC sites are covered by the federation
-// differential suite, which pins the storage.bytes series).
-func TestStorageBytesCountersExact(t *testing.T) {
-	bed := newTestbed(t, []int{3, 3}, 1, false)
-	bed.pump()
-	for c := 0; c < 2; c++ {
-		for i := 0; i < 4; i++ {
-			bed.commitCLC(c)
-		}
-	}
-	for c := 0; c < 2; c++ {
-		for i := 0; i < 3; i++ {
-			n := bed.node(c, i)
-			if got, want := n.StorageBytes(), n.storageBytesRecount(); got != want {
-				t.Errorf("node c%d/%d: StorageBytes %d != recount %d", c, i, got, want)
-			}
-		}
-	}
-}
-
 // TestExamCursorEpochQualified pins the rollback-window guard of the
 // cluster-shared clean-exam cursor: a cursor advanced under one epoch
 // must not let a node whose epoch moved on (rollback — its DDV may

@@ -298,27 +298,14 @@ func (n *Node) applyGCDrop(minSNs []SN) {
 	}
 	before := len(n.clcs)
 	threshold := minSNs[n.cluster]
-	keptCLCs := n.clcs[:0]
-	for _, r := range n.clcs {
-		if r.meta.SN >= threshold {
-			keptCLCs = append(keptCLCs, r)
-		}
-	}
-	n.clcs = keptCLCs
+	n.filterCLCs(func(r *clcRecord) bool { return r.meta.SN >= threshold })
 	for k, rep := range n.replicas {
 		if k.seq < threshold {
 			n.dropReplica(k, rep)
 		}
 	}
 	logBefore := len(n.log)
-	keptLog := n.log[:0]
-	for _, e := range n.log {
-		if e.acked && e.ackSN < minSNs[e.dstCluster] {
-			continue
-		}
-		keptLog = append(keptLog, e)
-	}
-	n.log = keptLog
+	n.filterLog(func(e *logEntry) bool { return !e.acked || e.ackSN >= minSNs[e.dstCluster] })
 	if len(n.log) < logBefore && n.cfg.Replicas > 0 {
 		// Let the stable-storage neighbour trim its mirror too.
 		trim := LogTrim{Kept: make([]uint64, 0, len(n.log))}

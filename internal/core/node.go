@@ -135,11 +135,52 @@ type logEntry struct {
 	dst        topology.NodeID
 	dstCluster topology.ClusterID
 	payload    AppPayload
-	piggySN    SN  // sender cluster SN piggybacked on the original send
-	piggyDDV   DDV // transitive variant
-	sendSN     SN  // == piggySN; kept separate for clarity in pruning
-	acked      bool
-	ackSN      SN
+	// piggySN is the sender cluster's SN at the send: piggybacked on the
+	// wire, and what a rollback prunes by (a send below the restored SN
+	// is part of the restored state).
+	piggySN  SN
+	piggyDDV DDV // transitive variant
+	acked    bool
+	ackSN    SN
+}
+
+// storedBytes is the record's share of StorageBytes: the local state
+// (unless it lives only on the neighbour replicas) plus the late
+// messages folded into its channel state.
+func (r *clcRecord) storedBytes() uint64 {
+	var total uint64
+	if !r.remote {
+		total = uint64(r.stateSize)
+	}
+	for _, l := range r.lateLog {
+		total += uint64(l.msg.Payload.Size)
+	}
+	return total
+}
+
+// mirrorLog is one neighbour's mirrored message log (see
+// Node.mirrorLogs). ids holds the MsgID of every entry, so a
+// re-replicated duplicate is refused without scanning.
+type mirrorLog struct {
+	entries []LogMirror
+	ids     map[uint64]struct{}
+}
+
+// filter keeps the entries keep accepts, in order, forgets the MsgIDs
+// of the rest and returns the payload bytes it dropped.
+func (ml *mirrorLog) filter(keep func(*LogMirror) bool) (dropped uint64) {
+	kept := ml.entries[:0]
+	for i := range ml.entries {
+		e := &ml.entries[i]
+		if keep(e) {
+			kept = append(kept, *e)
+		} else {
+			dropped += uint64(e.Payload.Size)
+			delete(ml.ids, e.MsgID)
+		}
+	}
+	ml.entries = kept
+	return dropped
 }
 
 // replicaKey identifies a neighbour state held in this node's memory.
@@ -238,20 +279,35 @@ type Node struct {
 	heldInter    []inbound      // inter-cluster messages awaiting a forced CLC
 
 	// ---- storage ----
+	// clcs is the stored-CLC list, oldest first and strictly increasing
+	// in SN: commits append SN+1, GC drops a prefix, a rollback a
+	// suffix, and recovery rebuilds it from a holder's ordered list.
+	// Mutated only through appendCLC/filterCLCs/resetCLCs/logLate.
 	clcs     []*clcRecord
 	replicas map[replicaKey]Replica
 	// mirrorLogs holds neighbours' message-log mirrors (stable storage
 	// for §3.3's volatile log), keyed by the owning node.
-	mirrorLogs map[topology.NodeID][]LogMirror
-	// replicaBytes/mirrorBytes are the running byte totals of the two
-	// map-backed stores, maintained at their mutation sites:
-	// StorageBytes runs once per commit on every leader, and iterating
-	// the maps there was a top profile entry at wide-federation scale.
+	mirrorLogs map[topology.NodeID]*mirrorLog
+	// trimKeep is onLogTrim's reusable set of the MsgIDs a trim keeps;
+	// empty between trims.
+	trimKeep map[uint64]struct{}
+	// clcBytes/replicaBytes/logBytes/mirrorBytes are the running byte
+	// totals of the four stores StorageBytes sums, kept exact by the
+	// helpers that own each store's mutations: StorageBytes runs on
+	// every commit, so it must not grow with the history stored between
+	// two garbage collections.
+	clcBytes     uint64
 	replicaBytes uint64
+	logBytes     uint64
 	mirrorBytes  uint64
 
 	// ---- message log ----
-	log       []*logEntry
+	// log is mutated only through appendLog/filterLog/resetLog, which
+	// keep logBytes, logIndex and logPeak in step with it.
+	log []*logEntry
+	// logIndex finds a log entry by MsgID for onAppAck. Allocated by the
+	// first append: most nodes of a wide federation never log.
+	logIndex  map[uint64]*logEntry
 	logPeak   int // running high-water mark of len(log) over the run
 	nextMsgID uint64
 
@@ -433,8 +489,8 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 		// The volatile-storage maps are sized from the topology: a node
 		// holds replicas for its cfg.Replicas ring predecessors (a few
 		// checkpoints each) and mirrors the same neighbours' logs.
-		replicas:     make(map[replicaKey]Replica, 4*(cfg.Replicas+1)),
-		mirrorLogs:   make(map[topology.NodeID][]LogMirror, cfg.Replicas),
+		replicas:   make(map[replicaKey]Replica, 4*(cfg.Replicas+1)),
+		mirrorLogs: make(map[topology.NodeID]*mirrorLog, cfg.Replicas),
 		// cascadeMemo stays unsized: it only ever holds the few clusters
 		// that alerted a rollback, so a width-sized hint wastes ~50KB of
 		// empty buckets per node on wide federations.
@@ -470,7 +526,7 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 	n.ddv[n.cluster] = 1
 	n.commitBase.CopyFrom(n.ddv)
 	state, size := app.Snapshot()
-	n.clcs = append(n.clcs, &clcRecord{
+	n.appendCLC(&clcRecord{
 		meta:      Meta{SN: 1, DDV: n.arena.Clone(n.ddv)},
 		at:        env.Now(),
 		state:     state,
@@ -625,23 +681,77 @@ func (n *Node) ReplicaCount() int { return len(n.replicas) }
 // StorageBytes approximates the volatile memory this node devotes to
 // fault tolerance: its own checkpoint states, the neighbour replicas it
 // holds, its message log and the mirrored logs — the footprint §3.5's
-// garbage collection exists to bound. The map-backed stores contribute
-// through running counters (replicaBytes, mirrorBytes); the slice
-// walks stay, they are cache-friendly and bounded by GC.
+// garbage collection exists to bound. It is the sum of four running
+// totals, constant-time however much history is stored.
 func (n *Node) StorageBytes() uint64 {
-	total := n.replicaBytes + n.mirrorBytes
+	return n.clcBytes + n.replicaBytes + n.logBytes + n.mirrorBytes
+}
+
+// appendCLC stores rec as the newest CLC.
+func (n *Node) appendCLC(rec *clcRecord) {
+	n.clcs = append(n.clcs, rec)
+	n.clcBytes += rec.storedBytes()
+}
+
+// filterCLCs keeps the stored CLCs keep accepts, in order.
+func (n *Node) filterCLCs(keep func(*clcRecord) bool) {
+	kept := n.clcs[:0]
 	for _, r := range n.clcs {
-		if !r.remote {
-			total += uint64(r.stateSize)
-		}
-		for _, l := range r.lateLog {
-			total += uint64(l.msg.Payload.Size)
+		if keep(r) {
+			kept = append(kept, r)
+		} else {
+			n.clcBytes -= r.storedBytes()
 		}
 	}
+	n.clcs = kept
+}
+
+// resetCLCs empties the stored-CLC list.
+func (n *Node) resetCLCs() {
+	clear(n.clcs)
+	n.clcs = n.clcs[:0]
+	n.clcBytes = 0
+}
+
+// logLate folds a late intra-cluster message into rec's channel state.
+func (n *Node) logLate(rec *clcRecord, in inbound) {
+	rec.lateLog = append(rec.lateLog, in)
+	n.clcBytes += uint64(in.msg.Payload.Size)
+}
+
+// appendLog adds e to the message log.
+func (n *Node) appendLog(e *logEntry) {
+	n.log = append(n.log, e)
+	n.logBytes += uint64(e.payload.Size)
+	if n.logIndex == nil {
+		n.logIndex = make(map[uint64]*logEntry)
+	}
+	n.logIndex[e.msgID] = e
+	if len(n.log) > n.logPeak {
+		n.logPeak = len(n.log)
+	}
+}
+
+// filterLog keeps the log entries keep accepts, in order.
+func (n *Node) filterLog(keep func(*logEntry) bool) {
+	kept := n.log[:0]
 	for _, e := range n.log {
-		total += uint64(e.payload.Size)
+		if keep(e) {
+			kept = append(kept, e)
+		} else {
+			n.logBytes -= uint64(e.payload.Size)
+			delete(n.logIndex, e.msgID)
+		}
 	}
-	return total
+	n.log = kept
+}
+
+// resetLog empties the message log.
+func (n *Node) resetLog() {
+	clear(n.log)
+	n.log = n.log[:0]
+	n.logBytes = 0
+	clear(n.logIndex)
 }
 
 // storeReplica installs (or overwrites) a neighbour state, keeping the
@@ -726,12 +836,12 @@ func (n *Node) Restart() {
 	n.knownEpoch = make([]Epoch, n.cfg.Clusters)
 	n.alertEpoch = make([]Epoch, n.cfg.Clusters)
 	n.alertSN = make([]SN, n.cfg.Clusters)
-	n.clcs = nil
+	n.resetCLCs()
 	n.replicas = make(map[replicaKey]Replica, 4*(n.cfg.Replicas+1))
-	n.mirrorLogs = make(map[topology.NodeID][]LogMirror, n.cfg.Replicas)
+	n.mirrorLogs = make(map[topology.NodeID]*mirrorLog, n.cfg.Replicas)
 	n.replicaBytes = 0
 	n.mirrorBytes = 0
-	n.log = nil
+	n.resetLog()
 	n.phase = cpIdle
 	n.provisional = nil
 	n.inFlight = false

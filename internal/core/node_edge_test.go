@@ -236,7 +236,7 @@ func TestLogMirroringAndRecovery(t *testing.T) {
 
 	sender.Send(b.node(1, 0).ID(), payload(sender.ID(), 1))
 	b.pump()
-	if got := len(holder.mirrorLogs[sender.ID()]); got != 1 {
+	if got := holder.mirrorLen(sender.ID()); got != 1 {
 		t.Fatalf("mirror entries at holder = %d", got)
 	}
 	// A checkpoint captures the send; the cluster will roll back to it.
@@ -291,7 +291,7 @@ func TestGCLogTrimReachesMirror(t *testing.T) {
 	if got := sender.LogLen(); got != 0 {
 		t.Fatalf("log after GC = %d", got)
 	}
-	if got := len(holder.mirrorLogs[sender.ID()]); got != 0 {
+	if got := holder.mirrorLen(sender.ID()); got != 0 {
 		t.Fatalf("mirror after GC trim = %d", got)
 	}
 }

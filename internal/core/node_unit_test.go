@@ -266,6 +266,14 @@ func (b *testbed) pump() {
 		b.now++
 		dst.OnMessage(m.src, m.msg)
 		b.reclaim(m.msg)
+		// Tests hold the receiver's running totals and indexes against
+		// their reference walks after every delivery; benchmarks must
+		// not pay the walks they measure the absence of.
+		if _, test := b.t.(*testing.T); test {
+			if err := dst.CheckStoredHistory(); err != nil {
+				b.t.Fatalf("after %T from %v: %v", m.msg, m.src, err)
+			}
+		}
 	}
 }
 
@@ -415,8 +423,8 @@ func TestAcksRecordedInSenderLog(t *testing.T) {
 		// the local SN + 1" (§4) — receiver was at SN 1, delivers at 2.
 		t.Fatalf("ack: acked=%v sn=%d, want acked with 2", e.acked, e.ackSN)
 	}
-	if e.piggySN != 1 || e.sendSN != 1 {
-		t.Fatalf("entry piggy=%d send=%d", e.piggySN, e.sendSN)
+	if e.piggySN != 1 {
+		t.Fatalf("entry piggy=%d", e.piggySN)
 	}
 }
 

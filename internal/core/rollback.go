@@ -101,24 +101,14 @@ func (n *Node) performLocalRollback(toSN SN, newEpoch Epoch, coordinator topolog
 	n.inboundQueue = kept
 
 	// Discard checkpoints from the aborted future.
-	for len(n.clcs) > 0 && n.clcs[len(n.clcs)-1].meta.SN > toSN {
-		n.clcs = n.clcs[:len(n.clcs)-1]
-	}
+	n.filterCLCs(func(r *clcRecord) bool { return r.meta.SN <= toSN })
 	for k, rep := range n.replicas {
 		if k.seq > toSN {
 			n.dropReplica(k, rep)
 		}
 	}
-	for owner, entries := range n.mirrorLogs {
-		kept := entries[:0]
-		for _, e := range entries {
-			if e.SendSN < toSN {
-				kept = append(kept, e)
-			} else {
-				n.mirrorBytes -= uint64(e.Payload.Size)
-			}
-		}
-		n.mirrorLogs[owner] = kept
+	for _, ml := range n.mirrorLogs {
+		n.mirrorBytes -= ml.filter(func(e *LogMirror) bool { return e.SendSN < toSN })
 	}
 
 	rec := n.recordWith(toSN)
@@ -272,7 +262,9 @@ func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
 	resp := RecoverStateResp{
 		Seq: m.Seq, Epoch: m.Epoch, Owner: m.Owner,
 		State: rep.State, Size: rep.Size, Metas: metas, Older: older,
-		Log: append([]LogMirror(nil), n.mirrorLogs[m.Owner]...),
+	}
+	if ml := n.mirrorLogs[m.Owner]; ml != nil {
+		resp.Log = append([]LogMirror(nil), ml.entries...)
 	}
 	n.env.Send(src, controlSize(resp), resp)
 }
@@ -292,7 +284,7 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 	for _, o := range m.Older {
 		olderBySN[o.SN] = o
 	}
-	n.clcs = n.clcs[:0]
+	n.resetCLCs()
 	for _, meta := range m.Metas {
 		if meta.SN > pend.cmd.ToSN {
 			continue
@@ -314,7 +306,7 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 				rec.remote = false
 			}
 		}
-		n.clcs = append(n.clcs, rec)
+		n.appendCLC(rec)
 	}
 	n.app.Restore(m.State)
 	n.sn = pend.cmd.ToSN
@@ -334,23 +326,18 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 
 	// Re-adopt the mirrored message log: entries whose send belongs to
 	// the restored state, conservatively unacknowledged — the resume
-	// barrier re-pushes them and receivers deduplicate.
-	n.log = n.log[:0]
+	// barrier re-pushes them and receivers deduplicate. Re-adoption
+	// appends like doSend does, so a crash never deflates LogPeak.
+	n.resetLog()
 	for _, e := range m.Log {
 		if e.SendSN >= pend.cmd.ToSN {
 			continue
 		}
-		n.log = append(n.log, &logEntry{
+		n.appendLog(&logEntry{
 			msgID: e.MsgID, dst: e.Dst, dstCluster: e.Dst.Cluster,
 			payload: e.Payload, piggySN: e.PiggySN, piggyDDV: e.PiggyDDV,
-			sendSN: e.SendSN,
 		})
 		n.env.Stat("log.recovered_entries", 1)
-	}
-	// Re-adoption is a log-append site like doSend: fold it into the
-	// running high-water mark so a crash never deflates LogPeak.
-	if len(n.log) > n.logPeak {
-		n.logPeak = len(n.log)
 	}
 
 	// The crash lost the replicas this node held for its neighbours;
@@ -389,7 +376,7 @@ func (n *Node) onReReplicateReq(src topology.NodeID, m ReReplicateReq) {
 	for _, e := range n.log {
 		mir := LogMirror{
 			Owner: n.id, MsgID: e.msgID, Dst: e.dst, Payload: e.payload,
-			PiggySN: e.piggySN, PiggyDDV: e.piggyDDV, SendSN: e.sendSN,
+			PiggySN: e.piggySN, PiggyDDV: e.piggyDDV, SendSN: e.piggySN,
 		}
 		n.env.Send(src, controlSize(mir), mir)
 	}
@@ -400,13 +387,17 @@ func (n *Node) onLogMirror(src topology.NodeID, m LogMirror) {
 	if src.Cluster != n.cluster {
 		return
 	}
-	for _, e := range n.mirrorLogs[m.Owner] {
-		if e.MsgID == m.MsgID {
-			return // duplicate (re-replication)
-		}
+	ml := n.mirrorLogs[m.Owner]
+	if ml == nil {
+		ml = &mirrorLog{ids: make(map[uint64]struct{})}
+		n.mirrorLogs[m.Owner] = ml
 	}
+	if _, dup := ml.ids[m.MsgID]; dup {
+		return // re-replication
+	}
+	ml.ids[m.MsgID] = struct{}{}
+	ml.entries = append(ml.entries, m)
 	n.mirrorBytes += uint64(m.Payload.Size)
-	n.mirrorLogs[m.Owner] = append(n.mirrorLogs[m.Owner], m)
 }
 
 // onLogTrim intersects a neighbour's mirrored log with its live set.
@@ -414,19 +405,21 @@ func (n *Node) onLogTrim(src topology.NodeID, m LogTrim) {
 	if src.Cluster != n.cluster {
 		return
 	}
-	alive := make(map[uint64]bool, len(m.Kept))
+	ml := n.mirrorLogs[src]
+	if ml == nil {
+		return
+	}
+	if n.trimKeep == nil {
+		n.trimKeep = make(map[uint64]struct{}, len(m.Kept))
+	}
 	for _, id := range m.Kept {
-		alive[id] = true
+		n.trimKeep[id] = struct{}{}
 	}
-	kept := n.mirrorLogs[src][:0]
-	for _, e := range n.mirrorLogs[src] {
-		if alive[e.MsgID] {
-			kept = append(kept, e)
-		} else {
-			n.mirrorBytes -= uint64(e.Payload.Size)
-		}
-	}
-	n.mirrorLogs[src] = kept
+	n.mirrorBytes -= ml.filter(func(e *LogMirror) bool {
+		_, alive := n.trimKeep[e.MsgID]
+		return alive
+	})
+	clear(n.trimKeep)
 }
 
 // onRollbackAck gathers restoration confirmations at the coordinator.
