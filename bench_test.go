@@ -240,31 +240,20 @@ func BenchmarkEndToEndSimulation(b *testing.B) {
 // differs. (Kept last in the file: its runs allocate tens of MB each,
 // and the GC debt would otherwise bleed into the benchmarks after it.)
 func BenchmarkWideSlice(b *testing.B) {
-	benchWideSlice(b, false, 1)
+	benchWideSlice(b, false)
 }
 
 // BenchmarkWideSliceDense is the dense-wire reference run of the same
 // slice.
 func BenchmarkWideSliceDense(b *testing.B) {
-	benchWideSlice(b, true, 1)
+	benchWideSlice(b, true)
 }
 
-// BenchmarkWideSliceParallel runs the identical 64-cluster slice with
-// every federation split across 4 conservative-window engines
-// (results are byte-identical to BenchmarkWideSlice; the pair prices
-// the window-barrier machinery). The speedup is hardware-bound: on a
-// single-CPU runner the barrier hand-offs are pure overhead and this
-// benchmark runs slower than the sequential pair; the parallel path
-// pays off only when the shard engines get their own cores.
-func BenchmarkWideSliceParallel(b *testing.B) {
-	benchWideSlice(b, false, 4)
-}
-
-func benchWideSlice(b *testing.B, dense bool, shards int) {
+func benchWideSlice(b *testing.B, dense bool) {
 	for i := 0; i < b.N; i++ {
 		opts := hc3i.RunnerOptions{
 			Workers: hc3i.DefaultWorkers(), Seed: uint64(i + 1), Quick: true,
-			DenseDDVWire: dense, Shards: shards,
+			DenseDDVWire: dense,
 		}
 		res, err := hc3i.RunMatrix(opts, "tier=wide,topology=64c")
 		if err != nil {
@@ -281,23 +270,11 @@ func benchWideSlice(b *testing.B, dense bool, shards int) {
 // under all four protocols — as a real benchmark rather than the
 // smoke-only run it used to be. This is the configuration wire
 // batching, the chunk-strided DDV kernels and the incremental GC scan
-// exist for; the Parallel variant splits every federation across 4
-// conservative-window engines (byte-identical output; on few-core
-// runners the barriers are overhead, on real cores they pay off).
+// exist for.
 func BenchmarkWideSlice1024(b *testing.B) {
-	benchWideSlice1024(b, 1)
-}
-
-// BenchmarkWideSlice1024Parallel is the 4-shard leg of the same rung.
-func BenchmarkWideSlice1024Parallel(b *testing.B) {
-	benchWideSlice1024(b, 4)
-}
-
-func benchWideSlice1024(b *testing.B, shards int) {
 	for i := 0; i < b.N; i++ {
 		opts := hc3i.RunnerOptions{
 			Workers: hc3i.DefaultWorkers(), Seed: uint64(i + 1), Quick: true,
-			Shards: shards,
 		}
 		res, err := hc3i.RunMatrix(opts, "tier=wide,topology=1024c")
 		if err != nil {

@@ -1,43 +1,21 @@
-// Command benchguard gates performance regressions: it parses `go test
+// Command benchguard gates allocation regressions: it parses `go test
 // -bench -benchmem` output (including repeated `-count=N` runs),
-// compares allocs/op and — when asked — wall-clock ns/op against a
-// recorded snapshot (BENCH_*.json), and exits non-zero when any
-// benchmark regressed beyond tolerance. It can also write a new
-// snapshot in the same schema, which PRs append (BENCH_pr<N>.json)
-// rather than overwrite, so the performance trajectory of the repo
-// stays visible.
+// compares allocs/op against a recorded snapshot (BENCH_*.json), and
+// exits non-zero when any benchmark regressed beyond tolerance. It can
+// also write a new snapshot in the same schema, which PRs append
+// (BENCH_pr<N>.json) rather than overwrite, so the trajectory of the
+// repo stays visible.
 //
-// Allocation counts are deterministic, so they gate on a fixed
-// fractional budget. Wall clock is noisy — especially on shared CI
-// machines — so the wall gate is calibrated: run each benchmark
-// several times (`-count=5`), and benchguard derives the variance band
-// from the scatter it actually measured. A benchmark only fails when
-// its mean exceeds the baseline by more than
-//
-//	max(wall-floor, wall-z * cv)
-//
-// where cv is the larger coefficient of variation of the current run
-// and the recorded baseline. A quiet machine tightens the gate toward
-// the floor; a noisy one loosens it instead of flaking. Past
-// -wall-max-cv (default 0.25) the scatter rivals the mean and no
-// per-benchmark verdict is meaningful: the wall gate is skipped for
-// that benchmark, visibly, and written snapshots record the reason in
-// wall_skip. -gate-wall-total still bounds the summed ns/op of every
-// compared benchmark against the baseline sum, so the suite keeps an
-// overall wall budget even when individual rungs are noise-exempt.
-//
-// Benchmarks whose baseline mean sits below -wall-min-ns (default
-// 50ns) are exempt from the wall gate entirely: at that scale the
-// measured stddev is a large fraction of the mean (e.g. ~9ns on a
-// ~20ns DDV merge), so the 3-sigma band covers half the value and any
-// verdict is noise. They still gate on allocs/op, which is
-// deterministic at every scale.
+// Allocation counts are deterministic and independent of the machine
+// that recorded them, so they gate on a fixed fractional budget.
+// ns/op is recorded in snapshots as information only: wall-clock
+// claims are made by the paired-run benchmark under bench/, not here.
 //
 // Usage:
 //
 //	go test -run xxx -bench . -benchmem -count 5 ./... | tee bench.out
-//	go run ./cmd/benchguard -baseline BENCH_pr2.json -input bench.out -gate-wall
-//	go run ./cmd/benchguard -input bench.out -write BENCH_pr3.json -note "..."
+//	go run ./cmd/benchguard -baseline BENCH_pr14.json -input bench.out
+//	go run ./cmd/benchguard -input bench.out -write BENCH_pr15.json -note "..."
 package main
 
 import (
@@ -45,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"regexp"
 	"runtime"
@@ -56,22 +33,15 @@ import (
 
 // Benchmark is one snapshot entry, matching the BENCH_*.json schema.
 // When the input held several runs of the same benchmark (-count=N),
-// the recorded values are means across runs and NsStddev captures the
-// wall-clock scatter used to calibrate future gates.
+// the recorded values are means across runs.
 type Benchmark struct {
 	Name         string  `json:"name"`
 	Iterations   int64   `json:"iterations"`
 	NsPerOp      float64 `json:"ns_per_op"`
-	NsStddev     float64 `json:"ns_stddev,omitempty"`
 	Samples      int     `json:"samples,omitempty"`
 	EventsPerRun float64 `json:"events_per_run,omitempty"`
 	BPerOp       float64 `json:"B_per_op"`
 	AllocsPerOp  float64 `json:"allocs_per_op"`
-	// WallSkip records, at snapshot time, why this benchmark's wall
-	// clock cannot gate future runs ("noisy: cv 0.55 > 0.25") — the
-	// skip is then visible in the recorded trajectory instead of a
-	// silent verdict on noise. Allocs/op still gates.
-	WallSkip string `json:"wall_skip,omitempty"`
 }
 
 // Snapshot is the BENCH_*.json file layout.
@@ -144,42 +114,61 @@ func parseBench(r io.Reader) ([]string, map[string][]sample, error) {
 	return order, groups, nil
 }
 
-// aggregate folds a benchmark's samples into one snapshot entry:
-// means across runs, plus the wall-clock standard deviation.
+// aggregate folds a benchmark's samples into one snapshot entry: means
+// across runs.
 func aggregate(name string, ss []sample) Benchmark {
 	b := Benchmark{Name: name, Samples: len(ss)}
-	var nsSum float64
 	for _, s := range ss {
 		b.Iterations += s.iterations
-		nsSum += s.nsPerOp
+		b.NsPerOp += s.nsPerOp
 		b.EventsPerRun += s.eventsPerRun
 		b.BPerOp += s.bPerOp
 		b.AllocsPerOp += s.allocsPerOp
 	}
 	n := float64(len(ss))
 	b.Iterations /= int64(len(ss))
-	b.NsPerOp = nsSum / n
+	b.NsPerOp /= n
 	b.EventsPerRun /= n
 	b.BPerOp /= n
 	b.AllocsPerOp /= n
-	if len(ss) > 1 {
-		var m2 float64
-		for _, s := range ss {
-			d := s.nsPerOp - b.NsPerOp
-			m2 += d * d
-		}
-		b.NsStddev = math.Sqrt(m2 / (n - 1))
-	}
 	return b
 }
 
-// cv returns a benchmark's wall-clock coefficient of variation, zero
-// when it was recorded from a single run.
-func (b Benchmark) cv() float64 {
-	if b.NsPerOp <= 0 {
-		return 0
+// compare gates got against the baseline: a benchmark fails when its
+// allocs/op exceeds ref*(1+maxRegress)+allocSlack. Benchmarks absent
+// from the baseline pass (they are new); a run that shares no
+// benchmark with the baseline is an error, since it gated nothing. One
+// verdict line per benchmark goes to w.
+func compare(w io.Writer, got []Benchmark, base Snapshot, maxRegress, allocSlack float64) error {
+	baseline := make(map[string]Benchmark, len(base.Benchmarks))
+	for _, b := range base.Benchmarks {
+		baseline[b.Name] = b
 	}
-	return b.NsStddev / b.NsPerOp
+	failed, compared := 0, 0
+	for _, b := range got {
+		ref, ok := baseline[b.Name]
+		if !ok {
+			fmt.Fprintf(w, "benchguard: %-44s new benchmark, no baseline (ok)\n", b.Name)
+			continue
+		}
+		compared++
+		limit := ref.AllocsPerOp*(1+maxRegress) + allocSlack
+		verdict := "ok"
+		if b.AllocsPerOp > limit {
+			verdict = "REGRESSED"
+			failed++
+		}
+		fmt.Fprintf(w, "benchguard: %-44s allocs/op %10.1f -> %10.1f (limit %.1f) %s\n",
+			b.Name, ref.AllocsPerOp, b.AllocsPerOp, limit, verdict)
+	}
+	if compared == 0 {
+		return fmt.Errorf("benchguard: nothing compared: no benchmark of the input is in the baseline")
+	}
+	if failed > 0 {
+		return fmt.Errorf("benchguard: %d benchmark(s) regressed beyond tolerance", failed)
+	}
+	fmt.Fprintf(w, "benchguard: %d benchmark(s) within budget\n", compared)
+	return nil
 }
 
 func main() {
@@ -190,12 +179,6 @@ func main() {
 		note         = flag.String("note", "", "note recorded in the written snapshot")
 		maxRegress   = flag.Float64("max-regress", 0.20, "tolerated fractional allocs/op regression")
 		allocSlack   = flag.Float64("alloc-slack", 1.0, "absolute allocs/op slack on top of the fraction (absorbs one-off warmup allocations in short runs)")
-		gateWall     = flag.Bool("gate-wall", false, "also gate wall clock (ns/op) beyond the calibrated variance band")
-		wallFloor    = flag.Float64("wall-floor", 0.25, "minimum tolerated fractional ns/op regression (noise floor)")
-		wallZ        = flag.Float64("wall-z", 3.0, "variance-band width in standard deviations of the noisier of current/baseline runs")
-		wallMinNs    = flag.Float64("wall-min-ns", 50, "skip the wall gate for benchmarks whose baseline mean is below this many ns/op: at single-digit-nanosecond scales the run-to-run stddev is a large fraction of the mean (timer granularity, alignment, frequency scaling), so the 3-sigma band spans the value itself and the gate is pure noise; such benchmarks still gate on allocs/op")
-		wallMaxCV    = flag.Float64("wall-max-cv", 0.25, "skip the per-benchmark wall gate when either run's coefficient of variation (ns_stddev/ns_per_op) exceeds this: a stddev rivalling the mean (BENCH_pr6 records DDVMerge at 25.8ns ± 14.1ns) makes any single-bench verdict noise; the skip and its reason are recorded in written snapshots, and -gate-wall-total still bounds the aggregate")
-		gateTotal    = flag.Bool("gate-wall-total", false, "gate the summed ns/op of all benchmarks present in both runs against the baseline sum (band = wall-floor): individual benches too noisy for a per-bench verdict still contribute to the total, whose relative scatter is far smaller, so the full quick matrix keeps a wall budget")
 	)
 	flag.Parse()
 
@@ -214,11 +197,7 @@ func main() {
 	}
 	got := make([]Benchmark, 0, len(order))
 	for _, name := range order {
-		b := aggregate(name, groups[name])
-		if c := b.cv(); c > *wallMaxCV {
-			b.WallSkip = fmt.Sprintf("noisy: cv %.2f > %.2f", c, *wallMaxCV)
-		}
-		got = append(got, b)
+		got = append(got, aggregate(name, groups[name]))
 	}
 
 	if *writePath != "" {
@@ -248,83 +227,11 @@ func main() {
 	}
 	var base Snapshot
 	if err := json.Unmarshal(data, &base); err != nil {
+		fatal(fmt.Errorf("benchguard: %s: %w", *baselinePath, err))
+	}
+	if err := compare(os.Stdout, got, base, *maxRegress, *allocSlack); err != nil {
 		fatal(err)
 	}
-	baseline := make(map[string]Benchmark, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		baseline[b.Name] = b
-	}
-
-	failed := 0
-	compared := 0
-	var totalCur, totalRef float64
-	for _, b := range got {
-		ref, ok := baseline[b.Name]
-		if !ok {
-			fmt.Printf("benchguard: %-44s new benchmark, no baseline (ok)\n", b.Name)
-			continue
-		}
-		compared++
-		totalCur += b.NsPerOp
-		totalRef += ref.NsPerOp
-		limit := ref.AllocsPerOp*(1+*maxRegress) + *allocSlack
-		verdict := "ok"
-		if b.AllocsPerOp > limit {
-			verdict = "REGRESSED"
-			failed++
-		}
-		fmt.Printf("benchguard: %-44s allocs/op %10.1f -> %10.1f (limit %.1f) %s\n",
-			b.Name, ref.AllocsPerOp, b.AllocsPerOp, limit, verdict)
-
-		if !*gateWall {
-			continue
-		}
-		if ref.NsPerOp < *wallMinNs {
-			fmt.Printf("benchguard: %-44s ns/op     %10.0f -> %10.0f (below %.0fns floor: allocs-only gate)\n",
-				b.Name, ref.NsPerOp, b.NsPerOp, *wallMinNs)
-			continue
-		}
-		// A stddev rivalling the mean — in either run — makes the
-		// per-bench verdict noise: skip it (visibly, and recorded as
-		// wall_skip in written snapshots) rather than gate on scatter.
-		// -gate-wall-total still bounds the aggregate below.
-		if c := math.Max(b.cv(), ref.cv()); c > *wallMaxCV {
-			fmt.Printf("benchguard: %-44s ns/op     %10.0f -> %10.0f (cv %.2f > %.2f: too noisy, allocs-only gate)\n",
-				b.Name, ref.NsPerOp, b.NsPerOp, c, *wallMaxCV)
-			continue
-		}
-		// The variance band widens with whichever run — current or
-		// baseline — was noisier, never narrows below the floor.
-		band := *wallFloor
-		if z := *wallZ * math.Max(b.cv(), ref.cv()); z > band {
-			band = z
-		}
-		wallLimit := ref.NsPerOp * (1 + band)
-		verdict = "ok"
-		if b.NsPerOp > wallLimit {
-			verdict = "REGRESSED"
-			failed++
-		}
-		fmt.Printf("benchguard: %-44s ns/op     %10.0f -> %10.0f (limit %.0f, band %.0f%%, n=%d) %s\n",
-			b.Name, ref.NsPerOp, b.NsPerOp, wallLimit, band*100, b.Samples, verdict)
-	}
-	if compared == 0 {
-		fatal(fmt.Errorf("benchguard: nothing compared against %s", *baselinePath))
-	}
-	if *gateTotal && totalRef > 0 {
-		limit := totalRef * (1 + *wallFloor)
-		verdict := "ok"
-		if totalCur > limit {
-			verdict = "REGRESSED"
-			failed++
-		}
-		fmt.Printf("benchguard: %-44s ns/op     %10.0f -> %10.0f (limit %.0f, band %.0f%%) %s\n",
-			"TOTAL(wall)", totalRef, totalCur, limit, *wallFloor*100, verdict)
-	}
-	if failed > 0 {
-		fatal(fmt.Errorf("benchguard: %d gate(s) regressed beyond tolerance", failed))
-	}
-	fmt.Printf("benchguard: %d benchmark(s) within budget\n", compared)
 }
 
 func fatal(err error) {

@@ -15,7 +15,6 @@
 //	hc3ibench -matrix -filter tier=wide            # 64-256 cluster tier
 //	hc3ibench -matrix -filter tier=wide -dense-ddv # dense reference wire
 //	hc3ibench -oracle -matrix                      # invariant-checked matrix
-//	hc3ibench -matrix -shards 4                    # conservative-window parallel engines
 //	hc3ibench -matrix -filter tier=chaos -chaos-seeds 50   # adversarial tier
 //	hc3ibench -matrix -filter tier=chaos -chaos-seed 1337  # replay one schedule
 //	hc3ibench -matrix -filter tier=chaos -chaos-seed 1337 -chaos-ops 12  # minimized prefix
@@ -26,6 +25,7 @@
 // A failing chaos sweep names the violated check and the failing seed,
 // and prints the exact replay command, so a red nightly run is one
 // paste away from a local repro.
+//
 //	hc3ibench -list           # list the registry and the matrix axes
 //	hc3ibench -o results.txt  # also write the output to a file
 //	hc3ibench -csv out/       # one <ID>.csv per table for plotting
@@ -82,8 +82,6 @@ func main() {
 			"JSONL link schedule for the trace tier (one {\"t_ms\",\"latency_ms\",\"jitter_ms\",\"loss\"} object per line; default: the embedded mobile-broadband fixture)")
 		runTimeout = flag.Duration("run-timeout", 0,
 			"wall-clock watchdog per federation run: a wedged run is killed and reported instead of hanging (0 = none)")
-		shards = flag.Int("shards", 1,
-			"split every federation across this many conservative-window event engines (1 = single-engine reference; classic/wide results are byte-identical)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -140,10 +138,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hc3ibench: -run-timeout must be >= 0 (0 = no watchdog)")
 		os.Exit(1)
 	}
-	if *shards < 1 {
-		fmt.Fprintln(os.Stderr, "hc3ibench: -shards must be >= 1")
-		os.Exit(1)
-	}
 	if *runID != "" && *matrix {
 		fmt.Fprintln(os.Stderr, "hc3ibench: -run selects registry experiments; it does not apply with -matrix (use -filter)")
 		os.Exit(1)
@@ -183,7 +177,7 @@ func main() {
 	}
 	opts := hc3i.RunnerOptions{Workers: *parallel, Seed: *seed, Quick: *quick, DenseDDVWire: *denseDDV,
 		UnbatchedWire: *unbatched, Oracle: *oracleOn, ChaosSeed: *chaosSeed, ChaosSeeds: *chaosSeeds,
-		ChaosOps: *chaosOps, TraceFile: *traceFile, RunTimeout: *runTimeout, Shards: *shards}
+		ChaosOps: *chaosOps, TraceFile: *traceFile, RunTimeout: *runTimeout}
 	fmt.Fprintf(w, "HC3I evaluation harness — %s, seed %d, %d worker(s)\n\n", mode, *seed, *parallel)
 
 	emit := func(res *hc3i.ExperimentResult) {
@@ -215,9 +209,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "hc3ibench: chaos schedule violated the protocol:\n")
 				fmt.Fprintf(os.Stderr, "  scenario: %s (%s)\n", cf.Scenario.Name(), cf.Protocol)
 				fmt.Fprintf(os.Stderr, "  seed:     %d\n", cf.Seed)
-				if cf.Shards > 1 {
-					fmt.Fprintf(os.Stderr, "  shards:   %d\n", cf.Shards)
-				}
 				fmt.Fprintf(os.Stderr, "  check:    %s\n", cf.Check())
 				fmt.Fprintf(os.Stderr, "  error:    %v\n", cf.Err)
 				fmt.Fprintf(os.Stderr, "  replay:   %s\n", cf.ReplayCommand())

@@ -8,7 +8,7 @@
 //
 //	hc3isoak -state soak/ -seeds 5000             # sweep 5000 seeds per scenario
 //	hc3isoak -state soak/ -seeds 5000             # run again: resumes where it left off
-//	hc3isoak -state soak/ -filter tier=chaos,topology=4c -shards 4
+//	hc3isoak -state soak/ -filter tier=chaos,topology=4c
 //	hc3isoak -state soak/ -seeds 100 -tee         # stream records to stdout too
 //	hc3isoak -state soak/ -verify                 # audit the ledger, change nothing
 //
@@ -50,7 +50,6 @@ func main() {
 		stateDir = flag.String("state", "", "state directory (journal.jsonl + state.json); required")
 		seeds    = flag.Uint64("seeds", 1000, "seed budget per sweep unit (seeds 1..N; raising it on resume extends the sweep)")
 		filter   = flag.String("filter", "tier=chaos", "chaos-tier scenario filter (hc3ibench -filter syntax)")
-		shards   = flag.Int("shards", 1, "also a sweep dimension: run every scenario across this many conservative-window engines (1 = single-engine reference)")
 		parallel = flag.Int("parallel", experiments.DefaultWorkers(), "max runs in flight (1 = sequential)")
 		full     = flag.Bool("full", false, "paper-scale runs instead of quick-scale (orders of magnitude slower per seed)")
 		timeout  = flag.Duration("run-timeout", 2*time.Minute, "wall-clock watchdog per run; a wedged run is journaled as \"wedged\" (0 disables — a wedged run then stalls a worker forever)")
@@ -92,7 +91,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hc3isoak: scenario %s is not on the chaos tier (soak sweeps adversarial schedules; filter with tier=chaos)\n", sc.Name())
 			os.Exit(2)
 		}
-		units = append(units, soak.Unit{Scenario: sc, Shards: *shards})
+		units = append(units, soak.Unit{Scenario: sc})
 	}
 
 	opts := soak.Options{

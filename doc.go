@@ -197,15 +197,11 @@
 // artifact to a `go test -bench` target. BENCH_baseline.json records
 // the measured seed baseline; later PRs append BENCH_pr<N>.json
 // snapshots (never overwriting earlier ones) so the performance
-// trajectory stays visible. cmd/benchguard gates CI on both axes:
-// allocs/op on a fixed 20% budget (allocation counts are
-// deterministic), and wall-clock ns/op on a calibrated variance band —
-// benchmarks run with -count=5, the snapshot stores the mean and
-// standard deviation, and a regression only fails when the current
-// mean exceeds the baseline by more than max(floor, 3 standard
-// deviations of the noisier run). Benchmarks whose baseline mean is
-// below -wall-min-ns (default 50ns) gate on allocations only: at that
-// scale the 3-sigma band spans the value itself and a wall verdict
-// would be noise. cmd/hc3ibench takes -cpuprofile/-memprofile so the
-// next perf PR starts from a profile, not a guess.
+// trajectory stays visible. cmd/benchguard gates CI on allocs/op
+// against the newest snapshot, on a fixed 20% budget: allocation
+// counts are deterministic and independent of the recording machine.
+// ns/op is recorded in the snapshots as information only; wall-clock
+// claims are made by the paired-run benchmark in bench/.
+// cmd/hc3ibench takes -cpuprofile/-memprofile so the next perf PR
+// starts from a profile, not a guess.
 package repro

@@ -119,11 +119,6 @@ type RunnerOptions struct {
 	// a wedged simulation is killed and reported as an error instead of
 	// stalling its worker forever.
 	RunTimeout time.Duration
-	// Shards runs every federation across this many conservative-window
-	// event engines (federation.RunSharded); classic and wide results
-	// are byte-identical to the single-engine reference. <= 1 keeps the
-	// reference path.
-	Shards int
 }
 
 // DefaultWorkers returns the machine-sized worker count.
@@ -134,7 +129,7 @@ func (o RunnerOptions) config() experiments.RunnerConfig {
 		Workers: o.Workers, Seed: o.Seed, Quick: o.Quick, DenseWire: o.DenseDDVWire,
 		UnbatchedWire: o.UnbatchedWire, Oracle: o.Oracle, ChaosSeed: o.ChaosSeed,
 		ChaosSeeds: o.ChaosSeeds, ChaosOps: o.ChaosOps, TraceFile: o.TraceFile,
-		RunTimeout: o.RunTimeout, Shards: o.Shards,
+		RunTimeout: o.RunTimeout,
 	}
 }
 

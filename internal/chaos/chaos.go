@@ -79,18 +79,9 @@ type Config struct {
 	// schedule and nothing after them. That prefix property is what the
 	// failure auto-minimizer (internal/soak) binary-searches: the
 	// smallest B that still reproduces a violation is the shortest
-	// reproducing schedule prefix. On sharded runs the budget applies
-	// per shard scheduler (each shard draws its own stream), which
-	// keeps budgeted sharded replays deterministic per (seed, shard
-	// count, budget).
+	// reproducing schedule prefix.
 	OpBudget int
 }
-
-// Filled returns the configuration with every zero knob replaced by
-// its documented default. Harnesses that enforce schedule properties
-// themselves (the sharded runner's global crash-cooldown gate) read
-// the effective values through it.
-func (c Config) Filled() Config { return c.filled() }
 
 func (c Config) filled() Config {
 	if c.ReorderProb == 0 {

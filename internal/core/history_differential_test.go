@@ -140,14 +140,10 @@ func TestStoredHistoryDifferential(t *testing.T) {
 // value) and the log.ack_orphan counter of a run.
 func seriesDigest(res *federation.Result) string {
 	h := sha256.New()
-	var names []string
-	res.Stats.ForEachSeries(func(name string, _ *sim.Series) {
-		if strings.HasPrefix(name, "storage.bytes.") {
-			names = append(names, name)
+	for _, name := range res.Stats.Names() { // sorted; only series carry this prefix
+		if !strings.HasPrefix(name, "storage.bytes.") {
+			continue
 		}
-	})
-	sort.Strings(names)
-	for _, name := range names {
 		s := res.Stats.Series(name)
 		fmt.Fprintf(h, "%s %d\n", name, s.Len())
 		for i := range s.Times {

@@ -10,13 +10,13 @@ import (
 // reference (Config.UnbatchedWire), because a batch only coalesces the
 // *mechanics* of same-tick deliveries — every member still fires at its
 // own (arrival, key) position in the global event order. The classic
-// goldens pin the claim per failure pattern and shard count, the wide
-// slice pins it at width 64, and the chaos leg pins it under
-// adversarial perturbation (perturbed messages leave the batch path
-// entirely and must not disturb members that stayed on it).
+// goldens pin the claim per failure pattern, the wide slice pins it at
+// width 64, and the chaos leg pins it under adversarial perturbation
+// (perturbed messages leave the batch path entirely and must not
+// disturb members that stayed on it).
 
 // unbatchedCSV renders a golden slice with per-message deliveries.
-func unbatchedCSV(t *testing.T, filter string, shards int, oracle bool) string {
+func unbatchedCSV(t *testing.T, filter string, oracle bool) string {
 	t.Helper()
 	scs, err := MatrixScenarios(filter)
 	if err != nil {
@@ -24,7 +24,7 @@ func unbatchedCSV(t *testing.T, filter string, shards int, oracle bool) string {
 	}
 	tab, err := RunMatrix(RunnerConfig{
 		Workers: 4, Seed: 11, Quick: true,
-		Shards: shards, Oracle: oracle, UnbatchedWire: true,
+		Oracle: oracle, UnbatchedWire: true,
 	}, scs)
 	if err != nil {
 		t.Fatal(err)
@@ -33,10 +33,10 @@ func unbatchedCSV(t *testing.T, filter string, shards int, oracle bool) string {
 }
 
 // TestUnbatchedWireMatchesGoldenSlices runs every classic failure
-// pattern with per-message deliveries at shards = 1, 2 and 4: the CSVs
-// must match the pinned goldens that the batched default also
-// reproduces (TestMatrixCSVMatchesSeedGolden and the shard suite), so
-// batched == unbatched == golden byte-for-byte.
+// pattern with per-message deliveries: the CSVs must match the pinned
+// goldens that the batched default also reproduces
+// (TestMatrixCSVMatchesSeedGolden), so batched == unbatched == golden
+// byte-for-byte.
 func TestUnbatchedWireMatchesGoldenSlices(t *testing.T) {
 	for _, failure := range MatrixFailures {
 		failure := failure
@@ -46,11 +46,8 @@ func TestUnbatchedWireMatchesGoldenSlices(t *testing.T) {
 				t.Fatalf("missing golden: %v", err)
 			}
 			filter := "topology=2c,workload=uniform,network=lan,failure=" + failure
-			for _, shards := range []int{1, 2, 4} {
-				if got := unbatchedCSV(t, filter, shards, false); got != string(want) {
-					t.Errorf("unbatched shards=%d CSV diverged from the golden:\n--- got\n%s--- want\n%s",
-						shards, got, want)
-				}
+			if got := unbatchedCSV(t, filter, false); got != string(want) {
+				t.Errorf("unbatched CSV diverged from the golden:\n--- got\n%s--- want\n%s", got, want)
 			}
 		})
 	}
@@ -62,18 +59,15 @@ func TestUnbatchedWireMatchesGoldenSlices(t *testing.T) {
 		if err != nil {
 			t.Fatalf("missing golden: %v", err)
 		}
-		for _, shards := range []int{1, 4} {
-			if got := unbatchedCSV(t, "tier=wide,topology=64c", shards, false); got != string(want) {
-				t.Errorf("unbatched shards=%d wide CSV diverged from the golden:\n--- got\n%s--- want\n%s",
-					shards, got, want)
-			}
+		if got := unbatchedCSV(t, "tier=wide,topology=64c", false); got != string(want) {
+			t.Errorf("unbatched wide CSV diverged from the golden:\n--- got\n%s--- want\n%s", got, want)
 		}
 	})
 }
 
 // TestUnbatchedWireOracleGoldenIdentity is the oracle leg: the
-// invariant checker attached to an unbatched sharded run must stay
-// pure observation, exactly as it does on the batched default.
+// invariant checker attached to an unbatched run must stay pure
+// observation, exactly as it does on the batched default.
 func TestUnbatchedWireOracleGoldenIdentity(t *testing.T) {
 	for _, failure := range MatrixFailures {
 		failure := failure
@@ -83,7 +77,7 @@ func TestUnbatchedWireOracleGoldenIdentity(t *testing.T) {
 				t.Fatalf("missing golden: %v", err)
 			}
 			filter := "topology=2c,workload=uniform,network=lan,failure=" + failure
-			if got := unbatchedCSV(t, filter, 2, true); got != string(want) {
+			if got := unbatchedCSV(t, filter, true); got != string(want) {
 				t.Errorf("oracle-attached unbatched CSV diverged from the golden:\n--- got\n%s--- want\n%s", got, want)
 			}
 		})
@@ -94,34 +88,30 @@ func TestUnbatchedWireOracleGoldenIdentity(t *testing.T) {
 // between batched and unbatched chaos runs: adversarial reordering,
 // duplication and crash injection route individual messages off the
 // batch path (perturbed copies deliver standalone), and every routing
-// split must leave the observable run untouched. Sequential and
-// sharded schedules are each deterministic per seed, so the dumps must
-// match per (seed, shards) pair.
+// split must leave the observable run untouched. Schedules are
+// deterministic per seed, so the dumps must match per seed.
 func TestChaosBatchingDifferential(t *testing.T) {
 	seeds := []uint64{11, 12, 13}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	cases := []struct {
-		sc     Scenario
-		shards int
-	}{
-		{Scenario{"2c", "uniform", "storm", "jitter"}, 0},
-		{Scenario{"4c", "bursty", "storm", "jitter"}, 0},
-		{Scenario{"4c", "uniform", "storm", "jitter"}, 2},
+	cases := []Scenario{
+		{"2c", "uniform", "storm", "jitter"},
+		{"4c", "bursty", "storm", "jitter"},
+		{"4c", "uniform", "storm", "jitter"},
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.sc.Name(), func(t *testing.T) {
+	for _, sc := range cases {
+		sc := sc
+		t.Run(sc.Name(), func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range seeds {
-				cfg := Config{Seed: seed, Quick: true, ChaosSeed: seed, Shards: tc.shards, Oracle: true}
-				ref, err := RunScenario(cfg, tc.sc, "hc3i")
+				cfg := Config{Seed: seed, Quick: true, ChaosSeed: seed, Oracle: true}
+				ref, err := RunScenario(cfg, sc, "hc3i")
 				if err != nil {
 					t.Fatalf("seed %d (batched): %v", seed, err)
 				}
 				cfg.UnbatchedWire = true
-				raw, err := RunScenario(cfg, tc.sc, "hc3i")
+				raw, err := RunScenario(cfg, sc, "hc3i")
 				if err != nil {
 					t.Fatalf("seed %d (unbatched): %v", seed, err)
 				}

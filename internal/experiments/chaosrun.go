@@ -18,23 +18,20 @@ import (
 // renders its failures as one-command repros.
 
 // ChaosRun names one adversarial schedule: a chaos-tier scenario, the
-// seed that replays it, and the harness knobs that are part of the
-// schedule's identity (shard count — sharded schedules differ from
-// sequential ones — and the op budget that truncates it to a prefix).
+// seed that replays it, and the op budget that truncates it to a
+// prefix.
 type ChaosRun struct {
 	Scenario Scenario
 	Protocol string // "" = hc3i (the only chaos-tier protocol)
 	Seed     uint64 // drives the run and the chaos stream alike
 	Quick    bool
-	Shards   int           // <= 1 = single-engine reference
 	OpBudget int           // chaos schedule prefix (0 = unlimited)
 	Timeout  time.Duration // wall-clock watchdog (0 = none)
 }
 
 // ChaosOutcome is one replay's result. Ops is the number of
 // perturbation actions the schedule applied and is valid on failing
-// runs too (the minimizer reads it off the failure it shrinks); it is
-// 0 on sharded runs, whose schedulers live inside the shard harness.
+// runs too (the minimizer reads it off the failure it shrinks).
 type ChaosOutcome struct {
 	Result *federation.Result // nil when Err != nil
 	Ops    int
@@ -47,20 +44,14 @@ func (r ChaosRun) Run() ChaosOutcome {
 	if proto == "" {
 		proto = ChaosProtocols[0]
 	}
-	cfg := Config{Seed: r.Seed, Quick: r.Quick, ChaosSeed: r.Seed,
-		ChaosOps: r.OpBudget, Shards: r.Shards}
+	cfg := Config{Seed: r.Seed, Quick: r.Quick, ChaosSeed: r.Seed, ChaosOps: r.OpBudget}
 	opts, err := ScenarioOptions(cfg, r.Scenario, proto)
 	if err != nil {
 		return ChaosOutcome{Err: err}
 	}
 	opts.Watchdog = r.Timeout
-	if r.Shards > 1 {
-		opts.Shards = r.Shards
-		res, err := federation.RunSharded(opts)
-		return ChaosOutcome{Result: res, Err: err}
-	}
-	// The sequential path holds the Fed so the op count is readable
-	// whether the run finished or aborted on a violation.
+	// Hold the Fed so the op count is readable whether the run finished
+	// or aborted on a violation.
 	f, err := federation.New(opts)
 	if err != nil {
 		return ChaosOutcome{Err: err}
@@ -74,13 +65,13 @@ func (r ChaosRun) Run() ChaosOutcome {
 // ReplayCommand renders the exact hc3ibench invocation that replays
 // this schedule.
 func (r ChaosRun) ReplayCommand() string {
-	return ReplayCommand(r.Scenario, r.Seed, r.Shards, r.Quick, r.OpBudget)
+	return ReplayCommand(r.Scenario, r.Seed, r.Quick, r.OpBudget)
 }
 
 // ReplayCommand renders the one-command repro for a chaos schedule: the
-// scenario filter, the seed, and (when they shape the schedule) the
-// shard count and op budget.
-func ReplayCommand(sc Scenario, seed uint64, shards int, quick bool, opBudget int) string {
+// scenario filter, the seed, and (when it truncates the schedule) the
+// op budget.
+func ReplayCommand(sc Scenario, seed uint64, quick bool, opBudget int) string {
 	var b strings.Builder
 	b.WriteString("go run ./cmd/hc3ibench")
 	if quick {
@@ -88,9 +79,6 @@ func ReplayCommand(sc Scenario, seed uint64, shards int, quick bool, opBudget in
 	}
 	fmt.Fprintf(&b, " -matrix -filter topology=%s,workload=%s,failure=%s,network=%s -chaos-seed %d",
 		sc.Topology, sc.Workload, sc.Failure, sc.Network, seed)
-	if shards > 1 {
-		fmt.Fprintf(&b, " -shards %d", shards)
-	}
 	if opBudget > 0 {
 		fmt.Fprintf(&b, " -chaos-ops %d", opBudget)
 	}
@@ -98,14 +86,13 @@ func ReplayCommand(sc Scenario, seed uint64, shards int, quick bool, opBudget in
 }
 
 // ChaosFailure is a failing run of a chaos-tier seed sweep: the exact
-// (scenario, protocol, seed, shard count, budget) that reproduces it.
-// Its Error text keeps the inner diagnostic (tests match on the oracle
-// check name); callers that want structure unwrap with errors.As.
+// (scenario, protocol, seed, budget) that reproduces it. Its Error text
+// keeps the inner diagnostic (tests match on the oracle check name);
+// callers that want structure unwrap with errors.As.
 type ChaosFailure struct {
 	Scenario Scenario
 	Protocol string
 	Seed     uint64
-	Shards   int
 	Quick    bool
 	OpBudget int
 	Err      error
@@ -122,7 +109,7 @@ func (e *ChaosFailure) Check() string { return CheckName(e.Err) }
 
 // ReplayCommand renders the one-command repro for the failing seed.
 func (e *ChaosFailure) ReplayCommand() string {
-	return ReplayCommand(e.Scenario, e.Seed, e.Shards, e.Quick, e.OpBudget)
+	return ReplayCommand(e.Scenario, e.Seed, e.Quick, e.OpBudget)
 }
 
 // CheckName classifies a run failure: the oracle check that fired

@@ -69,12 +69,6 @@ type Config struct {
 	// reported as an error wrapping sim.ErrInterrupted instead of
 	// stalling its worker.
 	RunTimeout time.Duration
-	// Shards runs every federation across this many conservative-window
-	// event engines (federation.RunSharded). Classic and wide results
-	// are byte-identical to the single-engine reference; chaos-tier
-	// schedules are deterministic per (seed, shard count) but differ
-	// from the sequential schedule. <= 1 keeps the reference path.
-	Shards int
 	// sem, when non-nil, is the shared federation-run semaphore of a
 	// registry-level parallel run (see RunnerConfig): every federation
 	// execution acquires one token, so "Workers" bounds the number of
@@ -113,9 +107,6 @@ func (c Config) runFed(opts federation.Options) (*federation.Result, error) {
 	}
 	if c.Oracle {
 		opts.Oracle = true
-	}
-	if c.Shards > 1 {
-		opts.Shards = c.Shards
 	}
 	if c.RunTimeout > 0 {
 		opts.Watchdog = c.RunTimeout

@@ -20,9 +20,8 @@ import (
 // it cross-products topologies, workloads, failure patterns and network
 // profiles into dozens of scenarios and runs each one under HC3I and
 // all three baseline protocols, reporting forced/unforced CLCs,
-// rollbacks and the volatile-log high-water mark. It is the seam every
-// scaling PR (sharding, trace-driven workloads, multi-backend) plugs
-// new dimensions into.
+// rollbacks and the volatile-log high-water mark. It is the seam new
+// dimensions (trace-driven workloads, multi-backend) plug into.
 
 // Scenario names one cell of the matrix by its four dimension values.
 type Scenario struct {
@@ -364,9 +363,9 @@ func matrixScale(cfg Config, topo string) (sizes []int, total sim.Duration, err 
 			total = 30 * sim.Minute
 		}
 		if n >= 1024 {
-			// The widest rung exists to exercise sharded execution at
-			// scale; a quarter of the virtual time keeps its event
-			// volume (which grows with width) near the 256c rung's.
+			// A quarter of the virtual time keeps the widest rung's
+			// event volume (which grows with width) near the 256c
+			// rung's.
 			total /= 4
 		}
 		sizes := make([]int, n)
@@ -396,8 +395,7 @@ func matrixScale(cfg Config, topo string) (sizes []int, total sim.Duration, err 
 // shapes from the topology dimension, inter-cluster links from the
 // network profile. trace is the link schedule of trace-tier scenarios
 // (nil elsewhere): its minimum latency becomes the inter links' static
-// latency — so the perturber's surplus is never negative and the
-// sharded runner's conservative lookahead stays positive — with zero
+// latency — so the perturber's surplus is never negative — with zero
 // static jitter, since all variation comes from the trace replay.
 func matrixTopology(sizes []int, network string, trace *netsim.LinkTrace) (*topology.Federation, error) {
 	clusters := make([]topology.Cluster, len(sizes))
@@ -746,12 +744,12 @@ func RunChaosScenario(cfg Config, sc Scenario, protocol string) ([]*federation.R
 		runCfg.ChaosSeed = base + uint64(k)
 		res, err := RunScenario(runCfg, sc, protocol)
 		if err != nil {
-			// The typed wrapper names the exact (scenario, seed, shard
-			// count) that reproduces the failure; hc3ibench unwraps it to
-			// print the one-command replay instead of a bare error.
+			// The typed wrapper names the exact (scenario, seed) that
+			// reproduces the failure; hc3ibench unwraps it to print the
+			// one-command replay instead of a bare error.
 			return nil, &ChaosFailure{
 				Scenario: sc, Protocol: protocol, Seed: base + uint64(k),
-				Shards: runCfg.Shards, Quick: runCfg.Quick, OpBudget: runCfg.ChaosOps,
+				Quick: runCfg.Quick, OpBudget: runCfg.ChaosOps,
 				Err: err,
 			}
 		}

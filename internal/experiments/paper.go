@@ -48,12 +48,6 @@ func paperOptions(cfg Config, clusters int) federation.Options {
 }
 
 func runFed(opts federation.Options) (*federation.Result, error) {
-	if opts.Shards > 1 {
-		// Conservative-window parallel execution; releases its shards'
-		// scratch itself and falls back to the path below for
-		// configurations it cannot split.
-		return federation.RunSharded(opts)
-	}
 	f, err := federation.New(opts)
 	if err != nil {
 		return nil, err

@@ -46,9 +46,6 @@ type RunnerConfig struct {
 	// RunTimeout arms the per-federation wall-clock watchdog, exactly
 	// as Config.RunTimeout.
 	RunTimeout time.Duration
-	// Shards runs every federation across this many conservative-window
-	// engines, exactly as Config.Shards.
-	Shards int
 }
 
 // DefaultWorkers returns a reasonable pool size: one worker per CPU.
@@ -71,7 +68,7 @@ func (rc RunnerConfig) config() Config {
 	cfg := Config{Seed: rc.Seed, Quick: rc.Quick, Workers: rc.workers(), DenseWire: rc.DenseWire,
 		UnbatchedWire: rc.UnbatchedWire, Oracle: rc.Oracle, ChaosSeed: rc.ChaosSeed,
 		ChaosSeeds: rc.ChaosSeeds, ChaosOps: rc.ChaosOps, TraceFile: rc.TraceFile,
-		RunTimeout: rc.RunTimeout, Shards: rc.Shards}
+		RunTimeout: rc.RunTimeout}
 	if cfg.Workers > 1 {
 		cfg.sem = make(chan struct{}, cfg.Workers)
 	}

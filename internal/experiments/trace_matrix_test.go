@@ -51,25 +51,23 @@ func TestTraceMatrixGolden(t *testing.T) {
 
 // TestTraceLatencyIdentityAcrossExecutionModes is the tier's
 // acceptance gate: the latency percentile columns (and everything
-// else) are byte-identical across shard counts 1/2/4, batched vs
-// unbatched wire, and with or without the invariant oracle.
+// else) are byte-identical across batched vs unbatched wire, and with
+// or without the invariant oracle.
 func TestTraceLatencyIdentityAcrossExecutionModes(t *testing.T) {
 	base := traceCSV(t, RunnerConfig{Workers: 1})
 	variants := []struct {
 		name string
 		rc   RunnerConfig
 	}{
-		{"shards2", RunnerConfig{Workers: 1, Shards: 2}},
-		{"shards4", RunnerConfig{Workers: 1, Shards: 4}},
 		{"unbatched", RunnerConfig{Workers: 1, UnbatchedWire: true}},
 		{"oracle", RunnerConfig{Workers: 1, Oracle: true}},
-		{"sharded-unbatched-oracle", RunnerConfig{Workers: 1, Shards: 2, UnbatchedWire: true, Oracle: true}},
+		{"unbatched-oracle", RunnerConfig{Workers: 1, UnbatchedWire: true, Oracle: true}},
 	}
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			if got := traceCSV(t, v.rc); got != base {
-				t.Errorf("%s diverged from the sequential reference:\n--- got\n%s--- want\n%s", v.name, got, base)
+				t.Errorf("%s diverged from the batched reference:\n--- got\n%s--- want\n%s", v.name, got, base)
 			}
 		})
 	}

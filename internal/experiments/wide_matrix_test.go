@@ -4,6 +4,10 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/federation"
+	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 // Wide-federation tier coverage: filter/axis plumbing, a pinned
@@ -134,5 +138,36 @@ func TestWideSmoke(t *testing.T) {
 				t.Fatalf("%s under %s: empty run", sc.Name(), proto)
 			}
 		}
+	}
+}
+
+// TestWide1024Smoke assembles and runs the widest rung — 1024
+// clusters, 1024-entry DDVs — with the oracle attached and a crash and
+// recovery in flight. The virtual time is cut to one minute so the
+// rung fits the suite; the full quick duration runs through `hc3ibench
+// -matrix -filter topology=1024c` and BenchmarkWideSlice1024.
+func TestWide1024Smoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1024-cluster smoke skipped in -short mode")
+	}
+	sc := Scenario{Topology: "1024c", Workload: "ring", Failure: "crash", Network: "lan"}
+	opts, err := ScenarioOptions(Config{Seed: 3, Quick: true}, sc, "hc3i")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Workload.TotalTime = sim.Minute
+	opts.Crashes = []federation.Crash{
+		{At: sim.Time(0).Add(30 * sim.Second), Node: topology.NodeID{Cluster: 0, Index: 1}},
+	}
+	opts.Oracle = true
+	res, err := runFed(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Clusters) != 1024 {
+		t.Fatalf("expected 1024 cluster results, got %d", len(res.Clusters))
+	}
+	if res.Failures != 1 {
+		t.Fatalf("expected the scheduled crash, got %d failures", res.Failures)
 	}
 }

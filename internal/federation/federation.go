@@ -101,7 +101,7 @@ type Options struct {
 	MaxEvents uint64
 
 	// Watchdog, when > 0, bounds the run's wall-clock time: a timer
-	// interrupts the event engine(s) after this long and the run
+	// interrupts the event engine after this long and the run
 	// returns an error wrapping sim.ErrInterrupted instead of stalling
 	// its caller. Long-running sweep harnesses (the soak service,
 	// hc3ibench -run-timeout) use it to record a wedged run and move
@@ -129,10 +129,9 @@ type Options struct {
 	// over every inter-cluster link (see netsim.TracePerturber). The
 	// topology's inter links must declare the trace's minimum latency
 	// as their static latency; the perturber adds the surplus. Draws
-	// come from per-pipe streams keyed by the run seed, so sequential,
-	// sharded, batched and unbatched runs are byte-identical. Mutually
-	// exclusive with Chaos (both claim the network's perturbation
-	// hook).
+	// come from per-pipe streams keyed by the run seed, so batched and
+	// unbatched runs are byte-identical. Mutually exclusive with Chaos
+	// (both claim the network's perturbation hook).
 	LinkTrace *netsim.LinkTrace
 
 	// Arena, when non-nil, supplies pooled per-run scratch (the event
@@ -140,14 +139,6 @@ type Options struct {
 	// call Fed.Release after collecting each Result. Nil means every
 	// run allocates fresh — results are identical either way.
 	Arena *Arena
-
-	// Shards requests conservative-window parallel execution: the
-	// clusters are partitioned across this many event engines which
-	// advance in lockstep windows of the minimum cross-shard link
-	// latency (see RunSharded and internal/sim/parallel). <= 1 runs
-	// the single-engine reference. Only RunSharded consults it — New
-	// and Fed.Run always build the sequential simulation.
-	Shards int
 }
 
 func (o *Options) fill() error {
@@ -235,16 +226,6 @@ type Fed struct {
 	// the adversarial scheduler. Both are nil on plain runs.
 	oracle     *oracle.Oracle
 	chaosSched *chaos.Scheduler
-
-	// role, when non-nil, marks this Fed as one shard of a sharded run
-	// (see shard.go): only the owned clusters' nodes exist, cross-shard
-	// traffic detours through the runner's outboxes, and oracle
-	// observations are journaled into shardObs for barrier replay
-	// instead of checked inline. lostLog journals OnLost observations
-	// the runner later replays into the merged stats in global order.
-	role     *shardRole
-	shardObs *shardObs
-	lostLog  []lostRec
 }
 
 // msgBoxes recycles the wire-message boxes of the per-message protocol
@@ -274,18 +255,10 @@ func fireSendCall(arg any) {
 }
 
 // New assembles a federation simulation.
-func New(opts Options) (*Fed, error) { return newFed(opts, nil) }
-
-// newFed assembles either the whole federation (role == nil) or one
-// shard of a sharded run. A shard walks the exact same assembly order —
-// in particular it derives every node's RNG stream, since deriving a
-// stream advances the root RNG — but only instantiates nodes of the
-// clusters it owns.
-func newFed(opts Options, role *shardRole) (*Fed, error) {
+func New(opts Options) (*Fed, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	owned := func(c topology.ClusterID) bool { return role == nil || role.owns[c] }
 	ix := opts.Topology.Index()
 	nodeCount := ix.Len()
 	nc := opts.Topology.NumClusters()
@@ -306,7 +279,6 @@ func newFed(opts Options, role *shardRole) (*Fed, error) {
 		timers:    make([]*sim.Timer, int(core.NumTimerKinds)*nodeCount),
 		pending:   make([]sim.EventRef, nodeCount),
 		nClusters: nc,
-		role:      role,
 	}
 	f.engine.MaxEvents = opts.MaxEvents
 	if opts.TraceWriter != nil {
@@ -324,17 +296,11 @@ func newFed(opts Options, role *shardRole) (*Fed, error) {
 		f.net.PipeExit = f.pipeExit
 	}
 	if opts.Oracle {
-		if role != nil {
-			// A shard journals its observations; the runner replays the
-			// merged journal into one real oracle at every barrier.
-			f.shardObs = &shardObs{f: f}
-		} else {
-			f.oracle = oracle.New(nc)
-			f.oracle.Clock = f.engine.Now
-			// Fail fast: the first violation stops the event loop, so the
-			// run aborts at the offending event instead of compounding.
-			f.oracle.OnFirstViolation = f.engine.Stop
-		}
+		f.oracle = oracle.New(nc)
+		f.oracle.Clock = f.engine.Now
+		// Fail fast: the first violation stops the event loop, so the
+		// run aborts at the offending event instead of compounding.
+		f.oracle.OnFirstViolation = f.engine.Stop
 	}
 
 	root := sim.NewRNG(opts.Seed)
@@ -344,16 +310,8 @@ func newFed(opts Options, role *shardRole) (*Fed, error) {
 		sizes[i] = c.Nodes
 	}
 
-	nodeSeq := 0
-	for _, id := range fed.AllNodes() {
-		// Derive the node's application stream whether or not this shard
-		// owns it: derivation advances the root RNG, and every node must
-		// receive exactly the stream a sequential run hands it.
+	for nodeSeq, id := range fed.AllNodes() {
 		appRNG := root.StreamN("app", nodeSeq)
-		nodeSeq++
-		if !owned(id.Cluster) {
-			continue
-		}
 		ord := ix.Ord(id)
 		repl := opts.Replicas
 		if repl > sizes[id.Cluster]-1 {
@@ -377,23 +335,12 @@ func newFed(opts Options, role *shardRole) (*Fed, error) {
 			// The observer variant: same env, plus the promoted
 			// core.Observer methods of the oracle.
 			env = &obsEnv{nodeEnv{f: f, id: id, ord: ord, idStr: id.String()}, f.oracle}
-		} else if f.shardObs != nil {
-			env = &shardObsEnv{nodeEnv{f: f, id: id, ord: ord, idStr: id.String()}, f.shardObs}
 		}
 		na := app.NewNodeApp(id, opts.Workload, fed, appRNG)
 		na.Now = f.engine.Now
 		na.Restored = func() { f.scheduleNextSend(ord) }
-		if role != nil {
-			// Journal instead of observing: Welford's running mean is
-			// order-sensitive, so the runner replays the merged journal
-			// in global (time, shard) order for byte-identical output.
-			na.OnLost = func(d sim.Duration) {
-				f.lostLog = append(f.lostLog, lostRec{at: f.engine.Now(), seconds: d.Seconds()})
-			}
-		} else {
-			na.OnLost = func(d sim.Duration) {
-				f.stats.Summary("app.lost_work_seconds").Observe(d.Seconds())
-			}
+		na.OnLost = func(d sim.Duration) {
+			f.stats.Summary("app.lost_work_seconds").Observe(d.Seconds())
 		}
 		f.apps[ord] = na
 		f.senders[ord] = &appSender{f: f, ord: ord}
@@ -408,17 +355,12 @@ func newFed(opts Options, role *shardRole) (*Fed, error) {
 		f.net.Register(id, func(m netsim.Message) {
 			msg := m.Payload.(core.Msg)
 			pn.OnMessage(m.Src, msg)
-			f.boxes.reclaim(msg, owned(m.Src.Cluster))
+			f.boxes.reclaim(msg)
 		})
 	}
 
-	// Pre-distribute initial checkpoints to stable storage (HC3I only;
-	// replica targets are intra-cluster, so a shard never reaches into
-	// nodes it does not own).
+	// Pre-distribute initial checkpoints to stable storage (HC3I only).
 	for _, id := range fed.AllNodes() {
-		if !owned(id.Cluster) {
-			continue
-		}
 		if hn, ok := f.nodes[ix.Ord(id)].(*core.Node); ok {
 			for _, tgt := range hn.ReplicaTargets() {
 				f.nodes[ix.Ord(tgt)].(*core.Node).SeedReplica(hn.InitialReplica())
@@ -432,9 +374,6 @@ func newFed(opts Options, role *shardRole) (*Fed, error) {
 	})
 	f.inject.DetectionDelay = opts.DetectionDelay
 	for _, c := range opts.Crashes {
-		if !owned(c.Node.Cluster) {
-			continue
-		}
 		f.inject.CrashAt(c.At, c.Node)
 	}
 	if opts.MTBFFailures {
@@ -445,14 +384,6 @@ func newFed(opts Options, role *shardRole) (*Fed, error) {
 	// last derivation: every pre-existing stream then draws exactly the
 	// seeds it always did, keeping historical runs byte-identical.
 	f.net.SetRNG(root.Stream("net"))
-	if role != nil {
-		// Shards must draw per-message jitter identically however the
-		// clusters are partitioned, so jittered links switch from the
-		// shared sequential stream to slot-keyed streams derived from
-		// the run seed. Jitter-free topologies (all goldens) never draw
-		// from either, which is what keeps sharded goldens byte-equal.
-		f.net.SetSlotJitter(opts.Seed)
-	}
 	if opts.Chaos != nil {
 		// The chaos stream is deliberately independent of the run's
 		// root RNG: (chaos options, chaos seed) alone replays the
@@ -461,37 +392,16 @@ func newFed(opts Options, role *shardRole) (*Fed, error) {
 		if cc.Seed == 0 {
 			cc.Seed = opts.Seed
 		}
-		chaosRNG := sim.NewRNG(cc.Seed).Stream("chaos")
-		crashAt := f.inject.CrashAt
-		if role != nil {
-			// Each shard perturbs only the traffic it routes, so it
-			// needs its own scheduler stream; a sharded chaos run is
-			// deterministic for a given (seed, shard count) but is a
-			// different adversarial schedule than the sequential one.
-			chaosRNG = sim.NewRNG(cc.Seed).StreamN("chaos-shard", role.idx)
-			// Every sharded chaos crash defers to the window barrier —
-			// owned victims too — so the runner can apply the crash
-			// cooldown globally in (time, shard) order. Per-shard
-			// schedulers each keep their own cooldown, and two shards
-			// arming fuses in the same window would otherwise crash two
-			// clusters at once, outside the one-fault-at-a-time model
-			// the recovery protocol assumes.
-			crashAt = func(at sim.Time, id topology.NodeID) {
-				role.deferCrash(at, id)
-			}
-		}
-		f.chaosSched = chaos.New(cc, chaosRNG, chaos.Hooks{
+		f.chaosSched = chaos.New(cc, sim.NewRNG(cc.Seed).Stream("chaos"), chaos.Hooks{
 			Now:     f.engine.Now,
-			CrashAt: crashAt,
+			CrashAt: f.inject.CrashAt,
 		})
 		f.net.Perturb = f.chaosSched
 	}
 	if opts.LinkTrace != nil {
 		// The trace perturber draws from per-pipe streams keyed by the
-		// run seed alone — every shard passes the same seed, and a
-		// pipe's traffic originates wholly on the shard owning its
-		// source cluster, so sequential and sharded runs replay the
-		// same schedule. fill() already rejected the Chaos combination.
+		// run seed alone, leaving the root RNG's derivation order
+		// untouched. fill() already rejected the Chaos combination.
 		tp := netsim.NewTracePerturber(opts.LinkTrace, opts.Topology, opts.Seed, f.engine.Now)
 		tp.Retransmits = f.stats.Counter("net.trace.retransmits")
 		f.net.Perturb = tp
@@ -537,13 +447,8 @@ func (f *Fed) App(id topology.NodeID) *app.NodeApp { return f.apps[f.ix.Ord(id)]
 
 // reclaim returns a pooled wire-message box after its delivery was
 // dispatched. Zeroing drops payload references so the pool retains no
-// dead application data. senderLocal reports whether the sending node
-// lives on this shard: protocol-owned boxes return to the *sender's*
-// free list, so a cross-shard delivery must not reclaim — the sender's
-// shard may be touching that list concurrently. Those boxes are left
-// to the GC; in single-engine runs every sender is local and pooling
-// is unchanged.
-func (b *msgBoxes) reclaim(msg core.Msg, senderLocal bool) {
+// dead application data.
+func (b *msgBoxes) reclaim(msg core.Msg) {
 	switch m := msg.(type) {
 	case *core.AppMsg:
 		*m = core.AppMsg{}
@@ -554,9 +459,7 @@ func (b *msgBoxes) reclaim(msg core.Msg, senderLocal bool) {
 	case core.ReclaimableMsg:
 		// Protocol-owned boxes (baseline wire messages) return to the
 		// free list of the node that sent them.
-		if senderLocal {
-			m.ReclaimMsgBox()
-		}
+		m.ReclaimMsgBox()
 	}
 }
 
@@ -592,7 +495,7 @@ func (f *Fed) pipeExit(src, dst topology.NodeID, payload any) {
 	default:
 		return
 	}
-	if len(pairs) == 0 && ((f.oracle == nil && f.shardObs == nil) || width == 0) {
+	if len(pairs) == 0 && (f.oracle == nil || width == 0) {
 		// Dense piggybacks (resends) and empty deltas advance nothing;
 		// an oracle additionally checks the lockstep of empty deltas
 		// below (the decoder must already hold the message's vector).
@@ -604,8 +507,6 @@ func (f *Fed) pipeExit(src, dst topology.NodeID, payload any) {
 	}
 	if f.oracle != nil && width > 0 {
 		f.oracle.CheckPipeExit(src.Cluster, dst.Cluster, cd.Current())
-	} else if f.shardObs != nil && width > 0 {
-		f.shardObs.pipeExit(src.Cluster, dst.Cluster, cd.Current())
 	}
 }
 

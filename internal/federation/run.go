@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -104,11 +103,10 @@ func (f *Fed) Run() (*Result, error) {
 	if err := f.oracleErr(); err != nil {
 		return nil, err
 	}
-	v := f.view()
-	if err := v.checkInvariants(); err != nil {
+	if err := f.checkInvariants(); err != nil {
 		return nil, err
 	}
-	return v.collect(f.engine.Now(), f.engine.Executed), nil
+	return f.collect(), nil
 }
 
 // armWatchdog starts a wall-clock watchdog that calls kill after d and
@@ -162,13 +160,9 @@ func (f *Fed) oracleErr() error {
 	return err
 }
 
-// appsDone reports whether every application this Fed hosts finished
-// its schedule. Shards leave nil slots for nodes they do not own.
+// appsDone reports whether every application finished its schedule.
 func (f *Fed) appsDone() bool {
 	for ord, a := range f.apps {
-		if a == nil {
-			continue
-		}
 		if f.nodes[ord].Failed() {
 			return false
 		}
@@ -179,35 +173,10 @@ func (f *Fed) appsDone() bool {
 	return true
 }
 
-// view adapts the Fed to the runView the invariant checker and result
-// collector operate on.
-func (f *Fed) view() *runView {
-	return &runView{
-		topo: f.opts.Topology,
-		st:   f.stats,
-		wl:   f.opts.Workload,
-		node: func(id topology.NodeID) ProtocolNode { return f.nodes[f.ix.Ord(id)] },
-		app:  func(id topology.NodeID) *app.NodeApp { return f.apps[f.ix.Ord(id)] },
-	}
-}
-
-// runView is the read-only face of a finished run: everything the
-// end-of-run invariant checks and result collection need, independent
-// of whether the run executed on one engine or across shards. The
-// sharded runner builds one whose node/app accessors route each NodeID
-// to its owning shard and whose stats are the merged registry.
-type runView struct {
-	topo *topology.Federation
-	st   *sim.Stats
-	wl   *app.Workload
-	node func(topology.NodeID) ProtocolNode
-	app  func(topology.NodeID) *app.NodeApp
-}
-
 // checkInvariants verifies the end-of-run safety properties of
 // DESIGN.md §5 that are visible from the harness.
-func (v *runView) checkInvariants() error {
-	st := v.st
+func (f *Fed) checkInvariants() error {
+	st, topo := f.stats, f.opts.Topology
 	if n := st.CounterValue("invariant.rollback_target_missing"); n != 0 {
 		return fmt.Errorf("federation: %d rollback targets missing (GC unsafe)", n)
 	}
@@ -216,18 +185,18 @@ func (v *runView) checkInvariants() error {
 	}
 	// A node that never finished recovering would leave its cluster's
 	// rollback incomplete: surface it as a frozen/lost node.
-	for _, id := range v.topo.AllNodes() {
-		if hn, ok := v.node(id).(*core.Node); ok && !hn.Failed() {
+	for _, id := range topo.AllNodes() {
+		if hn, ok := f.Node(id).(*core.Node); ok && !hn.Failed() {
 			if hn.LostState() {
 				return fmt.Errorf("federation: node %v never recovered its state", id)
 			}
 		}
 	}
 	// SN and DDV agreement inside each cluster (HC3I only).
-	for c := 0; c < v.topo.NumClusters(); c++ {
+	for c := 0; c < topo.NumClusters(); c++ {
 		var first *core.Node
-		for _, id := range v.topo.Nodes(topology.ClusterID(c)) {
-			hn, ok := v.node(id).(*core.Node)
+		for _, id := range topo.Nodes(topology.ClusterID(c)) {
+			hn, ok := f.Node(id).(*core.Node)
 			if !ok {
 				break
 			}
@@ -251,13 +220,13 @@ func (v *runView) checkInvariants() error {
 	// Message completeness under deterministic replay: every send a
 	// node performed (in its final history) was delivered at its
 	// destination at least once.
-	if v.wl.Deterministic {
-		for _, id := range v.topo.AllNodes() {
-			a := v.app(id)
+	if f.opts.Workload.Deterministic {
+		for _, id := range topo.AllNodes() {
+			a := f.App(id)
 			for i := 0; i < a.SentCount(); i++ {
 				dst := a.DestinationOf(i)
 				lid := core.LogicalID{Src: id, Seq: uint64(i + 1)}
-				if v.app(dst).DeliveredTimes(lid) == 0 {
+				if f.App(dst).DeliveredTimes(lid) == 0 {
 					return fmt.Errorf("federation: message %v to %v lost", lid, dst)
 				}
 			}
@@ -267,13 +236,14 @@ func (v *runView) checkInvariants() error {
 }
 
 // collect builds the Result from the statistics registry.
-func (v *runView) collect(endTime sim.Time, events uint64) *Result {
-	n := v.topo.NumClusters()
+func (f *Fed) collect() *Result {
+	st, topo := f.stats, f.opts.Topology
+	n := topo.NumClusters()
 	res := &Result{
-		Stats:    v.st,
-		EndTime:  endTime,
-		Events:   events,
-		Failures: v.st.CounterValue("failures.injected"),
+		Stats:    st,
+		EndTime:  f.engine.Now(),
+		Events:   f.engine.Executed,
+		Failures: st.CounterValue("failures.injected"),
 	}
 	var kb []byte
 	key := func(base string, c int) string {
@@ -285,11 +255,11 @@ func (v *runView) collect(endTime sim.Time, events uint64) *Result {
 		cc := key("clc.committed", c)
 		cr := ClusterResult{
 			Cluster:   topology.ClusterID(c),
-			Forced:    v.st.CounterValue(cc + ".forced"),
-			Unforced:  v.st.CounterValue(cc + ".unforced"),
-			Committed: v.st.CounterValue(cc),
-			Rollbacks: v.st.CounterValue(key("rollback.count", c)),
-			Stored:    v.node(topology.NodeID{Cluster: topology.ClusterID(c)}).StoredCount(),
+			Forced:    st.CounterValue(cc + ".forced"),
+			Unforced:  st.CounterValue(cc + ".unforced"),
+			Committed: st.CounterValue(cc),
+			Rollbacks: st.CounterValue(key("rollback.count", c)),
+			Stored:    f.Node(topology.NodeID{Cluster: topology.ClusterID(c)}).StoredCount(),
 		}
 		res.Clusters = append(res.Clusters, cr)
 	}
@@ -300,7 +270,7 @@ func (v *runView) collect(endTime sim.Time, events uint64) *Result {
 	for i := 0; i < n; i++ {
 		res.AppMsgs[i] = make([]uint64, n)
 	}
-	v.st.ForEachCounter(func(name string, val uint64) {
+	st.ForEachCounter(func(name string, val uint64) {
 		rest, ok := strings.CutPrefix(name, "net.sent.app.c")
 		if !ok {
 			return
@@ -316,16 +286,16 @@ func (v *runView) collect(endTime sim.Time, events uint64) *Result {
 		}
 		res.AppMsgs[i][j] = val
 	})
-	res.GCRounds = v.gcRounds(n)
-	v.collectStableLatency()
+	res.GCRounds = f.gcRounds(n)
+	f.collectStableLatency()
 	// Every protocol with a volatile message log reports its running
 	// high-water mark; core.Node and all three baselines track it at
 	// their log-append sites, so log-truncating protocols (the
 	// pessimistic-log baseline trims at every snapshot) report their
 	// true mid-run peak, not the deflated end-of-run length. Protocols
 	// without a peak tracker fall back to the end-of-run sample.
-	for _, id := range v.topo.AllNodes() {
-		pn := v.node(id)
+	for _, id := range topo.AllNodes() {
+		pn := f.Node(id)
 		if ln, ok := pn.(interface{ LogPeak() int }); ok {
 			if l := ln.LogPeak(); l > res.MaxLoggedMessages {
 				res.MaxLoggedMessages = l
@@ -351,16 +321,16 @@ const StableLatencyMetric = "app.stable_latency_seconds"
 // back behind. The journal truncation in NodeApp.Restore guarantees
 // the surviving marks are exactly those commits; requests still
 // uncovered at the end of the run are right-censored (not observed).
-// Collection runs on the final application states after any shard
-// merge, in topology order, so sequential, sharded, batched and
-// oracle-attached runs fill byte-identical histograms.
-func (v *runView) collectStableLatency() {
-	if v.wl.OpenLoop == nil {
+// Collection runs on the final application states, in topology order,
+// so batched, unbatched and oracle-attached runs fill byte-identical
+// histograms.
+func (f *Fed) collectStableLatency() {
+	if f.opts.Workload.OpenLoop == nil {
 		return
 	}
-	h := v.st.Histogram(StableLatencyMetric)
-	for _, id := range v.topo.AllNodes() {
-		a := v.app(id)
+	h := f.stats.Histogram(StableLatencyMetric)
+	for _, id := range f.opts.Topology.AllNodes() {
+		a := f.App(id)
 		stable := a.StableCount()
 		seen := make(map[core.LogicalID]struct{}, stable)
 		for j := 0; j < stable; j++ {
@@ -371,7 +341,7 @@ func (v *runView) collectStableLatency() {
 				continue
 			}
 			seen[lid] = struct{}{}
-			src := v.app(lid.Src)
+			src := f.App(lid.Src)
 			// Open-loop workloads are deterministic, so Seq is the
 			// 1-based schedule index with no epoch salt.
 			arrival := src.ArrivalTime(int(lid.Seq - 1))
@@ -382,15 +352,15 @@ func (v *runView) collectStableLatency() {
 
 // gcRounds reassembles per-round before/after pairs from the
 // gc.before/gc.after series of each cluster leader.
-func (v *runView) gcRounds(n int) []GCRound {
+func (f *Fed) gcRounds(n int) []GCRound {
 	var rounds []GCRound
-	ref := v.st.Series("gc.before.c0")
+	ref := f.stats.Series("gc.before.c0")
 	for k := 0; k < ref.Len(); k++ {
 		r := GCRound{At: ref.Times[k], Before: make([]int, n), After: make([]int, n)}
 		complete := true
 		for c := 0; c < n; c++ {
-			b := v.st.Series(fmt.Sprintf("gc.before.c%d", c))
-			a := v.st.Series(fmt.Sprintf("gc.after.c%d", c))
+			b := f.stats.Series(fmt.Sprintf("gc.before.c%d", c))
+			a := f.stats.Series(fmt.Sprintf("gc.after.c%d", c))
 			if k >= b.Len() || k >= a.Len() {
 				complete = false
 				break

@@ -104,44 +104,3 @@ func TestBatchPoolRecycles(t *testing.T) {
 		}
 	}
 }
-
-// TestBatchMonotoneGuard exercises the arrival-regression fallback: a
-// member whose arrival would precede the batch's last recorded arrival
-// must open a fresh batch, keeping every batch internally FIFO.
-func TestBatchMonotoneGuard(t *testing.T) {
-	e := sim.NewEngine()
-	fed := topology.Small(2, 1)
-	if err := fed.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	n := New(e, fed, sim.NewStats(), nil)
-	n.Register(topology.NodeID{Cluster: 0, Index: 0}, func(Message) {})
-	var got []sim.Time
-	n.Register(topology.NodeID{Cluster: 1, Index: 0}, func(Message) { got = append(got, e.Now()) })
-	// DeliverCrossAt accepts explicit arrivals: feed one that jumps
-	// ahead and then one that regresses below the batch's last.
-	m := Message{
-		Src:  topology.NodeID{Cluster: 0, Index: 0},
-		Dst:  topology.NodeID{Cluster: 1, Index: 0},
-		Kind: KindApp, Size: 100,
-	}
-	n.DeliverCrossAt(m, sim.Time(0).Add(10*sim.Millisecond), 1)
-	n.DeliverCrossAt(m, sim.Time(0).Add(50*sim.Millisecond), 2)
-	n.DeliverCrossAt(m, sim.Time(0).Add(20*sim.Millisecond), 3) // regression
-	if _, err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	want := []sim.Time{
-		sim.Time(0).Add(10 * sim.Millisecond),
-		sim.Time(0).Add(20 * sim.Millisecond),
-		sim.Time(0).Add(50 * sim.Millisecond),
-	}
-	if len(got) != len(want) {
-		t.Fatalf("delivered %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("delivery times %v, want %v", got, want)
-		}
-	}
-}

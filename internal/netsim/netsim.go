@@ -121,21 +121,12 @@ type Network struct {
 	// pipeSeq numbers every delivery scheduled through a directed
 	// cluster-pair pipe (duplicates included). Combined with the pair
 	// index it forms the post-tick dispatch key that makes same-tick
-	// inter-cluster delivery order a pure function of the wire content —
-	// the property that lets a sharded run interleave cross-shard
-	// deliveries exactly like the sequential reference.
+	// inter-cluster delivery order a pure function of the wire content,
+	// not of how the deliveries were scheduled — the property that keeps
+	// batched and unbatched runs byte-identical.
 	pipeSeq []uint64
 	nextID  uint64
 	rng     *sim.RNG // jitter draws; nil disables jitter
-	// Slot-keyed jitter mode: draws come from a lazily created per-slot
-	// stream derived purely from (jitterBase, slot), so the sequence a
-	// slot sees depends only on its own traffic order — identical under
-	// any sharding of the federation. Enabled by SetSlotJitter; the
-	// default shared-stream mode is kept bit-for-bit for sequential runs.
-	slotJitter  bool
-	jitterBase  uint64
-	jitterIntra []*sim.RNG // by node ordinal
-	jitterInter []*sim.RNG // by src*nClusters+dst
 
 	nClusters int
 	// deliverFn is the closure-free delivery handler, bound once so
@@ -183,14 +174,6 @@ type Network struct {
 	// here, which is what keeps encoder and decoder in perfect sync
 	// across node failures.
 	PipeExit func(src, dst topology.NodeID, payload any)
-
-	// CrossRoute, when non-nil, is consulted for every inter-cluster
-	// message after its arrival time and pipe dispatch key are fixed and
-	// its send is counted. Returning true claims the message: the shard
-	// harness carries it to the engine owning the destination cluster,
-	// which injects it through DeliverCrossAt at a window barrier.
-	// Returning false (same-shard destination) schedules it locally.
-	CrossRoute func(m Message, arrival sim.Time, key uint64) bool
 
 	// Perturb, when non-nil, lets an adversarial-schedule harness
 	// (internal/chaos) adjust every message's delivery: extra delay
@@ -276,7 +259,6 @@ type pipeBatch struct {
 	slot  int
 	items []Message
 	next  int
-	last  sim.Time // newest member's arrival: appends must not regress
 	pb    sim.PostBatch
 }
 
@@ -298,23 +280,21 @@ func (n *Network) releaseBatch(pb *pipeBatch) {
 
 // enqueueBatched schedules one inter-cluster delivery through the pipe's
 // open batch, opening a fresh one when the previous batch is from an
-// older tick or the arrival would regress below an already-appended
-// member (possible only for barrier-injected cross-shard messages a
-// chaos perturber released from the FIFO clamp). Fire order within a
-// batch equals append order: arrivals are non-decreasing and same-tick
-// members carry strictly increasing pipe keys.
+// older tick. Fire order within a batch equals append order: only
+// unperturbed sends reach here, and Send gives those non-decreasing
+// arrivals per pipe (the busy-until mark only advances, the link
+// latency is constant, and jittered arrivals are clamped to the pipe's
+// latest), with strictly increasing pipe keys.
 func (n *Network) enqueueBatched(slot int, m Message, arrival sim.Time, key uint64) {
 	now := n.engine.Now()
-	if pb := n.openBatch[slot]; pb != nil && n.openTick[slot] == now && arrival >= pb.last {
+	if pb := n.openBatch[slot]; pb != nil && n.openTick[slot] == now {
 		pb.items = append(pb.items, m)
-		pb.last = arrival
 		pb.pb.Add(arrival, key)
 		return
 	}
 	pb := n.allocBatch()
 	pb.slot = slot
 	pb.items = append(pb.items, m)
-	pb.last = arrival
 	pb.pb = n.engine.NewPostBatch(n.batchFn, pb)
 	pb.pb.Add(arrival, key)
 	n.openBatch[slot] = pb
@@ -345,47 +325,6 @@ func (n *Network) deliverBatched(arg any) {
 // links, the paper's configuration) no draws happen, so existing runs
 // are bit-for-bit unchanged.
 func (n *Network) SetRNG(rng *sim.RNG) { n.rng = rng }
-
-// SetSlotJitter switches jitter draws to slot-keyed streams derived
-// purely from base: each serialization slot (sender NIC or directed
-// cluster-pair pipe) gets its own stream on first use, so the draw a
-// message sees depends only on its slot and that slot's traffic order,
-// never on the global interleaving. Sharded runs need this — a shared
-// stream would hand out draws in engine order, which differs per shard
-// layout — and a sequential run with the same base reproduces a sharded
-// run's jitter exactly.
-func (n *Network) SetSlotJitter(base uint64) {
-	n.slotJitter = true
-	n.jitterBase = base
-}
-
-// jitterSlotRNG returns (creating on first use) the slot's jitter
-// stream. Intra and inter slot spaces are disambiguated by the tag
-// mixed into the seed.
-func (n *Network) jitterSlotRNG(intra bool, slot int) *sim.RNG {
-	var pool *[]*sim.RNG
-	var tag uint64
-	if intra {
-		pool = &n.jitterIntra
-		tag = 1<<32 | uint64(slot)
-	} else {
-		pool = &n.jitterInter
-		tag = 2<<32 | uint64(slot)
-	}
-	if *pool == nil {
-		if intra {
-			*pool = make([]*sim.RNG, n.ix.Len())
-		} else {
-			*pool = make([]*sim.RNG, n.nClusters*n.nClusters)
-		}
-	}
-	if r := (*pool)[slot]; r != nil {
-		return r
-	}
-	r := sim.NewRNG(n.jitterBase + tag*0x9e3779b97f4a7c15)
-	(*pool)[slot] = r
-	return r
-}
 
 // Register installs the delivery handler for a node. Each node must
 // register exactly once before any traffic is sent to it.
@@ -494,20 +433,12 @@ func (n *Network) Send(src, dst topology.NodeID, kind Kind, size int, payload an
 		// the per-slot FIFO guarantee survives for later messages.
 		arrival = arrival.Add(pert.Extra)
 	}
-	var jr *sim.RNG
-	if link.Jitter > 0 {
-		if n.slotJitter {
-			jr = n.jitterSlotRNG(src.Cluster == dst.Cluster, slot)
-		} else {
-			jr = n.rng
-		}
-	}
-	if jr != nil {
+	if link.Jitter > 0 && n.rng != nil {
 		// Per-message propagation jitter; arrivals never overtake an
 		// earlier message on the same link (FIFO, like an in-order
 		// transport over a jittery path) — unless the perturber
 		// released this message from the clamp.
-		arrival = arrival.Add(jr.Uniform(0, link.Jitter))
+		arrival = arrival.Add(n.rng.Uniform(0, link.Jitter))
 		if perturbed && pert.Unclamped {
 			// Neither clamped nor advancing the slot's clamp state.
 		} else {
@@ -525,31 +456,16 @@ func (n *Network) Send(src, dst topology.NodeID, kind Kind, size int, payload an
 
 	msg := Message{ID: id, Src: src, Dst: dst, Kind: kind, Size: size, Payload: payload}
 	inter := src.Cluster != dst.Cluster
-	var key uint64
-	if inter {
-		key = n.nextPipeKey(slot)
-		if n.CrossRoute != nil && n.CrossRoute(msg, arrival, key) {
-			// Claimed by the shard owning the destination cluster. A chaos
-			// duplicate crosses too, under its own pipe key.
-			if perturbed && pert.Duplicate > 0 {
-				dm := msg
-				if pert.DupPayload != nil {
-					dm.Payload = pert.DupPayload
-				}
-				n.CrossRoute(dm, arrival.Add(pert.Duplicate), n.nextPipeKey(slot))
-			}
-			return id
-		}
-	}
 	if inter {
 		// Inter-cluster deliveries dispatch in the post-tick class keyed
 		// by (pair, pipeSeq): at one timestamp they fire after every
 		// ordinary event, in an order determined by the wire content
-		// alone — so a barrier-injected cross-shard delivery lands in
-		// exactly the slot the sequential run gave it. Unperturbed
-		// messages coalesce into the pipe's open batch; perturbed ones
-		// stay standalone so the chaos layer's arrival rewrites can
-		// never violate a batch's monotone-arrival contract.
+		// alone — so a batch member fires exactly where its standalone
+		// delivery would. Unperturbed messages coalesce into the pipe's
+		// open batch; perturbed ones stay standalone so the chaos
+		// layer's arrival rewrites can never violate a batch's
+		// monotone-arrival contract.
+		key := n.nextPipeKey(slot)
 		if n.noBatch || perturbed {
 			m := n.allocMsg()
 			*m = msg
@@ -589,28 +505,6 @@ const pipeSeqBits = 40
 func (n *Network) nextPipeKey(slot int) uint64 {
 	n.pipeSeq[slot]++
 	return uint64(slot)<<pipeSeqBits | n.pipeSeq[slot]
-}
-
-// DeliverCrossAt injects a message handed over from another shard's
-// network: it schedules delivery on this network's engine at the
-// arrival time and post-tick key the sending shard computed. Called
-// only at window barriers, with arrival at or beyond the window limit,
-// so the destination engine has not yet passed the timestamp.
-//
-// Cross injections batch like local sends: the barrier drains a shard's
-// outbox in order, so consecutive messages of one pipe land in one
-// batch. A pipe's slot is keyed by the *source* cluster, which another
-// shard owns — the destination network never locally sends on it — so
-// cross batches and local batches can never interleave on a slot.
-func (n *Network) DeliverCrossAt(m Message, arrival sim.Time, key uint64) {
-	if n.noBatch {
-		box := n.allocMsg()
-		*box = m
-		n.engine.SchedulePostCallAt(arrival, key, n.deliverFn, box)
-		return
-	}
-	slot := int(m.Src.Cluster)*n.nClusters + int(m.Dst.Cluster)
-	n.enqueueBatched(slot, m, arrival, key)
 }
 
 // deliverPooled is the event-engine entry point: it copies the pooled

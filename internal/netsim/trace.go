@@ -20,9 +20,8 @@ import (
 // characteristics drift over minutes, not the milliseconds a static
 // model assumes. The schedule rides the existing Perturber plumbing:
 // the topology's inter links carry the trace's minimum latency (so the
-// sharded runner's conservative lookahead stays positive) and the
-// TracePerturber adds the current segment's surplus, jitter draw and
-// loss-retransmission delay on top. Perturbed messages always deliver
+// surplus is never negative) and the TracePerturber adds the current
+// segment's surplus, jitter draw and loss-retransmission delay on top. Perturbed messages always deliver
 // standalone, so batched and unbatched trace runs are identical by
 // construction.
 
@@ -131,7 +130,7 @@ func (t *LinkTrace) Period() sim.Duration { return t.period }
 
 // MinLatency returns the smallest segment latency — the static
 // latency the topology's inter links must declare so the perturber's
-// surplus is never negative (and the sharded lookahead stays positive).
+// surplus is never negative.
 func (t *LinkTrace) MinLatency() sim.Duration { return t.minLat }
 
 // SampleAt returns the segment in effect at simulation time at; the
@@ -178,11 +177,10 @@ func DefaultTrace() *LinkTrace {
 // top of the link's static latency (the trace minimum) it adds the
 // current segment's latency surplus, a jitter draw and a geometric
 // loss-retransmission delay. Randomness comes from per-directed-pipe
-// streams derived purely from (seed, slot) — the same discipline as
-// netsim's slot-keyed jitter — so the draws a pipe sees depend only on
-// its own traffic order and a sharded run replays a sequential run
-// exactly. Every inter message reports perturbed, which routes it off
-// the batch path: batched and unbatched trace runs are identical.
+// streams derived purely from (seed, slot), so the draws a pipe sees
+// depend only on its own traffic order, not on how busy the other
+// pipes are. Every inter message reports perturbed, which routes it
+// off the batch path: batched and unbatched trace runs are identical.
 type TracePerturber struct {
 	trace *LinkTrace
 	fed   *topology.Federation
@@ -199,9 +197,8 @@ type TracePerturber struct {
 // validated loss < 1 the geometric tail beyond 16 tries is ~0.
 const traceRetryCap = 16
 
-// NewTracePerturber builds the perturber for one run. seed must be the
-// run seed (shards pass the same one, which is what keeps them
-// byte-identical) and now the owning engine's clock.
+// NewTracePerturber builds the perturber for one run. seed is the run
+// seed and now the owning engine's clock.
 func NewTracePerturber(trace *LinkTrace, fed *topology.Federation, seed uint64, now func() sim.Time) *TracePerturber {
 	nc := fed.NumClusters()
 	return &TracePerturber{

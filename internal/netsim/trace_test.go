@@ -112,9 +112,9 @@ func tracePerturberFixture(seed uint64, now *sim.Time) *TracePerturber {
 }
 
 // TestTracePerturberDeterministicPerPipe checks the RNG-stream
-// discipline the sharded runner relies on: the perturbation sequence a
-// directed pipe sees is a pure function of (seed, pipe, traffic
-// order), and every inter message reports perturbed (off-batch).
+// discipline: the perturbation sequence a directed pipe sees is a pure
+// function of (seed, pipe, traffic order), and every inter message
+// reports perturbed (off-batch).
 func TestTracePerturberDeterministicPerPipe(t *testing.T) {
 	msg := Message{
 		Src: topology.NodeID{Cluster: 0, Index: 0},

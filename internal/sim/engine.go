@@ -175,22 +175,22 @@ type Engine struct {
 
 	// interrupted is the only cross-goroutine input to the otherwise
 	// single-threaded engine: a wall-clock watchdog sets it via
-	// Interrupt and the run loops abort with ErrInterrupted at the next
-	// event boundary. It stays set (Run must not resume a killed run's
-	// next horizon slice) until Reset or ClearInterrupt.
+	// Interrupt and Run aborts with ErrInterrupted at the next event
+	// boundary. It stays set (Run must not resume a killed run's next
+	// horizon slice) until Reset or ClearInterrupt.
 	interrupted atomic.Bool
 }
 
-// ErrInterrupted is returned by Run/RunUntil after Interrupt: the
-// simulation was killed from outside (a wall-clock watchdog), not
-// finished. Detect it with errors.Is.
+// ErrInterrupted is returned by Run after Interrupt: the simulation was
+// killed from outside (a wall-clock watchdog), not finished. Detect it
+// with errors.Is.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
-// Interrupt makes any in-progress or future Run/RunUntil return
-// ErrInterrupted at the next event boundary. Unlike Stop it is safe to
-// call from another goroutine, and it is sticky: the engine stays
-// interrupted across horizon slices until Reset or ClearInterrupt, so a
-// watchdog firing between two slices still kills the run.
+// Interrupt makes any in-progress or future Run return ErrInterrupted
+// at the next event boundary. Unlike Stop it is safe to call from
+// another goroutine, and it is sticky: the engine stays interrupted
+// across horizon slices until Reset or ClearInterrupt, so a watchdog
+// firing between two slices still kills the run.
 func (e *Engine) Interrupt() { e.interrupted.Store(true) }
 
 // ClearInterrupt re-arms an interrupted engine (Reset also clears).
@@ -294,11 +294,10 @@ func (e *Engine) ScheduleCallAt(t Time, fn func(arg any), arg any) EventRef {
 //
 // Unlike the schedule-counter tie-break of the ordinary paths, the
 // resulting same-tick order is a pure function of (t, key) — it does
-// not depend on the order in which the events were pushed. That is the
-// property the conservative parallel coordinator needs: cross-shard
-// deliveries injected at a window barrier interleave exactly as they
-// would have in a sequential run, provided sequential runs schedule the
-// same deliveries through this same post-tick class.
+// not depend on the order in which the events were pushed. netsim keys
+// inter-cluster deliveries by (pipe, sequence), so their same-tick
+// order is a function of wire content alone: that is what lets a
+// PostBatch and N standalone calls produce byte-identical runs.
 func (e *Engine) SchedulePostCallAt(t Time, key uint64, fn func(arg any), arg any) EventRef {
 	if fn == nil {
 		panic("sim: nil handler")
@@ -723,77 +722,6 @@ func (e *Engine) Step() bool {
 	e.popNext(slot, fromNear)
 	e.fire(slot, at)
 	return true
-}
-
-// HasPendingEvents reports whether any event is still scheduled. O(1).
-func (e *Engine) HasPendingEvents() bool { return e.count > 0 }
-
-// PeekNextEventTime returns the timestamp of the earliest pending event
-// without consuming it, and false if the queue is empty. The peek may
-// advance the internal drain cursor (sorting a bucket, refilling the
-// window from the far heap) but never fires or reorders anything — the
-// conservative parallel coordinator calls it between windows to decide
-// how far each shard may safely advance.
-func (e *Engine) PeekNextEventTime() (Time, bool) {
-	_, at, _, ok := e.next()
-	if !ok {
-		return 0, false
-	}
-	return at, true
-}
-
-// ProcessNextEvent fires the earliest pending event and reports whether
-// one fired. It is Step under the name the coordinator composes with
-// HasPendingEvents and PeekNextEventTime.
-func (e *Engine) ProcessNextEvent() bool { return e.Step() }
-
-// RunUntil executes events with timestamps strictly below limit, in the
-// same batched timestamp order as Run. Unlike Run it treats the bound
-// as exclusive and never advances the clock to it: after RunUntil
-// returns, Now is the timestamp of the last fired event, and events at
-// or beyond limit remain queued untouched. This is the window-advance
-// primitive of the conservative parallel coordinator — a shard drains
-// [Now, limit) and anything a barrier later injects at t >= limit is
-// still in the future.
-func (e *Engine) RunUntil(limit Time) error {
-	e.stopped = false
-	for !e.stopped {
-		if e.interrupted.Load() {
-			return ErrInterrupted
-		}
-		if e.MaxEvents > 0 && e.Executed >= e.MaxEvents {
-			return fmt.Errorf("sim: exceeded MaxEvents=%d at t=%v", e.MaxEvents, e.now)
-		}
-		slot, at, fromNear, ok := e.next()
-		if !ok || at >= limit {
-			break
-		}
-		e.popNext(slot, fromNear)
-		e.fire(slot, at)
-		if !fromNear {
-			continue
-		}
-		// Batched same-tick dispatch within the current bucket; the batch
-		// stays at the fired timestamp, which is strictly below limit.
-		for !e.stopped && (e.MaxEvents == 0 || e.Executed < e.MaxEvents) && !e.interrupted.Load() {
-			b := e.buckets[e.cur]
-			if e.curPos >= len(b) {
-				break
-			}
-			ent := &b[e.curPos]
-			if ent.at != e.now {
-				break
-			}
-			s := ent.slot
-			if e.slab[s].gen != ent.gen {
-				e.curPos++
-				continue
-			}
-			e.curPos++
-			e.fire(s, e.now)
-		}
-	}
-	return nil
 }
 
 // Run executes events in timestamp order until the queue is empty, Stop

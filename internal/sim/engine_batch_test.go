@@ -136,3 +136,73 @@ func TestPostBatchMembersCarryOwnTimes(t *testing.T) {
 		t.Fatalf("standalone event fired at %v, want 50ms", betweenAt)
 	}
 }
+
+// TestPostClassFiresAfterOrdinaryByKey pins the post-tick class
+// contract: at one timestamp, post-class events fire after every
+// ordinary event — even ordinary events scheduled later, including from
+// inside a post-class handler — and among themselves in key order
+// regardless of scheduling order.
+func TestPostClassFiresAfterOrdinaryByKey(t *testing.T) {
+	e := NewEngine()
+	tick := Time(Second)
+	var got []string
+	rec := func(arg any) { got = append(got, arg.(string)) }
+	// Post-class scheduled first, with keys out of push order.
+	e.SchedulePostCallAt(tick, 30, rec, "post30")
+	e.SchedulePostCallAt(tick, 10, func(arg any) {
+		got = append(got, arg.(string))
+		// An ordinary zero-delay follow-up scheduled from a post handler
+		// fires before the remaining post-class events of the tick.
+		e.ScheduleCallAt(tick, rec, "nested-ordinary")
+	}, "post10")
+	e.SchedulePostCallAt(tick, 20, rec, "post20")
+	e.ScheduleCallAt(tick, rec, "ordinary1")
+	e.ScheduleCallAt(tick, rec, "ordinary2")
+	if _, err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"ordinary1", "ordinary2", "post10", "nested-ordinary", "post20", "post30"}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+}
+
+// TestPostClassOrderIndependentOfTier schedules the same same-tick mix
+// twice — once so the tick lands in the near window, once so it spills
+// through the far heap via a window jump — and requires the identical
+// firing order: which tier a delivery lands in depends on how far ahead
+// of the drain window its arrival is, and must not change the run.
+func TestPostClassOrderIndependentOfTier(t *testing.T) {
+	run := func(lead Duration) []string {
+		e := NewEngine()
+		tick := Time(lead)
+		var got []string
+		rec := func(arg any) { got = append(got, arg.(string)) }
+		e.SchedulePostCallAt(tick, 2, rec, "p2")
+		e.ScheduleCallAt(tick, rec, "o1")
+		e.SchedulePostCallAt(tick, 1, rec, "p1")
+		e.ScheduleCallAt(tick, rec, "o2")
+		if _, err := e.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	near := run(Millisecond)       // inside the initial near window
+	far := run(ladWindow + Second) // beyond it: far heap + refill path
+	want := []string{"o1", "o2", "p1", "p2"}
+	for _, got := range [][]string{near, far} {
+		if len(got) != len(want) {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("got %v, want %v", got, want)
+			}
+		}
+	}
+}

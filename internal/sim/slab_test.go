@@ -157,6 +157,69 @@ func (q refQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 func (q *refQueue) Push(x any)   { *q = append(*q, x.(refEvent)) }
 func (q *refQueue) Pop() any     { old := *q; n := len(old); x := old[n-1]; *q = old[:n-1]; return x }
 
+// TestResetAfterPartialDrain covers a pooled engine released mid-run (a
+// horizon reached, a watchdog kill): Run leaves the drain cursor
+// mid-bucket with sorted entries behind it and occupancy bits set;
+// Reset must clear every near bucket, the occupancy bitmap and the far
+// heap so a reused engine replays a fresh schedule exactly, with no
+// stale entry firing and no occupancy bit left for a drained bucket.
+func TestResetAfterPartialDrain(t *testing.T) {
+	e := NewEngine()
+	boom := func(any) { t.Fatal("stale pre-Reset event fired") }
+	// Populate several near buckets (same-tick collisions included), the
+	// bucket the cursor will stop inside, and the far heap.
+	e.ScheduleCall(100*Microsecond, func(any) {}, nil)
+	e.ScheduleCall(200*Microsecond, func(any) {}, nil)
+	e.ScheduleCall(200*Microsecond, func(any) {}, nil)
+	e.ScheduleCall(600*Microsecond, boom, nil) // same bucket as 200µs, beyond the stop
+	e.ScheduleCall(5*Millisecond, boom, nil)   // later bucket
+	e.ScheduleCall(2*ladWindow, boom, nil)     // far heap
+	if _, err := e.Run(Time(300 * Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	if e.Executed != 3 {
+		t.Fatalf("partial drain fired %d events, want 3", e.Executed)
+	}
+
+	e.Reset()
+	if e.Now() != 0 || e.Len() != 0 || e.Executed != 0 {
+		t.Fatalf("Reset left now=%v len=%d executed=%d", e.Now(), e.Len(), e.Executed)
+	}
+	for i, w := range e.occupied {
+		if w != 0 {
+			t.Fatalf("occupancy word %d = %#x after Reset", i, w)
+		}
+	}
+	for i := range e.buckets {
+		if len(e.buckets[i]) != 0 {
+			t.Fatalf("bucket %d holds %d entries after Reset", i, len(e.buckets[i]))
+		}
+	}
+	if len(e.heap) != 0 {
+		t.Fatalf("far heap holds %d entries after Reset", len(e.heap))
+	}
+
+	// Replay a fresh schedule over the same buckets the partial drain
+	// touched; order and count must match a fresh engine exactly.
+	var got []int
+	for i, d := range []Duration{600 * Microsecond, 200 * Microsecond, 2 * ladWindow, 100 * Microsecond} {
+		i := i
+		e.ScheduleCall(d, func(any) { got = append(got, i) }, nil)
+	}
+	if _, err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{3, 1, 0, 2}
+	if len(got) != len(want) {
+		t.Fatalf("post-Reset replay fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("post-Reset replay fired %v, want %v", got, want)
+		}
+	}
+}
+
 // TestEngineLadderDifferentialFuzz drives the ladder-queue engine and
 // the reference heap with identical schedule/cancel sequences and
 // requires identical firing order. Unlike TestEngineFuzzInterleaving it

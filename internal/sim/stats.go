@@ -79,32 +79,6 @@ func (s *Summary) String() string {
 		s.n, s.mean, s.min, s.max, s.Stddev())
 }
 
-// Merge folds another summary into s (Chan et al.'s pairwise update).
-// The combined mean and variance are mathematically exact but not
-// bitwise identical to observing the samples in one sequence; harnesses
-// that need byte-identical output replay the observations in order
-// instead and use Merge only as the fallback for unjournaled summaries.
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	s.mean += delta * float64(o.n) / float64(n)
-	s.n = n
-}
-
 // histSubBuckets is the number of log-scaled sub-buckets per power of
 // two. 32 bounds a bucket's width at ~2.2% of its value, so a
 // bucket-mode quantile is within ~1.1% of the true sample.
@@ -439,42 +413,6 @@ func (s *Stats) ForEachCounter(fn func(name string, value uint64)) {
 	sort.Strings(names)
 	for _, n := range names {
 		fn(n, s.counters[n].Value())
-	}
-}
-
-// ForEachSummary visits every registered summary in name order.
-func (s *Stats) ForEachSummary(fn func(name string, sum *Summary)) {
-	names := make([]string, 0, len(s.summaries))
-	for n := range s.summaries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fn(n, s.summaries[n])
-	}
-}
-
-// ForEachSeries visits every registered series in name order.
-func (s *Stats) ForEachSeries(fn func(name string, ser *Series)) {
-	names := make([]string, 0, len(s.series))
-	for n := range s.series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fn(n, s.series[n])
-	}
-}
-
-// ForEachHistogram visits every registered histogram in name order.
-func (s *Stats) ForEachHistogram(fn func(name string, h *Histogram)) {
-	names := make([]string, 0, len(s.histograms))
-	for n := range s.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fn(n, s.histograms[n])
 	}
 }
 

@@ -155,7 +155,7 @@ func TestHistogramNegativeAndZero(t *testing.T) {
 }
 
 // TestHistogramMergeMatchesPooled checks merge stability: merging
-// shard-local histograms yields the same quantiles as observing every
+// per-run histograms yields the same quantiles as observing every
 // sample in one histogram, in both exact and bucketed regimes.
 func TestHistogramMergeMatchesPooled(t *testing.T) {
 	for _, n := range []int{40, 4000} { // exact regime, bucket regime
@@ -229,16 +229,6 @@ func TestStatsHistogramRegistryAndDump(t *testing.T) {
 	}
 	if st.Histogram("lat_s") != h {
 		t.Fatal("histogram registry must return the same instance")
-	}
-	seen := 0
-	st.ForEachHistogram(func(name string, got *Histogram) {
-		if name != "lat_s" || got != h {
-			t.Fatalf("ForEachHistogram gave %q", name)
-		}
-		seen++
-	})
-	if seen != 1 {
-		t.Fatalf("ForEachHistogram visited %d", seen)
 	}
 	dump := st.Dump()
 	for _, want := range []string{"histo", "lat_s", "p50=", "p999="} {

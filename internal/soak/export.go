@@ -31,10 +31,8 @@ type Record struct {
 	// Protocol the protocol under test.
 	Scenario string `json:"scenario"`
 	Protocol string `json:"protocol"`
-	// Seed replays the schedule; Shards (when > 1) is part of the
-	// schedule's identity.
-	Seed   uint64 `json:"seed"`
-	Shards int    `json:"shards,omitempty"`
+	// Seed replays the schedule.
+	Seed uint64 `json:"seed"`
 	// Status is "ok", "violation" (oracle or harness invariant),
 	// "wedged" (wall-clock watchdog killed the run) or "panic".
 	Status string `json:"status"`
@@ -42,9 +40,9 @@ type Record struct {
 	// "watchdog", ...); Error carries the full diagnostic.
 	Check string `json:"check,omitempty"`
 	Error string `json:"error,omitempty"`
-	// Ops is how many perturbation actions the schedule applied
-	// (sequential runs only); MinOps, when > 0, is the minimized
-	// reproducing prefix and Replay the one-command repro.
+	// Ops is how many perturbation actions the schedule applied;
+	// MinOps, when > 0, is the minimized reproducing prefix and Replay
+	// the one-command repro.
 	Ops    int    `json:"ops,omitempty"`
 	MinOps int    `json:"min_ops,omitempty"`
 	Replay string `json:"replay,omitempty"`
@@ -56,10 +54,10 @@ type Record struct {
 	ElapsedMS int64 `json:"elapsed_ms"`
 }
 
-// Key identifies the sweep slot a record fills: one (scenario, shard
-// count, seed) runs exactly once per sweep.
+// Key identifies the sweep slot a record fills: one (scenario, seed)
+// runs exactly once per sweep.
 func (r Record) Key() string {
-	return fmt.Sprintf("%s|%d|%d", r.Scenario, r.Shards, r.Seed)
+	return fmt.Sprintf("%s|%d", r.Scenario, r.Seed)
 }
 
 // Failed reports whether the record is anything but a clean run.
@@ -231,7 +229,10 @@ func (j *Journal) Close() error { return j.lj.Close() }
 // ReadFrom replays every journal record starting at byte offset off,
 // calling fn for each. A torn or malformed line stops the scan there
 // (returning how far it got); OpenJournal truncation makes that the
-// file end in practice.
+// file end in practice. A well-formed record carrying "shards" > 1 is
+// an error: it names a multi-engine schedule, which differs from the
+// same seed's single-engine schedule and which this binary cannot run,
+// so it must not be counted in that seed's slot.
 func ReadFrom(path string, off int64, fn func(Record) error) (int64, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) && off == 0 {
@@ -249,11 +250,17 @@ func ReadFrom(path string, off int64, fn func(Record) error) (int64, error) {
 	pos := off
 	for sc.Scan() {
 		line := sc.Bytes()
-		var r Record
+		var r struct {
+			Record
+			Shards int `json:"shards"`
+		}
 		if err := json.Unmarshal(line, &r); err != nil {
 			return pos, nil // torn tail: stop before it
 		}
-		if err := fn(r); err != nil {
+		if r.Shards > 1 {
+			return pos, errShards(fmt.Sprintf("%s record %d", path, recordNumber(path, pos)), r.Shards)
+		}
+		if err := fn(r.Record); err != nil {
 			return pos, err
 		}
 		pos += int64(len(line)) + 1
@@ -262,4 +269,23 @@ func ReadFrom(path string, off int64, fn func(Record) error) (int64, error) {
 		return pos, err
 	}
 	return pos, nil
+}
+
+// errShards refuses a record or cursor (named by where) of a
+// multi-engine schedule.
+func errShards(where string, shards int) error {
+	return fmt.Errorf(
+		"soak: %s: field \"shards\" is %d, but only single-engine schedules (shards absent or 1) exist; start a fresh -state dir",
+		where, shards)
+}
+
+// recordNumber is the 1-based line number of the journal record that
+// starts at byte offset pos. Error reporting only, so it rereads the
+// file rather than making every scan count lines.
+func recordNumber(path string, pos int64) int {
+	b, _ := os.ReadFile(path)
+	if int64(len(b)) > pos {
+		b = b[:pos]
+	}
+	return bytes.Count(b, []byte{'\n'}) + 1
 }

@@ -34,8 +34,7 @@ const maxMinimizeProbes = 64
 //
 // run must be the failing run's identity (OpBudget 0); failure its
 // error. fullOps, when > 0, seeds the upper bound with the op count
-// the failing run actually applied (sequential runs report it;
-// sharded runs pass 0 and the ramp discovers the bound).
+// the failing run actually applied; at 0 the ramp discovers the bound.
 func Minimize(run experiments.ChaosRun, failure error, fullOps int) Minimized {
 	want := experiments.CheckName(failure)
 	m := Minimized{Check: want}

@@ -14,18 +14,10 @@ import (
 	"repro/internal/experiments"
 )
 
-// Unit is one sweep slice: a chaos-tier scenario at one shard count.
+// Unit is one sweep slice: a chaos-tier scenario.
 type Unit struct {
 	Scenario experiments.Scenario
 	Protocol string // "" = hc3i
-	Shards   int    // <= 1 = single-engine reference
-}
-
-func (u Unit) shards() int {
-	if u.Shards <= 1 {
-		return 1
-	}
-	return u.Shards
 }
 
 func (u Unit) protocol() string {
@@ -88,11 +80,13 @@ func (o Options) checkpointEvery() int {
 // Fingerprint pins the sweep identity a state dir belongs to: the unit
 // grid and the scale. The seed budget and operational knobs (workers,
 // timeout, checkpoint cadence) are deliberately excluded — raising the
-// budget or retuning the service must resume, not restart.
+// budget or retuning the service must resume, not restart. Each unit's
+// constant third field is the engine count of the soak-v1 format:
+// state dirs on disk carry it, and dropping it would orphan them.
 func Fingerprint(o Options) string {
 	names := make([]string, len(o.Units))
 	for i, u := range o.Units {
-		names[i] = fmt.Sprintf("%s|%s|%d", u.Scenario.Name(), u.protocol(), u.shards())
+		names[i] = fmt.Sprintf("%s|%s|1", u.Scenario.Name(), u.protocol())
 	}
 	sort.Strings(names)
 	return fmt.Sprintf("soak-v1 quick=%t units=%s", o.Quick, strings.Join(names, ","))
@@ -145,7 +139,7 @@ func Run(ctx context.Context, o Options) (*Summary, error) {
 	var pending []job
 	perUnit := make([][]uint64, len(o.Units))
 	for i, u := range o.Units {
-		c := st.Cursor(u.Scenario.Name(), u.shards())
+		c := st.Cursor(u.Scenario.Name())
 		for seed := uint64(1); seed <= o.SeedsPerUnit; seed++ {
 			if !c.Completed(seed) {
 				perUnit[i] = append(perUnit[i], seed)
@@ -257,7 +251,7 @@ func Run(ctx context.Context, o Options) (*Summary, error) {
 		Failures:   append([]Record(nil), st.Failures...),
 	}
 	for _, u := range o.Units {
-		c := st.Cursor(u.Scenario.Name(), u.shards())
+		c := st.Cursor(u.Scenario.Name())
 		for seed := uint64(1); seed <= o.SeedsPerUnit; seed++ {
 			if !c.Completed(seed) {
 				sum.Remaining++
@@ -278,16 +272,12 @@ func runOne(jb job, o Options) (rec Record) {
 		Protocol: jb.unit.Protocol,
 		Seed:     jb.seed,
 		Quick:    o.Quick,
-		Shards:   jb.unit.Shards,
 		Timeout:  o.RunTimeout,
 	}
 	rec = Record{
 		Scenario: jb.unit.Scenario.Name(),
 		Protocol: jb.unit.protocol(),
 		Seed:     jb.seed,
-	}
-	if s := jb.unit.shards(); s > 1 {
-		rec.Shards = s
 	}
 	defer func() {
 		rec.ElapsedMS = time.Since(start).Milliseconds()

@@ -30,7 +30,7 @@ func sweepOpts(dir string, seeds uint64, units ...Unit) Options {
 // sweep again finds nothing left to do.
 func TestSweepCleanAndIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	opts := sweepOpts(dir, 4, unit("2c", "uniform", 1), unit("2c", "bursty", 1))
+	opts := sweepOpts(dir, 4, unit("2c", "uniform"), unit("2c", "bursty"))
 	var tee bytes.Buffer
 	opts.Tee = NewWriterExporter(&tee)
 	sum, err := Run(context.Background(), opts)
@@ -78,7 +78,7 @@ func TestSweepJournalsMinimizedViolations(t *testing.T) {
 	core.Mutate.AcceptStaleEpoch = true
 	defer func() { core.Mutate = core.MutationFlags{} }()
 	dir := t.TempDir()
-	opts := sweepOpts(dir, 40, unit("4c", "uniform", 1))
+	opts := sweepOpts(dir, 40, unit("4c", "uniform"))
 	opts.Minimize = true
 	sum, err := Run(context.Background(), opts)
 	if err != nil {
@@ -118,7 +118,7 @@ func TestSweepJournalsMinimizedViolations(t *testing.T) {
 // a resume finishes them.
 func TestSweepDrainsOnCancel(t *testing.T) {
 	dir := t.TempDir()
-	opts := sweepOpts(dir, 50, unit("2c", "uniform", 1))
+	opts := sweepOpts(dir, 50, unit("2c", "uniform"))
 	opts.Workers = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // drain immediately: nothing (or almost nothing) starts
@@ -152,7 +152,7 @@ func TestSweepSurvivesSIGKILL(t *testing.T) {
 	if dir := os.Getenv("SOAK_KILL_DIR"); dir != "" {
 		// Child: die after 11 records with a checkpoint every 4 — the
 		// kill lands with journal records the checkpoint never saw.
-		opts := sweepOpts(dir, target, unit("2c", "uniform", 1), unit("2c", "bursty", 1))
+		opts := sweepOpts(dir, target, unit("2c", "uniform"), unit("2c", "bursty"))
 		opts.CheckpointEvery = 4
 		opts.DieAfter = 11
 		_, err := Run(context.Background(), opts)
@@ -178,7 +178,7 @@ func TestSweepSurvivesSIGKILL(t *testing.T) {
 	}
 
 	// Resume and finish.
-	opts := sweepOpts(dir, target, unit("2c", "uniform", 1), unit("2c", "bursty", 1))
+	opts := sweepOpts(dir, target, unit("2c", "uniform"), unit("2c", "bursty"))
 	sum, err := Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -11,24 +11,18 @@ import (
 // stateVersion guards the checkpoint schema.
 const stateVersion = 1
 
-// Cursor is one sweep unit's progress: which seeds of one (scenario,
-// shard count) slice have journaled records. Seeds are assigned
-// sequentially from 1; completions can land out of order (worker
-// pool), so coverage is a contiguous prefix plus sparse extras above
-// it.
+// Cursor is one sweep unit's progress: which seeds of one scenario
+// slice have journaled records. Seeds are assigned sequentially from
+// 1; completions can land out of order (worker pool), so coverage is a
+// contiguous prefix plus sparse extras above it.
 type Cursor struct {
 	Scenario string `json:"scenario"`
 	Protocol string `json:"protocol"`
-	Shards   int    `json:"shards,omitempty"`
 	// Done: every seed in [1, Done] has a journal record.
 	Done uint64 `json:"done"`
 	// Extras: completed seeds above Done (normalized: sorted, unique,
 	// all > Done). They fold into Done as the gap below them fills.
 	Extras []uint64 `json:"extras,omitempty"`
-}
-
-func cursorKey(scenario string, shards int) string {
-	return fmt.Sprintf("%s|%d", scenario, shards)
 }
 
 // Complete marks seed done and renormalizes. It reports false when the
@@ -101,40 +95,27 @@ type State struct {
 func NewState(fingerprint string, units []Unit) *State {
 	s := &State{Version: stateVersion, Fingerprint: fingerprint}
 	for _, u := range units {
-		s.Cursors = append(s.Cursors, &Cursor{
-			Scenario: u.Scenario.Name(), Protocol: u.protocol(), Shards: u.shards(),
-		})
+		s.Cursors = append(s.Cursors, &Cursor{Scenario: u.Scenario.Name(), Protocol: u.protocol()})
 	}
 	return s
 }
 
 // Cursor returns the unit's cursor, or nil for a record outside the
 // sweep (a foreign journal line).
-func (s *State) Cursor(scenario string, shards int) *Cursor {
-	if shards <= 0 {
-		shards = 1
-	}
-	key := cursorKey(scenario, shards)
+func (s *State) Cursor(scenario string) *Cursor {
 	for _, c := range s.Cursors {
-		if cursorKey(c.Scenario, c.shards()) == key {
+		if c.Scenario == scenario {
 			return c
 		}
 	}
 	return nil
 }
 
-func (c *Cursor) shards() int {
-	if c.Shards <= 0 {
-		return 1
-	}
-	return c.Shards
-}
-
 // Absorb merges one journal record into the cursors and ledger. It
 // reports whether the record was new (false = already counted, the
 // exactly-once guard).
 func (s *State) Absorb(r Record) bool {
-	c := s.Cursor(r.Scenario, r.Shards)
+	c := s.Cursor(r.Scenario)
 	if c == nil || !c.Complete(r.Seed) {
 		return false
 	}
@@ -191,7 +172,10 @@ func SaveState(dir string, s *State) error {
 }
 
 // LoadState reads the checkpoint; a missing file returns (nil, nil) —
-// a fresh sweep.
+// a fresh sweep. A cursor carrying "shards" > 1 is refused for the
+// reason ReadFrom refuses such a record; "shards": 1, which
+// checkpoints on disk carry on every cursor, is the single-engine
+// schedule and loads as is.
 func LoadState(dir string) (*State, error) {
 	b, err := os.ReadFile(StatePath(dir))
 	if os.IsNotExist(err) {
@@ -207,6 +191,20 @@ func LoadState(dir string) (*State, error) {
 	if s.Version != stateVersion {
 		return nil, fmt.Errorf("soak: %s has version %d, this binary speaks %d",
 			StatePath(dir), s.Version, stateVersion)
+	}
+	var legacy struct {
+		Cursors []struct {
+			Scenario string `json:"scenario"`
+			Shards   int    `json:"shards"`
+		} `json:"cursors"`
+	}
+	if err := json.Unmarshal(b, &legacy); err != nil {
+		return nil, fmt.Errorf("soak: corrupt %s: %w", StatePath(dir), err)
+	}
+	for i, c := range legacy.Cursors {
+		if c.Shards > 1 {
+			return nil, errShards(fmt.Sprintf("%s cursor %d (%s)", StatePath(dir), i+1, c.Scenario), c.Shards)
+		}
 	}
 	return &s, nil
 }
@@ -274,9 +272,7 @@ func Verify(dir string) (*State, error) {
 	seen := map[string]bool{}
 	fresh := &State{Version: stateVersion, Fingerprint: st.Fingerprint}
 	for _, c := range st.Cursors {
-		fresh.Cursors = append(fresh.Cursors, &Cursor{
-			Scenario: c.Scenario, Protocol: c.Protocol, Shards: c.Shards,
-		})
+		fresh.Cursors = append(fresh.Cursors, &Cursor{Scenario: c.Scenario, Protocol: c.Protocol})
 	}
 	n := 0
 	end, err := ReadFrom(JournalPath(dir), 0, func(r Record) error {
@@ -285,9 +281,8 @@ func Verify(dir string) (*State, error) {
 			return fmt.Errorf("soak: journal record %d duplicates slot %s", n, r.Key())
 		}
 		seen[r.Key()] = true
-		if fresh.Cursor(r.Scenario, r.Shards) == nil {
-			return fmt.Errorf("soak: journal record %d names unit %s/shards=%d outside the sweep",
-				n, r.Scenario, r.Shards)
+		if fresh.Cursor(r.Scenario) == nil {
+			return fmt.Errorf("soak: journal record %d names unit %s outside the sweep", n, r.Scenario)
 		}
 		if !fresh.Absorb(r) {
 			return fmt.Errorf("soak: journal record %d (slot %s) did not advance the ledger", n, r.Key())
@@ -317,14 +312,14 @@ func Verify(dir string) (*State, error) {
 			st.Completed, st.Violations, st.Wedged, st.Panics)
 	}
 	for _, c := range st.Cursors {
-		fc := fresh.Cursor(c.Scenario, c.shards())
+		fc := fresh.Cursor(c.Scenario)
 		if fc.Done != c.Done || len(fc.Extras) != len(c.Extras) {
-			return nil, fmt.Errorf("soak: cursor %s/shards=%d mismatch: journal %d+%d extras, checkpoint %d+%d",
-				c.Scenario, c.shards(), fc.Done, len(fc.Extras), c.Done, len(c.Extras))
+			return nil, fmt.Errorf("soak: cursor %s mismatch: journal %d+%d extras, checkpoint %d+%d",
+				c.Scenario, fc.Done, len(fc.Extras), c.Done, len(c.Extras))
 		}
 		for i := range c.Extras {
 			if c.Extras[i] != fc.Extras[i] {
-				return nil, fmt.Errorf("soak: cursor %s/shards=%d extras diverge", c.Scenario, c.shards())
+				return nil, fmt.Errorf("soak: cursor %s extras diverge", c.Scenario)
 			}
 		}
 	}
