@@ -128,8 +128,9 @@
 //     topology's dense node ordinal (topology.NodeIndex); struct-keyed
 //     maps put hashing on every delivery and were a top profile entry.
 //   - internal/core flattens DDV storage into per-node arenas
-//     (core.DDVArena): every vector that escapes an event — stored
-//     Metas, piggybacked vectors, commit broadcasts — is sliced from a
+//     (core.DDVArena): every vector that escapes an event —
+//     piggybacked vectors, dense commit broadcasts, the anchors of
+//     shipped chains — is sliced from a
 //     chunked backing []SN owned by the node, one chunk allocation per
 //     64 clones, cache-contiguous at 64 clusters. Ownership rules: a
 //     handed-out vector is immutable-by-convention once shared, chunks
@@ -137,6 +138,9 @@
 //     chunk is garbage-collected when every vector cut from it drops.
 //     Scratch that does not escape still reuses node buffers
 //     (Node.buildForceTarget, DDV.CopyFrom).
+//   - A stored CLC costs its commit's pairs, not a vector: the stored
+//     history of a node is one core.Chain (next section), so a commit
+//     copies no width-sized vector on any node.
 //   - Wire messages travel in pooled boxes: the harness implements
 //     core.BoxPool (AppMsg/AppAck) and reclaims boxes right after the
 //     destination's OnMessage returns; the baseline protocols pool
@@ -151,6 +155,47 @@
 //     clock, queue and generation stamps, so pooled and fresh runs are
 //     byte-identical — pinned by the determinism goldens.
 //
+// # The stored-CLC chain
+//
+// The paper attaches one DDV to every stored CLC (§3.2) and has the
+// collector gather all of them (§3.5). Stored literally that is
+// O(width x stored CLCs) per node and three width-sized copies per
+// commit. core.Chain stores the same history as one dense anchor (the
+// oldest stored CLC's vector), then per stored CLC its SN and the
+// entries its commit changed — the pairs the delta wire already
+// carries — with Node.commitBase holding the newest stored vector
+// dense. It is the only representation: a node's records, the GC
+// report (GCReport.Chain), the recovery answer (RecoverStateResp.Chain)
+// and the oracle's shadow history are all a Chain, and the
+// recovery-line analysis (core.SimulateFailure, core.SmallestSNs) runs
+// on chains directly — per chain a column index built once from the
+// pairs, "oldest record whose entry for c is >= s" a binary search over
+// the column's changes, dense only for each cluster's one current
+// vector. The dense list and the dense analysis survive as the test
+// reference (internal/core/export_test.go), against which every history
+// test, the chaos-schedule differential and FuzzChainAnalysis compare.
+//
+// Ownership rules:
+//
+//   - Anchor is owned by its chain and mutated only by a prefix drop
+//     (Chain.DropBelow folds the dropped records' pairs into it, so it
+//     stays the oldest surviving record's vector). A chain that leaves
+//     its node in a message is a snapshot — own anchor, own record
+//     list — and a receiver that keeps it copies it again.
+//   - A pair slice is immutable once appended (cut from a PairArena by
+//     the committing leader, or decoded fresh by the live runtime) and
+//     is shared freely: between the nodes of a cluster, their reports
+//     and the oracle (core.Observer.ObserveCommit may retain it).
+//   - Entries never decrease along a chain (dependencies only grow
+//     between rollbacks, and a rollback truncates): the analysis
+//     asserts it while indexing and refuses a chain that breaks it.
+//   - Reading a stored vector whole (rollback, recovery) walks anchor
+//     plus pairs into the caller's buffer: O(width + pairs), on the
+//     rare paths only.
+//   - The dense vector a transitive send logs for resends
+//     (Node.sharedPiggy) is cut lazily — by the first such send after
+//     a DDV change, not by every commit — and is immutable once shared.
+//
 // # The delta DDV wire representation
 //
 // Dependency metadata (Direct Dependencies Vectors, one SN per cluster)
@@ -164,13 +209,13 @@
 // element-wise-max absorption for forced-CLC demands and prepare acks
 // (omitted entries are provable no-ops, and the pending-force scans
 // iterate a dirty-index set instead of the full width), the
-// commit-chain base (Node.commitBase, re-anchored from a stored dense
-// Meta on every rollback/recovery) for commit broadcasts, a FIFO
+// commit-chain base (Node.commitBase, re-anchored from the restored
+// record on every rollback/recovery) for commit broadcasts, a FIFO
 // pipe-exit codec in the cluster gateways (core.DeltaCodec +
 // netsim.PipeExit, in sync across node crashes because the pipe is
 // loss-free and decoding happens before the destination down-check)
-// for transitive piggybacks, and a dense anchor plus per-commit pair
-// sets for the garbage collector's stored-CLC chain reports.
+// for transitive piggybacks. The garbage collector's reports carry the
+// stored chain under either wire.
 //
 // Both encodings are priced identically — at the dense width — in the
 // network model, so modeled delays, byte counters and all goldens are

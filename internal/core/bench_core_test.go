@@ -175,10 +175,10 @@ func BenchmarkNodeOnMessage(b *testing.B) {
 
 func BenchmarkOldestWith(b *testing.B) {
 	lists, _ := benchHistory(4, 400)
-	list := lists[1]
+	chain := chainFromMetas(lists[1], 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		OldestWith(list, 0, SN(i%50))
+		chain.OldestWith(0, SN(i%50))
 	}
 }
 
@@ -192,9 +192,10 @@ func BenchmarkSimulateFailure(b *testing.B) {
 	} {
 		b.Run(size.name, func(b *testing.B) {
 			lists, currents := benchHistory(size.clusters, size.history)
+			chains := chainsFromMetas(lists, size.clusters)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := SimulateFailure(lists, currents, topology.ClusterID(i%size.clusters)); err != nil {
+				if _, err := SimulateFailure(chains, currents, topology.ClusterID(i%size.clusters)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -204,9 +205,10 @@ func BenchmarkSimulateFailure(b *testing.B) {
 
 func BenchmarkSmallestSNs(b *testing.B) {
 	lists, currents := benchHistory(5, 600)
+	chains := chainsFromMetas(lists, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SmallestSNs(lists, currents); err != nil {
+		if _, err := SmallestSNs(chains, currents); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -263,6 +265,89 @@ func BenchmarkCommitDeepHistory(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCommitWidth1024 measures one two-phase commit of a two-node
+// cluster (leader and participant, one replica each) in a 1024-cluster
+// federation. Read B/op: a commit stores its record as the commit's own
+// pairs, so nothing it allocates is as wide as the federation — where
+// every commit used to cut three 8 KB vectors (the leader's commit
+// vector and one stored copy per node).
+func BenchmarkCommitWidth1024(b *testing.B) {
+	bed := newWideTestbedSized(b, 1024, false, 2)
+	leader, peer := bed.node(0, 0), bed.node(0, 1)
+	minSNs := make([]SN, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bed.commitCLC(0)
+		// The collector's drop keeps the steady state: one stored CLC
+		// and its replica per node.
+		minSNs[0] = leader.SN()
+		leader.applyGCDrop(minSNs)
+		peer.applyGCDrop(minSNs)
+	}
+	if leader.StoredCount() != 1 || peer.ReplicaCount() != 1 {
+		b.Fatalf("steady state drifted: %d CLCs, %d replicas", leader.StoredCount(), peer.ReplicaCount())
+	}
+}
+
+// ringReports builds the GC reports of a width-cluster federation
+// whose clusters exchange messages on a ring (i to i+1, whole-DDV
+// piggybacks) between unforced checkpoints, for rounds rounds. All
+// messages of a round are sent before any is received, so a dependency
+// travels one hop per round.
+func ringReports(width, rounds int) map[topology.ClusterID]GCReport {
+	f := newAbstractFederation(width, 1)
+	for r := 0; r < rounds; r++ {
+		piggy := make([]DDV, width)
+		for i := 0; i < width; i++ {
+			f.commit(i, nil)
+			piggy[i] = f.ddv[i].Clone()
+		}
+		for i := 0; i < width; i++ {
+			f.commit((i+1)%width, piggy[i])
+		}
+	}
+	reports := make(map[topology.ClusterID]GCReport, width)
+	for i := 0; i < width; i++ {
+		reports[topology.ClusterID(i)] = GCReport{Cluster: topology.ClusterID(i), Chain: f.chains[i]}
+	}
+	return reports
+}
+
+// BenchmarkGCAnalysis1024 measures the collector's analysis of one
+// round at 1024 clusters (ring-shaped dependencies, 7 stored CLCs per
+// cluster): computeMinSNs on the reported chains, against what it used
+// to do — materialise every report into a dense list, then the dense
+// analysis (now the test reference).
+func BenchmarkGCAnalysis1024(b *testing.B) {
+	const width = 1024
+	reports := ringReports(width, 3)
+	n := newWideTestbed(b, width, false).node(0, 0)
+	b.Run("chain", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := n.computeMinSNs(reports); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("dense", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lists := make([][]Meta, width)
+			currents := make([]DDV, width)
+			for c := range lists {
+				rep := reports[topology.ClusterID(c)]
+				lists[c] = rep.Chain.metas()
+				currents[c] = lists[c][len(lists[c])-1].DDV
+			}
+			if _, err := denseSmallestSNs(lists, currents); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkAppAckDeepLog measures one AppAck at a sender whose log

@@ -103,13 +103,23 @@ func (n *Node) onForceCLC(src topology.NodeID, m ForceCLC) {
 	n.absorbForcePairs(m.Pairs, m.Always)
 }
 
-// ensurePendingForce (re)creates the pending force set. pendingDirty is
-// only meaningful while pendingForce is non-nil, so it is reset here.
+// ensurePendingForce opens the pending force set (all-zero, see
+// clearPendingForce) if none is open.
 func (n *Node) ensurePendingForce() {
 	if n.pendingForce == nil {
-		n.pendingForce = n.arena.New()
-		n.pendingDirty.Reset()
+		n.pendingForce = NewDDV(n.cfg.Clusters)
 	}
+	n.pendingActive = true
+}
+
+// clearPendingForce closes the pending force set, zeroing the entries
+// it raised in O(dirty).
+func (n *Node) clearPendingForce() {
+	for _, i := range n.pendingDirty.Indices() {
+		n.pendingForce[i] = 0
+	}
+	n.pendingDirty.Reset()
+	n.pendingActive = false
 }
 
 // absorbForce merges a dense force target into the pending set and
@@ -141,20 +151,18 @@ func (n *Node) absorbForcePairs(pairs []DDVPair, always bool) {
 // dirty indices are scanned: entries never raised are zero and cannot
 // exceed the DDV.
 func (n *Node) tryStartForced() {
-	if n.inFlight || n.rbActive || n.lostState || n.phase != cpIdle || (n.pendingForce == nil && !n.pendingAlways) {
+	if n.inFlight || n.rbActive || n.lostState || n.phase != cpIdle || (!n.pendingActive && !n.pendingAlways) {
 		return
 	}
 	pairs := n.pairScratch[:0]
-	if n.pendingForce != nil {
-		for _, i := range n.pendingDirty.Indices() {
-			if v := n.pendingForce[i]; v > n.ddv[i] {
-				pairs = append(pairs, DDVPair{Idx: i, SN: v})
-			}
+	for _, i := range n.pendingDirty.Indices() {
+		if v := n.pendingForce[i]; v > n.ddv[i] {
+			pairs = append(pairs, DDVPair{Idx: i, SN: v})
 		}
 	}
 	n.pairScratch = pairs
 	if len(pairs) == 0 && !n.pendingAlways {
-		n.pendingForce = nil
+		n.clearPendingForce()
 		return
 	}
 	n.pendingAlways = false
@@ -225,7 +233,6 @@ func (n *Node) prepareLocal(seq SN, forced bool) {
 	n.frozenDelivs = true
 	state, size := n.app.Snapshot()
 	n.provisional = &clcRecord{
-		meta:      Meta{SN: seq},
 		forced:    forced,
 		at:        n.env.Now(),
 		state:     state,
@@ -323,9 +330,10 @@ func (n *Node) ackFrom(index int, seq SN, nodeDDV DDV, nodePairs []DDVPair) {
 		return
 	}
 	// Every node saved and replicated its state: commit.
-	newDDV := n.arena.Clone(n.ddv)
 	if n.denseWire {
-		if n.inFlightForced && n.pendingForce != nil {
+		// The committed vector leaves in the broadcast: an owned copy.
+		newDDV := n.arena.Clone(n.ddv)
+		if n.inFlightForced && n.pendingActive {
 			for i, v := range n.pendingForce {
 				if topology.ClusterID(i) != n.cluster && v > newDDV[i] {
 					newDDV[i] = v
@@ -342,17 +350,24 @@ func (n *Node) ackFrom(index int, seq SN, nodeDDV DDV, nodePairs []DDVPair) {
 		n.applyCommit(seq, newDDV, nil, n.inFlightForced)
 		return
 	}
-	// Delta wire: raise newDDV and track every index that can differ
-	// from commitBase — the leader's own lazy receipts (recvDirty),
-	// forced entries, ack-accumulated entries and the new sequence
-	// number. The pair list is the exact diff against the previous
-	// commit, which every participant patches into its own base.
+	// Delta wire: raise the commit vector in this leader's scratch and
+	// track every index that can differ from commitBase — the leader's
+	// own lazy receipts (recvDirty), forced entries, ack-accumulated
+	// entries and the new sequence number. The pair list is the exact
+	// diff against the previous commit, which every node of the cluster,
+	// this one included, patches into its own base; the vector itself
+	// goes nowhere.
+	if n.commitScratchVec == nil {
+		n.commitScratchVec = NewDDV(n.cfg.Clusters)
+	}
+	newDDV := n.commitScratchVec
+	newDDV.CopyFrom(n.ddv)
 	dirty := &n.commitScratch
 	dirty.Reset()
 	for _, i := range n.recvDirty.Indices() {
 		dirty.Add(int(i))
 	}
-	if n.inFlightForced && n.pendingForce != nil {
+	if n.inFlightForced && n.pendingActive {
 		for _, i := range n.pendingDirty.Indices() {
 			if v := n.pendingForce[i]; topology.ClusterID(i) != n.cluster && v > newDDV[i] {
 				newDDV[i] = v
@@ -379,7 +394,7 @@ func (n *Node) ackFrom(index int, seq SN, nodeDDV DDV, nodePairs []DDVPair) {
 	owned := n.pairArena.Clone(pairs)
 	commit := CLCCommit{Seq: seq, Epoch: n.epoch, Pairs: owned, Width: n.cfg.Clusters}
 	n.broadcastCommit(commit)
-	n.applyCommit(seq, newDDV, owned, n.inFlightForced)
+	n.applyCommit(seq, nil, owned, n.inFlightForced)
 }
 
 // broadcastCommit sends the commit to every other node of the cluster.
@@ -407,16 +422,20 @@ func (n *Node) onCLCCommit(src topology.NodeID, m CLCCommit) {
 
 // applyCommit installs the committed checkpoint: adopt the SN and DDV,
 // store the record, unfreeze application traffic and drain the queues.
-// The committed vector arrives dense (commitVec, leaders and the dense
-// wire) or as the pairs that changed since the previous commit (pairs,
-// delta-wire participants) — the commitBase invariant reconstructs the
-// dense vector in O(changed entries). Leaders on the delta wire pass
-// both.
+// The committed vector arrives dense (commitVec, the dense wire) or as
+// the pairs that changed since the previous commit (pairs, the delta
+// wire, leader included) — the commitBase invariant reconstructs the
+// dense vector in O(changed entries). Either way the stored record
+// keeps only the pairs: no vector is copied for it.
 func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) {
 	n.sn = seq
 	n.anchorPending = false
+	// chainPairs is what the stored chain appends: owned and immutable —
+	// cut from a pair arena here or on the leader, or decoded fresh by
+	// the live runtime.
+	chainPairs := pairs
 	if commitVec == nil {
-		// Delta participant: patch the base into the committed vector.
+		// Delta wire: patch the base into the committed vector.
 		n.commitBase.applyPairs(pairs)
 		commitVec = n.commitBase
 		if n.cfg.Mode == ModeIndependent {
@@ -432,6 +451,10 @@ func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) 
 			n.ddv.applyPairs(pairs)
 		}
 	} else {
+		// Dense reference wire: the record's pairs are the diff against
+		// the previous commit.
+		n.pairScratch = diffPairs(n.pairScratch[:0], commitVec, n.commitBase)
+		chainPairs = n.pairArena.Clone(n.pairScratch)
 		if n.cfg.Mode == ModeIndependent {
 			// Merging in place yields the same element-wise maximum the
 			// seed computed into a fresh clone.
@@ -451,23 +474,15 @@ func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) 
 		n.recvDirty.Refresh(func(i int) bool { return n.ddv[i] > n.commitBase[i] })
 	}
 	if n.cfg.Mode == ModeHC3I {
-		// ddv now equals the Meta stored below (HC3I holds the whole
-		// cluster at the committed vector between commits): restart the
-		// incremental GC-report scan from this clean anchor.
+		// ddv now equals the vector of the record stored below (HC3I
+		// holds the whole cluster at the committed vector between
+		// commits): restart the incremental GC-report scan from this
+		// clean anchor.
 		n.gcScanDirty.Reset()
 		n.gcScanValid = true
 	}
 	rec := n.provisional
-	// The record outlives the commit message, which is shared across
-	// the cluster: the stored Meta needs its own copy.
-	rec.meta = Meta{SN: seq, DDV: n.arena.Clone(commitVec)}
-	if !n.denseWire {
-		// The commit's pair set, kept for the GC's chain-delta reports
-		// (owned: cut from a pair arena here or on the leader, or
-		// decoded fresh by the live runtime).
-		rec.deltaPairs = pairs
-	}
-	n.appendCLC(rec)
+	n.appendCLC(rec, seq, chainPairs)
 	n.provisional = nil
 	n.phase = cpIdle
 	n.frozenSends = false
@@ -502,7 +517,7 @@ func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) 
 		// Drop the pending force set if this commit satisfied it; a
 		// remaining excess starts the next forced CLC below. Only dirty
 		// indices can hold non-zero entries.
-		if n.pendingForce != nil {
+		if n.pendingActive {
 			still := false
 			for _, i := range n.pendingDirty.Indices() {
 				if n.pendingForce[i] > n.ddv[i] {
@@ -511,7 +526,7 @@ func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) 
 				}
 			}
 			if !still {
-				n.pendingForce = nil
+				n.clearPendingForce()
 			}
 		}
 	}
@@ -535,8 +550,7 @@ func (n *Node) abortCheckpoint() {
 	n.phase = cpIdle
 	n.provisional = nil
 	n.inFlight = false
-	n.pendingForce = nil
-	n.pendingDirty.Reset()
+	n.clearPendingForce()
 	n.pendingAlways = false
 	n.ackedDDVs = nil
 	n.resetAckAccum()

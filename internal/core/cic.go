@@ -199,9 +199,9 @@ func (n *Node) drainInbound() {
 func (n *Node) deliverIntra(src topology.NodeID, m AppMsg) {
 	if m.SendSN < n.sn {
 		// n.clcs is SN-ordered: only a suffix can lie above the send.
-		for i := len(n.clcs) - 1; i >= 0 && n.clcs[i].meta.SN > m.SendSN; i-- {
-			if rec := n.clcs[i]; rec.meta.SN <= n.sn {
-				n.logLate(rec, inbound{src: src, msg: m})
+		for i := len(n.clcs) - 1; i >= 0 && n.chain.Recs[i].SN > m.SendSN; i-- {
+			if n.chain.Recs[i].SN <= n.sn {
+				n.logLate(n.clcs[i], inbound{src: src, msg: m})
 			}
 		}
 		n.env.Stat("app.late_logged", 1)

@@ -7,8 +7,8 @@ import "repro/internal/topology"
 // message that carries dependency metadata (O(width) to build, copy and
 // examine), messages carry only the (index, SN) pairs that changed, and
 // receivers patch a stored dense copy in place. The dense DDV type
-// remains the canonical in-node state; the delta form exists only on
-// the wire, so protocol logic and recorded results are untouched.
+// remains the canonical form of a node's current vector, so protocol
+// logic and recorded results are untouched.
 //
 // Exactness, not convergence, is the contract: every decode must yield
 // byte-for-byte the vector the dense encoding would have shipped. Each
@@ -24,14 +24,16 @@ import "repro/internal/topology"
 //   - Commit broadcasts (CLCCommit) are deltas against the previous
 //     commit; the two-phase commit's Seq continuity guarantees every
 //     participant holds exactly that base (commitBase), and every
-//     rollback/recovery path resets the base from a stored dense Meta.
+//     rollback/recovery path resets the base from the restored record.
 //   - Transitive piggybacks (AppMsg) ride a per-directed-cluster-pair
 //     DeltaCodec: the simulated inter-cluster pipe is FIFO and
 //     loss-free (drops happen at the destination node, after the
 //     pipe), so decoding at pipe exit replays the encoder's exact
 //     write sequence (see netsim.PipeExit).
-//   - GC reports ship the stored-CLC chain as one dense anchor plus
-//     the per-commit pairs each checkpoint was committed with.
+//
+// The pairs a commit ships are also how it is stored: a node's stored
+// CLCs are a Chain (chain.go) — one dense anchor plus each commit's
+// pairs — under either wire.
 //
 // The network model keeps pricing dependency metadata at its dense
 // width (perClusterByte per cluster): transmission delays, byte

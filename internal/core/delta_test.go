@@ -136,6 +136,12 @@ func TestExamCursorEpochQualified(t *testing.T) {
 	receiver.ddv[1] = 0
 	receiver.ddvChanged()
 	receiver.epoch = 1
+	// The stored history follows the hand-made drop, as a restore would
+	// leave it: one checkpoint, whose vector is the lowered DDV.
+	receiver.dropCLCsBelow(receiver.sn)
+	receiver.chain.Init(receiver.sn, receiver.ddv)
+	receiver.commitBase.CopyFrom(receiver.ddv)
+	bed.shadows.Attach(receiver)
 	// The sender's vector is unchanged, so the pipe carries no new
 	// pairs — the cursor alone would claim "covered". The stale-epoch
 	// cursor must be distrusted: a full exam re-raises the dependency

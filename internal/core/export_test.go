@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"testing"
 
 	"repro/internal/topology"
 )
@@ -67,13 +68,39 @@ func (n *Node) mirrorSetConsistent() error {
 }
 
 // clcsOrdered checks that the stored CLCs are strictly increasing in
-// SN, which deliverIntra's tail scan relies on.
+// SN, which deliverIntra's tail scan and the chain's searches rely on.
 func (n *Node) clcsOrdered() error {
-	for i := 1; i < len(n.clcs); i++ {
-		if n.clcs[i-1].meta.SN >= n.clcs[i].meta.SN {
-			return fmt.Errorf("stored CLCs out of order: SN %d before SN %d",
-				n.clcs[i-1].meta.SN, n.clcs[i].meta.SN)
+	recs := n.chain.Recs
+	for i := 1; i < len(recs); i++ {
+		if recs[i-1].SN >= recs[i].SN {
+			return fmt.Errorf("stored CLCs out of order: SN %d before SN %d", recs[i-1].SN, recs[i].SN)
 		}
+	}
+	return nil
+}
+
+// chainConsistent checks the stored chain against the rest of the
+// node: one chain entry per record, every column non-decreasing along
+// the chain, and commitBase equal to the newest record's vector.
+func (n *Node) chainConsistent() error {
+	c := &n.chain
+	if len(c.Recs) != len(n.clcs) {
+		return fmt.Errorf("chain holds %d entries for %d records", len(c.Recs), len(n.clcs))
+	}
+	if len(c.Recs) == 0 {
+		return nil
+	}
+	cur := c.Anchor.Clone()
+	for i := 1; i < len(c.Recs); i++ {
+		for _, p := range c.Recs[i].Pairs {
+			if p.SN < cur[p.Idx] {
+				return fmt.Errorf("chain record %d lowers entry %d from %d to %d", c.Recs[i].SN, p.Idx, cur[p.Idx], p.SN)
+			}
+			cur[p.Idx] = p.SN
+		}
+	}
+	if !cur.Equal(n.commitBase) {
+		return fmt.Errorf("newest stored vector %v, commitBase %v", cur, n.commitBase)
 	}
 	return nil
 }
@@ -84,7 +111,7 @@ func (n *Node) CheckStoredHistory() error {
 	if got, want := n.StorageBytes(), n.recomputeStorageBytes(); got != want {
 		return fmt.Errorf("node %v: StorageBytes %d, walk %d", n.id, got, want)
 	}
-	for _, err := range []error{n.logIndexConsistent(), n.mirrorSetConsistent(), n.clcsOrdered()} {
+	for _, err := range []error{n.logIndexConsistent(), n.mirrorSetConsistent(), n.clcsOrdered(), n.chainConsistent()} {
 		if err != nil {
 			return fmt.Errorf("node %v: %w", n.id, err)
 		}
@@ -106,6 +133,9 @@ func (n *Node) mirrorLen(owner topology.NodeID) int {
 func (n *Node) dropOldestCLC() {
 	n.clcBytes -= n.clcs[0].storedBytes()
 	n.clcs = n.clcs[1:]
+	c := &n.chain
+	c.Anchor.applyPairs(c.Recs[1].Pairs)
+	c.Recs = c.Recs[1:]
 }
 
 func (n *Node) dropNewestMirror(owner topology.NodeID) {
@@ -114,4 +144,382 @@ func (n *Node) dropNewestMirror(owner topology.NodeID) {
 	ml.entries = ml.entries[:len(ml.entries)-1]
 	delete(ml.ids, last.MsgID)
 	n.mirrorBytes -= uint64(last.Payload.Size)
+}
+
+// ---- the dense representation the chain replaced, as the reference ----
+
+// Meta is the metadata of one stored CLC in dense form: its sequence
+// number and its own copy of the DDV recorded at commit time, as the
+// paper describes it (§3.2, §3.5).
+type Meta struct {
+	SN  SN
+	DDV DDV
+}
+
+// metas materialises the chain into the dense list it stands for.
+func (c *Chain) metas() []Meta {
+	ms := make([]Meta, c.Len())
+	for i := range ms {
+		ms[i] = Meta{SN: c.Recs[i].SN, DDV: NewDDV(len(c.Anchor))}
+		c.Vector(i, ms[i].DDV)
+	}
+	return ms
+}
+
+// StoredMetas returns the node's stored CLCs in dense form, oldest
+// first.
+func (n *Node) StoredMetas() []Meta { return n.chain.metas() }
+
+// chainFromMetas is the inverse of metas for a list whose vectors are
+// width wide.
+func chainFromMetas(list []Meta, width int) Chain {
+	c := Chain{Anchor: NewDDV(width)}
+	for i, m := range list {
+		if i == 0 {
+			c.Init(m.SN, m.DDV)
+		} else {
+			c.AppendVector(m.SN, m.DDV, list[i-1].DDV)
+		}
+	}
+	return c
+}
+
+func chainsFromMetas(lists [][]Meta, width int) []Chain {
+	cs := make([]Chain, len(lists))
+	for j, l := range lists {
+		cs[j] = chainFromMetas(l, width)
+	}
+	return cs
+}
+
+// denseOldestWith is Chain.OldestWith on the dense list.
+func denseOldestWith(list []Meta, c topology.ClusterID, s SN) int {
+	for i, m := range list {
+		if m.DDV[c] >= s {
+			return i
+		}
+	}
+	return -1
+}
+
+// denseNewestBelow is Chain.NewestBelow on the dense list.
+func denseNewestBelow(list []Meta, c topology.ClusterID, s SN) int {
+	for i := len(list) - 1; i >= 0; i-- {
+		if list[i].DDV[c] < s {
+			return i
+		}
+	}
+	return -1
+}
+
+// denseSimulateFailure is SimulateFailure on dense lists: lists[j] is
+// cluster j's stored checkpoints in commit order.
+func denseSimulateFailure(lists [][]Meta, currents []DDV, f topology.ClusterID) (RecoveryLine, error) {
+	n := len(lists)
+	if len(currents) != n {
+		return RecoveryLine{}, fmt.Errorf("core: %d checkpoint chains but %d current DDVs", n, len(currents))
+	}
+	rl := RecoveryLine{
+		Index:      make([]int, n),
+		SN:         make([]SN, n),
+		RolledBack: make([]bool, n),
+	}
+	eff := make([]DDV, n) // effective DDV after rollbacks so far
+	for j := 0; j < n; j++ {
+		rl.Index[j] = len(lists[j])
+		rl.SN[j] = currents[j][j]
+		eff[j] = currents[j]
+	}
+
+	type alert struct {
+		c topology.ClusterID
+		s SN
+	}
+	var queue []alert
+
+	rollTo := func(j topology.ClusterID, idx int) {
+		m := lists[j][idx]
+		rl.Index[j] = idx
+		rl.SN[j] = m.SN
+		rl.RolledBack[j] = true
+		eff[j] = m.DDV
+		queue = append(queue, alert{j, m.SN})
+		rl.Alerts += n - 1
+	}
+
+	if len(lists[f]) == 0 {
+		return rl, fmt.Errorf("core: faulty cluster %d has no stored checkpoint", f)
+	}
+	rollTo(f, len(lists[f])-1)
+
+	for len(queue) > 0 {
+		a := queue[0]
+		queue = queue[1:]
+		for j := topology.ClusterID(0); int(j) < n; j++ {
+			if j == a.c || !NeedsRollback(eff[j], a.c, a.s) {
+				continue
+			}
+			idx := denseOldestWith(lists[j], a.c, a.s)
+			if idx == -1 {
+				return rl, fmt.Errorf("core: cluster %d depends on cluster %d SN>=%d but stores no qualifying checkpoint", j, a.c, a.s)
+			}
+			if idx < rl.Index[j] {
+				rollTo(j, idx)
+			}
+		}
+	}
+	return rl, nil
+}
+
+// denseSmallestSNs is SmallestSNs on dense lists.
+func denseSmallestSNs(lists [][]Meta, currents []DDV) ([]SN, error) {
+	n := len(lists)
+	min := make([]SN, n)
+	for j := 0; j < n; j++ {
+		min[j] = currents[j][j]
+	}
+	for f := 0; f < n; f++ {
+		rl, err := denseSimulateFailure(lists, currents, topology.ClusterID(f))
+		if err != nil {
+			return nil, err
+		}
+		for j := 0; j < n; j++ {
+			if rl.SN[j] < min[j] {
+				min[j] = rl.SN[j]
+			}
+		}
+	}
+	return min, nil
+}
+
+// sameLine reports how two recovery lines differ, "" if they do not.
+func sameLine(got, want RecoveryLine) string {
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		return fmt.Sprintf("chain analysis %+v, dense reference %+v", got, want)
+	}
+	return ""
+}
+
+// sameErr reports how two analysis errors differ, "" if they do not.
+func sameErr(got, want error) string {
+	if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+		return fmt.Sprintf("chain analysis error %v, dense reference error %v", got, want)
+	}
+	return ""
+}
+
+// The differential forms every history test goes through: each runs
+// the chain code and the dense reference on the same history and fails
+// t if they disagree.
+
+func oldestWith(t testing.TB, list []Meta, c topology.ClusterID, s SN) int {
+	t.Helper()
+	want := denseOldestWith(list, c, s)
+	ch := chainFromMetas(list, len(list[0].DDV))
+	if got := ch.OldestWith(c, s); got != want {
+		t.Fatalf("Chain.OldestWith(c%d, %d) = %d, dense reference %d", c, s, got, want)
+	}
+	x, err := indexChain(ch, len(ch.Anchor), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := x.oldestWith(c, s); got != want {
+		t.Fatalf("indexed oldestWith(c%d, %d) = %d, dense reference %d", c, s, got, want)
+	}
+	return want
+}
+
+func newestBelow(t testing.TB, list []Meta, c topology.ClusterID, s SN) int {
+	t.Helper()
+	want := denseNewestBelow(list, c, s)
+	ch := chainFromMetas(list, len(list[0].DDV))
+	if got := ch.NewestBelow(c, s); got != want {
+		t.Fatalf("Chain.NewestBelow(c%d, %d) = %d, dense reference %d", c, s, got, want)
+	}
+	return want
+}
+
+func simulateFailure(t testing.TB, lists [][]Meta, currents []DDV, f topology.ClusterID) (RecoveryLine, error) {
+	t.Helper()
+	want, wantErr := denseSimulateFailure(lists, currents, f)
+	got, err := SimulateFailure(chainsFromMetas(lists, len(lists)), currents, f)
+	if d := sameErr(err, wantErr); d != "" {
+		t.Fatalf("failure in cluster %d: %s", f, d)
+	}
+	if d := sameLine(got, want); err == nil && d != "" {
+		t.Fatalf("failure in cluster %d: %s", f, d)
+	}
+	return want, wantErr
+}
+
+func smallestSNs(t testing.TB, lists [][]Meta, currents []DDV) ([]SN, error) {
+	t.Helper()
+	want, wantErr := denseSmallestSNs(lists, currents)
+	got, err := SmallestSNs(chainsFromMetas(lists, len(lists)), currents)
+	if d := sameErr(err, wantErr); d != "" {
+		t.Fatal(d)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("chain thresholds %v, dense reference %v", got, want)
+	}
+	return want, wantErr
+}
+
+// ---- the dense shadow of a run ----
+
+// DenseShadows keeps, for every node attached to it, the dense
+// stored-CLC list the chain replaced — one owned vector per stored CLC —
+// maintained the way the parent commit maintained it, from the same
+// events: a commit appends the committed vector, a rollback truncates,
+// a GC drop cuts the prefix, a recovery adopts the list the holder
+// answered with. It is a core.Observer; a test harness puts it on every
+// node's Env, routes Env.Send through Sent and message delivery through
+// Deliver, and calls Check after every event.
+type DenseShadows struct {
+	lists map[topology.NodeID][]Meta
+	// answers holds, per RecoverStateResp in flight (keyed by the first
+	// record of its chain snapshot's own list), the holder's dense
+	// list when it answered.
+	answers map[*ChainRec][]Meta
+	// recovering is the answer the node now handling a RecoverStateResp
+	// was sent; nil outside Deliver.
+	recovering []Meta
+	err        error
+}
+
+func NewDenseShadows() *DenseShadows {
+	return &DenseShadows{lists: map[topology.NodeID][]Meta{}, answers: map[*ChainRec][]Meta{}}
+}
+
+// Attach starts n's shadow from its initial checkpoint.
+func (d *DenseShadows) Attach(n *Node) { d.lists[n.id] = n.StoredMetas() }
+
+func (d *DenseShadows) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (d *DenseShadows) ObserveMode(topology.NodeID, ProtocolMode)                         {}
+func (d *DenseShadows) ObserveDeliver(_, _ topology.NodeID, _ Epoch, _ SN, _ Epoch, _ SN) {}
+func (d *DenseShadows) ObservePiggySend(topology.NodeID, topology.ClusterID, DDV)         {}
+
+func (d *DenseShadows) ObserveCommit(id topology.NodeID, seq SN, _ Epoch, ddv DDV, _ []DDVPair, _ bool) {
+	d.lists[id] = append(d.lists[id], Meta{SN: seq, DDV: ddv.Clone()})
+}
+
+func (d *DenseShadows) ObserveRollback(id topology.NodeID, toSN SN, _ Epoch, ddv DDV) {
+	list := d.lists[id]
+	if d.recovering != nil {
+		// Recovery: the list is the holder's answer, each vector copied
+		// as the parent's onRecoverStateResp copied it.
+		list = list[:0]
+		for _, m := range d.recovering {
+			list = append(list, Meta{SN: m.SN, DDV: m.DDV.Clone()})
+		}
+	}
+	for len(list) > 0 && list[len(list)-1].SN > toSN {
+		list = list[:len(list)-1]
+	}
+	d.lists[id] = list
+	if len(list) == 0 || list[len(list)-1].SN != toSN {
+		d.fail("node %v restored CLC %d, which its dense shadow does not hold", id, toSN)
+	} else if !list[len(list)-1].DDV.Equal(ddv) {
+		d.fail("node %v restored CLC %d as %v, its dense shadow holds %v", id, toSN, ddv, list[len(list)-1].DDV)
+	}
+}
+
+func (d *DenseShadows) ObserveGCDrop(id topology.NodeID, minSNs []SN) {
+	list := d.lists[id]
+	for len(list) > 0 && list[0].SN < minSNs[id.Cluster] {
+		list = list[1:]
+	}
+	d.lists[id] = list
+}
+
+// Sent sees every message src hands to its Env: a recovery answer is
+// paired with src's dense list as of now, cut like the answer's chain.
+func (d *DenseShadows) Sent(src topology.NodeID, msg Msg) {
+	resp, ok := msg.(RecoverStateResp)
+	if !ok || resp.Chain.Len() == 0 {
+		return
+	}
+	var answer []Meta
+	for _, m := range d.lists[src] {
+		if m.SN <= resp.Seq {
+			answer = append(answer, m)
+		}
+	}
+	d.answers[&resp.Chain.Recs[0]] = answer
+}
+
+// Deliver hands msg to n, telling the shadow which answer a recovery
+// inside that call adopts.
+func (d *DenseShadows) Deliver(n *Node, src topology.NodeID, msg Msg) {
+	if resp, ok := msg.(RecoverStateResp); ok && resp.Chain.Len() > 0 {
+		d.recovering = d.answers[&resp.Chain.Recs[0]]
+		defer func() { d.recovering = nil }()
+	}
+	n.OnMessage(src, msg)
+}
+
+// Check holds n's chain, materialised, against its dense shadow: the
+// same SNs, the anchor equal to the oldest stored vector, and every
+// later record's vector equal to the one its commit copied.
+func (d *DenseShadows) Check(n *Node) error {
+	if d.err != nil {
+		return d.err
+	}
+	if n.lostState {
+		return nil // volatile memory gone: both lists are void until recovery
+	}
+	got, want := n.StoredMetas(), d.lists[n.id]
+	if len(got) != len(want) {
+		return fmt.Errorf("node %v: chain stores %d CLCs, dense shadow %d", n.id, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].SN != want[i].SN {
+			return fmt.Errorf("node %v: record %d is CLC %d, dense shadow has CLC %d", n.id, i, got[i].SN, want[i].SN)
+		}
+		if !got[i].DDV.Equal(want[i].DDV) {
+			what := "materialised vector"
+			if i == 0 {
+				what = "anchor"
+			}
+			return fmt.Errorf("node %v: CLC %d %s %v, dense shadow %v", n.id, got[i].SN, what, got[i].DDV, want[i].DDV)
+		}
+	}
+	return nil
+}
+
+// StoredChainDiff reports how the stored chains of a and b differ —
+// anchor, SNs or any record's pairs — or "" if they are equal.
+func StoredChainDiff(a, b *Node) string {
+	ca, cb := &a.chain, &b.chain
+	if !ca.Anchor.Equal(cb.Anchor) {
+		return fmt.Sprintf("anchor %v vs %v", ca.Anchor, cb.Anchor)
+	}
+	if len(ca.Recs) != len(cb.Recs) {
+		return fmt.Sprintf("%d records vs %d", len(ca.Recs), len(cb.Recs))
+	}
+	for i, ra := range ca.Recs {
+		rb := cb.Recs[i]
+		if ra.SN != rb.SN {
+			return fmt.Sprintf("record %d: CLC %d vs CLC %d", i, ra.SN, rb.SN)
+		}
+		if i > 0 && fmt.Sprint(ra.Pairs) != fmt.Sprint(rb.Pairs) {
+			return fmt.Sprintf("pairs of CLC %d: %v vs %v", ra.SN, ra.Pairs, rb.Pairs)
+		}
+	}
+	return ""
+}
+
+// StoredPairs returns the pair sets of n's stored records after the
+// anchor, oldest first.
+func (n *Node) StoredPairs() [][]DDVPair {
+	var ps [][]DDVPair
+	for _, r := range n.chain.Recs[1:] {
+		ps = append(ps, r.Pairs)
+	}
+	return ps
 }

@@ -99,52 +99,30 @@ func (n *Node) startGCRound() {
 	n.maybeFinishGCRound()
 }
 
+// makeGCReport ships the stored chain as it is stored — a snapshot of
+// the anchor and the record list, the pair slices shared — plus the
+// pairs that patch the newest record's vector into the current DDV.
 func (n *Node) makeGCReport(round uint64) GCReport {
-	if n.denseWire {
-		return GCReport{
-			Round:      round,
-			Cluster:    n.cluster,
-			Epoch:      n.epoch,
-			CurrentDDV: n.arena.Clone(n.ddv),
-			CLCs:       n.StoredMetas(),
-		}
-	}
-	// Delta form: one dense anchor (the oldest stored CLC) plus each
-	// subsequent commit's pair set — O(width + total changed entries)
-	// instead of O(width x stored CLCs). Consecutive stored CLCs are
-	// consecutive commits (GC drops a prefix, rollback a suffix), so
-	// the chain reconstructs every Meta exactly; rebuildDeltaChain
-	// restores the pairs after a crash-recovery rebuilt the list.
-	rep := GCReport{
+	n.pairScratch = n.curPairsVsNewest(n.pairScratch[:0])
+	return GCReport{
 		Round:    round,
 		Cluster:  n.cluster,
 		Epoch:    n.epoch,
-		FirstSN:  n.clcs[0].meta.SN,
-		FirstDDV: n.arena.Clone(n.clcs[0].meta.DDV),
+		Chain:    n.chain.snapshot(n.chain.Len(), &n.arena),
+		CurPairs: n.pairArena.Clone(n.pairScratch),
 	}
-	if k := len(n.clcs) - 1; k > 0 {
-		rep.ChainSNs = make([]SN, 0, k)
-		rep.ChainCounts = make([]int32, 0, k)
-		for _, r := range n.clcs[1:] {
-			rep.ChainSNs = append(rep.ChainSNs, r.meta.SN)
-			rep.ChainCounts = append(rep.ChainCounts, int32(len(r.deltaPairs)))
-			rep.ChainPairs = append(rep.ChainPairs, r.deltaPairs...)
-		}
-	}
-	newest := n.clcs[len(n.clcs)-1].meta.DDV
-	n.pairScratch = n.curPairsVsNewest(n.pairScratch[:0], newest)
-	rep.CurPairs = n.pairArena.Clone(n.pairScratch)
-	return rep
 }
 
 // curPairsVsNewest appends the (index, SN) pairs where ddv differs from
-// the newest stored CLC's vector. While the incremental scan is valid
-// (HC3I steady state), only the indices raised since the last commit
-// are probed — O(dirty) instead of O(width); any path that broke the
-// invariant (rollback, recovery, restart) cleared gcScanValid and the
-// chunked full-width diff runs instead. gc_scan_test.go diffs the two
-// against each other across chaos runs.
-func (n *Node) curPairsVsNewest(buf []DDVPair, newest DDV) []DDVPair {
+// the newest stored CLC's vector, which commitBase holds. While the
+// incremental scan is valid (HC3I steady state), only the indices
+// raised since the last commit are probed — O(dirty) instead of
+// O(width); any path that broke the invariant (rollback, recovery,
+// restart) cleared gcScanValid and the chunked full-width diff runs
+// instead. gc_scan_test.go diffs the two against each other across
+// chaos runs.
+func (n *Node) curPairsVsNewest(buf []DDVPair) []DDVPair {
+	newest := n.commitBase
 	if !n.gcScanValid || n.cfg.Mode != ModeHC3I {
 		return diffPairs(buf, n.ddv, newest)
 	}
@@ -154,28 +132,6 @@ func (n *Node) curPairsVsNewest(buf []DDVPair, newest DDV) []DDVPair {
 		}
 	}
 	return buf
-}
-
-// materializeGCReport expands a report into its dense stored-CLC list
-// and current vector, whichever encoding it arrived in. Runs at the GC
-// initiator once per report per round; the recovery-line analysis
-// (SmallestSNs) operates on dense metadata.
-func materializeGCReport(rep GCReport) ([]Meta, DDV) {
-	if rep.CLCs != nil || rep.FirstDDV == nil {
-		return rep.CLCs, rep.CurrentDDV
-	}
-	metas := make([]Meta, 0, 1+len(rep.ChainSNs))
-	metas = append(metas, Meta{SN: rep.FirstSN, DDV: rep.FirstDDV})
-	cur := rep.FirstDDV.Clone()
-	off := 0
-	for j, sn := range rep.ChainSNs {
-		cnt := int(rep.ChainCounts[j])
-		cur.applyPairs(rep.ChainPairs[off : off+cnt])
-		off += cnt
-		metas = append(metas, Meta{SN: sn, DDV: cur.Clone()})
-	}
-	cur.applyPairs(rep.CurPairs)
-	return metas, cur
 }
 
 // onGCRequest answers the initiator with this cluster's checkpoint
@@ -232,17 +188,27 @@ func (n *Node) maybeFinishGCRound() {
 
 // computeMinSNs runs the paper's analysis: simulate a failure in every
 // cluster and keep, per cluster, the smallest SN it might roll back to.
+// The analysis reads the reported chains as they are; the one dense
+// vector it needs per cluster is the current DDV.
 func (n *Node) computeMinSNs(reports map[topology.ClusterID]GCReport) ([]SN, error) {
-	lists := make([][]Meta, n.cfg.Clusters)
-	currents := make([]DDV, n.cfg.Clusters)
-	for c := topology.ClusterID(0); int(c) < n.cfg.Clusters; c++ {
-		rep, ok := reports[c]
+	width := n.cfg.Clusters
+	chains := make([]Chain, width)
+	currents := make([]DDV, width)
+	cells := make([]SN, width*width)
+	for c := 0; c < width; c++ {
+		rep, ok := reports[topology.ClusterID(c)]
 		if !ok {
 			return nil, fmt.Errorf("core: GC round missing report for cluster %d", c)
 		}
-		lists[c], currents[c] = materializeGCReport(rep)
+		if len(rep.Chain.Anchor) != width {
+			return nil, fmt.Errorf("core: cluster %d reports a %d-entry anchor in a %d-cluster federation", c, len(rep.Chain.Anchor), width)
+		}
+		cur := DDV(cells[c*width : (c+1)*width : (c+1)*width])
+		rep.Chain.Vector(rep.Chain.Len()-1, cur)
+		cur.applyPairs(rep.CurPairs)
+		chains[c], currents[c] = rep.Chain, cur
 	}
-	mins, err := SmallestSNs(lists, currents)
+	mins, err := SmallestSNs(chains, currents)
 	if err == nil && Mutate.GCOverCollect {
 		// Seeded protocol break for oracle smoke tests: threshold one
 		// past the safe minimum discards a checkpoint a future recovery
@@ -298,7 +264,7 @@ func (n *Node) applyGCDrop(minSNs []SN) {
 	}
 	before := len(n.clcs)
 	threshold := minSNs[n.cluster]
-	n.filterCLCs(func(r *clcRecord) bool { return r.meta.SN >= threshold })
+	n.dropCLCsBelow(threshold)
 	for k, rep := range n.replicas {
 		if k.seq < threshold {
 			n.dropReplica(k, rep)

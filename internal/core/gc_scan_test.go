@@ -10,6 +10,14 @@ import (
 // the full-width diffPairs reference on live nodes, across commits,
 // inter-cluster receipts, rollbacks, recoveries and GC rounds.
 
+// newestStored materialises n's newest stored vector from its chain —
+// not from commitBase, which the scan under test reads.
+func newestStored(n *Node) DDV {
+	v := NewDDV(n.cfg.Clusters)
+	n.chain.Vector(n.chain.Len()-1, v)
+	return v
+}
+
 // pairSet collapses a pair list to index->SN, failing on duplicates —
 // neither scan may emit the same index twice.
 func pairSet(t *testing.T, what string, ps []DDVPair) map[int32]SN {
@@ -33,9 +41,8 @@ func checkScanMatchesReference(t *testing.T, b *testbed) (incremental int) {
 		if n.Failed() || n.lostState || len(n.clcs) == 0 {
 			continue
 		}
-		newest := n.clcs[len(n.clcs)-1].meta.DDV
-		got := pairSet(t, "curPairsVsNewest", n.curPairsVsNewest(nil, newest))
-		want := pairSet(t, "diffPairs", diffPairs(nil, n.ddv, newest))
+		got := pairSet(t, "curPairsVsNewest", n.curPairsVsNewest(nil))
+		want := pairSet(t, "diffPairs", diffPairs(nil, n.ddv, newestStored(n)))
 		if len(got) != len(want) {
 			t.Fatalf("node %v: incremental scan %v, reference %v (valid=%v dirty=%v)",
 				n.ID(), got, want, n.gcScanValid, n.gcScanDirty.Indices())
@@ -75,7 +82,7 @@ func TestIncrementalScanDeterministic(t *testing.T) {
 	if !c1.gcScanValid || c1.gcScanDirty.Len() != 0 {
 		t.Fatalf("after forced commit: valid=%v dirty=%v", c1.gcScanValid, c1.gcScanDirty.Indices())
 	}
-	if !c1.DDVSnapshot().Equal(c1.clcs[len(c1.clcs)-1].meta.DDV) {
+	if !c1.DDVSnapshot().Equal(newestStored(c1)) {
 		t.Fatal("HC3I invariant broken: ddv != newest stored DDV between commits")
 	}
 	checkScanMatchesReference(t, b)
@@ -184,9 +191,8 @@ func TestIncrementalScanDirtyProbe(t *testing.T) {
 	n.ddv[40] += 1
 	n.gcScanDirty.Add(40)
 	n.gcScanDirty.Add(17) // dirty but equal: probe must skip it
-	newest := n.clcs[len(n.clcs)-1].meta.DDV
-	got := pairSet(t, "curPairsVsNewest", n.curPairsVsNewest(nil, newest))
-	want := pairSet(t, "diffPairs", diffPairs(nil, n.ddv, newest))
+	got := pairSet(t, "curPairsVsNewest", n.curPairsVsNewest(nil))
+	want := pairSet(t, "diffPairs", diffPairs(nil, n.ddv, newestStored(n)))
 	if len(got) != 2 || len(want) != 2 {
 		t.Fatalf("probe sets: incremental %v, reference %v", got, want)
 	}

@@ -16,23 +16,27 @@ import (
 )
 
 // checkedNode is a core.Node that compares its running byte totals,
-// log index and mirror sets with their reference walks after every
-// event the harness hands it.
+// log index, mirror sets and stored chain with their reference walks,
+// and the chain with the run's dense shadow, after every event the
+// harness hands it.
 type checkedNode struct {
 	*core.Node
-	t      *testing.T
-	checks *int
+	t       *testing.T
+	checks  *int
+	shadows *core.DenseShadows
 }
 
 func (c *checkedNode) verify(event string, args ...any) {
 	*c.checks++
-	if err := c.Node.CheckStoredHistory(); err != nil {
-		c.t.Fatalf("after %s: %v", fmt.Sprintf(event, args...), err)
+	for _, err := range []error{c.Node.CheckStoredHistory(), c.shadows.Check(c.Node)} {
+		if err != nil {
+			c.t.Fatalf("after %s: %v", fmt.Sprintf(event, args...), err)
+		}
 	}
 }
 
 func (c *checkedNode) OnMessage(src topology.NodeID, msg core.Msg) {
-	c.Node.OnMessage(src, msg)
+	c.shadows.Deliver(c.Node, src, msg)
 	c.verify("%T from %v", msg, src)
 }
 func (c *checkedNode) OnTimer(k core.TimerKind) { c.Node.OnTimer(k); c.verify("timer") }
@@ -46,6 +50,22 @@ func (c *checkedNode) OnFailureDetected(failed topology.NodeID) {
 }
 func (c *checkedNode) Restart() { c.Node.Restart(); c.verify("restart") }
 
+// shadowedEnv is the harness's Env with the run's dense shadow as the
+// node's Observer and every Send shown to it. The harness's Env offers
+// BoxPool and PiggyCodecs; the node must keep seeing both.
+type shadowedEnv struct {
+	core.Env
+	core.BoxPool
+	core.PiggyCodecs
+	*core.DenseShadows
+	id topology.NodeID
+}
+
+func (e shadowedEnv) Send(dst topology.NodeID, size int, msg core.Msg) {
+	e.DenseShadows.Sent(e.id, msg)
+	e.Env.Send(dst, size, msg)
+}
+
 // runChecked runs opts with every node wrapped in a checkedNode and
 // returns the result and the number of checks made. The harness seeds
 // initial replicas only into nodes it recognizes as *core.Node, so the
@@ -54,10 +74,12 @@ func runChecked(t *testing.T, opts federation.Options) (*federation.Result, int)
 	t.Helper()
 	checks := 0
 	nodes := map[topology.NodeID]*core.Node{}
+	shadows := core.NewDenseShadows()
 	opts.NodeFactory = func(cfg core.Config, env core.Env, hooks core.AppHooks) federation.ProtocolNode {
-		n := core.NewNode(cfg, env, hooks)
+		n := core.NewNode(cfg, shadowedEnv{env, env.(core.BoxPool), env.(core.PiggyCodecs), shadows, cfg.ID}, hooks)
+		shadows.Attach(n)
 		nodes[cfg.ID] = n
-		return &checkedNode{Node: n, t: t, checks: &checks}
+		return &checkedNode{Node: n, t: t, checks: &checks, shadows: shadows}
 	}
 	f, err := federation.New(opts)
 	if err != nil {
@@ -214,5 +236,104 @@ func TestStorageSeriesMatchParentCommit(t *testing.T) {
 				res.Stats.CounterValue("log.ack_orphan"))
 		}
 		f.Release()
+	}
+}
+
+// recoveringNode compares, at the moment a restarted node finishes
+// recovering, the chain it adopted with the chain of the holder that
+// answered it.
+type recoveringNode struct {
+	*core.Node
+	t     *testing.T
+	nodes map[topology.NodeID]*core.Node
+	// recovered and adopted list, per recovery in order, the node and
+	// the pair sets of the chain it adopted.
+	recovered *[]topology.NodeID
+	adopted   *[][][]core.DDVPair
+}
+
+func (r *recoveringNode) OnMessage(src topology.NodeID, msg core.Msg) {
+	lost := r.Node.LostState()
+	r.Node.OnMessage(src, msg)
+	if _, resp := msg.(core.RecoverStateResp); !resp || !lost || r.Node.LostState() {
+		return
+	}
+	if d := core.StoredChainDiff(r.Node, r.nodes[src]); d != "" {
+		r.t.Fatalf("%v recovered from %v with a different chain: %s", r.Node.ID(), src, d)
+	}
+	*r.recovered = append(*r.recovered, r.Node.ID())
+	*r.adopted = append(*r.adopted, append([][]core.DDVPair(nil), r.Node.StoredPairs()...))
+}
+
+// TestRecoveryCarriesTheChain: a node that crashes after several
+// commits with different pair sets gets its stored history back as the
+// holder's chain itself — anchor, SNs and the commits' own pairs, not a
+// re-diff of dense vectors. The run goes on through garbage collection
+// (prefix drops fold into the adopted anchor) and a crash of the
+// cluster's leader, whose holder is the recovered node: it then serves
+// the chain it adopted. The oracle checks every commit, rollback and
+// collection of the run.
+func TestRecoveryCarriesTheChain(t *testing.T) {
+	wl := app.Uniform(3, 400, 30, 2*sim.Hour)
+	wl.StateSize = 16 << 10
+	first, second := topology.NodeID{Cluster: 1, Index: 1}, topology.NodeID{Cluster: 1, Index: 0}
+	nodes := map[topology.NodeID]*core.Node{}
+	var recovered []topology.NodeID
+	var adopted [][][]core.DDVPair
+	opts := federation.Options{
+		Topology:   topology.Small(3, 3),
+		Workload:   wl,
+		CLCPeriods: []sim.Duration{10 * sim.Minute, 10 * sim.Minute, 10 * sim.Minute},
+		GCPeriod:   25 * sim.Minute,
+		Transitive: true,
+		Oracle:     true,
+		Seed:       5,
+		Crashes: []federation.Crash{
+			{At: sim.Time(0).Add(44 * sim.Minute), Node: first},
+			{At: sim.Time(0).Add(97 * sim.Minute), Node: second},
+		},
+		NodeFactory: func(cfg core.Config, env core.Env, hooks core.AppHooks) federation.ProtocolNode {
+			n := core.NewNode(cfg, env, hooks)
+			nodes[cfg.ID] = n
+			return &recoveringNode{Node: n, t: t, nodes: nodes, recovered: &recovered, adopted: &adopted}
+		},
+	}
+	f, err := federation.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Release()
+	for _, n := range nodes {
+		for _, tgt := range n.ReplicaTargets() {
+			nodes[tgt].SeedReplica(n.InitialReplica())
+		}
+	}
+	res, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 2 || recovered[0] != first || recovered[1] != second {
+		t.Fatalf("recoveries: %v, want %v then %v", recovered, first, second)
+	}
+	shapes := map[string]bool{}
+	for _, ps := range adopted[0] {
+		idx := make([]int, len(ps))
+		for i, p := range ps {
+			idx[i] = int(p.Idx)
+		}
+		sort.Ints(idx)
+		shapes[fmt.Sprint(idx)] = true
+	}
+	if len(adopted[0]) < 3 || len(shapes) < 2 {
+		t.Fatalf("first recovery adopted %d commits changing %d different sets of entries: %v", len(adopted[0]), len(shapes), adopted[0])
+	}
+	t.Logf("first recovery adopted %d commits (%d entry sets), second %d; %d CLCs collected, %d recovered states",
+		len(adopted[0]), len(shapes), len(adopted[1]), res.Stats.CounterValue("gc.clcs_removed"),
+		res.Stats.CounterValue("storage.recovered_states"))
+	if res.Stats.CounterValue("gc.rounds_completed") == 0 || res.Stats.CounterValue("gc.clcs_removed") == 0 {
+		t.Fatal("no collection between the two recoveries")
+	}
+	if res.Clusters[1].Rollbacks < 2 {
+		t.Fatalf("cluster 1 rolled back %d times", res.Clusters[1].Rollbacks)
 	}
 }

@@ -135,8 +135,8 @@ type CLCCommit struct {
 	// every entry that differs from the previous commit's vector, which
 	// each participant holds as its commitBase (the 2PC's Seq
 	// continuity guarantees no commit is ever skipped, and every
-	// rollback/recovery path restores the base from a stored dense
-	// Meta). Priced at the dense width either way.
+	// rollback/recovery path restores the base from the restored
+	// record). Priced at the dense width either way.
 	DDV   DDV
 	Pairs []DDVPair
 	Width int
@@ -230,9 +230,10 @@ type OlderState struct {
 }
 
 // RecoverStateResp returns the replica plus the cluster's checkpoint
-// metadata so the restarted node can rebuild its (lost) CLC list. All
-// of the owner's surviving states are repatriated in bulk (Older), so
-// that after recovery both the owner and the neighbour again hold a
+// metadata — the holder's stored chain up to Seq, which is the
+// cluster's — so the restarted node can rebuild its (lost) CLC list.
+// All of the owner's surviving states are repatriated in bulk (Older),
+// so that after recovery both the owner and the neighbour again hold a
 // full copy — successive single faults stay tolerable.
 type RecoverStateResp struct {
 	Seq   SN
@@ -240,7 +241,7 @@ type RecoverStateResp struct {
 	Owner topology.NodeID
 	State any
 	Size  int
-	Metas []Meta
+	Chain Chain
 	Older []OlderState
 	// Log repatriates the owner's mirrored message-log entries; the
 	// owner re-adopts those whose send is part of the restored state.
@@ -305,26 +306,15 @@ type GCRequest struct {
 func (GCRequest) ProtocolMessage() {}
 
 // GCReport returns a cluster's stored-CLC metadata and current DDV to
-// the initiator. Dense form: CurrentDDV + CLCs. Delta form: the stored
-// chain as one dense anchor (the oldest CLC's vector) plus, per
-// subsequent CLC, the pairs it was committed with — consecutive stored
-// CLCs are consecutive commits (GC drops a prefix, rollback a suffix),
-// so the chain reconstructs every Meta exactly. CurPairs patches the
-// newest CLC's vector into the cluster's current DDV (empty in
-// ModeHC3I, where the DDV only changes at commits).
+// the initiator: the stored chain (see Chain), and CurPairs, which
+// patches the newest CLC's vector into the cluster's current DDV (empty
+// in ModeHC3I, where the DDV only changes at commits).
 type GCReport struct {
-	Round      uint64
-	Cluster    topology.ClusterID
-	Epoch      Epoch
-	CurrentDDV DDV
-	CLCs       []Meta
-
-	FirstSN     SN
-	FirstDDV    DDV
-	ChainSNs    []SN
-	ChainCounts []int32
-	ChainPairs  []DDVPair
-	CurPairs    []DDVPair
+	Round    uint64
+	Cluster  topology.ClusterID
+	Epoch    Epoch
+	Chain    Chain
+	CurPairs []DDVPair
 }
 
 func (GCReport) ProtocolMessage() {}
@@ -392,7 +382,7 @@ func controlSize(m Msg) int {
 	case Replica:
 		return controlBytes + v.Size
 	case RecoverStateResp:
-		s := controlBytes + v.Size + perClusterByte*len(v.Metas)
+		s := controlBytes + v.Size + perClusterByte*v.Chain.Len()
 		for _, o := range v.Older {
 			s += o.Size
 		}
@@ -415,11 +405,7 @@ func controlSize(m Msg) int {
 }
 
 // gcReportVectorCells prices a GC report's dependency metadata at its
-// dense footprint — width x (current vector + one per stored CLC) —
-// for either encoding: the delta chain stands for 1+len(ChainSNs)
-// stored CLCs of width len(FirstDDV).
+// dense footprint: width x (current vector + one per stored CLC).
 func gcReportVectorCells(r GCReport) int {
-	cells := len(r.CurrentDDV) * (1 + len(r.CLCs))
-	cells += len(r.FirstDDV) * (2 + len(r.ChainSNs))
-	return cells
+	return len(r.Chain.Anchor) * (1 + r.Chain.Len())
 }

@@ -104,20 +104,14 @@ func (c Config) validate() {
 	}
 }
 
-// clcRecord is one stored cluster-level checkpoint from this node's
-// perspective: the cluster-wide metadata plus this node's local state.
+// clcRecord is this node's local part of one stored cluster-level
+// checkpoint; the cluster-wide metadata (SN, DDV) of record i is entry
+// i of Node.chain.
 type clcRecord struct {
-	meta      Meta
 	forced    bool
 	at        sim.Time
 	state     any
 	stateSize int
-	// deltaPairs is the set of DDV entries this commit changed relative
-	// to the predecessor checkpoint (the CLCCommit's wire pairs); the
-	// garbage collector's delta reports ship the stored chain as these
-	// pairs off one dense anchor. nil on the initial record (the chain
-	// anchor) and in dense-wire runs.
-	deltaPairs []DDVPair
 	// remote marks a record whose local state was lost in a crash and
 	// lives only on the neighbour replicas; restoring it requires a
 	// RecoverStateReq round-trip.
@@ -231,9 +225,10 @@ type Node struct {
 	// unchanged. Starts at 1; 0 means "never" on consumers.
 	ddvGen uint64
 	// commitBase is the dense vector of the newest committed CLC — the
-	// base every delta-encoded CLCCommit patches. Invariant: equal on
-	// all non-failed nodes of the cluster outside commit windows, and
-	// re-synced from a stored dense Meta on every rollback/recovery.
+	// base every delta-encoded CLCCommit patches, and the one stored
+	// vector the chain does not have to be walked for. Invariant: equal
+	// on all non-failed nodes of the cluster outside commit windows, and
+	// re-synced from the restored record on every rollback/recovery.
 	commitBase DDV
 	knownEpoch []Epoch // latest known epoch per cluster
 	// alertEpoch/alertSN record the most recent rollback alert per
@@ -264,13 +259,18 @@ type Node struct {
 	// ackAccum/ackDirty accumulate delta-encoded ack pairs by
 	// element-wise max (order-independent, so merging on arrival equals
 	// the dense path's merge-at-commit); reset at startCLC/abort.
-	ackAccum      DDV
-	ackDirty      DirtySet
-	pendingForce  DDV  // accumulated force targets not yet committed
+	ackAccum DDV
+	ackDirty DirtySet
+	// pendingForce accumulates the force targets not yet committed while
+	// pendingActive; the buffer is a leader's for its lifetime (allocated
+	// by the first demand) and all-zero while inactive.
+	pendingForce  DDV
+	pendingActive bool
 	pendingAlways bool // an unconditional force is pending (ModeForceAll)
 	// pendingDirty tracks which pendingForce entries were ever raised,
-	// so the forced-CLC scans iterate O(dirty) instead of O(width).
-	// Entries outside the set are zero and can never exceed the DDV.
+	// so the forced-CLC scans iterate O(dirty) instead of O(width), and
+	// clearPendingForce zeroes the buffer through it. Entries outside
+	// the set are zero and can never exceed the DDV.
 	pendingDirty DirtySet
 
 	// ---- queues ----
@@ -279,11 +279,14 @@ type Node struct {
 	heldInter    []inbound      // inter-cluster messages awaiting a forced CLC
 
 	// ---- storage ----
-	// clcs is the stored-CLC list, oldest first and strictly increasing
-	// in SN: commits append SN+1, GC drops a prefix, a rollback a
-	// suffix, and recovery rebuilds it from a holder's ordered list.
-	// Mutated only through appendCLC/filterCLCs/resetCLCs/logLate.
+	// clcs and chain are the stored CLCs, oldest first and strictly
+	// increasing in SN — record i's local state and its cluster-wide
+	// metadata: commits append SN+1, GC drops a prefix, a rollback a
+	// suffix, and recovery rebuilds both from a holder's chain. Mutated
+	// only through appendCLC/dropCLCsBelow/truncateCLCsAfter/resetCLCs/
+	// logLate, which keep the two the same length.
 	clcs     []*clcRecord
+	chain    Chain
 	replicas map[replicaKey]Replica
 	// mirrorLogs holds neighbours' message-log mirrors (stable storage
 	// for §3.3's volatile log), keyed by the owning node.
@@ -354,9 +357,14 @@ type Node struct {
 	// call on this node; sendForce clones it before anything escapes
 	// the current event (see cic.go), so it must never be stored.
 	forceScratch DDV
+	// commitScratchVec is where a delta-wire leader raises the vector of
+	// the commit it is about to broadcast (ackFrom); only the pairs that
+	// differ from commitBase leave it. Allocated by a leader's first
+	// commit.
+	commitScratchVec DDV
 	// arena backs every DDV this node hands out at an escape point
-	// (stored Metas, piggybacked vectors, commit broadcasts); see
-	// DDVArena for the ownership rules.
+	// (piggybacked vectors, dense commit broadcasts, shipped chain
+	// anchors); see DDVArena for the ownership rules.
 	arena DDVArena
 	// pairArena backs every DDVPair slice that escapes on a wire
 	// message or into a stored record; pairScratch is the reusable
@@ -373,11 +381,11 @@ type Node struct {
 	// commit pairs.
 	commitScratch DirtySet
 	// gcScanDirty tracks the entries where ddv may differ from the
-	// newest stored CLC's DDV, so GC reports diff O(dirty) instead of
-	// O(width). Valid only while gcScanValid: every HC3I commit
-	// re-establishes ddv == newest-stored-DDV and resets the set, every
-	// CIC receipt that raises ddv adds its index, and every path that
-	// lowers ddv or rewrites the stored chain (rollback, recovery,
+	// newest stored CLC's vector (commitBase), so GC reports diff
+	// O(dirty) instead of O(width). Valid only while gcScanValid: every
+	// HC3I commit re-establishes ddv == commitBase and resets the set,
+	// every CIC receipt that raises ddv adds its index, and every path
+	// that lowers ddv or rewrites the stored chain (rollback, recovery,
 	// restart) invalidates — makeGCReport then falls back to the
 	// chunked full-width diff and the next commit revalidates.
 	gcScanDirty DirtySet
@@ -391,7 +399,8 @@ type Node struct {
 	piggyCodecs PiggyCodecs
 	// lastPiggy is the shared dense clone of ddv at generation
 	// lastPiggyGen: log entries of all sends between two DDV changes
-	// reference one immutable vector instead of cloning per message.
+	// reference one immutable vector instead of cloning per message. Cut
+	// by the first transitive inter-cluster send of a generation.
 	lastPiggy    DDV
 	lastPiggyGen uint64
 	// denseWire mirrors cfg.DenseWire (hot-path read).
@@ -526,14 +535,12 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 	n.ddv[n.cluster] = 1
 	n.commitBase.CopyFrom(n.ddv)
 	state, size := app.Snapshot()
-	n.appendCLC(&clcRecord{
-		meta:      Meta{SN: 1, DDV: n.arena.Clone(n.ddv)},
-		at:        env.Now(),
-		state:     state,
-		stateSize: size,
-	})
-	// ddv equals the initial CLC's Meta: the incremental GC-report scan
-	// starts valid (see gcScanDirty).
+	n.chain.Init(1, n.ddv)
+	rec := &clcRecord{at: env.Now(), state: state, stateSize: size}
+	n.clcs = append(n.clcs, rec)
+	n.clcBytes = rec.storedBytes()
+	// ddv equals the initial CLC's vector: the incremental GC-report
+	// scan starts valid (see gcScanDirty).
 	n.gcScanValid = true
 	return n
 }
@@ -585,39 +592,8 @@ func (n *Node) CurrentEpoch() Epoch { return n.epoch }
 // cost is zero heap allocations.
 func (n *Node) DDVSnapshot() DDV { return n.arena.Clone(n.ddv) }
 
-// StoredMetas returns the metadata of the stored CLCs, oldest first.
-// The vectors are arena-backed copies owned by the caller.
-func (n *Node) StoredMetas() []Meta {
-	ms := make([]Meta, len(n.clcs))
-	for i, r := range n.clcs {
-		ms[i] = Meta{SN: r.meta.SN, DDV: n.arena.Clone(r.meta.DDV)}
-	}
-	return ms
-}
-
-// oldestStoredWith is OldestWith over the stored records without
-// materializing a Meta list — the rollback-alert decision runs it per
-// alert, which made StoredMetas' O(width x stored) cloning an
-// allocation hot spot during cascades.
-func (n *Node) oldestStoredWith(c topology.ClusterID, s SN) int {
-	for i, r := range n.clcs {
-		if r.meta.DDV[c] >= s {
-			return i
-		}
-	}
-	return -1
-}
-
-// newestStoredBelow is NewestBelow over the stored records, without
-// cloning (see oldestStoredWith).
-func (n *Node) newestStoredBelow(c topology.ClusterID, s SN) int {
-	for i := len(n.clcs) - 1; i >= 0; i-- {
-		if n.clcs[i].meta.DDV[c] < s {
-			return i
-		}
-	}
-	return -1
-}
+// SameDDV reports whether n and o hold equal DDVs, copying neither.
+func (n *Node) SameDDV(o *Node) bool { return n.ddv.Equal(o.ddv) }
 
 // ddvChanged records a mutation of n.ddv (or of an entry of it): the
 // piggyback encoder and the shared log-piggy clone key off the
@@ -646,19 +622,13 @@ func (n *Node) piggyVecID() uint64 {
 // sharedPiggy returns a dense copy of the current DDV shared by every
 // log entry created while the vector is unchanged: at most one O(width)
 // copy per DDV generation instead of one per inter-cluster send. The
-// returned vector is immutable by convention (log entries and resends
-// only read it). Between HC3I commits the working DDV equals the newest
-// stored CLC's vector exactly (the incremental-scan invariant:
-// gcScanValid with an empty dirty set), and that stored copy is already
-// immutable — share it instead of cloning, so steady-state sends
-// allocate nothing even across commit generations.
+// returned vector is immutable once shared (log entries, resends and
+// the oracle's pipe queue only read it). It is cut here, by the first
+// send of a generation, so a commit on a node that sends nothing
+// before the next one copies no vector at all.
 func (n *Node) sharedPiggy() DDV {
 	if n.lastPiggyGen != n.ddvGen {
-		if n.cfg.Mode == ModeHC3I && n.gcScanValid && n.gcScanDirty.Len() == 0 && len(n.clcs) > 0 {
-			n.lastPiggy = n.clcs[len(n.clcs)-1].meta.DDV
-		} else {
-			n.lastPiggy = n.arena.Clone(n.ddv)
-		}
+		n.lastPiggy = n.arena.Clone(n.ddv)
 		n.lastPiggyGen = n.ddvGen
 	}
 	return n.lastPiggy
@@ -687,27 +657,39 @@ func (n *Node) StorageBytes() uint64 {
 	return n.clcBytes + n.replicaBytes + n.logBytes + n.mirrorBytes
 }
 
-// appendCLC stores rec as the newest CLC.
-func (n *Node) appendCLC(rec *clcRecord) {
+// appendCLC stores rec as the newest CLC: sequence number sn, committed
+// with pairs (what changed since the newest stored record; retained).
+func (n *Node) appendCLC(rec *clcRecord, sn SN, pairs []DDVPair) {
+	n.chain.Append(sn, pairs)
 	n.clcs = append(n.clcs, rec)
 	n.clcBytes += rec.storedBytes()
 }
 
-// filterCLCs keeps the stored CLCs keep accepts, in order.
-func (n *Node) filterCLCs(keep func(*clcRecord) bool) {
-	kept := n.clcs[:0]
-	for _, r := range n.clcs {
-		if keep(r) {
-			kept = append(kept, r)
-		} else {
-			n.clcBytes -= r.storedBytes()
-		}
+// dropCLCsBelow discards the stored CLCs with SN < threshold (a prefix).
+func (n *Node) dropCLCsBelow(threshold SN) {
+	cut := n.chain.DropBelow(threshold)
+	for _, r := range n.clcs[:cut] {
+		n.clcBytes -= r.storedBytes()
 	}
-	n.clcs = kept
+	kept := copy(n.clcs, n.clcs[cut:])
+	clear(n.clcs[kept:])
+	n.clcs = n.clcs[:kept]
+}
+
+// truncateCLCsAfter discards the stored CLCs with SN > sn (a suffix).
+func (n *Node) truncateCLCsAfter(sn SN) {
+	n.chain.TruncateAfter(sn)
+	keep := n.chain.Len()
+	for _, r := range n.clcs[keep:] {
+		n.clcBytes -= r.storedBytes()
+	}
+	clear(n.clcs[keep:])
+	n.clcs = n.clcs[:keep]
 }
 
 // resetCLCs empties the stored-CLC list.
 func (n *Node) resetCLCs() {
+	n.chain.TruncateAfter(0)
 	clear(n.clcs)
 	n.clcs = n.clcs[:0]
 	n.clcBytes = 0
@@ -791,7 +773,7 @@ func (n *Node) SeedReplica(r Replica) {
 // checkpoint, for bootstrap seeding.
 func (n *Node) InitialReplica() Replica {
 	r0 := n.clcs[0]
-	return Replica{Seq: r0.meta.SN, Owner: n.id, State: r0.state, Size: r0.stateSize}
+	return Replica{Seq: n.chain.Recs[0].SN, Owner: n.id, State: r0.state, Size: r0.stateSize}
 }
 
 // ReplicaTargets lists the neighbours that hold this node's checkpoint
@@ -845,8 +827,7 @@ func (n *Node) Restart() {
 	n.phase = cpIdle
 	n.provisional = nil
 	n.inFlight = false
-	n.pendingForce = nil
-	n.pendingDirty.Reset()
+	n.clearPendingForce()
 	n.pendingAlways = false
 	n.ackedDDVs = nil
 	n.frozenSends = false
@@ -862,11 +843,11 @@ func (n *Node) Restart() {
 }
 
 // resetDeltaState clears the delta-tracking state that derives from the
-// DDV/commit history: the commit base (re-synced from a dense Meta by
-// the recovery path), the lazy-receipt and ack accumulators, the shared
-// log-piggy clone, and the per-pipe examination cursors (a reset
-// forces a full-width re-exam, which any decrease of this node's own
-// DDV requires for equivalence with the dense encoding).
+// DDV/commit history: the commit base (re-synced from the restored
+// record by the recovery path), the lazy-receipt and ack accumulators,
+// the shared log-piggy clone, and the per-pipe examination cursors (a
+// reset forces a full-width re-exam, which any decrease of this node's
+// own DDV requires for equivalence with the dense encoding).
 func (n *Node) resetDeltaState() {
 	for i := range n.commitBase {
 		n.commitBase[i] = 0

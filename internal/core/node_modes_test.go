@@ -160,16 +160,16 @@ func TestNewestBelow(t *testing.T) {
 		{SN: 2, DDV: DDV{2, 2}},
 		{SN: 3, DDV: DDV{2, 5}},
 	}
-	if i := NewestBelow(list, 1, 3); i != 1 {
+	if i := newestBelow(t, list, 1, 3); i != 1 {
 		t.Fatalf("NewestBelow(c1,3) = %d, want 1", i)
 	}
-	if i := NewestBelow(list, 1, 6); i != 2 {
+	if i := newestBelow(t, list, 1, 6); i != 2 {
 		t.Fatalf("NewestBelow(c1,6) = %d, want 2", i)
 	}
-	if i := NewestBelow(list, 1, 1); i != 0 {
+	if i := newestBelow(t, list, 1, 1); i != 0 {
 		t.Fatalf("NewestBelow(c1,1) = %d, want 0", i)
 	}
-	if i := NewestBelow([]Meta{{SN: 1, DDV: DDV{0, 7}}}, 1, 2); i != -1 {
+	if i := newestBelow(t, []Meta{{SN: 1, DDV: DDV{0, 7}}}, 1, 2); i != -1 {
 		t.Fatalf("NewestBelow impossible = %d, want -1", i)
 	}
 }
@@ -193,8 +193,8 @@ func TestRollbackTargetBoundaryProperty(t *testing.T) {
 				if s == 0 {
 					continue
 				}
-				oldest := OldestWith(f.lists[j], c, s)
-				newest := NewestBelow(f.lists[j], c, s)
+				oldest := oldestWith(t, f.lists[j], c, s)
+				newest := newestBelow(t, f.lists[j], c, s)
 				if oldest == -1 {
 					if newest != len(f.lists[j])-1 {
 						t.Fatalf("seed=%d: no dependency but NewestBelow=%d", seed, newest)

@@ -26,6 +26,9 @@ type mockEnv struct {
 
 func (e *mockEnv) Now() sim.Time { return e.bed.now }
 func (e *mockEnv) Send(dst topology.NodeID, size int, msg Msg) {
+	if e.bed.shadows != nil {
+		e.bed.shadows.Sent(e.id, msg)
+	}
 	e.bed.queue = append(e.bed.queue, sentMsg{src: e.id, dst: dst, msg: msg, size: size})
 }
 func (e *mockEnv) SendApp(dst topology.NodeID, size int, msg Msg) {
@@ -84,6 +87,23 @@ func (e *mockEnv) AppAckBox() *AppAck {
 	return new(AppAck)
 }
 
+// shadowedEnv is the Env of a node under test (not under benchmark):
+// the mockEnv plus the testbed's dense shadow as the node's Observer.
+type shadowedEnv struct {
+	*mockEnv
+	*DenseShadows
+}
+
+// newNode builds one node of the testbed on env.
+func (b *testbed) newNode(cfg Config, env *mockEnv, app *mockApp) *Node {
+	if b.shadows == nil {
+		return NewNode(cfg, env, app)
+	}
+	n := NewNode(cfg, shadowedEnv{env, b.shadows}, app)
+	b.shadows.Attach(n)
+	return n
+}
+
 type mockApp struct {
 	progress  int
 	delivered []LogicalID
@@ -119,6 +139,11 @@ type testbed struct {
 	appBoxes []*AppMsg
 	ackBoxes []*AppAck
 
+	// shadows keeps every node's stored history in the dense form the
+	// chain replaced, and the pump holds the two against each other
+	// after every delivery; nil under a benchmark.
+	shadows *DenseShadows
+
 	// Delta piggyback support (see mockEnv.PiggyCodec).
 	useCodecs bool
 	width     int
@@ -150,6 +175,9 @@ func newTestbed(t testing.TB, sizes []int, replicas int, transitive bool) *testb
 		width:  len(sizes),
 		codecs: make(map[[2]topology.ClusterID]*DeltaCodec),
 	}
+	if _, test := t.(*testing.T); test {
+		bed.shadows = NewDenseShadows()
+	}
 	for c, size := range sizes {
 		repl := replicas
 		if repl > size-1 {
@@ -168,7 +196,7 @@ func newTestbed(t testing.TB, sizes []int, replicas int, transitive bool) *testb
 				Replicas:     repl,
 				Transitive:   transitive,
 			}
-			n := NewNode(cfg, env, app)
+			n := bed.newNode(cfg, env, app)
 			bed.nodes[id] = n
 			bed.apps[id] = app
 			bed.envs[id] = env
@@ -190,6 +218,13 @@ func newTestbed(t testing.TB, sizes []int, replicas int, transitive bool) *testb
 // without building hundreds of nodes. Transitive piggybacking is on;
 // dense selects the reference wire encoding (delta otherwise).
 func newWideTestbed(t testing.TB, width int, dense bool) *testbed {
+	return newWideTestbedSized(t, width, dense, 1)
+}
+
+// newWideTestbedSized is newWideTestbed with `nodes` nodes in each of
+// the two instantiated clusters, each replicating to one neighbour when
+// it has one.
+func newWideTestbedSized(t testing.TB, width int, dense bool, nodes int) *testbed {
 	bed := &testbed{
 		t:         t,
 		nodes:     make(map[topology.NodeID]*Node),
@@ -200,28 +235,41 @@ func newWideTestbed(t testing.TB, width int, dense bool) *testbed {
 		codecs:    make(map[[2]topology.ClusterID]*DeltaCodec),
 		useCodecs: !dense,
 	}
+	if _, test := t.(*testing.T); test {
+		bed.shadows = NewDenseShadows()
+	}
 	sizes := make([]int, width)
 	for i := range sizes {
 		sizes[i] = 1
 	}
+	sizes[0], sizes[1] = nodes, nodes
 	for c := 0; c < 2; c++ {
-		id := topology.NodeID{Cluster: topology.ClusterID(c), Index: 0}
-		env := &mockEnv{id: id, bed: bed, timers: make(map[TimerKind]sim.Duration)}
-		app := &mockApp{}
-		cfg := Config{
-			ID:           id,
-			Clusters:     width,
-			ClusterSizes: sizes,
-			CLCPeriod:    sim.Forever,
-			GCPeriod:     sim.Forever,
-			Transitive:   true,
-			DenseWire:    dense,
+		for i := 0; i < nodes; i++ {
+			id := topology.NodeID{Cluster: topology.ClusterID(c), Index: i}
+			env := &mockEnv{id: id, bed: bed, timers: make(map[TimerKind]sim.Duration)}
+			app := &mockApp{}
+			cfg := Config{
+				ID:           id,
+				Clusters:     width,
+				ClusterSizes: sizes,
+				CLCPeriod:    sim.Forever,
+				GCPeriod:     sim.Forever,
+				Replicas:     min(1, nodes-1),
+				Transitive:   true,
+				DenseWire:    dense,
+			}
+			n := bed.newNode(cfg, env, app)
+			bed.nodes[id] = n
+			bed.apps[id] = app
+			bed.envs[id] = env
+			n.Start()
 		}
-		n := NewNode(cfg, env, app)
-		bed.nodes[id] = n
-		bed.apps[id] = app
-		bed.envs[id] = env
-		n.Start()
+	}
+	// Seed initial replicas, as the federation harness does.
+	for _, n := range bed.nodes {
+		for _, tgt := range n.replicaTargets() {
+			bed.nodes[tgt].SeedReplica(n.InitialReplica())
+		}
 	}
 	return bed
 }
@@ -233,14 +281,19 @@ func (b *testbed) app(c, i int) *mockApp {
 	return b.apps[topology.NodeID{Cluster: topology.ClusterID(c), Index: i}]
 }
 
-// pump delivers queued messages FIFO until quiescent.
+// pump delivers queued messages FIFO until quiescent. The queue's
+// backing array is kept for the next pump, so a benchmark's B/op is the
+// protocol's, not the testbed's.
 func (b *testbed) pump() {
-	for steps := 0; len(b.queue) > 0; steps++ {
-		if steps > 2_000_000 {
+	defer func() {
+		clear(b.queue)
+		b.queue = b.queue[:0]
+	}()
+	for head := 0; head < len(b.queue); head++ {
+		if head > 2_000_000 {
 			b.t.Fatal("testbed: message storm")
 		}
-		m := b.queue[0]
-		b.queue = b.queue[1:]
+		m := b.queue[head]
 		dst := b.nodes[m.dst]
 		if dst == nil {
 			b.t.Fatalf("message to unknown node %v", m.dst)
@@ -264,13 +317,19 @@ func (b *testbed) pump() {
 			continue // fail-stop: traffic to/from down nodes vanishes
 		}
 		b.now++
-		dst.OnMessage(m.src, m.msg)
+		if b.shadows == nil {
+			dst.OnMessage(m.src, m.msg)
+			b.reclaim(m.msg)
+			continue
+		}
+		// Tests hold the receiver's running totals, indexes and chain
+		// against their reference walks and its dense shadow after every
+		// delivery; benchmarks must not pay the walks they measure the
+		// absence of.
+		b.shadows.Deliver(dst, m.src, m.msg)
 		b.reclaim(m.msg)
-		// Tests hold the receiver's running totals and indexes against
-		// their reference walks after every delivery; benchmarks must
-		// not pay the walks they measure the absence of.
-		if _, test := b.t.(*testing.T); test {
-			if err := dst.CheckStoredHistory(); err != nil {
+		for _, err := range []error{dst.CheckStoredHistory(), b.shadows.Check(dst)} {
+			if err != nil {
 				b.t.Fatalf("after %T from %v: %v", m.msg, m.src, err)
 			}
 		}
@@ -704,7 +763,7 @@ func TestRingGCEquivalentToCentralized(t *testing.T) {
 		lists := [][]Meta{b.node(0, 0).StoredMetas(), b.node(1, 0).StoredMetas(), b.node(2, 0).StoredMetas()}
 		currents := []DDV{b.node(0, 0).DDVSnapshot(), b.node(1, 0).DDVSnapshot(), b.node(2, 0).DDVSnapshot()}
 		for f := 0; f < 3; f++ {
-			if _, err := SimulateFailure(lists, currents, topology.ClusterID(f)); err != nil {
+			if _, err := simulateFailure(t, lists, currents, topology.ClusterID(f)); err != nil {
 				t.Fatalf("ring=%v faulty=%d: %v", ring, f, err)
 			}
 		}

@@ -12,8 +12,9 @@ import "repro/internal/topology"
 //
 // Contract: callbacks run synchronously inside the protocol event that
 // triggered them, on the harness's single simulation goroutine. DDV
-// and pair arguments may alias node-owned buffers that mutate after
-// the callback returns — an observer copies what it keeps.
+// arguments may alias node-owned buffers that mutate after the callback
+// returns — an observer copies what it keeps. A commit's pairs are
+// immutable (see Chain) and may be retained.
 type Observer interface {
 	// ObserveMode reports a node's protocol mode at construction.
 	// Mode-specific claims are scoped by it: the no-orphan obligation

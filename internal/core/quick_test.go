@@ -41,8 +41,8 @@ func TestOldestNewestPartitionProperty(t *testing.T) {
 		if s == 0 {
 			s = 1
 		}
-		oldest := OldestWith(list, c, s)
-		newest := NewestBelow(list, c, s)
+		oldest := oldestWith(t, list, c, s)
+		newest := newestBelow(t, list, c, s)
 		switch {
 		case oldest == -1:
 			return newest == len(list)-1
@@ -65,7 +65,7 @@ func TestOldestWithIsMinimalProperty(t *testing.T) {
 		list := randomMetaList(raw, 4)
 		c := topology.ClusterID(2)
 		s := SN(sRaw%10) + 1
-		idx := OldestWith(list, c, s)
+		idx := oldestWith(t, list, c, s)
 		if idx == -1 {
 			for _, m := range list {
 				if m.DDV[c] >= s {
@@ -128,7 +128,7 @@ func TestSmallestSNsBoundedProperty(t *testing.T) {
 		for s := 0; s < 50; s++ {
 			f.step()
 		}
-		min, err := SmallestSNs(f.lists, f.ddv)
+		min, err := smallestSNs(t, f.lists, f.ddv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestSmallestSNsBoundedProperty(t *testing.T) {
 		}
 		// Commit one more checkpoint somewhere and recompute.
 		f.commit(seed2cluster(seed), nil)
-		min2, err := SmallestSNs(f.lists, f.ddv)
+		min2, err := smallestSNs(t, f.lists, f.ddv)
 		if err != nil {
 			t.Fatal(err)
 		}

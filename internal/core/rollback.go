@@ -38,8 +38,7 @@ func (n *Node) startClusterRollback() {
 	if n.rbActive {
 		n.env.Stat(n.keys.rollbackRestarted, 1)
 	}
-	last := n.clcs[len(n.clcs)-1]
-	n.initiateRollback(last.meta.SN)
+	n.initiateRollback(n.chain.Recs[n.chain.Len()-1].SN)
 }
 
 // initiateRollback coordinates a rollback of the whole cluster to the
@@ -101,7 +100,7 @@ func (n *Node) performLocalRollback(toSN SN, newEpoch Epoch, coordinator topolog
 	n.inboundQueue = kept
 
 	// Discard checkpoints from the aborted future.
-	n.filterCLCs(func(r *clcRecord) bool { return r.meta.SN <= toSN })
+	n.truncateCLCsAfter(toSN)
 	for k, rep := range n.replicas {
 		if k.seq > toSN {
 			n.dropReplica(k, rep)
@@ -111,11 +110,11 @@ func (n *Node) performLocalRollback(toSN SN, newEpoch Epoch, coordinator topolog
 		n.mirrorBytes -= ml.filter(func(e *LogMirror) bool { return e.SendSN < toSN })
 	}
 
-	rec := n.recordWith(toSN)
-	if rec == nil {
+	idx := n.chain.Index(toSN)
+	if idx < 0 {
 		panic(fmt.Sprintf("core: %v has no checkpoint %d to restore", n.id, toSN))
 	}
-	if rec.remote {
+	if n.clcs[idx].remote {
 		// Our local copy was lost in an earlier crash; fetch it back
 		// from the replica holders before acking (async). All holders
 		// are asked — one of them may be down itself under multiple
@@ -130,21 +129,18 @@ func (n *Node) performLocalRollback(toSN SN, newEpoch Epoch, coordinator topolog
 		}
 		return false
 	}
-	n.finishLocalRollback(rec, toSN, newEpoch)
+	n.finishLocalRollback(idx, toSN, newEpoch)
 	return true
 }
 
-func (n *Node) finishLocalRollback(rec *clcRecord, toSN SN, newEpoch Epoch) {
+func (n *Node) finishLocalRollback(idx int, toSN SN, newEpoch Epoch) {
+	rec := n.clcs[idx]
 	n.app.Restore(rec.state)
 	for _, late := range rec.lateLog {
 		n.env.Stat("app.redelivered_late", 1)
 		n.app.Deliver(late.src, late.msg.Payload)
 	}
-	n.sn = toSN
-	// Copy into the node's owned DDV buffer; the stored Meta keeps its
-	// own vector, so neither side aliases the other.
-	n.ddv.CopyFrom(rec.meta.DDV)
-	n.resyncDeltaState(rec.meta.DDV)
+	n.restoreVector(idx, toSN)
 	n.epoch = newEpoch
 	n.knownEpoch[n.cluster] = newEpoch
 	n.pruneLogForOwnRollback(toSN)
@@ -157,50 +153,25 @@ func (n *Node) finishLocalRollback(rec *clcRecord, toSN SN, newEpoch Epoch) {
 	n.drainInbound()
 }
 
-// resyncDeltaState re-anchors the delta-tracking state after this
-// node's DDV was restored from the stored dense vector ddv: the commit
-// base becomes that vector (the commit chain restarts from it on both
-// leader and participants — they restore the same checkpoint), lazy
-// receipts are gone (the restored DDV covers exactly the checkpoint),
-// and the per-pipe piggyback cursors are zeroed because the DDV may
-// have decreased — the next message on each pipe re-examines the full
-// width, exactly as the dense encoding would compare it.
-func (n *Node) resyncDeltaState(ddv DDV) {
-	n.commitBase.CopyFrom(ddv)
+// restoreVector adopts stored record idx (sequence number sn) as the
+// node's SN and DDV — the stored vector is materialised by walking the
+// chain into the node's own buffer — and re-anchors the delta-tracking
+// state on it: the commit base becomes that vector (the
+// commit chain restarts from it on both leader and participants — they
+// restore the same checkpoint), lazy receipts are gone (the restored
+// DDV covers exactly the checkpoint), and the per-pipe piggyback
+// cursors are zeroed because the DDV may have decreased — the next
+// message on each pipe re-examines the full width, exactly as the dense
+// encoding would compare it.
+func (n *Node) restoreVector(idx int, sn SN) {
+	n.sn = sn
+	n.chain.Vector(idx, n.ddv)
+	n.commitBase.CopyFrom(n.ddv)
 	n.recvDirty.Reset()
 	n.gcScanValid = false
 	n.resetAckAccum()
 	n.ddvChanged()
 	n.resetPiggyExam()
-}
-
-// rebuildDeltaChain recomputes the stored records' commit-delta pairs
-// by diffing consecutive metas — used after a recovery rebuilt the
-// checkpoint list from RecoverStateResp metadata, where the original
-// pairs are unknown. O(width x stored CLCs), on the rare crash-recovery
-// path only.
-func (n *Node) rebuildDeltaChain() {
-	if n.denseWire {
-		return
-	}
-	for i, r := range n.clcs {
-		if i == 0 {
-			r.deltaPairs = nil // chain anchor: the dense Meta is shipped
-			continue
-		}
-		n.pairScratch = diffPairs(n.pairScratch[:0], r.meta.DDV, n.clcs[i-1].meta.DDV)
-		r.deltaPairs = n.pairArena.Clone(n.pairScratch)
-	}
-}
-
-// recordWith returns the stored record with the given SN, or nil.
-func (n *Node) recordWith(sn SN) *clcRecord {
-	for _, r := range n.clcs {
-		if r.meta.SN == sn {
-			return r
-		}
-	}
-	return nil
 }
 
 // onRollbackCmd executes the coordinator's rollback order on a peer.
@@ -245,23 +216,25 @@ func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
 		n.env.Trace(sim.TraceInfo, "replica %d for %v not held here", m.Seq, m.Owner)
 		return
 	}
-	metas := make([]Meta, 0, len(n.clcs))
+	// The cluster's checkpoint metadata is this node's own chain, up to
+	// the requested record.
+	keep := 0
 	var older []OlderState
-	for _, r := range n.clcs {
-		if r.meta.SN > m.Seq {
+	for _, r := range n.chain.Recs {
+		if r.SN > m.Seq {
+			break
+		}
+		keep++
+		if r.SN == m.Seq {
 			continue
 		}
-		metas = append(metas, Meta{SN: r.meta.SN, DDV: r.meta.DDV.Clone()})
-		if r.meta.SN == m.Seq {
-			continue
-		}
-		if old, ok := n.replicas[replicaKey{owner: m.Owner, seq: r.meta.SN}]; ok {
+		if old, ok := n.replicas[replicaKey{owner: m.Owner, seq: r.SN}]; ok {
 			older = append(older, OlderState{SN: old.Seq, State: old.State, Size: old.Size})
 		}
 	}
 	resp := RecoverStateResp{
 		Seq: m.Seq, Epoch: m.Epoch, Owner: m.Owner,
-		State: rep.State, Size: rep.Size, Metas: metas, Older: older,
+		State: rep.State, Size: rep.Size, Chain: n.chain.snapshot(keep, &n.arena), Older: older,
 	}
 	if ml := n.mirrorLogs[m.Owner]; ml != nil {
 		resp.Log = append([]LogMirror(nil), ml.entries...)
@@ -269,9 +242,9 @@ func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
 	n.env.Send(src, controlSize(resp), resp)
 }
 
-// onRecoverStateResp completes a restarted node's recovery: rebuild the
-// checkpoint list from the cluster metadata (local states stay remote
-// on the neighbour), restore the fetched state and ack the rollback.
+// onRecoverStateResp completes a restarted node's recovery: adopt the
+// holder's chain as the checkpoint list (local states stay remote on
+// the neighbour), restore the fetched state and ack the rollback.
 func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 	if n.recoverWait == nil || m.Seq != n.recoverWait.cmd.ToSN {
 		return
@@ -285,35 +258,32 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 		olderBySN[o.SN] = o
 	}
 	n.resetCLCs()
-	for _, meta := range m.Metas {
-		if meta.SN > pend.cmd.ToSN {
-			continue
-		}
-		rec := &clcRecord{
-			meta:   Meta{SN: meta.SN, DDV: meta.DDV.Clone()},
-			at:     n.env.Now(),
-			remote: true,
-		}
+	n.chain.copyFrom(m.Chain)
+	n.chain.TruncateAfter(pend.cmd.ToSN)
+	for _, r := range n.chain.Recs {
+		sn := r.SN
+		rec := &clcRecord{at: n.env.Now(), remote: true}
 		switch {
-		case meta.SN == pend.cmd.ToSN:
+		case sn == pend.cmd.ToSN:
 			rec.state = m.State
 			rec.stateSize = m.Size
 			rec.remote = false
 		default:
-			if o, ok := olderBySN[meta.SN]; ok {
+			if o, ok := olderBySN[sn]; ok {
 				rec.state = o.State
 				rec.stateSize = o.Size
 				rec.remote = false
 			}
 		}
-		n.appendCLC(rec)
+		n.clcs = append(n.clcs, rec)
+		n.clcBytes += rec.storedBytes()
+	}
+	idx := n.chain.Index(pend.cmd.ToSN)
+	if idx < 0 {
+		panic(fmt.Sprintf("core: %v recovered a chain without checkpoint %d", n.id, pend.cmd.ToSN))
 	}
 	n.app.Restore(m.State)
-	n.sn = pend.cmd.ToSN
-	rec := n.recordWith(pend.cmd.ToSN)
-	n.ddv.CopyFrom(rec.meta.DDV)
-	n.resyncDeltaState(rec.meta.DDV)
-	n.rebuildDeltaChain()
+	n.restoreVector(idx, pend.cmd.ToSN)
 	n.epoch = pend.cmd.NewEpoch
 	n.knownEpoch[n.cluster] = n.epoch
 	n.anchorPending = true
@@ -365,11 +335,11 @@ func (n *Node) onReReplicateReq(src topology.NodeID, m ReReplicateReq) {
 	if m.Epoch != n.epoch || src.Cluster != n.cluster {
 		return
 	}
-	for _, rec := range n.clcs {
+	for i, rec := range n.clcs {
 		if rec.remote {
 			continue // our own copy lives remotely; nothing to push
 		}
-		rep := Replica{Seq: rec.meta.SN, Epoch: n.epoch, Owner: n.id, State: rec.state, Size: rec.stateSize}
+		rep := Replica{Seq: n.chain.Recs[i].SN, Epoch: n.epoch, Owner: n.id, State: rec.state, Size: rec.stateSize}
 		n.env.Send(src, controlSize(rep), rep)
 		n.env.Stat("storage.rereplicated", 1)
 	}
@@ -568,12 +538,12 @@ func (n *Node) decideRollbackFromAlert(m RollbackAlert) {
 	if n.cfg.Mode == ModeIndependent {
 		// No forced checkpoints exist: fall back behind the dependency
 		// (domino effect; the initial CLC always qualifies).
-		idx = n.newestStoredBelow(m.Cluster, m.NewSN)
+		idx = n.chain.NewestBelow(m.Cluster, m.NewSN)
 		if idx < 0 {
 			idx = 0
 		}
 	} else {
-		idx = n.oldestStoredWith(m.Cluster, m.NewSN)
+		idx = n.chain.OldestWith(m.Cluster, m.NewSN)
 		if idx == -1 {
 			// The garbage collector's safety rule makes this unreachable;
 			// fall back to the initial checkpoint, which depends on nothing.
@@ -582,7 +552,7 @@ func (n *Node) decideRollbackFromAlert(m RollbackAlert) {
 			idx = 0
 		}
 	}
-	target := n.clcs[idx].meta.SN
+	target := n.chain.Recs[idx].SN
 	// Live counterpart of SimulateFailure's "only roll back further"
 	// rule: the restored forced CLC's recorded DDV still names the
 	// dependency that triggered the rollback (its *state* does not —

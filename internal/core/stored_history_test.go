@@ -8,9 +8,9 @@ import (
 
 // storedSNs lists the SNs of n's stored CLCs, oldest first.
 func storedSNs(n *Node) []SN {
-	sns := make([]SN, len(n.clcs))
-	for i, r := range n.clcs {
-		sns[i] = r.meta.SN
+	sns := make([]SN, n.chain.Len())
+	for i, r := range n.chain.Recs {
+		sns[i] = r.SN
 	}
 	return sns
 }
@@ -48,12 +48,12 @@ func TestStoredCLCsStaySNOrdered(t *testing.T) {
 			})
 			for i, r := range receiver.clcs {
 				want := before[i]
-				if r.meta.SN > sendSN {
+				if sns[i] > sendSN {
 					want++
 				}
 				if got := len(r.lateLog); got != want {
 					t.Fatalf("%s: straggler sent at SN %d: CLC %d holds %d late messages, want %d (stored %v)",
-						stage, sendSN, r.meta.SN, got, want, sns)
+						stage, sendSN, sns[i], got, want, sns)
 				}
 				before[i] = want
 			}

@@ -42,7 +42,7 @@ type DDV []SN
 func NewDDV(n int) DDV { return make(DDV, n) }
 
 // Clone returns an independent copy. Use it when the copy escapes the
-// current event (stored in a Meta, handed to Env.Send); for transient
+// current event (handed to Env.Send); for transient
 // element-wise work prefer CopyFrom into a reusable buffer.
 func (d DDV) Clone() DDV {
 	c := make(DDV, len(d))
@@ -145,15 +145,6 @@ func (d DDV) String() string {
 		parts[i] = fmt.Sprintf("%d", v)
 	}
 	return "[" + strings.Join(parts, " ") + "]"
-}
-
-// Meta is the metadata of one stored CLC: its own-cluster sequence
-// number and the DDV recorded at commit time. The garbage collector
-// exchanges lists of Meta between clusters (paper §3.5), and the
-// recovery-line computation operates on them.
-type Meta struct {
-	SN  SN
-	DDV DDV
 }
 
 // LogicalID identifies an application message independently of

@@ -211,7 +211,7 @@ func (f *Fed) checkInvariants() error {
 				return fmt.Errorf("federation: cluster %d SN disagreement: %v=%d %v=%d",
 					c, first.ID(), first.SN(), hn.ID(), hn.SN())
 			}
-			if !hn.DDVSnapshot().Equal(first.DDVSnapshot()) {
+			if !hn.SameDDV(first) {
 				return fmt.Errorf("federation: cluster %d DDV disagreement: %v vs %v",
 					c, first.DDVSnapshot(), hn.DDVSnapshot())
 			}

@@ -22,10 +22,11 @@
 //     dense vector the message stood for).
 //
 // The oracle maintains a cheap shadow causal history — one vector,
-// one rollback log and one stored-checkpoint chain per cluster —
-// patched with the same delta pairs the wire carries, so the steady-
-// state checks are O(changed entries), not O(federation width); the
-// dense-wire reference path pays the full-width compare the dense
+// one rollback log and one stored-checkpoint chain per cluster, the
+// chain being the very core.Chain the nodes store and the collector
+// analyses — patched with the same delta pairs the wire carries, so the
+// steady-state checks are O(changed entries), not O(federation width);
+// the dense-wire reference path pays the full-width compare the dense
 // encoding itself pays. It never touches statistics, RNG streams or
 // the event queue: runs are byte-identical with the oracle attached,
 // which the determinism suite pins against the recorded goldens.
@@ -70,19 +71,9 @@ type clusterShadow struct {
 	epoch  core.Epoch
 	sn     core.SN
 	cur    core.DDV   // committed line: the newest committed vector
-	ddvs   []core.DDV // stored-chain vectors, parallel to sns
-	sns    []core.SN  // stored-chain sequence numbers
+	chain  core.Chain // stored checkpoints
 	rolls  []rollbackRec
 	delivs []delivRec // inter-cluster deliveries INTO this cluster
-}
-
-// stored returns the shadow chain as []core.Meta views (no copies).
-func (c *clusterShadow) stored() []core.Meta {
-	ms := make([]core.Meta, len(c.sns))
-	for i := range c.sns {
-		ms[i] = core.Meta{SN: c.sns[i], DDV: c.ddvs[i]}
-	}
-	return ms
 }
 
 // Oracle is one run's invariant checker. All methods must be invoked
@@ -97,6 +88,8 @@ type Oracle struct {
 	// senders' shared piggy clones — immutable once handed out — so
 	// the queue stores references, never copies.
 	pipes [][]core.DDV
+	// vec is the scratch a stored vector is materialised into.
+	vec core.DDV
 
 	// Clock supplies the virtual clock for violation context (optional).
 	Clock func() sim.Time
@@ -130,14 +123,14 @@ func New(nClusters int) *Oracle {
 		width:    nClusters,
 		clusters: make([]clusterShadow, nClusters),
 		pipes:    make([][]core.DDV, nClusters*nClusters),
+		vec:      core.NewDDV(nClusters),
 	}
 	for i := range o.clusters {
 		c := &o.clusters[i]
 		c.sn = 1
 		c.cur = core.NewDDV(nClusters)
 		c.cur[i] = 1
-		c.sns = []core.SN{1}
-		c.ddvs = []core.DDV{c.cur.Clone()}
+		c.chain.Init(1, c.cur)
 	}
 	return o
 }
@@ -213,6 +206,7 @@ func (o *Oracle) ObserveCommit(id topology.NodeID, seq core.SN, epoch core.Epoch
 			for _, p := range pairs {
 				c.cur[p.Idx] = p.SN
 			}
+			c.chain.Append(seq, pairs)
 		} else {
 			for i, v := range ddv {
 				if v < c.cur[i] {
@@ -221,14 +215,13 @@ func (o *Oracle) ObserveCommit(id topology.NodeID, seq core.SN, epoch core.Epoch
 					return
 				}
 			}
+			c.chain.AppendVector(seq, ddv, c.cur)
 			c.cur.CopyFrom(ddv)
 		}
 		if c.cur[id.Cluster] != seq {
 			o.violatef("commit: %v CLC %d own entry is %d", id, seq, c.cur[id.Cluster])
 		}
 		c.sn = seq
-		c.sns = append(c.sns, seq)
-		c.ddvs = append(c.ddvs, c.cur.Clone())
 	default:
 		o.violatef("commit continuity: %v committed CLC %d, cluster line is at %d", id, seq, c.sn)
 	}
@@ -245,37 +238,29 @@ func (o *Oracle) ObserveRollback(id topology.NodeID, toSN core.SN, newEpoch core
 	switch {
 	case newEpoch == c.epoch+1:
 		// First observation of this epoch's rollback.
-		idx := -1
-		for i, sn := range c.sns {
-			if sn == toSN {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
+		c.chain.TruncateAfter(toSN)
+		if idx := c.chain.Index(toSN); idx < 0 {
 			o.violatef("rollback: %v restored CLC %d which the cluster no longer stores (GC unsafe?)", id, toSN)
 			// Resync the shadow from the reported state so one
 			// violation does not cascade into noise.
-			cut := 0
-			for cut < len(c.sns) && c.sns[cut] < toSN {
-				cut++
+			if last := c.chain.Len() - 1; last < 0 {
+				c.chain.Init(toSN, ddv)
+			} else {
+				c.chain.Vector(last, o.vec)
+				c.chain.AppendVector(toSN, ddv, o.vec)
 			}
-			c.sns = append(c.sns[:cut], toSN)
-			c.ddvs = append(c.ddvs[:cut], ddv.Clone())
-			idx = len(c.sns) - 1
+			c.cur.CopyFrom(ddv)
 		} else {
-			if !ddv.Equal(c.ddvs[idx]) {
+			c.chain.Vector(idx, c.cur)
+			if !ddv.Equal(c.cur) {
 				o.violatef("rollback: %v restored CLC %d with vector %v, committed as %v",
-					id, toSN, ddv, c.ddvs[idx])
+					id, toSN, ddv, c.cur)
 			}
-			c.sns = c.sns[:idx+1]
-			c.ddvs = c.ddvs[:idx+1]
 		}
 		oldEpoch := c.epoch
 		c.epoch = newEpoch
 		c.sn = toSN
-		c.cur.CopyFrom(c.ddvs[idx])
-		c.rolls = append(c.rolls, rollbackRec{epoch: newEpoch, toSN: toSN, ddv: c.ddvs[idx].Clone()})
+		c.rolls = append(c.rolls, rollbackRec{epoch: newEpoch, toSN: toSN, ddv: c.cur.Clone()})
 		// Deliveries into this cluster made at or after the restored
 		// checkpoint are erased by the restore.
 		kept := c.delivs[:0]
@@ -401,20 +386,20 @@ func (o *Oracle) ObserveGCDrop(id topology.NodeID, minSNs []core.SN) {
 	}
 	c := &o.clusters[id.Cluster]
 	threshold := minSNs[id.Cluster]
-	if len(c.sns) == 0 || c.sns[0] >= threshold {
+	if c.chain.Len() == 0 || c.chain.Recs[0].SN >= threshold {
 		return // nothing to drop here: a later node of the same round
 	}
 	// Safety: rerun the §3.5 analysis on the shadow history. Shadow
 	// commits since the reports only raise the safe minimums, so any
 	// distributed threshold above the freshly computed one discards a
 	// checkpoint a simulated failure still needs.
-	lists := make([][]core.Meta, o.width)
+	chains := make([]core.Chain, o.width)
 	currents := make([]core.DDV, o.width)
 	for i := range o.clusters {
-		lists[i] = o.clusters[i].stored()
+		chains[i] = o.clusters[i].chain
 		currents[i] = o.clusters[i].cur
 	}
-	fresh, err := core.SmallestSNs(lists, currents)
+	fresh, err := core.SmallestSNs(chains, currents)
 	if err != nil {
 		o.violatef("gc safety: recovery-line analysis over the shadow state failed: %v", err)
 	} else {
@@ -426,12 +411,7 @@ func (o *Oracle) ObserveGCDrop(id topology.NodeID, minSNs []core.SN) {
 			}
 		}
 	}
-	cut := 0
-	for cut < len(c.sns) && c.sns[cut] < threshold {
-		cut++
-	}
-	c.sns = c.sns[cut:]
-	c.ddvs = c.ddvs[cut:]
+	c.chain.DropBelow(threshold)
 	// The collection proves no cluster ever rolls back below its
 	// threshold again: deliveries whose send predates the sender's
 	// threshold can never become orphans — drop their records.
@@ -457,15 +437,25 @@ func (o *Oracle) Finish() error {
 					j, d.src, d.srcEpoch, d.sendSN, d.recvSN)
 			}
 		}
-		for i := 0; i < len(c.sns); i++ {
-			if i > 0 && c.sns[i] <= c.sns[i-1] {
-				o.violatef("stored chain: cluster %d stores CLC %d after %d", j, c.sns[i], c.sns[i-1])
+		// Every stored entry is an anchor entry or a pair.
+		dominated := func(sn core.SN, k int, v core.SN) {
+			if v > c.cur[k] {
+				o.violatef("commit-line domination: cluster %d stored CLC %d entry %d = %d exceeds the committed line %d",
+					j, sn, k, v, c.cur[k])
 			}
-			for k, v := range c.ddvs[i] {
-				if v > c.cur[k] {
-					o.violatef("commit-line domination: cluster %d stored CLC %d entry %d = %d exceeds the committed line %d",
-						j, c.sns[i], k, v, c.cur[k])
+		}
+		for i, r := range c.chain.Recs {
+			if i == 0 {
+				for k, v := range c.chain.Anchor {
+					dominated(r.SN, k, v)
 				}
+				continue
+			}
+			if r.SN <= c.chain.Recs[i-1].SN {
+				o.violatef("stored chain: cluster %d stores CLC %d after %d", j, r.SN, c.chain.Recs[i-1].SN)
+			}
+			for _, p := range r.Pairs {
+				dominated(r.SN, int(p.Idx), p.SN)
 			}
 		}
 	}

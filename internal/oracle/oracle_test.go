@@ -148,12 +148,14 @@ func TestGCSafeDropAccepted(t *testing.T) {
 	commitCluster(o, 0, 2, 0, ddv(2, 0))
 	commitCluster(o, 0, 3, 0, ddv(3, 0))
 	commitCluster(o, 1, 2, 0, ddv(3, 2)) // depends on c0's newest only
-	lists := [][]core.Meta{
-		{{SN: 1, DDV: ddv(1, 0)}, {SN: 2, DDV: ddv(2, 0)}, {SN: 3, DDV: ddv(3, 0)}},
-		{{SN: 1, DDV: ddv(0, 1)}, {SN: 2, DDV: ddv(3, 2)}},
-	}
+	chains := make([]core.Chain, 2)
+	chains[0].Init(1, ddv(1, 0))
+	chains[0].AppendVector(2, ddv(2, 0), ddv(1, 0))
+	chains[0].AppendVector(3, ddv(3, 0), ddv(2, 0))
+	chains[1].Init(1, ddv(0, 1))
+	chains[1].AppendVector(2, ddv(3, 2), ddv(0, 1))
 	currents := []core.DDV{ddv(3, 0), ddv(3, 2)}
-	mins, err := core.SmallestSNs(lists, currents)
+	mins, err := core.SmallestSNs(chains, currents)
 	if err != nil {
 		t.Fatal(err)
 	}
