@@ -253,7 +253,7 @@ func benchWideSlice(b *testing.B, dense bool) {
 	for i := 0; i < b.N; i++ {
 		opts := hc3i.RunnerOptions{
 			Workers: hc3i.DefaultWorkers(), Seed: uint64(i + 1), Quick: true,
-			DenseDDVWire: dense,
+			DenseWire: dense,
 		}
 		res, err := hc3i.RunMatrix(opts, "tier=wide,topology=64c")
 		if err != nil {

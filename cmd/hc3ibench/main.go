@@ -54,11 +54,30 @@ import (
 )
 
 func main() {
+	// The run's options are flag-bound straight into the one struct the
+	// runner consumes.
+	var opts hc3i.RunnerOptions
+	flag.BoolVar(&opts.Quick, "quick", false, "reduced scale (small clusters, short runs)")
+	flag.Uint64Var(&opts.Seed, "seed", 1, "simulation seed")
+	flag.IntVar(&opts.Workers, "parallel", hc3i.DefaultWorkers(),
+		"max federations simulated concurrently (1 = sequential; output is identical either way)")
+	flag.BoolVar(&opts.DenseWire, "dense-ddv", false,
+		"transport dependency vectors in the dense wire encoding (identical results; for A/B timing the delta encoding)")
+	flag.BoolVar(&opts.UnbatchedWire, "unbatched-wire", false,
+		"schedule every inter-cluster delivery as its own engine event instead of batching same-pipe same-tick messages (identical results; for A/B timing the batched wire)")
+	flag.BoolVar(&opts.Oracle, "oracle", false,
+		"attach the online protocol invariant checker to every run (identical results; violations fail the run)")
+	flag.Uint64Var(&opts.ChaosSeed, "chaos-seed", 0,
+		"replay one adversarial schedule on the chaos tier (0 = derive from -seed)")
+	flag.IntVar(&opts.ChaosSeeds, "chaos-seeds", 1,
+		"how many consecutive adversarial schedules each chaos-tier scenario runs")
+	flag.IntVar(&opts.ChaosOps, "chaos-ops", 0,
+		"cap every chaos schedule at its first N perturbation actions (0 = unlimited; minimized repro commands set it)")
+	flag.StringVar(&opts.TraceFile, "trace-file", "",
+		"JSONL link schedule for the trace tier (one {\"t_ms\",\"latency_ms\",\"jitter_ms\",\"loss\"} object per line; default: the embedded mobile-broadband fixture)")
+	flag.DurationVar(&opts.RunTimeout, "run-timeout", 0,
+		"wall-clock watchdog per federation run: a wedged run is killed and reported instead of hanging (0 = none)")
 	var (
-		quick    = flag.Bool("quick", false, "reduced scale (small clusters, short runs)")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		parallel = flag.Int("parallel", hc3i.DefaultWorkers(),
-			"max federations simulated concurrently (1 = sequential; output is identical either way)")
 		runID    = flag.String("run", "", "comma-separated experiment IDs (default: all)")
 		matrix   = flag.Bool("matrix", false, "run the scenario matrix instead of the registry")
 		filter   = flag.String("filter", "", "matrix filter, e.g. topology=2c,failure=churn")
@@ -66,24 +85,8 @@ func main() {
 		out      = flag.String("o", "", "also write results to this file")
 		csvDir   = flag.String("csv", "", "write one <ID>.csv per table into this directory")
 		markdown = flag.Bool("markdown", false, "emit GitHub-flavoured markdown tables")
-		denseDDV = flag.Bool("dense-ddv", false,
-			"transport dependency vectors in the dense wire encoding (identical results; for A/B timing the delta encoding)")
-		unbatched = flag.Bool("unbatched-wire", false,
-			"schedule every inter-cluster delivery as its own engine event instead of batching same-pipe same-tick messages (identical results; for A/B timing the batched wire)")
-		oracleOn = flag.Bool("oracle", false,
-			"attach the online protocol invariant checker to every run (identical results; violations fail the run)")
-		chaosSeed = flag.Uint64("chaos-seed", 0,
-			"replay one adversarial schedule on the chaos tier (0 = derive from -seed)")
-		chaosSeeds = flag.Int("chaos-seeds", 1,
-			"how many consecutive adversarial schedules each chaos-tier scenario runs")
-		chaosOps = flag.Int("chaos-ops", 0,
-			"cap every chaos schedule at its first N perturbation actions (0 = unlimited; minimized repro commands set it)")
-		traceFile = flag.String("trace-file", "",
-			"JSONL link schedule for the trace tier (one {\"t_ms\",\"latency_ms\",\"jitter_ms\",\"loss\"} object per line; default: the embedded mobile-broadband fixture)")
-		runTimeout = flag.Duration("run-timeout", 0,
-			"wall-clock watchdog per federation run: a wedged run is killed and reported instead of hanging (0 = none)")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
 
@@ -101,28 +104,28 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hc3ibench: -filter only applies with -matrix")
 		os.Exit(1)
 	}
-	if (*chaosSeed != 0 || *chaosSeeds != 1) && !*matrix {
+	if (opts.ChaosSeed != 0 || opts.ChaosSeeds != 1) && !*matrix {
 		fmt.Fprintln(os.Stderr, "hc3ibench: -chaos-seed/-chaos-seeds only apply with -matrix (filter the chaos tier: -filter tier=chaos)")
 		os.Exit(1)
 	}
-	if *chaosSeeds < 1 {
+	if opts.ChaosSeeds < 1 {
 		fmt.Fprintln(os.Stderr, "hc3ibench: -chaos-seeds must be >= 1")
 		os.Exit(1)
 	}
-	if *chaosOps < 0 {
+	if opts.ChaosOps < 0 {
 		fmt.Fprintln(os.Stderr, "hc3ibench: -chaos-ops must be >= 0 (0 = unlimited)")
 		os.Exit(1)
 	}
-	if *chaosOps != 0 && !*matrix {
+	if opts.ChaosOps != 0 && !*matrix {
 		fmt.Fprintln(os.Stderr, "hc3ibench: -chaos-ops only applies with -matrix (it truncates chaos-tier schedules)")
 		os.Exit(1)
 	}
-	if *traceFile != "" {
+	if opts.TraceFile != "" {
 		if !*matrix {
 			fmt.Fprintln(os.Stderr, "hc3ibench: -trace-file only applies with -matrix (filter the trace tier: -filter tier=trace)")
 			os.Exit(1)
 		}
-		f, err := os.Open(*traceFile)
+		f, err := os.Open(opts.TraceFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hc3ibench:", err)
 			os.Exit(1)
@@ -134,7 +137,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *runTimeout < 0 {
+	if opts.RunTimeout < 0 {
 		fmt.Fprintln(os.Stderr, "hc3ibench: -run-timeout must be >= 0 (0 = no watchdog)")
 		os.Exit(1)
 	}
@@ -172,13 +175,10 @@ func main() {
 	}
 
 	mode := "paper scale"
-	if *quick {
+	if opts.Quick {
 		mode = "quick scale"
 	}
-	opts := hc3i.RunnerOptions{Workers: *parallel, Seed: *seed, Quick: *quick, DenseDDVWire: *denseDDV,
-		UnbatchedWire: *unbatched, Oracle: *oracleOn, ChaosSeed: *chaosSeed, ChaosSeeds: *chaosSeeds,
-		ChaosOps: *chaosOps, TraceFile: *traceFile, RunTimeout: *runTimeout}
-	fmt.Fprintf(w, "HC3I evaluation harness — %s, seed %d, %d worker(s)\n\n", mode, *seed, *parallel)
+	fmt.Fprintf(w, "HC3I evaluation harness — %s, seed %d, %d worker(s)\n\n", mode, opts.Seed, opts.Workers)
 
 	emit := func(res *hc3i.ExperimentResult) {
 		if *markdown {

@@ -16,41 +16,39 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/app"
-	"repro/internal/baseline"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
 func main() {
+	// Run options are flag-bound straight into the federation's options.
+	var opts federation.Options
+	flag.Uint64Var(&opts.Seed, "seed", 1, "simulation seed")
+	flag.BoolVar(&opts.MTBFFailures, "mtbf-failures", false, "inject failures at the topology's MTBF")
+	flag.BoolVar(&opts.Transitive, "transitive", false, "piggyback whole DDVs (transitive dependency tracking)")
+	flag.BoolVar(&opts.RingGC, "ring-gc", false, "use the distributed ring garbage collector")
+	flag.IntVar(&opts.Replicas, "replicas", 1, "stable-storage replication degree")
 	var (
 		topoPath  = flag.String("topology", "", "topology file (default: paper §5.2)")
 		appPath   = flag.String("application", "", "application file (default: paper Table 1)")
 		timerPath = flag.String("timers", "", "timers file (default: 30m CLCs, no GC)")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		protoName = flag.String("protocol", "hc3i", "protocol: hc3i|force-all|independent|global-coordinated|hier-coordinated|pessimistic-log")
+		protoName = flag.String("protocol", "hc3i", "protocol: "+strings.Join(federation.ProtocolNames(), "|"))
 		trace     = flag.String("trace", "off", "trace level: off|info|debug|all")
-		mtbf      = flag.Bool("mtbf-failures", false, "inject failures at the topology's MTBF")
-		transit   = flag.Bool("transitive", false, "piggyback whole DDVs (transitive dependency tracking)")
-		ringGC    = flag.Bool("ring-gc", false, "use the distributed ring garbage collector")
-		replicas  = flag.Int("replicas", 1, "stable-storage replication degree")
 		dumpStats = flag.Bool("stats", false, "dump every raw statistic")
 	)
 	flag.Parse()
-	if err := run(*topoPath, *appPath, *timerPath, *seed, *protoName, *trace,
-		*mtbf, *transit, *ringGC, *replicas, *dumpStats); err != nil {
+	if err := run(opts, *topoPath, *appPath, *timerPath, *protoName, *trace, *dumpStats); err != nil {
 		fmt.Fprintln(os.Stderr, "hc3isim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(topoPath, appPath, timerPath string, seed uint64, protoName, trace string,
-	mtbf, transit, ringGC bool, replicas int, dumpStats bool) error {
-
+func run(opts federation.Options, topoPath, appPath, timerPath, protoName, trace string, dumpStats bool) error {
 	fed := topology.Paper2Clusters()
 	if topoPath != "" {
 		var err error
@@ -84,42 +82,17 @@ func run(topoPath, appPath, timerPath string, seed uint64, protoName, trace stri
 		return err
 	}
 
-	opts := federation.Options{
-		Topology:       fed,
-		Workload:       wl,
-		CLCPeriods:     timers.CLCPeriods,
-		GCPeriod:       timers.GCPeriod,
-		DetectionDelay: timers.DetectionDelay,
-		Seed:           seed,
-		MTBFFailures:   mtbf,
-		Transitive:     transit,
-		RingGC:         ringGC,
-		Replicas:       replicas,
-	}
+	opts.Topology = fed
+	opts.Workload = wl
+	opts.CLCPeriods = timers.CLCPeriods
+	opts.GCPeriod = timers.GCPeriod
+	opts.DetectionDelay = timers.DetectionDelay
 	if level > sim.TraceOff {
 		opts.TraceWriter = os.Stderr
 		opts.TraceLevel = level
 	}
-	switch protoName {
-	case "hc3i":
-	case "force-all":
-		opts.NodeFactory = modeFactory(core.ModeForceAll)
-	case "independent":
-		opts.NodeFactory = modeFactory(core.ModeIndependent)
-	case "global-coordinated":
-		opts.NodeFactory = func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-			return baseline.NewGlobalCoordinated(c, e, h)
-		}
-	case "hier-coordinated":
-		opts.NodeFactory = func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-			return baseline.NewHierCoord(c, e, h)
-		}
-	case "pessimistic-log":
-		opts.NodeFactory = func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-			return baseline.NewPessimisticLog(c, e, h)
-		}
-	default:
-		return fmt.Errorf("unknown protocol %q", protoName)
+	if opts.NodeFactory, err = federation.ProtocolFactory(protoName); err != nil {
+		return err
 	}
 
 	f, err := federation.New(opts)
@@ -136,13 +109,6 @@ func run(topoPath, appPath, timerPath string, seed uint64, protoName, trace stri
 		fmt.Print(res.Stats.Dump())
 	}
 	return nil
-}
-
-func modeFactory(m core.ProtocolMode) federation.NodeFactory {
-	return func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-		c.Mode = m
-		return core.NewNode(c, e, h)
-	}
 }
 
 func report(res *federation.Result, clusters int) {

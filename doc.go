@@ -25,14 +25,16 @@
 //	internal/core         the HC3I protocol state machine
 //	internal/baseline     global-coordinated, hierarchical-coordinated
 //	                      and pessimistic-logging baselines
-//	internal/federation   harness wiring nodes, network, failures
+//	internal/federation   harness wiring nodes, network, failures; the
+//	                      protocol registry
 //	internal/failure      fail-stop crash injection
 //	internal/oracle       online protocol invariant checker (attach
 //	                      with -oracle; always on in the chaos tier)
 //	internal/chaos        seeded adversarial scheduler (reordering,
 //	                      duplicates, targeted crash fuses)
 //	internal/experiments  the registry (T1, F6-F9, T2-T3, A1-A9), the
-//	                      parallel runner and the scenario matrix
+//	                      run Config, the parallel runner and the
+//	                      scenario matrix
 //	internal/config       the paper simulator's three input files
 //	internal/runtime      live (wall-clock, TCP) runtime for the same
 //	                      protocol code
@@ -49,6 +51,23 @@
 // preserves that: each federation is an isolated single-threaded
 // simulation, results are collected in input order, and the rendered
 // tables are byte-identical whatever the worker count.
+//
+// # One configuration path
+//
+// A registry or matrix run is described by one struct,
+// experiments.Config: hc3i.RunnerOptions is an alias of it, hc3ibench
+// binds its flags into it, and experiments.Run / RunMatrix consume it,
+// attaching the shared worker semaphore and scratch arena themselves.
+// Config.apply is the only place a run option (DenseWire,
+// UnbatchedWire, Oracle, RunTimeout) becomes a federation.Options
+// field; ScenarioOptions and the runner's execution path both call it.
+// Rendered results are one type as well (hc3i.ExperimentResult =
+// experiments.Table). A protocol is named in one table:
+// federation.ProtocolFactory resolves the six names (hc3i, force-all,
+// independent, global-coordinated, hier-coordinated, pessimistic-log)
+// for the hc3i.Protocol constants, hc3isim -protocol, the matrix and
+// the ablations, and rejects anything else with the list. An option or
+// a protocol is therefore added or deleted in one place.
 //
 // # Invariant oracle and the chaos tier
 //
@@ -78,7 +97,7 @@
 // dropped deferred rollback alerts after crash recovery, held
 // messages delivered inside the successor checkpoint's freeze window,
 // and the cascade-suppression memo silencing a genuinely new rollback
-// (fixed by the post-restore anchor CLC; see README).
+// (fixed by the post-restore anchor CLC; see CHANGES.md).
 //
 // # The ladder-queue engine
 //
@@ -229,12 +248,6 @@
 // path by width: the delta encoding is near-flat in ns/op and B/op
 // from 8 to 256 clusters while the dense path grows linearly (~3x
 // slower and ~8.5x more bytes at 256).
-//
-// The scenario matrix gained a wide-federation tier (-filter
-// tier=wide): 64/128/256 clusters on a sparse ring workload under
-// HC3I with the transitive extension plus all three baselines, with
-// its own determinism golden (matrix_golden_wide.csv) pinned
-// sequentially, in parallel, and under the dense reference wire.
 //
 // # Benchmark gating
 //

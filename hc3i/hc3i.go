@@ -15,6 +15,12 @@
 //
 // All times are *virtual*: simulations of 10-hour executions finish in
 // seconds of wall-clock time.
+//
+// The registry and matrix entry points (RunExperiments, RunMatrix) take
+// RunnerOptions and return ExperimentResult tables; both are the types
+// the internal runner itself works with (aliases, not copies), so the
+// facade adds no second description of a run. A Protocol constant is a
+// name in the one protocol registry (internal/federation).
 package hc3i
 
 import (
@@ -23,8 +29,6 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -271,9 +275,9 @@ func Run(cfg Config) (*Result, error) {
 		opts.TraceWriter = cfg.Trace
 		opts.TraceLevel = lvl
 	}
-	factory, err := factoryFor(cfg.Protocol)
+	factory, err := federation.ProtocolFactory(string(cfg.Protocol))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hc3i: %w", err)
 	}
 	opts.NodeFactory = factory
 
@@ -286,37 +290,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return convert(cfg, res), nil
-}
-
-func factoryFor(p Protocol) (federation.NodeFactory, error) {
-	switch p {
-	case HC3I, "":
-		return nil, nil
-	case ForceAll:
-		return func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-			c.Mode = core.ModeForceAll
-			return core.NewNode(c, e, h)
-		}, nil
-	case Independent:
-		return func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-			c.Mode = core.ModeIndependent
-			return core.NewNode(c, e, h)
-		}, nil
-	case GlobalCoordinated:
-		return func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-			return baseline.NewGlobalCoordinated(c, e, h)
-		}, nil
-	case HierCoordinated:
-		return func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-			return baseline.NewHierCoord(c, e, h)
-		}, nil
-	case PessimisticLog:
-		return func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-			return baseline.NewPessimisticLog(c, e, h)
-		}, nil
-	default:
-		return nil, fmt.Errorf("hc3i: unknown protocol %q", p)
-	}
 }
 
 func convert(cfg Config, res *federation.Result) *Result {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/hc3i"
+	"repro/internal/federation"
 )
 
 func smallConfig() hc3i.Config {
@@ -112,6 +113,25 @@ func TestAllProtocolsRun(t *testing.T) {
 		}
 		if committed == 0 {
 			t.Fatalf("%s: no checkpoints", p)
+		}
+	}
+}
+
+// TestProtocolConstantsAreTheRegistry: every Protocol constant resolves
+// in the one protocol registry, and the registry names nothing the
+// public API lacks a constant for.
+func TestProtocolConstantsAreTheRegistry(t *testing.T) {
+	consts := []hc3i.Protocol{
+		hc3i.HC3I, hc3i.ForceAll, hc3i.Independent,
+		hc3i.GlobalCoordinated, hc3i.HierCoordinated, hc3i.PessimisticLog,
+	}
+	names := federation.ProtocolNames()
+	if len(names) != len(consts) {
+		t.Fatalf("registry has %v, the API has %v", names, consts)
+	}
+	for _, p := range consts {
+		if _, err := federation.ProtocolFactory(string(p)); err != nil {
+			t.Errorf("hc3i.Protocol %q: %v", p, err)
 		}
 	}
 }

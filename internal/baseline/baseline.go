@@ -19,6 +19,9 @@
 package baseline
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -154,6 +157,16 @@ func (c *common) send(dst topology.NodeID, m wire) {
 	c.env.Send(dst, m.size(), c.box(m))
 }
 
+// broadcast sends a control message to every other node of the
+// federation, in allNodes order, one box per destination.
+func (c *common) broadcast(m wire) {
+	for _, id := range c.allNodes() {
+		if id != c.id {
+			c.send(id, m)
+		}
+	}
+}
+
 // sendApp transmits an application message through a pooled box.
 func (c *common) sendApp(dst topology.NodeID, m wire) {
 	c.env.SendApp(dst, m.size(), c.box(m))
@@ -193,4 +206,191 @@ func (c *common) allNodes() []topology.NodeID {
 
 func (c *common) neighbour() topology.NodeID {
 	return topology.NodeID{Cluster: c.id.Cluster, Index: (c.id.Index + 1) % c.size}
+}
+
+func statCluster(base string, c int) string {
+	return fmt.Sprintf("%s.c%d", base, c)
+}
+
+// sortedIDs returns the message IDs of a send log, ascending (IDs are
+// assigned in send order). Go randomizes map iteration, and
+// retransmissions must enter the FIFO pipes in the same order on every
+// run of a seed.
+func sortedIDs[V any](log map[uint64]V) []uint64 {
+	ids := make([]uint64, 0, len(log))
+	for id := range log {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// coordinated is the freeze-and-snapshot machinery GlobalCoordinated
+// and HierCoord share: the committed sequence number (a global
+// checkpoint there, a completed line here), the freeze that queues
+// application traffic in both directions while a checkpoint forms, the
+// stored snapshots with their late-message folds, and the send log that
+// stands in for transport-level reliability across restarts. Who
+// initiates a checkpoint, how deep snapshots are pruned and where a
+// rollback lands stay with each protocol.
+type coordinated struct {
+	common
+
+	seq    core.SN // newest committed checkpoint as known here
+	frozen bool
+	sendQ  []core.AppPayloadTo
+	inbQ   []wire
+	snaps  []*snapshotRec
+
+	// sendLog keeps sent messages until acknowledged: at restore time
+	// unacknowledged messages whose send is part of the restored state
+	// are retransmitted.
+	sendLog   map[uint64]wire
+	nextMsgID uint64
+
+	// The state captured at prepare, stored at commit.
+	provState any
+	provSize  int
+
+	keyResent string // pre-rendered "<protocol>.resent" stat key
+}
+
+func newCoordinated(cfg core.Config, env core.Env, app core.AppHooks, statPrefix string) coordinated {
+	c := coordinated{
+		common:    newCommon(cfg, env, app),
+		sendLog:   make(map[uint64]wire),
+		keyResent: statPrefix + ".resent",
+	}
+	state, size := app.Snapshot()
+	c.seq = 1
+	c.snaps = append(c.snaps, &snapshotRec{Seq: 1, State: state, Size: size, At: env.Now()})
+	return c
+}
+
+// initiator reports whether this node paces the federation's
+// checkpoints (cluster 0, node 0).
+func (c *coordinated) initiator() bool { return c.id.Cluster == 0 && c.id.Index == 0 }
+
+// Start arms the checkpoint timer on the initiator.
+func (c *coordinated) Start() {
+	if c.initiator() {
+		c.env.SetTimer(core.TimerCLC, c.cfg.CLCPeriod)
+	}
+}
+
+// SN returns the newest committed checkpoint sequence number (global
+// checkpoint or completed line).
+func (c *coordinated) SN() core.SN { return c.seq }
+
+// StoredCount returns the stored snapshots.
+func (c *coordinated) StoredCount() int { return len(c.snaps) }
+
+// LogLen returns the unacknowledged entries of the volatile send log
+// (the scenario matrix's log high-water quantity).
+func (c *coordinated) LogLen() int { return len(c.sendLog) }
+
+// Fail crashes the node.
+func (c *coordinated) Fail() { c.failed = true }
+
+// restart revives the node's shared state. Snapshots survive: the
+// neighbour copy is modelled implicitly in these baselines.
+func (c *coordinated) restart() {
+	c.failed = false
+	c.frozen = false
+	c.sendQ = nil
+	c.inbQ = nil
+	c.sendLog = make(map[uint64]wire)
+}
+
+// Send transmits or queues an application payload; messages carry the
+// sender's sequence number so stragglers fold into the snapshots they
+// crossed.
+func (c *coordinated) Send(dst topology.NodeID, p core.AppPayload) {
+	if c.failed {
+		return
+	}
+	if c.frozen {
+		c.sendQ = append(c.sendQ, core.AppPayloadTo{Dst: dst, Payload: p})
+		return
+	}
+	c.nextMsgID++
+	m := wire{Kind: "app", Epoch: c.epoch, From: c.id, Dst: dst, Payload: p, SendSeq: c.seq, MsgID: c.nextMsgID}
+	c.sendLog[m.MsgID] = m
+	c.notePeak(len(c.sendLog))
+	c.sendApp(dst, m)
+}
+
+// prepare freezes the node and captures the state checkpoint seq will
+// store. Stable storage: the state is replicated to the neighbour, like
+// HC3I's §3.1 (priced, fire-and-forget in these baselines).
+func (c *coordinated) prepare(seq core.SN) {
+	c.frozen = true
+	c.provState, c.provSize = c.app.Snapshot()
+	if c.size > 1 {
+		rep := wire{Kind: "replica", From: c.id, Seq: seq, State: c.provState, Size: c.provSize}
+		c.send(c.neighbour(), rep)
+	}
+}
+
+// receiveApp handles an inbound application message: dropped when it
+// belongs to an aborted execution (replay regenerates it), queued while
+// frozen, delivered otherwise.
+func (c *coordinated) receiveApp(m wire) {
+	if m.Epoch < c.epoch && m.SendSeq >= c.seq {
+		return
+	}
+	if c.frozen {
+		c.inbQ = append(c.inbQ, m)
+		return
+	}
+	c.deliver(m)
+}
+
+func (c *coordinated) deliver(m wire) {
+	if m.SendSeq < c.seq {
+		// Crossed one or more checkpoints: fold into those snapshots.
+		for _, s := range c.snaps {
+			if s.Seq > m.SendSeq && s.Seq <= c.seq {
+				s.Late = append(s.Late, m.Payload)
+			}
+		}
+	}
+	c.app.Deliver(m.From, m.Payload)
+	ack := wire{Kind: "app-ack", From: c.id, MsgID: m.MsgID}
+	c.send(m.From, ack)
+}
+
+// drain releases what a freeze queued, sends first.
+func (c *coordinated) drain() {
+	sq := c.sendQ
+	c.sendQ = nil
+	for _, s := range sq {
+		c.Send(s.Dst, s.Payload)
+	}
+	iq := c.inbQ
+	c.inbQ = nil
+	for _, m := range iq {
+		if m.Epoch == c.epoch {
+			c.deliver(m)
+		}
+	}
+}
+
+// resendUnacked gives transport-level reliability across a rollback:
+// every unacknowledged message whose send is part of the restored state
+// is retransmitted in send order; newer sends are forgotten, the
+// application's re-execution regenerates them.
+func (c *coordinated) resendUnacked() {
+	for id, m := range c.sendLog {
+		if m.SendSeq >= c.seq {
+			delete(c.sendLog, id)
+		}
+	}
+	for _, id := range sortedIDs(c.sendLog) {
+		m := c.sendLog[id]
+		m.Epoch = c.epoch
+		c.sendLog[id] = m
+		c.sendApp(m.Dst, m)
+		c.env.Stat(c.keyResent, 1)
+	}
 }

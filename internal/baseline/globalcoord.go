@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -16,20 +14,7 @@ import (
 // for federations (§2.2). A failure rolls back every node to the last
 // global checkpoint.
 type GlobalCoordinated struct {
-	common
-
-	seq    core.SN
-	frozen bool
-	sendQ  []core.AppPayloadTo
-	inbQ   []wire
-	snaps  []*snapshotRec
-
-	// sendLog keeps sent messages until acknowledged, standing in for
-	// transport-level reliability across restarts: at restore time
-	// unacknowledged messages whose send is part of the restored state
-	// are retransmitted.
-	sendLog   map[uint64]wire
-	nextMsgID uint64
+	coordinated // seq is the global checkpoint sequence number
 
 	// Per-cluster commit keys, rendered once (the initiator commits on
 	// behalf of every cluster, so common's own-cluster pair is not
@@ -38,79 +23,25 @@ type GlobalCoordinated struct {
 	keysUnforced  []string
 
 	// initiator state
-	inFlight  bool
-	acks      map[topology.NodeID]bool
-	reqAt     sim.Time
-	rbActive  bool
-	rbAcks    map[topology.NodeID]bool
-	provState any
-	provSize  int
+	inFlight bool
+	acks     map[topology.NodeID]bool
+	reqAt    sim.Time
+	rbActive bool
+	rbAcks   map[topology.NodeID]bool
 }
 
 // NewGlobalCoordinated builds one node of the global-coordinated
 // baseline; use it as a federation.NodeFactory.
 func NewGlobalCoordinated(cfg core.Config, env core.Env, app core.AppHooks) *GlobalCoordinated {
-	g := &GlobalCoordinated{
-		common:  newCommon(cfg, env, app),
-		sendLog: make(map[uint64]wire),
-	}
-	state, size := app.Snapshot()
-	g.seq = 1
-	g.snaps = append(g.snaps, &snapshotRec{Seq: 1, State: state, Size: size, At: env.Now()})
-	return g
+	return &GlobalCoordinated{coordinated: newCoordinated(cfg, env, app, "gcoord")}
 }
-
-func (g *GlobalCoordinated) initiator() bool {
-	return g.id.Cluster == 0 && g.id.Index == 0
-}
-
-// Start arms the global checkpoint timer on the initiator.
-func (g *GlobalCoordinated) Start() {
-	if g.initiator() {
-		g.env.SetTimer(core.TimerCLC, g.cfg.CLCPeriod)
-	}
-}
-
-// SN returns the node's global checkpoint sequence number.
-func (g *GlobalCoordinated) SN() core.SN { return g.seq }
-
-// StoredCount returns the stored global checkpoints (always pruned to
-// the newest: earlier ones can never be a rollback target).
-func (g *GlobalCoordinated) StoredCount() int { return len(g.snaps) }
-
-// LogLen returns the unacknowledged entries of the volatile send log
-// (the scenario matrix's log high-water quantity).
-func (g *GlobalCoordinated) LogLen() int { return len(g.sendLog) }
-
-// Fail crashes the node.
-func (g *GlobalCoordinated) Fail() { g.failed = true }
 
 // Restart revives the node. For simplicity of the baseline, the state
 // survives on the neighbour implicitly: the next global rollback
 // restores everyone anyway.
 func (g *GlobalCoordinated) Restart() {
-	g.failed = false
-	g.frozen = false
-	g.sendQ = nil
-	g.inbQ = nil
+	g.restart()
 	g.inFlight = false
-	g.sendLog = make(map[uint64]wire)
-}
-
-// Send transmits or queues an application payload.
-func (g *GlobalCoordinated) Send(dst topology.NodeID, p core.AppPayload) {
-	if g.failed {
-		return
-	}
-	if g.frozen {
-		g.sendQ = append(g.sendQ, core.AppPayloadTo{Dst: dst, Payload: p})
-		return
-	}
-	g.nextMsgID++
-	m := wire{Kind: "app", Epoch: g.epoch, From: g.id, Dst: dst, Payload: p, SendSeq: g.seq, MsgID: g.nextMsgID}
-	g.sendLog[m.MsgID] = m
-	g.notePeak(len(g.sendLog))
-	g.sendApp(dst, m)
 }
 
 // OnTimer starts a global checkpoint on the initiator.
@@ -126,25 +57,10 @@ func (g *GlobalCoordinated) OnTimer(k core.TimerKind) {
 	g.acks = make(map[topology.NodeID]bool)
 	g.reqAt = g.env.Now()
 	req := wire{Kind: "prep", Seq: g.seq + 1, Epoch: g.epoch}
-	for _, id := range g.allNodes() {
-		if id != g.id {
-			g.send(id, req)
-		}
-	}
-	g.prepare(req)
+	g.broadcast(req)
+	g.prepare(req.Seq)
 	g.acks[g.id] = true
 	g.maybeCommit()
-}
-
-func (g *GlobalCoordinated) prepare(m wire) {
-	g.frozen = true
-	g.provState, g.provSize = g.app.Snapshot()
-	// Stable storage: replicate the local state to the neighbour, like
-	// HC3I's §3.1 (priced, fire-and-forget in this baseline).
-	if g.size > 1 {
-		rep := wire{Kind: "replica", From: g.id, Seq: m.Seq, State: g.provState, Size: g.provSize}
-		g.send(g.neighbour(), rep)
-	}
 }
 
 // OnMessage dispatches baseline wire messages.
@@ -158,21 +74,14 @@ func (g *GlobalCoordinated) OnMessage(src topology.NodeID, msg core.Msg) {
 	}
 	switch m.Kind {
 	case "app":
-		if m.Epoch < g.epoch && m.SendSeq >= g.seq {
-			return // aborted-execution traffic (replay regenerates it)
-		}
-		if g.frozen {
-			g.inbQ = append(g.inbQ, m)
-			return
-		}
-		g.deliver(m)
+		g.receiveApp(m)
 	case "app-ack":
 		delete(g.sendLog, m.MsgID)
 	case "prep":
 		if m.Epoch != g.epoch {
 			return
 		}
-		g.prepare(m)
+		g.prepare(m.Seq)
 		ack := wire{Kind: "ack", Seq: m.Seq, Epoch: g.epoch, From: g.id}
 		g.send(src, ack)
 	case "ack":
@@ -201,11 +110,7 @@ func (g *GlobalCoordinated) OnMessage(src topology.NodeID, msg core.Msg) {
 		if len(g.rbAcks) == len(g.allNodes()) {
 			g.rbActive = false
 			res := wire{Kind: "resume", Epoch: g.epoch}
-			for _, id := range g.allNodes() {
-				if id != g.id {
-					g.send(id, res)
-				}
-			}
+			g.broadcast(res)
 			g.resume()
 		}
 	case "resume":
@@ -218,20 +123,6 @@ func (g *GlobalCoordinated) OnMessage(src topology.NodeID, msg core.Msg) {
 	}
 }
 
-func (g *GlobalCoordinated) deliver(m wire) {
-	if m.SendSeq < g.seq {
-		// Crossed one or more global lines: fold into those snapshots.
-		for _, s := range g.snaps {
-			if s.Seq > m.SendSeq && s.Seq <= g.seq {
-				s.Late = append(s.Late, m.Payload)
-			}
-		}
-	}
-	g.app.Deliver(m.From, m.Payload)
-	ack := wire{Kind: "app-ack", From: g.id, MsgID: m.MsgID}
-	g.send(m.From, ack)
-}
-
 func (g *GlobalCoordinated) maybeCommit() {
 	if len(g.acks) < len(g.allNodes()) {
 		return
@@ -239,11 +130,7 @@ func (g *GlobalCoordinated) maybeCommit() {
 	g.inFlight = false
 	seq := g.seq + 1
 	com := wire{Kind: "commit", Seq: seq, Epoch: g.epoch}
-	for _, id := range g.allNodes() {
-		if id != g.id {
-			g.send(id, com)
-		}
-	}
+	g.broadcast(com)
 	g.applyCommit(seq)
 	freeze := g.env.Now().Sub(g.reqAt)
 	g.env.Stat("gcoord.committed", 1)
@@ -263,10 +150,6 @@ func (g *GlobalCoordinated) maybeCommit() {
 	g.env.SetTimer(core.TimerCLC, g.cfg.CLCPeriod)
 }
 
-func statCluster(base string, c int) string {
-	return fmt.Sprintf("%s.c%d", base, c)
-}
-
 func (g *GlobalCoordinated) applyCommit(seq core.SN) {
 	g.seq = seq
 	// Only the newest global checkpoint can ever be restored: prune.
@@ -274,21 +157,6 @@ func (g *GlobalCoordinated) applyCommit(seq core.SN) {
 	g.snaps = append(g.snaps, &snapshotRec{Seq: seq, State: g.provState, Size: g.provSize, At: g.env.Now()})
 	g.frozen = false
 	g.drain()
-}
-
-func (g *GlobalCoordinated) drain() {
-	sq := g.sendQ
-	g.sendQ = nil
-	for _, s := range sq {
-		g.Send(s.Dst, s.Payload)
-	}
-	iq := g.inbQ
-	g.inbQ = nil
-	for _, m := range iq {
-		if m.Epoch == g.epoch {
-			g.deliver(m)
-		}
-	}
 }
 
 // OnFailureDetected rolls the whole federation back to the last global
@@ -302,11 +170,7 @@ func (g *GlobalCoordinated) OnFailureDetected(failed topology.NodeID) {
 	g.rbAcks = map[topology.NodeID]bool{g.id: true}
 	last := g.snaps[len(g.snaps)-1]
 	cmd := wire{Kind: "rollback", Seq: last.Seq, Epoch: newEpoch}
-	for _, id := range g.allNodes() {
-		if id != g.id {
-			g.send(id, cmd)
-		}
-	}
+	g.broadcast(cmd)
 	for c := 0; c < g.cfg.Clusters; c++ {
 		g.env.Stat(statCluster("rollback.count", c), 1)
 	}
@@ -345,19 +209,7 @@ func (g *GlobalCoordinated) restore(seq core.SN, epoch core.Epoch) {
 func (g *GlobalCoordinated) resume() {
 	g.frozen = false
 	g.drain()
-	// Transport-level reliability across the restart: retransmit every
-	// unacknowledged message whose send is part of the restored state
-	// (newer sends are regenerated by the application's re-execution).
-	for id, m := range g.sendLog {
-		if m.SendSeq >= g.seq {
-			delete(g.sendLog, id)
-			continue
-		}
-		m.Epoch = g.epoch
-		g.sendLog[id] = m
-		g.sendApp(m.Dst, m)
-		g.env.Stat("gcoord.resent", 1)
-	}
+	g.resendUnacked()
 	if g.initiator() {
 		g.env.SetTimer(core.TimerCLC, g.cfg.CLCPeriod)
 	}

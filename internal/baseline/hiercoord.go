@@ -15,24 +15,11 @@ import (
 // line. "In [9] it is the coordinated checkpointing mechanism that is
 // relaxed between clusters. It is not a hybrid protocol like ours" (§6).
 type HierCoord struct {
-	common
-
-	line   core.SN // completed line number as known here
-	frozen bool
-	sendQ  []core.AppPayloadTo
-	inbQ   []wire
-	snaps  []*snapshotRec
-
-	// sendLog keeps sent messages until acknowledged (transport-level
-	// reliability across restarts, as in the global baseline).
-	sendLog   map[uint64]wire
-	nextMsgID uint64
+	coordinated // seq is the completed line number as known here
 
 	// cluster-leader state
 	clusterInFlight bool
 	clusterAcks     map[int]bool
-	provState       any
-	provSize        int
 
 	// federation-initiator state
 	lineInFlight bool
@@ -45,62 +32,15 @@ type HierCoord struct {
 // NewHierCoord builds one node of the hierarchical-coordinated
 // baseline.
 func NewHierCoord(cfg core.Config, env core.Env, app core.AppHooks) *HierCoord {
-	h := &HierCoord{common: newCommon(cfg, env, app), sendLog: make(map[uint64]wire)}
-	state, size := app.Snapshot()
-	h.line = 1
-	h.snaps = append(h.snaps, &snapshotRec{Seq: 1, State: state, Size: size, At: env.Now()})
-	return h
+	return &HierCoord{coordinated: newCoordinated(cfg, env, app, "hiercoord")}
 }
 
-func (h *HierCoord) leader() bool    { return h.id.Index == 0 }
-func (h *HierCoord) initiator() bool { return h.id.Cluster == 0 && h.id.Index == 0 }
+func (h *HierCoord) leader() bool { return h.id.Index == 0 }
 
-// Start arms the line timer on the federation initiator.
-func (h *HierCoord) Start() {
-	if h.initiator() {
-		h.env.SetTimer(core.TimerCLC, h.cfg.CLCPeriod)
-	}
-}
-
-// SN returns the last completed line number.
-func (h *HierCoord) SN() core.SN { return h.line }
-
-// StoredCount returns stored line snapshots.
-func (h *HierCoord) StoredCount() int { return len(h.snaps) }
-
-// LogLen returns the unacknowledged entries of the volatile send log
-// (the scenario matrix's log high-water quantity).
-func (h *HierCoord) LogLen() int { return len(h.sendLog) }
-
-// Fail crashes the node.
-func (h *HierCoord) Fail() { h.failed = true }
-
-// Restart revives the node with its snapshots intact (the neighbour
-// copy is modelled implicitly in this baseline).
+// Restart revives the node with its snapshots intact.
 func (h *HierCoord) Restart() {
-	h.failed = false
-	h.frozen = false
-	h.sendQ = nil
-	h.inbQ = nil
+	h.restart()
 	h.clusterInFlight = false
-	h.sendLog = make(map[uint64]wire)
-}
-
-// Send transmits or queues an application payload; messages carry the
-// sender's line number so stragglers fold into line snapshots.
-func (h *HierCoord) Send(dst topology.NodeID, p core.AppPayload) {
-	if h.failed {
-		return
-	}
-	if h.frozen {
-		h.sendQ = append(h.sendQ, core.AppPayloadTo{Dst: dst, Payload: p})
-		return
-	}
-	h.nextMsgID++
-	m := wire{Kind: "app", Epoch: h.epoch, From: h.id, Dst: dst, Payload: p, SendSeq: h.line, MsgID: h.nextMsgID}
-	h.sendLog[m.MsgID] = m
-	h.notePeak(len(h.sendLog))
-	h.sendApp(dst, m)
 }
 
 // OnTimer opens a new line on the initiator: one message per cluster
@@ -115,7 +55,7 @@ func (h *HierCoord) OnTimer(k core.TimerKind) {
 	}
 	h.lineInFlight = true
 	h.lineReports = make(map[topology.ClusterID]bool)
-	next := h.line + 1
+	next := h.seq + 1
 	for c := 0; c < h.cfg.Clusters; c++ {
 		if c == 0 {
 			h.startClusterCLC(next)
@@ -139,16 +79,6 @@ func (h *HierCoord) startClusterCLC(seq core.SN) {
 	h.prepare(seq)
 	h.clusterAcks[0] = true
 	h.maybeClusterCommit(seq)
-}
-
-func (h *HierCoord) prepare(seq core.SN) {
-	h.frozen = true
-	h.provState, h.provSize = h.app.Snapshot()
-	// Stable storage: replicate to the neighbour (priced).
-	if h.size > 1 {
-		rep := wire{Kind: "replica", From: h.id, Seq: seq, State: h.provState, Size: h.provSize}
-		h.send(h.neighbour(), rep)
-	}
 }
 
 func (h *HierCoord) maybeClusterCommit(seq core.SN) {
@@ -182,7 +112,7 @@ func (h *HierCoord) maybeLineDone() {
 }
 
 func (h *HierCoord) applyCommit(seq core.SN) {
-	h.line = seq
+	h.seq = seq
 	h.snaps = append(h.snaps, &snapshotRec{Seq: seq, State: h.provState, Size: h.provSize, At: h.env.Now()})
 	// Clusters are at most one line apart (the initiator opens line
 	// L+1 only once L completed everywhere), so keeping three lines
@@ -193,34 +123,6 @@ func (h *HierCoord) applyCommit(seq core.SN) {
 	}
 	h.frozen = false
 	h.drain()
-}
-
-func (h *HierCoord) drain() {
-	sq := h.sendQ
-	h.sendQ = nil
-	for _, s := range sq {
-		h.Send(s.Dst, s.Payload)
-	}
-	iq := h.inbQ
-	h.inbQ = nil
-	for _, m := range iq {
-		if m.Epoch == h.epoch {
-			h.deliver(m)
-		}
-	}
-}
-
-func (h *HierCoord) deliver(m wire) {
-	if m.SendSeq < h.line {
-		for _, s := range h.snaps {
-			if s.Seq > m.SendSeq && s.Seq <= h.line {
-				s.Late = append(s.Late, m.Payload)
-			}
-		}
-	}
-	h.app.Deliver(m.From, m.Payload)
-	ack := wire{Kind: "app-ack", From: h.id, MsgID: m.MsgID}
-	h.send(m.From, ack)
 }
 
 // OnMessage dispatches the baseline's wire messages.
@@ -234,14 +136,7 @@ func (h *HierCoord) OnMessage(src topology.NodeID, msg core.Msg) {
 	}
 	switch m.Kind {
 	case "app":
-		if m.Epoch < h.epoch && m.SendSeq >= h.line {
-			return // aborted-execution traffic
-		}
-		if h.frozen {
-			h.inbQ = append(h.inbQ, m)
-			return
-		}
-		h.deliver(m)
+		h.receiveApp(m)
 	case "app-ack":
 		delete(h.sendLog, m.MsgID)
 	case "replica":
@@ -304,11 +199,7 @@ func (h *HierCoord) OnFailureDetected(failed topology.NodeID) {
 		target = h.snaps[len(h.snaps)-2].Seq
 	}
 	cmd := wire{Kind: "rollback", Seq: target, Epoch: newEpoch}
-	for _, id := range h.allNodes() {
-		if id != h.id {
-			h.send(id, cmd)
-		}
-	}
+	h.broadcast(cmd)
 	for c := 0; c < h.cfg.Clusters; c++ {
 		h.env.Stat(statCluster("rollback.count", c), 1)
 	}
@@ -339,20 +230,9 @@ func (h *HierCoord) restore(seq core.SN, epoch core.Epoch) {
 	for _, p := range rec.Late {
 		h.app.Deliver(h.id, p)
 	}
-	h.line = seq
+	h.seq = seq
 	h.snaps = []*snapshotRec{rec}
 	h.epoch = epoch
 	h.frozen = false
-	// Retransmit unacknowledged messages whose send survives in the
-	// restored state; newer sends are regenerated by re-execution.
-	for id, m := range h.sendLog {
-		if m.SendSeq >= h.line {
-			delete(h.sendLog, id)
-			continue
-		}
-		m.Epoch = h.epoch
-		h.sendLog[id] = m
-		h.sendApp(m.Dst, m)
-		h.env.Stat("hiercoord.resent", 1)
-	}
+	h.resendUnacked()
 }

@@ -212,11 +212,11 @@ func (p *PessimisticLog) serveRecovery(from topology.NodeID) {
 	}
 }
 
-// resendTo resends every unconfirmed message addressed to a failed
-// node (its receive log may have missed them).
+// resendTo resends, in send order, every unconfirmed message addressed
+// to a failed node (its receive log may have missed them).
 func (p *PessimisticLog) resendTo(failed topology.NodeID) {
-	for id, s := range p.sendLog {
-		if s.Dst == failed {
+	for _, id := range sortedIDs(p.sendLog) {
+		if s := p.sendLog[id]; s.Dst == failed {
 			rm := wire{Kind: "app", From: p.id, Payload: s.Payload, MsgID: id}
 			p.sendApp(s.Dst, rm)
 			p.env.Stat("plog.resent", 1)
@@ -260,11 +260,7 @@ func (p *PessimisticLog) OnFailureDetected(failed topology.NodeID) {
 		p.send(holder, req)
 	}
 	alert := wire{Kind: "alert", From: failed}
-	for _, id := range p.allNodes() {
-		if id != p.id {
-			p.send(id, alert)
-		}
-	}
+	p.broadcast(alert)
 	// The alert loop excludes this node; apply its effect locally so
 	// the coordinator's own unconfirmed sends are retransmitted too.
 	p.resendTo(failed)

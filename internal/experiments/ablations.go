@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/app"
-	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -153,23 +151,22 @@ func runA2(cfg Config) (*Table, error) {
 		Title:   "HC3I vs force-on-every-message",
 		Headers: []string{"variant", "forced_total", "total_clcs", "proto_mbytes"},
 	}
-	err := sweep(cfg, t, []core.ProtocolMode{core.ModeHC3I, core.ModeForceAll},
-		func(mode core.ProtocolMode) ([]Row, error) {
+	err := sweep(cfg, t, []string{"hc3i", "force-all"},
+		func(proto string) ([]Row, error) {
+			factory, err := federation.ProtocolFactory(proto)
+			if err != nil {
+				return nil, err
+			}
 			fed := topology.Small(2, nodes)
 			wl := app.PaperTable1()
 			wl.TotalTime = total
 			wl.StateSize = 256 << 10
 			opts := federation.Options{
-				Topology:   fed,
-				Workload:   wl,
-				CLCPeriods: []sim.Duration{30 * sim.Minute, 30 * sim.Minute},
-				Seed:       cfg.Seed,
-			}
-			if mode != core.ModeHC3I {
-				opts.NodeFactory = func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-					c.Mode = mode
-					return core.NewNode(c, e, h)
-				}
+				Topology:    fed,
+				Workload:    wl,
+				CLCPeriods:  []sim.Duration{30 * sim.Minute, 30 * sim.Minute},
+				Seed:        cfg.Seed,
+				NodeFactory: factory,
 			}
 			res, err := cfg.runFed(opts)
 			if err != nil {
@@ -180,7 +177,7 @@ func runA2(cfg Config) (*Table, error) {
 				forced += c.Forced
 				totalCLCs += c.Total()
 			}
-			return []Row{{mode.String(), forced, totalCLCs,
+			return []Row{{proto, forced, totalCLCs,
 				float64(res.Stats.CounterValue("net.bytes.proto")) / 1e6}}, nil
 		})
 	if err != nil {
@@ -236,28 +233,22 @@ func runA4(cfg Config) (*Table, error) {
 		Headers: []string{"protocol", "clusters_rolled_back", "lost_work_hours",
 			"forced_clcs", "proto_mbytes", "notes"},
 	}
-	type variant struct {
-		name    string
-		factory federation.NodeFactory
-		note    string
-	}
+	// proto is the registry name; cite is the paper reference the row
+	// label carries after it.
+	type variant struct{ proto, cite, note string }
 	variants := []variant{
-		{"hc3i", nil, "rolls back only dependent clusters"},
-		{"independent", func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-			c.Mode = core.ModeIndependent
-			return core.NewNode(c, e, h)
-		}, "domino: falls behind every dependency"},
-		{"global-coordinated", func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-			return baseline.NewGlobalCoordinated(c, e, h)
-		}, "whole federation freezes and rolls back"},
-		{"hier-coordinated[9]", func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-			return baseline.NewHierCoord(c, e, h)
-		}, "whole federation rolls to last line"},
-		{"pessimistic-log[3]", func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-			return baseline.NewPessimisticLog(c, e, h)
-		}, "only the failed node, but needs PWD"},
+		{"hc3i", "", "rolls back only dependent clusters"},
+		{"independent", "", "domino: falls behind every dependency"},
+		{"global-coordinated", "", "whole federation freezes and rolls back"},
+		{"hier-coordinated", "[9]", "whole federation rolls to last line"},
+		{"pessimistic-log", "[3]", "only the failed node, but needs PWD"},
 	}
 	err := sweep(cfg, t, variants, func(v variant) ([]Row, error) {
+		name := v.proto + v.cite
+		factory, err := federation.ProtocolFactory(v.proto)
+		if err != nil {
+			return nil, err
+		}
 		fed := topology.Small(2, nodes)
 		wl := app.Uniform(2, 300, 30, total)
 		wl.StateSize = 256 << 10
@@ -266,14 +257,14 @@ func runA4(cfg Config) (*Table, error) {
 			Workload:    wl,
 			CLCPeriods:  []sim.Duration{20 * sim.Minute, 20 * sim.Minute},
 			Seed:        cfg.Seed,
-			NodeFactory: v.factory,
+			NodeFactory: factory,
 			Crashes: []federation.Crash{
 				{At: sim.Time(total * 3 / 4), Node: topology.NodeID{Cluster: 0, Index: 1}},
 			},
 		}
 		res, err := cfg.runFed(opts)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		var rolled, forced uint64
 		for _, c := range res.Clusters {
@@ -284,7 +275,7 @@ func runA4(cfg Config) (*Table, error) {
 		}
 		lost := res.Stats.Summary("app.lost_work_seconds")
 		lostHours := lost.Mean() * float64(lost.N()) / 3600
-		return []Row{{v.name, rolled, fmt.Sprintf("%.2f", lostHours), forced,
+		return []Row{{name, rolled, fmt.Sprintf("%.2f", lostHours), forced,
 			float64(res.Stats.CounterValue("net.bytes.proto")) / 1e6, v.note}}, nil
 	})
 	if err != nil {

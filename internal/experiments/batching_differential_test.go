@@ -22,7 +22,7 @@ func unbatchedCSV(t *testing.T, filter string, oracle bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := RunMatrix(RunnerConfig{
+	tab, err := RunMatrix(Config{
 		Workers: 4, Seed: 11, Quick: true,
 		Oracle: oracle, UnbatchedWire: true,
 	}, scs)

@@ -178,7 +178,7 @@ func TestOracleGoldenByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tab, err := RunMatrix(RunnerConfig{Workers: 4, Seed: 11, Quick: true, Oracle: true}, scs)
+			tab, err := RunMatrix(Config{Workers: 4, Seed: 11, Quick: true, Oracle: true}, scs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +199,7 @@ func TestOracleGoldenByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab, err := RunMatrix(RunnerConfig{Workers: 8, Seed: 11, Quick: true, Oracle: true}, scs)
+		tab, err := RunMatrix(Config{Workers: 8, Seed: 11, Quick: true, Oracle: true}, scs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,12 +44,12 @@ func (r ChaosRun) Run() ChaosOutcome {
 	if proto == "" {
 		proto = ChaosProtocols[0]
 	}
-	cfg := Config{Seed: r.Seed, Quick: r.Quick, ChaosSeed: r.Seed, ChaosOps: r.OpBudget}
+	cfg := Config{Seed: r.Seed, Quick: r.Quick, ChaosSeed: r.Seed, ChaosOps: r.OpBudget,
+		RunTimeout: r.Timeout}
 	opts, err := ScenarioOptions(cfg, r.Scenario, proto)
 	if err != nil {
 		return ChaosOutcome{Err: err}
 	}
-	opts.Watchdog = r.Timeout
 	// Hold the Fed so the op count is readable whether the run finished
 	// or aborted on a violation.
 	f, err := federation.New(opts)
@@ -63,39 +63,33 @@ func (r ChaosRun) Run() ChaosOutcome {
 }
 
 // ReplayCommand renders the exact hc3ibench invocation that replays
-// this schedule.
+// this schedule: the scenario filter, the seed, and (when it truncates
+// the schedule) the op budget.
 func (r ChaosRun) ReplayCommand() string {
-	return ReplayCommand(r.Scenario, r.Seed, r.Quick, r.OpBudget)
-}
-
-// ReplayCommand renders the one-command repro for a chaos schedule: the
-// scenario filter, the seed, and (when it truncates the schedule) the
-// op budget.
-func ReplayCommand(sc Scenario, seed uint64, quick bool, opBudget int) string {
 	var b strings.Builder
 	b.WriteString("go run ./cmd/hc3ibench")
-	if quick {
+	if r.Quick {
 		b.WriteString(" -quick")
 	}
+	sc := r.Scenario
 	fmt.Fprintf(&b, " -matrix -filter topology=%s,workload=%s,failure=%s,network=%s -chaos-seed %d",
-		sc.Topology, sc.Workload, sc.Failure, sc.Network, seed)
-	if opBudget > 0 {
-		fmt.Fprintf(&b, " -chaos-ops %d", opBudget)
+		sc.Topology, sc.Workload, sc.Failure, sc.Network, r.Seed)
+	if r.OpBudget > 0 {
+		fmt.Fprintf(&b, " -chaos-ops %d", r.OpBudget)
 	}
 	return b.String()
 }
 
 // ChaosFailure is a failing run of a chaos-tier seed sweep: the exact
-// (scenario, protocol, seed, budget) that reproduces it. Its Error text
-// keeps the inner diagnostic (tests match on the oracle check name);
-// callers that want structure unwrap with errors.As.
+// schedule (scenario, protocol, chaos seed, budget) that reproduces it,
+// with its replay command. Seed is the schedule's chaos seed; the
+// sweep's traffic seed is Config.Seed, which the replay command leaves
+// to hc3ibench's -seed. Its Error text keeps the inner diagnostic
+// (tests match on the oracle check name); callers that want structure
+// unwrap with errors.As.
 type ChaosFailure struct {
-	Scenario Scenario
-	Protocol string
-	Seed     uint64
-	Quick    bool
-	OpBudget int
-	Err      error
+	ChaosRun
+	Err error
 }
 
 func (e *ChaosFailure) Error() string {
@@ -106,11 +100,6 @@ func (e *ChaosFailure) Unwrap() error { return e.Err }
 
 // Check names the violated check (see CheckName).
 func (e *ChaosFailure) Check() string { return CheckName(e.Err) }
-
-// ReplayCommand renders the one-command repro for the failing seed.
-func (e *ChaosFailure) ReplayCommand() string {
-	return ReplayCommand(e.Scenario, e.Seed, e.Quick, e.OpBudget)
-}
 
 // CheckName classifies a run failure: the oracle check that fired
 // ("oracle: commit agreement"), a watchdog kill ("watchdog"), an

@@ -34,7 +34,7 @@ func matrixCSV(t *testing.T, failure string, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := RunMatrix(RunnerConfig{Workers: workers, Seed: 11, Quick: true}, scs)
+	tab, err := RunMatrix(Config{Workers: workers, Seed: 11, Quick: true}, scs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestDenseWireMatchesGoldenSlices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tab, err := RunMatrix(RunnerConfig{Workers: 4, Seed: 11, Quick: true, DenseWire: true}, scs)
+			tab, err := RunMatrix(Config{Workers: 4, Seed: 11, Quick: true, DenseWire: true}, scs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,20 +17,26 @@ import (
 	"repro/internal/federation"
 )
 
-// Config scales an experiment run.
+// Config is the whole description of a registry or matrix run beyond
+// the experiment IDs or scenarios it covers; hc3i.RunnerOptions is this
+// type and hc3ibench binds its flags straight into it. Every federation
+// is an isolated single-threaded simulation (its own sim.Engine,
+// sim.Stats and RNG streams), so sweep points and whole experiments fan
+// out across goroutines without sharing state; results are collected
+// back into input order, making parallel output byte-identical to a
+// sequential run of the same seed.
 type Config struct {
+	// Workers bounds the number of concurrently executing federations:
+	// globally under Run and RunMatrix (one shared semaphore), per
+	// sweep when an Experiment.Run is called directly. <= 1 runs
+	// strictly sequentially; DefaultWorkers picks a machine-sized value.
+	Workers int
 	// Seed drives all randomness (runs are deterministic per seed).
 	Seed uint64
 	// Quick shrinks node counts, durations and sweeps so the whole
 	// registry finishes in seconds (tests, smoke runs). Full mode uses
 	// the paper's parameters: 100-node clusters and 10-hour runs.
 	Quick bool
-	// Workers bounds how many of the experiment's sweep points run
-	// concurrently. Each point is an isolated federation simulation, so
-	// fan-out never changes results: rows are collected in point order
-	// and every point derives the same seeds as a sequential run.
-	// <= 1 runs sequentially.
-	Workers int
 	// DenseWire runs every federation with the dense DDV wire encoding
 	// instead of the default delta form. Results are identical by
 	// construction (the differential suite proves it); the switch
@@ -45,7 +51,8 @@ type Config struct {
 	// Oracle attaches the online protocol invariant checker
 	// (internal/oracle) to every federation run, whatever tier or
 	// experiment launches it. Results stay byte-identical; a violated
-	// invariant fails the run with a diagnostic instead.
+	// invariant fails the run with a diagnostic naming the check and
+	// the virtual time instead.
 	Oracle bool
 	// ChaosSeed overrides the chaos tier's adversarial-schedule seed
 	// (0 derives it from Seed). One integer replays one schedule —
@@ -61,7 +68,8 @@ type Config struct {
 	// unlimited; set by minimized-repro replay commands.
 	ChaosOps int
 	// TraceFile points trace-tier scenarios at a JSONL link schedule
-	// (the netsim.ParseTrace format) instead of the embedded
+	// (the netsim.ParseTrace format: one {"t_ms","latency_ms",
+	// "jitter_ms","loss"} object per line) instead of the embedded
 	// mobile-broadband fixture.
 	TraceFile string
 	// RunTimeout, when > 0, arms a per-federation wall-clock watchdog
@@ -70,9 +78,9 @@ type Config struct {
 	// stalling its worker.
 	RunTimeout time.Duration
 	// sem, when non-nil, is the shared federation-run semaphore of a
-	// registry-level parallel run (see RunnerConfig): every federation
-	// execution acquires one token, so "Workers" bounds the number of
-	// concurrently simulated federations globally, not per level.
+	// runner-level execution (see pooled): every federation execution
+	// acquires one token, so Workers bounds the number of concurrently
+	// simulated federations globally, not per level.
 	sem chan struct{}
 	// arena, when non-nil, is the shared scratch pool of a runner-level
 	// execution: consecutive federation runs on each worker recycle the
@@ -88,17 +96,11 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
-// runFed executes one federation under the configuration's concurrency
-// budget: with a shared semaphore every simulation holds one token for
-// its duration, whatever level of the runner launched it.
-func (c Config) runFed(opts federation.Options) (*federation.Result, error) {
-	if c.sem != nil {
-		c.sem <- struct{}{}
-		defer func() { <-c.sem }()
-	}
-	if opts.Arena == nil {
-		opts.Arena = c.arena
-	}
+// apply carries the run-wide switches into one federation's options.
+// It is the only place a Config field becomes a federation.Options
+// field; it only ever turns a switch on, so options a scenario sets for
+// itself (the chaos tier's oracle) survive.
+func (c Config) apply(opts *federation.Options) {
 	if c.DenseWire {
 		opts.DenseWire = true
 	}
@@ -111,6 +113,20 @@ func (c Config) runFed(opts federation.Options) (*federation.Result, error) {
 	if c.RunTimeout > 0 {
 		opts.Watchdog = c.RunTimeout
 	}
+}
+
+// runFed executes one federation under the configuration's switches and
+// concurrency budget: with a shared semaphore every simulation holds
+// one token for its duration, whatever level of the runner launched it.
+func (c Config) runFed(opts federation.Options) (*federation.Result, error) {
+	if c.sem != nil {
+		c.sem <- struct{}{}
+		defer func() { <-c.sem }()
+	}
+	if opts.Arena == nil {
+		opts.Arena = c.arena
+	}
+	c.apply(&opts)
 	return runFed(opts)
 }
 

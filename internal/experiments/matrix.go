@@ -7,9 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/app"
-	"repro/internal/baseline"
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -181,49 +179,34 @@ var (
 // the classic shapes).
 func (s Scenario) TraceTier() bool { return s.Network == "trace" }
 
-// TraceMatrix returns the trace tier's cross product, in axis order.
-func TraceMatrix() []Scenario {
+// crossProduct enumerates one tier's scenarios in axis order.
+func crossProduct(topologies, workloads, failures, networks []string) []Scenario {
 	var out []Scenario
-	for _, topo := range TraceTopologies {
-		for _, wl := range TraceWorkloads {
-			for _, fl := range TraceFailures {
-				for _, net := range TraceNetworks {
+	for _, topo := range topologies {
+		for _, wl := range workloads {
+			for _, fl := range failures {
+				for _, net := range networks {
 					out = append(out, Scenario{Topology: topo, Workload: wl, Failure: fl, Network: net})
 				}
 			}
 		}
 	}
 	return out
+}
+
+// TraceMatrix returns the trace tier's cross product, in axis order.
+func TraceMatrix() []Scenario {
+	return crossProduct(TraceTopologies, TraceWorkloads, TraceFailures, TraceNetworks)
 }
 
 // ChaosMatrix returns the chaos tier's cross product, in axis order.
 func ChaosMatrix() []Scenario {
-	var out []Scenario
-	for _, topo := range ChaosTopologies {
-		for _, wl := range ChaosWorkloads {
-			for _, fl := range ChaosFailures {
-				for _, net := range ChaosNetworks {
-					out = append(out, Scenario{Topology: topo, Workload: wl, Failure: fl, Network: net})
-				}
-			}
-		}
-	}
-	return out
+	return crossProduct(ChaosTopologies, ChaosWorkloads, ChaosFailures, ChaosNetworks)
 }
 
 // WideMatrix returns the wide tier's cross product, in axis order.
 func WideMatrix() []Scenario {
-	var out []Scenario
-	for _, topo := range WideTopologies {
-		for _, wl := range WideWorkloads {
-			for _, fl := range WideFailures {
-				for _, net := range WideNetworks {
-					out = append(out, Scenario{Topology: topo, Workload: wl, Failure: fl, Network: net})
-				}
-			}
-		}
-	}
-	return out
+	return crossProduct(WideTopologies, WideWorkloads, WideFailures, WideNetworks)
 }
 
 // MatrixProtocols lists the protocols every scenario runs under:
@@ -232,17 +215,7 @@ var MatrixProtocols = []string{"hc3i", "global-coordinated", "hier-coordinated",
 
 // Matrix returns the full cross product of the axes, in axis order.
 func Matrix() []Scenario {
-	var out []Scenario
-	for _, topo := range MatrixTopologies {
-		for _, wl := range MatrixWorkloads {
-			for _, fl := range MatrixFailures {
-				for _, net := range MatrixNetworks {
-					out = append(out, Scenario{Topology: topo, Workload: wl, Failure: fl, Network: net})
-				}
-			}
-		}
-	}
-	return out
+	return crossProduct(MatrixTopologies, MatrixWorkloads, MatrixFailures, MatrixNetworks)
 }
 
 // MatrixScenarios returns the scenarios selected by a filter: a
@@ -553,31 +526,11 @@ func matrixFailures(kind string, sizes []int, total sim.Duration) (crashes []fed
 	return crashes, replicas, nil
 }
 
-// matrixFactory maps a protocol name to its node factory (nil = HC3I).
-func matrixFactory(protocol string) (federation.NodeFactory, error) {
-	switch protocol {
-	case "hc3i":
-		return nil, nil
-	case "global-coordinated":
-		return func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-			return baseline.NewGlobalCoordinated(c, e, h)
-		}, nil
-	case "hier-coordinated":
-		return func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-			return baseline.NewHierCoord(c, e, h)
-		}, nil
-	case "pessimistic-log":
-		return func(c core.Config, e core.Env, h core.AppHooks) federation.ProtocolNode {
-			return baseline.NewPessimisticLog(c, e, h)
-		}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown matrix protocol %q", protocol)
-	}
-}
-
 // ScenarioOptions assembles the federation options for one scenario
-// under one protocol. Exported for tests that need run-level access
-// (e.g. asserting worker isolation of sim.Stats).
+// under one protocol (any federation.ProtocolNames entry), the
+// configuration's run-wide switches included. Exported for callers that
+// run the federation themselves: ChaosRun, the benchmark's chaos count
+// pass, tests asserting worker isolation of sim.Stats.
 func ScenarioOptions(cfg Config, sc Scenario, protocol string) (federation.Options, error) {
 	if err := sc.Validate(); err != nil {
 		return federation.Options{}, err
@@ -613,9 +566,9 @@ func ScenarioOptions(cfg Config, sc Scenario, protocol string) (federation.Optio
 	if err != nil {
 		return federation.Options{}, err
 	}
-	factory, err := matrixFactory(protocol)
+	factory, err := federation.ProtocolFactory(protocol)
 	if err != nil {
-		return federation.Options{}, err
+		return federation.Options{}, fmt.Errorf("experiments: %w", err)
 	}
 	periods := make([]sim.Duration, len(sizes))
 	clcEvery := 20 * sim.Minute
@@ -655,9 +608,9 @@ func ScenarioOptions(cfg Config, sc Scenario, protocol string) (federation.Optio
 		// wide federations are where the difference shows. Baseline
 		// protocols ignore the flag.
 		Transitive:  sc.Wide(),
-		DenseWire:   cfg.DenseWire,
 		NodeFactory: factory,
 	}
+	cfg.apply(&opts)
 	if sc.ChaosTier() {
 		// Garbage collection runs so its §3.5 safety rule is under
 		// fire too; the oracle is always attached — an un-checked
@@ -748,8 +701,8 @@ func RunChaosScenario(cfg Config, sc Scenario, protocol string) ([]*federation.R
 			// reproduces the failure; hc3ibench unwraps it to print the
 			// one-command replay instead of a bare error.
 			return nil, &ChaosFailure{
-				Scenario: sc, Protocol: protocol, Seed: base + uint64(k),
-				Quick: runCfg.Quick, OpBudget: runCfg.ChaosOps,
+				ChaosRun: ChaosRun{Scenario: sc, Protocol: protocol, Seed: base + uint64(k),
+					Quick: runCfg.Quick, OpBudget: runCfg.ChaosOps, Timeout: runCfg.RunTimeout},
 				Err: err,
 			}
 		}
@@ -763,11 +716,11 @@ func RunChaosScenario(cfg Config, sc Scenario, protocol string) ([]*federation.R
 // order. The unit of parallelism is one federation run, so -parallel N
 // keeps N runs in flight regardless of how the matrix is shaped.
 // Chaos-tier rows aggregate across the configured chaos-seed budget.
-func RunMatrix(rc RunnerConfig, scenarios []Scenario) (*Table, error) {
+func RunMatrix(cfg Config, scenarios []Scenario) (*Table, error) {
 	if scenarios == nil {
 		scenarios = Matrix()
 	}
-	cfg := rc.config()
+	cfg = cfg.pooled()
 	type runKey struct {
 		sc    int
 		proto string
@@ -796,7 +749,7 @@ func RunMatrix(rc RunnerConfig, scenarios []Scenario) (*Table, error) {
 		t.Headers = append(t.Headers, "p50_ms", "p99_ms", "p999_ms")
 	}
 	rows := make([]Row, len(runs))
-	err := forEach(rc.workers(), len(runs), func(i int) error {
+	err := forEach(cfg.Workers, len(runs), func(i int) error {
 		sc, proto := scenarios[runs[i].sc], runs[i].proto
 		var results []*federation.Result
 		var err error

@@ -3,7 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/federation"
 	"repro/internal/sim"
 )
 
@@ -99,6 +101,42 @@ func TestScenarioOptionsBuildEverywhere(t *testing.T) {
 	}
 }
 
+// TestScenarioOptionsApplyWholeConfig: every run-wide switch of the
+// Config reaches the federation options ScenarioOptions returns —
+// callers that assemble here and run the federation themselves
+// (ChaosRun, the benchmark's chaos count pass) must not get half a
+// configuration.
+func TestScenarioOptionsApplyWholeConfig(t *testing.T) {
+	sc := Scenario{Topology: "2c", Workload: "uniform", Failure: "none", Network: "lan"}
+	cases := []struct {
+		field string
+		cfg   Config
+		got   func(federation.Options) bool
+	}{
+		{"DenseWire", Config{DenseWire: true}, func(o federation.Options) bool { return o.DenseWire }},
+		{"UnbatchedWire", Config{UnbatchedWire: true}, func(o federation.Options) bool { return o.UnbatchedWire }},
+		{"Oracle", Config{Oracle: true}, func(o federation.Options) bool { return o.Oracle }},
+		{"RunTimeout", Config{RunTimeout: time.Minute}, func(o federation.Options) bool { return o.Watchdog == time.Minute }},
+	}
+	base, err := ScenarioOptions(Config{Seed: 1, Quick: true}, sc, "hc3i")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		if tc.got(base) {
+			t.Fatalf("%s already set by a zero Config; the case proves nothing", tc.field)
+		}
+		tc.cfg.Seed, tc.cfg.Quick = 1, true
+		opts, err := ScenarioOptions(tc.cfg, sc, "hc3i")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tc.got(opts) {
+			t.Errorf("ScenarioOptions dropped Config.%s", tc.field)
+		}
+	}
+}
+
 // TestMatrixParallelDeterminism proves the acceptance property on a
 // matrix slice: parallel execution renders byte-identical output to
 // sequential execution for a fixed seed, and repeats reproduce it.
@@ -108,7 +146,7 @@ func TestMatrixParallelDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	render := func(workers int) string {
-		tab, err := RunMatrix(RunnerConfig{Workers: workers, Seed: 5, Quick: true}, scs)
+		tab, err := RunMatrix(Config{Workers: workers, Seed: 5, Quick: true}, scs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,103 +3,53 @@ package experiments
 import (
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/federation"
 )
 
-// RunnerConfig drives a registry or matrix run through a bounded worker
-// pool. Every federation is an isolated single-threaded simulation (its
-// own sim.Engine, sim.Stats and RNG streams), so sweep points and whole
-// experiments fan out across goroutines without sharing state; results
-// are collected back into input order, making parallel output
-// byte-identical to a sequential run of the same seed.
-type RunnerConfig struct {
-	// Workers bounds the number of concurrently executing federations
-	// at each level (experiments across the registry, sweep points
-	// inside one experiment). <= 1 runs strictly sequentially; 0 is
-	// treated as 1. DefaultWorkers picks a machine-sized value.
-	Workers int
-	// Seed drives all randomness, exactly as Config.Seed.
-	Seed uint64
-	// Quick selects the reduced scale, exactly as Config.Quick.
-	Quick bool
-	// DenseWire selects the dense DDV wire encoding, exactly as
-	// Config.DenseWire.
-	DenseWire bool
-	// UnbatchedWire selects per-message delivery events, exactly as
-	// Config.UnbatchedWire.
-	UnbatchedWire bool
-	// Oracle attaches the protocol invariant checker to every run,
-	// exactly as Config.Oracle.
-	Oracle bool
-	// ChaosSeed/ChaosSeeds drive the chaos tier, exactly as
-	// Config.ChaosSeed/Config.ChaosSeeds.
-	ChaosSeed  uint64
-	ChaosSeeds int
-	// ChaosOps caps every chaos schedule at its first N perturbation
-	// actions, exactly as Config.ChaosOps.
-	ChaosOps int
-	// TraceFile selects a custom trace-tier link schedule, exactly as
-	// Config.TraceFile.
-	TraceFile string
-	// RunTimeout arms the per-federation wall-clock watchdog, exactly
-	// as Config.RunTimeout.
-	RunTimeout time.Duration
-}
-
 // DefaultWorkers returns a reasonable pool size: one worker per CPU.
 func DefaultWorkers() int { return runtime.NumCPU() }
 
-func (rc RunnerConfig) workers() int {
-	if rc.Workers < 1 {
-		return 1
-	}
-	return rc.Workers
-}
-
-// config converts the runner configuration into the per-experiment
-// Config. With more than one worker it attaches a shared semaphore
+// pooled prepares the configuration for a runner-level execution (Run,
+// RunMatrix). With more than one worker it attaches a shared semaphore
 // sized to Workers: every federation execution — whichever experiment
 // or sweep point launches it — holds one token, so Workers bounds the
 // number of concurrently simulated federations globally rather than
-// per level.
-func (rc RunnerConfig) config() Config {
-	cfg := Config{Seed: rc.Seed, Quick: rc.Quick, Workers: rc.workers(), DenseWire: rc.DenseWire,
-		UnbatchedWire: rc.UnbatchedWire, Oracle: rc.Oracle, ChaosSeed: rc.ChaosSeed,
-		ChaosSeeds: rc.ChaosSeeds, ChaosOps: rc.ChaosOps, TraceFile: rc.TraceFile,
-		RunTimeout: rc.RunTimeout}
-	if cfg.Workers > 1 {
-		cfg.sem = make(chan struct{}, cfg.Workers)
+// per level. An Experiment.Run called directly skips this and keeps its
+// per-sweep pool.
+func (c Config) pooled() Config {
+	c.Workers = c.workers()
+	if c.Workers > 1 {
+		c.sem = make(chan struct{}, c.Workers)
 	}
 	// One scratch arena per runner invocation: each worker's successive
 	// federation runs reuse the engine buffers of the run before it.
-	cfg.arena = federation.NewArena()
-	return cfg
+	c.arena = federation.NewArena()
+	return c
 }
 
 // RunResult pairs one experiment's rendered table with its error, so a
 // registry run can report partial failures without losing the rest.
 type RunResult struct {
-	ID    string
-	Table *Table
-	Err   error
+	ID     string
+	Result *Table
+	Err    error
 }
 
 // Run executes the experiments with the given IDs (all registered ones
 // when ids is nil) through the worker pool and returns one RunResult
 // per requested ID, in request order. Unknown IDs yield an error entry
 // rather than aborting the batch.
-func Run(rc RunnerConfig, ids []string) []RunResult {
+func Run(cfg Config, ids []string) []RunResult {
 	if ids == nil {
 		ids = IDs()
 	}
-	cfg := rc.config()
+	cfg = cfg.pooled()
 	// With the shared semaphore bounding federation executions, every
 	// experiment can be in flight at once — its simulations queue on
 	// the semaphore. One worker means strictly sequential.
 	outer := len(ids)
-	if rc.workers() <= 1 {
+	if cfg.Workers <= 1 {
 		outer = 1
 	}
 	out := make([]RunResult, len(ids))
@@ -110,7 +60,7 @@ func Run(rc RunnerConfig, ids []string) []RunResult {
 			out[i].Err = &UnknownExperimentError{ID: ids[i]}
 			return nil
 		}
-		out[i].Table, out[i].Err = e.Run(cfg)
+		out[i].Result, out[i].Err = e.Run(cfg)
 		return nil
 	})
 	return out

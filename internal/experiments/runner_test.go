@@ -71,14 +71,14 @@ func TestSweepKeepsPointOrder(t *testing.T) {
 }
 
 func TestRunUnknownIDReportsWithoutAborting(t *testing.T) {
-	out := Run(RunnerConfig{Workers: 2, Seed: 1, Quick: true}, []string{"nope", "F6"})
+	out := Run(Config{Workers: 2, Seed: 1, Quick: true}, []string{"nope", "F6"})
 	if len(out) != 2 {
 		t.Fatalf("got %d results", len(out))
 	}
 	if out[0].Err == nil {
 		t.Fatal("unknown ID must error")
 	}
-	if out[1].Err != nil || out[1].Table == nil {
+	if out[1].Err != nil || out[1].Result == nil {
 		t.Fatalf("valid ID alongside an unknown one must still run: %v", out[1].Err)
 	}
 }
@@ -136,11 +136,11 @@ func TestRegistryParallelDeterminism(t *testing.T) {
 	ids := []string{"F6", "F8", "A5"}
 	render := func(workers int) string {
 		var out string
-		for _, r := range Run(RunnerConfig{Workers: workers, Seed: 3, Quick: true}, ids) {
+		for _, r := range Run(Config{Workers: workers, Seed: 3, Quick: true}, ids) {
 			if r.Err != nil {
 				t.Fatalf("%s: %v", r.ID, r.Err)
 			}
-			out += r.Table.Render()
+			out += r.Result.Render()
 		}
 		return out
 	}

@@ -11,7 +11,7 @@ import (
 
 // traceCSV renders the full trace tier (both topologies, both failure
 // patterns, HC3I only) for the pinned golden seed.
-func traceCSV(t *testing.T, rc RunnerConfig) string {
+func traceCSV(t *testing.T, rc Config) string {
 	t.Helper()
 	scs, err := MatrixScenarios("tier=trace")
 	if err != nil {
@@ -30,7 +30,7 @@ func traceCSV(t *testing.T, rc RunnerConfig) string {
 // p50/p99/p999 stable-delivery latency columns — byte-for-byte,
 // sequentially and through the worker pool.
 func TestTraceMatrixGolden(t *testing.T) {
-	seq := traceCSV(t, RunnerConfig{Workers: 1})
+	seq := traceCSV(t, Config{Workers: 1})
 	if *updateGolden {
 		if err := os.WriteFile(goldenPath("trace"), []byte(seq), 0o644); err != nil {
 			t.Fatal(err)
@@ -43,7 +43,7 @@ func TestTraceMatrixGolden(t *testing.T) {
 	if seq != string(want) {
 		t.Errorf("sequential trace CSV diverged:\n--- got\n%s--- want\n%s", seq, want)
 	}
-	par := traceCSV(t, RunnerConfig{Workers: 8})
+	par := traceCSV(t, Config{Workers: 8})
 	if par != string(want) {
 		t.Errorf("parallel trace CSV diverged:\n--- got\n%s--- want\n%s", par, want)
 	}
@@ -54,14 +54,14 @@ func TestTraceMatrixGolden(t *testing.T) {
 // else) are byte-identical across batched vs unbatched wire, and with
 // or without the invariant oracle.
 func TestTraceLatencyIdentityAcrossExecutionModes(t *testing.T) {
-	base := traceCSV(t, RunnerConfig{Workers: 1})
+	base := traceCSV(t, Config{Workers: 1})
 	variants := []struct {
 		name string
-		rc   RunnerConfig
+		rc   Config
 	}{
-		{"unbatched", RunnerConfig{Workers: 1, UnbatchedWire: true}},
-		{"oracle", RunnerConfig{Workers: 1, Oracle: true}},
-		{"unbatched-oracle", RunnerConfig{Workers: 1, UnbatchedWire: true, Oracle: true}},
+		{"unbatched", Config{Workers: 1, UnbatchedWire: true}},
+		{"oracle", Config{Workers: 1, Oracle: true}},
+		{"unbatched-oracle", Config{Workers: 1, UnbatchedWire: true, Oracle: true}},
 	}
 	for _, v := range variants {
 		v := v
@@ -165,7 +165,7 @@ func TestRunMatrixTraceHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := RunMatrix(RunnerConfig{Workers: 1, Seed: 3, Quick: true}, scs)
+	tab, err := RunMatrix(Config{Workers: 1, Seed: 3, Quick: true}, scs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRunMatrixTraceHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctab, err := RunMatrix(RunnerConfig{Workers: 1, Seed: 3, Quick: true}, classic)
+	ctab, err := RunMatrix(Config{Workers: 1, Seed: 3, Quick: true}, classic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func wideCSV(t *testing.T, workers int, dense bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := RunMatrix(RunnerConfig{Workers: workers, Seed: 11, Quick: true, DenseWire: dense}, scs)
+	tab, err := RunMatrix(Config{Workers: workers, Seed: 11, Quick: true, DenseWire: dense}, scs)
 	if err != nil {
 		t.Fatal(err)
 	}
