@@ -165,6 +165,23 @@
 //     destination's OnMessage returns; the baseline protocols pool
 //     their wire envelopes the same way through core.ReclaimableMsg.
 //     BenchmarkNodeOnMessage runs at 0 allocs/op end to end.
+//   - A cluster broadcast (CLCRequest, Replica, CLCCommit, GCDrop and
+//     the rollback messages) boxes its message into core.Msg once and
+//     hands every peer the same interface value; its slices were
+//     shared by every per-peer copy anyway.
+//   - Trace points build nothing nobody reads. Each of the protocol's
+//     trace points emits a core.Event — a value struct (kind, SN,
+//     epoch, forced, pairs, DDV, message, peer, ...) with a fixed
+//     Level and a String that renders the one-line trace text — to the
+//     env's core.EventSink, an optional upgrade of core.Env resolved
+//     once in NewNode like core.BoxPool and core.Observer. Without a
+//     sink a trace point is one nil check; with one it is one by-value
+//     call (no []any). The simulator's sink formats only when the
+//     tracer reports the event's level; the live runtime's prints
+//     every event when a trace writer is set. A sink runs
+//     synchronously on the node's event path and must copy any DDV or
+//     Pairs it keeps: applyCommit's committed vector aliases the
+//     node's commit base, which the next commit overwrites.
 //   - Application snapshots are O(1): NodeApp records deliveries in an
 //     append-only journal and a snapshot is a journal position;
 //     restores rewind the tail instead of copying the delivered map on

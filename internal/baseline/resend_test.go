@@ -15,7 +15,6 @@ type recEnv struct{ appSends []wire }
 func (e *recEnv) Now() sim.Time                         { return 0 }
 func (e *recEnv) Send(topology.NodeID, int, core.Msg)   {}
 func (e *recEnv) SetTimer(core.TimerKind, sim.Duration) {}
-func (e *recEnv) Trace(sim.TraceLevel, string, ...any)  {}
 func (e *recEnv) Stat(string, uint64)                   {}
 func (e *recEnv) StatSeries(string, float64)            {}
 func (e *recEnv) SendApp(_ topology.NodeID, _ int, msg core.Msg) {

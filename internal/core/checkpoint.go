@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -182,7 +181,7 @@ func (n *Node) startCLC(forced bool, updatePairs []DDVPair) {
 		n.ackedNodes[i] = false
 	}
 	n.ackedCount = 0
-	n.env.Trace(sim.TraceDebug, "CLC %d request (forced=%v update=%v)", seq, forced, updatePairs)
+	n.emit(Event{Kind: EventCLCRequest, Seq: seq, Forced: forced, Pairs: updatePairs})
 	n.env.Stat(n.keys.clcRequested, 1)
 
 	req := CLCRequest{Seq: seq, Epoch: n.epoch, Forced: forced}
@@ -196,12 +195,7 @@ func (n *Node) startCLC(forced bool, updatePairs []DDVPair) {
 			req.UpdateWidth = n.cfg.Clusters
 		}
 	}
-	for i := 0; i < n.size; i++ {
-		if i == n.id.Index {
-			continue
-		}
-		n.env.Send(topology.NodeID{Cluster: n.cluster, Index: i}, controlSize(req), req)
-	}
+	n.sendToCluster(req)
 	n.prepareLocal(seq, forced)
 }
 
@@ -214,11 +208,11 @@ func (n *Node) onCLCRequest(src topology.NodeID, m CLCRequest) {
 	if n.phase != cpIdle {
 		// The leader serializes CLCs, so this indicates a stale
 		// retransmission; ignore.
-		n.env.Trace(sim.TraceDebug, "ignoring CLC request %d while in phase %d", m.Seq, n.phase)
+		n.emit(Event{Kind: EventCLCRequestBusy, Seq: m.Seq, Phase: int(n.phase)})
 		return
 	}
 	if m.Seq != n.sn+1 {
-		n.env.Trace(sim.TraceDebug, "ignoring out-of-sequence CLC request %d (sn=%d)", m.Seq, n.sn)
+		n.emit(Event{Kind: EventCLCRequestStale, Seq: m.Seq, SN: n.sn})
 		return
 	}
 	n.prepareLocal(m.Seq, m.Forced)
@@ -245,9 +239,12 @@ func (n *Node) prepareLocal(seq SN, forced bool) {
 		n.sendPrepAck(seq)
 		return
 	}
-	rep := Replica{Seq: seq, Epoch: n.epoch, Owner: n.id, State: state, Size: size}
+	// One box and one size for every holder: the message is a value
+	// whose fields every per-holder copy would share anyway.
+	var rep Msg = Replica{Seq: seq, Epoch: n.epoch, Owner: n.id, State: state, Size: size}
+	repSize := controlSize(rep)
 	for _, t := range targets {
-		n.env.Send(t, controlSize(rep), rep)
+		n.env.Send(t, repSize, rep)
 	}
 }
 
@@ -345,8 +342,7 @@ func (n *Node) ackFrom(index int, seq SN, nodeDDV DDV, nodePairs []DDVPair) {
 		}
 		n.ackedDDVs = nil
 		newDDV[n.cluster] = seq
-		commit := CLCCommit{Seq: seq, Epoch: n.epoch, DDV: newDDV}
-		n.broadcastCommit(commit)
+		n.sendToCluster(CLCCommit{Seq: seq, Epoch: n.epoch, DDV: newDDV})
 		n.applyCommit(seq, newDDV, nil, n.inFlightForced)
 		return
 	}
@@ -392,18 +388,21 @@ func (n *Node) ackFrom(index int, seq SN, nodeDDV DDV, nodePairs []DDVPair) {
 	}
 	n.pairScratch = pairs
 	owned := n.pairArena.Clone(pairs)
-	commit := CLCCommit{Seq: seq, Epoch: n.epoch, Pairs: owned, Width: n.cfg.Clusters}
-	n.broadcastCommit(commit)
+	n.sendToCluster(CLCCommit{Seq: seq, Epoch: n.epoch, Pairs: owned, Width: n.cfg.Clusters})
 	n.applyCommit(seq, nil, owned, n.inFlightForced)
 }
 
-// broadcastCommit sends the commit to every other node of the cluster.
-func (n *Node) broadcastCommit(commit CLCCommit) {
+// sendToCluster sends a 2PC control message to every other node of the
+// cluster. The caller boxes it into Msg once and its size is computed
+// once: every peer receives the same interface value, whose slices the
+// per-peer copies of a value message would share anyway.
+func (n *Node) sendToCluster(m Msg) {
+	size := controlSize(m)
 	for i := 0; i < n.size; i++ {
 		if i == n.id.Index {
 			continue
 		}
-		n.env.Send(topology.NodeID{Cluster: n.cluster, Index: i}, controlSize(commit), commit)
+		n.env.Send(topology.NodeID{Cluster: n.cluster, Index: i}, size, m)
 	}
 }
 
@@ -487,7 +486,7 @@ func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) 
 	n.phase = cpIdle
 	n.frozenSends = false
 	n.frozenDelivs = false
-	n.env.Trace(sim.TraceDebug, "CLC %d committed ddv=%v forced=%v", seq, commitVec, forced)
+	n.emit(Event{Kind: EventCLCCommitted, Seq: seq, DDV: commitVec, Forced: forced})
 	if n.obs != nil {
 		n.obs.ObserveCommit(n.id, seq, n.epoch, commitVec, pairs, forced)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -328,8 +327,7 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 	n.debug("held", m)
 	n.heldInter = append(n.heldInter, inbound{src: src, msg: m})
 	n.env.Stat("cic.held", 1)
-	n.env.Trace(sim.TraceDebug, "hold msg %v from %v (piggy %d > ddv %v), forcing CLC",
-		m.Payload.ID, src, m.SendSN, n.ddv)
+	n.emit(Event{Kind: EventHoldMsg, Msg: m.Payload.ID, Peer: src, Seq: m.SendSN, DDV: n.ddv})
 	if n.denseWire {
 		n.requestForce(target)
 	} else {
@@ -563,7 +561,7 @@ func (n *Node) resendLoggedTo(c topology.ClusterID, alertSN SN, newEpoch Epoch) 
 			DstEpoch:   newEpoch,
 		}
 		n.env.Stat("log.resent", 1)
-		n.env.Trace(sim.TraceDebug, "resend %v to %v (alert sn=%d)", e.payload.ID, e.dst, alertSN)
+		n.emit(Event{Kind: EventResend, Msg: e.payload.ID, Peer: e.dst, Seq: alertSN})
 		n.sendAppMsg(e.dst, m)
 	}
 }

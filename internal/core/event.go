@@ -1,0 +1,141 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/sim"
+	"repro/internal/topology"
+)
+
+// EventKind names one of the protocol's trace points.
+type EventKind uint8
+
+// Event kinds, one per trace point. The comment of each names the
+// fields it sets; every other field is zero.
+const (
+	// EventCLCRequest: the leader opens a 2PC (Seq, Forced, Pairs: the
+	// forced update, nil for an unforced CLC).
+	EventCLCRequest EventKind = iota + 1
+	// EventCLCRequestBusy: a participant ignores a request received
+	// mid-commit (Seq, Phase).
+	EventCLCRequestBusy
+	// EventCLCRequestStale: a participant ignores an out-of-sequence
+	// request (Seq, SN: the node's committed SN).
+	EventCLCRequestStale
+	// EventCLCCommitted: a node installed a committed CLC (Seq, DDV:
+	// the committed vector, Forced).
+	EventCLCCommitted
+	// EventHoldMsg: an inter-cluster message is held until a forced CLC
+	// commits (Msg, Peer: the sender, Seq: the piggybacked SN, DDV: the
+	// receiver's vector).
+	EventHoldMsg
+	// EventResend: a logged message is retransmitted after a rollback
+	// alert (Msg, Peer: the destination, Seq: the alerted SN).
+	EventResend
+	// EventGCStart: the GC initiator opens a round (Round).
+	EventGCStart
+	// EventGCFailed: a GC round is abandoned (Round, Err).
+	EventGCFailed
+	// EventRollback: the leader starts a cluster rollback (Seq: the
+	// target SN, Epoch: the new epoch).
+	EventRollback
+	// EventReplicaMiss: a recovery query asks for a replica this node
+	// does not hold (Seq, Peer: the owner).
+	EventReplicaMiss
+	// EventRollbackDone: the leader's rollback completed (Seq, Epoch).
+	EventRollbackDone
+	// EventNoRollbackTarget: no stored CLC satisfies a rollback alert
+	// (Cluster: the alerting cluster, Seq: its alerted SN).
+	EventNoRollbackTarget
+	// EventFailed: the node crashed.
+	EventFailed
+	// EventRestarted: the node restarted with empty volatile memory.
+	EventRestarted
+)
+
+// Event is one protocol trace record: a value, emitted synchronously at
+// its trace point and passed by value, so a node with no EventSink
+// builds nothing and allocates nothing.
+//
+// DDV and Pairs alias node-owned buffers (a committed vector is the
+// node's commit base, which the next commit overwrites): a sink that
+// keeps either past its Event call must copy it.
+type Event struct {
+	Kind    EventKind
+	Seq     SN
+	SN      SN
+	Epoch   Epoch
+	Forced  bool
+	Phase   int
+	Round   uint64
+	Cluster topology.ClusterID
+	Peer    topology.NodeID
+	Msg     LogicalID
+	Pairs   []DDVPair
+	DDV     DDV
+	Err     error
+}
+
+// EventSink is an optional upgrade interface of Env, resolved once at
+// node construction like BoxPool and Observer: an environment that
+// implements it receives every protocol Event. Event runs synchronously
+// on the node's event path and must copy any DDV or Pairs it keeps.
+// Environments that do not implement it pay one nil check per trace
+// point.
+type EventSink interface {
+	Event(Event)
+}
+
+// Level is the trace level the event is reported at: lifecycle events
+// (rollbacks, GC rounds, crashes) at TraceInfo, per-checkpoint and
+// per-message events at TraceDebug.
+func (e Event) Level() sim.TraceLevel {
+	switch e.Kind {
+	case EventGCStart, EventGCFailed, EventRollback, EventReplicaMiss,
+		EventRollbackDone, EventNoRollbackTarget, EventFailed, EventRestarted:
+		return sim.TraceInfo
+	}
+	return sim.TraceDebug
+}
+
+// String renders the event as its one-line trace text.
+func (e Event) String() string {
+	switch e.Kind {
+	case EventCLCRequest:
+		return fmt.Sprintf("CLC %d request (forced=%v update=%v)", e.Seq, e.Forced, e.Pairs)
+	case EventCLCRequestBusy:
+		return fmt.Sprintf("ignoring CLC request %d while in phase %d", e.Seq, e.Phase)
+	case EventCLCRequestStale:
+		return fmt.Sprintf("ignoring out-of-sequence CLC request %d (sn=%d)", e.Seq, e.SN)
+	case EventCLCCommitted:
+		return fmt.Sprintf("CLC %d committed ddv=%v forced=%v", e.Seq, e.DDV, e.Forced)
+	case EventHoldMsg:
+		return fmt.Sprintf("hold msg %v from %v (piggy %d > ddv %v), forcing CLC", e.Msg, e.Peer, e.Seq, e.DDV)
+	case EventResend:
+		return fmt.Sprintf("resend %v to %v (alert sn=%d)", e.Msg, e.Peer, e.Seq)
+	case EventGCStart:
+		return fmt.Sprintf("GC round %d starting", e.Round)
+	case EventGCFailed:
+		return fmt.Sprintf("GC round %d failed: %v", e.Round, e.Err)
+	case EventRollback:
+		return fmt.Sprintf("ROLLBACK to CLC %d (epoch %d)", e.Seq, e.Epoch)
+	case EventReplicaMiss:
+		return fmt.Sprintf("replica %d for %v not held here", e.Seq, e.Peer)
+	case EventRollbackDone:
+		return fmt.Sprintf("rollback to %d complete, resuming (epoch %d)", e.Seq, e.Epoch)
+	case EventNoRollbackTarget:
+		return fmt.Sprintf("NO rollback target for alert c%d sn=%d; using oldest", e.Cluster, e.Seq)
+	case EventFailed:
+		return "FAILED"
+	case EventRestarted:
+		return "RESTARTED (volatile memory lost)"
+	}
+	return fmt.Sprintf("Event(kind=%d)", e.Kind)
+}
+
+// emit hands ev to the environment's sink, if it has one.
+func (n *Node) emit(ev Event) {
+	if n.sink != nil {
+		n.sink.Event(ev)
+	}
+}

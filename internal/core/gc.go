@@ -80,7 +80,7 @@ func (n *Node) startGCRound() {
 	n.gcRound++
 	n.gcAlertsMark = n.alertsSeen
 	n.env.Stat("gc.rounds_started", 1)
-	n.env.Trace(sim.TraceInfo, "GC round %d starting", n.gcRound)
+	n.emit(Event{Kind: EventGCStart, Round: n.gcRound})
 
 	if n.cfg.RingGC {
 		tok := GCToken{Round: n.gcRound, Phase: 0, Reports: []GCReport{n.makeGCReport(n.gcRound)}}
@@ -171,7 +171,7 @@ func (n *Node) maybeFinishGCRound() {
 	minSNs, err := n.computeMinSNs(reports)
 	if err != nil {
 		n.env.Stat("gc.rounds_aborted", 1)
-		n.env.Trace(sim.TraceInfo, "GC round %d failed: %v", n.gcRound, err)
+		n.emit(Event{Kind: EventGCFailed, Round: n.gcRound, Err: err})
 		return
 	}
 	coll := GCCollect{Round: n.gcRound, MinSNs: minSNs}
@@ -233,12 +233,7 @@ func (n *Node) onGCCollect(src topology.NodeID, m GCCollect) {
 // cluster and applies them here.
 func (n *Node) distributeDropLocally(minSNs []SN) {
 	drop := GCDrop{Round: n.gcRound, Epoch: n.epoch, MinSNs: minSNs}
-	for i := 0; i < n.size; i++ {
-		if i == n.id.Index {
-			continue
-		}
-		n.env.Send(topology.NodeID{Cluster: n.cluster, Index: i}, controlSize(drop), drop)
-	}
+	n.sendToCluster(drop)
 	n.applyGCDrop(minSNs)
 }
 

@@ -416,6 +416,9 @@ type Node struct {
 	// invariant oracle); nil means no observation — one nil check per
 	// hook site.
 	obs Observer
+	// sink is the env's event sink when it offers one (EventSink); nil
+	// means trace points build nothing — one nil check per site.
+	sink EventSink
 	// stab is the application's stability hook when it offers one
 	// (Stabilizer); nil means commits don't notify the application.
 	stab Stabilizer
@@ -510,6 +513,7 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 	}
 	n.arena.Init(cfg.Clusters)
 	n.boxes, _ = env.(BoxPool)
+	n.sink, _ = env.(EventSink)
 	if n.obs, _ = env.(Observer); n.obs != nil {
 		n.obs.ObserveMode(cfg.ID, cfg.Mode)
 	}
@@ -802,7 +806,7 @@ func (n *Node) SeedMsgID(base uint64) {
 // The harness must also cut its network traffic.
 func (n *Node) Fail() {
 	n.failed = true
-	n.env.Trace(sim.TraceInfo, "FAILED")
+	n.emit(Event{Kind: EventFailed})
 }
 
 // Restart revives a crashed node with empty volatile memory. It waits
@@ -839,7 +843,7 @@ func (n *Node) Restart() {
 	n.deferredAlert = nil
 	n.recoverWait = nil
 	n.cascadeMemo = make(map[topology.ClusterID]cascadeRecord)
-	n.env.Trace(sim.TraceInfo, "RESTARTED (volatile memory lost)")
+	n.emit(Event{Kind: EventRestarted})
 }
 
 // resetDeltaState clears the delta-tracking state that derives from the

@@ -34,10 +34,9 @@ func (e *mockEnv) Send(dst topology.NodeID, size int, msg Msg) {
 func (e *mockEnv) SendApp(dst topology.NodeID, size int, msg Msg) {
 	e.bed.queue = append(e.bed.queue, sentMsg{src: e.id, dst: dst, msg: msg, app: true, size: size})
 }
-func (e *mockEnv) SetTimer(k TimerKind, d sim.Duration)                   { e.timers[k] = d }
-func (e *mockEnv) Trace(level sim.TraceLevel, format string, args ...any) {}
-func (e *mockEnv) Stat(name string, delta uint64)                         { e.bed.stats[name] += delta }
-func (e *mockEnv) StatSeries(name string, value float64)                  {}
+func (e *mockEnv) SetTimer(k TimerKind, d sim.Duration)  { e.timers[k] = d }
+func (e *mockEnv) Stat(name string, delta uint64)        { e.bed.stats[name] += delta }
+func (e *mockEnv) StatSeries(name string, value float64) {}
 
 // The testbed implements PiggyCodecs when built with useCodecs, so
 // unit tests and benchmarks can cover the delta transitive path; the

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -52,15 +51,10 @@ func (n *Node) initiateRollback(toSN SN) {
 	n.rbAcks = make(map[int]bool, n.size)
 	n.alertsSeen++
 	n.env.Stat(n.keys.rollbackCount, 1)
-	n.env.Trace(sim.TraceInfo, "ROLLBACK to CLC %d (epoch %d)", toSN, newEpoch)
+	n.emit(Event{Kind: EventRollback, Seq: toSN, Epoch: newEpoch})
 
 	cmd := RollbackCmd{ToSN: toSN, NewEpoch: newEpoch}
-	for i := 0; i < n.size; i++ {
-		if i == n.id.Index {
-			continue
-		}
-		n.env.Send(topology.NodeID{Cluster: n.cluster, Index: i}, controlSize(cmd), cmd)
-	}
+	n.sendToCluster(cmd)
 	// "One node in each other cluster in the federation receives a
 	// rollback alert. It contains the faulty cluster's SN that
 	// corresponds to the CLC to which it rolls back."
@@ -213,7 +207,7 @@ func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
 		// a truly unrecoverable state shows up as a stalled rollback,
 		// which the harness invariants catch.
 		n.env.Stat("storage.replica_miss_queries", 1)
-		n.env.Trace(sim.TraceInfo, "replica %d for %v not held here", m.Seq, m.Owner)
+		n.emit(Event{Kind: EventReplicaMiss, Seq: m.Seq, Peer: m.Owner})
 		return
 	}
 	// The cluster's checkpoint metadata is this node's own chain, up to
@@ -410,14 +404,9 @@ func (n *Node) checkRollbackDone() {
 	// dominated by state restores (and replica fetches after a crash).
 	n.env.StatSeries(n.keys.rollbackDuration,
 		n.env.Now().Sub(n.rbSince).Seconds())
-	n.env.Trace(sim.TraceInfo, "rollback to %d complete, resuming (epoch %d)", n.rbSeq, n.rbEpoch)
+	n.emit(Event{Kind: EventRollbackDone, Seq: n.rbSeq, Epoch: n.rbEpoch})
 	res := RollbackResume{Epoch: n.rbEpoch}
-	for i := 0; i < n.size; i++ {
-		if i == n.id.Index {
-			continue
-		}
-		n.env.Send(topology.NodeID{Cluster: n.cluster, Index: i}, controlSize(res), res)
-	}
+	n.sendToCluster(res)
 	n.resumeAfterRollback()
 	// Alerts that arrived while restoring are decided now.
 	pending := n.deferredAlert
@@ -513,12 +502,7 @@ func (n *Node) onRollbackAlert(src topology.NodeID, m RollbackAlert) {
 	n.resendLoggedTo(m.Cluster, m.NewSN, m.NewEpoch)
 	external := src.Cluster != n.cluster
 	if external {
-		for i := 0; i < n.size; i++ {
-			if i == n.id.Index {
-				continue
-			}
-			n.env.Send(topology.NodeID{Cluster: n.cluster, Index: i}, controlSize(m), m)
-		}
+		n.sendToCluster(m)
 		if n.lostState || n.rbActive {
 			n.deferredAlert = append(n.deferredAlert, m)
 			return
@@ -548,7 +532,7 @@ func (n *Node) decideRollbackFromAlert(m RollbackAlert) {
 			// The garbage collector's safety rule makes this unreachable;
 			// fall back to the initial checkpoint, which depends on nothing.
 			n.env.Stat("invariant.rollback_target_missing", 1)
-			n.env.Trace(sim.TraceInfo, "NO rollback target for alert c%d sn=%d; using oldest", m.Cluster, m.NewSN)
+			n.emit(Event{Kind: EventNoRollbackTarget, Cluster: m.Cluster, Seq: m.NewSN})
 			idx = 0
 		}
 	}

@@ -5,7 +5,7 @@
 // rollback with recovery-line computation, and garbage collection.
 //
 // The protocol is written as a deterministic event-driven state machine
-// (Node). A harness supplies an Env (clock, transport, timers, tracing)
+// (Node). A harness supplies an Env (clock, transport, timers, statistics)
 // and AppHooks (application snapshot/restore/delivery); the discrete
 // event simulator (internal/federation) and the live goroutine runtime
 // (internal/runtime) drive the very same code.
@@ -208,8 +208,6 @@ type Env interface {
 	SendApp(dst topology.NodeID, size int, msg Msg)
 	// SetTimer (re)arms one of the node's timers; sim.Forever disarms.
 	SetTimer(k TimerKind, d sim.Duration)
-	// Trace emits a trace record attributed to this node.
-	Trace(level sim.TraceLevel, format string, args ...any)
 	// Stat adds delta to a named counter (per-run statistics).
 	Stat(name string, delta uint64)
 	// StatSeries records a named time-series point (e.g. stored CLCs).

@@ -587,8 +587,12 @@ func (e *nodeEnv) SetTimer(k core.TimerKind, d sim.Duration) {
 	t.Reset(d)
 }
 
-func (e *nodeEnv) Trace(level sim.TraceLevel, format string, args ...any) {
-	e.f.tracer.Emit(level, e.idStr, format, args...)
+// Event renders a protocol event as one trace line, formatting nothing
+// unless the tracer reports the event's level.
+func (e *nodeEnv) Event(ev core.Event) {
+	if l := ev.Level(); e.f.tracer.Enabled(l) {
+		e.f.tracer.Emit(l, e.idStr, "%s", ev.String())
+	}
 }
 
 func (e *nodeEnv) Stat(name string, delta uint64) {

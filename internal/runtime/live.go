@@ -229,7 +229,7 @@ func (e liveEnv) Send(dst topology.NodeID, size int, msg core.Msg) {
 		// message loss — that is what it is for — but losing one must
 		// be visible: count it, trace it, journal it.
 		e.n.fed.stats.add("live.send_dropped", 1)
-		e.Trace(sim.TraceInfo, "send to %v dropped: %v", dst, err)
+		e.tracef("send to %v dropped: %v", dst, err)
 		if j := e.n.fed.journal; j != nil {
 			j.Event(oracle.Event{Node: e.n.id.String(), Kind: "drop",
 				Dst: dst.String(), Msg: fmt.Sprintf("%T", msg)[5:]})
@@ -256,7 +256,17 @@ func (e liveEnv) SetTimer(k core.TimerKind, d sim.Duration) {
 	})
 }
 
-func (e liveEnv) Trace(level sim.TraceLevel, format string, args ...any) {
+// Event prints every protocol event, whatever its level, when the
+// federation has a trace writer.
+func (e liveEnv) Event(ev core.Event) {
+	if e.n.fed.trace != nil {
+		e.tracef("%s", ev.String())
+	}
+}
+
+// tracef prints one time-stamped line attributed to this node when the
+// federation has a trace writer.
+func (e liveEnv) tracef(format string, args ...any) {
 	f := e.n.fed
 	if f.trace == nil {
 		return
