@@ -1,6 +1,6 @@
 // Live TCP: the same protocol code that the simulator drives, running
 // for real — one goroutine per node, wall-clock checkpoint timers, and
-// gob-encoded messages over loopback TCP. A node crashes mid-run and
+// binary-encoded messages over loopback TCP. A node crashes mid-run and
 // the cluster recovers from neighbour replicas.
 //
 //	go run ./examples/live_tcp

@@ -26,8 +26,8 @@ type LiveConfig struct {
 	GCPeriod time.Duration
 	// Replicas is the stable-storage replication degree (default 1).
 	Replicas int
-	// UseTCP selects the loopback TCP+gob transport instead of
-	// in-process channels.
+	// UseTCP selects the loopback TCP transport (the runtime's binary
+	// envelope codec) instead of in-process channels.
 	UseTCP bool
 	// Trace, when non-nil, receives protocol trace output.
 	Trace io.Writer

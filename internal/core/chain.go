@@ -24,7 +24,8 @@ import (
 // drops (DropBelow folds the dropped records' pairs into it); a pair
 // slice is immutable once appended and may be shared between chains; a
 // chain that leaves its owner (in a message) is a snapshot. The fields
-// are exported because the live runtime ships chains with encoding/gob.
+// are exported because internal/oracle reads them and the live
+// runtime's wire codec encodes them.
 type Chain struct {
 	// Anchor is the dense vector of record 0.
 	Anchor DDV

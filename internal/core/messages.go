@@ -5,7 +5,8 @@ import (
 )
 
 // Msg is implemented by every protocol wire message. All fields are
-// exported so the live runtime can encode them with encoding/gob.
+// exported so the live runtime's wire codec (internal/runtime/wire.go)
+// can encode them; a new message type needs a tag and a case there.
 type Msg interface{ ProtocolMessage() }
 
 // ReclaimableMsg is implemented by pooled message boxes (e.g. the

@@ -13,7 +13,8 @@ import (
 )
 
 // AppState is the live application's checkpointable state. Exported
-// (and gob-encodable) because checkpoint replicas carry it over TCP.
+// because checkpoint replicas carry it over TCP; the wire codec
+// (wire.go) encodes it field by field.
 type AppState struct {
 	Sent      uint64
 	Delivered map[core.LogicalID]int
@@ -220,7 +221,7 @@ func (e liveEnv) Send(dst topology.NodeID, size int, msg core.Msg) {
 		case core.AppMsg, core.AppAck, core.LogMirror, core.LogTrim:
 		default:
 			j.Event(oracle.Event{Node: e.n.id.String(), Kind: "send",
-				Dst: dst.String(), Msg: fmt.Sprintf("%T", msg)[5:]}) // trim "core."
+				Dst: dst.String(), Msg: msgName(msg)})
 		}
 	}
 	if err := e.n.fed.transport.Send(Envelope{Src: e.n.id, Dst: dst, Msg: msg}); err != nil {
@@ -232,7 +233,7 @@ func (e liveEnv) Send(dst topology.NodeID, size int, msg core.Msg) {
 		e.tracef("send to %v dropped: %v", dst, err)
 		if j := e.n.fed.journal; j != nil {
 			j.Event(oracle.Event{Node: e.n.id.String(), Kind: "drop",
-				Dst: dst.String(), Msg: fmt.Sprintf("%T", msg)[5:]})
+				Dst: dst.String(), Msg: msgName(msg)})
 		}
 	}
 }

@@ -1,11 +1,11 @@
 // Package runtime executes the HC3I protocol live: one goroutine per
 // federation node, real wall-clock timers and a pluggable transport
-// (in-process channels or TCP with gob encoding). It drives exactly
-// the same core.Node state machine as the discrete event simulator —
-// none of the protocol logic is simulation-specific — and exists to
-// validate the protocol under genuine concurrency and a real network
-// stack ("We need to implement the protocol on a real system to
-// validate it", §7).
+// (in-process channels, or TCP with the envelope codec of wire.go). It
+// drives exactly the same core.Node state machine as the discrete
+// event simulator — none of the protocol logic is simulation-specific —
+// and exists to validate the protocol under genuine concurrency and a
+// real network stack ("We need to implement the protocol on a real
+// system to validate it", §7).
 //
 // A federation can span OS processes: every node runs in the process
 // that Registers it, the TCP transport carries traffic between
@@ -16,7 +16,7 @@
 package runtime
 
 import (
-	"encoding/gob"
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -63,34 +63,6 @@ type Transport interface {
 	SetDown(id topology.NodeID, down bool)
 	// Close releases transport resources.
 	Close() error
-}
-
-func init() {
-	// The TCP transport serializes core messages with encoding/gob.
-	gob.Register(core.AppMsg{})
-	gob.Register(core.AppAck{})
-	gob.Register(core.CLCRequest{})
-	gob.Register(core.CLCAck{})
-	gob.Register(core.CLCCommit{})
-	gob.Register(core.ForceCLC{})
-	gob.Register(core.Replica{})
-	gob.Register(core.ReplicaAck{})
-	gob.Register(core.RollbackAlert{})
-	gob.Register(core.RollbackCmd{})
-	gob.Register(core.RollbackAck{})
-	gob.Register(core.RollbackResume{})
-	gob.Register(core.RecoverStateReq{})
-	gob.Register(core.RecoverStateResp{})
-	gob.Register(core.ReReplicateReq{})
-	gob.Register(core.LogMirror{})
-	gob.Register(core.LogTrim{})
-	gob.Register(core.GCRequest{})
-	gob.Register(core.GCReport{})
-	gob.Register(core.GCCollect{})
-	gob.Register(core.GCDrop{})
-	gob.Register(core.GCToken{})
-	gob.Register(AppState{})
-	gob.Register(Hello{})
 }
 
 // ---- in-process channel transport ----
@@ -236,13 +208,13 @@ func (c *TCPConfig) fill() {
 	}
 }
 
-// TCPTransport delivers envelopes over TCP connections with gob
-// encoding: one listener per local node, one sender goroutine with a
-// bounded queue per (src, dst) pair (which gives pairwise FIFO per
-// connection epoch). Broken connections are evicted and redialed with
-// jittered exponential backoff under a per-send deadline; a peer that
-// stays unreachable is reported through OnSuspect instead of blocking
-// the protocol or failing silently.
+// TCPTransport delivers envelopes over TCP connections in the wire
+// format of wire.go: one listener per local node, one sender goroutine
+// with a bounded queue per (src, dst) pair (which gives pairwise FIFO
+// per connection epoch), one frame per conn.Write. Broken connections
+// are evicted and redialed with jittered exponential backoff under a
+// per-send deadline; a peer that stays unreachable is reported through
+// OnSuspect instead of blocking the protocol or failing silently.
 type TCPTransport struct {
 	cfg TCPConfig
 
@@ -374,9 +346,9 @@ func (t *TCPTransport) Register(id topology.NodeID, deliver func(Envelope)) erro
 }
 
 // acceptLoop accepts inbound connections for one local node. Each
-// connection gets its own decoder goroutine; a decode error (torn gob
-// frame, peer death) closes that connection only — the accept loop
-// keeps serving fresh connections.
+// connection gets its own reader goroutine; a wrong preamble or a read
+// or decode error (torn frame, hostile bytes, peer death) closes that
+// connection only — the accept loop keeps serving fresh connections.
 func (t *TCPTransport) acceptLoop(ln net.Listener, deliver func(Envelope)) {
 	defer t.wg.Done()
 	for {
@@ -396,11 +368,19 @@ func (t *TCPTransport) acceptLoop(ln net.Listener, deliver func(Envelope)) {
 		go func() {
 			defer t.wg.Done()
 			defer t.dropConn(conn)
-			dec := gob.NewDecoder(conn)
+			br := bufio.NewReader(conn)
+			if !readPreamble(br) {
+				return // not this wire format: this conn only
+			}
+			var body []byte
 			for {
-				var env Envelope
-				if err := dec.Decode(&env); err != nil {
+				var err error
+				if body, err = readFrame(br, body); err != nil {
 					return // torn frame or closed peer: this conn only
+				}
+				env, err := decodeEnvelope(body)
+				if err != nil {
+					return // hostile or corrupt frame: this conn only
 				}
 				t.mu.Lock()
 				drop := t.down[env.Src] || t.down[env.Dst]
@@ -432,14 +412,16 @@ type timedEnv struct {
 // goroutine draining a bounded queue through one connection, so FIFO
 // holds per connection epoch by construction. Connection state and the
 // outage clock are goroutine-local — no lock is held across Dial or
-// Encode.
+// Write.
 type peerSender struct {
 	t        *TCPTransport
 	src, dst topology.NodeID
 	ch       chan timedEnv
 
-	conn      net.Conn
-	enc       *gob.Encoder
+	conn  net.Conn
+	fresh bool   // conn has not carried its preamble yet
+	buf   []byte // reused encoding buffer: preamble, then one frame
+
 	rng       uint64
 	downSince time.Time
 	suspected bool
@@ -514,6 +496,16 @@ func (ps *peerSender) deliver(te timedEnv) bool {
 		ps.t.stat("transport.dropped", 1)
 		return true
 	}
+	// The frame is encoded once, behind room for the preamble a fresh
+	// connection needs, and written whole per attempt.
+	frame, err := appendFrame(append(ps.buf[:0], wirePreamble[:]...), te.env)
+	ps.buf = frame
+	if err != nil {
+		// No connection will ever carry it: drop it now.
+		ps.t.stat("transport.send_errors", 1)
+		ps.t.stat("transport.dropped", 1)
+		return true
+	}
 	backoff := ps.t.cfg.BackoffMin
 	for {
 		ps.t.mu.Lock()
@@ -542,13 +534,16 @@ func (ps *peerSender) deliver(te timedEnv) bool {
 			ps.t.conns[conn] = struct{}{}
 			ps.t.mu.Unlock()
 			ps.conn = conn
-			ps.enc = gob.NewEncoder(conn)
+			ps.fresh = true
+		}
+		out := frame
+		if !ps.fresh {
+			out = frame[len(wirePreamble):]
 		}
 		ps.conn.SetWriteDeadline(deadline)
-		if err := ps.enc.Encode(te.env); err != nil {
-			// A dead encoder is useless forever (gob streams are
-			// stateful): evict the connection so the next attempt
-			// redials instead of re-failing on the cached carcass.
+		if _, err := ps.conn.Write(out); err != nil {
+			// A failed write may have torn the frame: evict the
+			// connection so the next attempt redials and resends whole.
 			ps.evict(true)
 			ps.t.stat("transport.send_errors", 1)
 			ps.noteFailure(te.at)
@@ -563,6 +558,7 @@ func (ps *peerSender) deliver(te timedEnv) bool {
 			continue
 		}
 		ps.conn.SetWriteDeadline(time.Time{})
+		ps.fresh = false
 		ps.noteSuccess()
 		return true
 	}
@@ -576,7 +572,6 @@ func (ps *peerSender) evict(count bool) {
 	}
 	ps.t.dropConn(ps.conn)
 	ps.conn = nil
-	ps.enc = nil
 	if count {
 		ps.t.stat("transport.evictions", 1)
 	}

@@ -1,7 +1,11 @@
 package runtime
 
 import (
+	"encoding/binary"
+	"io"
 	"net"
+	"os"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -117,9 +121,10 @@ func TestTCPTransportPeerRestart(t *testing.T) {
 	}
 }
 
-// TestTCPTransportTornFrame proves a garbage byte stream on the wire
-// kills only its own connection: the decoder goroutine exits, the
-// accept loop keeps serving, and real traffic still flows.
+// TestTCPTransportTornFrame proves hostile bytes on the wire kill only
+// their own connection: the reader goroutine exits without allocating
+// what a frame merely claims, the accept loop keeps serving, and real
+// traffic still flows after each attack.
 func TestTCPTransportTornFrame(t *testing.T) {
 	tr := NewTCPTransport()
 	defer tr.Close()
@@ -133,27 +138,52 @@ func TestTCPTransportTornFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A rogue connection writes a torn/garbage frame and vanishes.
-	conn, err := net.Dial("tcp", tr.Addr(bN()))
-	if err != nil {
-		t.Fatal(err)
+	preamble := wirePreamble[:]
+	// A well-formed CLCCommit frame whose DDV claims 2^40 entries.
+	hugeDDV := binary.AppendUvarint([]byte{0, 0, 0, 1, tagCLCCommit, 1, 1}, 1<<40)
+	attacks := map[string][]byte{
+		"garbage":              []byte("this is not a wire stream\xff\x00\x01"),
+		"2^40 DDV entries":     append(binary.AppendUvarint(append([]byte(nil), preamble...), uint64(len(hugeDDV))), hugeDDV...),
+		"2^40-byte frame":      binary.AppendUvarint(append([]byte(nil), preamble...), 1<<40),
+		"60 MiB claim, 3 sent": append(binary.AppendUvarint(append([]byte(nil), preamble...), 60<<20), 1, 2, 3),
 	}
-	if _, err := conn.Write([]byte("this is not a gob stream\xff\x00\x01")); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	next := uint64(0)
+	for name, attack := range attacks {
+		// A rogue connection writes its bytes and half-closes; the
+		// listener's reply is to close, which ends the read below.
+		conn, err := net.Dial("tcp", tr.Addr(bN()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(attack); err != nil {
+			t.Fatal(err)
+		}
+		conn.(*net.TCPConn).CloseWrite()
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.Copy(io.Discard, conn); os.IsTimeout(err) {
+			t.Fatalf("%s: the listener kept the connection open", name)
+		}
+		conn.Close()
 
-	// The listener must still accept and decode fresh connections.
-	if err := tr.Send(Envelope{Src: a(), Dst: bN(), Msg: core.AppAck{MsgID: 7}}); err != nil {
-		t.Fatal(err)
+		// The listener must still accept and decode fresh connections.
+		next++
+		if err := tr.Send(Envelope{Src: a(), Dst: bN(), Msg: core.AppAck{MsgID: next}}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(got) == int(next)
+		})
+		if m := got[next-1].Msg.(core.AppAck); m.MsgID != next {
+			t.Fatalf("%s: wrong message after the attack: %+v", name, m)
+		}
 	}
-	waitFor(t, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == 1
-	})
-	if got[0].Msg.(core.AppAck).MsgID != 7 {
-		t.Fatalf("wrong message after torn frame: %+v", got[0].Msg)
+	goruntime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("hostile frames cost %d bytes of allocation", grew)
 	}
 }
 

@@ -153,8 +153,8 @@ func TestTransportCloseIdempotent(t *testing.T) {
 }
 
 func TestTCPTransportCarriesStates(t *testing.T) {
-	// Checkpoint replicas carry opaque application state through gob;
-	// AppState must round-trip intact.
+	// Checkpoint replicas carry opaque application state through the
+	// wire codec; AppState must round-trip intact.
 	tr := NewTCPTransport()
 	defer tr.Close()
 	got := collect(tr, bN())

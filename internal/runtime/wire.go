@@ -1,0 +1,765 @@
+package runtime
+
+import (
+	"bufio"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"slices"
+
+	"repro/internal/core"
+	"repro/internal/topology"
+)
+
+// The TCP transport's wire format. Every dialled connection opens with
+// wirePreamble (a 4-byte magic and a version byte); a listener drops a
+// connection that opens with anything else, so a peer speaking another
+// format is refused rather than misread. Then each envelope is one
+// frame: its body length as a uvarint (at most maxFrame), then the body
+// — Src and Dst as (cluster, index) uvarints, one tag byte naming the
+// message type, and the message's fields in declaration order:
+//
+//   - SN, Epoch, uint64 and NodeID parts: uvarint;
+//   - signed integers (int, int32, ClusterID): zigzag varint;
+//   - bool: one byte, 0 or 1;
+//   - slices ([]SN, DDV, []DDVPair, []uint64, []OlderState, []LogMirror,
+//     []GCReport): an element count, then the elements;
+//   - Chain: its anchor, then its records;
+//   - state (Replica.State, RecoverStateResp.State, OlderState.State):
+//     one kind byte (nil or AppState), then AppState's Sent and its
+//     delivery map as a count plus (LogicalID, n) entries;
+//   - AppPayload: its ID and Size; Data must be nil.
+//
+// The codec is stateless: a frame decodes on its own, whatever came
+// before it on the connection. Decoding never trusts a count: a count
+// larger than the rest of the body could hold is an error before
+// anything is allocated, and an unknown tag, an out-of-range value or
+// trailing bytes are errors too. An empty slice or map decodes as nil.
+// Decoded messages never alias the frame they were read from.
+const (
+	wireVersion = 1
+	// maxFrame caps one frame's body.
+	maxFrame = 64 << 20
+)
+
+var wirePreamble = [5]byte{'H', 'C', '3', 'I', wireVersion}
+
+// Message tags, one per wire type.
+const (
+	tagAppMsg byte = iota + 1
+	tagAppAck
+	tagCLCRequest
+	tagCLCAck
+	tagCLCCommit
+	tagForceCLC
+	tagReplica
+	tagReplicaAck
+	tagRollbackAlert
+	tagRollbackCmd
+	tagRollbackAck
+	tagRecoverStateReq
+	tagRecoverStateResp
+	tagLogMirror
+	tagLogTrim
+	tagReReplicateReq
+	tagRollbackResume
+	tagGCRequest
+	tagGCReport
+	tagGCCollect
+	tagGCDrop
+	tagGCDemand
+	tagGCToken
+	tagHello
+	numTags
+)
+
+// msgNames names every tag's message type as the journal spells it.
+var msgNames = [numTags]string{
+	tagAppMsg: "AppMsg", tagAppAck: "AppAck", tagCLCRequest: "CLCRequest",
+	tagCLCAck: "CLCAck", tagCLCCommit: "CLCCommit", tagForceCLC: "ForceCLC",
+	tagReplica: "Replica", tagReplicaAck: "ReplicaAck",
+	tagRollbackAlert: "RollbackAlert", tagRollbackCmd: "RollbackCmd",
+	tagRollbackAck: "RollbackAck", tagRecoverStateReq: "RecoverStateReq",
+	tagRecoverStateResp: "RecoverStateResp", tagLogMirror: "LogMirror",
+	tagLogTrim: "LogTrim", tagReReplicateReq: "ReReplicateReq",
+	tagRollbackResume: "RollbackResume", tagGCRequest: "GCRequest",
+	tagGCReport: "GCReport", tagGCCollect: "GCCollect", tagGCDrop: "GCDrop",
+	tagGCDemand: "GCDemand", tagGCToken: "GCToken", tagHello: "Hello",
+}
+
+// msgTag returns the wire tag of a message, 0 for a type the codec
+// does not carry.
+func msgTag(m core.Msg) byte {
+	switch m.(type) {
+	case core.AppMsg:
+		return tagAppMsg
+	case core.AppAck:
+		return tagAppAck
+	case core.CLCRequest:
+		return tagCLCRequest
+	case core.CLCAck:
+		return tagCLCAck
+	case core.CLCCommit:
+		return tagCLCCommit
+	case core.ForceCLC:
+		return tagForceCLC
+	case core.Replica:
+		return tagReplica
+	case core.ReplicaAck:
+		return tagReplicaAck
+	case core.RollbackAlert:
+		return tagRollbackAlert
+	case core.RollbackCmd:
+		return tagRollbackCmd
+	case core.RollbackAck:
+		return tagRollbackAck
+	case core.RecoverStateReq:
+		return tagRecoverStateReq
+	case core.RecoverStateResp:
+		return tagRecoverStateResp
+	case core.LogMirror:
+		return tagLogMirror
+	case core.LogTrim:
+		return tagLogTrim
+	case core.ReReplicateReq:
+		return tagReReplicateReq
+	case core.RollbackResume:
+		return tagRollbackResume
+	case core.GCRequest:
+		return tagGCRequest
+	case core.GCReport:
+		return tagGCReport
+	case core.GCCollect:
+		return tagGCCollect
+	case core.GCDrop:
+		return tagGCDrop
+	case core.GCDemand:
+		return tagGCDemand
+	case core.GCToken:
+		return tagGCToken
+	case Hello:
+		return tagHello
+	}
+	return 0
+}
+
+// msgName names a message's type ("CLCRequest", ...) for the journal;
+// empty for a type the codec does not carry.
+func msgName(m core.Msg) string { return msgNames[msgTag(m)] }
+
+// State kinds.
+const (
+	stateNil byte = iota
+	stateApp
+)
+
+var (
+	errTruncated = errors.New("runtime: truncated envelope")
+	errCount     = errors.New("runtime: envelope count exceeds its body")
+	errTag       = errors.New("runtime: unknown envelope tag")
+	errRange     = errors.New("runtime: envelope value out of range")
+	errTrailing  = errors.New("runtime: trailing bytes after envelope")
+	errFrameSize = errors.New("runtime: frame exceeds the size cap")
+)
+
+// ---- encoding ----
+
+// appendEnvelope appends env's frame body to b. An envelope the codec
+// cannot carry (an unknown message or state type, non-nil payload Data)
+// is an error, and b comes back as it was.
+func appendEnvelope(b []byte, env Envelope) ([]byte, error) {
+	w := encoder{b: b}
+	w.node(env.Src)
+	w.node(env.Dst)
+	tag := msgTag(env.Msg)
+	w.b = append(w.b, tag)
+	switch tag {
+	case tagAppMsg:
+		m := env.Msg.(core.AppMsg)
+		w.uint(m.MsgID)
+		w.payload(m.Payload)
+		w.int(int64(m.SrcCluster))
+		w.uint(uint64(m.SrcEpoch))
+		w.uint(uint64(m.SendSN))
+		w.sns(m.PiggyDDV)
+		w.pairs(m.PiggyPairs)
+		w.int(int64(m.PiggyWidth))
+		w.bool(m.Resend)
+		w.uint(uint64(m.DstEpoch))
+	case tagAppAck:
+		m := env.Msg.(core.AppAck)
+		w.uint(m.MsgID)
+		w.int(int64(m.SrcCluster))
+		w.uint(uint64(m.SrcEpoch))
+		w.uint(uint64(m.ReceiverSN))
+	case tagCLCRequest:
+		m := env.Msg.(core.CLCRequest)
+		w.uint(uint64(m.Seq))
+		w.uint(uint64(m.Epoch))
+		w.bool(m.Forced)
+		w.sns(m.DDVUpdate)
+		w.pairs(m.UpdatePairs)
+		w.int(int64(m.UpdateWidth))
+	case tagCLCAck:
+		m := env.Msg.(core.CLCAck)
+		w.uint(uint64(m.Seq))
+		w.uint(uint64(m.Epoch))
+		w.sns(m.NodeDDV)
+		w.pairs(m.NodePairs)
+	case tagCLCCommit:
+		m := env.Msg.(core.CLCCommit)
+		w.uint(uint64(m.Seq))
+		w.uint(uint64(m.Epoch))
+		w.sns(m.DDV)
+		w.pairs(m.Pairs)
+		w.int(int64(m.Width))
+	case tagForceCLC:
+		m := env.Msg.(core.ForceCLC)
+		w.uint(uint64(m.Epoch))
+		w.sns(m.NewDDV)
+		w.pairs(m.Pairs)
+		w.int(int64(m.Width))
+		w.bool(m.Always)
+	case tagReplica:
+		m := env.Msg.(core.Replica)
+		w.uint(uint64(m.Seq))
+		w.uint(uint64(m.Epoch))
+		w.node(m.Owner)
+		w.state(m.State)
+		w.int(int64(m.Size))
+	case tagReplicaAck:
+		m := env.Msg.(core.ReplicaAck)
+		w.uint(uint64(m.Seq))
+		w.uint(uint64(m.Epoch))
+		w.node(m.From)
+	case tagRollbackAlert:
+		m := env.Msg.(core.RollbackAlert)
+		w.int(int64(m.Cluster))
+		w.uint(uint64(m.NewSN))
+		w.uint(uint64(m.NewEpoch))
+	case tagRollbackCmd:
+		m := env.Msg.(core.RollbackCmd)
+		w.uint(uint64(m.ToSN))
+		w.uint(uint64(m.NewEpoch))
+	case tagRollbackAck:
+		m := env.Msg.(core.RollbackAck)
+		w.uint(uint64(m.ToSN))
+		w.uint(uint64(m.Epoch))
+		w.node(m.From)
+	case tagRecoverStateReq:
+		m := env.Msg.(core.RecoverStateReq)
+		w.uint(uint64(m.Seq))
+		w.uint(uint64(m.Epoch))
+		w.node(m.Owner)
+	case tagRecoverStateResp:
+		m := env.Msg.(core.RecoverStateResp)
+		w.uint(uint64(m.Seq))
+		w.uint(uint64(m.Epoch))
+		w.node(m.Owner)
+		w.state(m.State)
+		w.int(int64(m.Size))
+		w.chain(m.Chain)
+		w.uint(uint64(len(m.Older)))
+		for _, o := range m.Older {
+			w.uint(uint64(o.SN))
+			w.state(o.State)
+			w.int(int64(o.Size))
+		}
+		w.uint(uint64(len(m.Log)))
+		for _, l := range m.Log {
+			w.logMirror(l)
+		}
+	case tagLogMirror:
+		w.logMirror(env.Msg.(core.LogMirror))
+	case tagLogTrim:
+		m := env.Msg.(core.LogTrim)
+		w.uint(uint64(len(m.Kept)))
+		for _, k := range m.Kept {
+			w.uint(k)
+		}
+	case tagReReplicateReq:
+		w.uint(uint64(env.Msg.(core.ReReplicateReq).Epoch))
+	case tagRollbackResume:
+		w.uint(uint64(env.Msg.(core.RollbackResume).Epoch))
+	case tagGCRequest:
+		w.uint(env.Msg.(core.GCRequest).Round)
+	case tagGCReport:
+		w.gcReport(env.Msg.(core.GCReport))
+	case tagGCCollect:
+		m := env.Msg.(core.GCCollect)
+		w.uint(m.Round)
+		w.sns(m.MinSNs)
+	case tagGCDrop:
+		m := env.Msg.(core.GCDrop)
+		w.uint(m.Round)
+		w.uint(uint64(m.Epoch))
+		w.sns(m.MinSNs)
+	case tagGCDemand:
+		m := env.Msg.(core.GCDemand)
+		w.node(m.From)
+		w.uint(m.Bytes)
+	case tagGCToken:
+		m := env.Msg.(core.GCToken)
+		w.uint(m.Round)
+		w.int(int64(m.Phase))
+		w.uint(uint64(len(m.Reports)))
+		for _, r := range m.Reports {
+			w.gcReport(r)
+		}
+		w.sns(m.MinSNs)
+	case tagHello:
+		m := env.Msg.(Hello)
+		w.node(m.From)
+		w.bool(m.LostState)
+	default:
+		w.err = fmt.Errorf("runtime: no wire encoding for %T", env.Msg)
+	}
+	if w.err != nil {
+		return b, w.err
+	}
+	return w.b, nil
+}
+
+// appendFrame appends env to b as one frame: the body length as a
+// uvarint, then the body. An envelope the codec cannot carry, or one
+// over maxFrame, is an error, and b comes back as it was.
+func appendFrame(b []byte, env Envelope) ([]byte, error) {
+	// The body is encoded behind room for the longest length prefix a
+	// capped frame needs, then slid down to close the gap.
+	const room = 4 // uvarint bytes of maxFrame
+	start := len(b)
+	out, err := appendEnvelope(append(b, make([]byte, room)...), env)
+	if err != nil {
+		return b, err
+	}
+	n := len(out) - start - room
+	if n > maxFrame {
+		return b, errFrameSize
+	}
+	head := binary.AppendUvarint(out[:start], uint64(n))
+	return append(head, out[start+room:]...), nil
+}
+
+// encoder appends wire fields to b; the first failure sticks in err.
+type encoder struct {
+	b   []byte
+	err error
+}
+
+func (w *encoder) uint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
+func (w *encoder) int(v int64)   { w.b = binary.AppendVarint(w.b, v) }
+
+func (w *encoder) bool(v bool) {
+	var c byte
+	if v {
+		c = 1
+	}
+	w.b = append(w.b, c)
+}
+
+func (w *encoder) node(id topology.NodeID) {
+	w.uint(uint64(id.Cluster))
+	w.uint(uint64(id.Index))
+}
+
+func (w *encoder) sns(s []core.SN) {
+	w.uint(uint64(len(s)))
+	for _, v := range s {
+		w.uint(uint64(v))
+	}
+}
+
+func (w *encoder) pairs(ps []core.DDVPair) {
+	w.uint(uint64(len(ps)))
+	for _, p := range ps {
+		w.int(int64(p.Idx))
+		w.uint(uint64(p.SN))
+	}
+}
+
+func (w *encoder) chain(c core.Chain) {
+	w.sns(c.Anchor)
+	w.uint(uint64(len(c.Recs)))
+	for _, r := range c.Recs {
+		w.uint(uint64(r.SN))
+		w.pairs(r.Pairs)
+	}
+}
+
+func (w *encoder) payload(p core.AppPayload) {
+	if p.Data != nil && w.err == nil {
+		w.err = fmt.Errorf("runtime: no wire encoding for payload data %T", p.Data)
+	}
+	w.node(p.ID.Src)
+	w.uint(p.ID.Seq)
+	w.int(int64(p.Size))
+}
+
+func (w *encoder) state(s any) {
+	switch s := s.(type) {
+	case nil:
+		w.b = append(w.b, stateNil)
+	case AppState:
+		w.b = append(w.b, stateApp)
+		w.uint(s.Sent)
+		w.uint(uint64(len(s.Delivered)))
+		for id, n := range s.Delivered {
+			w.node(id.Src)
+			w.uint(id.Seq)
+			w.int(int64(n))
+		}
+	default:
+		if w.err == nil {
+			w.err = fmt.Errorf("runtime: no wire encoding for state %T", s)
+		}
+	}
+}
+
+func (w *encoder) logMirror(l core.LogMirror) {
+	w.node(l.Owner)
+	w.uint(l.MsgID)
+	w.node(l.Dst)
+	w.payload(l.Payload)
+	w.uint(uint64(l.PiggySN))
+	w.sns(l.PiggyDDV)
+	w.uint(uint64(l.SendSN))
+}
+
+func (w *encoder) gcReport(r core.GCReport) {
+	w.uint(r.Round)
+	w.int(int64(r.Cluster))
+	w.uint(uint64(r.Epoch))
+	w.chain(r.Chain)
+	w.pairs(r.CurPairs)
+}
+
+// ---- decoding ----
+
+// Minimum wire bytes of one element, per counted kind: a count is
+// refused when the rest of the body could not hold that many.
+const (
+	minSN         = 1
+	minPair       = 2  // Idx, SN
+	minChainRec   = 2  // SN, pair count
+	minOlder      = 3  // SN, state kind, Size
+	minLogMirror  = 12 // two nodes, MsgID, payload (node, Seq, Size), PiggySN, DDV count, SendSN
+	minGCReport   = 6  // Round, Cluster, Epoch, anchor count, record count, pair count
+	minStateEntry = 4  // LogicalID (node, Seq), n
+)
+
+// decodeEnvelope decodes one frame body. Everything the result holds
+// is freshly allocated: body may be reused as soon as it returns.
+func decodeEnvelope(body []byte) (Envelope, error) {
+	r := decoder{b: body}
+	env := Envelope{Src: r.node(), Dst: r.node()}
+	env.Msg = r.msg(r.byte())
+	if r.err == nil && len(r.b) != 0 {
+		r.err = errTrailing
+	}
+	if r.err != nil {
+		return Envelope{}, r.err
+	}
+	return env, nil
+}
+
+// decoder consumes wire fields from b; the first failure sticks in err
+// and every later read returns a zero value.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (r *decoder) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.b = nil
+}
+
+func (r *decoder) byte() byte {
+	if len(r.b) == 0 {
+		r.fail(errTruncated)
+		return 0
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c
+}
+
+func (r *decoder) uint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail(errTruncated)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *decoder) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail(errTruncated)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// int reads a zigzag varint into a Go int.
+func (r *decoder) int() int {
+	v := r.varint()
+	if int64(int(v)) != v {
+		r.fail(errRange)
+		return 0
+	}
+	return int(v)
+}
+
+func (r *decoder) int32() int32 {
+	v := r.varint()
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		r.fail(errRange)
+		return 0
+	}
+	return int32(v)
+}
+
+func (r *decoder) bool() bool {
+	switch r.byte() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	r.fail(errRange)
+	return false
+}
+
+// count reads an element count and refuses one the rest of the body
+// cannot hold at size bytes per element.
+func (r *decoder) count(size int) int {
+	n := r.uint()
+	if n > uint64(len(r.b)/size) {
+		r.fail(errCount)
+		return 0
+	}
+	return int(n)
+}
+
+func (r *decoder) uintAsInt() int {
+	v := r.uint()
+	if uint64(int(v)) != v {
+		r.fail(errRange)
+		return 0
+	}
+	return int(v)
+}
+
+func (r *decoder) node() topology.NodeID {
+	return topology.NodeID{Cluster: topology.ClusterID(r.uintAsInt()), Index: r.uintAsInt()}
+}
+
+func (r *decoder) cluster() topology.ClusterID { return topology.ClusterID(r.int()) }
+func (r *decoder) sn() core.SN                 { return core.SN(r.uint()) }
+func (r *decoder) epoch() core.Epoch           { return core.Epoch(r.uint()) }
+
+func (r *decoder) sns() []core.SN {
+	n := r.count(minSN)
+	if n == 0 {
+		return nil
+	}
+	s := make([]core.SN, n)
+	for i := range s {
+		s[i] = r.sn()
+	}
+	return s
+}
+
+func (r *decoder) pairs() []core.DDVPair {
+	n := r.count(minPair)
+	if n == 0 {
+		return nil
+	}
+	ps := make([]core.DDVPair, n)
+	for i := range ps {
+		ps[i] = core.DDVPair{Idx: r.int32(), SN: r.sn()}
+	}
+	return ps
+}
+
+func (r *decoder) u64s() []uint64 {
+	n := r.count(minSN)
+	if n == 0 {
+		return nil
+	}
+	s := make([]uint64, n)
+	for i := range s {
+		s[i] = r.uint()
+	}
+	return s
+}
+
+func (r *decoder) chain() core.Chain {
+	c := core.Chain{Anchor: r.sns()}
+	if n := r.count(minChainRec); n > 0 {
+		c.Recs = make([]core.ChainRec, n)
+		for i := range c.Recs {
+			c.Recs[i] = core.ChainRec{SN: r.sn(), Pairs: r.pairs()}
+		}
+	}
+	return c
+}
+
+func (r *decoder) payload() core.AppPayload {
+	return core.AppPayload{ID: core.LogicalID{Src: r.node(), Seq: r.uint()}, Size: r.int()}
+}
+
+func (r *decoder) state() any {
+	switch r.byte() {
+	case stateNil:
+		return nil
+	case stateApp:
+		s := AppState{Sent: r.uint()}
+		if n := r.count(minStateEntry); n > 0 {
+			s.Delivered = make(map[core.LogicalID]int, n)
+			for i := 0; i < n && r.err == nil; i++ {
+				id := core.LogicalID{Src: r.node(), Seq: r.uint()}
+				s.Delivered[id] = r.int()
+			}
+		}
+		return s
+	}
+	r.fail(errTag)
+	return nil
+}
+
+func (r *decoder) logMirror() core.LogMirror {
+	return core.LogMirror{Owner: r.node(), MsgID: r.uint(), Dst: r.node(), Payload: r.payload(),
+		PiggySN: r.sn(), PiggyDDV: r.sns(), SendSN: r.sn()}
+}
+
+func (r *decoder) gcReport() core.GCReport {
+	return core.GCReport{Round: r.uint(), Cluster: r.cluster(), Epoch: r.epoch(),
+		Chain: r.chain(), CurPairs: r.pairs()}
+}
+
+// msg decodes the message a tag announces. Function calls in a
+// composite literal run left to right, so every literal below reads its
+// fields in wire order.
+func (r *decoder) msg(tag byte) core.Msg {
+	switch tag {
+	case tagAppMsg:
+		return core.AppMsg{MsgID: r.uint(), Payload: r.payload(), SrcCluster: r.cluster(),
+			SrcEpoch: r.epoch(), SendSN: r.sn(), PiggyDDV: r.sns(), PiggyPairs: r.pairs(),
+			PiggyWidth: r.int32(), Resend: r.bool(), DstEpoch: r.epoch()}
+	case tagAppAck:
+		return core.AppAck{MsgID: r.uint(), SrcCluster: r.cluster(), SrcEpoch: r.epoch(), ReceiverSN: r.sn()}
+	case tagCLCRequest:
+		return core.CLCRequest{Seq: r.sn(), Epoch: r.epoch(), Forced: r.bool(),
+			DDVUpdate: r.sns(), UpdatePairs: r.pairs(), UpdateWidth: r.int()}
+	case tagCLCAck:
+		return core.CLCAck{Seq: r.sn(), Epoch: r.epoch(), NodeDDV: r.sns(), NodePairs: r.pairs()}
+	case tagCLCCommit:
+		return core.CLCCommit{Seq: r.sn(), Epoch: r.epoch(), DDV: r.sns(), Pairs: r.pairs(), Width: r.int()}
+	case tagForceCLC:
+		return core.ForceCLC{Epoch: r.epoch(), NewDDV: r.sns(), Pairs: r.pairs(), Width: r.int(), Always: r.bool()}
+	case tagReplica:
+		return core.Replica{Seq: r.sn(), Epoch: r.epoch(), Owner: r.node(), State: r.state(), Size: r.int()}
+	case tagReplicaAck:
+		return core.ReplicaAck{Seq: r.sn(), Epoch: r.epoch(), From: r.node()}
+	case tagRollbackAlert:
+		return core.RollbackAlert{Cluster: r.cluster(), NewSN: r.sn(), NewEpoch: r.epoch()}
+	case tagRollbackCmd:
+		return core.RollbackCmd{ToSN: r.sn(), NewEpoch: r.epoch()}
+	case tagRollbackAck:
+		return core.RollbackAck{ToSN: r.sn(), Epoch: r.epoch(), From: r.node()}
+	case tagRecoverStateReq:
+		return core.RecoverStateReq{Seq: r.sn(), Epoch: r.epoch(), Owner: r.node()}
+	case tagRecoverStateResp:
+		m := core.RecoverStateResp{Seq: r.sn(), Epoch: r.epoch(), Owner: r.node(),
+			State: r.state(), Size: r.int(), Chain: r.chain()}
+		if n := r.count(minOlder); n > 0 {
+			m.Older = make([]core.OlderState, n)
+			for i := range m.Older {
+				m.Older[i] = core.OlderState{SN: r.sn(), State: r.state(), Size: r.int()}
+			}
+		}
+		if n := r.count(minLogMirror); n > 0 {
+			m.Log = make([]core.LogMirror, n)
+			for i := range m.Log {
+				m.Log[i] = r.logMirror()
+			}
+		}
+		return m
+	case tagLogMirror:
+		return r.logMirror()
+	case tagLogTrim:
+		return core.LogTrim{Kept: r.u64s()}
+	case tagReReplicateReq:
+		return core.ReReplicateReq{Epoch: r.epoch()}
+	case tagRollbackResume:
+		return core.RollbackResume{Epoch: r.epoch()}
+	case tagGCRequest:
+		return core.GCRequest{Round: r.uint()}
+	case tagGCReport:
+		return r.gcReport()
+	case tagGCCollect:
+		return core.GCCollect{Round: r.uint(), MinSNs: r.sns()}
+	case tagGCDrop:
+		return core.GCDrop{Round: r.uint(), Epoch: r.epoch(), MinSNs: r.sns()}
+	case tagGCDemand:
+		return core.GCDemand{From: r.node(), Bytes: r.uint()}
+	case tagGCToken:
+		m := core.GCToken{Round: r.uint(), Phase: r.int()}
+		if n := r.count(minGCReport); n > 0 {
+			m.Reports = make([]core.GCReport, n)
+			for i := range m.Reports {
+				m.Reports[i] = r.gcReport()
+			}
+		}
+		m.MinSNs = r.sns()
+		return m
+	case tagHello:
+		return Hello{From: r.node(), LostState: r.bool()}
+	}
+	r.fail(errTag)
+	return nil
+}
+
+// readPreamble consumes a connection's opening bytes and reports
+// whether they are this codec's preamble.
+func readPreamble(br *bufio.Reader) bool {
+	var got [len(wirePreamble)]byte
+	_, err := io.ReadFull(br, got[:])
+	return err == nil && got == wirePreamble
+}
+
+// readFrame reads one frame's body into buf (reused across frames) and
+// returns it. The buffer grows with the bytes that actually arrive, not
+// with what the length prefix claims, so a hostile prefix costs at most
+// twice what its sender really wrote.
+func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return buf, err
+	}
+	if n > maxFrame {
+		return buf, errFrameSize
+	}
+	buf = buf[:0]
+	for len(buf) < int(n) {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, max(len(buf), 4096))
+		}
+		end := min(cap(buf), int(n))
+		got, err := io.ReadFull(br, buf[len(buf):end])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
