@@ -162,13 +162,33 @@
 //     copies no width-sized vector on any node.
 //   - Wire messages travel in pooled boxes: the harness implements
 //     core.BoxPool (AppMsg/AppAck) and reclaims boxes right after the
-//     destination's OnMessage returns; the baseline protocols pool
-//     their wire envelopes the same way through core.ReclaimableMsg.
-//     BenchmarkNodeOnMessage runs at 0 allocs/op end to end.
-//   - A cluster broadcast (CLCRequest, Replica, CLCCommit, GCDrop and
-//     the rollback messages) boxes its message into core.Msg once and
-//     hands every peer the same interface value; its slices were
-//     shared by every per-peer copy anyway.
+//     destination's OnMessage returns. BenchmarkNodeOnMessage runs at
+//     0 allocs/op end to end.
+//   - The checkpoint round's control messages (CLCRequest, CLCAck,
+//     CLCCommit, ForceCLC, Replica, ReplicaAck, LogMirror) travel in
+//     core.Box[T], as the baseline protocols' wire envelopes do
+//     (core.Box[wire]). Ownership rules: a box is the sender's — it
+//     comes from the sending node's free list (core.Boxes[T]) and goes
+//     back there, because message types flow one way; the harness
+//     calls ReclaimMsgBox once, after the destination's OnMessage
+//     returns, and the receiver copies the value, never the box; one
+//     box per delivery, so a broadcast or a Replica to several holders
+//     takes a box per destination, its size computed once from the
+//     value. Boxing is opt-in (core.BoxReclaimer, the harness's promise
+//     to reclaim): the simulator opts in, the live runtime sends plain
+//     values, so its wire codec and journal see exactly the value
+//     types. Chaos duplicates only copies, never a box. A broadcast of
+//     a type that is not boxed (GCDrop, the rollback messages) boxes
+//     its value into core.Msg once and hands every peer that interface
+//     value.
+//   - One checkpoint round allocates nothing per node in steady state
+//     (TestCLCRoundAllocsPerPeer): the provisional record is a value,
+//     NodeApp cuts its snapshots (*app.State, immutable once cut) and
+//     the log its entries from chunked core.Slab arenas, the replica
+//     store is one SN-ordered slice per owner (commits append, GC cuts
+//     a prefix, a rollback a suffix, lookups binary-search), and the
+//     frozen-send, deferred and held queues keep their backing arrays
+//     across rounds.
 //   - Trace points build nothing nobody reads. Each of the protocol's
 //     trace points emits a core.Event — a value struct (kind, SN,
 //     epoch, forced, pairs, DDV, message, peer, ...) with a fixed

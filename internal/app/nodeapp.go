@@ -22,9 +22,10 @@ type sendEvent struct {
 // is priced separately through Workload.StateSize. Delivery state is
 // captured as a position in the node's append-only delivery journal —
 // snapshotting is O(1) instead of copying the whole delivered map per
-// checkpoint (which dominated the simulator's CPU profile), and the
-// snapshot value is immutable, so replicas shipped to neighbours share
-// nothing mutable.
+// checkpoint (which dominated the simulator's CPU profile). Snapshot
+// hands out a *State cut from the application's slab; a snapshot is
+// immutable once cut, so replicas shipped to neighbours share nothing
+// mutable.
 type State struct {
 	NextSend int
 	AppClock sim.Duration
@@ -59,6 +60,9 @@ type NodeApp struct {
 	// the tail (decrementing the counts it added).
 	journal []core.LogicalID
 	epoch   uint64
+	// states backs the snapshots: one chunk per many checkpoints instead
+	// of one State boxed into an interface per checkpoint.
+	states core.Slab[State]
 
 	// Stable-delivery tracking (open-loop workloads only): stableAt is
 	// parallel to journal and holds, for every entry below stableMark,
@@ -321,18 +325,20 @@ func (a *NodeApp) Snapshot() (any, int) {
 	if a.Now != nil {
 		clock = a.AppClock(a.Now())
 	}
-	return State{
+	s := a.states.New()
+	*s = State{
 		NextSend: a.next,
 		AppClock: clock,
 		Journal:  len(a.journal),
 		Epoch:    a.epoch,
-	}, a.wl.StateSize
+	}
+	return s, a.wl.StateSize
 }
 
 // Restore reinstalls a snapshot, rewinding the application clock; the
 // harness re-schedules the send timer through Restored.
 func (a *NodeApp) Restore(state any) {
-	s := state.(State)
+	s := state.(*State)
 	a.next = s.NextSend
 	if a.Now != nil {
 		now := a.Now()
@@ -402,7 +408,7 @@ func (a *NodeApp) Stabilized(state any) {
 	if !a.trackStable {
 		return
 	}
-	s := state.(State)
+	s := state.(*State)
 	if s.Journal > len(a.stableAt) {
 		panic(fmt.Sprintf("app: commit covers %d journal entries, only %d delivered", s.Journal, len(a.stableAt)))
 	}

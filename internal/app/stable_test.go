@@ -79,6 +79,45 @@ func TestNodeAppStableTracking(t *testing.T) {
 	}
 }
 
+// TestSnapshotsImmutable: a snapshot is cut from the application's
+// slab and never changes afterwards — not by later snapshots sharing
+// its chunk, not by restores to it or to others — and cutting one
+// amortises to under 1/8 allocation.
+func TestSnapshotsImmutable(t *testing.T) {
+	fed := topology.Small(2, 2)
+	a := NewNodeApp(topology.NodeID{Cluster: 0, Index: 0}, Uniform(2, 1000, 50, sim.Hour), fed, sim.NewRNG(7))
+	var now sim.Time
+	a.Now = func() sim.Time { return now }
+	src := topology.NodeID{Cluster: 1, Index: 0}
+	var snaps []any
+	var want []State
+	for k := 0; k < 40; k++ {
+		now = now.Add(sim.Second)
+		a.TakeSend()
+		a.Deliver(src, core.AppPayload{ID: core.LogicalID{Src: src, Seq: uint64(k)}})
+		s, _ := a.Snapshot()
+		snaps = append(snaps, s)
+		want = append(want, *s.(*State))
+		if k%7 == 6 {
+			a.Restore(snaps[k/2])
+		}
+	}
+	for i, s := range snaps {
+		if got := *s.(*State); got != want[i] {
+			t.Fatalf("snapshot %d changed from %+v to %+v", i, want[i], got)
+		}
+	}
+	const cuts = 800
+	perCut := testing.AllocsPerRun(1, func() {
+		for k := 0; k < cuts; k++ {
+			a.Snapshot()
+		}
+	}) / cuts
+	if perCut >= 1.0/8 {
+		t.Fatalf("%v allocations per snapshot, want < 1/8", perCut)
+	}
+}
+
 // TestNodeAppArrivalTime checks arrivals are read off the schedule on
 // the original time axis: entry i of the deterministic schedule is
 // request Seq i+1, whatever the current incarnation's clock says.

@@ -55,27 +55,11 @@ type wire struct {
 // ProtocolMessage marks wire as a protocol message.
 func (wire) ProtocolMessage() {}
 
-// wireBox is a pooled wire message: the sending node takes a box from
-// its free list (send/sendApp below), the harness reclaims it after the
-// destination's OnMessage returned (core.ReclaimableMsg). wire is a
-// large struct, so boxing one per message was the baselines' dominant
-// allocation site.
-type wireBox struct {
-	wire
-	home *[]*wireBox // the sending node's free list
-}
-
-// ReclaimMsgBox returns the box to its owner, dropping payload refs.
-func (b *wireBox) ReclaimMsgBox() {
-	b.wire = wire{}
-	*b.home = append(*b.home, b)
-}
-
 // unwrap extracts the wire payload from a value or pooled-box message.
 func unwrap(msg core.Msg) (wire, bool) {
 	switch t := msg.(type) {
-	case *wireBox:
-		return t.wire, true
+	case *core.Box[wire]:
+		return t.M, true
 	case wire:
 		return t, true
 	}
@@ -108,10 +92,13 @@ type common struct {
 	// append sites.
 	logPeak int
 
-	// wireFree recycles this node's outbound message boxes. One box per
-	// Send call, even for broadcasts of the same logical message: a box
-	// belongs to exactly one in-flight delivery.
-	wireFree []*wireBox
+	// wireBoxes recycles this node's outbound message boxes (the harness
+	// reclaims a box after the destination's OnMessage returned). wire
+	// is a large struct, so boxing one per message was the baselines'
+	// dominant allocation site. One box per Send call, even for
+	// broadcasts of the same logical message: a box belongs to exactly
+	// one in-flight delivery.
+	wireBoxes core.Boxes[wire]
 
 	// Pre-rendered per-cluster stat keys (commit-path Stat calls must
 	// not build strings; see the same discipline in internal/core).
@@ -141,20 +128,9 @@ func newCommon(cfg core.Config, env core.Env, app core.AppHooks) common {
 // Failed reports whether the node is crashed.
 func (c *common) Failed() bool { return c.failed }
 
-// box wraps m into a recycled (or fresh) pooled box.
-func (c *common) box(m wire) core.Msg {
-	if last := len(c.wireFree) - 1; last >= 0 {
-		b := c.wireFree[last]
-		c.wireFree = c.wireFree[:last]
-		b.wire = m
-		return b
-	}
-	return &wireBox{wire: m, home: &c.wireFree}
-}
-
 // send transmits a control message through a pooled box.
 func (c *common) send(dst topology.NodeID, m wire) {
-	c.env.Send(dst, m.size(), c.box(m))
+	c.env.Send(dst, m.size(), c.wireBoxes.Wrap(m))
 }
 
 // broadcast sends a control message to every other node of the
@@ -169,7 +145,7 @@ func (c *common) broadcast(m wire) {
 
 // sendApp transmits an application message through a pooled box.
 func (c *common) sendApp(dst topology.NodeID, m wire) {
-	c.env.SendApp(dst, m.size(), c.box(m))
+	c.env.SendApp(dst, m.size(), c.wireBoxes.Wrap(m))
 }
 
 // notePeak folds the current log length into the running high-water

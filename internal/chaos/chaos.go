@@ -193,7 +193,10 @@ func (s *Scheduler) Perturb(m netsim.Message, intra bool, envelope sim.Duration)
 // boxes (*AppMsg, *AppAck) are copied because the harness reclaims a
 // box right after its first delivery — including the piggyback slices,
 // so the duplicate's dependency data never depends on the original's
-// backing staying immutable.
+// backing staying immutable. A duplicate only ever copies: the
+// sender-owned control boxes (core.Box) are never duplicated, since a
+// box belongs to exactly one delivery and none of them is
+// duplicate-safe.
 func (s *Scheduler) dupPayload(payload any) (any, bool) {
 	switch v := payload.(type) {
 	case *core.AppMsg:
@@ -227,7 +230,8 @@ func (s *Scheduler) maybeArmCrash(m netsim.Message) {
 	}
 	var victim topology.NodeID
 	switch m.Payload.(type) {
-	case core.CLCRequest:
+	case core.CLCRequest, *core.Box[core.CLCRequest]:
+		// The boxed form is what a harness that reclaims boxes sends.
 		// Mid-2PC: kill either the participant about to prepare or the
 		// leader waiting for acks.
 		if s.rng.Bool(0.5) {

@@ -182,6 +182,72 @@ func TestOpBudgetPrefix(t *testing.T) {
 	}
 }
 
+// boxedRows pairs every control message a node sends in a recycled
+// core.Box with that boxed form, and says whether it opens a crash
+// window.
+func boxedRows() []struct {
+	name         string
+	value, boxed any
+	arms         bool
+} {
+	return []struct {
+		name         string
+		value, boxed any
+		arms         bool
+	}{
+		{"CLCRequest", core.CLCRequest{Seq: 2}, new(core.Boxes[core.CLCRequest]).Wrap(core.CLCRequest{Seq: 2}), true},
+		{"CLCAck", core.CLCAck{Seq: 2}, new(core.Boxes[core.CLCAck]).Wrap(core.CLCAck{Seq: 2}), false},
+		{"CLCCommit", core.CLCCommit{Seq: 2}, new(core.Boxes[core.CLCCommit]).Wrap(core.CLCCommit{Seq: 2}), false},
+		{"ForceCLC", core.ForceCLC{Always: true}, new(core.Boxes[core.ForceCLC]).Wrap(core.ForceCLC{Always: true}), false},
+		{"Replica", core.Replica{Seq: 2}, new(core.Boxes[core.Replica]).Wrap(core.Replica{Seq: 2}), false},
+		{"ReplicaAck", core.ReplicaAck{Seq: 2}, new(core.Boxes[core.ReplicaAck]).Wrap(core.ReplicaAck{Seq: 2}), false},
+		{"LogMirror", core.LogMirror{MsgID: 2}, new(core.Boxes[core.LogMirror]).Wrap(core.LogMirror{MsgID: 2}), false},
+	}
+}
+
+// TestCrashFuseBoxParity: a control message arms the same crash fuses,
+// drawing the same random numbers, whether it travels as a value or in
+// a recycled box — the form a harness that reclaims boxes sends.
+// Otherwise mid-2PC crash fuses would silently stop arming.
+func TestCrashFuseBoxParity(t *testing.T) {
+	run := func(payload any) ([]string, uint64) {
+		var now sim.Time
+		var fuses []string
+		s := New(Config{Seed: 5, CrashProb: 0.5, CrashCooldown: sim.Second}, sim.NewRNG(5).Stream("chaos"), Hooks{
+			Now: func() sim.Time { return now },
+			CrashAt: func(at sim.Time, id topology.NodeID) {
+				fuses = append(fuses, fmt.Sprintf("%v %v", at, id))
+			},
+		})
+		for i := 0; i < 200; i++ {
+			s.maybeArmCrash(netsim.Message{Src: node(0, 0), Dst: node(0, 1), Kind: netsim.KindProto, Payload: payload})
+			now = now.Add(time100ms)
+		}
+		return fuses, s.rng.Uint64()
+	}
+	for _, r := range boxedRows() {
+		vFuses, vNext := run(r.value)
+		bFuses, bNext := run(r.boxed)
+		if !reflect.DeepEqual(vFuses, bFuses) || vNext != bNext {
+			t.Errorf("%s: value armed %v, box armed %v (next draws %d, %d)", r.name, vFuses, bFuses, vNext, bNext)
+		}
+		if armed := len(vFuses) > 0; armed != r.arms {
+			t.Errorf("%s: armed a fuse = %v, want %v", r.name, armed, r.arms)
+		}
+	}
+}
+
+// TestDuplicateRefusesBoxes: no boxed control message is ever
+// duplicated — a box belongs to exactly one delivery.
+func TestDuplicateRefusesBoxes(t *testing.T) {
+	s := New(Config{Seed: 1}, sim.NewRNG(1).Stream("chaos"), Hooks{Now: func() sim.Time { return 0 }})
+	for _, r := range boxedRows() {
+		if _, ok := s.dupPayload(r.boxed); ok {
+			t.Errorf("%s: boxed form accepted for duplication", r.name)
+		}
+	}
+}
+
 // TestDuplicatePayloadRules: pooled boxes are deep-copied, value
 // messages shared, and everything else is never duplicated.
 func TestDuplicatePayloadRules(t *testing.T) {

@@ -216,7 +216,8 @@ func BenchmarkSmallestSNs(b *testing.B) {
 
 // BenchmarkClusterCheckpoint measures one full two-phase commit across
 // a cluster through the synchronous testbed (protocol cost without
-// network latency).
+// network latency). Its allocs/op are the mock application's: one
+// boxed snapshot per node; the protocol's round allocates nothing.
 func BenchmarkClusterCheckpoint(b *testing.B) {
 	for _, nodes := range []int{4, 16, 64} {
 		b.Run(map[int]string{4: "4nodes", 16: "16nodes", 64: "64nodes"}[nodes], func(b *testing.B) {
@@ -226,6 +227,51 @@ func BenchmarkClusterCheckpoint(b *testing.B) {
 				bed.commitCLC(0)
 			}
 		})
+	}
+}
+
+// BenchmarkForcedCLCRound measures one forced checkpoint end to end: a
+// node of cluster 1 sends to a participant of cluster 0 right after its
+// own cluster committed, so the message raises a dependency; the
+// receiver holds it and demands a forced CLC (ForceCLC), its leader
+// runs the 2PC, and the commit's re-examine delivers the message. The
+// sender logs and mirrors the message; a GC drop per round keeps every
+// history one record deep and trims the log and its mirror.
+func BenchmarkForcedCLCRound(b *testing.B) {
+	bed := newTestbed(b, []int{2, 2}, 1, false)
+	for _, n := range bed.nodes {
+		n.app = &flatApp{}
+	}
+	sender, receiver := bed.node(1, 1), bed.node(0, 1)
+	minSNs := make([]SN, 2)
+	var seq uint64
+	round := func() {
+		bed.commitCLC(1)
+		seq++
+		sender.Send(receiver.ID(), payload(sender.ID(), seq))
+		bed.pump()
+		// Keep the newest CLC of each cluster; the sender's entries were
+		// acked at the receiver's SN, so one above it trims them.
+		minSNs[0], minSNs[1] = receiver.SN(), sender.SN()
+		bed.node(0, 0).applyGCDrop(minSNs)
+		receiver.applyGCDrop(minSNs)
+		minSNs[0]++
+		bed.node(1, 0).applyGCDrop(minSNs)
+		sender.applyGCDrop(minSNs)
+		bed.pump()
+	}
+	for i := 0; i < 10; i++ {
+		round()
+	}
+	start := receiver.SN()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+	if got := receiver.SN() - start; got != SN(b.N) || sender.LogLen() != 0 {
+		b.Fatalf("%d rounds forced %d CLCs and left %d log entries", b.N, got, sender.LogLen())
 	}
 }
 

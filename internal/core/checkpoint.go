@@ -72,8 +72,8 @@ func (n *Node) sendForce(target DDV, always bool) {
 	}
 	// The message outlives this event (it sits in the network until
 	// delivery): hand it an owned copy of the scratch target.
-	msg := ForceCLC{Epoch: n.epoch, NewDDV: n.arena.Clone(target), Always: always}
-	n.env.Send(n.leaderOf(n.cluster), controlSize(msg), msg)
+	sendCtl(n, &n.ctl.force, n.leaderOf(n.cluster),
+		ForceCLC{Epoch: n.epoch, NewDDV: n.arena.Clone(target), Always: always})
 }
 
 func (n *Node) sendForcePairs(pairs []DDVPair, always bool) {
@@ -84,9 +84,8 @@ func (n *Node) sendForcePairs(pairs []DDVPair, always bool) {
 	}
 	// Owned copy: the message outlives this event. Width prices the
 	// demand at its dense footprint (see messages.go).
-	msg := ForceCLC{Epoch: n.epoch, Pairs: n.pairArena.Clone(pairs),
-		Width: n.cfg.Clusters, Always: always}
-	n.env.Send(n.leaderOf(n.cluster), controlSize(msg), msg)
+	sendCtl(n, &n.ctl.force, n.leaderOf(n.cluster), ForceCLC{Epoch: n.epoch,
+		Pairs: n.pairArena.Clone(pairs), Width: n.cfg.Clusters, Always: always})
 }
 
 // onForceCLC handles a forced-CLC demand at the leader, in either
@@ -195,7 +194,7 @@ func (n *Node) startCLC(forced bool, updatePairs []DDVPair) {
 			req.UpdateWidth = n.cfg.Clusters
 		}
 	}
-	n.sendToCluster(req)
+	sendToCluster(n, &n.ctl.req, req)
 	n.prepareLocal(seq, forced)
 }
 
@@ -226,12 +225,7 @@ func (n *Node) prepareLocal(seq SN, forced bool) {
 	n.frozenSends = true
 	n.frozenDelivs = true
 	state, size := n.app.Snapshot()
-	n.provisional = &clcRecord{
-		forced:    forced,
-		at:        n.env.Now(),
-		state:     state,
-		stateSize: size,
-	}
+	n.provisional = clcRecord{forced: forced, at: n.env.Now(), state: state, stateSize: size}
 	targets := n.replicaTargets()
 	n.replWanted = len(targets)
 	n.replGot = 0
@@ -239,13 +233,9 @@ func (n *Node) prepareLocal(seq SN, forced bool) {
 		n.sendPrepAck(seq)
 		return
 	}
-	// One box and one size for every holder: the message is a value
-	// whose fields every per-holder copy would share anyway.
-	var rep Msg = Replica{Seq: seq, Epoch: n.epoch, Owner: n.id, State: state, Size: size}
-	repSize := controlSize(rep)
-	for _, t := range targets {
-		n.env.Send(t, repSize, rep)
-	}
+	// One box per holder, each a delivery of its own; the size is
+	// computed once, from the value.
+	sendEach(n, &n.ctl.rep, targets, Replica{Seq: seq, Epoch: n.epoch, Owner: n.id, State: state, Size: size})
 }
 
 // onReplica stores a neighbour's checkpoint part in local memory (the
@@ -254,9 +244,8 @@ func (n *Node) onReplica(src topology.NodeID, m Replica) {
 	if m.Epoch != n.epoch || src.Cluster != n.cluster {
 		return
 	}
-	n.storeReplica(replicaKey{owner: m.Owner, seq: m.Seq}, m)
-	ack := ReplicaAck{Seq: m.Seq, Epoch: n.epoch, From: n.id}
-	n.env.Send(m.Owner, controlSize(ack), ack)
+	n.storeReplica(m)
+	sendCtl(n, &n.ctl.repAck, m.Owner, ReplicaAck{Seq: m.Seq, Epoch: n.epoch, From: n.id})
 }
 
 // onReplicaAck counts stable-storage confirmations; the 2PC ack goes
@@ -298,8 +287,8 @@ func (n *Node) sendPrepAck(seq SN) {
 		n.ackFrom(n.id.Index, seq, nodeDDV, nodePairs)
 		return
 	}
-	ack := CLCAck{Seq: seq, Epoch: n.epoch, NodeDDV: nodeDDV, NodePairs: nodePairs}
-	n.env.Send(n.leaderOf(n.cluster), controlSize(ack), ack)
+	sendCtl(n, &n.ctl.ack, n.leaderOf(n.cluster),
+		CLCAck{Seq: seq, Epoch: n.epoch, NodeDDV: nodeDDV, NodePairs: nodePairs})
 }
 
 // onCLCAck counts prepare acks at the leader.
@@ -342,7 +331,7 @@ func (n *Node) ackFrom(index int, seq SN, nodeDDV DDV, nodePairs []DDVPair) {
 		}
 		n.ackedDDVs = nil
 		newDDV[n.cluster] = seq
-		n.sendToCluster(CLCCommit{Seq: seq, Epoch: n.epoch, DDV: newDDV})
+		sendToCluster(n, &n.ctl.commit, CLCCommit{Seq: seq, Epoch: n.epoch, DDV: newDDV})
 		n.applyCommit(seq, newDDV, nil, n.inFlightForced)
 		return
 	}
@@ -388,22 +377,8 @@ func (n *Node) ackFrom(index int, seq SN, nodeDDV DDV, nodePairs []DDVPair) {
 	}
 	n.pairScratch = pairs
 	owned := n.pairArena.Clone(pairs)
-	n.sendToCluster(CLCCommit{Seq: seq, Epoch: n.epoch, Pairs: owned, Width: n.cfg.Clusters})
+	sendToCluster(n, &n.ctl.commit, CLCCommit{Seq: seq, Epoch: n.epoch, Pairs: owned, Width: n.cfg.Clusters})
 	n.applyCommit(seq, nil, owned, n.inFlightForced)
-}
-
-// sendToCluster sends a 2PC control message to every other node of the
-// cluster. The caller boxes it into Msg once and its size is computed
-// once: every peer receives the same interface value, whose slices the
-// per-peer copies of a value message would share anyway.
-func (n *Node) sendToCluster(m Msg) {
-	size := controlSize(m)
-	for i := 0; i < n.size; i++ {
-		if i == n.id.Index {
-			continue
-		}
-		n.env.Send(topology.NodeID{Cluster: n.cluster, Index: i}, size, m)
-	}
 }
 
 // onCLCCommit finalizes the checkpoint on a participant, in either
@@ -482,7 +457,7 @@ func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) 
 	}
 	rec := n.provisional
 	n.appendCLC(rec, seq, chainPairs)
-	n.provisional = nil
+	n.provisional = clcRecord{}
 	n.phase = cpIdle
 	n.frozenSends = false
 	n.frozenDelivs = false
@@ -547,7 +522,7 @@ func (n *Node) abortCheckpoint() {
 		n.env.Stat(n.keys.clcAborted, 1)
 	}
 	n.phase = cpIdle
-	n.provisional = nil
+	n.provisional = clcRecord{}
 	n.inFlight = false
 	n.clearPendingForce()
 	n.pendingAlways = false

@@ -71,21 +71,22 @@ func (n *Node) doSend(dst topology.NodeID, p AppPayload) {
 				logPiggy = m.PiggyDDV
 			}
 		}
-		n.appendLog(&logEntry{
+		e := n.logSlab.New()
+		*e = logEntry{
 			msgID:      m.MsgID,
 			dst:        dst,
 			dstCluster: dst.Cluster,
 			payload:    p,
 			piggySN:    n.sn,
 			piggyDDV:   logPiggy,
-		})
+		}
+		n.appendLog(e)
 		n.env.Stat("log.appended", 1)
 		if n.cfg.Replicas > 0 {
-			mir := LogMirror{
+			sendCtl(n, &n.ctl.mirror, n.holderFor(), LogMirror{
 				Owner: n.id, MsgID: m.MsgID, Dst: dst, Payload: p,
 				PiggySN: n.sn, PiggyDDV: logPiggy, SendSN: n.sn,
-			}
-			n.env.Send(n.holderFor(), controlSize(mir), mir)
+			})
 		}
 	}
 	n.sendAppMsg(dst, m)
@@ -108,6 +109,11 @@ func (n *Node) drainSendQueue() {
 	n.sendQueue = nil
 	for _, s := range q {
 		n.doSend(s.Dst, s.Payload)
+	}
+	if n.sendQueue == nil {
+		// Nothing queued meanwhile: keep the backing array.
+		clear(q)
+		n.sendQueue = q[:0]
 	}
 }
 
@@ -188,6 +194,11 @@ func (n *Node) drainInbound() {
 	for _, in := range q {
 		n.onAppMsg(in.src, in.msg)
 	}
+	if n.inboundQueue == nil {
+		// Nothing deferred again: keep the backing array.
+		clear(q)
+		n.inboundQueue = q[:0]
+	}
 }
 
 // deliverIntra hands an intra-cluster message to the application. If
@@ -200,7 +211,7 @@ func (n *Node) deliverIntra(src topology.NodeID, m AppMsg) {
 		// n.clcs is SN-ordered: only a suffix can lie above the send.
 		for i := len(n.clcs) - 1; i >= 0 && n.chain.Recs[i].SN > m.SendSN; i-- {
 			if n.chain.Recs[i].SN <= n.sn {
-				n.logLate(n.clcs[i], inbound{src: src, msg: m})
+				n.logLate(&n.clcs[i], inbound{src: src, msg: m})
 			}
 		}
 		n.env.Stat("app.late_logged", 1)
@@ -466,8 +477,16 @@ func (n *Node) reexamineHeld() {
 		// Frozen: the in-flight commit re-examines on completion.
 		return
 	}
+	// Walk the held list while re-holding into the spare buffer. The
+	// spare is detached meanwhile: a commit completing synchronously
+	// inside the walk (a one-node cluster) re-enters here and must not
+	// take the buffer this walk is filling as its spare.
 	held := n.heldInter
-	n.heldInter = nil
+	n.heldInter, n.heldSpare = n.heldSpare, nil
+	defer func() {
+		clear(held)
+		n.heldSpare = held[:0]
+	}()
 	for i, in := range held {
 		if n.frozenDelivs {
 			// An earlier iteration re-opened the next 2PC: hold the

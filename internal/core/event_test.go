@@ -98,34 +98,98 @@ func TestEmitAllocatesNothing(t *testing.T) {
 // dense shadows: the allocations counted are the protocol's own.
 type benchTB struct{ testing.TB }
 
-// TestCLCRoundAllocsPerPeer runs one full two-phase commit at two
-// cluster sizes. What a round allocates per node is the participant's
-// own work: its snapshot, its provisional record, the Replica it sends
-// to its holder and the holder's ReplicaAck — plus the CLCAck of every
-// node but the leader. Everything else is per round, so the leader's
-// CLCRequest and CLCCommit broadcasts box their message once, not once
-// per peer.
+// flatApp is an application whose Snapshot allocates nothing: the state
+// it hands out is the application itself.
+type flatApp struct{}
+
+func (a *flatApp) Snapshot() (any, int)              { return a, 1024 }
+func (*flatApp) Restore(any)                         {}
+func (*flatApp) Deliver(topology.NodeID, AppPayload) {}
+
+// TestCLCRoundAllocsPerPeer runs full two-phase commits — unforced, and
+// forced by a participant's ForceCLC — at 2 and 8 nodes with 1 and 2
+// replicas. With an application whose Snapshot allocates nothing, a
+// steady-state round allocates nothing on any node: the request,
+// prepare acks, replicas, replica acks, commit and force travel in
+// recycled boxes, the provisional record is a value, the stored
+// records and replicas land in kept capacity, and the arena chunks the
+// commit pairs are cut from amortise to under one allocation per round.
 func TestCLCRoundAllocsPerPeer(t *testing.T) {
-	perRound := func(size int) float64 {
-		bed := newTestbed(benchTB{t}, []int{size}, 1, false)
-		minSNs := make([]SN, 1)
-		round := func() {
-			bed.commitCLC(0)
-			// Drop every older CLC and replica: the stored history
-			// stays one record deep, so no slice or map grows.
-			minSNs[0] = bed.node(0, 0).SN()
-			for i := 0; i < size; i++ {
-				bed.node(0, i).applyGCDrop(minSNs)
+	for _, size := range []int{2, 8} {
+		for _, replicas := range []int{1, 2} {
+			for _, forced := range []bool{false, true} {
+				bed := newTestbed(benchTB{t}, []int{size}, replicas, false)
+				for _, n := range bed.nodes {
+					n.app = &flatApp{}
+				}
+				leader, asker := bed.node(0, 0), bed.node(0, size-1)
+				minSNs := make([]SN, 1)
+				round := func() {
+					if forced {
+						asker.requestForceAlwaysPairs(nil)
+						bed.pump()
+					} else {
+						bed.commitCLC(0)
+					}
+					// Drop every older CLC and replica: the stored
+					// history stays one record deep.
+					minSNs[0] = leader.SN()
+					for i := 0; i < size; i++ {
+						bed.node(0, i).applyGCDrop(minSNs)
+					}
+				}
+				for i := 0; i < 20; i++ {
+					round()
+				}
+				before := leader.SN()
+				allocs := testing.AllocsPerRun(100, round)
+				if leader.SN() != before+101 {
+					t.Fatalf("%d nodes: 101 rounds committed %d CLCs", size, leader.SN()-before)
+				}
+				if allocs != 0 {
+					t.Errorf("%d nodes, %d replicas, forced=%v: %v allocations per round, want 0",
+						size, replicas, forced, allocs)
+				}
 			}
 		}
-		for i := 0; i < 20; i++ {
-			round()
+	}
+}
+
+// TestLoggedSendAllocs: an inter-cluster send appends a log entry,
+// mirrors it to the sender's holder and is acknowledged; a GC round
+// then trims the log and the mirror. All of it amortises to under one
+// allocation per send: entries are cut from a slab, the mirror travels
+// in a recycled box, the message and its ack in pooled ones.
+func TestLoggedSendAllocs(t *testing.T) {
+	bed := newTestbed(benchTB{t}, []int{2, 1}, 1, false)
+	for _, n := range bed.nodes {
+		n.app = &flatApp{}
+	}
+	sender, holder, dst := bed.node(0, 1), bed.node(0, 0), bed.node(1, 0)
+	const sends = 32
+	var seq uint64
+	minSNs := make([]SN, 2)
+	batch := func() {
+		for k := 0; k < sends; k++ {
+			seq++
+			sender.Send(dst.ID(), payload(sender.ID(), seq))
+			bed.pump()
 		}
-		perNode := 4*size + (size - 1)
-		return testing.AllocsPerRun(100, round) - float64(perNode)
+		// Every entry was acked at dst's SN: a threshold above it
+		// trims them all.
+		minSNs[0], minSNs[1] = sender.SN(), dst.SN()+1
+		sender.applyGCDrop(minSNs)
+		bed.pump()
 	}
-	small, large := perRound(2), perRound(8)
-	if small != large {
-		t.Fatalf("per-round allocations beyond the per-node ones: %v at 2 nodes, %v at 8", small, large)
+	for i := 0; i < 4; i++ {
+		batch()
 	}
+	if sender.LogLen() != 0 || holder.mirrorLen(sender.ID()) != 0 {
+		t.Fatalf("GC left %d log entries, %d mirrored", sender.LogLen(), holder.mirrorLen(sender.ID()))
+	}
+	perSend := testing.AllocsPerRun(20, batch) / sends
+	if perSend >= 1 {
+		t.Fatalf("%v allocations per logged send, want < 1", perSend)
+	}
+	t.Logf("%.3f allocations per logged send", perSend)
 }

@@ -22,8 +22,10 @@ func (n *Node) recomputeStorageBytes() uint64 {
 			total += uint64(l.msg.Payload.Size)
 		}
 	}
-	for _, rep := range n.replicas {
-		total += uint64(rep.Size)
+	for _, l := range n.replicas {
+		for _, rep := range l.reps {
+			total += uint64(rep.Size)
+		}
 	}
 	for _, e := range n.log {
 		total += uint64(e.payload.Size)
@@ -105,13 +107,67 @@ func (n *Node) chainConsistent() error {
 	return nil
 }
 
+// replicaKey identifies a neighbour state held in a node's memory: the
+// key of the hash-map replica store the SN-ordered lists replaced, kept
+// as the tests' reference.
+type replicaKey struct {
+	owner topology.NodeID
+	seq   SN
+}
+
+// replicaStoreConsistent checks the replica store's shape: one list
+// per owner, each strictly increasing in SN and holding only that
+// owner's states, and replicaBytes equal to a recount.
+func (n *Node) replicaStoreConsistent() error {
+	var bytes uint64
+	owners := map[topology.NodeID]bool{}
+	for _, l := range n.replicas {
+		if owners[l.owner] {
+			return fmt.Errorf("replica store lists owner %v twice", l.owner)
+		}
+		owners[l.owner] = true
+		for i, r := range l.reps {
+			if r.Owner != l.owner {
+				return fmt.Errorf("replica of %v in the list of %v", r.Owner, l.owner)
+			}
+			if i > 0 && l.reps[i-1].Seq >= r.Seq {
+				return fmt.Errorf("replicas of %v out of order: SN %d before SN %d", l.owner, l.reps[i-1].Seq, r.Seq)
+			}
+			bytes += uint64(r.Size)
+		}
+	}
+	if bytes != n.replicaBytes {
+		return fmt.Errorf("replicaBytes %d, recount %d", n.replicaBytes, bytes)
+	}
+	return nil
+}
+
+// lookupReplica is the store's lookup as onRecoverStateReq does it.
+func (n *Node) lookupReplica(k replicaKey) (Replica, bool) {
+	reps := n.replicasOf(k.owner)
+	if i, ok := searchReplica(reps, k.seq); ok {
+		return reps[i], true
+	}
+	return Replica{}, false
+}
+
+// isFree reports whether the box sits in its sender's free list.
+func (b *Box[T]) isFree() bool {
+	for _, f := range b.home.free {
+		if f == b {
+			return true
+		}
+	}
+	return false
+}
+
 // CheckStoredHistory compares every running total and index of the
 // stored history with its reference walk.
 func (n *Node) CheckStoredHistory() error {
 	if got, want := n.StorageBytes(), n.recomputeStorageBytes(); got != want {
 		return fmt.Errorf("node %v: StorageBytes %d, walk %d", n.id, got, want)
 	}
-	for _, err := range []error{n.logIndexConsistent(), n.mirrorSetConsistent(), n.clcsOrdered(), n.chainConsistent()} {
+	for _, err := range []error{n.logIndexConsistent(), n.mirrorSetConsistent(), n.clcsOrdered(), n.chainConsistent(), n.replicaStoreConsistent()} {
 		if err != nil {
 			return fmt.Errorf("node %v: %w", n.id, err)
 		}
@@ -132,6 +188,7 @@ func (n *Node) mirrorLen(owner topology.NodeID) int {
 
 func (n *Node) dropOldestCLC() {
 	n.clcBytes -= n.clcs[0].storedBytes()
+	n.clcs[0] = clcRecord{}
 	n.clcs = n.clcs[1:]
 	c := &n.chain
 	c.Anchor.applyPairs(c.Recs[1].Pairs)
@@ -375,7 +432,21 @@ func smallestSNs(t testing.TB, lists [][]Meta, currents []DDV) ([]SN, error) {
 // answered with. It is a core.Observer; a test harness puts it on every
 // node's Env, routes Env.Send through Sent and message delivery through
 // Deliver, and calls Check after every event.
+//
+// It also keeps each node's replica store as the hash map the
+// SN-ordered lists replaced (map[replicaKey]Replica), mutated from the
+// same events: a seed or an accepted Replica stores, a GC drop deletes
+// below the threshold, a local rollback above its target (observed at
+// the restore, or at the RecoverStateReq a remote restore sends first),
+// a restart empties it. The harness routes seeding through SeedReplica
+// and the node's events through NodeEvent.
 type DenseShadows struct {
+	nodes    map[topology.NodeID]*Node
+	replicas map[topology.NodeID]map[replicaKey]Replica
+	// inRecovery is set while a node handles a RecoverStateResp, until
+	// the restore that completes the recovery, which drops no replica.
+	inRecovery bool
+
 	lists map[topology.NodeID][]Meta
 	// answers holds, per RecoverStateResp in flight (keyed by the first
 	// record of its chain snapshot's own list), the holder's dense
@@ -388,11 +459,65 @@ type DenseShadows struct {
 }
 
 func NewDenseShadows() *DenseShadows {
-	return &DenseShadows{lists: map[topology.NodeID][]Meta{}, answers: map[*ChainRec][]Meta{}}
+	return &DenseShadows{
+		nodes:    map[topology.NodeID]*Node{},
+		replicas: map[topology.NodeID]map[replicaKey]Replica{},
+		lists:    map[topology.NodeID][]Meta{},
+		answers:  map[*ChainRec][]Meta{},
+	}
 }
 
-// Attach starts n's shadow from its initial checkpoint.
-func (d *DenseShadows) Attach(n *Node) { d.lists[n.id] = n.StoredMetas() }
+// Attach starts n's shadow from its initial checkpoint and an empty
+// replica store.
+func (d *DenseShadows) Attach(n *Node) {
+	d.nodes[n.id] = n
+	d.replicas[n.id] = map[replicaKey]Replica{}
+	d.lists[n.id] = n.StoredMetas()
+}
+
+// SeedReplica seeds r into holder, as Node.SeedReplica, and into the
+// holder's reference store.
+func (d *DenseShadows) SeedReplica(holder *Node, r Replica) {
+	holder.SeedReplica(r)
+	d.replicas[holder.id][replicaKey{owner: r.Owner, seq: r.Seq}] = r
+}
+
+// NodeEvent sees node id's protocol events: a restart empties its
+// reference store, as the crash emptied the node's.
+func (d *DenseShadows) NodeEvent(id topology.NodeID, ev Event) {
+	if ev.Kind == EventRestarted {
+		clear(d.replicas[id])
+	}
+}
+
+// dropReplicas deletes the reference entries of id that drop accepts.
+func (d *DenseShadows) dropReplicas(id topology.NodeID, drop func(seq SN) bool) {
+	for k := range d.replicas[id] {
+		if drop(k.seq) {
+			delete(d.replicas[id], k)
+		}
+	}
+}
+
+// checkReplicas holds n's replica store against its reference map: the
+// same number of states, and every lookup of a reference key finds that
+// state.
+func (d *DenseShadows) checkReplicas(n *Node) error {
+	ref := d.replicas[n.id]
+	if got := n.ReplicaCount(); got != len(ref) {
+		return fmt.Errorf("node %v: replica store holds %d states, reference map %d", n.id, got, len(ref))
+	}
+	for k, want := range ref {
+		got, ok := n.lookupReplica(k)
+		if !ok {
+			return fmt.Errorf("node %v: replica %d of %v not found, reference map holds it", n.id, k.seq, k.owner)
+		}
+		if got.Seq != want.Seq || got.Epoch != want.Epoch || got.Owner != want.Owner || got.Size != want.Size {
+			return fmt.Errorf("node %v: replica %d of %v is %+v, reference map %+v", n.id, k.seq, k.owner, got, want)
+		}
+	}
+	return nil
+}
 
 func (d *DenseShadows) fail(format string, args ...any) {
 	if d.err == nil {
@@ -409,6 +534,13 @@ func (d *DenseShadows) ObserveCommit(id topology.NodeID, seq SN, _ Epoch, ddv DD
 }
 
 func (d *DenseShadows) ObserveRollback(id topology.NodeID, toSN SN, _ Epoch, ddv DDV) {
+	if d.inRecovery {
+		// The recovery's own restore; a rollback it cascades into
+		// afterwards drops as usual.
+		d.inRecovery = false
+	} else {
+		d.dropReplicas(id, func(seq SN) bool { return seq > toSN })
+	}
 	list := d.lists[id]
 	if d.recovering != nil {
 		// Recovery: the list is the holder's answer, each vector copied
@@ -430,6 +562,7 @@ func (d *DenseShadows) ObserveRollback(id topology.NodeID, toSN SN, _ Epoch, ddv
 }
 
 func (d *DenseShadows) ObserveGCDrop(id topology.NodeID, minSNs []SN) {
+	d.dropReplicas(id, func(seq SN) bool { return seq < minSNs[id.Cluster] })
 	list := d.lists[id]
 	for len(list) > 0 && list[0].SN < minSNs[id.Cluster] {
 		list = list[1:]
@@ -438,8 +571,13 @@ func (d *DenseShadows) ObserveGCDrop(id topology.NodeID, minSNs []SN) {
 }
 
 // Sent sees every message src hands to its Env: a recovery answer is
-// paired with src's dense list as of now, cut like the answer's chain.
+// paired with src's dense list as of now, cut like the answer's chain;
+// a recovery query from a node that did not lose its state follows the
+// local rollback that dropped its replicas above the queried SN.
 func (d *DenseShadows) Sent(src topology.NodeID, msg Msg) {
+	if req, ok := msg.(RecoverStateReq); ok && !d.nodes[src].lostState {
+		d.dropReplicas(src, func(seq SN) bool { return seq > req.Seq })
+	}
 	resp, ok := msg.(RecoverStateResp)
 	if !ok || resp.Chain.Len() == 0 {
 		return
@@ -454,21 +592,41 @@ func (d *DenseShadows) Sent(src topology.NodeID, msg Msg) {
 }
 
 // Deliver hands msg to n, telling the shadow which answer a recovery
-// inside that call adopts.
+// inside that call adopts, and stores a Replica the node accepts into
+// its reference store.
 func (d *DenseShadows) Deliver(n *Node, src topology.NodeID, msg Msg) {
-	if resp, ok := msg.(RecoverStateResp); ok && resp.Chain.Len() > 0 {
-		d.recovering = d.answers[&resp.Chain.Recs[0]]
-		defer func() { d.recovering = nil }()
+	var rep Replica
+	isRep := false
+	switch m := msg.(type) {
+	case Replica:
+		rep, isRep = m, true
+	case *Box[Replica]:
+		rep, isRep = m.M, true
+	case RecoverStateResp:
+		d.inRecovery = true
+		defer func() { d.inRecovery = false }()
+		if m.Chain.Len() > 0 {
+			d.recovering = d.answers[&m.Chain.Recs[0]]
+			defer func() { d.recovering = nil }()
+		}
 	}
+	accepted := isRep && !n.failed && rep.Epoch == n.epoch && src.Cluster == n.cluster
 	n.OnMessage(src, msg)
+	if accepted {
+		d.replicas[n.id][replicaKey{owner: rep.Owner, seq: rep.Seq}] = rep
+	}
 }
 
-// Check holds n's chain, materialised, against its dense shadow: the
-// same SNs, the anchor equal to the oldest stored vector, and every
-// later record's vector equal to the one its commit copied.
+// Check holds n's replica store against its reference map, and n's
+// chain, materialised, against its dense shadow: the same SNs, the
+// anchor equal to the oldest stored vector, and every later record's
+// vector equal to the one its commit copied.
 func (d *DenseShadows) Check(n *Node) error {
 	if d.err != nil {
 		return d.err
+	}
+	if err := d.checkReplicas(n); err != nil {
+		return err
 	}
 	if n.lostState {
 		return nil // volatile memory gone: both lists are void until recovery

@@ -233,7 +233,7 @@ func (n *Node) onGCCollect(src topology.NodeID, m GCCollect) {
 // cluster and applies them here.
 func (n *Node) distributeDropLocally(minSNs []SN) {
 	drop := GCDrop{Round: n.gcRound, Epoch: n.epoch, MinSNs: minSNs}
-	n.sendToCluster(drop)
+	sendToCluster(n, nil, drop)
 	n.applyGCDrop(minSNs)
 }
 
@@ -260,11 +260,7 @@ func (n *Node) applyGCDrop(minSNs []SN) {
 	before := len(n.clcs)
 	threshold := minSNs[n.cluster]
 	n.dropCLCsBelow(threshold)
-	for k, rep := range n.replicas {
-		if k.seq < threshold {
-			n.dropReplica(k, rep)
-		}
-	}
+	n.dropReplicasBelow(threshold)
 	logBefore := len(n.log)
 	n.filterLog(func(e *logEntry) bool { return !e.acked || e.ackSN >= minSNs[e.dstCluster] })
 	if len(n.log) < logBefore && n.cfg.Replicas > 0 {

@@ -51,11 +51,13 @@ func (c *checkedNode) OnFailureDetected(failed topology.NodeID) {
 func (c *checkedNode) Restart() { c.Node.Restart(); c.verify("restart") }
 
 // shadowedEnv is the harness's Env with the run's dense shadow as the
-// node's Observer and every Send shown to it. The harness's Env offers
-// BoxPool and PiggyCodecs; the node must keep seeing both.
+// node's Observer and every Send and protocol event shown to it. The
+// harness's Env offers BoxPool, BoxReclaimer and PiggyCodecs; the node
+// must keep seeing all three.
 type shadowedEnv struct {
 	core.Env
 	core.BoxPool
+	core.BoxReclaimer
 	core.PiggyCodecs
 	*core.DenseShadows
 	id topology.NodeID
@@ -65,6 +67,8 @@ func (e shadowedEnv) Send(dst topology.NodeID, size int, msg core.Msg) {
 	e.DenseShadows.Sent(e.id, msg)
 	e.Env.Send(dst, size, msg)
 }
+
+func (e shadowedEnv) Event(ev core.Event) { e.DenseShadows.NodeEvent(e.id, ev) }
 
 // runChecked runs opts with every node wrapped in a checkedNode and
 // returns the result and the number of checks made. The harness seeds
@@ -76,7 +80,7 @@ func runChecked(t *testing.T, opts federation.Options) (*federation.Result, int)
 	nodes := map[topology.NodeID]*core.Node{}
 	shadows := core.NewDenseShadows()
 	opts.NodeFactory = func(cfg core.Config, env core.Env, hooks core.AppHooks) federation.ProtocolNode {
-		n := core.NewNode(cfg, shadowedEnv{env, env.(core.BoxPool), env.(core.PiggyCodecs), shadows, cfg.ID}, hooks)
+		n := core.NewNode(cfg, shadowedEnv{env, env.(core.BoxPool), env.(core.BoxReclaimer), env.(core.PiggyCodecs), shadows, cfg.ID}, hooks)
 		shadows.Attach(n)
 		nodes[cfg.ID] = n
 		return &checkedNode{Node: n, t: t, checks: &checks, shadows: shadows}
@@ -88,7 +92,7 @@ func runChecked(t *testing.T, opts federation.Options) (*federation.Result, int)
 	defer f.Release()
 	for _, n := range nodes {
 		for _, tgt := range n.ReplicaTargets() {
-			nodes[tgt].SeedReplica(n.InitialReplica())
+			shadows.SeedReplica(nodes[tgt], n.InitialReplica())
 		}
 	}
 	res, err := f.Run()

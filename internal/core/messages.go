@@ -9,11 +9,12 @@ import (
 // can encode them; a new message type needs a tag and a case there.
 type Msg interface{ ProtocolMessage() }
 
-// ReclaimableMsg is implemented by pooled message boxes (e.g. the
-// baseline protocols' wire boxes): the simulation harness calls
-// ReclaimMsgBox after the destination's OnMessage returned, handing the
-// box back to its owner's free list. Receivers copy what they keep and
-// never retain the box itself.
+// ReclaimableMsg is implemented by sender-owned message boxes (Box: the
+// checkpoint round's control messages, the baseline protocols' wire
+// envelopes): the simulation harness calls ReclaimMsgBox once, after
+// the destination's OnMessage returned, handing the box back to its
+// sender's free list. Receivers copy what they keep and never retain
+// the box itself.
 type ReclaimableMsg interface {
 	Msg
 	ReclaimMsgBox()
@@ -363,15 +364,25 @@ type GCToken struct {
 
 func (GCToken) ProtocolMessage() {}
 
-// controlSize estimates the wire size of a control message. Pooled
-// boxes (*AppAck) price identically to their value forms so BoxPool
-// and plain environments account traffic the same way, and the delta
-// wire forms price identically to their dense equivalents (see the
-// pricing note above): a message sets either the dense vector or the
-// delta width, and the formulas sum both so one expression covers
-// both encodings.
+// controlSize estimates the wire size of a control message. Boxed forms
+// (*AppAck from BoxPool, *Box[T] from a node's free lists) price
+// identically to their values, so pooling and plain environments
+// account traffic the same way; the boxed types with a default price
+// (CLCAck, ReplicaAck, LogMirror) fall to the default like their
+// values. The delta wire forms price identically to their dense
+// equivalents (see the pricing note above): a message sets either the
+// dense vector or the delta width, and the formulas sum both so one
+// expression covers both encodings.
 func controlSize(m Msg) int {
 	switch v := m.(type) {
+	case *Box[CLCRequest]:
+		return controlSize(v.M)
+	case *Box[CLCCommit]:
+		return controlSize(v.M)
+	case *Box[ForceCLC]:
+		return controlSize(v.M)
+	case *Box[Replica]:
+		return controlSize(v.M)
 	case AppAck, *AppAck:
 		return controlBytes
 	case CLCRequest:

@@ -177,10 +177,26 @@ func (ml *mirrorLog) filter(keep func(*LogMirror) bool) (dropped uint64) {
 	return dropped
 }
 
-// replicaKey identifies a neighbour state held in this node's memory.
-type replicaKey struct {
+// ownerReplicas is one neighbour's checkpoint states held in this
+// node's memory (see Node.replicas), strictly increasing in Seq.
+type ownerReplicas struct {
 	owner topology.NodeID
-	seq   SN
+	reps  []Replica
+}
+
+// searchReplica returns the position of the first replica in reps with
+// Seq >= seq, and whether that replica's Seq is seq.
+func searchReplica(reps []Replica, seq SN) (int, bool) {
+	lo, hi := 0, len(reps)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if reps[mid].Seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(reps) && reps[lo].Seq == seq
 }
 
 // inbound is an application message awaiting processing (frozen during
@@ -240,9 +256,11 @@ type Node struct {
 	alertSN    []SN
 
 	// ---- two-phase commit (participant side) ----
-	phase        cpPhase
-	prepSeq      SN
-	provisional  *clcRecord
+	phase   cpPhase
+	prepSeq SN
+	// provisional is the record the prepare captured, valid while phase
+	// is cpPrepared; the commit stores it by value.
+	provisional  clcRecord
 	replWanted   int
 	replGot      int
 	frozenSends  bool
@@ -274,9 +292,14 @@ type Node struct {
 	pendingDirty DirtySet
 
 	// ---- queues ----
+	// Drains and rollbacks empty the queues in place (clear + [:0]), so
+	// their backing arrays serve the next checkpoint round.
 	sendQueue    []AppPayloadTo // app sends issued while frozen
 	inboundQueue []inbound      // deliveries deferred (freeze / future epoch)
 	heldInter    []inbound      // inter-cluster messages awaiting a forced CLC
+	// heldSpare is the second buffer reexamineHeld swaps with heldInter:
+	// the messages it re-holds go to the spare while it walks the other.
+	heldSpare []inbound
 
 	// ---- storage ----
 	// clcs and chain are the stored CLCs, oldest first and strictly
@@ -284,10 +307,17 @@ type Node struct {
 	// metadata: commits append SN+1, GC drops a prefix, a rollback a
 	// suffix, and recovery rebuilds both from a holder's chain. Mutated
 	// only through appendCLC/dropCLCsBelow/truncateCLCsAfter/resetCLCs/
-	// logLate, which keep the two the same length.
-	clcs     []*clcRecord
-	chain    Chain
-	replicas map[replicaKey]Replica
+	// logLate, which keep the two the same length. Records are stored by
+	// value and zeroed when dropped.
+	clcs  []clcRecord
+	chain Chain
+	// replicas holds neighbours' checkpoint states, one SN-ordered list
+	// per owner. A holder serves only its cfg.Replicas ring predecessors,
+	// so owners are found by a linear scan; commits append, GC drops a
+	// prefix of each list, a rollback a suffix. Mutated only through
+	// storeReplica/dropReplicasBelow/dropReplicasAbove/resetReplicas,
+	// which keep replicaBytes exact.
+	replicas []ownerReplicas
 	// mirrorLogs holds neighbours' message-log mirrors (stable storage
 	// for §3.3's volatile log), keyed by the owning node.
 	mirrorLogs map[topology.NodeID]*mirrorLog
@@ -308,6 +338,9 @@ type Node struct {
 	// log is mutated only through appendLog/filterLog/resetLog, which
 	// keep logBytes, logIndex and logPeak in step with it.
 	log []*logEntry
+	// logSlab backs the log entries; an entry is zeroed when the log
+	// drops it.
+	logSlab Slab[logEntry]
 	// logIndex finds a log entry by MsgID for onAppAck. Allocated by the
 	// first append: most nodes of a wide federation never log.
 	logIndex  map[uint64]*logEntry
@@ -409,9 +442,16 @@ type Node struct {
 	// node's checkpoint parts, computed once (the per-prepare slice
 	// build showed up as a top allocation site).
 	replTargets []topology.NodeID
+	// peerIDs is the other nodes of the cluster, index order, built by
+	// the first cluster broadcast (see peers).
+	peerIDs []topology.NodeID
 	// boxes is the env's message-box recycler when it offers one
 	// (BoxPool); nil means plain value sends.
 	boxes BoxPool
+	// reclaims records that the env reclaims message boxes
+	// (BoxReclaimer): control messages then travel in boxes from ctl.
+	reclaims bool
+	ctl      ctlBoxes
 	// obs is the env's protocol observer when it offers one (the
 	// invariant oracle); nil means no observation — one nil check per
 	// hook site.
@@ -498,10 +538,7 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 		knownEpoch: make([]Epoch, cfg.Clusters),
 		alertEpoch: make([]Epoch, cfg.Clusters),
 		alertSN:    make([]SN, cfg.Clusters),
-		// The volatile-storage maps are sized from the topology: a node
-		// holds replicas for its cfg.Replicas ring predecessors (a few
-		// checkpoints each) and mirrors the same neighbours' logs.
-		replicas:   make(map[replicaKey]Replica, 4*(cfg.Replicas+1)),
+		// A node mirrors the logs of its cfg.Replicas ring predecessors.
 		mirrorLogs: make(map[topology.NodeID]*mirrorLog, cfg.Replicas),
 		// cascadeMemo stays unsized: it only ever holds the few clusters
 		// that alerted a rollback, so a width-sized hint wastes ~50KB of
@@ -513,6 +550,7 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 	}
 	n.arena.Init(cfg.Clusters)
 	n.boxes, _ = env.(BoxPool)
+	_, n.reclaims = env.(BoxReclaimer)
 	n.sink, _ = env.(EventSink)
 	if n.obs, _ = env.(Observer); n.obs != nil {
 		n.obs.ObserveMode(cfg.ID, cfg.Mode)
@@ -540,9 +578,8 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 	n.commitBase.CopyFrom(n.ddv)
 	state, size := app.Snapshot()
 	n.chain.Init(1, n.ddv)
-	rec := &clcRecord{at: env.Now(), state: state, stateSize: size}
-	n.clcs = append(n.clcs, rec)
-	n.clcBytes = rec.storedBytes()
+	n.clcs = append(n.clcs, clcRecord{at: env.Now(), state: state, stateSize: size})
+	n.clcBytes = n.clcs[0].storedBytes()
 	// ddv equals the initial CLC's vector: the incremental GC-report
 	// scan starts valid (see gcScanDirty).
 	n.gcScanValid = true
@@ -573,6 +610,22 @@ func (n *Node) leaderOf(c topology.ClusterID) topology.NodeID {
 // checkpoint parts: the next cfg.Replicas indices, ring order. The
 // slice is the node's cached copy — callers must not mutate it.
 func (n *Node) replicaTargets() []topology.NodeID { return n.replTargets }
+
+// peers returns the other nodes of this node's cluster in index order,
+// built on first use: most participants broadcast only to coordinate a
+// rollback. The slice is the node's cached copy — callers must not
+// mutate it.
+func (n *Node) peers() []topology.NodeID {
+	if n.peerIDs == nil {
+		n.peerIDs = make([]topology.NodeID, 0, n.size-1)
+		for i := 0; i < n.size; i++ {
+			if i != n.id.Index {
+				n.peerIDs = append(n.peerIDs, topology.NodeID{Cluster: n.cluster, Index: i})
+			}
+		}
+	}
+	return n.peerIDs
+}
 
 // holderFor returns the first replica holder of this node's state.
 func (n *Node) holderFor() topology.NodeID {
@@ -650,7 +703,13 @@ func (n *Node) LogLen() int { return len(n.log) }
 func (n *Node) LogPeak() int { return n.logPeak }
 
 // ReplicaCount returns the neighbour states held in this node's memory.
-func (n *Node) ReplicaCount() int { return len(n.replicas) }
+func (n *Node) ReplicaCount() int {
+	count := 0
+	for _, l := range n.replicas {
+		count += len(l.reps)
+	}
+	return count
+}
 
 // StorageBytes approximates the volatile memory this node devotes to
 // fault tolerance: its own checkpoint states, the neighbour replicas it
@@ -663,7 +722,7 @@ func (n *Node) StorageBytes() uint64 {
 
 // appendCLC stores rec as the newest CLC: sequence number sn, committed
 // with pairs (what changed since the newest stored record; retained).
-func (n *Node) appendCLC(rec *clcRecord, sn SN, pairs []DDVPair) {
+func (n *Node) appendCLC(rec clcRecord, sn SN, pairs []DDVPair) {
 	n.chain.Append(sn, pairs)
 	n.clcs = append(n.clcs, rec)
 	n.clcBytes += rec.storedBytes()
@@ -672,8 +731,8 @@ func (n *Node) appendCLC(rec *clcRecord, sn SN, pairs []DDVPair) {
 // dropCLCsBelow discards the stored CLCs with SN < threshold (a prefix).
 func (n *Node) dropCLCsBelow(threshold SN) {
 	cut := n.chain.DropBelow(threshold)
-	for _, r := range n.clcs[:cut] {
-		n.clcBytes -= r.storedBytes()
+	for i := range n.clcs[:cut] {
+		n.clcBytes -= n.clcs[i].storedBytes()
 	}
 	kept := copy(n.clcs, n.clcs[cut:])
 	clear(n.clcs[kept:])
@@ -684,8 +743,8 @@ func (n *Node) dropCLCsBelow(threshold SN) {
 func (n *Node) truncateCLCsAfter(sn SN) {
 	n.chain.TruncateAfter(sn)
 	keep := n.chain.Len()
-	for _, r := range n.clcs[keep:] {
-		n.clcBytes -= r.storedBytes()
+	for i := range n.clcs[keep:] {
+		n.clcBytes -= n.clcs[keep+i].storedBytes()
 	}
 	clear(n.clcs[keep:])
 	n.clcs = n.clcs[:keep]
@@ -727,33 +786,107 @@ func (n *Node) filterLog(keep func(*logEntry) bool) {
 		} else {
 			n.logBytes -= uint64(e.payload.Size)
 			delete(n.logIndex, e.msgID)
+			*e = logEntry{}
 		}
 	}
+	clear(n.log[len(kept):])
 	n.log = kept
 }
 
 // resetLog empties the message log.
 func (n *Node) resetLog() {
+	for _, e := range n.log {
+		*e = logEntry{}
+	}
 	clear(n.log)
 	n.log = n.log[:0]
 	n.logBytes = 0
 	clear(n.logIndex)
 }
 
-// storeReplica installs (or overwrites) a neighbour state, keeping the
-// running byte total exact.
-func (n *Node) storeReplica(k replicaKey, r Replica) {
-	if old, ok := n.replicas[k]; ok {
-		n.replicaBytes -= uint64(old.Size)
+// replicaList returns the store's list for owner, nil when it holds
+// none.
+func (n *Node) replicaList(owner topology.NodeID) *ownerReplicas {
+	for i := range n.replicas {
+		if n.replicas[i].owner == owner {
+			return &n.replicas[i]
+		}
 	}
-	n.replicaBytes += uint64(r.Size)
-	n.replicas[k] = r
+	return nil
 }
 
-// dropReplica removes a stored neighbour state.
-func (n *Node) dropReplica(k replicaKey, r Replica) {
-	n.replicaBytes -= uint64(r.Size)
-	delete(n.replicas, k)
+// replicasOf returns the SN-ordered replicas held for owner (nil when
+// none). The slice is the store's own — callers must not mutate it.
+func (n *Node) replicasOf(owner topology.NodeID) []Replica {
+	if l := n.replicaList(owner); l != nil {
+		return l.reps
+	}
+	return nil
+}
+
+// storeReplica installs (or overwrites) a neighbour state, keeping the
+// running byte total exact. A commit's replica is the owner's newest and
+// appends; an out-of-order one (re-replication, a straggler from before
+// a rollback) is placed by binary search.
+func (n *Node) storeReplica(r Replica) {
+	l := n.replicaList(r.Owner)
+	if l == nil {
+		n.replicas = append(n.replicas, ownerReplicas{owner: r.Owner})
+		l = &n.replicas[len(n.replicas)-1]
+	}
+	n.replicaBytes += uint64(r.Size)
+	if last := len(l.reps) - 1; last < 0 || l.reps[last].Seq < r.Seq {
+		l.reps = append(l.reps, r)
+		return
+	}
+	i, found := searchReplica(l.reps, r.Seq)
+	if found {
+		n.replicaBytes -= uint64(l.reps[i].Size)
+		l.reps[i] = r
+		return
+	}
+	l.reps = append(l.reps, Replica{})
+	copy(l.reps[i+1:], l.reps[i:])
+	l.reps[i] = r
+}
+
+// dropReplicasBelow discards every held replica with Seq < threshold: a
+// prefix of each owner's list.
+func (n *Node) dropReplicasBelow(threshold SN) {
+	for i := range n.replicas {
+		l := &n.replicas[i]
+		cut, _ := searchReplica(l.reps, threshold)
+		for _, r := range l.reps[:cut] {
+			n.replicaBytes -= uint64(r.Size)
+		}
+		kept := copy(l.reps, l.reps[cut:])
+		clear(l.reps[kept:])
+		l.reps = l.reps[:kept]
+	}
+}
+
+// dropReplicasAbove discards every held replica with Seq > sn: a suffix
+// of each owner's list.
+func (n *Node) dropReplicasAbove(sn SN) {
+	for i := range n.replicas {
+		l := &n.replicas[i]
+		keep, _ := searchReplica(l.reps, sn+1)
+		for _, r := range l.reps[keep:] {
+			n.replicaBytes -= uint64(r.Size)
+		}
+		clear(l.reps[keep:])
+		l.reps = l.reps[:keep]
+	}
+}
+
+// resetReplicas empties the replica store.
+func (n *Node) resetReplicas() {
+	for i := range n.replicas {
+		clear(n.replicas[i].reps)
+	}
+	clear(n.replicas)
+	n.replicas = n.replicas[:0]
+	n.replicaBytes = 0
 }
 
 // Failed reports whether the node is crashed.
@@ -769,14 +902,12 @@ func (n *Node) Frozen() bool { return n.frozenSends }
 
 // SeedReplica installs a checkpoint replica directly (used only at
 // bootstrap to pre-distribute the initial checkpoint).
-func (n *Node) SeedReplica(r Replica) {
-	n.storeReplica(replicaKey{owner: r.Owner, seq: r.Seq}, r)
-}
+func (n *Node) SeedReplica(r Replica) { n.storeReplica(r) }
 
 // InitialReplica returns the Replica record of this node's initial
 // checkpoint, for bootstrap seeding.
 func (n *Node) InitialReplica() Replica {
-	r0 := n.clcs[0]
+	r0 := &n.clcs[0]
 	return Replica{Seq: n.chain.Recs[0].SN, Owner: n.id, State: r0.state, Size: r0.stateSize}
 }
 
@@ -823,13 +954,12 @@ func (n *Node) Restart() {
 	n.alertEpoch = make([]Epoch, n.cfg.Clusters)
 	n.alertSN = make([]SN, n.cfg.Clusters)
 	n.resetCLCs()
-	n.replicas = make(map[replicaKey]Replica, 4*(n.cfg.Replicas+1))
+	n.resetReplicas()
 	n.mirrorLogs = make(map[topology.NodeID]*mirrorLog, n.cfg.Replicas)
-	n.replicaBytes = 0
 	n.mirrorBytes = 0
 	n.resetLog()
 	n.phase = cpIdle
-	n.provisional = nil
+	n.provisional = clcRecord{}
 	n.inFlight = false
 	n.clearPendingForce()
 	n.pendingAlways = false
@@ -910,6 +1040,21 @@ func (n *Node) OnMessage(src topology.NodeID, msg Msg) {
 		n.onAppMsg(src, m)
 	case AppAck:
 		n.onAppAck(src, m)
+	// Recycled control boxes (see BoxReclaimer), copied likewise.
+	case *Box[CLCRequest]:
+		n.onCLCRequest(src, m.M)
+	case *Box[CLCAck]:
+		n.onCLCAck(src, m.M)
+	case *Box[CLCCommit]:
+		n.onCLCCommit(src, m.M)
+	case *Box[ForceCLC]:
+		n.onForceCLC(src, m.M)
+	case *Box[Replica]:
+		n.onReplica(src, m.M)
+	case *Box[ReplicaAck]:
+		n.onReplicaAck(src, m.M)
+	case *Box[LogMirror]:
+		n.onLogMirror(src, m.M)
 	case CLCRequest:
 		n.onCLCRequest(src, m)
 	case CLCAck:

@@ -64,8 +64,11 @@ func (e *mockEnv) ResetPiggyExam(dst topology.ClusterID) {
 	}
 }
 
-// The testbed implements BoxPool like the federation harness, so unit
-// tests and benchmarks cover the pooled-box message path.
+// The testbed implements BoxPool and BoxReclaimer like the federation
+// harness, so unit tests and benchmarks cover the pooled-box message
+// path.
+func (e *mockEnv) ReclaimsMsgBoxes() {}
+
 func (e *mockEnv) AppMsgBox() *AppMsg {
 	b := e.bed
 	if last := len(b.appBoxes) - 1; last >= 0 {
@@ -91,6 +94,24 @@ func (e *mockEnv) AppAckBox() *AppAck {
 type shadowedEnv struct {
 	*mockEnv
 	*DenseShadows
+}
+
+// Event shows the node's protocol events to the shadow.
+func (e shadowedEnv) Event(ev Event) { e.DenseShadows.NodeEvent(e.id, ev) }
+
+// seedReplicas pre-distributes every node's initial checkpoint to its
+// holders, as the federation harness does (through the shadow when
+// there is one).
+func (b *testbed) seedReplicas() {
+	for _, n := range b.nodes {
+		for _, tgt := range n.replicaTargets() {
+			if b.shadows != nil {
+				b.shadows.SeedReplica(b.nodes[tgt], n.InitialReplica())
+			} else {
+				b.nodes[tgt].SeedReplica(n.InitialReplica())
+			}
+		}
+	}
 }
 
 // newNode builds one node of the testbed on env.
@@ -137,6 +158,7 @@ type testbed struct {
 
 	appBoxes []*AppMsg
 	ackBoxes []*AppAck
+	boxSeen  map[Msg]bool // checkBoxes' scratch set
 
 	// shadows keeps every node's stored history in the dense form the
 	// chain replaced, and the pump holds the two against each other
@@ -159,7 +181,38 @@ func (b *testbed) reclaim(msg Msg) {
 	case *AppAck:
 		*m = AppAck{}
 		b.ackBoxes = append(b.ackBoxes, m)
+	case ReclaimableMsg:
+		m.ReclaimMsgBox()
 	}
+}
+
+// freeBox is implemented by every Box (export_test.go): whether the box
+// sits in its sender's free list, i.e. was reclaimed and not reused.
+type freeBox interface{ isFree() bool }
+
+// checkBoxes enforces the box discipline on the messages still queued
+// after a delivery: no box queued twice (a box belongs to exactly one
+// delivery) and none already reclaimed (its receiver would read a
+// zeroed or reused value).
+func (b *testbed) checkBoxes(queued []sentMsg) error {
+	if b.boxSeen == nil {
+		b.boxSeen = make(map[Msg]bool)
+	}
+	defer clear(b.boxSeen)
+	for _, q := range queued {
+		box, ok := q.msg.(ReclaimableMsg)
+		if !ok {
+			continue
+		}
+		if b.boxSeen[box] {
+			return fmt.Errorf("box %p (%T) queued twice", box, box)
+		}
+		b.boxSeen[box] = true
+		if f, ok := box.(freeBox); ok && f.isFree() {
+			return fmt.Errorf("box %p (%T) still queued after it was reclaimed", box, box)
+		}
+	}
+	return nil
 }
 
 // newTestbed builds clusters with sizes[i] nodes each, replicas state
@@ -202,12 +255,7 @@ func newTestbed(t testing.TB, sizes []int, replicas int, transitive bool) *testb
 			n.Start()
 		}
 	}
-	// Seed initial replicas, as the federation harness does.
-	for _, n := range bed.nodes {
-		for _, tgt := range n.replicaTargets() {
-			bed.nodes[tgt].SeedReplica(n.InitialReplica())
-		}
-	}
+	bed.seedReplicas()
 	return bed
 }
 
@@ -264,12 +312,7 @@ func newWideTestbedSized(t testing.TB, width int, dense bool, nodes int) *testbe
 			n.Start()
 		}
 	}
-	// Seed initial replicas, as the federation harness does.
-	for _, n := range bed.nodes {
-		for _, tgt := range n.replicaTargets() {
-			bed.nodes[tgt].SeedReplica(n.InitialReplica())
-		}
-	}
+	bed.seedReplicas()
 	return bed
 }
 
@@ -327,7 +370,7 @@ func (b *testbed) pump() {
 		// absence of.
 		b.shadows.Deliver(dst, m.src, m.msg)
 		b.reclaim(m.msg)
-		for _, err := range []error{dst.CheckStoredHistory(), b.shadows.Check(dst)} {
+		for _, err := range []error{dst.CheckStoredHistory(), b.shadows.Check(dst), b.checkBoxes(b.queue[head+1:])} {
 			if err != nil {
 				b.t.Fatalf("after %T from %v: %v", m.msg, m.src, err)
 			}

@@ -54,7 +54,7 @@ func (n *Node) initiateRollback(toSN SN) {
 	n.emit(Event{Kind: EventRollback, Seq: toSN, Epoch: newEpoch})
 
 	cmd := RollbackCmd{ToSN: toSN, NewEpoch: newEpoch}
-	n.sendToCluster(cmd)
+	sendToCluster(n, nil, cmd)
 	// "One node in each other cluster in the federation receives a
 	// rollback alert. It contains the faulty cluster's SN that
 	// corresponds to the CLC to which it rolls back."
@@ -81,8 +81,12 @@ func (n *Node) initiateRollback(toSN SN) {
 // onRecoverStateResp finishes the job, acking coordinator.
 func (n *Node) performLocalRollback(toSN SN, newEpoch Epoch, coordinator topology.NodeID) bool {
 	n.abortCheckpoint()
-	n.sendQueue = nil // sends of the aborted execution are re-executed
-	n.heldInter = nil // in-flight senders will resend (they are logged)
+	// Sends of the aborted execution are re-executed; in-flight senders
+	// will resend what was held (they are logged).
+	clear(n.sendQueue)
+	n.sendQueue = n.sendQueue[:0]
+	clear(n.heldInter)
+	n.heldInter = n.heldInter[:0]
 	// Deferred messages addressed to the post-rollback epoch survive;
 	// everything else belongs to the aborted execution.
 	kept := n.inboundQueue[:0]
@@ -91,15 +95,12 @@ func (n *Node) performLocalRollback(toSN SN, newEpoch Epoch, coordinator topolog
 			kept = append(kept, in)
 		}
 	}
+	clear(n.inboundQueue[len(kept):])
 	n.inboundQueue = kept
 
 	// Discard checkpoints from the aborted future.
 	n.truncateCLCsAfter(toSN)
-	for k, rep := range n.replicas {
-		if k.seq > toSN {
-			n.dropReplica(k, rep)
-		}
-	}
+	n.dropReplicasAbove(toSN)
 	for _, ml := range n.mirrorLogs {
 		n.mirrorBytes -= ml.filter(func(e *LogMirror) bool { return e.SendSN < toSN })
 	}
@@ -128,7 +129,7 @@ func (n *Node) performLocalRollback(toSN SN, newEpoch Epoch, coordinator topolog
 }
 
 func (n *Node) finishLocalRollback(idx int, toSN SN, newEpoch Epoch) {
-	rec := n.clcs[idx]
+	rec := &n.clcs[idx]
 	n.app.Restore(rec.state)
 	for _, late := range rec.lateLog {
 		n.env.Stat("app.redelivered_late", 1)
@@ -200,7 +201,8 @@ func (n *Node) onRollbackCmd(src topology.NodeID, m RollbackCmd) {
 
 // onRecoverStateReq serves a stored replica back to its owner.
 func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
-	rep, ok := n.replicas[replicaKey{owner: m.Owner, seq: m.Seq}]
+	reps := n.replicasOf(m.Owner)
+	at, ok := searchReplica(reps, m.Seq)
 	if !ok {
 		// The owner queries every holder; this one cannot serve (e.g.
 		// it restarted recently itself). Another holder usually can —
@@ -210,9 +212,11 @@ func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
 		n.emit(Event{Kind: EventReplicaMiss, Seq: m.Seq, Peer: m.Owner})
 		return
 	}
+	rep := reps[at]
 	// The cluster's checkpoint metadata is this node's own chain, up to
-	// the requested record.
-	keep := 0
+	// the requested record; the older states are the owner's replicas at
+	// those records — a merge walk, both lists being SN-ordered.
+	keep, j := 0, 0
 	var older []OlderState
 	for _, r := range n.chain.Recs {
 		if r.SN > m.Seq {
@@ -222,8 +226,11 @@ func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
 		if r.SN == m.Seq {
 			continue
 		}
-		if old, ok := n.replicas[replicaKey{owner: m.Owner, seq: r.SN}]; ok {
-			older = append(older, OlderState{SN: old.Seq, State: old.State, Size: old.Size})
+		for j < len(reps) && reps[j].Seq < r.SN {
+			j++
+		}
+		if j < len(reps) && reps[j].Seq == r.SN {
+			older = append(older, OlderState{SN: r.SN, State: reps[j].State, Size: reps[j].Size})
 		}
 	}
 	resp := RecoverStateResp{
@@ -256,7 +263,7 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 	n.chain.TruncateAfter(pend.cmd.ToSN)
 	for _, r := range n.chain.Recs {
 		sn := r.SN
-		rec := &clcRecord{at: n.env.Now(), remote: true}
+		rec := clcRecord{at: n.env.Now(), remote: true}
 		switch {
 		case sn == pend.cmd.ToSN:
 			rec.state = m.State
@@ -297,10 +304,12 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 		if e.SendSN >= pend.cmd.ToSN {
 			continue
 		}
-		n.appendLog(&logEntry{
+		le := n.logSlab.New()
+		*le = logEntry{
 			msgID: e.MsgID, dst: e.Dst, dstCluster: e.Dst.Cluster,
 			payload: e.Payload, piggySN: e.PiggySN, piggyDDV: e.PiggyDDV,
-		})
+		}
+		n.appendLog(le)
 		n.env.Stat("log.recovered_entries", 1)
 	}
 
@@ -329,20 +338,19 @@ func (n *Node) onReReplicateReq(src topology.NodeID, m ReReplicateReq) {
 	if m.Epoch != n.epoch || src.Cluster != n.cluster {
 		return
 	}
-	for i, rec := range n.clcs {
+	for i := range n.clcs {
+		rec := &n.clcs[i]
 		if rec.remote {
 			continue // our own copy lives remotely; nothing to push
 		}
-		rep := Replica{Seq: n.chain.Recs[i].SN, Epoch: n.epoch, Owner: n.id, State: rec.state, Size: rec.stateSize}
-		n.env.Send(src, controlSize(rep), rep)
+		sendCtl(n, &n.ctl.rep, src, Replica{Seq: n.chain.Recs[i].SN, Epoch: n.epoch, Owner: n.id, State: rec.state, Size: rec.stateSize})
 		n.env.Stat("storage.rereplicated", 1)
 	}
 	for _, e := range n.log {
-		mir := LogMirror{
+		sendCtl(n, &n.ctl.mirror, src, LogMirror{
 			Owner: n.id, MsgID: e.msgID, Dst: e.dst, Payload: e.payload,
 			PiggySN: e.piggySN, PiggyDDV: e.piggyDDV, SendSN: e.piggySN,
-		}
-		n.env.Send(src, controlSize(mir), mir)
+		})
 	}
 }
 
@@ -406,7 +414,7 @@ func (n *Node) checkRollbackDone() {
 		n.env.Now().Sub(n.rbSince).Seconds())
 	n.emit(Event{Kind: EventRollbackDone, Seq: n.rbSeq, Epoch: n.rbEpoch})
 	res := RollbackResume{Epoch: n.rbEpoch}
-	n.sendToCluster(res)
+	sendToCluster(n, nil, res)
 	n.resumeAfterRollback()
 	// Alerts that arrived while restoring are decided now.
 	pending := n.deferredAlert
@@ -502,7 +510,7 @@ func (n *Node) onRollbackAlert(src topology.NodeID, m RollbackAlert) {
 	n.resendLoggedTo(m.Cluster, m.NewSN, m.NewEpoch)
 	external := src.Cluster != n.cluster
 	if external {
-		n.sendToCluster(m)
+		sendToCluster(n, nil, m)
 		if n.lostState || n.rbActive {
 			n.deferredAlert = append(n.deferredAlert, m)
 			return

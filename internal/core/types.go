@@ -125,6 +125,40 @@ func (a *DDVArena) Clone(d DDV) DDV {
 	return c
 }
 
+// Slab is the DDVArena pattern for single values: it hands out pointers
+// cut from chunked backing arrays, one allocation per chunk instead of
+// one per value. Chunks grow geometrically from slabFirst to slabChunk
+// values and are allocated on first use, so an owner that cuts nothing
+// pays nothing. A value lives as long as anything retains it (a chunk
+// is garbage-collected once every value cut from it is unreachable);
+// slots are never reused, so an owner that drops a value holding
+// references zeroes it.
+type Slab[T any] struct {
+	chunk []T
+	next  int // size of the next chunk
+}
+
+const (
+	slabFirst = 8
+	slabChunk = 128
+)
+
+// New returns a pointer to a zero value cut from the slab.
+func (s *Slab[T]) New() *T {
+	if len(s.chunk) == 0 {
+		switch {
+		case s.next == 0:
+			s.next = slabFirst
+		case s.next < slabChunk:
+			s.next *= 2
+		}
+		s.chunk = make([]T, s.next)
+	}
+	p := &s.chunk[0]
+	s.chunk = s.chunk[1:]
+	return p
+}
+
 // Merge raises each entry to the element-wise maximum with o and
 // reports whether any entry changed. Used by the transitive-dependency
 // extension (paper §7 future work).
@@ -217,11 +251,14 @@ type Env interface {
 // BoxPool is an optional upgrade interface of Env: a harness that
 // implements it hands the protocol recycled wire-message boxes for the
 // per-message hot path, eliminating the interface-boxing allocation of
-// every AppMsg/AppAck send. Ownership contract: a box obtained here is
-// filled and passed to exactly one Send/SendApp call; the harness
-// reclaims it after the destination's OnMessage returns (receivers copy
-// anything they keep, never the box). Environments that do not
-// implement BoxPool (e.g. the live runtime) get plain value messages.
+// every AppMsg/AppAck send. These boxes are the harness's: it keeps
+// their free list, where the checkpoint round's control messages travel
+// in sender-owned Boxes instead (see BoxReclaimer). Ownership contract:
+// a box obtained here is filled and passed to exactly one Send/SendApp
+// call; the harness reclaims it after the destination's OnMessage
+// returns (receivers copy anything they keep, never the box).
+// Environments that do not implement BoxPool (e.g. the live runtime)
+// get plain value messages.
 type BoxPool interface {
 	AppMsgBox() *AppMsg
 	AppAckBox() *AppAck

@@ -457,8 +457,9 @@ func (b *msgBoxes) reclaim(msg core.Msg) {
 		*m = core.AppAck{}
 		b.appAcks = append(b.appAcks, m)
 	case core.ReclaimableMsg:
-		// Protocol-owned boxes (baseline wire messages) return to the
-		// free list of the node that sent them.
+		// Sender-owned boxes (core.Box: the checkpoint round's control
+		// messages, the baselines' wire envelopes) return to the free
+		// list of the node that sent them.
 		m.ReclaimMsgBox()
 	}
 }
@@ -513,7 +514,8 @@ func (f *Fed) pipeExit(src, dst topology.NodeID, payload any) {
 // nodeEnv adapts the federation to core.Env for one node. It also
 // implements core.BoxPool, handing the protocol recycled message boxes
 // so the steady-state send path performs no interface-boxing allocation,
-// and core.PiggyCodecs, exposing the per-pipe delta codecs.
+// core.BoxReclaimer (msgBoxes.reclaim runs after every OnMessage), and
+// core.PiggyCodecs, exposing the per-pipe delta codecs.
 type nodeEnv struct {
 	f     *Fed
 	id    topology.NodeID
@@ -540,6 +542,10 @@ func (e *nodeEnv) AppMsgBox() *core.AppMsg {
 	}
 	return new(core.AppMsg)
 }
+
+// ReclaimsMsgBoxes implements core.BoxReclaimer: every delivery's
+// message goes through msgBoxes.reclaim once its OnMessage returns.
+func (e *nodeEnv) ReclaimsMsgBoxes() {}
 
 func (e *nodeEnv) PiggyCodec(src, dst topology.ClusterID) *core.DeltaCodec {
 	return e.f.piggyCodec(src, dst)
