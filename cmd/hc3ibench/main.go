@@ -16,14 +16,14 @@
 //	hc3ibench -matrix -filter tier=wide -dense-ddv # dense reference wire
 //	hc3ibench -oracle -matrix                      # invariant-checked matrix
 //	hc3ibench -matrix -filter tier=chaos -chaos-seeds 50   # adversarial tier
-//	hc3ibench -matrix -filter tier=chaos -chaos-seed 1337  # replay one schedule
-//	hc3ibench -matrix -filter tier=chaos -chaos-seed 1337 -chaos-ops 12  # minimized prefix
+//	hc3ibench -matrix -filter tier=chaos -seed 3 -chaos-seed 1337  # replay one run
+//	hc3ibench -matrix -filter tier=chaos -seed 3 -chaos-seed 1337 -chaos-ops 12  # minimized prefix
 //	hc3ibench -matrix -filter tier=trace                   # open-loop arrivals on trace-driven links
 //	hc3ibench -matrix -filter tier=trace -trace-file my_link.jsonl
 //	hc3ibench -matrix -run-timeout 2m                      # watchdog wedged runs
 //
-// A failing chaos sweep names the violated check and the failing seed,
-// and prints the exact replay command, so a red nightly run is one
+// A failing chaos sweep names the violated check and the failing run's
+// traffic and chaos seeds, and prints the exact replay command, so a red nightly run is one
 // paste away from a local repro.
 //
 //	hc3ibench -list           # list the registry and the matrix axes
@@ -53,44 +53,57 @@ import (
 	"repro/internal/netsim"
 )
 
-func main() {
-	// The run's options are flag-bound straight into the one struct the
-	// runner consumes.
-	var opts hc3i.RunnerOptions
-	flag.BoolVar(&opts.Quick, "quick", false, "reduced scale (small clusters, short runs)")
-	flag.Uint64Var(&opts.Seed, "seed", 1, "simulation seed")
-	flag.IntVar(&opts.Workers, "parallel", hc3i.DefaultWorkers(),
-		"max federations simulated concurrently (1 = sequential; output is identical either way)")
-	flag.BoolVar(&opts.DenseWire, "dense-ddv", false,
-		"transport dependency vectors in the dense wire encoding (identical results; for A/B timing the delta encoding)")
-	flag.BoolVar(&opts.UnbatchedWire, "unbatched-wire", false,
-		"schedule every inter-cluster delivery as its own engine event instead of batching same-pipe same-tick messages (identical results; for A/B timing the batched wire)")
-	flag.BoolVar(&opts.Oracle, "oracle", false,
-		"attach the online protocol invariant checker to every run (identical results; violations fail the run)")
-	flag.Uint64Var(&opts.ChaosSeed, "chaos-seed", 0,
-		"replay one adversarial schedule on the chaos tier (0 = derive from -seed)")
-	flag.IntVar(&opts.ChaosSeeds, "chaos-seeds", 1,
-		"how many consecutive adversarial schedules each chaos-tier scenario runs")
-	flag.IntVar(&opts.ChaosOps, "chaos-ops", 0,
-		"cap every chaos schedule at its first N perturbation actions (0 = unlimited; minimized repro commands set it)")
-	flag.StringVar(&opts.TraceFile, "trace-file", "",
-		"JSONL link schedule for the trace tier (one {\"t_ms\",\"latency_ms\",\"jitter_ms\",\"loss\"} object per line; default: the embedded mobile-broadband fixture)")
-	flag.DurationVar(&opts.RunTimeout, "run-timeout", 0,
-		"wall-clock watchdog per federation run: a wedged run is killed and reported instead of hanging (0 = none)")
-	var (
-		runID    = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		matrix   = flag.Bool("matrix", false, "run the scenario matrix instead of the registry")
-		filter   = flag.String("filter", "", "matrix filter, e.g. topology=2c,failure=churn")
-		list     = flag.Bool("list", false, "list experiments and matrix axes, then exit")
-		out      = flag.String("o", "", "also write results to this file")
-		csvDir   = flag.String("csv", "", "write one <ID>.csv per table into this directory")
-		markdown = flag.Bool("markdown", false, "emit GitHub-flavoured markdown tables")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this file")
-	)
-	flag.Parse()
+// cli is everything hc3ibench reads off its command line: the run's
+// options, flag-bound straight into the one struct the runner
+// consumes, and the flags main itself acts on.
+type cli struct {
+	opts                                         hc3i.RunnerOptions
+	runID, filter, out, csvDir, cpuProf, memProf string
+	matrix, list, markdown                       bool
+}
 
-	if *list {
+// bindFlags defines every hc3ibench flag on fs.
+func bindFlags(fs *flag.FlagSet) *cli {
+	c := &cli{}
+	opts := &c.opts
+	fs.BoolVar(&opts.Quick, "quick", false, "reduced scale (small clusters, short runs)")
+	fs.Uint64Var(&opts.Seed, "seed", 1, "simulation seed")
+	fs.IntVar(&opts.Workers, "parallel", hc3i.DefaultWorkers(),
+		"max federations simulated concurrently (1 = sequential; output is identical either way)")
+	fs.BoolVar(&opts.DenseWire, "dense-ddv", false,
+		"transport dependency vectors in the dense wire encoding (identical results; for A/B timing the delta encoding)")
+	fs.BoolVar(&opts.UnbatchedWire, "unbatched-wire", false,
+		"schedule every inter-cluster delivery as its own engine event instead of batching same-pipe same-tick messages (identical results; for A/B timing the batched wire)")
+	fs.BoolVar(&opts.Oracle, "oracle", false,
+		"attach the online protocol invariant checker to every run (identical results; violations fail the run)")
+	fs.Uint64Var(&opts.ChaosSeed, "chaos-seed", 0,
+		"replay one adversarial schedule on the chaos tier (0 = derive from -seed)")
+	fs.IntVar(&opts.ChaosSeeds, "chaos-seeds", 1,
+		"how many consecutive adversarial schedules each chaos-tier scenario runs")
+	fs.IntVar(&opts.ChaosOps, "chaos-ops", 0,
+		"cap every chaos schedule at its first N perturbation actions (0 = unlimited; minimized repro commands set it)")
+	fs.StringVar(&opts.TraceFile, "trace-file", "",
+		"JSONL link schedule for the trace tier (one {\"t_ms\",\"latency_ms\",\"jitter_ms\",\"loss\"} object per line; default: the embedded mobile-broadband fixture)")
+	fs.DurationVar(&opts.RunTimeout, "run-timeout", 0,
+		"wall-clock watchdog per federation run: a wedged run is killed and reported instead of hanging (0 = none)")
+	fs.StringVar(&c.runID, "run", "", "comma-separated experiment IDs (default: all)")
+	fs.BoolVar(&c.matrix, "matrix", false, "run the scenario matrix instead of the registry")
+	fs.StringVar(&c.filter, "filter", "", "matrix filter, e.g. topology=2c,failure=churn")
+	fs.BoolVar(&c.list, "list", false, "list experiments and matrix axes, then exit")
+	fs.StringVar(&c.out, "o", "", "also write results to this file")
+	fs.StringVar(&c.csvDir, "csv", "", "write one <ID>.csv per table into this directory")
+	fs.BoolVar(&c.markdown, "markdown", false, "emit GitHub-flavoured markdown tables")
+	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&c.memProf, "memprofile", "", "write a heap profile at exit to this file")
+	return c
+}
+
+func main() {
+	c := bindFlags(flag.CommandLine)
+	flag.Parse()
+	opts := c.opts
+
+	if c.list {
 		for _, e := range hc3i.Experiments() {
 			fmt.Printf("%-4s %s\n     %s\n", e.ID, e.Title, e.Description)
 		}
@@ -100,11 +113,11 @@ func main() {
 	}
 
 	// Usage errors must fire before -o truncates an existing file.
-	if *filter != "" && !*matrix {
+	if c.filter != "" && !c.matrix {
 		fmt.Fprintln(os.Stderr, "hc3ibench: -filter only applies with -matrix")
 		os.Exit(1)
 	}
-	if (opts.ChaosSeed != 0 || opts.ChaosSeeds != 1) && !*matrix {
+	if (opts.ChaosSeed != 0 || opts.ChaosSeeds != 1) && !c.matrix {
 		fmt.Fprintln(os.Stderr, "hc3ibench: -chaos-seed/-chaos-seeds only apply with -matrix (filter the chaos tier: -filter tier=chaos)")
 		os.Exit(1)
 	}
@@ -116,12 +129,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hc3ibench: -chaos-ops must be >= 0 (0 = unlimited)")
 		os.Exit(1)
 	}
-	if opts.ChaosOps != 0 && !*matrix {
+	if opts.ChaosOps != 0 && !c.matrix {
 		fmt.Fprintln(os.Stderr, "hc3ibench: -chaos-ops only applies with -matrix (it truncates chaos-tier schedules)")
 		os.Exit(1)
 	}
 	if opts.TraceFile != "" {
-		if !*matrix {
+		if !c.matrix {
 			fmt.Fprintln(os.Stderr, "hc3ibench: -trace-file only applies with -matrix (filter the trace tier: -filter tier=trace)")
 			os.Exit(1)
 		}
@@ -141,20 +154,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hc3ibench: -run-timeout must be >= 0 (0 = no watchdog)")
 		os.Exit(1)
 	}
-	if *runID != "" && *matrix {
+	if c.runID != "" && c.matrix {
 		fmt.Fprintln(os.Stderr, "hc3ibench: -run selects registry experiments; it does not apply with -matrix (use -filter)")
 		os.Exit(1)
 	}
-	if *matrix {
-		if _, err := hc3i.MatrixScenarios(*filter); err != nil {
+	if c.matrix {
+		if _, err := hc3i.MatrixScenarios(c.filter); err != nil {
 			fmt.Fprintln(os.Stderr, "hc3ibench:", err)
 			os.Exit(1)
 		}
 	}
 
 	var w io.Writer = os.Stdout
-	if *out != "" {
-		fh, err := os.Create(*out)
+	if c.out != "" {
+		fh, err := os.Create(c.out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hc3ibench:", err)
 			os.Exit(1)
@@ -167,7 +180,7 @@ func main() {
 	// harness, not a guess (`go tool pprof hc3ibench <file>` reads the
 	// output). exit flushes the profiles on every path — os.Exit skips
 	// deferred writers.
-	stopProfiles := startProfiles(*cpuProf, *memProf)
+	stopProfiles := startProfiles(c.cpuProf, c.memProf)
 	defer stopProfiles()
 	exit := func(code int) {
 		stopProfiles()
@@ -181,18 +194,18 @@ func main() {
 	fmt.Fprintf(w, "HC3I evaluation harness — %s, seed %d, %d worker(s)\n\n", mode, opts.Seed, opts.Workers)
 
 	emit := func(res *hc3i.ExperimentResult) {
-		if *markdown {
+		if c.markdown {
 			fmt.Fprintln(w, res.Markdown())
 		} else {
 			fmt.Fprint(w, res.Render())
 			fmt.Fprintln(w)
 		}
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+		if c.csvDir != "" {
+			if err := os.MkdirAll(c.csvDir, 0o755); err != nil {
 				fmt.Fprintln(os.Stderr, "hc3ibench:", err)
 				exit(1)
 			}
-			path := filepath.Join(*csvDir, res.ID+".csv")
+			path := filepath.Join(c.csvDir, res.ID+".csv")
 			if err := os.WriteFile(path, []byte(res.CSV()), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, "hc3ibench:", err)
 				exit(1)
@@ -201,17 +214,18 @@ func main() {
 	}
 
 	start := time.Now()
-	if *matrix {
-		res, err := hc3i.RunMatrix(opts, *filter)
+	if c.matrix {
+		res, err := hc3i.RunMatrix(opts, c.filter)
 		if err != nil {
 			var cf *experiments.ChaosFailure
 			if errors.As(err, &cf) {
 				fmt.Fprintf(os.Stderr, "hc3ibench: chaos schedule violated the protocol:\n")
-				fmt.Fprintf(os.Stderr, "  scenario: %s (%s)\n", cf.Scenario.Name(), cf.Protocol)
-				fmt.Fprintf(os.Stderr, "  seed:     %d\n", cf.Seed)
-				fmt.Fprintf(os.Stderr, "  check:    %s\n", cf.Check())
-				fmt.Fprintf(os.Stderr, "  error:    %v\n", cf.Err)
-				fmt.Fprintf(os.Stderr, "  replay:   %s\n", cf.ReplayCommand())
+				fmt.Fprintf(os.Stderr, "  scenario:   %s (%s)\n", cf.Scenario.Name(), cf.Protocol)
+				fmt.Fprintf(os.Stderr, "  seed:       %d\n", cf.Config.Seed)
+				fmt.Fprintf(os.Stderr, "  chaos seed: %d\n", cf.Config.ChaosSeed)
+				fmt.Fprintf(os.Stderr, "  check:      %s\n", cf.Check())
+				fmt.Fprintf(os.Stderr, "  error:      %v\n", cf.Err)
+				fmt.Fprintf(os.Stderr, "  replay:     %s\n", cf.ReplayCommand())
 				exit(1)
 			}
 			fmt.Fprintln(os.Stderr, "hc3ibench:", err)
@@ -223,8 +237,8 @@ func main() {
 	}
 
 	var ids []string
-	if *runID != "" {
-		for _, id := range strings.Split(*runID, ",") {
+	if c.runID != "" {
+		for _, id := range strings.Split(c.runID, ",") {
 			ids = append(ids, strings.TrimSpace(id))
 		}
 	}

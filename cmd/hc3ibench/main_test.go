@@ -81,6 +81,28 @@ func TestCLI(t *testing.T) {
 		})
 	}
 
+	t.Run("list output is pinned", func(t *testing.T) {
+		want, err := os.ReadFile(filepath.Join("testdata", "list.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, out := run(t, "-list"); code != 0 || out != string(want) {
+			t.Fatalf("exit %d; -list output differs from testdata/list.golden:\n%s", code, out)
+		}
+	})
+
+	t.Run("filter errors are pinned", func(t *testing.T) {
+		for args, want := range map[string]string{
+			"tier=quantum": "hc3ibench: experiments: unknown tier \"quantum\" (have classic, wide, chaos, trace)\n",
+			"planet=mars": "hc3ibench: experiments: matrix filter: unknown key \"planet\" (valid keys: topology, workload, failure, network, tier; " +
+				"valid tiers: classic, wide, chaos, trace)\n",
+		} {
+			if code, msg := run(t, "-matrix", "-filter", args); code != 1 || msg != want {
+				t.Errorf("-filter %s: exit %d, stderr %q; want exit 1 with %q", args, code, msg, want)
+			}
+		}
+	})
+
 	t.Run("list names every experiment", func(t *testing.T) {
 		code, out := run(t, "-list")
 		if code != 0 {

@@ -1,5 +1,6 @@
 // Command hc3isoak is the continuous chaos soak service: it sweeps
-// adversarial schedules (one seed = one replayable schedule) across
+// adversarial schedules (seed k = the run with traffic seed = chaos
+// seed = k, replayable with hc3ibench -seed k -chaos-seed k) across
 // the chaos-tier scenario grid with the protocol invariant oracle
 // attached, journals every completed seed as JSONL, and checkpoints
 // its cursor so the sweep survives kills and restarts.
@@ -87,7 +88,7 @@ func main() {
 	}
 	var units []soak.Unit
 	for _, sc := range scs {
-		if !sc.ChaosTier() {
+		if sc.Tier() != "chaos" {
 			fmt.Fprintf(os.Stderr, "hc3isoak: scenario %s is not on the chaos tier (soak sweeps adversarial schedules; filter with tier=chaos)\n", sc.Name())
 			os.Exit(2)
 		}

@@ -91,8 +91,9 @@
 // inter-cluster reordering within the jitter envelope, duplicate
 // deliveries where the wire contract permits, and crash fuses aimed
 // at protocol-sensitive windows (mid-2PC, mid-rollback-wave,
-// mid-GC-round) — every run replayable from a single -chaos-seed,
-// swept with -chaos-seeds, always oracle-checked. The tier's seed
+// mid-GC-round) — every run replayable from its -seed (traffic) and
+// -chaos-seed (schedule) pair, swept with -chaos-seeds, always
+// oracle-checked. The tier's seed
 // sweeps found (and now pin the fixes for) three real protocol bugs:
 // dropped deferred rollback alerts after crash recovery, held
 // messages delivered inside the successor checkpoint's freeze window,

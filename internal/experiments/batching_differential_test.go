@@ -38,7 +38,7 @@ func unbatchedCSV(t *testing.T, filter string, oracle bool) string {
 // (TestMatrixCSVMatchesSeedGolden), so batched == unbatched == golden
 // byte-for-byte.
 func TestUnbatchedWireMatchesGoldenSlices(t *testing.T) {
-	for _, failure := range MatrixFailures {
+	for _, failure := range tierNamed("classic").axes[axisFailure] {
 		failure := failure
 		t.Run(failure, func(t *testing.T) {
 			want, err := os.ReadFile(goldenPath(failure))
@@ -69,7 +69,7 @@ func TestUnbatchedWireMatchesGoldenSlices(t *testing.T) {
 // invariant checker attached to an unbatched run must stay pure
 // observation, exactly as it does on the batched default.
 func TestUnbatchedWireOracleGoldenIdentity(t *testing.T) {
-	for _, failure := range MatrixFailures {
+	for _, failure := range tierNamed("classic").axes[axisFailure] {
 		failure := failure
 		t.Run(failure, func(t *testing.T) {
 			want, err := os.ReadFile(goldenPath(failure))

@@ -171,7 +171,7 @@ func TestOracleCatchesMutations(t *testing.T) {
 // oracle attached: the CSV must stay byte-identical to the recordings,
 // proving the oracle is pure observation.
 func TestOracleGoldenByteIdentity(t *testing.T) {
-	for _, failure := range MatrixFailures {
+	for _, failure := range tierNamed("classic").axes[axisFailure] {
 		failure := failure
 		t.Run(failure, func(t *testing.T) {
 			scs, err := MatrixScenarios("topology=2c,workload=uniform,network=lan,failure=" + failure)
@@ -225,7 +225,7 @@ func TestChaosTierSelection(t *testing.T) {
 		t.Fatalf("tier=chaos selected %d scenarios, want %d", len(scs), len(ChaosMatrix()))
 	}
 	for _, sc := range scs {
-		if !sc.ChaosTier() {
+		if sc.Tier() != "chaos" {
 			t.Fatalf("non-chaos scenario %s in the chaos tier", sc.Name())
 		}
 		if err := sc.Validate(); err != nil {

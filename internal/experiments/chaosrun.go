@@ -5,28 +5,25 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/federation"
 	"repro/internal/sim"
 )
 
-// This file is the chaos tier's single-scenario re-entry surface: one
-// (scenario, seed) replayed on demand, outside the matrix table
-// machinery. The soak service (internal/soak, cmd/hc3isoak) drives it
-// for every sweep run and for every minimizer probe, and hc3ibench
-// renders its failures as one-command repros.
+// This file is the chaos tier's single-run re-entry surface: one
+// chaos run replayed on demand, outside the matrix table machinery.
+// The soak service (internal/soak, cmd/hc3isoak) drives it for every
+// sweep run and for every minimizer probe, and hc3ibench renders its
+// failures as one-command repros.
 
-// ChaosRun names one adversarial schedule: a chaos-tier scenario, the
-// seed that replays it, and the op budget that truncates it to a
-// prefix.
+// ChaosRun names one adversarial run: a chaos-tier scenario, the
+// protocol, and the configuration that replays it — Config.Seed drives
+// the traffic, Config.ChaosSeed the schedule, Config.ChaosOps truncates
+// the schedule to a prefix and Config.RunTimeout arms the watchdog.
 type ChaosRun struct {
 	Scenario Scenario
-	Protocol string // "" = hc3i (the only chaos-tier protocol)
-	Seed     uint64 // drives the run and the chaos stream alike
-	Quick    bool
-	OpBudget int           // chaos schedule prefix (0 = unlimited)
-	Timeout  time.Duration // wall-clock watchdog (0 = none)
+	Protocol string
+	Config   Config
 }
 
 // ChaosOutcome is one replay's result. Ops is the number of
@@ -38,15 +35,9 @@ type ChaosOutcome struct {
 	Err    error
 }
 
-// Run executes the schedule once.
+// Run executes the run once.
 func (r ChaosRun) Run() ChaosOutcome {
-	proto := r.Protocol
-	if proto == "" {
-		proto = ChaosProtocols[0]
-	}
-	cfg := Config{Seed: r.Seed, Quick: r.Quick, ChaosSeed: r.Seed, ChaosOps: r.OpBudget,
-		RunTimeout: r.Timeout}
-	opts, err := ScenarioOptions(cfg, r.Scenario, proto)
+	opts, err := ScenarioOptions(r.Config, r.Scenario, r.Protocol)
 	if err != nil {
 		return ChaosOutcome{Err: err}
 	}
@@ -63,37 +54,36 @@ func (r ChaosRun) Run() ChaosOutcome {
 }
 
 // ReplayCommand renders the exact hc3ibench invocation that replays
-// this schedule: the scenario filter, the seed, and (when it truncates
-// the schedule) the op budget.
+// this run: the scenario filter and every Config field that changes
+// what runs — the scale, the traffic seed, the chaos seed and (when it
+// truncates the schedule) the op budget.
 func (r ChaosRun) ReplayCommand() string {
 	var b strings.Builder
 	b.WriteString("go run ./cmd/hc3ibench")
-	if r.Quick {
+	if r.Config.Quick {
 		b.WriteString(" -quick")
 	}
 	sc := r.Scenario
-	fmt.Fprintf(&b, " -matrix -filter topology=%s,workload=%s,failure=%s,network=%s -chaos-seed %d",
-		sc.Topology, sc.Workload, sc.Failure, sc.Network, r.Seed)
-	if r.OpBudget > 0 {
-		fmt.Fprintf(&b, " -chaos-ops %d", r.OpBudget)
+	fmt.Fprintf(&b, " -matrix -filter topology=%s,workload=%s,failure=%s,network=%s -seed %d -chaos-seed %d",
+		sc.Topology, sc.Workload, sc.Failure, sc.Network, r.Config.Seed, r.Config.chaosSeed())
+	if r.Config.ChaosOps > 0 {
+		fmt.Fprintf(&b, " -chaos-ops %d", r.Config.ChaosOps)
 	}
 	return b.String()
 }
 
 // ChaosFailure is a failing run of a chaos-tier seed sweep: the exact
-// schedule (scenario, protocol, chaos seed, budget) that reproduces it,
-// with its replay command. Seed is the schedule's chaos seed; the
-// sweep's traffic seed is Config.Seed, which the replay command leaves
-// to hc3ibench's -seed. Its Error text keeps the inner diagnostic
-// (tests match on the oracle check name); callers that want structure
-// unwrap with errors.As.
+// run (scenario, protocol and the whole Config, traffic and chaos seed
+// included) that reproduces it, with its replay command. Its Error
+// text keeps the inner diagnostic (tests match on the oracle check
+// name); callers that want structure unwrap with errors.As.
 type ChaosFailure struct {
 	ChaosRun
 	Err error
 }
 
 func (e *ChaosFailure) Error() string {
-	return fmt.Sprintf("chaos seed %d: %v", e.Seed, e.Err)
+	return fmt.Sprintf("chaos seed %d: %v", e.Config.chaosSeed(), e.Err)
 }
 
 func (e *ChaosFailure) Unwrap() error { return e.Err }

@@ -17,7 +17,7 @@ import (
 // Budgets beyond it are equally inert.
 func TestChaosRunBudgetIdentity(t *testing.T) {
 	sc := Scenario{Topology: "4c", Workload: "uniform", Failure: "storm", Network: "jitter"}
-	base := ChaosRun{Scenario: sc, Seed: 77, Quick: true}
+	base := ChaosRun{Scenario: sc, Protocol: "hc3i", Config: Config{Seed: 77, Quick: true}}
 	full := base.Run()
 	if full.Err != nil {
 		t.Fatal(full.Err)
@@ -27,7 +27,7 @@ func TestChaosRunBudgetIdentity(t *testing.T) {
 	}
 	for _, budget := range []int{full.Ops, full.Ops + 1000} {
 		capped := base
-		capped.OpBudget = budget
+		capped.Config.ChaosOps = budget
 		got := capped.Run()
 		if got.Err != nil {
 			t.Fatalf("budget %d: %v", budget, got.Err)
@@ -45,7 +45,7 @@ func TestChaosRunBudgetIdentity(t *testing.T) {
 	// A tight budget must actually truncate (the run stays clean — the
 	// protocol tolerates any legal schedule — but applies fewer ops).
 	capped := base
-	capped.OpBudget = full.Ops / 2
+	capped.Config.ChaosOps = full.Ops / 2
 	got := capped.Run()
 	if got.Err != nil {
 		t.Fatal(got.Err)
@@ -63,7 +63,7 @@ func TestRunTimeoutWatchdog(t *testing.T) {
 	// fires mid-simulation (a quick run can finish before the watchdog
 	// goroutine is even scheduled).
 	sc := Scenario{Topology: "4c", Workload: "uniform", Failure: "storm", Network: "jitter"}
-	run := ChaosRun{Scenario: sc, Seed: 3, Timeout: time.Nanosecond}
+	run := ChaosRun{Scenario: sc, Protocol: "hc3i", Config: Config{Seed: 3, RunTimeout: time.Nanosecond}}
 	out := run.Run()
 	if out.Err == nil {
 		t.Fatal("1ns watchdog let the run finish")
@@ -93,8 +93,9 @@ func TestChaosFailureShape(t *testing.T) {
 		if !errors.As(err, &cf) {
 			t.Fatalf("chaos failure is not a *ChaosFailure: %v", err)
 		}
-		if cf.Seed != seed {
-			t.Fatalf("failure names seed %d, sweep ran seed %d", cf.Seed, seed)
+		if cf.Config.Seed != seed || cf.Config.ChaosSeed != seed {
+			t.Fatalf("failure names seeds (%d, %d), sweep ran (%d, %d)",
+				cf.Config.Seed, cf.Config.ChaosSeed, seed, seed)
 		}
 		if !strings.Contains(err.Error(), fmt.Sprintf("chaos seed %d:", seed)) ||
 			!strings.Contains(err.Error(), "oracle:") {
@@ -105,7 +106,7 @@ func TestChaosFailureShape(t *testing.T) {
 		}
 		cmd := cf.ReplayCommand()
 		for _, want := range []string{"-quick", "-matrix", "topology=4c", "workload=uniform",
-			"failure=storm", "network=jitter", fmt.Sprintf("-chaos-seed %d", seed)} {
+			"failure=storm", "network=jitter", fmt.Sprintf("-seed %d -chaos-seed %d", seed, seed)} {
 			if !strings.Contains(cmd, want) {
 				t.Fatalf("replay command %q misses %q", cmd, want)
 			}

@@ -45,7 +45,7 @@ func matrixCSV(t *testing.T, failure string, workers int) string {
 // output against the pre-refactor recordings, for at least one scenario
 // per failure pattern, both sequentially and through the worker pool.
 func TestMatrixCSVMatchesSeedGolden(t *testing.T) {
-	for _, failure := range MatrixFailures {
+	for _, failure := range tierNamed("classic").axes[axisFailure] {
 		failure := failure
 		t.Run(failure, func(t *testing.T) {
 			seq := matrixCSV(t, failure, 1)

@@ -19,7 +19,7 @@ import (
 // pre-refactor recordings byte-for-byte (the delta run is asserted by
 // TestMatrixCSVMatchesSeedGolden).
 func TestDenseWireMatchesGoldenSlices(t *testing.T) {
-	for _, failure := range MatrixFailures {
+	for _, failure := range tierNamed("classic").axes[axisFailure] {
 		failure := failure
 		t.Run(failure, func(t *testing.T) {
 			scs, err := MatrixScenarios("topology=2c,workload=uniform,network=lan,failure=" + failure)

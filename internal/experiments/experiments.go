@@ -55,8 +55,9 @@ type Config struct {
 	// the virtual time instead.
 	Oracle bool
 	// ChaosSeed overrides the chaos tier's adversarial-schedule seed
-	// (0 derives it from Seed). One integer replays one schedule —
-	// the seed a failing chaos run reports reproduces it here.
+	// (0 derives it from Seed). A chaos run is the (Seed, ChaosSeed)
+	// pair: Seed drives the traffic, ChaosSeed the schedule, and a
+	// failing chaos run reports both.
 	ChaosSeed uint64
 	// ChaosSeeds is how many consecutive chaos schedules each
 	// chaos-tier scenario runs (rows aggregate across them; <= 1 runs
@@ -113,6 +114,15 @@ func (c Config) apply(opts *federation.Options) {
 	if c.RunTimeout > 0 {
 		opts.Watchdog = c.RunTimeout
 	}
+}
+
+// chaosSeed is the chaos tier's base schedule seed: ChaosSeed, or Seed
+// when ChaosSeed is 0.
+func (c Config) chaosSeed() uint64 {
+	if c.ChaosSeed == 0 {
+		return c.Seed
+	}
+	return c.ChaosSeed
 }
 
 // runFed executes one federation under the configuration's switches and

@@ -3,7 +3,8 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/app"
@@ -23,10 +24,10 @@ import (
 
 // Scenario names one cell of the matrix by its four dimension values.
 type Scenario struct {
-	Topology string // "2c", "4c", "8c", "asym"
-	Workload string // "uniform", "bursty", "hotspot", "coupling"
-	Failure  string // "none", "crash", "corr", "churn"
-	Network  string // "lan", "wan", "jitter"
+	Topology string // "2c", "4c", "8c", "asym", or a wide "64c".."1024c"
+	Workload string // "uniform", "bursty", "hotspot", "coupling", "ring", "openloop"
+	Failure  string // "none", "crash", "corr", "churn", "storm"
+	Network  string // "lan", "wan", "jitter", "trace"
 }
 
 // Name renders the scenario as "topology/workload/failure/network".
@@ -48,144 +49,222 @@ func ParseScenario(name string) (Scenario, error) {
 	return s, nil
 }
 
+// The matrix axes, in Scenario field order.
+const (
+	axisTopology = iota
+	axisWorkload
+	axisFailure
+	axisNetwork
+)
+
+var axisNames = [4]string{"topology", "workload", "failure", "network"}
+
+// values lists the scenario's dimension values in axis order.
+func (s Scenario) values() [4]string {
+	return [4]string{s.Topology, s.Workload, s.Failure, s.Network}
+}
+
 // Validate checks each dimension value against the axes of the
-// scenario's tier (classic, wide or chaos).
+// scenario's tier.
 func (s Scenario) Validate() error {
-	dims := []struct {
-		dim, val string
-		all      []string
-	}{
-		{"topology", s.Topology, MatrixTopologies},
-		{"workload", s.Workload, MatrixWorkloads},
-		{"failure", s.Failure, MatrixFailures},
-		{"network", s.Network, MatrixNetworks},
-	}
-	if s.Wide() {
-		dims[0].all = WideTopologies
-		dims[1].all = WideWorkloads
-		dims[2].all = WideFailures
-		dims[3].all = WideNetworks
-	}
-	if s.ChaosTier() {
-		dims[0].all = ChaosTopologies
-		dims[1].all = ChaosWorkloads
-		dims[2].all = ChaosFailures
-		dims[3].all = ChaosNetworks
-	}
-	if s.TraceTier() {
-		dims[0].all = TraceTopologies
-		dims[1].all = TraceWorkloads
-		dims[2].all = TraceFailures
-		dims[3].all = TraceNetworks
-	}
-	for _, d := range dims {
-		found := false
-		for _, v := range d.all {
-			if v == d.val {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("experiments: unknown %s %q (have %v)", d.dim, d.val, d.all)
+	t := s.tier()
+	for a, v := range s.values() {
+		if !slices.Contains(t.axes[a], v) {
+			return fmt.Errorf("experiments: unknown %s %q (have %v)", axisNames[a], v, t.axes[a])
 		}
 	}
 	return nil
 }
 
-// The classic matrix axes. Every combination is a valid scenario.
-var (
-	MatrixTopologies = []string{"2c", "4c", "8c", "asym"}
-	MatrixWorkloads  = []string{"uniform", "bursty", "hotspot", "coupling"}
-	MatrixFailures   = []string{"none", "crash", "corr", "churn"}
-	MatrixNetworks   = []string{"lan", "wan", "jitter"}
-)
+// Tier names the tier the scenario belongs to ("classic", "wide",
+// "chaos" or "trace").
+func (s Scenario) Tier() string { return s.tier().name }
 
-// The wide-federation tier: 64–256 clusters, where dependency-vector
-// width is the scaling axis under test. The workload is a sparse ring
-// (local chatter, a ring neighbour, one long-haul partner) — a dense
-// all-pairs rate matrix at this width would swamp the run with
-// inter-cluster traffic — and runs under HC3I with the transitive
-// (whole-DDV) extension plus all three baselines, so the piggyback,
-// commit, force and alert paths all scale with width. Selected with
-// the filter `tier=wide` (or by naming a wide topology); the classic
-// matrix and its goldens are untouched.
-var (
-	WideTopologies = []string{"64c", "128c", "256c", "1024c"}
-	WideWorkloads  = []string{"ring"}
-	WideFailures   = []string{"none", "crash"}
-	WideNetworks   = []string{"lan"}
-)
+func (s Scenario) tier() *tier { return tierOf(s.values()) }
 
-// wideTopology reports whether topo names a wide-tier topology.
-func wideTopology(topo string) bool {
-	for _, t := range WideTopologies {
-		if t == topo {
-			return true
-		}
-	}
-	return false
+// MatrixProtocols lists the protocols classic and wide scenarios run
+// under: HC3I plus the three baseline protocols.
+var MatrixProtocols = []string{"hc3i", "global-coordinated", "hier-coordinated", "pessimistic-log"}
+
+// ChaosProtocols lists the chaos tier's protocols: HC3I alone — the
+// baselines make no inter-cluster consistency claims for the oracle to
+// check.
+var ChaosProtocols = []string{"hc3i"}
+
+// A tier is one family of matrix scenarios: the cross product of its
+// four axes, run under its protocols with its run settings. Every
+// tier-dependent decision — validation, filter inference, protocol
+// lists, -list output, federation options — reads the tiers table.
+type tier struct {
+	name string
+	// axes holds the tier's values per dimension, in axis order. A
+	// value no classic axis holds ("64c", "storm", "trace", ...) marks
+	// its tier (see tierOf).
+	axes      [4][]string
+	protocols []string
+	// quickRun and fullRun are the virtual run length at each scale.
+	quickRun, fullRun sim.Duration
+	// quickNodes and fullNodes, when set, size the tier's clusters
+	// uniformly, their count read off the topology name ("64c");
+	// otherwise clusterShapes sizes them.
+	quickNodes, fullNodes int
+	// clcEvery is every cluster's unforced checkpoint period.
+	clcEvery sim.Duration
+	// transitive runs HC3I with the §7 transitive (whole-DDV) extension.
+	transitive bool
+	// chaos attaches the adversarial scheduler and the oracle and runs
+	// garbage collection; the tier's rows sweep chaos seeds.
+	chaos bool
+	// linkTrace replays a link schedule over the inter-cluster links;
+	// the tier's rows carry stable-delivery latency percentiles.
+	linkTrace bool
+	// about is the tier's -list text after its axes and protocols.
+	about string
 }
 
-// Wide reports whether the scenario belongs to the wide-federation
-// tier.
-func (s Scenario) Wide() bool { return wideTopology(s.Topology) }
+// tiers is the scenario matrix, one row per tier; the classic tier
+// comes first.
+var tiers = []tier{{
+	// The classic matrix: every combination is a valid scenario, run
+	// under HC3I and all three baselines.
+	name: "classic",
+	axes: [4][]string{
+		{"2c", "4c", "8c", "asym"},
+		{"uniform", "bursty", "hotspot", "coupling"},
+		{"none", "crash", "corr", "churn"},
+		{"lan", "wan", "jitter"},
+	},
+	protocols: MatrixProtocols,
+	quickRun:  90 * sim.Minute,
+	fullRun:   6 * sim.Hour,
+	clcEvery:  20 * sim.Minute,
+}, {
+	// The wide-federation tier: 64–1024 clusters, where dependency-
+	// vector width is the scaling axis under test. The workload is a
+	// sparse ring (local chatter, a ring neighbour, one long-haul
+	// partner) — a dense all-pairs rate matrix at this width would
+	// swamp the run with inter-cluster traffic. Clusters are uniform
+	// and small (the axis is federation width, not cluster depth) and
+	// the virtual run short, since event volume grows with width.
+	// Frequent unforced checkpoints keep neighbour SNs moving, so wide
+	// runs continually exercise the width-sensitive forced-CLC
+	// machinery rather than idling between rare commits. HC3I runs with
+	// the transitive extension: whole-DDV piggybacks are exactly the
+	// O(width) per-message cost the delta wire representation exists
+	// to flatten (baseline protocols ignore the flag).
+	name: "wide",
+	axes: [4][]string{
+		{"64c", "128c", "256c", "1024c"},
+		{"ring"},
+		{"none", "crash"},
+		{"lan"},
+	},
+	protocols:  MatrixProtocols,
+	quickRun:   30 * sim.Minute,
+	fullRun:    2 * sim.Hour,
+	quickNodes: 2,
+	fullNodes:  3,
+	clcEvery:   10 * sim.Minute,
+	transitive: true,
+}, {
+	// The chaos tier: classic topology shapes driven by the seeded
+	// adversarial scheduler (internal/chaos) with the protocol
+	// invariant oracle (internal/oracle) attached. Crashes are injected
+	// by the scheduler into protocol-sensitive windows (mid-2PC,
+	// mid-rollback-wave, mid-GC-round) rather than scheduled up front,
+	// the jitter network gives the reordering envelope, and every run
+	// is replayable from its (seed, chaos seed) pair. Runs trade
+	// virtual length for schedule density: short commit timers
+	// multiply the 2PC windows the crash injector aims at, and keep
+	// fresh checkpoints committing between crash waves (the
+	// one-fault-at-a-time model assumes recovery completes before the
+	// next fault).
+	name: "chaos",
+	axes: [4][]string{
+		{"2c", "4c", "8c"},
+		{"uniform", "bursty"},
+		{"storm"},
+		{"jitter"},
+	},
+	protocols: ChaosProtocols,
+	quickRun:  sim.Hour,
+	fullRun:   3 * sim.Hour,
+	clcEvery:  4 * sim.Minute,
+	chaos:     true,
+	about: ", oracle-checked,\n" +
+		"  adversarial schedules replayable via -chaos-seed (sweep width via -chaos-seeds)",
+}, {
+	// The trace tier: open-loop heavy traffic on trace-driven links. A
+	// population of millions of users issues requests open-loop
+	// (arrivals never wait for the system), Zipf-skewed across
+	// destination clusters, while a measured (latency, jitter, loss)
+	// schedule replays over every inter-cluster link (hc3ibench
+	// -trace-file, or the embedded mobile-broadband fixture). The
+	// headline metric is user-perceived stable-delivery latency —
+	// arrival to first covering committed CLC — defined by HC3I's
+	// commit wave, so HC3I runs alone; a short commit period keeps the
+	// distribution about the protocol and the link schedule, not about
+	// an idle timer.
+	name: "trace",
+	axes: [4][]string{
+		{"2c", "4c"},
+		{"openloop"},
+		{"none", "crash"},
+		{"trace"},
+	},
+	protocols: []string{"hc3i"},
+	quickRun:  90 * sim.Minute,
+	fullRun:   6 * sim.Hour,
+	clcEvery:  5 * sim.Minute,
+	linkTrace: true,
+	about: ",\n" +
+		"  open-loop user arrivals over trace-driven links (-trace-file), p50/p99/p999 stable-delivery latency",
+}}
 
-// The chaos tier: classic topology shapes driven by the seeded
-// adversarial scheduler (internal/chaos) with the protocol invariant
-// oracle (internal/oracle) attached. The failure dimension value
-// "storm" marks the tier: crashes are injected by the scheduler into
-// protocol-sensitive windows (mid-2PC, mid-rollback-wave,
-// mid-GC-round) rather than scheduled up front, the jitter network
-// gives the reordering envelope, garbage collection runs so its
-// safety rule is under fire, and every run is replayable from a
-// single chaos seed (hc3ibench -chaos-seed). Chaos scenarios run
-// under HC3I only — the baselines make no inter-cluster consistency
-// claims for the oracle to check.
-var (
-	ChaosTopologies = []string{"2c", "4c", "8c"}
-	ChaosWorkloads  = []string{"uniform", "bursty"}
-	ChaosFailures   = []string{"storm"}
-	ChaosNetworks   = []string{"jitter"}
-	ChaosProtocols  = []string{"hc3i"}
-)
+// tierOf returns the tier a set of axis values belongs to: the first
+// tier holding one of the values where the classic axis does not (its
+// marker: "64c", "ring", "storm", "openloop", "trace"), else the
+// classic tier. Empty values — axes a filter leaves open — mark
+// nothing.
+func tierOf(vals [4]string) *tier {
+	classic := &tiers[0]
+	for i := range tiers[1:] {
+		t := &tiers[i+1]
+		for a, v := range vals {
+			if v != "" && slices.Contains(t.axes[a], v) && !slices.Contains(classic.axes[a], v) {
+				return t
+			}
+		}
+	}
+	return classic
+}
 
-// ChaosTier reports whether the scenario belongs to the chaos tier
-// (its failure dimension is the tier marker: chaos topologies reuse
-// the classic shapes).
-func (s Scenario) ChaosTier() bool { return s.Failure == "storm" }
+// tierNames lists the tiers in table order.
+func tierNames() []string {
+	names := make([]string, len(tiers))
+	for i, t := range tiers {
+		names[i] = t.name
+	}
+	return names
+}
 
-// The trace tier: open-loop heavy-traffic scenarios on trace-driven
-// links. The workload is a population of millions of users issuing
-// requests open-loop (arrivals never wait for the system), Zipf-skewed
-// across destination clusters; the network dimension value "trace"
-// marks the tier and replays a measured (latency, jitter, loss)
-// schedule over every inter-cluster link (hc3ibench -trace-file, or
-// the embedded mobile-broadband fixture). The tier's headline metric
-// is user-perceived stable-delivery latency — arrival to first
-// covering committed CLC — reported as p50/p99/p999 columns. Trace
-// scenarios run under HC3I only: stable delivery is defined by the
-// commit wave, which the baselines either don't have or trivialize.
-var (
-	TraceTopologies = []string{"2c", "4c"}
-	TraceWorkloads  = []string{"openloop"}
-	TraceFailures   = []string{"none", "crash"}
-	TraceNetworks   = []string{"trace"}
-	TraceProtocols  = []string{"hc3i"}
-)
+// tierNamed returns the named tier, nil if there is none.
+func tierNamed(name string) *tier {
+	for i := range tiers {
+		if tiers[i].name == name {
+			return &tiers[i]
+		}
+	}
+	return nil
+}
 
-// TraceTier reports whether the scenario belongs to the trace tier
-// (its network dimension is the tier marker: trace topologies reuse
-// the classic shapes).
-func (s Scenario) TraceTier() bool { return s.Network == "trace" }
-
-// crossProduct enumerates one tier's scenarios in axis order.
-func crossProduct(topologies, workloads, failures, networks []string) []Scenario {
+// scenarios enumerates the tier's cross product in axis order.
+func (t *tier) scenarios() []Scenario {
 	var out []Scenario
-	for _, topo := range topologies {
-		for _, wl := range workloads {
-			for _, fl := range failures {
-				for _, net := range networks {
+	for _, topo := range t.axes[axisTopology] {
+		for _, wl := range t.axes[axisWorkload] {
+			for _, fl := range t.axes[axisFailure] {
+				for _, net := range t.axes[axisNetwork] {
 					out = append(out, Scenario{Topology: topo, Workload: wl, Failure: fl, Network: net})
 				}
 			}
@@ -194,36 +273,19 @@ func crossProduct(topologies, workloads, failures, networks []string) []Scenario
 	return out
 }
 
-// TraceMatrix returns the trace tier's cross product, in axis order.
-func TraceMatrix() []Scenario {
-	return crossProduct(TraceTopologies, TraceWorkloads, TraceFailures, TraceNetworks)
-}
+// Matrix returns the classic tier's cross product, in axis order.
+func Matrix() []Scenario { return tiers[0].scenarios() }
 
 // ChaosMatrix returns the chaos tier's cross product, in axis order.
-func ChaosMatrix() []Scenario {
-	return crossProduct(ChaosTopologies, ChaosWorkloads, ChaosFailures, ChaosNetworks)
-}
-
-// WideMatrix returns the wide tier's cross product, in axis order.
-func WideMatrix() []Scenario {
-	return crossProduct(WideTopologies, WideWorkloads, WideFailures, WideNetworks)
-}
-
-// MatrixProtocols lists the protocols every scenario runs under:
-// HC3I plus the three baseline protocols.
-var MatrixProtocols = []string{"hc3i", "global-coordinated", "hier-coordinated", "pessimistic-log"}
-
-// Matrix returns the full cross product of the axes, in axis order.
-func Matrix() []Scenario {
-	return crossProduct(MatrixTopologies, MatrixWorkloads, MatrixFailures, MatrixNetworks)
-}
+func ChaosMatrix() []Scenario { return tierNamed("chaos").scenarios() }
 
 // MatrixScenarios returns the scenarios selected by a filter: a
 // comma-separated list of dim=value constraints ("topology=2c,
 // failure=churn"), where dim is topology, workload, failure, network
-// or tier. The filter value tier=wide (or naming a wide topology)
-// selects from the wide-federation tier; otherwise the classic matrix
-// is searched. An empty filter selects the whole classic matrix.
+// or tier. Without a tier constraint, a tier's marker value (say
+// topology=64c or failure=storm) selects that tier; otherwise the
+// classic matrix is searched. An empty filter selects the whole
+// classic matrix.
 func MatrixScenarios(filter string) ([]Scenario, error) {
 	want := map[string]string{}
 	if strings.TrimSpace(filter) != "" {
@@ -233,85 +295,40 @@ func MatrixScenarios(filter string) ([]Scenario, error) {
 				return nil, fmt.Errorf("experiments: matrix filter %q: want dim=value", part)
 			}
 			dim := strings.ToLower(strings.TrimSpace(kv[0]))
-			switch dim {
-			case "topology", "workload", "failure", "network", "tier":
-				if _, dup := want[dim]; dup {
-					return nil, fmt.Errorf("experiments: matrix filter names %s twice", dim)
-				}
-				want[dim] = strings.TrimSpace(kv[1])
-			default:
-				return nil, fmt.Errorf("experiments: matrix filter: unknown key %q (valid keys: topology, workload, failure, network, tier; valid tiers: classic, wide, chaos, trace)", kv[0])
+			if dim != "tier" && !slices.Contains(axisNames[:], dim) {
+				return nil, fmt.Errorf("experiments: matrix filter: unknown key %q (valid keys: %s, tier; valid tiers: %s)",
+					kv[0], strings.Join(axisNames[:], ", "), strings.Join(tierNames(), ", "))
 			}
+			if _, dup := want[dim]; dup {
+				return nil, fmt.Errorf("experiments: matrix filter names %s twice", dim)
+			}
+			want[dim] = strings.TrimSpace(kv[1])
 		}
 	}
-	universe := Matrix
-	probe := Scenario{Topology: MatrixTopologies[0], Workload: MatrixWorkloads[0],
-		Failure: MatrixFailures[0], Network: MatrixNetworks[0]}
-	tier := want["tier"]
-	if tier == "" {
-		// Infer the tier from unambiguous axis values, so e.g.
-		// topology=64c, failure=storm or network=trace select their
-		// tier directly.
-		switch {
-		case wideTopology(want["topology"]):
-			tier = "wide"
-		case want["failure"] == ChaosFailures[0]:
-			tier = "chaos"
-		case want["network"] == TraceNetworks[0] || want["workload"] == TraceWorkloads[0]:
-			tier = "trace"
-		default:
-			tier = "classic"
+	var vals [4]string
+	for a, name := range axisNames {
+		vals[a] = want[name]
+	}
+	t := tierOf(vals)
+	if name := want["tier"]; name != "" {
+		if t = tierNamed(name); t == nil {
+			return nil, fmt.Errorf("experiments: unknown tier %q (have %s)", name, strings.Join(tierNames(), ", "))
 		}
 	}
-	switch tier {
-	case "classic":
-	case "wide":
-		universe = WideMatrix
-		probe = Scenario{Topology: WideTopologies[0], Workload: WideWorkloads[0],
-			Failure: WideFailures[0], Network: WideNetworks[0]}
-	case "chaos":
-		universe = ChaosMatrix
-		probe = Scenario{Topology: ChaosTopologies[0], Workload: ChaosWorkloads[0],
-			Failure: ChaosFailures[0], Network: ChaosNetworks[0]}
-	case "trace":
-		universe = TraceMatrix
-		probe = Scenario{Topology: TraceTopologies[0], Workload: TraceWorkloads[0],
-			Failure: TraceFailures[0], Network: TraceNetworks[0]}
-	default:
-		return nil, fmt.Errorf("experiments: unknown tier %q (have classic, wide, chaos, trace)", tier)
-	}
-	delete(want, "tier")
 	// Reject unknown axis values up front, so a typo like topology=3c
 	// reports the axis and its values instead of "selects no scenarios".
-	for dim, val := range want {
-		p := probe
-		switch dim {
-		case "topology":
-			p.Topology = val
-		case "workload":
-			p.Workload = val
-		case "failure":
-			p.Failure = val
-		case "network":
-			p.Network = val
-		}
-		if err := p.Validate(); err != nil {
-			return nil, err
+	for a, name := range axisNames {
+		if v, ok := want[name]; ok && !slices.Contains(t.axes[a], v) {
+			return nil, fmt.Errorf("experiments: unknown %s %q (have %v)", name, v, t.axes[a])
 		}
 	}
 	var out []Scenario
-	for _, s := range universe() {
-		if v, ok := want["topology"]; ok && v != s.Topology {
-			continue
-		}
-		if v, ok := want["workload"]; ok && v != s.Workload {
-			continue
-		}
-		if v, ok := want["failure"]; ok && v != s.Failure {
-			continue
-		}
-		if v, ok := want["network"]; ok && v != s.Network {
-			continue
+scan:
+	for _, s := range t.scenarios() {
+		for a, v := range s.values() {
+			if w, ok := want[axisNames[a]]; ok && w != v {
+				continue scan
+			}
 		}
 		out = append(out, s)
 	}
@@ -321,47 +338,49 @@ func MatrixScenarios(filter string) ([]Scenario, error) {
 	return out, nil
 }
 
-// matrixScale returns the per-cluster node counts for a topology and
-// the run duration. Quick mode keeps the full matrix in the tens of
-// seconds; full mode stresses the protocols at a heavier scale. Wide
-// topologies (64–256 clusters) use uniform small clusters — the axis
-// under test is federation width, not cluster depth — and a shorter
-// virtual run, since event volume grows with width.
-func matrixScale(cfg Config, topo string) (sizes []int, total sim.Duration, err error) {
-	if n, ok := map[string]int{"64c": 64, "128c": 128, "256c": 256, "1024c": 1024}[topo]; ok {
-		per := 3
-		total := 2 * sim.Hour
-		if cfg.Quick {
-			per = 2
-			total = 30 * sim.Minute
-		}
-		if n >= 1024 {
-			// A quarter of the virtual time keeps the widest rung's
-			// event volume (which grows with width) near the 256c
-			// rung's.
-			total /= 4
-		}
-		sizes := make([]int, n)
-		for i := range sizes {
-			sizes[i] = per
-		}
-		return sizes, total, nil
+// clusterShapes sizes the classic topologies (which the chaos and trace
+// tiers reuse): per-cluster node counts at quick and full scale. Quick
+// mode keeps the full matrix in the tens of seconds; full mode stresses
+// the protocols at a heavier scale.
+var clusterShapes = map[string]struct{ quick, full []int }{
+	"2c":   {quick: []int{4, 4}, full: []int{20, 20}},
+	"4c":   {quick: []int{4, 4, 4, 4}, full: []int{12, 12, 12, 12}},
+	"8c":   {quick: []int{3, 3, 3, 3, 3, 3, 3, 3}, full: []int{8, 8, 8, 8, 8, 8, 8, 8}},
+	"asym": {quick: []int{2, 4, 6}, full: []int{4, 8, 16}},
+}
+
+// scale returns the per-cluster node counts for one of the tier's
+// topologies and the virtual run length.
+func (t *tier) scale(quick bool, topo string) (sizes []int, total sim.Duration, err error) {
+	per := t.fullNodes
+	total = t.fullRun
+	if quick {
+		per, total = t.quickNodes, t.quickRun
 	}
-	type dims struct{ quick, full []int }
-	shapes := map[string]dims{
-		"2c":   {quick: []int{4, 4}, full: []int{20, 20}},
-		"4c":   {quick: []int{4, 4, 4, 4}, full: []int{12, 12, 12, 12}},
-		"8c":   {quick: []int{3, 3, 3, 3, 3, 3, 3, 3}, full: []int{8, 8, 8, 8, 8, 8, 8, 8}},
-		"asym": {quick: []int{2, 4, 6}, full: []int{4, 8, 16}},
+	if per == 0 {
+		d, ok := clusterShapes[topo]
+		if !ok {
+			return nil, 0, fmt.Errorf("experiments: unknown matrix topology %q", topo)
+		}
+		if quick {
+			return d.quick, total, nil
+		}
+		return d.full, total, nil
 	}
-	d, ok := shapes[topo]
-	if !ok {
+	n, err := strconv.Atoi(strings.TrimSuffix(topo, "c"))
+	if err != nil {
 		return nil, 0, fmt.Errorf("experiments: unknown matrix topology %q", topo)
 	}
-	if cfg.Quick {
-		return d.quick, 90 * sim.Minute, nil
+	if n >= 1024 {
+		// A quarter of the virtual time keeps the widest rung's event
+		// volume (which grows with width) near the 256c rung's.
+		total /= 4
 	}
-	return d.full, 6 * sim.Hour, nil
+	sizes = make([]int, n)
+	for i := range sizes {
+		sizes[i] = per
+	}
+	return sizes, total, nil
 }
 
 // matrixTopology assembles the federation for a scenario: cluster
@@ -535,21 +554,13 @@ func ScenarioOptions(cfg Config, sc Scenario, protocol string) (federation.Optio
 	if err := sc.Validate(); err != nil {
 		return federation.Options{}, err
 	}
-	sizes, total, err := matrixScale(cfg, sc.Topology)
+	t := sc.tier()
+	sizes, total, err := t.scale(cfg.Quick, sc.Topology)
 	if err != nil {
 		return federation.Options{}, err
 	}
-	if sc.ChaosTier() {
-		// Chaos runs trade virtual length for schedule density: the
-		// crash cooldown and short CLC timers pack the run with
-		// protocol-sensitive windows.
-		total = 3 * sim.Hour
-		if cfg.Quick {
-			total = sim.Hour
-		}
-	}
 	var trace *netsim.LinkTrace
-	if sc.TraceTier() {
+	if t.linkTrace {
 		if trace, err = cfg.linkTrace(); err != nil {
 			return federation.Options{}, err
 		}
@@ -571,60 +582,28 @@ func ScenarioOptions(cfg Config, sc Scenario, protocol string) (federation.Optio
 		return federation.Options{}, fmt.Errorf("experiments: %w", err)
 	}
 	periods := make([]sim.Duration, len(sizes))
-	clcEvery := 20 * sim.Minute
-	if sc.Wide() {
-		// Frequent unforced checkpoints keep neighbour SNs moving, so
-		// wide runs continually exercise the width-sensitive forced-CLC
-		// machinery rather than idling between rare commits.
-		clcEvery = 10 * sim.Minute
-	}
-	if sc.ChaosTier() {
-		// Short commit timers multiply the 2PC windows the crash
-		// injector aims at, and keep fresh checkpoints committing
-		// between crash waves (the one-fault-at-a-time model assumes
-		// recovery completes before the next fault).
-		clcEvery = 4 * sim.Minute
-	}
-	if sc.TraceTier() {
-		// Stable-delivery latency is dominated by the wait for the next
-		// committed CLC wave; a short commit period keeps the reported
-		// distribution about the protocol and the link schedule, not
-		// about an idle timer.
-		clcEvery = 5 * sim.Minute
-	}
 	for i := range periods {
-		periods[i] = clcEvery
+		periods[i] = t.clcEvery
 	}
 	opts := federation.Options{
-		Topology:   fed,
-		Workload:   wl,
-		CLCPeriods: periods,
-		Replicas:   replicas,
-		Seed:       cfg.Seed,
-		Crashes:    crashes,
-		// The wide tier runs HC3I with the §7 transitive extension:
-		// whole-DDV piggybacks are exactly the O(width) per-message
-		// cost the delta wire representation exists to flatten, and
-		// wide federations are where the difference shows. Baseline
-		// protocols ignore the flag.
-		Transitive:  sc.Wide(),
+		Topology:    fed,
+		Workload:    wl,
+		CLCPeriods:  periods,
+		Replicas:    replicas,
+		Seed:        cfg.Seed,
+		Crashes:     crashes,
+		Transitive:  t.transitive,
 		NodeFactory: factory,
+		LinkTrace:   trace,
 	}
 	cfg.apply(&opts)
-	if sc.ChaosTier() {
+	if t.chaos {
 		// Garbage collection runs so its §3.5 safety rule is under
 		// fire too; the oracle is always attached — an un-checked
 		// hostile schedule proves nothing.
 		opts.GCPeriod = 10 * sim.Minute
 		opts.Oracle = true
-		seed := cfg.ChaosSeed
-		if seed == 0 {
-			seed = cfg.Seed
-		}
-		opts.Chaos = &chaos.Config{Seed: seed, OpBudget: cfg.ChaosOps}
-	}
-	if sc.TraceTier() {
-		opts.LinkTrace = trace
+		opts.Chaos = &chaos.Config{Seed: cfg.chaosSeed(), OpBudget: cfg.ChaosOps}
 	}
 	return opts, nil
 }
@@ -662,49 +641,29 @@ func RunScenario(cfg Config, sc Scenario, protocol string) (*federation.Result, 
 	return res, nil
 }
 
-// ProtocolsFor lists the protocols a scenario runs under: HC3I plus
-// the three baselines on the classic and wide tiers, HC3I alone on the
-// chaos tier (the baselines make no inter-cluster consistency claims
-// for the oracle to check) and on the trace tier (stable delivery is
-// defined by HC3I's commit wave).
-func ProtocolsFor(sc Scenario) []string {
-	if sc.ChaosTier() {
-		return ChaosProtocols
-	}
-	if sc.TraceTier() {
-		return TraceProtocols
-	}
-	return MatrixProtocols
-}
+// ProtocolsFor lists the protocols a scenario runs under: its tier's.
+func ProtocolsFor(sc Scenario) []string { return sc.tier().protocols }
 
 // RunChaosScenario runs one chaos-tier scenario across the
-// configuration's chaos-seed budget (cfg.ChaosSeeds schedules, base
-// seed cfg.ChaosSeed or cfg.Seed) and returns the per-seed results in
-// seed order. Any oracle violation or harness invariant failure
-// aborts with an error naming the chaos seed that reproduces it.
+// configuration's chaos-seed budget (cfg.ChaosSeeds schedules from
+// the base chaos seed) and returns the per-seed results in seed order.
+// Any oracle violation or harness invariant failure aborts with a
+// *ChaosFailure holding the run that reproduces it.
 func RunChaosScenario(cfg Config, sc Scenario, protocol string) ([]*federation.Result, error) {
 	seeds := cfg.ChaosSeeds
 	if seeds < 1 {
 		seeds = 1
 	}
-	base := cfg.ChaosSeed
-	if base == 0 {
-		base = cfg.Seed
-	}
+	base := cfg.chaosSeed()
 	out := make([]*federation.Result, 0, seeds)
 	for k := 0; k < seeds; k++ {
-		runCfg := cfg
-		runCfg.ChaosSeed = base + uint64(k)
-		res, err := RunScenario(runCfg, sc, protocol)
+		run := ChaosRun{Scenario: sc, Protocol: protocol, Config: cfg}
+		run.Config.ChaosSeed = base + uint64(k)
+		res, err := RunScenario(run.Config, sc, protocol)
 		if err != nil {
-			// The typed wrapper names the exact (scenario, seed) that
-			// reproduces the failure; hc3ibench unwraps it to print the
-			// one-command replay instead of a bare error.
-			return nil, &ChaosFailure{
-				ChaosRun: ChaosRun{Scenario: sc, Protocol: protocol, Seed: base + uint64(k),
-					Quick: runCfg.Quick, OpBudget: runCfg.ChaosOps, Timeout: runCfg.RunTimeout},
-				Err: err,
-			}
+			// hc3ibench unwraps the failure to print the one-command
+			// replay instead of a bare error.
+			return nil, &ChaosFailure{ChaosRun: run, Err: err}
 		}
 		out = append(out, res)
 	}
@@ -737,7 +696,7 @@ func RunMatrix(cfg Config, scenarios []Scenario) (*Table, error) {
 	// wide and chaos tables (and their goldens) keep their shape.
 	traceTier := len(scenarios) > 0
 	for _, sc := range scenarios {
-		traceTier = traceTier && sc.TraceTier()
+		traceTier = traceTier && sc.tier().linkTrace
 	}
 	t := &Table{
 		ID:    "MX",
@@ -753,7 +712,7 @@ func RunMatrix(cfg Config, scenarios []Scenario) (*Table, error) {
 		sc, proto := scenarios[runs[i].sc], runs[i].proto
 		var results []*federation.Result
 		var err error
-		if sc.ChaosTier() {
+		if sc.tier().chaos {
 			results, err = RunChaosScenario(cfg, sc, proto)
 		} else {
 			var res *federation.Result
@@ -803,38 +762,30 @@ func RunMatrix(cfg Config, scenarios []Scenario) (*Table, error) {
 	return t, nil
 }
 
-// MatrixAxes summarizes the axes for -list style output, one line per
-// dimension, values sorted.
+// MatrixAxes summarizes the axes for -list style output: the classic
+// tier one line per dimension, values sorted, then one entry per other
+// tier.
 func MatrixAxes() string {
 	var b strings.Builder
-	dims := []struct {
-		name string
-		vals []string
-	}{
-		{"topology", MatrixTopologies},
-		{"workload", MatrixWorkloads},
-		{"failure", MatrixFailures},
-		{"network", MatrixNetworks},
-		{"protocol", MatrixProtocols},
+	sorted := func(vals []string) string {
+		vals = slices.Clone(vals)
+		slices.Sort(vals)
+		return strings.Join(vals, " ")
 	}
-	for _, d := range dims {
-		vals := append([]string(nil), d.vals...)
-		sort.Strings(vals)
-		fmt.Fprintf(&b, "%-9s %s\n", d.name, strings.Join(vals, " "))
+	classic := &tiers[0]
+	for a, name := range axisNames {
+		fmt.Fprintf(&b, "%-9s %s\n", name, sorted(classic.axes[a]))
 	}
-	fmt.Fprintf(&b, "%-9s %s\n", "tier", "chaos classic trace wide")
-	fmt.Fprintf(&b, "wide tier (tier=wide): %s x %s x %s x %s\n",
-		strings.Join(WideTopologies, "/"), strings.Join(WideWorkloads, "/"),
-		strings.Join(WideFailures, "/"), strings.Join(WideNetworks, "/"))
-	fmt.Fprintf(&b, "chaos tier (tier=chaos): %s x %s x %s x %s under %s, oracle-checked,\n",
-		strings.Join(ChaosTopologies, "/"), strings.Join(ChaosWorkloads, "/"),
-		strings.Join(ChaosFailures, "/"), strings.Join(ChaosNetworks, "/"),
-		strings.Join(ChaosProtocols, "/"))
-	fmt.Fprintf(&b, "  adversarial schedules replayable via -chaos-seed (sweep width via -chaos-seeds)\n")
-	fmt.Fprintf(&b, "trace tier (tier=trace): %s x %s x %s x %s under %s,\n",
-		strings.Join(TraceTopologies, "/"), strings.Join(TraceWorkloads, "/"),
-		strings.Join(TraceFailures, "/"), strings.Join(TraceNetworks, "/"),
-		strings.Join(TraceProtocols, "/"))
-	fmt.Fprintf(&b, "  open-loop user arrivals over trace-driven links (-trace-file), p50/p99/p999 stable-delivery latency\n")
+	fmt.Fprintf(&b, "%-9s %s\n", "protocol", sorted(classic.protocols))
+	fmt.Fprintf(&b, "%-9s %s\n", "tier", sorted(tierNames()))
+	for _, t := range tiers[1:] {
+		fmt.Fprintf(&b, "%s tier (tier=%s): %s x %s x %s x %s", t.name, t.name,
+			strings.Join(t.axes[axisTopology], "/"), strings.Join(t.axes[axisWorkload], "/"),
+			strings.Join(t.axes[axisFailure], "/"), strings.Join(t.axes[axisNetwork], "/"))
+		if !slices.Equal(t.protocols, classic.protocols) {
+			fmt.Fprintf(&b, " under %s", strings.Join(t.protocols, "/"))
+		}
+		fmt.Fprintf(&b, "%s\n", t.about)
+	}
 	return b.String()
 }

@@ -11,7 +11,10 @@ import (
 
 func TestMatrixCrossProduct(t *testing.T) {
 	all := Matrix()
-	want := len(MatrixTopologies) * len(MatrixWorkloads) * len(MatrixFailures) * len(MatrixNetworks)
+	want := 1
+	for _, axis := range tierNamed("classic").axes {
+		want *= len(axis)
+	}
 	if len(all) != want {
 		t.Fatalf("matrix has %d scenarios, want %d", len(all), want)
 	}
@@ -64,7 +67,8 @@ func TestMatrixScenariosFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(MatrixWorkloads) * len(MatrixNetworks)
+	classic := tierNamed("classic")
+	want := len(classic.axes[axisWorkload]) * len(classic.axes[axisNetwork])
 	if len(some) != want {
 		t.Fatalf("filter selected %d, want %d", len(some), want)
 	}
@@ -170,7 +174,7 @@ func TestMatrixParallelDeterminism(t *testing.T) {
 func TestMatrixFailurePatterns(t *testing.T) {
 	cfg := Config{Seed: 2, Quick: true}
 	wantFailures := map[string]uint64{"none": 0, "crash": 1, "corr": 2, "churn": 4}
-	for _, fl := range MatrixFailures {
+	for _, fl := range tierNamed("classic").axes[axisFailure] {
 		sc := Scenario{Topology: "4c", Workload: "uniform", Failure: fl, Network: "lan"}
 		res, err := RunScenario(cfg, sc, "hc3i")
 		if err != nil {

@@ -78,11 +78,11 @@ func TestMatrixScenariosTraceTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scs) != len(TraceTopologies)*len(TraceFailures) {
+	if len(scs) != len(tierNamed("trace").axes[axisTopology])*len(tierNamed("trace").axes[axisFailure]) {
 		t.Fatalf("trace tier selected %d scenarios", len(scs))
 	}
 	for _, sc := range scs {
-		if !sc.TraceTier() || sc.Workload != "openloop" || sc.Network != "trace" {
+		if sc.Tier() != "trace" || sc.Workload != "openloop" || sc.Network != "trace" {
 			t.Fatalf("non-trace scenario selected: %v", sc.Name())
 		}
 		if got := ProtocolsFor(sc); len(got) != 1 || got[0] != "hc3i" {

@@ -21,11 +21,11 @@ func TestWideMatrixSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scs) != len(WideTopologies)*len(WideFailures) {
+	if len(scs) != len(tierNamed("wide").axes[axisTopology])*len(tierNamed("wide").axes[axisFailure]) {
 		t.Fatalf("tier=wide selected %d scenarios", len(scs))
 	}
 	for _, s := range scs {
-		if !s.Wide() {
+		if s.Tier() != "wide" {
 			t.Errorf("scenario %s not wide", s.Name())
 		}
 		if _, err := ParseScenario(s.Name()); err != nil {

@@ -32,7 +32,7 @@ const maxMinimizeProbes = 64
 // re-run, not extrapolated), and in practice a schedule orders of
 // magnitude shorter than the unlimited one.
 //
-// run must be the failing run's identity (OpBudget 0); failure its
+// run must be the failing run (Config.ChaosOps 0); failure its
 // error. fullOps, when > 0, seeds the upper bound with the op count
 // the failing run actually applied; at 0 the ramp discovers the bound.
 func Minimize(run experiments.ChaosRun, failure error, fullOps int) Minimized {
@@ -41,7 +41,7 @@ func Minimize(run experiments.ChaosRun, failure error, fullOps int) Minimized {
 	reproduces := func(budget int) bool {
 		m.Probes++
 		probe := run
-		probe.OpBudget = budget
+		probe.Config.ChaosOps = budget
 		out := probe.Run()
 		return out.Err != nil && experiments.CheckName(out.Err) == want
 	}

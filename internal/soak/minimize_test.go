@@ -19,7 +19,8 @@ func TestMinimizeShrinksMutationFailure(t *testing.T) {
 	sc := experiments.Scenario{Topology: "4c", Workload: "uniform", Failure: "storm", Network: "jitter"}
 	failures, shrunk := 0, 0
 	for seed := uint64(1); seed <= 40; seed++ {
-		run := experiments.ChaosRun{Scenario: sc, Seed: seed, Quick: true}
+		run := experiments.ChaosRun{Scenario: sc, Protocol: "hc3i",
+			Config: experiments.Config{Seed: seed, ChaosSeed: seed, Quick: true}}
 		out := run.Run()
 		if out.Err == nil {
 			continue
@@ -35,7 +36,7 @@ func TestMinimizeShrinksMutationFailure(t *testing.T) {
 		}
 		// The minimized budget is a real repro, not an extrapolation.
 		short := run
-		short.OpBudget = min.OpBudget
+		short.Config.ChaosOps = min.OpBudget
 		rep := short.Run()
 		if rep.Err == nil || experiments.CheckName(rep.Err) != min.Check {
 			t.Fatalf("seed %d: minimized budget %d does not reproduce check %q: %v",

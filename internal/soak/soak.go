@@ -267,16 +267,16 @@ func Run(ctx context.Context, o Options) (*Summary, error) {
 // journaled like any other failure instead of taking the sweep down.
 func runOne(jb job, o Options) (rec Record) {
 	start := time.Now()
+	// Seed k of the sweep is the run with traffic seed = chaos seed = k.
 	run := experiments.ChaosRun{
 		Scenario: jb.unit.Scenario,
-		Protocol: jb.unit.Protocol,
-		Seed:     jb.seed,
-		Quick:    o.Quick,
-		Timeout:  o.RunTimeout,
+		Protocol: jb.unit.protocol(),
+		Config: experiments.Config{Seed: jb.seed, ChaosSeed: jb.seed, Quick: o.Quick,
+			RunTimeout: o.RunTimeout},
 	}
 	rec = Record{
 		Scenario: jb.unit.Scenario.Name(),
-		Protocol: jb.unit.protocol(),
+		Protocol: run.Protocol,
 		Seed:     jb.seed,
 	}
 	defer func() {
@@ -309,7 +309,7 @@ func runOne(jb job, o Options) (rec Record) {
 		if min := Minimize(run, out.Err, out.Ops); min.OpBudget > 0 {
 			rec.MinOps = min.OpBudget
 			short := run
-			short.OpBudget = min.OpBudget
+			short.Config.ChaosOps = min.OpBudget
 			rec.Replay = short.ReplayCommand()
 		}
 	}
