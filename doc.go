@@ -72,8 +72,9 @@
 // # Invariant oracle and the chaos tier
 //
 // The -oracle flag (federation.Options.Oracle) attaches
-// internal/oracle to any run: a core.Observer asserting, at every
-// commit, rollback, delivery and GC event, the protocol's global
+// internal/oracle to any run: a subscriber to the protocol's
+// core.Event stream asserting, at every commit, restore, delivery,
+// piggyback send and GC event, the protocol's global
 // safety properties — per-epoch DDV monotonicity and cluster-wide
 // commit agreement (§3.1/§3.2), commit-line domination of all stable
 // checkpoints (§3.2), no orphan deliveries after a rollback (§3.4,
@@ -190,19 +191,23 @@
 //     a prefix, a rollback a suffix, lookups binary-search), and the
 //     frozen-send, deferred and held queues keep their backing arrays
 //     across rounds.
-//   - Trace points build nothing nobody reads. Each of the protocol's
-//     trace points emits a core.Event — a value struct (kind, SN,
-//     epoch, forced, pairs, DDV, message, peer, ...) with a fixed
-//     Level and a String that renders the one-line trace text — to the
-//     env's core.EventSink, an optional upgrade of core.Env resolved
-//     once in NewNode like core.BoxPool and core.Observer. Without a
-//     sink a trace point is one nil check; with one it is one by-value
-//     call (no []any). The simulator's sink formats only when the
-//     tracer reports the event's level; the live runtime's prints
-//     every event when a trace writer is set. A sink runs
-//     synchronously on the node's event path and must copy any DDV or
-//     Pairs it keeps: applyCommit's committed vector aliases the
-//     node's commit base, which the next commit overwrites.
+//   - Observation points build nothing nobody reads. Each of them
+//     emits a core.Event — a value struct (kind, mode, SN, epoch,
+//     forced, pairs, DDV, message, peer, ...) with a fixed Level and a
+//     String that renders the one-line trace text — to the env's
+//     core.EventSink, an optional upgrade of core.Env resolved once in
+//     NewNode like core.BoxPool. It is the protocol's one observation
+//     channel: the simulator's sink formats only when the tracer
+//     reports the event's level, then hands the event to the run's
+//     oracle; the live runtime's prints every traced event when a
+//     trace writer is set and journals what oracle.Record maps. The
+//     oracle's kinds (node start, restore, delivery, piggyback send,
+//     GC drop) are at sim.TraceOff and never printed. Without a sink a
+//     point is one nil check; with one it is one by-value call (no
+//     []any). A sink runs synchronously on the node's event path and
+//     must copy any DDV or Pairs it keeps: applyCommit's committed
+//     vector aliases the node's commit base, which the next commit
+//     overwrites.
 //   - Application snapshots are O(1): NodeApp records deliveries in an
 //     append-only journal and a snapshot is a journal position;
 //     restores rewind the tail instead of copying the delivered map on
@@ -242,7 +247,7 @@
 //   - A pair slice is immutable once appended (cut from a PairArena by
 //     the committing leader, or decoded fresh by the live runtime) and
 //     is shared freely: between the nodes of a cluster, their reports
-//     and the oracle (core.Observer.ObserveCommit may retain it).
+//     and the oracle (an EventCLCCommitted's Pairs may be retained).
 //   - Entries never decrease along a chain (dependencies only grow
 //     between rollbacks, and a rollback truncates): the analysis
 //     asserts it while indexing and refuses a chain that breaks it.

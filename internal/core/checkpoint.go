@@ -461,10 +461,7 @@ func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) 
 	n.phase = cpIdle
 	n.frozenSends = false
 	n.frozenDelivs = false
-	n.emit(Event{Kind: EventCLCCommitted, Seq: seq, DDV: commitVec, Forced: forced})
-	if n.obs != nil {
-		n.obs.ObserveCommit(n.id, seq, n.epoch, commitVec, pairs, forced)
-	}
+	n.emit(Event{Kind: EventCLCCommitted, Seq: seq, Epoch: n.epoch, DDV: commitVec, Pairs: pairs, Forced: forced})
 	if n.stab != nil {
 		// The committed record's snapshot is now on stable storage:
 		// everything it covers is permanent unless a later rollback

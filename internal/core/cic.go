@@ -61,9 +61,7 @@ func (n *Node) doSend(dst topology.NodeID, p AppPayload) {
 				m.PiggyPairs = cd.Encode(n.ddv, n.piggyVecID(), &n.pairArena)
 				m.PiggyWidth = int32(n.cfg.Clusters)
 				logPiggy = n.sharedPiggy()
-				if n.obs != nil {
-					n.obs.ObservePiggySend(n.id, dst.Cluster, logPiggy)
-				}
+				n.emit(Event{Kind: EventPiggySend, Cluster: dst.Cluster, DDV: logPiggy})
 			} else {
 				// Dense wire: retained by both the wire message and the
 				// log entry below, so it needs an owned copy.
@@ -117,16 +115,25 @@ func (n *Node) drainSendQueue() {
 	}
 }
 
-// DebugHook, when non-nil, observes every application-message routing
-// decision: stage is one of "drop_stale", "defer_epoch", "defer_frozen",
-// "held", "deliver_inter", "deliver_intra". Test instrumentation only —
-// never set in production paths.
-var DebugHook func(node topology.NodeID, stage string, m AppMsg)
+// MutationFlags deliberately break one protocol rule each, so the
+// invariant oracle's mutation smoke tests can prove it detects real
+// protocol damage (a checker that never fires proves nothing). Test
+// instrumentation only — never set outside oracle smoke tests, and
+// always reset afterwards.
+var Mutate MutationFlags
 
-func (n *Node) debug(stage string, m AppMsg) {
-	if DebugHook != nil {
-		DebugHook(n.id, stage, m)
-	}
+// MutationFlags is the set of seedable protocol breaks.
+type MutationFlags struct {
+	// AcceptStaleEpoch disables the inter-cluster stale-epoch guard:
+	// messages from an aborted (rolled-back) execution are delivered
+	// instead of dropped, creating orphan deliveries no cascade will
+	// ever erase — the exact damage the §3.4 epoch discipline prevents.
+	AcceptStaleEpoch bool
+	// GCOverCollect makes the garbage collector distribute thresholds
+	// one past the safe minimum, discarding the oldest checkpoint a
+	// future recovery could still need — violating the §3.5 safety
+	// rule.
+	GCOverCollect bool
 }
 
 // onAppMsg applies the receive-side guards, then routes the message to
@@ -135,7 +142,6 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 	if src.Cluster == n.cluster {
 		// Intra-cluster: drop traffic from an aborted execution.
 		if m.SrcEpoch != n.epoch || n.lostState {
-			n.debug("drop_stale", m)
 			n.env.Stat("app.dropped_stale", 1)
 			return
 		}
@@ -149,7 +155,6 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 			// the only surviving copy of a resend that raced our own
 			// rollback). Anything else is aborted-execution traffic.
 			if !n.priorEpochValid(src, m) && !Mutate.AcceptStaleEpoch {
-				n.debug("drop_stale", m)
 				n.env.Stat("app.dropped_stale", 1)
 				return
 			}
@@ -161,7 +166,6 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 		if m.DstEpoch > n.epoch || n.lostState {
 			// A resent message overtook our own rollback command (or
 			// we are mid-recovery): defer it.
-			n.debug("defer_epoch", m)
 			n.materializePiggy(&m, src)
 			n.inboundQueue = append(n.inboundQueue, inbound{src: src, msg: m})
 			n.env.Stat("app.deferred_epoch", 1)
@@ -170,7 +174,6 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 	}
 	if n.frozenDelivs {
 		// Frozen by an in-progress 2PC: queue until commit (§3.1).
-		n.debug("defer_frozen", m)
 		n.materializePiggy(&m, src)
 		n.inboundQueue = append(n.inboundQueue, inbound{src: src, msg: m})
 		n.env.Stat("app.deferred_frozen", 1)
@@ -319,7 +322,6 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 		if n.anchorPending {
 			// First covered delivery since the restore: take the
 			// post-restore anchor CLC first (see Node.anchorPending).
-			n.debug("held", m)
 			n.heldInter = append(n.heldInter, inbound{src: src, msg: m})
 			n.env.Stat("cic.held", 1)
 			n.env.Stat("cic.post_restore_anchor", 1)
@@ -335,7 +337,6 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 	}
 	// "a CLC is forced in the receiver's cluster only when a CLC has
 	// been stored in the sender's cluster since the last communication"
-	n.debug("held", m)
 	n.heldInter = append(n.heldInter, inbound{src: src, msg: m})
 	n.env.Stat("cic.held", 1)
 	n.emit(Event{Kind: EventHoldMsg, Msg: m.Payload.ID, Peer: src, Seq: m.SendSN, DDV: n.ddv})
@@ -495,7 +496,6 @@ func (n *Node) reexamineHeld() {
 			return
 		}
 		if n.staleWhileHeld(in.src, in.msg) && !Mutate.AcceptStaleEpoch {
-			n.debug("drop_stale", in.msg)
 			n.env.Stat("app.dropped_stale_held", 1)
 			continue
 		}
@@ -517,14 +517,11 @@ func (n *Node) reexamineHeld() {
 // sender attaches that SN to its log entry (§3.3). Forced-CLC
 // deliveries therefore carry "the local SN + 1" exactly as in §4.
 func (n *Node) deliverInter(src topology.NodeID, m AppMsg) {
-	n.debug("deliver_inter", m)
 	n.env.Stat("app.delivered.inter", 1)
 	if m.Resend {
 		n.env.Stat("app.delivered.resent", 1)
 	}
-	if n.obs != nil {
-		n.obs.ObserveDeliver(n.id, src, m.SrcEpoch, m.SendSN, n.epoch, n.sn)
-	}
+	n.emit(Event{Kind: EventDeliver, Peer: src, PeerEpoch: m.SrcEpoch, Seq: m.SendSN, Epoch: n.epoch, SN: n.sn})
 	n.app.Deliver(src, m.Payload)
 	ack := AppAck{MsgID: m.MsgID, SrcCluster: n.cluster, SrcEpoch: n.epoch, ReceiverSN: n.sn}
 	if n.boxes != nil {

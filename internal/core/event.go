@@ -7,11 +7,13 @@ import (
 	"repro/internal/topology"
 )
 
-// EventKind names one of the protocol's trace points.
+// EventKind names one of the protocol's observation points.
 type EventKind uint8
 
-// Event kinds, one per trace point. The comment of each names the
-// fields it sets; every other field is zero.
+// Event kinds, one per observation point. The comment of each names
+// the fields it sets; every other field is zero. The kinds from
+// EventNodeStart on carry the oracle's safety picture, not trace text:
+// their Level is sim.TraceOff, so no tracer prints them.
 const (
 	// EventCLCRequest: the leader opens a 2PC (Seq, Forced, Pairs: the
 	// forced update, nil for an unforced CLC).
@@ -22,8 +24,11 @@ const (
 	// EventCLCRequestStale: a participant ignores an out-of-sequence
 	// request (Seq, SN: the node's committed SN).
 	EventCLCRequestStale
-	// EventCLCCommitted: a node installed a committed CLC (Seq, DDV:
-	// the committed vector, Forced).
+	// EventCLCCommitted: a node installed a committed CLC — after it
+	// adopted the new SN and DDV and stored the record, before any
+	// queued traffic drains (Seq, Epoch, DDV: the committed vector,
+	// Pairs: its delta against the previous commit, nil on the dense
+	// wire, Forced).
 	EventCLCCommitted
 	// EventHoldMsg: an inter-cluster message is held until a forced CLC
 	// commits (Msg, Peer: the sender, Seq: the piggybacked SN, DDV: the
@@ -51,49 +56,77 @@ const (
 	EventFailed
 	// EventRestarted: the node restarted with empty volatile memory.
 	EventRestarted
+	// EventNodeStart: the node was constructed (Mode). Mode scopes the
+	// oracle's claims: ModeIndependent's lazy dependency tracking gives
+	// up the no-orphan obligation by design (§2.2).
+	EventNodeStart
+	// EventRestore: the node completed a local restore, in place or by
+	// crash recovery (Seq: the restored SN, Epoch: the new epoch, DDV:
+	// the restored vector).
+	EventRestore
+	// EventDeliver: an inter-cluster message is handed to the
+	// application (Peer: the sender, PeerEpoch and Seq: the message's
+	// piggybacked epoch and SN, Epoch and SN: the receiver's).
+	EventDeliver
+	// EventPiggySend: a fresh delta-encoded transitive send enters the
+	// pipe to Cluster (DDV: the dense vector the message stands for,
+	// the node's shared piggy clone, immutable once handed out).
+	EventPiggySend
+	// EventGCDrop: the node applies a garbage-collection threshold
+	// vector (DDV: the minimum SN kept per cluster).
+	EventGCDrop
+	// numEventKinds bounds the kinds; keep it last.
+	numEventKinds
 )
 
-// Event is one protocol trace record: a value, emitted synchronously at
-// its trace point and passed by value, so a node with no EventSink
-// builds nothing and allocates nothing.
+// Event is one protocol observation: a value, emitted synchronously at
+// its observation point and passed by value, so a node with no
+// EventSink builds nothing and allocates nothing.
 //
 // DDV and Pairs alias node-owned buffers (a committed vector is the
 // node's commit base, which the next commit overwrites): a sink that
-// keeps either past its Event call must copy it.
+// keeps either past its Event call must copy it. A commit's Pairs and
+// a piggyback send's DDV are immutable (see Chain) and may be retained.
 type Event struct {
-	Kind    EventKind
-	Seq     SN
-	SN      SN
-	Epoch   Epoch
-	Forced  bool
-	Phase   int
-	Round   uint64
-	Cluster topology.ClusterID
-	Peer    topology.NodeID
-	Msg     LogicalID
-	Pairs   []DDVPair
-	DDV     DDV
-	Err     error
+	Kind      EventKind
+	Mode      ProtocolMode
+	Seq       SN
+	SN        SN
+	Epoch     Epoch
+	PeerEpoch Epoch
+	Forced    bool
+	Phase     int
+	Round     uint64
+	Cluster   topology.ClusterID
+	Peer      topology.NodeID
+	Msg       LogicalID
+	Pairs     []DDVPair
+	DDV       DDV
+	Err       error
 }
 
 // EventSink is an optional upgrade interface of Env, resolved once at
-// node construction like BoxPool and Observer: an environment that
-// implements it receives every protocol Event. Event runs synchronously
-// on the node's event path and must copy any DDV or Pairs it keeps.
-// Environments that do not implement it pay one nil check per trace
-// point.
+// node construction like BoxPool: an environment that implements it
+// receives every protocol Event — the protocol's one observation
+// channel, feeding the tracer, the invariant oracle and the live
+// journal. Event runs synchronously on the node's event path and must
+// copy any DDV or Pairs it keeps. Environments that do not implement
+// it pay one nil check per observation point.
 type EventSink interface {
 	Event(Event)
 }
 
 // Level is the trace level the event is reported at: lifecycle events
 // (rollbacks, GC rounds, crashes) at TraceInfo, per-checkpoint and
-// per-message events at TraceDebug.
+// per-message events at TraceDebug, and the oracle's observations
+// (EventNodeStart on) at TraceOff — never printed.
 func (e Event) Level() sim.TraceLevel {
 	switch e.Kind {
 	case EventGCStart, EventGCFailed, EventRollback, EventReplicaMiss,
 		EventRollbackDone, EventNoRollbackTarget, EventFailed, EventRestarted:
 		return sim.TraceInfo
+	case EventNodeStart, EventRestore, EventDeliver, EventPiggySend, EventGCDrop:
+		return sim.TraceOff
 	}
 	return sim.TraceDebug
 }
@@ -129,6 +162,16 @@ func (e Event) String() string {
 		return "FAILED"
 	case EventRestarted:
 		return "RESTARTED (volatile memory lost)"
+	case EventNodeStart:
+		return fmt.Sprintf("start (mode=%v)", e.Mode)
+	case EventRestore:
+		return fmt.Sprintf("restored CLC %d ddv=%v (epoch %d)", e.Seq, e.DDV, e.Epoch)
+	case EventDeliver:
+		return fmt.Sprintf("deliver from %v (epoch %d sn=%d) at sn=%d (epoch %d)", e.Peer, e.PeerEpoch, e.Seq, e.SN, e.Epoch)
+	case EventPiggySend:
+		return fmt.Sprintf("piggyback %v to c%d", e.DDV, e.Cluster)
+	case EventGCDrop:
+		return fmt.Sprintf("GC drop below %v", e.DDV)
 	}
 	return fmt.Sprintf("Event(kind=%d)", e.Kind)
 }

@@ -13,7 +13,9 @@ import (
 // printf format and trace level its trace point used before events
 // were typed, so the text renderers (hc3itrace, hc3isim -trace, the
 // live runtime) print what they always printed. Most of these sites
-// never fire in the hc3itrace golden.
+// never fire in the hc3itrace golden. The oracle's observation kinds
+// are pinned at sim.TraceOff, and a kind without a row fails, so no
+// new kind reaches trace output unnoticed.
 func TestEventStringMatchesTraceFormat(t *testing.T) {
 	ddv := DDV{1, 0, 3}
 	pairs := []DDVPair{{Idx: 0, SN: 4}, {Idx: 2, SN: 7}}
@@ -53,6 +55,15 @@ func TestEventStringMatchesTraceFormat(t *testing.T) {
 			fmt.Sprintf("NO rollback target for alert c%d sn=%d; using oldest", topology.ClusterID(3), SN(11))},
 		{Event{Kind: EventFailed}, sim.TraceInfo, "FAILED"},
 		{Event{Kind: EventRestarted}, sim.TraceInfo, "RESTARTED (volatile memory lost)"},
+		// The oracle's observations are never printed.
+		{Event{Kind: EventNodeStart, Mode: ModeIndependent}, sim.TraceOff, "start (mode=independent)"},
+		{Event{Kind: EventRestore, Seq: 4, Epoch: 2, DDV: ddv}, sim.TraceOff,
+			fmt.Sprintf("restored CLC %d ddv=%v (epoch %d)", SN(4), ddv, Epoch(2))},
+		{Event{Kind: EventDeliver, Peer: peer, PeerEpoch: 1, Seq: 8, Epoch: 2, SN: 5}, sim.TraceOff,
+			fmt.Sprintf("deliver from %v (epoch %d sn=%d) at sn=%d (epoch %d)", peer, Epoch(1), SN(8), SN(5), Epoch(2))},
+		{Event{Kind: EventPiggySend, Cluster: 3, DDV: ddv}, sim.TraceOff,
+			fmt.Sprintf("piggyback %v to c%d", ddv, topology.ClusterID(3))},
+		{Event{Kind: EventGCDrop, DDV: ddv}, sim.TraceOff, fmt.Sprintf("GC drop below %v", ddv)},
 	}
 	covered := make(map[EventKind]bool)
 	for _, r := range rows {
@@ -64,7 +75,7 @@ func TestEventStringMatchesTraceFormat(t *testing.T) {
 			t.Errorf("kind %d: Level() = %v, want %v", r.ev.Kind, got, r.level)
 		}
 	}
-	for k := EventCLCRequest; k <= EventRestarted; k++ {
+	for k := EventCLCRequest; k < numEventKinds; k++ {
 		if !covered[k] {
 			t.Errorf("kind %d has no row", k)
 		}

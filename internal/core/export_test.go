@@ -429,8 +429,8 @@ func smallestSNs(t testing.TB, lists [][]Meta, currents []DDV) ([]SN, error) {
 // maintained the way the parent commit maintained it, from the same
 // events: a commit appends the committed vector, a rollback truncates,
 // a GC drop cuts the prefix, a recovery adopts the list the holder
-// answered with. It is a core.Observer; a test harness puts it on every
-// node's Env, routes Env.Send through Sent and message delivery through
+// answered with. A test harness shows it every node's events through
+// NodeEvent, routes Env.Send through Sent and message delivery through
 // Deliver, and calls Check after every event.
 //
 // It also keeps each node's replica store as the hash map the
@@ -482,10 +482,18 @@ func (d *DenseShadows) SeedReplica(holder *Node, r Replica) {
 	d.replicas[holder.id][replicaKey{owner: r.Owner, seq: r.Seq}] = r
 }
 
-// NodeEvent sees node id's protocol events: a restart empties its
-// reference store, as the crash emptied the node's.
+// NodeEvent sees node id's protocol events: a commit appends to its
+// dense list, a restore truncates it, a GC drop cuts its prefix, and a
+// restart empties its reference store, as the crash emptied the node's.
 func (d *DenseShadows) NodeEvent(id topology.NodeID, ev Event) {
-	if ev.Kind == EventRestarted {
+	switch ev.Kind {
+	case EventCLCCommitted:
+		d.lists[id] = append(d.lists[id], Meta{SN: ev.Seq, DDV: ev.DDV.Clone()})
+	case EventRestore:
+		d.restore(id, ev.Seq, ev.DDV)
+	case EventGCDrop:
+		d.gcDrop(id, ev.DDV)
+	case EventRestarted:
 		clear(d.replicas[id])
 	}
 }
@@ -525,15 +533,7 @@ func (d *DenseShadows) fail(format string, args ...any) {
 	}
 }
 
-func (d *DenseShadows) ObserveMode(topology.NodeID, ProtocolMode)                         {}
-func (d *DenseShadows) ObserveDeliver(_, _ topology.NodeID, _ Epoch, _ SN, _ Epoch, _ SN) {}
-func (d *DenseShadows) ObservePiggySend(topology.NodeID, topology.ClusterID, DDV)         {}
-
-func (d *DenseShadows) ObserveCommit(id topology.NodeID, seq SN, _ Epoch, ddv DDV, _ []DDVPair, _ bool) {
-	d.lists[id] = append(d.lists[id], Meta{SN: seq, DDV: ddv.Clone()})
-}
-
-func (d *DenseShadows) ObserveRollback(id topology.NodeID, toSN SN, _ Epoch, ddv DDV) {
+func (d *DenseShadows) restore(id topology.NodeID, toSN SN, ddv DDV) {
 	if d.inRecovery {
 		// The recovery's own restore; a rollback it cascades into
 		// afterwards drops as usual.
@@ -561,7 +561,7 @@ func (d *DenseShadows) ObserveRollback(id topology.NodeID, toSN SN, _ Epoch, ddv
 	}
 }
 
-func (d *DenseShadows) ObserveGCDrop(id topology.NodeID, minSNs []SN) {
+func (d *DenseShadows) gcDrop(id topology.NodeID, minSNs []SN) {
 	d.dropReplicas(id, func(seq SN) bool { return seq < minSNs[id.Cluster] })
 	list := d.lists[id]
 	for len(list) > 0 && list[0].SN < minSNs[id.Cluster] {

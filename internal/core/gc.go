@@ -254,9 +254,7 @@ func (n *Node) applyGCDrop(minSNs []SN) {
 	if len(minSNs) != n.cfg.Clusters {
 		return
 	}
-	if n.obs != nil {
-		n.obs.ObserveGCDrop(n.id, minSNs)
-	}
+	n.emit(Event{Kind: EventGCDrop, DDV: minSNs})
 	before := len(n.clcs)
 	threshold := minSNs[n.cluster]
 	n.dropCLCsBelow(threshold)

@@ -50,10 +50,10 @@ func (c *checkedNode) OnFailureDetected(failed topology.NodeID) {
 }
 func (c *checkedNode) Restart() { c.Node.Restart(); c.verify("restart") }
 
-// shadowedEnv is the harness's Env with the run's dense shadow as the
-// node's Observer and every Send and protocol event shown to it. The
-// harness's Env offers BoxPool, BoxReclaimer and PiggyCodecs; the node
-// must keep seeing all three.
+// shadowedEnv is the harness's Env with every Send and protocol event
+// of the node shown to the run's dense shadow. The harness's Env offers
+// BoxPool, BoxReclaimer and PiggyCodecs; the node must keep seeing all
+// three.
 type shadowedEnv struct {
 	core.Env
 	core.BoxPool

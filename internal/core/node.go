@@ -452,10 +452,6 @@ type Node struct {
 	// (BoxReclaimer): control messages then travel in boxes from ctl.
 	reclaims bool
 	ctl      ctlBoxes
-	// obs is the env's protocol observer when it offers one (the
-	// invariant oracle); nil means no observation — one nil check per
-	// hook site.
-	obs Observer
 	// sink is the env's event sink when it offers one (EventSink); nil
 	// means trace points build nothing — one nil check per site.
 	sink EventSink
@@ -552,9 +548,7 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 	n.boxes, _ = env.(BoxPool)
 	_, n.reclaims = env.(BoxReclaimer)
 	n.sink, _ = env.(EventSink)
-	if n.obs, _ = env.(Observer); n.obs != nil {
-		n.obs.ObserveMode(cfg.ID, cfg.Mode)
-	}
+	n.emit(Event{Kind: EventNodeStart, Mode: cfg.Mode})
 	n.stab, _ = app.(Stabilizer)
 	n.denseWire = cfg.DenseWire
 	n.ddvGen = 1

@@ -90,7 +90,7 @@ func (e *mockEnv) AppAckBox() *AppAck {
 }
 
 // shadowedEnv is the Env of a node under test (not under benchmark):
-// the mockEnv plus the testbed's dense shadow as the node's Observer.
+// the mockEnv plus the testbed's dense shadow as the node's event sink.
 type shadowedEnv struct {
 	*mockEnv
 	*DenseShadows

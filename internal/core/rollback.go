@@ -142,9 +142,7 @@ func (n *Node) finishLocalRollback(idx int, toSN SN, newEpoch Epoch) {
 	n.anchorPending = true
 	n.frozenSends = true // until RollbackResume
 	n.frozenDelivs = false
-	if n.obs != nil {
-		n.obs.ObserveRollback(n.id, toSN, newEpoch, n.ddv)
-	}
+	n.emit(Event{Kind: EventRestore, Seq: toSN, Epoch: newEpoch, DDV: n.ddv})
 	n.drainInbound()
 }
 
@@ -291,9 +289,7 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 	n.frozenSends = true
 	n.frozenDelivs = false
 	n.env.Stat("storage.recovered_states", 1)
-	if n.obs != nil {
-		n.obs.ObserveRollback(n.id, pend.cmd.ToSN, pend.cmd.NewEpoch, n.ddv)
-	}
+	n.emit(Event{Kind: EventRestore, Seq: pend.cmd.ToSN, Epoch: pend.cmd.NewEpoch, DDV: n.ddv})
 
 	// Re-adopt the mirrored message log: entries whose send belongs to
 	// the restored state, conservatively unacknowledged — the resume

@@ -330,12 +330,7 @@ func New(opts Options) (*Fed, error) {
 			Replicas:          repl,
 			DenseWire:         opts.DenseWire,
 		}
-		var env core.Env = &nodeEnv{f: f, id: id, ord: ord, idStr: id.String()}
-		if f.oracle != nil {
-			// The observer variant: same env, plus the promoted
-			// core.Observer methods of the oracle.
-			env = &obsEnv{nodeEnv{f: f, id: id, ord: ord, idStr: id.String()}, f.oracle}
-		}
+		env := &nodeEnv{f: f, id: id, ord: ord, idStr: id.String()}
 		na := app.NewNodeApp(id, opts.Workload, fed, appRNG)
 		na.Now = f.engine.Now
 		na.Restored = func() { f.scheduleNextSend(ord) }
@@ -424,15 +419,6 @@ func (f *Fed) ChaosOps() int {
 	return f.chaosSched.Ops()
 }
 
-// obsEnv is the node environment of oracle-checked runs: the plain
-// nodeEnv plus the oracle's promoted core.Observer methods, so the
-// protocol's env type assertion enables observation exactly when an
-// oracle is attached.
-type obsEnv struct {
-	nodeEnv
-	*oracle.Oracle
-}
-
 // Engine exposes the underlying event engine (tests, tools).
 func (f *Fed) Engine() *sim.Engine { return f.engine }
 
@@ -514,8 +500,9 @@ func (f *Fed) pipeExit(src, dst topology.NodeID, payload any) {
 // nodeEnv adapts the federation to core.Env for one node. It also
 // implements core.BoxPool, handing the protocol recycled message boxes
 // so the steady-state send path performs no interface-boxing allocation,
-// core.BoxReclaimer (msgBoxes.reclaim runs after every OnMessage), and
-// core.PiggyCodecs, exposing the per-pipe delta codecs.
+// core.BoxReclaimer (msgBoxes.reclaim runs after every OnMessage),
+// core.PiggyCodecs, exposing the per-pipe delta codecs, and
+// core.EventSink, feeding the tracer and the oracle.
 type nodeEnv struct {
 	f     *Fed
 	id    topology.NodeID
@@ -594,10 +581,15 @@ func (e *nodeEnv) SetTimer(k core.TimerKind, d sim.Duration) {
 }
 
 // Event renders a protocol event as one trace line, formatting nothing
-// unless the tracer reports the event's level.
+// unless the tracer reports the event's level, then hands it to the
+// run's oracle. The per-message kinds (deliveries, piggyback sends)
+// are at sim.TraceOff: without an oracle they cost the two checks.
 func (e *nodeEnv) Event(ev core.Event) {
 	if l := ev.Level(); e.f.tracer.Enabled(l) {
 		e.f.tracer.Emit(l, e.idStr, "%s", ev.String())
+	}
+	if e.f.oracle != nil {
+		e.f.oracle.Observe(e.id, ev)
 	}
 }
 

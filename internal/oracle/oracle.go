@@ -1,8 +1,8 @@
 // Package oracle is the protocol's online invariant checker: a
-// passive observer (core.Observer) attachable to any federation run
-// that asserts, at every delivery, commit, rollback and
-// garbage-collection event, the global safety properties the paper
-// claims —
+// passive subscriber to the protocol's core.Event stream (Observe),
+// attachable to any federation run, that asserts, at every delivery,
+// commit, restore and garbage-collection event, the global safety
+// properties the paper claims —
 //
 //   - per-epoch DDV monotonicity and cluster-wide commit agreement
 //     (§3.1/§3.2: the two-phase commit keeps the committed vector
@@ -107,13 +107,6 @@ type Oracle struct {
 	dropped    int // violations beyond MaxViolations
 }
 
-// ObserveMode scopes mode-specific claims (see core.Observer).
-func (o *Oracle) ObserveMode(id topology.NodeID, mode core.ProtocolMode) {
-	if mode == core.ModeIndependent {
-		o.lazyDeps = true
-	}
-}
-
 // New returns an oracle for a federation of nClusters clusters, seeded
 // with the protocol's initial state: every cluster starts at epoch 0,
 // SN 1, with its initial checkpoint stored (core.NewNode's "the
@@ -164,14 +157,44 @@ func (o *Oracle) Err() error {
 // MaxViolations).
 func (o *Oracle) Violations() []error { return o.violations }
 
-// ---- core.Observer ----
+// Observe is the oracle's one entry point: it checks node id's protocol
+// event ev. Events arrive one at a time, in the order the protocol
+// emitted them (the simulator's sink calls it inside the event); a DDV
+// it keeps is copied, while commit pairs and piggyback vectors are
+// immutable and retained. Kinds that carry no safety claim (the trace
+// points) are ignored.
+func (o *Oracle) Observe(id topology.NodeID, ev core.Event) {
+	switch ev.Kind {
+	case core.EventNodeStart:
+		// Mode scopes mode-specific claims: the no-orphan obligation
+		// assumes eager dependency tracking (ModeHC3I / ModeForceAll
+		// raise the cluster DDV before delivering), which
+		// ModeIndependent's lazy tracking deliberately gives up —
+		// orphans between commits are the documented cost of that
+		// baseline (§2.2), not a violation.
+		if ev.Mode == core.ModeIndependent {
+			o.lazyDeps = true
+		}
+	case core.EventCLCCommitted:
+		o.commit(id, ev.Seq, ev.Epoch, ev.DDV, ev.Pairs)
+	case core.EventRestore:
+		o.restore(id, ev.Seq, ev.Epoch, ev.DDV)
+	case core.EventDeliver:
+		o.deliver(id, ev.Peer, ev.PeerEpoch, ev.Seq, ev.SN)
+	case core.EventPiggySend:
+		slot := int(id.Cluster)*o.width + int(ev.Cluster)
+		o.pipes[slot] = append(o.pipes[slot], ev.DDV)
+	case core.EventGCDrop:
+		o.gcDrop(id, ev.DDV)
+	}
+}
 
-// ObserveCommit checks per-epoch monotonicity, own-entry continuity and
+// commit checks per-epoch monotonicity, own-entry continuity and
 // cluster-wide commit agreement, then advances the shadow chain. With
 // delta pairs the work is O(changed entries): unchanged entries equal
-// the previous commit, which an earlier ObserveCommit already
-// verified — the induction the commitBase wire invariant rests on.
-func (o *Oracle) ObserveCommit(id topology.NodeID, seq core.SN, epoch core.Epoch, ddv core.DDV, pairs []core.DDVPair, forced bool) {
+// the previous commit, which an earlier commit already verified — the
+// induction the commitBase wire invariant rests on.
+func (o *Oracle) commit(id topology.NodeID, seq core.SN, epoch core.Epoch, ddv core.DDV, pairs []core.DDVPair) {
 	c := &o.clusters[id.Cluster]
 	if epoch != c.epoch {
 		o.violatef("commit: %v committed CLC %d in epoch %d, cluster epoch is %d", id, seq, epoch, c.epoch)
@@ -227,13 +250,13 @@ func (o *Oracle) ObserveCommit(id topology.NodeID, seq core.SN, epoch core.Epoch
 	}
 }
 
-// ObserveRollback checks that the restored checkpoint exists in the
+// restore checks that the restored checkpoint exists in the
 // shadow chain, that every node of the cluster restores the same one,
 // and that epochs advance one at a time; it then truncates the chain,
 // erases the deliveries the restore undoes, and marks as orphan
 // obligations every other cluster's live delivery whose send this
 // rollback discarded.
-func (o *Oracle) ObserveRollback(id topology.NodeID, toSN core.SN, newEpoch core.Epoch, ddv core.DDV) {
+func (o *Oracle) restore(id topology.NodeID, toSN core.SN, newEpoch core.Epoch, ddv core.DDV) {
 	c := &o.clusters[id.Cluster]
 	switch {
 	case newEpoch == c.epoch+1:
@@ -313,12 +336,12 @@ func (o *Oracle) ObserveRollback(id topology.NodeID, toSN core.SN, newEpoch core
 	}
 }
 
-// ObserveDeliver checks the delivery against the sender's shadow
+// deliver checks a delivery into dst against the sender's shadow
 // history — no message may carry an epoch the sender never reached or
 // an SN it never committed — and records it for orphan accounting: if
 // the sender later rolls back past the send, the receiver must erase
 // the delivery (its own cascaded rollback) before the run ends.
-func (o *Oracle) ObserveDeliver(dst, src topology.NodeID, srcEpoch core.Epoch, sendSN core.SN, recvEpoch core.Epoch, recvSN core.SN) {
+func (o *Oracle) deliver(dst, src topology.NodeID, srcEpoch core.Epoch, sendSN, recvSN core.SN) {
 	s := &o.clusters[src.Cluster]
 	if srcEpoch > s.epoch {
 		o.violatef("delivery: %v delivered message from %v with epoch %d, sender cluster is at %d",
@@ -345,16 +368,10 @@ func (o *Oracle) ObserveDeliver(dst, src topology.NodeID, srcEpoch core.Epoch, s
 	o.clusters[dst.Cluster].delivs = append(o.clusters[dst.Cluster].delivs, d)
 }
 
-// ObservePiggySend enqueues the dense vector a delta-encoded transitive
-// send stands for on its directed pipe's expectation queue.
-func (o *Oracle) ObservePiggySend(src topology.NodeID, dstCluster topology.ClusterID, dense core.DDV) {
-	slot := int(src.Cluster)*o.width + int(dstCluster)
-	o.pipes[slot] = append(o.pipes[slot], dense)
-}
-
 // CheckPipeExit verifies the delta-codec lockstep contract at a pipe
 // exit: decoded (the pipe decoder's vector after this message) must be
-// byte-identical to the dense vector the matching send stood for. The
+// byte-identical to the dense vector the matching EventPiggySend stood
+// for, which Observe queued on the pipe's expectation queue. The
 // harness calls it for every delta-piggybacked message leaving a pipe,
 // in pipe order.
 func (o *Oracle) CheckPipeExit(src, dst topology.ClusterID, decoded core.DDV) {
@@ -372,13 +389,13 @@ func (o *Oracle) CheckPipeExit(src, dst topology.ClusterID, decoded core.DDV) {
 	}
 }
 
-// ObserveGCDrop checks garbage-collection safety: the distributed
+// gcDrop checks garbage-collection safety: the distributed
 // thresholds must never exceed what the recovery-line analysis over
 // the oracle's own shadow state allows (a higher threshold discards a
 // checkpoint some simulated failure still needs). It then prunes the
 // shadow chain like the protocol does and retires delivery records the
 // collection proved permanently safe.
-func (o *Oracle) ObserveGCDrop(id topology.NodeID, minSNs []core.SN) {
+func (o *Oracle) gcDrop(id topology.NodeID, minSNs []core.SN) {
 	if len(minSNs) != o.width {
 		o.violatef("gc: %v applied a %d-entry threshold vector in a %d-cluster federation",
 			id, len(minSNs), o.width)

@@ -15,11 +15,33 @@ func node(c, i int) topology.NodeID {
 // ddv builds a dense vector from literal entries.
 func ddv(vals ...core.SN) core.DDV { return core.DDV(vals) }
 
+// commit, restore, deliver, piggySend and gcDrop hand the oracle one
+// protocol event of each observed kind.
+func commit(o *Oracle, id topology.NodeID, seq core.SN, epoch core.Epoch, v core.DDV, pairs []core.DDVPair) {
+	o.Observe(id, core.Event{Kind: core.EventCLCCommitted, Seq: seq, Epoch: epoch, DDV: v, Pairs: pairs})
+}
+
+func restore(o *Oracle, id topology.NodeID, toSN core.SN, newEpoch core.Epoch, v core.DDV) {
+	o.Observe(id, core.Event{Kind: core.EventRestore, Seq: toSN, Epoch: newEpoch, DDV: v})
+}
+
+func deliver(o *Oracle, dst, src topology.NodeID, srcEpoch core.Epoch, sendSN core.SN, recvEpoch core.Epoch, recvSN core.SN) {
+	o.Observe(dst, core.Event{Kind: core.EventDeliver, Peer: src, PeerEpoch: srcEpoch, Seq: sendSN, Epoch: recvEpoch, SN: recvSN})
+}
+
+func piggySend(o *Oracle, src topology.NodeID, dst topology.ClusterID, dense core.DDV) {
+	o.Observe(src, core.Event{Kind: core.EventPiggySend, Cluster: dst, DDV: dense})
+}
+
+func gcDrop(o *Oracle, id topology.NodeID, minSNs []core.SN) {
+	o.Observe(id, core.Event{Kind: core.EventGCDrop, DDV: minSNs})
+}
+
 // commitCluster observes the same commit from every node of a 2-node
 // cluster, the way a real 2PC reports it.
 func commitCluster(o *Oracle, c int, seq core.SN, epoch core.Epoch, v core.DDV) {
-	o.ObserveCommit(node(c, 0), seq, epoch, v, nil, false)
-	o.ObserveCommit(node(c, 1), seq, epoch, v, nil, false)
+	commit(o, node(c, 0), seq, epoch, v, nil)
+	commit(o, node(c, 1), seq, epoch, v, nil)
 }
 
 func wantViolation(t *testing.T, o *Oracle, substr string) {
@@ -38,7 +60,7 @@ func TestCommitAdvanceAndAgreement(t *testing.T) {
 	commitCluster(o, 0, 2, 0, ddv(2, 0))
 	commitCluster(o, 0, 3, 0, ddv(3, 1))
 	// Delta re-application of the same commit: pairs must agree.
-	o.ObserveCommit(node(0, 1), 3, 0, nil, []core.DDVPair{{Idx: 0, SN: 3}, {Idx: 1, SN: 1}}, false)
+	commit(o, node(0, 1), 3, 0, nil, []core.DDVPair{{Idx: 0, SN: 3}, {Idx: 1, SN: 1}})
 	if err := o.Finish(); err != nil {
 		t.Fatalf("clean history flagged: %v", err)
 	}
@@ -48,43 +70,43 @@ func TestCommitMonotonicityViolation(t *testing.T) {
 	o := New(2)
 	commitCluster(o, 0, 2, 0, ddv(2, 5))
 	// CLC 3 lowers the entry for cluster 1: 5 -> 4.
-	o.ObserveCommit(node(0, 0), 3, 0, nil, []core.DDVPair{{Idx: 0, SN: 3}, {Idx: 1, SN: 4}}, false)
+	commit(o, node(0, 0), 3, 0, nil, []core.DDVPair{{Idx: 0, SN: 3}, {Idx: 1, SN: 4}})
 	wantViolation(t, o, "monotonicity")
 }
 
 func TestCommitAgreementViolation(t *testing.T) {
 	o := New(2)
-	o.ObserveCommit(node(0, 0), 2, 0, ddv(2, 3), nil, false)
-	o.ObserveCommit(node(0, 1), 2, 0, ddv(2, 4), nil, false)
+	commit(o, node(0, 0), 2, 0, ddv(2, 3), nil)
+	commit(o, node(0, 1), 2, 0, ddv(2, 4), nil)
 	wantViolation(t, o, "agreement")
 }
 
 func TestCommitContinuityViolation(t *testing.T) {
 	o := New(2)
-	o.ObserveCommit(node(0, 0), 4, 0, ddv(4, 0), nil, false) // skips 2 and 3
+	commit(o, node(0, 0), 4, 0, ddv(4, 0), nil) // skips 2 and 3
 	wantViolation(t, o, "continuity")
 }
 
 func TestRollbackToMissingCheckpoint(t *testing.T) {
 	o := New(2)
 	commitCluster(o, 0, 2, 0, ddv(2, 0))
-	o.ObserveRollback(node(0, 0), 7, 1, ddv(7, 0))
+	restore(o, node(0, 0), 7, 1, ddv(7, 0))
 	wantViolation(t, o, "no longer stores")
 }
 
 func TestRollbackAgreementAndStraggler(t *testing.T) {
 	o := New(2)
 	commitCluster(o, 0, 2, 0, ddv(2, 0))
-	o.ObserveRollback(node(0, 0), 2, 1, ddv(2, 0))
-	o.ObserveRollback(node(0, 1), 2, 1, ddv(2, 0)) // peer of the same wave
+	restore(o, node(0, 0), 2, 1, ddv(2, 0))
+	restore(o, node(0, 1), 2, 1, ddv(2, 0)) // peer of the same wave
 	// A second rollback supersedes; then a straggler re-executes the
 	// first epoch's command — legal, and it must match the record.
-	o.ObserveRollback(node(0, 0), 1, 2, ddv(1, 0))
-	o.ObserveRollback(node(0, 1), 2, 1, ddv(2, 0)) // straggler, consistent
+	restore(o, node(0, 0), 1, 2, ddv(1, 0))
+	restore(o, node(0, 1), 2, 1, ddv(2, 0)) // straggler, consistent
 	if o.Err() != nil {
 		t.Fatalf("legal straggler flagged: %v", o.Err())
 	}
-	o.ObserveRollback(node(0, 1), 1, 1, ddv(1, 0)) // straggler, wrong target
+	restore(o, node(0, 1), 1, 1, ddv(1, 0)) // straggler, wrong target
 	wantViolation(t, o, "rollback agreement")
 }
 
@@ -92,9 +114,9 @@ func TestOrphanDeliveryCaught(t *testing.T) {
 	o := New(2)
 	commitCluster(o, 0, 2, 0, ddv(2, 0))
 	// Cluster 1 delivers a message sent at cluster 0's SN 2...
-	o.ObserveDeliver(node(1, 0), node(0, 0), 0, 2, 0, 1)
+	deliver(o, node(1, 0), node(0, 0), 0, 2, 0, 1)
 	// ...then cluster 0 rolls back to CLC 2, discarding that send.
-	o.ObserveRollback(node(0, 0), 2, 1, ddv(2, 0))
+	restore(o, node(0, 0), 2, 1, ddv(2, 0))
 	if o.Err() != nil {
 		t.Fatalf("orphan obligation must not fire before Finish: %v", o.Err())
 	}
@@ -107,11 +129,11 @@ func TestOrphanErasedByReceiverRollback(t *testing.T) {
 	o := New(2)
 	commitCluster(o, 0, 2, 0, ddv(2, 0))
 	commitCluster(o, 1, 2, 0, ddv(2, 2)) // receiver's forced CLC covering the delivery
-	o.ObserveDeliver(node(1, 0), node(0, 0), 0, 2, 0, 2)
-	o.ObserveRollback(node(0, 0), 2, 1, ddv(2, 0))
+	deliver(o, node(1, 0), node(0, 0), 0, 2, 0, 2)
+	restore(o, node(0, 0), 2, 1, ddv(2, 0))
 	// The receiver's cascaded rollback to CLC 2 (recvSN 2 >= toSN 2)
 	// erases the delivery: the obligation is discharged.
-	o.ObserveRollback(node(1, 0), 2, 1, ddv(2, 2))
+	restore(o, node(1, 0), 2, 1, ddv(2, 2))
 	if err := o.Finish(); err != nil {
 		t.Fatalf("erased orphan still flagged: %v", err)
 	}
@@ -119,13 +141,13 @@ func TestOrphanErasedByReceiverRollback(t *testing.T) {
 
 func TestDeliveryFromFutureEpochCaught(t *testing.T) {
 	o := New(2)
-	o.ObserveDeliver(node(1, 0), node(0, 0), 3, 1, 0, 1)
+	deliver(o, node(1, 0), node(0, 0), 3, 1, 0, 1)
 	wantViolation(t, o, "epoch")
 }
 
 func TestDeliveryOfUncommittedSNCaught(t *testing.T) {
 	o := New(2)
-	o.ObserveDeliver(node(1, 0), node(0, 0), 0, 9, 0, 1)
+	deliver(o, node(1, 0), node(0, 0), 0, 9, 0, 1)
 	wantViolation(t, o, "committed only")
 }
 
@@ -139,7 +161,7 @@ func TestGCSafetyViolationCaught(t *testing.T) {
 	// 2 — the oldest with entry[1] >= 2. SmallestSNs therefore allows
 	// at most {2, 2}; a threshold of 3 for cluster 0 drops the very
 	// checkpoint that recovery needs.
-	o.ObserveGCDrop(node(0, 0), []core.SN{3, 2})
+	gcDrop(o, node(0, 0), []core.SN{3, 2})
 	wantViolation(t, o, "gc safety")
 }
 
@@ -159,9 +181,9 @@ func TestGCSafeDropAccepted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.ObserveGCDrop(node(0, 0), mins)
-	o.ObserveGCDrop(node(0, 1), mins)
-	o.ObserveGCDrop(node(1, 0), mins)
+	gcDrop(o, node(0, 0), mins)
+	gcDrop(o, node(0, 1), mins)
+	gcDrop(o, node(1, 0), mins)
 	if err := o.Finish(); err != nil {
 		t.Fatalf("protocol-computed thresholds flagged: %v", err)
 	}
@@ -169,12 +191,12 @@ func TestGCSafeDropAccepted(t *testing.T) {
 
 func TestPipeLockstep(t *testing.T) {
 	o := New(2)
-	o.ObservePiggySend(node(0, 0), 1, ddv(2, 0))
+	piggySend(o, node(0, 0), 1, ddv(2, 0))
 	o.CheckPipeExit(0, 1, ddv(2, 0))
 	if o.Err() != nil {
 		t.Fatalf("matching pipe exit flagged: %v", o.Err())
 	}
-	o.ObservePiggySend(node(0, 0), 1, ddv(3, 0))
+	piggySend(o, node(0, 0), 1, ddv(3, 0))
 	o.CheckPipeExit(0, 1, ddv(2, 0)) // decoder lagging: desync
 	wantViolation(t, o, "pipe lockstep")
 
@@ -188,6 +210,6 @@ func TestCommitLineDominationAtFinish(t *testing.T) {
 	commitCluster(o, 0, 2, 0, ddv(2, 4))
 	// Corrupt the shadow the way a protocol bug would: a rollback to
 	// CLC 2 whose restored vector disagrees with the committed one.
-	o.ObserveRollback(node(0, 0), 2, 1, ddv(2, 9))
+	restore(o, node(0, 0), 2, 1, ddv(2, 9))
 	wantViolation(t, o, "rollback")
 }

@@ -1,12 +1,13 @@
 // Offline oracle replay: the six invariant families of this package,
 // re-asserted after the fact on the merged per-node journals of a real
 // multi-process run (cmd/hc3id). Each daemon journals its protocol
-// observations (commits, rollbacks, deliveries, GC drops) as JSONL
-// with same-machine wall-clock timestamps; Replay merges the files in
-// timestamp order and drives a regular Oracle with the result.
+// events (node starts, commits, restores, deliveries, GC drops) as
+// JSONL with same-machine wall-clock timestamps, each mapped by Record;
+// Replay merges the files in timestamp order, maps every record back
+// with Event.Observation and drives a regular Oracle with the result.
 //
 // Why a timestamp merge is a valid event order here: every journal
-// line is written synchronously inside the protocol callback that
+// line is written synchronously inside the protocol event that
 // produced it, before the node sends any message that depends on it.
 // Cluster-wide, all applications of commit k really do precede all
 // applications of commit k+1 (the 2PC needs every node's ack to k
@@ -41,8 +42,9 @@ type Event struct {
 	T int64 `json:"t"`
 	// Node is the journaling node in cXnY form.
 	Node string `json:"node"`
-	// Kind is one of start, commit, rollback, deliver, gcdrop, send,
-	// hello, suspect, drop, stop.
+	// Kind is one of start, commit, rollback, deliver, gcdrop (the
+	// protocol events Record maps), send, hello, suspect, drop, stop
+	// (the live runtime's own records).
 	Kind string `json:"kind"`
 
 	// start: the federation shape and protocol mode; recovering marks
@@ -78,6 +80,64 @@ type Event struct {
 
 // NodeID parses the event's journaling node.
 func (e Event) NodeID() (topology.NodeID, error) { return topology.ParseNodeID(e.Node) }
+
+// Record maps node id's protocol event to its journal record — the one
+// mapping between the two, which Observation inverts. ok is false for
+// the kinds the journal does not carry: the trace points, and
+// piggyback sends (the live runtime speaks the dense wire, so it has
+// no delta pipes to check). A start record names no federation shape;
+// the journaling runtime adds Clusters and Recovering. A commit is
+// journaled as its dense vector: Pairs is a wire shortcut.
+func Record(id topology.NodeID, ev core.Event) (Event, bool) {
+	switch ev.Kind {
+	case core.EventNodeStart:
+		return Event{Node: id.String(), Kind: "start", Mode: ev.Mode.String()}, true
+	case core.EventCLCCommitted:
+		return Event{Node: id.String(), Kind: "commit", Seq: uint64(ev.Seq), Epoch: uint64(ev.Epoch),
+			DDV: fromSNs(ev.DDV), Forced: ev.Forced}, true
+	case core.EventRestore:
+		return Event{Node: id.String(), Kind: "rollback", Seq: uint64(ev.Seq), Epoch: uint64(ev.Epoch),
+			DDV: fromSNs(ev.DDV)}, true
+	case core.EventDeliver:
+		return Event{Node: id.String(), Kind: "deliver", Src: ev.Peer.String(),
+			SrcEpoch: uint64(ev.PeerEpoch), SendSN: uint64(ev.Seq),
+			RecvEpoch: uint64(ev.Epoch), RecvSN: uint64(ev.SN)}, true
+	case core.EventGCDrop:
+		return Event{Node: id.String(), Kind: "gcdrop", MinSNs: fromSNs(ev.DDV)}, true
+	}
+	return Event{}, false
+}
+
+// Observation maps a journal record back to the protocol event Record
+// made it from. ok is false for the runtime's own records and for a
+// delivery whose sender does not parse. An unknown start mode maps to
+// ModeHC3I, which scopes no claim.
+func (e Event) Observation() (core.Event, bool) {
+	switch e.Kind {
+	case "start":
+		ev := core.Event{Kind: core.EventNodeStart}
+		for _, m := range []core.ProtocolMode{core.ModeForceAll, core.ModeIndependent} {
+			if e.Mode == m.String() {
+				ev.Mode = m
+			}
+		}
+		return ev, true
+	case "commit":
+		return core.Event{Kind: core.EventCLCCommitted, Seq: core.SN(e.Seq), Epoch: core.Epoch(e.Epoch),
+			DDV: toSNs(e.DDV), Forced: e.Forced}, true
+	case "rollback":
+		return core.Event{Kind: core.EventRestore, Seq: core.SN(e.Seq), Epoch: core.Epoch(e.Epoch),
+			DDV: toSNs(e.DDV)}, true
+	case "deliver":
+		src, err := topology.ParseNodeID(e.Src)
+		return core.Event{Kind: core.EventDeliver, Peer: src,
+			PeerEpoch: core.Epoch(e.SrcEpoch), Seq: core.SN(e.SendSN),
+			Epoch: core.Epoch(e.RecvEpoch), SN: core.SN(e.RecvSN)}, err == nil
+	case "gcdrop":
+		return core.Event{Kind: core.EventGCDrop, DDV: toSNs(e.MinSNs)}, true
+	}
+	return core.Event{}, false
+}
 
 // ReadJournalFile loads one per-node journal. A torn final line (the
 // daemon was SIGKILLed mid-write) is tolerated and skipped; garbage
@@ -234,6 +294,7 @@ func Replay(events []Event) *Report {
 			structural("event %q from %v outside the %d-cluster federation", ev.Kind, id, width)
 			continue
 		}
+		obs, ok := ev.Observation()
 		switch ev.Kind {
 		case "start":
 			r.Starts++
@@ -242,9 +303,6 @@ func Replay(events []Event) *Report {
 			}
 			if len(ev.Clusters) > 0 && len(ev.Clusters) != width {
 				structural("start event of %v names %d clusters, federation has %d", id, len(ev.Clusters), width)
-			}
-			if ev.Mode == core.ModeIndependent.String() {
-				o.ObserveMode(id, core.ModeIndependent)
 			}
 		case "commit":
 			r.Commits++
@@ -261,7 +319,6 @@ func Replay(events []Event) *Report {
 					ev.Seq, id, len(ev.DDV), width)
 				continue
 			}
-			o.ObserveCommit(id, core.SN(ev.Seq), core.Epoch(ev.Epoch), toDDV(ev.DDV), nil, ev.Forced)
 		case "rollback":
 			r.Rollbacks++
 			cr := &r.PerCluster[id.Cluster]
@@ -274,19 +331,14 @@ func Replay(events []Event) *Report {
 					ev.Seq, id, len(ev.DDV), width)
 				continue
 			}
-			o.ObserveRollback(id, core.SN(ev.Seq), core.Epoch(ev.Epoch), toDDV(ev.DDV))
 		case "deliver":
 			r.Deliveries++
-			src, err := topology.ParseNodeID(ev.Src)
-			if err != nil || int(src.Cluster) >= width {
+			if !ok || int(obs.Peer.Cluster) >= width {
 				structural("delivery at %v from unparseable or foreign sender %q", id, ev.Src)
 				continue
 			}
-			o.ObserveDeliver(id, src, core.Epoch(ev.SrcEpoch), core.SN(ev.SendSN),
-				core.Epoch(ev.RecvEpoch), core.SN(ev.RecvSN))
 		case "gcdrop":
 			r.GCDrops++
-			o.ObserveGCDrop(id, toSNs(ev.MinSNs))
 		case "send":
 			r.Sends++
 		case "suspect":
@@ -299,6 +351,9 @@ func Replay(events []Event) *Report {
 			// liveness announcements carry no protocol claim
 		default:
 			structural("unknown event kind %q from %v", ev.Kind, id)
+		}
+		if ok {
+			o.Observe(id, obs)
 		}
 	}
 	o.Finish()
@@ -322,7 +377,7 @@ func ReplayFiles(paths ...string) (*Report, error) {
 	return Replay(MergeEvents(perNode...)), nil
 }
 
-func toDDV(vals []uint64) core.DDV {
+func toSNs(vals []uint64) core.DDV {
 	d := make(core.DDV, len(vals))
 	for i, v := range vals {
 		d[i] = core.SN(v)
@@ -330,10 +385,10 @@ func toDDV(vals []uint64) core.DDV {
 	return d
 }
 
-func toSNs(vals []uint64) []core.SN {
-	s := make([]core.SN, len(vals))
-	for i, v := range vals {
-		s[i] = core.SN(v)
+func fromSNs(d []core.SN) []uint64 {
+	out := make([]uint64, len(d))
+	for i, v := range d {
+		out[i] = uint64(v)
 	}
-	return s
+	return out
 }

@@ -11,8 +11,8 @@ import (
 
 // Journal is a live node daemon's durable event log: oracle.Event
 // lines appended through soak's torn-tail-safe LineJournal, one file
-// per daemon process. Every protocol observation is written
-// synchronously inside the callback that produced it, before the node
+// per daemon process. Every protocol event is written synchronously
+// inside the core.EventSink call that produced it, before the node
 // acts on it, so a SIGKILL can cost at most the final (torn) line —
 // which both reopening and offline replay tolerate. Timestamps are
 // forced strictly monotone within the file so a stable merge across

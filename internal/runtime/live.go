@@ -88,9 +88,11 @@ type Config struct {
 	// their cluster (Hello) and wait passively for the rollback the
 	// surviving peers initiate, exactly like an in-process Restart.
 	Recovering bool
-	// Journal, when non-nil, receives one JSONL event per protocol
-	// observation of the hosted nodes (commits, rollbacks, deliveries,
-	// GC drops, control-message sends).
+	// Journal, when non-nil, receives one JSONL line per protocol event
+	// of the hosted nodes that oracle.Record maps (starts, commits,
+	// restores, deliveries, GC drops), plus the runtime's own records
+	// (control-message sends, hellos, suspicions, dropped sends) and,
+	// once Stop has halted everything else, one stop record per node.
 	Journal *Journal
 }
 
@@ -257,11 +259,25 @@ func (e liveEnv) SetTimer(k core.TimerKind, d sim.Duration) {
 	})
 }
 
-// Event prints every protocol event, whatever its level, when the
-// federation has a trace writer.
+// Event prints every traced protocol event (any level above
+// sim.TraceOff) when the federation has a trace writer, then journals
+// the events oracle.Record maps. It runs synchronously on the node's
+// event goroutine and the journal marshals immediately, so DDVs that
+// alias node buffers are safe to pass through.
 func (e liveEnv) Event(ev core.Event) {
-	if e.n.fed.trace != nil {
+	f := e.n.fed
+	if f.trace != nil && ev.Level() != sim.TraceOff {
 		e.tracef("%s", ev.String())
+	}
+	if f.journal == nil {
+		return
+	}
+	if rec, ok := oracle.Record(e.n.id, ev); ok {
+		if rec.Kind == "start" {
+			rec.Clusters = append([]int(nil), f.cfg.Clusters...)
+			rec.Recovering = f.cfg.Recovering
+		}
+		f.journal.Event(rec)
 	}
 }
 
@@ -280,68 +296,6 @@ func (e liveEnv) tracef(format string, args ...any) {
 
 func (e liveEnv) Stat(name string, delta uint64)        { e.n.fed.stats.add(name, delta) }
 func (e liveEnv) StatSeries(name string, value float64) {}
-
-// ---- core.Observer: the per-node event journal ----
-//
-// liveEnv implements core.Observer so every hosted node journals its
-// safety-relevant protocol events. The callbacks run synchronously on
-// the node's event goroutine, and the journal marshals immediately, so
-// DDV arguments that alias node buffers are safe to pass through. With
-// no journal configured every callback is one nil check.
-
-func ddvU64(d core.DDV) []uint64 {
-	out := make([]uint64, len(d))
-	for i, v := range d {
-		out[i] = uint64(v)
-	}
-	return out
-}
-
-func (e liveEnv) ObserveMode(id topology.NodeID, mode core.ProtocolMode) {
-	if j := e.n.fed.journal; j != nil {
-		ev := oracle.Event{Node: id.String(), Kind: "start",
-			Clusters: append([]int(nil), e.n.fed.cfg.Clusters...),
-			Mode:     mode.String(), Recovering: e.n.fed.cfg.Recovering}
-		j.Event(ev)
-	}
-}
-
-func (e liveEnv) ObserveCommit(id topology.NodeID, seq core.SN, epoch core.Epoch, ddv core.DDV, pairs []core.DDVPair, forced bool) {
-	if j := e.n.fed.journal; j != nil {
-		j.Event(oracle.Event{Node: id.String(), Kind: "commit",
-			Seq: uint64(seq), Epoch: uint64(epoch), DDV: ddvU64(ddv), Forced: forced})
-	}
-}
-
-func (e liveEnv) ObserveRollback(id topology.NodeID, toSN core.SN, newEpoch core.Epoch, ddv core.DDV) {
-	if j := e.n.fed.journal; j != nil {
-		j.Event(oracle.Event{Node: id.String(), Kind: "rollback",
-			Seq: uint64(toSN), Epoch: uint64(newEpoch), DDV: ddvU64(ddv)})
-	}
-}
-
-func (e liveEnv) ObserveDeliver(dst, src topology.NodeID, srcEpoch core.Epoch, sendSN core.SN, recvEpoch core.Epoch, recvSN core.SN) {
-	if j := e.n.fed.journal; j != nil {
-		j.Event(oracle.Event{Node: dst.String(), Kind: "deliver", Src: src.String(),
-			SrcEpoch: uint64(srcEpoch), SendSN: uint64(sendSN),
-			RecvEpoch: uint64(recvEpoch), RecvSN: uint64(recvSN)})
-	}
-}
-
-func (e liveEnv) ObservePiggySend(src topology.NodeID, dstCluster topology.ClusterID, dense core.DDV) {
-	// The live runtime speaks the dense wire — no delta pipes, so no
-	// pipe-lockstep events to journal.
-}
-
-func (e liveEnv) ObserveGCDrop(id topology.NodeID, minSNs []core.SN) {
-	if j := e.n.fed.journal; j != nil {
-		vals := make([]uint64, len(minSNs))
-		for i, v := range minSNs {
-			vals[i] = uint64(v)
-		}
-		j.Event(oracle.Event{Node: id.String(), Kind: "gcdrop", MinSNs: vals})
-	}
-}
 
 // Start builds and starts a live federation (or, with cfg.LocalNodes,
 // this process's share of one).
@@ -783,15 +737,12 @@ func (f *Live) LocalIDs() []topology.NodeID {
 	return ids
 }
 
-// Stop halts all node goroutines and closes the transport. After Stop
-// the federation's state is frozen and safe to inspect.
+// Stop halts all node goroutines and closes the transport, then
+// journals each hosted node's stop record with the final counters:
+// with the event loops and the transport down, no late timer or
+// inbound envelope can journal after it. After Stop the federation's
+// state is frozen and safe to inspect.
 func (f *Live) Stop() {
-	if f.journal != nil {
-		for id := range f.nodes {
-			f.journal.Event(oracle.Event{Node: id.String(), Kind: "stop", Stats: f.Stats()})
-		}
-		f.journal.Sync()
-	}
 	close(f.stopped)
 	for _, ln := range f.nodes {
 		ln.timerMu.Lock()
@@ -802,6 +753,13 @@ func (f *Live) Stop() {
 	}
 	f.transport.Close()
 	f.wg.Wait()
+	if f.journal != nil {
+		stats := f.Stats()
+		for id := range f.nodes {
+			f.journal.Event(oracle.Event{Node: id.String(), Kind: "stop", Stats: stats})
+		}
+		f.journal.Sync()
+	}
 }
 
 // NodeSN reads a node's cluster sequence number (only safe after Stop

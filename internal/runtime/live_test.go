@@ -1,10 +1,13 @@
 package runtime
 
 import (
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/oracle"
 	"repro/internal/topology"
 )
 
@@ -264,6 +267,62 @@ func TestLiveWorkloadSurvivesCrash(t *testing.T) {
 	for i := 1; i < 3; i++ {
 		if got := f.NodeSN(node(0, i)); got != sn {
 			t.Fatalf("SN disagreement after crash under load: %d vs %d", got, sn)
+		}
+	}
+}
+
+// TestLiveStopRecordIsLast stops a journaled federation in mid-traffic,
+// with CLC and GC timers firing every few milliseconds: each node's
+// stop record must be its last journal line and carry the final
+// counters, which no late timer or inbound message may move.
+func TestLiveStopRecordIsLast(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := startLive(t, Config{
+		Clusters:   []int{2, 2},
+		CLCPeriods: []time.Duration{3 * time.Millisecond, 3 * time.Millisecond},
+		GCPeriod:   10 * time.Millisecond,
+		Workload:   &Workload{Period: time.Millisecond, InterProb: 0.5, Size: 64},
+		Journal:    j,
+	})
+	// Stop in mid-traffic, once both clusters commit and deliver
+	// across the cut.
+	for deadline := time.Now().Add(10 * time.Second); f.Stat("clc.committed.c0") < 3 ||
+		f.Stat("clc.committed.c1") < 3 || f.Stat("app.delivered.inter") < 10; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no steady traffic after 10s: %v", f.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	f.Stop()
+	final := f.Stats()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := oracle.ReadJournalFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stops []oracle.Event
+	stopped := map[string]bool{}
+	for i, ev := range events {
+		if stopped[ev.Node] {
+			t.Fatalf("%s journaled a %q record after its stop record (line %d of %d)", ev.Node, ev.Kind, i+1, len(events))
+		}
+		if ev.Kind == "stop" {
+			stopped[ev.Node] = true
+			stops = append(stops, ev)
+		}
+	}
+	if len(stops) != 4 {
+		t.Fatalf("%d nodes journaled a stop record, want 4", len(stops))
+	}
+	for _, ev := range stops {
+		if !reflect.DeepEqual(ev.Stats, final) {
+			t.Errorf("%s stop record counters differ from the stopped federation's", ev.Node)
 		}
 	}
 }
