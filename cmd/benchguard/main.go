@@ -1,15 +1,21 @@
 // Command benchguard gates allocation regressions: it parses `go test
 // -bench -benchmem` output (including repeated `-count=N` runs),
-// compares allocs/op against a recorded snapshot (BENCH_*.json), and
-// exits non-zero when any benchmark regressed beyond tolerance. It can
-// also write a new snapshot in the same schema, which PRs append
-// (BENCH_pr<N>.json) rather than overwrite, so the trajectory of the
-// repo stays visible.
+// compares allocs/op and B/op against a recorded snapshot
+// (BENCH_*.json), and exits non-zero when any benchmark regressed
+// beyond tolerance. It can also write a new snapshot in the same
+// schema, which PRs append (BENCH_pr<N>.json) rather than overwrite, so
+// the trajectory of the repo stays visible.
 //
 // Allocation counts are deterministic and independent of the machine
-// that recorded them, so they gate on a fixed fractional budget.
-// ns/op is recorded in snapshots as information only: wall-clock
-// claims are made by the paired-run benchmark under bench/, not here.
+// that recorded them, so they gate on a fixed fractional budget. B/op
+// gates on the same budget, but only for benchmarks whose B/op is
+// stable: every run of the input within stableSpread of their mean, in
+// the snapshot and in the input alike (the snapshot's B_stable). B/op
+// catches what allocs/op cannot see: a chunked arena hands out many
+// vectors per allocation, so a copy of a width-sized vector per message
+// can leave allocs/op flat. ns/op is recorded in snapshots as
+// information only: wall-clock claims are made by the paired-run
+// benchmark under bench/, not here.
 //
 // Usage:
 //
@@ -42,7 +48,19 @@ type Benchmark struct {
 	EventsPerRun float64 `json:"events_per_run,omitempty"`
 	BPerOp       float64 `json:"B_per_op"`
 	AllocsPerOp  float64 `json:"allocs_per_op"`
+	// BStable reports that every run's B/op lay within stableSpread of
+	// their mean: only then does B/op gate.
+	BStable bool `json:"B_stable,omitempty"`
 }
+
+// stableSpread is the largest spread of B/op across the runs of one
+// benchmark, as a fraction of their mean, that still gates B/op;
+// byteSlack is the absolute B/op allowed on top of the fractional
+// budget (a one-off warm-up allocation's bytes).
+const (
+	stableSpread = 0.01
+	byteSlack    = 64
+)
 
 // Snapshot is the BENCH_*.json file layout.
 type Snapshot struct {
@@ -115,10 +133,12 @@ func parseBench(r io.Reader) ([]string, map[string][]sample, error) {
 }
 
 // aggregate folds a benchmark's samples into one snapshot entry: means
-// across runs.
+// across runs, and whether their B/op is stable.
 func aggregate(name string, ss []sample) Benchmark {
 	b := Benchmark{Name: name, Samples: len(ss)}
+	lo, hi := ss[0].bPerOp, ss[0].bPerOp
 	for _, s := range ss {
+		lo, hi = min(lo, s.bPerOp), max(hi, s.bPerOp)
 		b.Iterations += s.iterations
 		b.NsPerOp += s.nsPerOp
 		b.EventsPerRun += s.eventsPerRun
@@ -131,15 +151,17 @@ func aggregate(name string, ss []sample) Benchmark {
 	b.EventsPerRun /= n
 	b.BPerOp /= n
 	b.AllocsPerOp /= n
+	b.BStable = len(ss) > 1 && hi-lo <= stableSpread*b.BPerOp
 	return b
 }
 
 // compare gates got against the baseline: a benchmark fails when its
-// allocs/op exceeds ref*(1+maxRegress)+allocSlack. Benchmarks absent
-// from the baseline pass (they are new); a run that shares no
+// allocs/op exceeds ref*(1+maxRegress)+allocSlack, or when its B/op —
+// stable in both — exceeds ref*(1+maxRegress)+byteSlack. Benchmarks
+// absent from the baseline pass (they are new); a run that shares no
 // benchmark with the baseline is an error, since it gated nothing. One
-// verdict line per benchmark goes to w.
-func compare(w io.Writer, got []Benchmark, base Snapshot, maxRegress, allocSlack float64) error {
+// verdict line per benchmark goes to w, naming whether B/op gated.
+func compare(w io.Writer, got []Benchmark, base Snapshot, maxRegress, allocSlack, byteSlack float64) error {
 	baseline := make(map[string]Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseline[b.Name] = b
@@ -156,10 +178,20 @@ func compare(w io.Writer, got []Benchmark, base Snapshot, maxRegress, allocSlack
 		verdict := "ok"
 		if b.AllocsPerOp > limit {
 			verdict = "REGRESSED"
+		}
+		bytes := "B/op not gated (unstable)"
+		if ref.BStable && b.BStable {
+			bLimit := ref.BPerOp*(1+maxRegress) + byteSlack
+			bytes = fmt.Sprintf("B/op %.0f -> %.0f (limit %.0f)", ref.BPerOp, b.BPerOp, bLimit)
+			if b.BPerOp > bLimit {
+				verdict = "REGRESSED"
+			}
+		}
+		if verdict != "ok" {
 			failed++
 		}
-		fmt.Fprintf(w, "benchguard: %-44s allocs/op %10.1f -> %10.1f (limit %.1f) %s\n",
-			b.Name, ref.AllocsPerOp, b.AllocsPerOp, limit, verdict)
+		fmt.Fprintf(w, "benchguard: %-44s allocs/op %10.1f -> %10.1f (limit %.1f), %s %s\n",
+			b.Name, ref.AllocsPerOp, b.AllocsPerOp, limit, bytes, verdict)
 	}
 	if compared == 0 {
 		return fmt.Errorf("benchguard: nothing compared: no benchmark of the input is in the baseline")
@@ -177,7 +209,7 @@ func main() {
 		inputPath    = flag.String("input", "-", "go test -bench output to parse (- = stdin)")
 		writePath    = flag.String("write", "", "write the parsed results as a new snapshot JSON")
 		note         = flag.String("note", "", "note recorded in the written snapshot")
-		maxRegress   = flag.Float64("max-regress", 0.20, "tolerated fractional allocs/op regression")
+		maxRegress   = flag.Float64("max-regress", 0.20, "tolerated fractional allocs/op and stable B/op regression")
 		allocSlack   = flag.Float64("alloc-slack", 1.0, "absolute allocs/op slack on top of the fraction (absorbs one-off warmup allocations in short runs)")
 	)
 	flag.Parse()
@@ -229,7 +261,7 @@ func main() {
 	if err := json.Unmarshal(data, &base); err != nil {
 		fatal(fmt.Errorf("benchguard: %s: %w", *baselinePath, err))
 	}
-	if err := compare(os.Stdout, got, base, *maxRegress, *allocSlack); err != nil {
+	if err := compare(os.Stdout, got, base, *maxRegress, *allocSlack, byteSlack); err != nil {
 		fatal(err)
 	}
 }

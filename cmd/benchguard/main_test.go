@@ -55,9 +55,36 @@ func TestAggregateMeans(t *testing.T) {
 	}
 	b := aggregate("BenchmarkMatrixSlice", groups["BenchmarkMatrixSlice"])
 	want := Benchmark{Name: "BenchmarkMatrixSlice", Iterations: 1, NsPerOp: 60000000, Samples: 3,
-		EventsPerRun: 1200, BPerOp: 9000300, AllocsPerOp: 30003}
+		EventsPerRun: 1200, BPerOp: 9000300, AllocsPerOp: 30003, BStable: true}
 	if b != want {
 		t.Fatalf("aggregate = %+v\nwant        %+v", b, want)
+	}
+}
+
+// TestAggregateBStable: B/op is stable when every run lies within
+// stableSpread of the mean, and never for a single run.
+func TestAggregateBStable(t *testing.T) {
+	runs := func(bs ...float64) []sample {
+		var ss []sample
+		for _, b := range bs {
+			ss = append(ss, sample{iterations: 1, bPerOp: b})
+		}
+		return ss
+	}
+	for _, tc := range []struct {
+		name string
+		ss   []sample
+		want bool
+	}{
+		{"identical runs", runs(310, 310, 310, 310, 310), true},
+		{"zero bytes", runs(0, 0, 0), true},
+		{"spread 1% of the mean", runs(995, 1005), true},
+		{"spread past 1%", runs(990, 1010), false},
+		{"one run", runs(310), false},
+	} {
+		if got := aggregate("B", tc.ss).BStable; got != tc.want {
+			t.Errorf("%s: B_stable = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -68,11 +95,15 @@ func TestCompare(t *testing.T) {
 	var base Snapshot
 	if err := json.Unmarshal([]byte(`{"recorded":"2026-01-01","go":"go1.22","cpus":2,"benchmarks":[
 		{"name":"BenchmarkA","iterations":1,"ns_per_op":100,"ns_stddev":60,"samples":5,"B_per_op":8,"allocs_per_op":100,"wall_skip":"noisy: cv 0.60 > 0.25"},
-		{"name":"BenchmarkZero","iterations":1,"ns_per_op":20,"B_per_op":0,"allocs_per_op":0}]}`), &base); err != nil {
+		{"name":"BenchmarkZero","iterations":1,"ns_per_op":20,"B_per_op":0,"allocs_per_op":0},
+		{"name":"BenchmarkBytes","iterations":1,"ns_per_op":20,"B_per_op":1000,"allocs_per_op":2,"B_stable":true}]}`), &base); err != nil {
 		t.Fatal(err)
 	}
 	bench := func(name string, allocs float64) Benchmark {
 		return Benchmark{Name: name, NsPerOp: 1e9, AllocsPerOp: allocs} // ns/op 1e7x the baseline: not gated
+	}
+	bytes := func(name string, b float64, stable bool) Benchmark {
+		return Benchmark{Name: name, AllocsPerOp: 2, BPerOp: b, BStable: stable}
 	}
 	cases := []struct {
 		name    string
@@ -85,9 +116,13 @@ func TestCompare(t *testing.T) {
 		{"zero baseline past the slack", []Benchmark{bench("BenchmarkZero", 2)}, "1 benchmark(s) regressed"},
 		{"new row rides along", []Benchmark{bench("BenchmarkA", 90), bench("BenchmarkNew", 1e6)}, ""},
 		{"only new rows", []Benchmark{bench("BenchmarkNew", 1)}, "nothing compared"},
+		{"stable B/op at the limit 1000*1.2+64", []Benchmark{bytes("BenchmarkBytes", 1264, true)}, ""},
+		{"stable B/op over the limit", []Benchmark{bytes("BenchmarkBytes", 1265, true)}, "1 benchmark(s) regressed"},
+		{"unstable input B/op does not gate", []Benchmark{bytes("BenchmarkBytes", 5000, false)}, ""},
+		{"unstable baseline B/op does not gate", []Benchmark{{Name: "BenchmarkA", AllocsPerOp: 100, BPerOp: 1e6, BStable: true}}, ""},
 	}
 	for _, tc := range cases {
-		err := compare(io.Discard, tc.got, base, 0.20, 1.0)
+		err := compare(io.Discard, tc.got, base, 0.20, 1.0, 64)
 		switch {
 		case tc.wantErr == "" && err != nil:
 			t.Errorf("%s: %v", tc.name, err)

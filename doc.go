@@ -254,9 +254,19 @@
 //   - Reading a stored vector whole (rollback, recovery) walks anchor
 //     plus pairs into the caller's buffer: O(width + pairs), on the
 //     rare paths only.
-//   - The dense vector a transitive send logs for resends
-//     (Node.sharedPiggy) is cut lazily — by the first such send after
-//     a DDV change, not by every commit — and is immutable once shared.
+//   - A transitive send under ModeHC3I on the delta wire logs no
+//     vector: its log entry and mirror name the stored record whose
+//     vector the send carried (piggySN), resolved from the chain only
+//     when a resend, a re-replication or a recovery reads it. A
+//     collection moves a record some reference still names into the
+//     node's retired history (one dense vector plus the records'
+//     pairs) instead of forgetting it; a rollback materializes the
+//     references to the records it discards. A reference that cannot
+//     be resolved panics. A message the receiver holds for a forced
+//     CLC keeps only the pairs it raised: the DDV never decreases
+//     while a message is held. The other modes, the dense wire and an
+//     event sink's piggyback event share one dense copy per DDV
+//     generation (Node.sharedPiggy).
 //
 // # The delta DDV wire representation
 //
@@ -301,6 +311,9 @@
 // trajectory stays visible. cmd/benchguard gates CI on allocs/op
 // against the newest snapshot, on a fixed 20% budget: allocation
 // counts are deterministic and independent of the recording machine.
+// B/op gates on the same budget wherever it is stable across the
+// -count runs, since an arena that hands out many vectors per
+// allocation hides width-sized copies from allocs/op.
 // ns/op is recorded in the snapshots as information only; wall-clock
 // claims are made by the paired-run benchmark in bench/.
 // cmd/hc3ibench takes -cpuprofile/-memprofile so the next perf PR

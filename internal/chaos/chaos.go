@@ -173,7 +173,7 @@ func (s *Scheduler) Perturb(m netsim.Message, intra bool, envelope sim.Duration)
 			hit = true
 		}
 	}
-	if dup, ok := s.dupPayload(m.Payload); ok && s.rng.Bool(s.cfg.DupProb) {
+	if dupSafe(m.Payload) && s.rng.Bool(s.cfg.DupProb) {
 		delay := envelope
 		if delay <= 0 {
 			delay = sim.Millisecond
@@ -181,23 +181,34 @@ func (s *Scheduler) Perturb(m netsim.Message, intra bool, envelope sim.Duration)
 		after := s.rng.Uniform(sim.Microsecond, delay)
 		if s.spend() {
 			p.Duplicate = after
-			p.DupPayload = dup
+			p.DupPayload = dupCopy(m.Payload)
 			hit = true
 		}
 	}
 	return p, hit
 }
 
-// dupPayload reports whether the wire contract permits delivering this
-// payload twice, and returns the copy the duplicate must carry. Pooled
-// boxes (*AppMsg, *AppAck) are copied because the harness reclaims a
-// box right after its first delivery — including the piggyback slices,
-// so the duplicate's dependency data never depends on the original's
-// backing staying immutable. A duplicate only ever copies: the
-// sender-owned control boxes (core.Box) are never duplicated, since a
-// box belongs to exactly one delivery and none of them is
+// dupSafe reports whether the wire contract permits delivering this
+// payload twice: application messages, their acks and rollback alerts.
+// The sender-owned control boxes (core.Box) are never duplicated, since
+// a box belongs to exactly one delivery and none of them is
 // duplicate-safe.
-func (s *Scheduler) dupPayload(payload any) (any, bool) {
+func dupSafe(payload any) bool {
+	switch payload.(type) {
+	case *core.AppMsg, core.AppMsg, *core.AppAck, core.AppAck, core.RollbackAlert:
+		return true
+	}
+	return false
+}
+
+// dupCopy returns the payload a duplicate of a dupSafe payload must
+// carry, called only once the duplicate is injected: a copy of a pooled
+// box (*AppMsg, *AppAck), because the harness reclaims a box right
+// after its first delivery — including the piggyback slices, so the
+// duplicate's dependency data never depends on the original's backing
+// staying immutable — and nil (the original value is shared) for
+// everything else.
+func dupCopy(payload any) any {
 	switch v := payload.(type) {
 	case *core.AppMsg:
 		cp := *v
@@ -207,18 +218,12 @@ func (s *Scheduler) dupPayload(payload any) (any, bool) {
 		if len(cp.PiggyPairs) > 0 {
 			cp.PiggyPairs = append([]core.DDVPair(nil), v.PiggyPairs...)
 		}
-		return &cp, true
-	case core.AppMsg:
-		return nil, true
+		return &cp
 	case *core.AppAck:
 		cp := *v
-		return &cp, true
-	case core.AppAck:
-		return nil, true
-	case core.RollbackAlert:
-		return nil, true
+		return &cp
 	}
-	return nil, false
+	return nil
 }
 
 // maybeArmCrash inspects the message for a protocol-sensitive window

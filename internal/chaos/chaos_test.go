@@ -240,9 +240,8 @@ func TestCrashFuseBoxParity(t *testing.T) {
 // TestDuplicateRefusesBoxes: no boxed control message is ever
 // duplicated — a box belongs to exactly one delivery.
 func TestDuplicateRefusesBoxes(t *testing.T) {
-	s := New(Config{Seed: 1}, sim.NewRNG(1).Stream("chaos"), Hooks{Now: func() sim.Time { return 0 }})
 	for _, r := range boxedRows() {
-		if _, ok := s.dupPayload(r.boxed); ok {
+		if dupSafe(r.boxed) {
 			t.Errorf("%s: boxed form accepted for duplication", r.name)
 		}
 	}
@@ -251,25 +250,24 @@ func TestDuplicateRefusesBoxes(t *testing.T) {
 // TestDuplicatePayloadRules: pooled boxes are deep-copied, value
 // messages shared, and everything else is never duplicated.
 func TestDuplicatePayloadRules(t *testing.T) {
-	s := New(Config{Seed: 1}, sim.NewRNG(1).Stream("chaos"), Hooks{Now: func() sim.Time { return 0 }})
-	box := &core.AppMsg{MsgID: 9}
-	cp, ok := s.dupPayload(box)
-	if !ok {
+	box := &core.AppMsg{MsgID: 9, PiggyPairs: []core.DDVPair{{Idx: 1, SN: 2}}}
+	if !dupSafe(box) {
 		t.Fatal("*AppMsg must be duplicate-safe")
 	}
-	if cp.(*core.AppMsg) == box {
+	cp := dupCopy(box).(*core.AppMsg)
+	if cp == box {
 		t.Fatal("pooled box duplicated without a deep copy")
 	}
-	if cp.(*core.AppMsg).MsgID != 9 {
-		t.Fatal("deep copy lost fields")
+	if cp.MsgID != 9 || len(cp.PiggyPairs) != 1 || &cp.PiggyPairs[0] == &box.PiggyPairs[0] {
+		t.Fatal("deep copy lost fields or shares the piggyback")
 	}
-	if _, ok := s.dupPayload(core.RollbackAlert{}); !ok {
-		t.Fatal("RollbackAlert must be duplicate-safe")
+	if !dupSafe(core.RollbackAlert{}) || dupCopy(core.RollbackAlert{}) != nil {
+		t.Fatal("RollbackAlert must be duplicate-safe and shared")
 	}
-	if _, ok := s.dupPayload(core.CLCCommit{}); ok {
+	if dupSafe(core.CLCCommit{}) {
 		t.Fatal("CLCCommit must never be duplicated")
 	}
-	if _, ok := s.dupPayload(core.Replica{}); ok {
+	if dupSafe(core.Replica{}) {
 		t.Fatal("Replica must never be duplicated")
 	}
 }

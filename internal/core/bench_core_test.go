@@ -134,6 +134,30 @@ func BenchmarkPiggybackMessage(b *testing.B) {
 				}
 			})
 		}
+		// The hold path at the widest federation: the sender's cluster
+		// commits before every message, so each one raises the
+		// receiver's entry for it, is held, forces a CLC and is
+		// delivered after it. The receiver pins what the held copy
+		// needs, and the sender logs the send's piggyback.
+		b.Run(fmt.Sprintf("hold/%s/1024clusters", enc.name), func(b *testing.B) {
+			bed := newWideTestbed(b, 1024, enc.dense)
+			sender, receiver := bed.node(1, 0), bed.node(0, 0)
+			dst := receiver.ID()
+			app := bed.app(0, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bed.commitCLC(1)
+				sender.Send(dst, payload(sender.ID(), uint64(i+1)))
+				bed.pump()
+				// Keep the bench on the message path: the log, the
+				// delivery journal and both stored histories stay flat.
+				sender.resetLog()
+				app.delivered = app.delivered[:0]
+				sender.dropCLCsBelow(sender.SN())
+				receiver.dropCLCsBelow(receiver.SN())
+			}
+		})
 	}
 }
 
@@ -426,7 +450,7 @@ func BenchmarkLogMirrorDeep(b *testing.B) {
 		b.Run(fmt.Sprintf("%dentries", mirrored), func(b *testing.B) {
 			bed := deepHistoryBed(b, 1, mirrored)
 			holder, owner := bed.node(0, 0), bed.node(0, 1).ID()
-			m := LogMirror{Owner: owner, Dst: bed.node(1, 0).ID(), Payload: payload(owner, 1), PiggySN: 1, SendSN: 1}
+			m := LogMirror{Owner: owner, Dst: bed.node(1, 0).ID(), Payload: payload(owner, 1), PiggySN: 1}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

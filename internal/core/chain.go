@@ -26,11 +26,18 @@ import (
 // chain that leaves its owner (in a message) is a snapshot. The fields
 // are exported because internal/oracle reads them and the live
 // runtime's wire codec encodes them.
+//
+// A node's chain is also where its logged transitive piggybacks live
+// (see logEntry): a log entry or mirror names record SN, and the node
+// resolves the vector with Vector. Records a collection drops while a
+// reference names them move to the node's retired history, a second
+// Chain that ends where this one begins (Node.retire).
 type Chain struct {
 	// Anchor is the dense vector of record 0.
 	Anchor DDV
 	// Recs are the stored records, oldest first, strictly increasing in
-	// SN. Recs[0].Pairs is already folded into Anchor and never read.
+	// SN. Recs[0].Pairs is already folded into Anchor: walks never read
+	// it, but a node's retired history (Node.retired) continues from it.
 	Recs []ChainRec
 }
 
@@ -70,7 +77,6 @@ func (c *Chain) Init(sn SN, vec DDV) {
 func (c *Chain) Append(sn SN, pairs []DDVPair) {
 	if len(c.Recs) == 0 {
 		c.Anchor.applyPairs(pairs)
-		pairs = nil
 	}
 	c.Recs = append(c.Recs, ChainRec{SN: sn, Pairs: pairs})
 }

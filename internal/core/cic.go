@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/topology"
 )
 
@@ -55,13 +58,19 @@ func (n *Node) doSend(dst topology.NodeID, p AppPayload) {
 			if cd := n.pipeCodecTo(dst.Cluster); cd != nil {
 				// Delta wire: the message carries only the entries that
 				// changed since the last message on this pipe (O(1)
-				// while the DDV generation is unchanged); the log entry
-				// keeps the exact dense vector for resends, shared
-				// across all sends of one generation.
+				// while the DDV generation is unchanged). Under ModeHC3I
+				// the log entry keeps no vector at all: the DDV is the
+				// newest stored record's, so piggySN references it (see
+				// logEntry). The other modes share one dense copy per
+				// DDV generation.
 				m.PiggyPairs = cd.Encode(n.ddv, n.piggyVecID(), &n.pairArena)
 				m.PiggyWidth = int32(n.cfg.Clusters)
-				logPiggy = n.sharedPiggy()
-				n.emit(Event{Kind: EventPiggySend, Cluster: dst.Cluster, DDV: logPiggy})
+				if n.cfg.Mode != ModeHC3I {
+					logPiggy = n.sharedPiggy()
+				}
+				if n.sink != nil {
+					n.emit(Event{Kind: EventPiggySend, Cluster: dst.Cluster, DDV: n.sharedPiggy()})
+				}
 			} else {
 				// Dense wire: retained by both the wire message and the
 				// log entry below, so it needs an owned copy.
@@ -83,7 +92,7 @@ func (n *Node) doSend(dst topology.NodeID, p AppPayload) {
 		if n.cfg.Replicas > 0 {
 			sendCtl(n, &n.ctl.mirror, n.holderFor(), LogMirror{
 				Owner: n.id, MsgID: m.MsgID, Dst: dst, Payload: p,
-				PiggySN: n.sn, PiggyDDV: logPiggy, SendSN: n.sn,
+				PiggySN: n.sn, PiggyDDV: logPiggy, Epoch: n.epoch,
 			})
 		}
 	}
@@ -270,18 +279,26 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 	var pairs []DDVPair
 	raised := false
 	switch {
+	case n.cfg.Transitive && m.PiggyDDV == nil && m.PiggyWidth == 0:
+		// A held copy of a delta-piggybacked message: only its pinned
+		// entries can still exceed the DDV (see pinHeld).
+		pairs = n.pairScratch[:0]
+		for _, p := range m.PiggyPairs {
+			if p.SN > n.ddv[p.Idx] {
+				pairs = append(pairs, p)
+			}
+		}
+		n.pairScratch = pairs
+		raised = len(pairs) > 0
 	case n.cfg.Transitive && m.PiggyDDV == nil && m.PiggyWidth > 0:
 		// Delta-encoded transitive piggyback: examine only the entries
 		// that changed since this node's last clean exam of the pipe.
 		pairs = n.examineDeltaPiggy(src.Cluster)
 		raised = len(pairs) > 0
-		if raised {
-			// The held copy is re-examined after the forced commit, by
-			// which time the pipe decoder has moved on: pin the exact
-			// dense vector this message carried onto the held copy.
-			m.PiggyDDV = n.arena.Clone(n.pipeCodecFrom(src.Cluster).Current())
-			m.PiggyPairs = nil
-		}
+		// A held copy is re-examined after the forced commit, by which
+		// time the pipe decoder has moved on: pin what this message
+		// carried onto it.
+		n.pinHeld(&m, src, pairs, raised)
 	case n.cfg.Transitive && m.PiggyDDV != nil:
 		// Transitive extension (§7), dense vector (dense wire, resends
 		// and replayed deferred/held copies): merge the whole DDV; any
@@ -413,6 +430,35 @@ func (n *Node) examineDeltaPiggy(srcCluster topology.ClusterID) []DDVPair {
 		cd.seenEpoch = n.epoch
 	}
 	return pairs
+}
+
+// pinHeld rewrites m, a delta-piggybacked message from src the CIC
+// rule may hold, into what its re-examination will need once the pipe
+// decoder has moved on. Normally that is only the pairs it raised
+// (pairs): heldInter is emptied by every rollback and restart, so the
+// DDV never decreases between hold and re-exam, and an entry the
+// vector did not raise at hold time cannot raise later. The held copy
+// keeps them as PiggyPairs, sorted by index and deduplicated (the order
+// a dense re-examination yields), with PiggyWidth zeroed: under the
+// transitive extension a copy with neither PiggyWidth nor PiggyDDV is
+// a pinned one. A node awaiting a remote restore (recoverWait) is the
+// exception: the restore will lower the DDV under its held messages,
+// so they keep the exact dense vector.
+func (n *Node) pinHeld(m *AppMsg, src topology.NodeID, pairs []DDVPair, raised bool) {
+	if !raised && !n.anchorPending {
+		return // delivered now, never held
+	}
+	m.PiggyPairs, m.PiggyWidth = nil, 0
+	if n.recoverWait != nil {
+		m.PiggyDDV = n.arena.Clone(n.pipeCodecFrom(src.Cluster).Current())
+		return
+	}
+	if !raised {
+		return // the post-restore anchor hold: nothing to re-raise
+	}
+	pin := n.pairArena.Clone(pairs)
+	slices.SortFunc(pin, func(a, b DDVPair) int { return cmp.Compare(a.Idx, b.Idx) })
+	m.PiggyPairs = slices.CompactFunc(pin, func(a, b DDVPair) bool { return a.Idx == b.Idx })
 }
 
 // materializePiggy pins the dense piggyback vector onto a
@@ -558,6 +604,7 @@ func (n *Node) onAppAck(src topology.NodeID, m AppAck) {
 // carrying the delivery-time SN the equivalent test is ackSN >= alertSN
 // (a delivery at SN k is first captured by the checkpoint with SN k+1).
 func (n *Node) resendLoggedTo(c topology.ClusterID, alertSN SN, newEpoch Epoch) {
+	var memo piggyMemo
 	for _, e := range n.log {
 		if e.dstCluster != c {
 			continue
@@ -572,7 +619,7 @@ func (n *Node) resendLoggedTo(c topology.ClusterID, alertSN SN, newEpoch Epoch) 
 			SrcCluster: n.cluster,
 			SrcEpoch:   n.epoch,
 			SendSN:     e.piggySN,
-			PiggyDDV:   e.piggyDDV,
+			PiggyDDV:   n.logPiggy(e, &memo),
 			Resend:     true,
 			DstEpoch:   newEpoch,
 		}

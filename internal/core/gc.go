@@ -257,10 +257,12 @@ func (n *Node) applyGCDrop(minSNs []SN) {
 	n.emit(Event{Kind: EventGCDrop, DDV: minSNs})
 	before := len(n.clcs)
 	threshold := minSNs[n.cluster]
-	n.dropCLCsBelow(threshold)
-	n.dropReplicasBelow(threshold)
+	// The log goes first: the records only its trimmed entries name need
+	// not be retired (see Node.retire).
 	logBefore := len(n.log)
 	n.filterLog(func(e *logEntry) bool { return !e.acked || e.ackSN >= minSNs[e.dstCluster] })
+	n.dropCLCsBelow(threshold)
+	n.dropReplicasBelow(threshold)
 	if len(n.log) < logBefore && n.cfg.Replicas > 0 {
 		// Let the stable-storage neighbour trim its mirror too.
 		trim := LogTrim{Kept: make([]uint64, 0, len(n.log))}

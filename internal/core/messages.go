@@ -55,7 +55,9 @@ type AppMsg struct {
 	// same directed inter-cluster pipe (see DeltaCodec). PiggyWidth > 0
 	// marks a delta-encoded piggyback (possibly with zero changed
 	// pairs) and prices the message at the dense width. Exactly one of
-	// PiggyDDV / PiggyWidth is set by a sender.
+	// PiggyDDV / PiggyWidth is set by a sender. A receiver's held copy
+	// may set neither: its PiggyPairs are then the entries the vector
+	// raised at hold time (see Node.pinHeld).
 	PiggyPairs []DDVPair
 	PiggyWidth int32
 	Resend     bool
@@ -259,14 +261,28 @@ func (RecoverStateResp) ProtocolMessage() {}
 // back would then miss resends. Mirroring the log alongside the
 // checkpoint replicas closes that hole for the price of one cheap
 // intra-cluster (SAN) message per rare inter-cluster send.
+//
+// Like the log entry it copies, a mirror of a transitive send may carry
+// no PiggyDDV: the vector is then the cluster's stored record PiggySN,
+// which the holder stores too (see logEntry). The holder keeps such a
+// reference resolvable as the owner does: a collection retires the
+// record instead of forgetting it while the mirror names it, a
+// rollback discards the mirror with the record, and a recovery answer
+// resolves the references the recovering owner could not.
 type LogMirror struct {
-	Owner    topology.NodeID
-	MsgID    uint64
-	Dst      topology.NodeID
-	Payload  AppPayload
+	Owner   topology.NodeID
+	MsgID   uint64
+	Dst     topology.NodeID
+	Payload AppPayload
+	// PiggySN is the owner cluster's SN at the send, as on the log
+	// entry: a rollback keeps the mirror only if it is below the
+	// restored SN.
 	PiggySN  SN
 	PiggyDDV DDV
-	SendSN   SN
+	// Epoch is the owner's epoch at the send: a holder that has rolled
+	// back since judges the mirror as that rollback would have (see
+	// Node.onLogMirror).
+	Epoch Epoch
 }
 
 func (LogMirror) ProtocolMessage() {}

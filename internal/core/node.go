@@ -132,8 +132,18 @@ type logEntry struct {
 	// piggySN is the sender cluster's SN at the send: piggybacked on the
 	// wire, and what a rollback prunes by (a send below the restored SN
 	// is part of the restored state).
-	piggySN  SN
-	piggyDDV DDV // transitive variant
+	piggySN SN
+	// piggyDDV is the transitive piggyback the send carried. Under
+	// ModeHC3I on the delta wire it starts nil, a reference: sends are
+	// frozen through commit and rollback windows, so the DDV at a send
+	// is the vector of stored record piggySN, and logPiggy resolves it
+	// from the chain when something reads it (a resend, re-replication).
+	// A collection that drops the record moves it to the node's retired
+	// history while references name it; a rollback that discards it
+	// first materializes the references (pinPiggies). A reference that
+	// can still not be resolved panics. The other modes and the dense
+	// reference wire store the vector at the send.
+	piggyDDV DDV
 	acked    bool
 	ackSN    SN
 }
@@ -311,6 +321,11 @@ type Node struct {
 	// value and zeroed when dropped.
 	clcs  []clcRecord
 	chain Chain
+	// retired holds the records a collection dropped from chain while a
+	// piggyback reference of the log or the mirrored logs still names
+	// them (see retire); it ends where chain begins, and is empty when
+	// nothing names a dropped record.
+	retired Chain
 	// replicas holds neighbours' checkpoint states, one SN-ordered list
 	// per owner. A holder serves only its cfg.Replicas ring predecessors,
 	// so owners are found by a linear scan; commits append, GC drops a
@@ -671,12 +686,13 @@ func (n *Node) piggyVecID() uint64 {
 }
 
 // sharedPiggy returns a dense copy of the current DDV shared by every
-// log entry created while the vector is unchanged: at most one O(width)
-// copy per DDV generation instead of one per inter-cluster send. The
+// reader of a delta-wire send made while the vector is unchanged: at
+// most one O(width) copy per DDV generation instead of one per
+// inter-cluster send. Its readers are the log entries of the modes
+// other than ModeHC3I (whose entries reference the chain instead) and
+// an event sink's EventPiggySend; with neither, nothing cuts it. The
 // returned vector is immutable once shared (log entries, resends and
-// the oracle's pipe queue only read it). It is cut here, by the first
-// send of a generation, so a commit on a node that sends nothing
-// before the next one copies no vector at all.
+// the oracle's pipe queue only read it).
 func (n *Node) sharedPiggy() DDV {
 	if n.lastPiggyGen != n.ddvGen {
 		n.lastPiggy = n.arena.Clone(n.ddv)
@@ -722,8 +738,116 @@ func (n *Node) appendCLC(rec clcRecord, sn SN, pairs []DDVPair) {
 	n.clcBytes += rec.storedBytes()
 }
 
+// logPiggy returns the dense transitive piggyback of logged send e,
+// resolving a chain reference (see logEntry) through memo and keeping
+// the result on the entry.
+func (n *Node) logPiggy(e *logEntry, memo *piggyMemo) DDV {
+	if e.piggyDDV == nil && n.cfg.Transitive {
+		e.piggyDDV = memo.resolve(n, e.piggySN)
+	}
+	return e.piggyDDV
+}
+
+// piggyMemo lets the references to one record that a walk over the log
+// or the mirrors meets in a row share one resolved vector. A walk owns
+// its memo: the chain does not change under it.
+type piggyMemo struct {
+	sn  SN
+	vec DDV
+}
+
+func (m *piggyMemo) resolve(n *Node, sn SN) DDV {
+	if m.vec == nil || m.sn != sn {
+		m.sn, m.vec = sn, n.chainVector(sn)
+	}
+	return m.vec
+}
+
+// chainVector returns a dense copy of record sn's vector — stored, or
+// retired while references name it — cut from the arena. It panics
+// when neither history holds sn: a piggyback reference that outlived
+// its record is a bug, and no other vector may stand in for it.
+func (n *Node) chainVector(sn SN) DDV {
+	c := &n.chain
+	i := c.Index(sn)
+	if i < 0 {
+		c = &n.retired
+		if i = c.Index(sn); i < 0 {
+			panic(fmt.Sprintf("core: %v resolves a piggyback from record %d, which it no longer holds", n.id, sn))
+		}
+	}
+	v := n.arena.cut()
+	c.Vector(i, v)
+	return v
+}
+
+// eachRef calls f with every piggyback reference of the log and the
+// mirrored logs: where its resolved vector belongs, and the record SN
+// it names.
+func (n *Node) eachRef(f func(vec *DDV, sn SN)) {
+	if !n.cfg.Transitive {
+		return
+	}
+	for _, e := range n.log {
+		if e.piggyDDV == nil {
+			f(&e.piggyDDV, e.piggySN)
+		}
+	}
+	for _, ml := range n.mirrorLogs {
+		for i := range ml.entries {
+			if e := &ml.entries[i]; e.PiggyDDV == nil {
+				f(&e.PiggyDDV, e.PiggySN)
+			}
+		}
+	}
+}
+
+// pinPiggies materializes every reference whose record gone reports,
+// before a rollback or a recovery discards those records.
+func (n *Node) pinPiggies(gone func(SN) bool) {
+	var memo piggyMemo
+	n.eachRef(func(vec *DDV, sn SN) {
+		if gone(sn) {
+			*vec = memo.resolve(n, sn)
+		}
+	})
+}
+
+// retire moves the stored records below threshold that a piggyback
+// reference still names into the retired history, before a collection
+// drops them, and forgets retired records nothing names any more. The
+// retired history ends where the stored chain begins (records leave
+// the chain only as a prefix, and Recs[0].Pairs links the two), so it
+// costs one dense vector plus the records' own pairs, however many
+// references there are.
+func (n *Node) retire(threshold SN) {
+	var oldest SN
+	found := false
+	n.eachRef(func(_ *DDV, sn SN) {
+		if !found || sn < oldest {
+			oldest, found = sn, true
+		}
+	})
+	if !found || oldest >= threshold {
+		n.retired.TruncateAfter(0)
+		return
+	}
+	if cut := n.chain.firstAbove(threshold - 1); cut > 0 {
+		from := 0
+		if n.retired.Len() == 0 {
+			n.retired.Init(n.chain.Recs[0].SN, n.chain.Anchor)
+			from = 1
+		}
+		for _, r := range n.chain.Recs[from:cut] {
+			n.retired.Append(r.SN, r.Pairs)
+		}
+	}
+	n.retired.DropBelow(oldest)
+}
+
 // dropCLCsBelow discards the stored CLCs with SN < threshold (a prefix).
 func (n *Node) dropCLCsBelow(threshold SN) {
+	n.retire(threshold)
 	cut := n.chain.DropBelow(threshold)
 	for i := range n.clcs[:cut] {
 		n.clcBytes -= n.clcs[i].storedBytes()
@@ -734,7 +858,11 @@ func (n *Node) dropCLCsBelow(threshold SN) {
 }
 
 // truncateCLCsAfter discards the stored CLCs with SN > sn (a suffix).
+// The log's sends above sn belong to the aborted execution and are
+// pruned once the restore completes; until then a resend may still
+// read them, so they are materialized.
 func (n *Node) truncateCLCsAfter(sn SN) {
+	n.pinPiggies(func(s SN) bool { return s > sn })
 	n.chain.TruncateAfter(sn)
 	keep := n.chain.Len()
 	for i := range n.clcs[keep:] {
@@ -744,8 +872,11 @@ func (n *Node) truncateCLCsAfter(sn SN) {
 	n.clcs = n.clcs[:keep]
 }
 
-// resetCLCs empties the stored-CLC list.
+// resetCLCs empties the stored-CLC list and the retired history. The
+// callers (restart, recovery) reset the log, and hold no mirrored
+// references by then.
 func (n *Node) resetCLCs() {
+	n.retired.TruncateAfter(0)
 	n.chain.TruncateAfter(0)
 	clear(n.clcs)
 	n.clcs = n.clcs[:0]

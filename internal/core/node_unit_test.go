@@ -169,6 +169,18 @@ type testbed struct {
 	useCodecs bool
 	width     int
 	codecs    map[[2]topology.ClusterID]*DeltaCodec
+
+	// withhold, when set, makes pump set aside the messages it accepts
+	// instead of delivering them, in order, until release.
+	withhold func(sentMsg) bool
+	withheld []sentMsg
+}
+
+// release puts the withheld messages back at the head of the queue, in
+// their original order, and stops withholding.
+func (b *testbed) release() {
+	b.queue = append(b.withheld, b.queue...)
+	b.withheld, b.withhold = nil, nil
 }
 
 // reclaim returns a pooled message box after its dispatch, mirroring
@@ -218,14 +230,26 @@ func (b *testbed) checkBoxes(queued []sentMsg) error {
 // newTestbed builds clusters with sizes[i] nodes each, replicas state
 // copies, and the given per-cluster CLC periods.
 func newTestbed(t testing.TB, sizes []int, replicas int, transitive bool) *testbed {
+	return newTestbedWire(t, sizes, replicas, transitive, false, false)
+}
+
+// newTwinTestbed is newTestbed with transitive piggybacks on one of the
+// two wires a differential test compares: delta-encoded over per-pipe
+// codecs, or the dense reference (dense).
+func newTwinTestbed(t testing.TB, sizes []int, replicas int, dense bool) *testbed {
+	return newTestbedWire(t, sizes, replicas, true, !dense, dense)
+}
+
+func newTestbedWire(t testing.TB, sizes []int, replicas int, transitive, codecs, dense bool) *testbed {
 	bed := &testbed{
-		t:      t,
-		nodes:  make(map[topology.NodeID]*Node),
-		apps:   make(map[topology.NodeID]*mockApp),
-		envs:   make(map[topology.NodeID]*mockEnv),
-		stats:  make(map[string]uint64),
-		width:  len(sizes),
-		codecs: make(map[[2]topology.ClusterID]*DeltaCodec),
+		t:         t,
+		nodes:     make(map[topology.NodeID]*Node),
+		apps:      make(map[topology.NodeID]*mockApp),
+		envs:      make(map[topology.NodeID]*mockEnv),
+		stats:     make(map[string]uint64),
+		width:     len(sizes),
+		codecs:    make(map[[2]topology.ClusterID]*DeltaCodec),
+		useCodecs: codecs,
 	}
 	if _, test := t.(*testing.T); test {
 		bed.shadows = NewDenseShadows()
@@ -247,6 +271,7 @@ func newTestbed(t testing.TB, sizes []int, replicas int, transitive bool) *testb
 				GCPeriod:     sim.Forever,
 				Replicas:     repl,
 				Transitive:   transitive,
+				DenseWire:    dense,
 			}
 			n := bed.newNode(cfg, env, app)
 			bed.nodes[id] = n
@@ -336,6 +361,10 @@ func (b *testbed) pump() {
 			b.t.Fatal("testbed: message storm")
 		}
 		m := b.queue[head]
+		if b.withhold != nil && b.withhold(m) {
+			b.withheld = append(b.withheld, m)
+			continue
+		}
 		dst := b.nodes[m.dst]
 		if dst == nil {
 			b.t.Fatalf("message to unknown node %v", m.dst)

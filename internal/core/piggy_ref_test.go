@@ -1,0 +1,263 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/topology"
+)
+
+// The transitive piggyback is held by reference on the delta wire: a
+// held message keeps only the pairs it raised, and a log entry (and its
+// mirror) only the SN of the stored record whose vector it carried. The
+// tests below run one scenario on the delta wire and on its dense-wire
+// twin, which copies every vector, and require the same observations.
+
+// twinRun runs scenario on both wires and fails unless they report the
+// same lines; it returns the delta wire's.
+func twinRun(t *testing.T, sizes []int, scenario func(b *testbed) []string) []string {
+	t.Helper()
+	delta := scenario(newTwinTestbed(t, sizes, 1, false))
+	dense := scenario(newTwinTestbed(t, sizes, 1, true))
+	if !reflect.DeepEqual(delta, dense) {
+		t.Fatalf("delta wire observed\n  %s\ndense wire observed\n  %s",
+			strings.Join(delta, "\n  "), strings.Join(dense, "\n  "))
+	}
+	return delta
+}
+
+// observe renders what a scenario's outcome is judged by: every node's
+// SN, DDV and deliveries, every log entry's acknowledgement, and the
+// counters of the CIC rule and the resend paths.
+func observe(b *testbed) []string {
+	var lines []string
+	for c := 0; c < b.width; c++ {
+		for i := 0; b.node(c, i) != nil; i++ {
+			n := b.node(c, i)
+			lines = append(lines, fmt.Sprintf("%v sn=%d ddv=%v delivered=%v", n.ID(), n.SN(), n.ddv, b.app(c, i).delivered))
+			for _, e := range n.log {
+				lines = append(lines, fmt.Sprintf("  log %v acked=%v ackSN=%d", e.payload.ID, e.acked, e.ackSN))
+			}
+		}
+	}
+	for _, k := range []string{"cic.held", "cic.force_requested", "app.delivered.inter", "log.resent", "log.resent_after_recovery", "log.recovered_entries"} {
+		lines = append(lines, fmt.Sprintf("%s=%d", k, b.stats[k]))
+	}
+	return lines
+}
+
+// resends renders the resent application messages queued to cluster
+// dst, with the piggyback each carries.
+func resends(q []sentMsg, dst topology.ClusterID) []string {
+	var out []string
+	for _, s := range q {
+		var m AppMsg
+		switch v := s.msg.(type) {
+		case *AppMsg:
+			m = *v
+		case AppMsg:
+			m = v
+		default:
+			continue
+		}
+		if s.dst.Cluster == dst && m.Resend {
+			out = append(out, fmt.Sprintf("resend %v piggy=%v", m.Payload.ID, m.PiggyDDV))
+		}
+	}
+	return out
+}
+
+// TestHeldMessageReexaminedFromPinnedPairs: two messages on one pipe
+// reach a receiver before its forced CLC, the later one raising more
+// than the first. The second's force demand is withheld from the
+// leader until the first CLC commits, so that CLC covers the first
+// message but not the second, and the re-examination after it must
+// judge the first by what the first carried — its pinned pairs —
+// though the pipe decoder now holds the second's vector: the first is
+// delivered after one commit, the second re-held for the next.
+func TestHeldMessageReexaminedFromPinnedPairs(t *testing.T) {
+	twinRun(t, []int{2, 2, 1}, func(b *testbed) []string {
+		recv, snd, third := b.node(0, 1), b.node(1, 0), b.node(2, 0)
+		third.Send(snd.ID(), payload(third.ID(), 1)) // c1 depends on c2
+		b.pump()
+
+		// Nothing reaches cluster 0 until both messages are sent; in
+		// between, c1 commits twice and depends on c2 anew.
+		b.withhold = func(m sentMsg) bool { return m.dst.Cluster == 0 }
+		snd.Send(recv.ID(), payload(snd.ID(), 1))
+		b.commitCLC(2)
+		third.Send(snd.ID(), payload(third.ID(), 2))
+		b.pump()
+		b.commitCLC(1)
+		snd.Send(recv.ID(), payload(snd.ID(), 2))
+		b.release()
+		forces := 0
+		b.withhold = func(m sentMsg) bool {
+			if _, ok := m.msg.(*Box[ForceCLC]); ok {
+				forces++
+				return forces == 2
+			}
+			return false
+		}
+		b.pump()
+		b.release()
+		b.pump()
+
+		var ack [3]SN
+		for _, e := range snd.log {
+			if !e.acked {
+				t.Fatalf("message %v never acknowledged", e.payload.ID)
+			}
+			ack[e.payload.ID.Seq] = e.ackSN
+		}
+		if ack[1] >= ack[2] {
+			t.Errorf("first message delivered at SN %d, second at %d: the first waited for the second's CLC", ack[1], ack[2])
+		}
+		return observe(b)
+	})
+}
+
+// gcDroppedSend runs a send whose stored record a collection then
+// drops while the log entry survives: c1's node 1 sends to c0 at SN 1,
+// c1 commits twice, and c0's initiator collects. It returns the sender
+// and the vector the send carried.
+func gcDroppedSend(t *testing.T, b *testbed) (*Node, DDV) {
+	t.Helper()
+	snd, recv := b.node(1, 1), b.node(0, 0)
+	recv.cfg.GCInitiator = true
+	want := snd.DDVSnapshot()
+	snd.Send(recv.ID(), payload(snd.ID(), 1))
+	b.pump()
+	b.commitCLC(1)
+	b.commitCLC(1)
+	recv.OnTimer(TimerGC)
+	b.pump()
+	if snd.LogLen() != 1 {
+		t.Fatalf("log holds %d entries after the collection, want the send's", snd.LogLen())
+	}
+	e := snd.log[0]
+	if snd.chain.Index(e.piggySN) >= 0 {
+		t.Fatalf("record %d still stored: the collection dropped nothing", e.piggySN)
+	}
+	if b.useCodecs {
+		holder := b.node(1, 0)
+		if e.piggyDDV != nil || snd.retired.Index(e.piggySN) < 0 {
+			t.Fatalf("delta wire: entry piggy=%v, retired holds %d records: want a reference to a retired record", e.piggyDDV, snd.retired.Len())
+		}
+		if m := holder.mirrorLogs[snd.ID()].entries[0]; m.PiggyDDV != nil || holder.retired.Index(m.PiggySN) < 0 {
+			t.Fatalf("delta wire: mirror piggy=%v: want a reference to a record the holder retired", m.PiggyDDV)
+		}
+	}
+	return snd, want
+}
+
+// TestResendAfterGCDropUsesExactVector: a logged send whose record was
+// collected is resent, on a rollback of its receiver, with the exact
+// vector it carried.
+func TestResendAfterGCDropUsesExactVector(t *testing.T) {
+	twinRun(t, []int{2, 2}, func(b *testbed) []string {
+		snd, want := gcDroppedSend(t, b)
+		recv := b.node(0, 0)
+		snd.OnMessage(recv.ID(), RollbackAlert{Cluster: 0, NewSN: recv.SN(), NewEpoch: 1})
+		got := resends(b.queue, 0)
+		if len(got) != 1 || !strings.HasSuffix(got[0], "piggy="+want.String()) {
+			t.Fatalf("resends %v, want one carrying %v", got, want)
+		}
+		b.queue = b.queue[:0]
+		return append(got, observe(b)...)
+	})
+}
+
+// TestOwnerCrashReadoptsExactVectors: the sender crashes; it re-adopts
+// its log from the holder's mirrors — one entry whose record both have
+// retired, one whose record is still stored — and the resends after
+// its recovery carry the exact vectors of both sends.
+func TestOwnerCrashReadoptsExactVectors(t *testing.T) {
+	twinRun(t, []int{2, 2}, func(b *testbed) []string {
+		snd, want1 := gcDroppedSend(t, b)
+		want2 := snd.DDVSnapshot()
+		snd.Send(b.node(0, 0).ID(), payload(snd.ID(), 2))
+		b.pump()
+		b.commitCLC(1) // the second send is part of the state restored below
+
+		snd.Fail()
+		snd.Restart()
+		b.withhold = func(m sentMsg) bool { return len(resends([]sentMsg{m}, 0)) > 0 }
+		b.node(1, 0).OnFailureDetected(snd.ID())
+		b.pump()
+		got := resends(b.withheld, 0)
+		b.release()
+		b.pump()
+		if b.stats["log.recovered_entries"] != 2 {
+			t.Fatalf("re-adopted %d log entries, want 2", b.stats["log.recovered_entries"])
+		}
+		for i, want := range []DDV{want1, want2} {
+			id := payload(snd.ID(), uint64(i+1)).ID
+			if !contains(got, fmt.Sprintf("resend %v piggy=%v", id, want)) {
+				t.Errorf("no resend of %v carrying %v among %v", id, want, got)
+			}
+		}
+		return append(got, observe(b)...)
+	})
+}
+
+func contains(lines []string, s string) bool {
+	for _, l := range lines {
+		if l == s {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRollbackAndRestartEmptyHeldQueue pins the precondition of the
+// receive side's pinned pairs: the DDV never decreases under a held
+// message, because the rollback and the restart that lower it empty the
+// held queue. A message is held (its force demand withheld from the
+// leader) when the cluster rolls back, and again when the holding node
+// crashes and restarts; both times the queue is empty at once, and the
+// message is still delivered once the resends arrive.
+func TestRollbackAndRestartEmptyHeldQueue(t *testing.T) {
+	twinRun(t, []int{3, 1}, func(b *testbed) []string {
+		recv, snd := b.node(0, 1), b.node(1, 0)
+		leader := b.node(0, 0).ID()
+		hold := func(seq uint64) {
+			b.withhold = func(m sentMsg) bool { return m.dst == leader }
+			snd.Send(recv.ID(), payload(snd.ID(), seq))
+			b.pump()
+			if len(recv.heldInter) != 1 {
+				t.Fatalf("message %d: %d held, want 1", seq, len(recv.heldInter))
+			}
+			if m := recv.heldInter[0].msg; b.useCodecs && (m.PiggyDDV != nil || m.PiggyWidth != 0 || len(m.PiggyPairs) == 0) {
+				t.Fatalf("delta wire: held copy %+v is not pinned to its raised pairs", m)
+			}
+		}
+
+		hold(1)
+		b.node(0, 2).Fail()
+		b.node(0, 2).Restart()
+		recv.OnFailureDetected(b.node(0, 2).ID()) // recv coordinates the rollback
+		if len(recv.heldInter) != 0 {
+			t.Fatalf("rollback left %d held messages", len(recv.heldInter))
+		}
+		b.release()
+		b.pump()
+
+		b.commitCLC(1) // the next message raises c0's entry again
+		hold(2)
+		recv.Fail()
+		recv.Restart()
+		if len(recv.heldInter) != 0 {
+			t.Fatalf("restart left %d held messages", len(recv.heldInter))
+		}
+		b.release()
+		b.node(0, 0).OnFailureDetected(recv.ID())
+		b.pump()
+		if got := b.app(0, 1).delivered; len(got) != 2 {
+			t.Fatalf("receiver delivered %v, want both messages", got)
+		}
+		return observe(b)
+	})
+}

@@ -98,12 +98,11 @@ func (n *Node) performLocalRollback(toSN SN, newEpoch Epoch, coordinator topolog
 	clear(n.inboundQueue[len(kept):])
 	n.inboundQueue = kept
 
-	// Discard checkpoints from the aborted future.
+	// Discard checkpoints from the aborted future, and the mirrored
+	// sends that belong to it (first: the records they name go next).
+	n.dropMirrorsFrom(toSN)
 	n.truncateCLCsAfter(toSN)
 	n.dropReplicasAbove(toSN)
-	for _, ml := range n.mirrorLogs {
-		n.mirrorBytes -= ml.filter(func(e *LogMirror) bool { return e.SendSN < toSN })
-	}
 
 	idx := n.chain.Index(toSN)
 	if idx < 0 {
@@ -237,6 +236,15 @@ func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
 	}
 	if ml := n.mirrorLogs[m.Owner]; ml != nil {
 		resp.Log = append([]LogMirror(nil), ml.entries...)
+		// The owner resolves references from the chain it adopts, which
+		// starts at this node's oldest stored record: those naming a
+		// retired record travel resolved.
+		var memo piggyMemo
+		for i := range resp.Log {
+			if e := &resp.Log[i]; e.PiggyDDV == nil && n.cfg.Transitive && n.retired.Index(e.PiggySN) >= 0 {
+				e.PiggyDDV = memo.resolve(n, e.PiggySN)
+			}
+		}
 	}
 	n.env.Send(src, controlSize(resp), resp)
 }
@@ -256,6 +264,14 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 	for _, o := range m.Older {
 		olderBySN[o.SN] = o
 	}
+	// The chain is about to be replaced by the holder's. The log goes
+	// (re-adopted below). Mirrors that arrived while this node waited for
+	// the restore are judged as a rollback judges them (see onLogMirror),
+	// and the references of those kept are resolved against the history
+	// that named them.
+	n.resetLog()
+	n.dropMirrorsFrom(pend.cmd.ToSN)
+	n.pinPiggies(func(SN) bool { return true })
 	n.resetCLCs()
 	n.chain.copyFrom(m.Chain)
 	n.chain.TruncateAfter(pend.cmd.ToSN)
@@ -294,10 +310,11 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 	// Re-adopt the mirrored message log: entries whose send belongs to
 	// the restored state, conservatively unacknowledged — the resume
 	// barrier re-pushes them and receivers deduplicate. Re-adoption
-	// appends like doSend does, so a crash never deflates LogPeak.
-	n.resetLog()
+	// appends like doSend does, so a crash never deflates LogPeak. A
+	// reference names a record of the chain just adopted from the
+	// holder, which resolved those naming a record it retired.
 	for _, e := range m.Log {
-		if e.SendSN >= pend.cmd.ToSN {
+		if e.PiggySN >= pend.cmd.ToSN {
 			continue
 		}
 		le := n.logSlab.New()
@@ -342,18 +359,39 @@ func (n *Node) onReReplicateReq(src topology.NodeID, m ReReplicateReq) {
 		sendCtl(n, &n.ctl.rep, src, Replica{Seq: n.chain.Recs[i].SN, Epoch: n.epoch, Owner: n.id, State: rec.state, Size: rec.stateSize})
 		n.env.Stat("storage.rereplicated", 1)
 	}
+	// Older entries may name records the restarted holder's recovered
+	// chain has lost to a collection: they travel resolved.
+	var memo piggyMemo
 	for _, e := range n.log {
 		sendCtl(n, &n.ctl.mirror, src, LogMirror{
 			Owner: n.id, MsgID: e.msgID, Dst: e.dst, Payload: e.payload,
-			PiggySN: e.piggySN, PiggyDDV: e.piggyDDV, SendSN: e.piggySN,
+			PiggySN: e.piggySN, PiggyDDV: n.logPiggy(e, &memo), Epoch: n.epoch,
 		})
 	}
 }
 
 // onLogMirror stores a neighbour's message-log entry.
+//
+// A mirror whose Epoch is older than the holder's was sent before a
+// rollback (or crash recovery) the holder has already performed, and
+// is judged as that rollback judged the mirrors it held: kept only if
+// its send is part of the restored state. The owner's mirrors and
+// replicas share one FIFO link, and the holder commits nothing in a
+// newer epoch without the owner's next replica, so the holder's chain
+// still ends at the restored record: PiggySN below it is that test, and
+// every record a kept entry's reference names is the one the owner
+// sent it with.
+//
+// A restarted holder that has not recovered yet has no chain to judge
+// by, and refuses every mirror: those of the owner's aborted execution
+// must go, and the owner re-pushes the rest, resolved, once the holder
+// has recovered (onReReplicateReq).
 func (n *Node) onLogMirror(src topology.NodeID, m LogMirror) {
-	if src.Cluster != n.cluster {
+	if src.Cluster != n.cluster || n.lostState {
 		return
+	}
+	if m.Epoch < n.epoch && (n.chain.Len() == 0 || m.PiggySN >= n.chain.Recs[n.chain.Len()-1].SN) {
+		return // part of the aborted execution
 	}
 	ml := n.mirrorLogs[m.Owner]
 	if ml == nil {
@@ -366,6 +404,14 @@ func (n *Node) onLogMirror(src topology.NodeID, m LogMirror) {
 	ml.ids[m.MsgID] = struct{}{}
 	ml.entries = append(ml.entries, m)
 	n.mirrorBytes += uint64(m.Payload.Size)
+}
+
+// dropMirrorsFrom discards the mirrored sends with PiggySN >= sn: those
+// of the execution a rollback to stored record sn aborts.
+func (n *Node) dropMirrorsFrom(sn SN) {
+	for _, ml := range n.mirrorLogs {
+		n.mirrorBytes -= ml.filter(func(e *LogMirror) bool { return e.PiggySN < sn })
+	}
 }
 
 // onLogTrim intersects a neighbour's mirrored log with its live set.
@@ -457,6 +503,7 @@ func (n *Node) resumeAfterRollback() {
 	// (its send is part of the restored state), so pushing it again
 	// under the new epoch guarantees delivery. Duplicates are
 	// acceptable — receivers deduplicate by logical message identity.
+	var memo piggyMemo
 	for _, e := range n.log {
 		if e.acked {
 			continue
@@ -467,7 +514,7 @@ func (n *Node) resumeAfterRollback() {
 			SrcCluster: n.cluster,
 			SrcEpoch:   n.epoch,
 			SendSN:     e.piggySN,
-			PiggyDDV:   e.piggyDDV,
+			PiggyDDV:   n.logPiggy(e, &memo),
 			Resend:     true,
 			// Target the receiver cluster's newest known epoch: if its
 			// own rollback command is still in flight (it can queue

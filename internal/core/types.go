@@ -61,13 +61,22 @@ func (d DDV) CopyFrom(o DDV) {
 }
 
 // DDVArena hands out DDVs sliced from chunked backing storage, so the
-// protocol's hot paths (checkpoint commits, piggybacked vectors, GC
-// reports) allocate one chunk per 64 vectors instead of one slice per
-// Clone. Each Node owns one arena; a vector handed out lives as long as
-// whatever retains it (the chunk is garbage-collected once every
-// vector cut from it is dropped), and chunks are never reallocated, so
-// outstanding slices stay valid forever. Full-capacity slicing means a
-// misplaced append can never bleed into a neighbouring vector.
+// vectors that escape an event (dense-wire piggybacks and commit
+// broadcasts, shipped chain anchors, resolved piggyback references,
+// held copies pinned while a remote restore is pending) allocate one
+// chunk per 64 vectors instead of one slice per Clone. Each Node owns
+// one arena; a vector handed out lives as long as whatever retains it
+// (the chunk is garbage-collected once every vector cut from it is
+// dropped), and chunks are never reallocated, so outstanding slices
+// stay valid forever. Full-capacity slicing means a misplaced append
+// can never bleed into a neighbouring vector.
+//
+// An arena hides its cost from allocation counts: a chunk is one
+// allocation however many width-sized vectors it serves. The delta
+// wire therefore cuts nothing per inter-cluster message: a log entry
+// references its chain record, a held message keeps its raised pairs
+// (PairArena), and sharedPiggy cuts one vector per DDV generation only
+// where a reader needs it dense.
 type DDVArena struct {
 	width int
 	chunk []SN

@@ -53,16 +53,25 @@ func TestTransitiveDeltaCrashDifferential(t *testing.T) {
 
 // TestTransitiveDeltaGCDifferential adds periodic garbage collection
 // to a transitive run, exercising the chain-delta GC reports together
-// with the piggyback codec.
+// with the piggyback codec — and, on the delta wire, the log entries
+// and mirrors that reference chain records: collections retire the
+// records they name, crashes re-adopt them from mirrors, rollbacks
+// resend them. Collection period, ring or central collector and
+// replication degree vary by seed; the oracle watches every run.
 func TestTransitiveDeltaGCDifferential(t *testing.T) {
-	build := func(dense bool) federation.Options {
-		opts := transitiveCrashOptions(3, dense)
-		opts.GCPeriod = 15 * sim.Minute
-		return opts
-	}
-	delta := mustRun(t, build(false))
-	dense := mustRun(t, build(true))
-	if d, s := delta.Stats.Dump(), dense.Stats.Dump(); d != s {
-		t.Fatalf("delta and dense transitive GC runs diverged:\n--- delta\n%s\n--- dense\n%s", d, s)
+	for seed := uint64(1); seed <= 6; seed++ {
+		build := func(dense bool) federation.Options {
+			opts := transitiveCrashOptions(seed, dense)
+			opts.GCPeriod = []sim.Duration{4 * sim.Minute, 15 * sim.Minute}[seed%2]
+			opts.RingGC = seed%3 == 0
+			opts.Replicas = 1 + int(seed%2)
+			opts.Oracle = true
+			return opts
+		}
+		delta := mustRun(t, build(false))
+		dense := mustRun(t, build(true))
+		if d, s := delta.Stats.Dump(), dense.Stats.Dump(); d != s {
+			t.Fatalf("seed %d: delta and dense transitive GC runs diverged:\n--- delta\n%s\n--- dense\n%s", seed, d, s)
+		}
 	}
 }

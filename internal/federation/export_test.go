@@ -11,16 +11,26 @@ import (
 // sink (tracer, oracle) has seen it. It takes over opts.NodeFactory.
 func TapEvents(opts *Options, tap func(at sim.Time, id topology.NodeID, ev core.Event)) {
 	opts.NodeFactory = func(cfg core.Config, env core.Env, hooks core.AppHooks) ProtocolNode {
-		return core.NewNode(cfg, tapEnv{env.(*nodeEnv), tap}, hooks)
+		t := tapEnv{tap: tap}
+		switch env := env.(type) {
+		case *nodeEnv:
+			t.nodeEnv = env
+		case sinkEnv:
+			t.nodeEnv, t.sink = env.nodeEnv, env
+		}
+		return core.NewNode(cfg, t, hooks)
 	}
 }
 
 type tapEnv struct {
 	*nodeEnv
-	tap func(sim.Time, topology.NodeID, core.Event)
+	sink core.EventSink // the run's own sink, nil when it has none
+	tap  func(sim.Time, topology.NodeID, core.Event)
 }
 
 func (e tapEnv) Event(ev core.Event) {
-	e.nodeEnv.Event(ev)
+	if e.sink != nil {
+		e.sink.Event(ev)
+	}
 	e.tap(e.f.engine.Now(), e.id, ev)
 }

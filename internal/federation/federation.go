@@ -330,7 +330,11 @@ func New(opts Options) (*Fed, error) {
 			Replicas:          repl,
 			DenseWire:         opts.DenseWire,
 		}
-		env := &nodeEnv{f: f, id: id, ord: ord, idStr: id.String()}
+		ne := &nodeEnv{f: f, id: id, ord: ord, idStr: id.String()}
+		var env core.Env = ne
+		if f.oracle != nil || f.tracer.Enabled(sim.TraceInfo) {
+			env = sinkEnv{ne}
+		}
 		na := app.NewNodeApp(id, opts.Workload, fed, appRNG)
 		na.Now = f.engine.Now
 		na.Restored = func() { f.scheduleNextSend(ord) }
@@ -500,9 +504,11 @@ func (f *Fed) pipeExit(src, dst topology.NodeID, payload any) {
 // nodeEnv adapts the federation to core.Env for one node. It also
 // implements core.BoxPool, handing the protocol recycled message boxes
 // so the steady-state send path performs no interface-boxing allocation,
-// core.BoxReclaimer (msgBoxes.reclaim runs after every OnMessage),
-// core.PiggyCodecs, exposing the per-pipe delta codecs, and
-// core.EventSink, feeding the tracer and the oracle.
+// core.BoxReclaimer (msgBoxes.reclaim runs after every OnMessage) and
+// core.PiggyCodecs, exposing the per-pipe delta codecs. It is not a
+// core.EventSink: a run whose tracer or oracle consumes events wraps it
+// in sinkEnv, so a run without either pays one nil check per event and
+// builds nothing for it.
 type nodeEnv struct {
 	f     *Fed
 	id    topology.NodeID
@@ -580,11 +586,16 @@ func (e *nodeEnv) SetTimer(k core.TimerKind, d sim.Duration) {
 	t.Reset(d)
 }
 
+// sinkEnv is nodeEnv with core.EventSink, for a run whose tracer
+// prints at least TraceInfo or that attaches an oracle.
+type sinkEnv struct{ *nodeEnv }
+
 // Event renders a protocol event as one trace line, formatting nothing
 // unless the tracer reports the event's level, then hands it to the
 // run's oracle. The per-message kinds (deliveries, piggyback sends)
-// are at sim.TraceOff: without an oracle they cost the two checks.
-func (e *nodeEnv) Event(ev core.Event) {
+// are at sim.TraceOff: a run that only traces drops them after the two
+// checks.
+func (e sinkEnv) Event(ev core.Event) {
 	if l := ev.Level(); e.f.tracer.Enabled(l) {
 		e.f.tracer.Emit(l, e.idStr, "%s", ev.String())
 	}

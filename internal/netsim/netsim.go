@@ -36,6 +36,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -152,10 +153,14 @@ type Network struct {
 
 	// Cached counter pointers, resolved on first use so the set of
 	// registered counters stays exactly what a run actually touched
-	// (identical Stats output to building keys per call).
+	// (identical Stats output to building keys per call). The per-pair
+	// counters are keyed by src*nClusters+dst and hold only the pairs
+	// that carried traffic: a wide federation talks on a few pairs per
+	// cluster, and a width-squared table per counter is megabytes of
+	// cache misses.
 	evTotal   [numEvents]*sim.Counter
 	evKind    [numEvents][numKinds]*sim.Counter
-	evPair    [numEvents][numKinds][]*sim.Counter // src*nClusters+dst
+	evPair    pairTable
 	bytesKind [numKinds]*sim.Counter
 
 	// DropInterCluster, when non-nil, lets tests inject partitions: a
@@ -548,6 +553,70 @@ func (n *Network) Broadcast(src topology.NodeID, kind Kind, size int, payload an
 	}
 }
 
+// pairCounters is one directed cluster pair's counters, per event and
+// kind, each registered on its first touch.
+type pairCounters [numEvents][numKinds]*sim.Counter
+
+// pairTable finds a directed cluster pair's counters by the pair's
+// index src*nClusters+dst: open addressing with linear probing over a
+// power-of-two table kept at most half full, so it grows with the pairs
+// that carry traffic and a lookup is one multiply and a short scan of
+// the key array.
+type pairTable struct {
+	keys  []uint32 // pair index + 1; 0 marks a free slot
+	vals  []pairCounters
+	used  int
+	shift uint32 // 32 - log2(len(keys))
+}
+
+// get returns the counters of pair, adding zeroed ones when absent. The
+// pointer is valid until the next get.
+func (t *pairTable) get(pair int) *pairCounters {
+	key := uint32(pair) + 1
+	if len(t.keys) > 0 {
+		mask := uint32(len(t.keys) - 1)
+		for i := (key * pairHash) >> t.shift; t.keys[i] != 0; i = (i + 1) & mask {
+			if t.keys[i] == key {
+				return &t.vals[i]
+			}
+		}
+	}
+	if 2*(t.used+1) > len(t.keys) {
+		t.grow()
+	}
+	t.used++
+	return &t.vals[t.insert(key)]
+}
+
+// pairHash is the multiplicative (Fibonacci) hash constant: a pair's
+// slot is the top bits of key*pairHash.
+const pairHash = 0x9E3779B1
+
+// insert claims the first free slot of key's probe sequence and returns
+// it; the table must have one.
+func (t *pairTable) insert(key uint32) uint32 {
+	mask := uint32(len(t.keys) - 1)
+	i := (key * pairHash) >> t.shift
+	for t.keys[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.keys[i] = key
+	return i
+}
+
+// grow doubles the table (to 16 slots at first) and reinserts every pair.
+func (t *pairTable) grow() {
+	keys, vals := t.keys, t.vals
+	size := max(16, 2*len(keys))
+	t.keys, t.vals = make([]uint32, size), make([]pairCounters, size)
+	t.shift = uint32(32 - bits.TrailingZeros(uint(size)))
+	for j, key := range keys {
+		if key != 0 {
+			t.vals[t.insert(key)] = vals[j]
+		}
+	}
+}
+
 // count increments the per-event counters (total, per kind, per
 // cluster pair, plus sent bytes). Counter pointers are cached after the
 // first touch, so the steady state builds no key strings; keys are
@@ -573,16 +642,11 @@ func (n *Network) count(ev int, kind Kind, src, dst topology.NodeID, size int) {
 		n.evKind[ev][k] = ck
 	}
 	ck.Inc()
-	pairs := n.evPair[ev][k]
-	if pairs == nil {
-		pairs = make([]*sim.Counter, n.nClusters*n.nClusters)
-		n.evPair[ev][k] = pairs
-	}
-	idx := int(src.Cluster)*n.nClusters + int(dst.Cluster)
-	cp := pairs[idx]
+	pc := n.evPair.get(int(src.Cluster)*n.nClusters + int(dst.Cluster))
+	cp := pc[ev][k]
 	if cp == nil {
 		cp = n.stats.Counter(fmt.Sprintf("%s.%s.c%d.c%d", eventNames[ev], kind, src.Cluster, dst.Cluster))
-		pairs[idx] = cp
+		pc[ev][k] = cp
 	}
 	cp.Inc()
 	if ev == evSent {

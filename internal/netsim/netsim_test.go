@@ -227,3 +227,23 @@ func mustPanic(t *testing.T, name string, f func()) {
 	}()
 	f()
 }
+
+// TestPairTableKeepsEveryPair: the per-pair counter table finds every
+// pair it was given, with what was stored for it, across the growths a
+// thousand pairs of a 1024-cluster federation cause.
+func TestPairTableKeepsEveryPair(t *testing.T) {
+	var tab pairTable
+	counters := make([]sim.Counter, 1000)
+	pair := func(i int) int { return (i*7919)%1024*1024 + (i*104729)%1024 }
+	for i := range counters {
+		tab.get(pair(i))[evSent][KindApp] = &counters[i]
+	}
+	for i := range counters {
+		if got := tab.get(pair(i))[evSent][KindApp]; got != &counters[i] {
+			t.Fatalf("pair %d: found %p, stored %p", pair(i), got, &counters[i])
+		}
+	}
+	if tab.used != len(counters) || 2*tab.used > len(tab.keys) {
+		t.Fatalf("%d pairs in %d slots, want %d at most half full", tab.used, len(tab.keys), len(counters))
+	}
+}

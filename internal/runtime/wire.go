@@ -39,7 +39,8 @@ import (
 // trailing bytes are errors too. An empty slice or map decodes as nil.
 // Decoded messages never alias the frame they were read from.
 const (
-	wireVersion = 1
+	// wireVersion 2: LogMirror gained Epoch and lost SendSN.
+	wireVersion = 2
 	// maxFrame caps one frame's body.
 	maxFrame = 64 << 20
 )
@@ -424,7 +425,7 @@ func (w *encoder) logMirror(l core.LogMirror) {
 	w.payload(l.Payload)
 	w.uint(uint64(l.PiggySN))
 	w.sns(l.PiggyDDV)
-	w.uint(uint64(l.SendSN))
+	w.uint(uint64(l.Epoch))
 }
 
 func (w *encoder) gcReport(r core.GCReport) {
@@ -444,7 +445,7 @@ const (
 	minPair       = 2  // Idx, SN
 	minChainRec   = 2  // SN, pair count
 	minOlder      = 3  // SN, state kind, Size
-	minLogMirror  = 12 // two nodes, MsgID, payload (node, Seq, Size), PiggySN, DDV count, SendSN
+	minLogMirror  = 12 // two nodes, MsgID, payload (node, Seq, Size), PiggySN, DDV count, Epoch
 	minGCReport   = 6  // Round, Cluster, Epoch, anchor count, record count, pair count
 	minStateEntry = 4  // LogicalID (node, Seq), n
 )
@@ -638,7 +639,7 @@ func (r *decoder) state() any {
 
 func (r *decoder) logMirror() core.LogMirror {
 	return core.LogMirror{Owner: r.node(), MsgID: r.uint(), Dst: r.node(), Payload: r.payload(),
-		PiggySN: r.sn(), PiggyDDV: r.sns(), SendSN: r.sn()}
+		PiggySN: r.sn(), PiggyDDV: r.sns(), Epoch: r.epoch()}
 }
 
 func (r *decoder) gcReport() core.GCReport {

@@ -39,7 +39,7 @@ func testChain() core.Chain {
 func testLog() core.LogMirror {
 	return core.LogMirror{Owner: nid(1, 2), MsgID: 77, Dst: nid(0, 1),
 		Payload: core.AppPayload{ID: core.LogicalID{Src: nid(1, 2), Seq: 12}, Size: 256},
-		PiggySN: 6, PiggyDDV: core.DDV{3, 6}, SendSN: 6}
+		PiggySN: 6, PiggyDDV: core.DDV{3, 6}, Epoch: 2}
 }
 
 func testReport() core.GCReport {
