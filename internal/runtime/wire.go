@@ -40,7 +40,9 @@ import (
 // Decoded messages never alias the frame they were read from.
 const (
 	// wireVersion 2: LogMirror gained Epoch and lost SendSN.
-	wireVersion = 2
+	// wireVersion 3: connections carry numbered, acknowledged streams
+	// (StreamOpen first, StreamAck back).
+	wireVersion = 3
 	// maxFrame caps one frame's body.
 	maxFrame = 64 << 20
 )
@@ -73,6 +75,8 @@ const (
 	tagGCDemand
 	tagGCToken
 	tagHello
+	tagStreamOpen
+	tagStreamAck
 	numTags
 )
 
@@ -88,6 +92,7 @@ var msgNames = [numTags]string{
 	tagRollbackResume: "RollbackResume", tagGCRequest: "GCRequest",
 	tagGCReport: "GCReport", tagGCCollect: "GCCollect", tagGCDrop: "GCDrop",
 	tagGCDemand: "GCDemand", tagGCToken: "GCToken", tagHello: "Hello",
+	tagStreamOpen: "StreamOpen", tagStreamAck: "StreamAck",
 }
 
 // msgTag returns the wire tag of a message, 0 for a type the codec
@@ -142,6 +147,10 @@ func msgTag(m core.Msg) byte {
 		return tagGCToken
 	case Hello:
 		return tagHello
+	case StreamOpen:
+		return tagStreamOpen
+	case StreamAck:
+		return tagStreamAck
 	}
 	return 0
 }
@@ -314,6 +323,15 @@ func appendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		m := env.Msg.(Hello)
 		w.node(m.From)
 		w.bool(m.LostState)
+	case tagStreamOpen:
+		m := env.Msg.(StreamOpen)
+		w.uint(m.Stream)
+		w.uint(m.Next)
+	case tagStreamAck:
+		m := env.Msg.(StreamAck)
+		w.uint(m.Stream)
+		w.uint(m.Seq)
+		w.bool(m.Fresh)
 	default:
 		w.err = fmt.Errorf("runtime: no wire encoding for %T", env.Msg)
 	}
@@ -725,6 +743,10 @@ func (r *decoder) msg(tag byte) core.Msg {
 		return m
 	case tagHello:
 		return Hello{From: r.node(), LostState: r.bool()}
+	case tagStreamOpen:
+		return StreamOpen{Stream: r.uint(), Next: r.uint()}
+	case tagStreamAck:
+		return StreamAck{Stream: r.uint(), Seq: r.uint(), Fresh: r.bool()}
 	}
 	r.fail(errTag)
 	return nil
