@@ -26,6 +26,16 @@
 //	  "workload": {"period_ms": 5, "inter_prob": 0.3, "size": 256}
 //	}
 //
+// The workload runs the simulator's application (app.NodeApp) on the
+// wall clock. Each node's sends are a Poisson process with mean gap
+// period_ms (earlier versions waited a uniform delay in [P/2, 3P/2)
+// between sends). A share inter_prob of a cluster's sends goes to the
+// other clusters, spread evenly; the rest stays inside the cluster,
+// except in a one-node cluster, which sends only inter-cluster. Each
+// message carries size bytes. After a rollback a node replays the same
+// sends, also in a restarted process. period_ms and size must be
+// positive and inter_prob in [0, 1].
+//
 // A SIGTERM (or -duration expiring) drains cleanly: the event loop is
 // quiesced, a final "stop" journal line records the counters, and the
 // transport shuts down. A SIGKILL costs at most one torn journal line,

@@ -37,7 +37,9 @@
 //	                      scenario matrix
 //	internal/config       the paper simulator's three input files
 //	internal/runtime      live (wall-clock, TCP) runtime for the same
-//	                      protocol code
+//	                      protocol code and the same application
+//	                      (app.NodeApp, its sends armed on the wall
+//	                      clock)
 //
 // Start with the public API in repro/hc3i, the runnable examples under
 // examples/, or the tools:
@@ -209,9 +211,12 @@
 //     vector aliases the node's commit base, which the next commit
 //     overwrites.
 //   - Application snapshots are O(1): NodeApp records deliveries in an
-//     append-only journal and a snapshot is a journal position;
-//     restores rewind the tail instead of copying the delivered map on
-//     every checkpoint (which dominated the CPU profile).
+//     append-only journal and a snapshot is a journal prefix, cut
+//     without copying; restores rewind the tail instead of copying the
+//     delivered map on every checkpoint (which dominated the CPU
+//     profile), and clip the journal so no later append writes into a
+//     prefix a snapshot holds. The prefix travels in live replicas, so
+//     a fresh process restores from it alone.
 //   - federation.Arena pools per-run scratch (the event engine) across
 //     the sweep points of one runner invocation; Engine.Reset wipes the
 //     clock, queue and generation stamps, so pooled and fresh runs are

@@ -20,19 +20,19 @@ type sendEvent struct {
 // State is a NodeApp snapshot handed to the checkpointing protocol. It
 // is intentionally tiny: the simulated application's "virtual memory"
 // is priced separately through Workload.StateSize. Delivery state is
-// captured as a position in the node's append-only delivery journal —
-// snapshotting is O(1) instead of copying the whole delivered map per
-// checkpoint (which dominated the simulator's CPU profile). Snapshot
-// hands out a *State cut from the application's slab; a snapshot is
-// immutable once cut, so replicas shipped to neighbours share nothing
-// mutable.
+// captured as a prefix of the node's append-only delivery journal, cut
+// without copying — snapshotting is O(1) instead of copying the whole
+// delivered map per checkpoint (which dominated the simulator's CPU
+// profile). Snapshot hands out a *State cut from the application's
+// slab; a snapshot is immutable once cut (Restore never lets an append
+// write into a prefix a snapshot holds), so replicas shipped to
+// neighbours share nothing mutable.
 type State struct {
 	NextSend int
 	AppClock sim.Duration
-	// Journal is the delivery-journal length at snapshot time; Restore
-	// rewinds the journal (and the derived delivered counts) to it.
-	Journal int
-	Epoch   uint64 // increments at every restore; salts non-deterministic replay
+	// Journal is the delivery journal at snapshot time; Restore rewinds
+	// the journal (and the derived delivered counts) to it.
+	Journal []core.LogicalID
 }
 
 // NodeApp is the simulated application process on one node: it draws a
@@ -56,8 +56,8 @@ type NodeApp struct {
 	clockBase sim.Time // sim time corresponding to appStart of current incarnation
 	delivered map[core.LogicalID]int
 	// journal records every delivery in order; delivered is the derived
-	// count index. A snapshot is a journal position, a restore rewinds
-	// the tail (decrementing the counts it added).
+	// count index. A snapshot is a journal prefix, a restore rewinds the
+	// tail (decrementing the counts it added).
 	journal []core.LogicalID
 	epoch   uint64
 	// states backs the snapshots: one chunk per many checkpoints instead
@@ -108,40 +108,30 @@ type genCursor struct {
 // NewNodeApp builds the application of one node. rng must be a private
 // stream for this node.
 func NewNodeApp(id topology.NodeID, wl *Workload, fed *topology.Federation, rng *sim.RNG) *NodeApp {
+	// The schedule is sized from the node's outbound rate (its row of
+	// the rate matrix), the delivery map from its inbound rate (column).
+	row, col := wl.rateSums()
 	a := &NodeApp{
 		id:          id,
 		wl:          wl,
 		fed:         fed,
 		rng:         rng,
-		delivered:   make(map[core.LogicalID]int, deliveredHint(id, wl, fed)),
-		schedule:    make([]sendEvent, 0, scheduleHint(id, wl, fed)),
+		delivered:   make(map[core.LogicalID]int, sizeHint(col[id.Cluster], id, wl, fed)),
+		schedule:    make([]sendEvent, 0, sizeHint(row[id.Cluster], id, wl, fed)),
 		trackStable: wl.OpenLoop != nil,
 	}
 	a.initCursor(rng)
 	return a
 }
 
-// scheduleHint estimates this node's send count from its row of the
-// rate matrix, so the cached schedule is sized once instead of
-// repeatedly regrowing during the run.
-func scheduleHint(id topology.NodeID, wl *Workload, fed *topology.Federation) int {
-	row, _ := wl.rateSums()
-	perHour := row[id.Cluster]
-	expected := perHour * wl.TotalTime.Seconds() / 3600 / float64(fed.Clusters[id.Cluster].Nodes)
-	const maxHint = 1 << 16
-	if expected > maxHint {
-		return maxHint
+// sizeHint estimates how many of perHour's cluster-aggregate messages
+// one node of id's cluster handles over the run, so a buffer is sized
+// once instead of repeatedly regrowing. An open-ended workload (the
+// live runtime's) has no total to size for.
+func sizeHint(perHour float64, id topology.NodeID, wl *Workload, fed *topology.Federation) int {
+	if wl.TotalTime >= sim.Forever {
+		return 0
 	}
-	return int(expected)
-}
-
-// deliveredHint estimates this node's delivery count from the rate
-// matrix (everything addressed to its cluster, split across the
-// cluster's nodes), so the delivery map is sized once instead of
-// rehashing throughout the run.
-func deliveredHint(id topology.NodeID, wl *Workload, fed *topology.Federation) int {
-	_, col := wl.rateSums()
-	perHour := col[id.Cluster]
 	expected := perHour * wl.TotalTime.Seconds() / 3600 / float64(fed.Clusters[id.Cluster].Nodes)
 	const maxHint = 1 << 16 // hint only: never pre-reserve absurd amounts
 	if expected > maxHint {
@@ -329,8 +319,7 @@ func (a *NodeApp) Snapshot() (any, int) {
 	*s = State{
 		NextSend: a.next,
 		AppClock: clock,
-		Journal:  len(a.journal),
-		Epoch:    a.epoch,
+		Journal:  a.journal[:len(a.journal):len(a.journal)],
 	}
 	return s, a.wl.StateSize
 }
@@ -347,23 +336,39 @@ func (a *NodeApp) Restore(state any) {
 		}
 		a.SyncClock(now, s.AppClock)
 	}
-	// Rewind the delivery journal: forget (exactly) the deliveries that
-	// happened after the snapshot.
-	for _, id := range a.journal[s.Journal:] {
-		if n := a.delivered[id] - 1; n > 0 {
-			a.delivered[id] = n
-		} else {
-			delete(a.delivered, id)
+	n := len(s.Journal)
+	if n <= len(a.journal) {
+		// Rewind the delivery journal: forget (exactly) the deliveries
+		// that happened after the snapshot.
+		for _, id := range a.journal[n:] {
+			if c := a.delivered[id] - 1; c > 0 {
+				a.delivered[id] = c
+			} else {
+				delete(a.delivered, id)
+			}
+		}
+	} else {
+		// The application holds less history than the snapshot — a
+		// fresh process restored from a replica: adopt the snapshot's
+		// journal and rebuild the delivery index from it.
+		clear(a.delivered)
+		for _, id := range s.Journal {
+			a.delivered[id]++
+		}
+		if a.trackStable {
+			a.stableAt = append(a.stableAt, make([]sim.Time, n-len(a.stableAt))...)
 		}
 	}
-	a.journal = a.journal[:s.Journal]
+	// Clipped: the next append reallocates instead of writing into a
+	// prefix some snapshot still shares.
+	a.journal = s.Journal[:n:n]
 	if a.trackStable {
 		// Stability marks past the restore point were premature — the
 		// covering commit is being rolled back behind; re-delivery will
 		// re-mark them at their next permanent coverage.
-		a.stableAt = a.stableAt[:s.Journal]
-		if a.stableMark > s.Journal {
-			a.stableMark = s.Journal
+		a.stableAt = a.stableAt[:n]
+		if a.stableMark > n {
+			a.stableMark = n
 		}
 	}
 	a.epoch++
@@ -402,25 +407,25 @@ func (a *NodeApp) Deliver(from topology.NodeID, p core.AppPayload) {
 // Stabilized implements core.Stabilizer: the protocol committed a
 // checkpoint whose snapshot is state, so every journal entry the
 // snapshot covers is now backed by stable storage. Entries between the
-// previous mark and the snapshot's journal position get the current
+// previous mark and the end of the snapshot's journal get the current
 // time as their (provisional — see Restore) stability time.
 func (a *NodeApp) Stabilized(state any) {
 	if !a.trackStable {
 		return
 	}
-	s := state.(*State)
-	if s.Journal > len(a.stableAt) {
-		panic(fmt.Sprintf("app: commit covers %d journal entries, only %d delivered", s.Journal, len(a.stableAt)))
+	n := len(state.(*State).Journal)
+	if n > len(a.stableAt) {
+		panic(fmt.Sprintf("app: commit covers %d journal entries, only %d delivered", n, len(a.stableAt)))
 	}
 	var now sim.Time
 	if a.Now != nil {
 		now = a.Now()
 	}
-	for j := a.stableMark; j < s.Journal; j++ {
+	for j := a.stableMark; j < n; j++ {
 		a.stableAt[j] = now
 	}
-	if s.Journal > a.stableMark {
-		a.stableMark = s.Journal
+	if n > a.stableMark {
+		a.stableMark = n
 	}
 }
 
@@ -454,23 +459,6 @@ func (a *NodeApp) DeliveredTimes(id core.LogicalID) int { return a.delivered[id]
 // SentCount returns how many sends this node has performed in its
 // current incarnation's history.
 func (a *NodeApp) SentCount() int { return a.next }
-
-// ScheduleLen returns the number of generated schedule entries so far.
-func (a *NodeApp) ScheduleLen() int { return len(a.schedule) }
-
-// ScheduledIDs lists the logical IDs of all sends up to the node's
-// current progress, for end-of-run invariant checking.
-func (a *NodeApp) ScheduledIDs() []core.LogicalID {
-	ids := make([]core.LogicalID, 0, a.next)
-	for i := 0; i < a.next; i++ {
-		seq := uint64(i + 1)
-		if !a.wl.Deterministic {
-			seq += a.epoch << 32
-		}
-		ids = append(ids, core.LogicalID{Src: a.id, Seq: seq})
-	}
-	return ids
-}
 
 // DestinationOf returns the destination of the i-th scheduled send
 // (0-based), which is stable under deterministic replay.

@@ -23,12 +23,12 @@ func liveJournal(t *testing.T) []oracle.Event {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := runtime.Start(runtime.Config{
-		Clusters:   []int{2, 2},
-		CLCPeriods: []time.Duration{20 * time.Millisecond, 20 * time.Millisecond},
-		Workload:   &runtime.Workload{Period: 2 * time.Millisecond, InterProb: 0.4, Size: 128},
-		Journal:    j,
-	})
+	fed := runtime.FederationFile{Clusters: []int{2, 2},
+		Workload: &runtime.WorkloadFile{PeriodMS: 2, InterProb: 0.4, Size: 128}}
+	cfg := fed.RuntimeConfig(nil)
+	cfg.CLCPeriods = []time.Duration{20 * time.Millisecond, 20 * time.Millisecond}
+	cfg.Journal = j
+	live, err := runtime.Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

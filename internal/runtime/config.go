@@ -6,10 +6,14 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/app"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
-// WorkloadFile is the JSON form of Workload.
+// WorkloadFile is the JSON form of a live workload (see liveWorkload):
+// every node sends on average one message every PeriodMS, a share
+// InterProb of them to other clusters, each Size bytes.
 type WorkloadFile struct {
 	PeriodMS  int     `json:"period_ms"`
 	InterProb float64 `json:"inter_prob"`
@@ -80,6 +84,16 @@ func (f *FederationFile) Validate() error {
 	if len(addrs) != total {
 		return fmt.Errorf("%d addresses for a %d-node federation", len(addrs), total)
 	}
+	if w := f.Workload; w != nil {
+		switch {
+		case w.PeriodMS <= 0:
+			return fmt.Errorf("workload period_ms %d is not positive", w.PeriodMS)
+		case !(w.InterProb >= 0 && w.InterProb <= 1):
+			return fmt.Errorf("workload inter_prob %v outside [0, 1]", w.InterProb)
+		case w.Size <= 0:
+			return fmt.Errorf("workload size %d is not positive", w.Size)
+		}
+	}
 	return nil
 }
 
@@ -118,11 +132,41 @@ func (f *FederationFile) RuntimeConfig(local []topology.NodeID) Config {
 		cfg.GCPeriod = time.Duration(f.GCPeriodMS) * time.Millisecond
 	}
 	if f.Workload != nil {
-		cfg.Workload = &Workload{
-			Period:    time.Duration(f.Workload.PeriodMS) * time.Millisecond,
-			InterProb: f.Workload.InterProb,
-			Size:      f.Workload.Size,
-		}
+		cfg.Workload = liveWorkload(f.Clusters, f.Workload)
 	}
 	return cfg
+}
+
+// liveWorkload maps a WorkloadFile onto the rate matrix app.NodeApp
+// draws its Poisson schedule from; nil gives an all-zero matrix, so the
+// nodes send only what SendApp injects. Each node sends one message per
+// period on average. A share InterProb of a cluster's sends is spread
+// evenly over the other clusters; the rest stays inside it, except in a
+// one-node cluster. The workload is open-ended and deterministic, and
+// prices a checkpoint at 1024 bytes of application state.
+func liveWorkload(clusters []int, w *WorkloadFile) *app.Workload {
+	n := len(clusters)
+	wl := &app.Workload{TotalTime: sim.Forever, RatesPerHour: make([][]float64, n),
+		MsgSize: 1, StateSize: 1024, Deterministic: true}
+	for i, size := range clusters {
+		wl.RatesPerHour[i] = make([]float64, n)
+		if w == nil {
+			continue
+		}
+		wl.MsgSize = w.Size
+		total := float64(size) * float64(time.Hour) / float64(time.Duration(w.PeriodMS)*time.Millisecond)
+		out := total * w.InterProb
+		if n == 1 {
+			out = 0
+		}
+		for j := range wl.RatesPerHour[i] {
+			switch {
+			case j != i:
+				wl.RatesPerHour[i][j] = out / float64(n-1)
+			case size > 1:
+				wl.RatesPerHour[i][i] = total - out
+			}
+		}
+	}
+	return wl
 }

@@ -6,61 +6,12 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
-
-// AppState is the live application's checkpointable state. Exported
-// because checkpoint replicas carry it over TCP; the wire codec
-// (wire.go) encodes it field by field.
-type AppState struct {
-	Sent      uint64
-	Delivered map[core.LogicalID]int
-}
-
-// liveApp implements core.AppHooks for the live runtime: a tiny
-// application that counts sends and records deliveries. All accesses
-// happen on the node's event goroutine.
-type liveApp struct {
-	state AppState
-}
-
-func newLiveApp() *liveApp {
-	return &liveApp{state: AppState{Delivered: make(map[core.LogicalID]int)}}
-}
-
-func (a *liveApp) Snapshot() (any, int) {
-	cp := AppState{Sent: a.state.Sent, Delivered: make(map[core.LogicalID]int, len(a.state.Delivered))}
-	for k, v := range a.state.Delivered {
-		cp.Delivered[k] = v
-	}
-	return cp, 1024
-}
-
-func (a *liveApp) Restore(state any) {
-	s := state.(AppState)
-	a.state = AppState{Sent: s.Sent, Delivered: make(map[core.LogicalID]int, len(s.Delivered))}
-	for k, v := range s.Delivered {
-		a.state.Delivered[k] = v
-	}
-}
-
-func (a *liveApp) Deliver(from topology.NodeID, p core.AppPayload) {
-	a.state.Delivered[p.ID]++
-}
-
-// Workload drives automatic application traffic in a live federation:
-// every node sends one message per period to a random peer.
-type Workload struct {
-	// Period between two sends of one node (e.g. 5 ms).
-	Period time.Duration
-	// InterProb is the probability a send crosses clusters.
-	InterProb float64
-	// Size is the payload size in bytes.
-	Size int
-}
 
 // Config parameterizes a live federation.
 type Config struct {
@@ -73,8 +24,10 @@ type Config struct {
 	GCPeriod time.Duration
 	// Replicas is the stable-storage replication degree (default 1).
 	Replicas int
-	// Workload, when non-nil, generates automatic traffic.
-	Workload *Workload
+	// Workload, when non-nil, is the rate matrix every node's
+	// app.NodeApp draws its sends from: deterministic and open-ended,
+	// like liveWorkload's. Nil: nodes send only what SendApp injects.
+	Workload *app.Workload
 	// Transport defaults to NewChanTransport().
 	Transport Transport
 	// Trace, when non-nil, receives protocol trace output.
@@ -98,7 +51,8 @@ type Config struct {
 
 // event is one item on a node's serial event loop.
 type event struct {
-	kind    int // 0 msg, 1 timer, 2 appSend, 3 crash, 4 restart, 5 detect, 6 sync, 7 start, 8 workload, 9 recoverBoot, 10 rejoinTick
+	kind    int    // 0 msg, 1 timer, 2 appSend, 3 crash, 4 restart, 5 detect, 6 sync, 7 start, 8 scheduledSend, 9 recoverBoot, 10 rejoinTick
+	gen     uint64 // kind 8: the arming it belongs to (see armSend)
 	src     topology.NodeID
 	msg     core.Msg
 	timer   core.TimerKind
@@ -112,13 +66,16 @@ type event struct {
 type liveNode struct {
 	id      topology.NodeID
 	node    *core.Node
-	app     *liveApp
+	app     *app.NodeApp
 	mailbox chan event
 	fed     *Live
 	timers  map[core.TimerKind]*time.Timer
 	timerMu sync.Mutex
+	// nextSeq numbers the sends SendApp injects (see scheduledSeq);
+	// sendGen counts armSend calls, so a superseded arming's send is
+	// dropped.
 	nextSeq uint64
-	rng     uint64 // xorshift state for the workload driver
+	sendGen uint64
 
 	// recovered is closed (once) when a crash-recovery incarnation has
 	// its state back; it stops the node's rejoin beacon.
@@ -126,50 +83,22 @@ type liveNode struct {
 	recoveredOnce sync.Once
 }
 
-// nextRand advances the node's private xorshift64* generator.
-func (n *liveNode) nextRand() uint64 {
-	x := n.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	n.rng = x
-	return x * 0x2545f4914f6cdd1d
-}
+// scheduledSeq marks the LogicalIDs of scheduled sends. Injected IDs
+// count up from 1, or from the boot time in nanoseconds after a
+// crash-recovery boot, and stay far below it.
+const scheduledSeq = 1 << 63
 
-// pickWorkloadDst selects a destination per the workload's inter-cluster
-// probability.
-func (n *liveNode) pickWorkloadDst(w *Workload) (topology.NodeID, bool) {
-	sizes := n.fed.cfg.Clusters
-	cluster := int(n.id.Cluster)
-	if float64(n.nextRand()%1000)/1000 < w.InterProb && len(sizes) > 1 {
-		for {
-			c := int(n.nextRand() % uint64(len(sizes)))
-			if c != cluster {
-				cluster = c
-				break
-			}
-		}
+// armSend (re)arms the node's next scheduled send on the wall clock,
+// the way the simulator's scheduleNextSend arms it on the virtual one.
+// A restore calls it through NodeApp.Restored.
+func (n *liveNode) armSend() {
+	n.sendGen++
+	if at, ok := n.app.NextSend(); ok {
+		gen := n.sendGen
+		time.AfterFunc(n.app.SimTimeOf(at).Sub(n.app.Now()).Std(), func() {
+			n.post(event{kind: 8, gen: gen})
+		})
 	}
-	if cluster == int(n.id.Cluster) && sizes[cluster] < 2 {
-		return topology.NodeID{}, false
-	}
-	idx := int(n.nextRand() % uint64(sizes[cluster]))
-	for cluster == int(n.id.Cluster) && idx == n.id.Index {
-		idx = int(n.nextRand() % uint64(sizes[cluster]))
-	}
-	return topology.NodeID{Cluster: topology.ClusterID(cluster), Index: idx}, true
-}
-
-// scheduleWorkload arms the node's next automatic send.
-func (n *liveNode) scheduleWorkload() {
-	w := n.fed.cfg.Workload
-	if w == nil {
-		return
-	}
-	jitter := time.Duration(n.nextRand() % uint64(w.Period))
-	time.AfterFunc(w.Period/2+jitter, func() {
-		n.post(event{kind: 8})
-	})
 }
 
 // Live is a running live federation — all of one, or this process's
@@ -321,6 +250,26 @@ func Start(cfg Config) (*Live, error) {
 			cfg.CLCPeriods[i] = 50 * time.Millisecond
 		}
 	}
+	topo := topology.New()
+	for _, size := range cfg.Clusters {
+		topo.Clusters = append(topo.Clusters, topology.Cluster{Nodes: size})
+	}
+	wl := cfg.Workload
+	if wl == nil {
+		wl = liveWorkload(cfg.Clusters, nil)
+	}
+	if err := wl.Validate(topo); err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
+	if !wl.Deterministic || wl.TotalTime < sim.Forever {
+		return nil, fmt.Errorf("runtime: a live workload must be deterministic and open-ended")
+	}
+	// A node's application depends on the node alone, so a restarted
+	// process regenerates the schedule its predecessor ran and replays
+	// it after the restore, as the simulator does.
+	newApp := func(id topology.NodeID) *app.NodeApp {
+		return app.NewNodeApp(id, wl, topo, sim.NewRNG(uint64(id.Cluster)<<32|uint64(id.Index)))
+	}
 	f := &Live{
 		cfg:        cfg,
 		transport:  cfg.Transport,
@@ -370,11 +319,10 @@ func Start(cfg Config) (*Live, error) {
 			}
 			ln := &liveNode{
 				id:        id,
-				app:       newLiveApp(),
+				app:       newApp(id),
 				mailbox:   make(chan event, 4096),
 				fed:       f,
 				timers:    make(map[core.TimerKind]*time.Timer),
-				rng:       uint64(c*131071+i*8191) + 0x9e3779b97f4a7c15,
 				recovered: make(chan struct{}),
 			}
 			coreCfg := core.Config{
@@ -386,14 +334,19 @@ func Start(cfg Config) (*Live, error) {
 				GCInitiator:  c == 0 && i == 0,
 				Replicas:     clampRepl(size),
 			}
+			// NewNode snapshots the fresh application as CLC 1 before its
+			// clock is attached, so that record has AppClock 0.
 			ln.node = core.NewNode(coreCfg, liveEnv{ln}, ln.app)
+			ln.app.Now = liveEnv{ln}.Now
+			ln.app.Restored = ln.armSend
 			f.nodes[id] = ln
 		}
 	}
-	// Seed initial replicas. In subset mode a hosted node may hold the
-	// replica of a *remote* owner: the initial checkpoint is the same
-	// deterministic (fresh app state, SN 1) record on every node, so
-	// each process reconstructs its share without talking to anyone.
+	// Seed initial replicas. The initial checkpoint is the same
+	// deterministic record on every node (SN 1, a fresh application's
+	// snapshot: empty journal, AppClock 0), so each process rebuilds the
+	// replicas it holds, a remote owner's too (subset mode), without
+	// talking to anyone.
 	// A recovering incarnation skips seeding — its nodes boot with
 	// lost state and recover the real thing from the replica holders.
 	if !cfg.Recovering {
@@ -405,11 +358,8 @@ func Start(cfg Config) (*Live, error) {
 					if !local(tgt) {
 						continue
 					}
-					rep := initialReplicaFor(owner)
-					if hosted, ok := f.nodes[owner]; ok {
-						rep = hosted.node.InitialReplica()
-					}
-					f.nodes[tgt].node.SeedReplica(rep)
+					snap, bytes := newApp(owner).Snapshot()
+					f.nodes[tgt].node.SeedReplica(core.Replica{Seq: 1, Owner: owner, State: snap, Size: bytes})
 				}
 			}
 		}
@@ -484,14 +434,6 @@ func (f *Live) rejoinBeacon(ln *liveNode) {
 	}
 }
 
-// initialReplicaFor reconstructs a remote owner's bootstrap replica:
-// core.NewNode stores the fresh application snapshot as CLC 1 on every
-// node, so the record is deterministic across processes.
-func initialReplicaFor(owner topology.NodeID) core.Replica {
-	state, size := newLiveApp().Snapshot()
-	return core.Replica{Seq: 1, Owner: owner, State: state, Size: size}
-}
-
 // announceRejoin broadcasts a lost-state Hello to the node's cluster
 // peers (journaled, like every control send).
 func (f *Live) announceRejoin(ln *liveNode) {
@@ -533,11 +475,7 @@ func (f *Live) onHello(ln *liveNode, h Hello) {
 	if !h.LostState || h.From.Cluster != ln.id.Cluster || h.From == ln.id {
 		return
 	}
-	detector := 0
-	if h.From.Index == 0 {
-		detector = 1
-	}
-	if ln.id.Index != detector {
+	if ln.id != detectorFor(h.From) {
 		return
 	}
 	f.detectMu.Lock()
@@ -603,12 +541,10 @@ func (n *liveNode) loop() {
 			case 2:
 				if !n.node.Failed() {
 					n.nextSeq++
-					n.app.state.Sent++
-					p := core.AppPayload{
+					n.node.Send(e.dst, core.AppPayload{
 						ID:   core.LogicalID{Src: n.id, Seq: n.nextSeq},
 						Size: e.payload.Size,
-					}
-					n.node.Send(e.dst, p)
+					})
 				}
 			case 3:
 				n.node.Fail()
@@ -624,7 +560,7 @@ func (n *liveNode) loop() {
 				close(e.done)
 			case 7:
 				n.node.Start()
-				n.scheduleWorkload()
+				n.armSend()
 				close(e.done)
 			case 9:
 				// Crash-recovery boot of a fresh OS process: the node
@@ -632,14 +568,14 @@ func (n *liveNode) loop() {
 				// cluster's RollbackCmd (announceRejoin makes sure one
 				// comes). Message identities must not collide with the
 				// previous incarnation's — the boot time in nanoseconds
-				// is a strictly increasing base for both counters.
+				// is a strictly increasing base for both counters. The
+				// schedule stays unarmed until the restore re-arms it.
 				n.node.Restart()
 				base := uint64(time.Now().UnixNano())
 				n.node.SeedMsgID(base)
 				if n.nextSeq < base {
 					n.nextSeq = base
 				}
-				n.scheduleWorkload()
 				close(e.done)
 			case 10:
 				// Rejoin beacon tick: keep announcing while the state is
@@ -649,25 +585,18 @@ func (n *liveNode) loop() {
 				} else {
 					n.recoveredOnce.Do(func() { close(n.recovered) })
 				}
-			case 8: // automatic workload send
-				if w := n.fed.cfg.Workload; w != nil {
-					select {
-					case <-n.fed.stopped:
-						return
-					default:
-					}
-					if !n.node.Failed() {
-						if dst, ok := n.pickWorkloadDst(w); ok {
-							n.nextSeq++
-							n.app.state.Sent++
-							n.node.Send(dst, core.AppPayload{
-								ID:   core.LogicalID{Src: n.id, Seq: n.nextSeq},
-								Size: w.Size,
-							})
-						}
-					}
-					n.scheduleWorkload()
+			case 8:
+				// A scheduled send, unless a re-arm superseded it. A
+				// failed node's application makes no progress: the
+				// restore re-arms its schedule.
+				if e.gen != n.sendGen || n.node.Failed() {
+					break
 				}
+				if dst, p, ok := n.app.TakeSend(); ok {
+					p.ID.Seq |= scheduledSeq
+					n.node.Send(dst, p)
+				}
+				n.armSend()
 			}
 		}
 	}
@@ -685,19 +614,27 @@ func (f *Live) Crash(id topology.NodeID) {
 }
 
 // Recover restarts a crashed node and notifies the failure detector's
-// chosen coordinator (the lowest-index surviving node of the cluster).
+// chosen coordinator (see detectorFor). A node whose cluster has no
+// survivor stays crashed: nobody could hand it its state back.
 func (f *Live) Recover(id topology.NodeID) error {
+	if f.cfg.Clusters[id.Cluster] < 2 {
+		return fmt.Errorf("runtime: no survivor in cluster %d", id.Cluster)
+	}
 	f.transport.SetDown(id, false)
 	f.nodes[id].post(event{kind: 4})
-	for i := 0; i < f.cfg.Clusters[id.Cluster]; i++ {
-		cand := topology.NodeID{Cluster: id.Cluster, Index: i}
-		if cand == id {
-			continue
-		}
-		f.nodes[cand].post(event{kind: 5, failed: id})
-		return nil
+	f.nodes[detectorFor(id)].post(event{kind: 5, failed: id})
+	return nil
+}
+
+// detectorFor is the node that runs the failure detector for a victim:
+// the lowest-index other node of its cluster. The choice needs no
+// coordination, so every process makes the same one.
+func detectorFor(victim topology.NodeID) topology.NodeID {
+	d := topology.NodeID{Cluster: victim.Cluster}
+	if victim.Index == 0 {
+		d.Index = 1
 	}
-	return fmt.Errorf("runtime: no survivor in cluster %d", id.Cluster)
+	return d
 }
 
 // Quiesce waits until every node's mailbox has been processed (a sync
@@ -772,10 +709,10 @@ func (f *Live) NodeStored(id topology.NodeID) int { return f.nodes[id].node.Stor
 // Delivered reads how often a node received a logical message (after
 // Stop).
 func (f *Live) Delivered(id topology.NodeID, lid core.LogicalID) int {
-	return f.nodes[id].app.state.Delivered[lid]
+	return f.nodes[id].app.DeliveredTimes(lid)
 }
 
 // DeliveredCount reads a node's distinct delivery count (after Stop).
 func (f *Live) DeliveredCount(id topology.NodeID) int {
-	return len(f.nodes[id].app.state.Delivered)
+	return f.nodes[id].app.DeliveredCount()
 }

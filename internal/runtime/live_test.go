@@ -208,6 +208,23 @@ func TestLiveTCPCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestLiveRecoverWithoutSurvivor: a node alone in its cluster has
+// nobody to recover its state from, so Recover refuses before touching
+// it and the node stays crashed.
+func TestLiveRecoverWithoutSurvivor(t *testing.T) {
+	f := startLive(t, Config{Clusters: []int{1, 2}})
+	victim := node(0, 0)
+	f.Crash(victim)
+	if err := f.Recover(victim); err == nil {
+		t.Fatal("Recover succeeded in a cluster with no survivor")
+	}
+	f.Quiesce()
+	f.Stop()
+	if n := f.nodes[victim].node; !n.Failed() || n.LostState() {
+		t.Fatalf("after a refused Recover: Failed() = %v, LostState() = %v; want true, false", n.Failed(), n.LostState())
+	}
+}
+
 func TestLiveStartValidation(t *testing.T) {
 	if _, err := Start(Config{}); err == nil {
 		t.Fatal("empty config accepted")
@@ -218,7 +235,7 @@ func TestLiveWorkloadDriver(t *testing.T) {
 	f := startLive(t, Config{
 		Clusters:   []int{3, 3},
 		CLCPeriods: []time.Duration{40 * time.Millisecond, 40 * time.Millisecond},
-		Workload:   &Workload{Period: 5 * time.Millisecond, InterProb: 0.2, Size: 128},
+		Workload:   liveWorkload([]int{3, 3}, &WorkloadFile{PeriodMS: 5, InterProb: 0.2, Size: 128}),
 	})
 	settle(f, 300*time.Millisecond)
 	f.Stop()
@@ -246,7 +263,7 @@ func TestLiveWorkloadSurvivesCrash(t *testing.T) {
 	f := startLive(t, Config{
 		Clusters:   []int{3, 2},
 		CLCPeriods: []time.Duration{30 * time.Millisecond, 30 * time.Millisecond},
-		Workload:   &Workload{Period: 4 * time.Millisecond, InterProb: 0.3, Size: 64},
+		Workload:   liveWorkload([]int{3, 2}, &WorkloadFile{PeriodMS: 4, InterProb: 0.3, Size: 64}),
 	})
 	time.Sleep(120 * time.Millisecond)
 	f.Crash(node(0, 1))
@@ -285,7 +302,7 @@ func TestLiveStopRecordIsLast(t *testing.T) {
 		Clusters:   []int{2, 2},
 		CLCPeriods: []time.Duration{3 * time.Millisecond, 3 * time.Millisecond},
 		GCPeriod:   10 * time.Millisecond,
-		Workload:   &Workload{Period: time.Millisecond, InterProb: 0.5, Size: 64},
+		Workload:   liveWorkload([]int{2, 2}, &WorkloadFile{PeriodMS: 1, InterProb: 0.5, Size: 64}),
 		Journal:    j,
 	})
 	// Stop in mid-traffic, once both clusters commit and deliver

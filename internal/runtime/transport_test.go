@@ -1,10 +1,12 @@
 package runtime
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/topology"
 )
@@ -154,23 +156,21 @@ func TestTransportCloseIdempotent(t *testing.T) {
 
 func TestTCPTransportCarriesStates(t *testing.T) {
 	// Checkpoint replicas carry opaque application state through the
-	// wire codec; AppState must round-trip intact.
+	// wire codec; an *app.State must round-trip intact.
 	tr := NewTCPTransport()
 	defer tr.Close()
 	got := collect(tr, bN())
 	tr.Register(a(), func(Envelope) {})
 
-	state := AppState{Sent: 7, Delivered: map[core.LogicalID]int{
-		{Src: a(), Seq: 3}: 2,
-	}}
+	state := &app.State{NextSend: 7, Journal: []core.LogicalID{{Src: a(), Seq: 3}, {Src: a(), Seq: 3}}}
 	rep := core.Replica{Seq: 4, Owner: a(), State: state, Size: 1024}
 	if err := tr.Send(Envelope{Src: a(), Dst: bN(), Msg: rep}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return len(got()) == 1 })
 	back := got()[0].Msg.(core.Replica)
-	bs := back.State.(AppState)
-	if bs.Sent != 7 || bs.Delivered[core.LogicalID{Src: a(), Seq: 3}] != 2 {
+	bs := back.State.(*app.State)
+	if !reflect.DeepEqual(bs, state) {
 		t.Fatalf("state mangled in transit: %+v", bs)
 	}
 }

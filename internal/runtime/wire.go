@@ -9,7 +9,9 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/app"
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -28,8 +30,8 @@ import (
 //     []GCReport): an element count, then the elements;
 //   - Chain: its anchor, then its records;
 //   - state (Replica.State, RecoverStateResp.State, OlderState.State):
-//     one kind byte (nil or AppState), then AppState's Sent and its
-//     delivery map as a count plus (LogicalID, n) entries;
+//     one kind byte (nil or *app.State), then the app.State's fields,
+//     its delivery journal as a count plus LogicalIDs;
 //   - AppPayload: its ID and Size; Data must be nil.
 //
 // The codec is stateless: a frame decodes on its own, whatever came
@@ -42,7 +44,9 @@ const (
 	// wireVersion 2: LogMirror gained Epoch and lost SendSN.
 	// wireVersion 3: connections carry numbered, acknowledged streams
 	// (StreamOpen first, StreamAck back).
-	wireVersion = 3
+	// wireVersion 4: checkpoint state is an *app.State (journal prefix)
+	// instead of a delivery map.
+	wireVersion = 4
 	// maxFrame caps one frame's body.
 	maxFrame = 64 << 20
 )
@@ -420,14 +424,14 @@ func (w *encoder) state(s any) {
 	switch s := s.(type) {
 	case nil:
 		w.b = append(w.b, stateNil)
-	case AppState:
+	case *app.State:
 		w.b = append(w.b, stateApp)
-		w.uint(s.Sent)
-		w.uint(uint64(len(s.Delivered)))
-		for id, n := range s.Delivered {
+		w.int(int64(s.NextSend))
+		w.int(int64(s.AppClock))
+		w.uint(uint64(len(s.Journal)))
+		for _, id := range s.Journal {
 			w.node(id.Src)
 			w.uint(id.Seq)
-			w.int(int64(n))
 		}
 	default:
 		if w.err == nil {
@@ -465,7 +469,7 @@ const (
 	minOlder      = 3  // SN, state kind, Size
 	minLogMirror  = 12 // two nodes, MsgID, payload (node, Seq, Size), PiggySN, DDV count, Epoch
 	minGCReport   = 6  // Round, Cluster, Epoch, anchor count, record count, pair count
-	minStateEntry = 4  // LogicalID (node, Seq), n
+	minJournalRec = 3  // LogicalID (node, Seq)
 )
 
 // decodeEnvelope decodes one frame body. Everything the result holds
@@ -641,12 +645,11 @@ func (r *decoder) state() any {
 	case stateNil:
 		return nil
 	case stateApp:
-		s := AppState{Sent: r.uint()}
-		if n := r.count(minStateEntry); n > 0 {
-			s.Delivered = make(map[core.LogicalID]int, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				id := core.LogicalID{Src: r.node(), Seq: r.uint()}
-				s.Delivered[id] = r.int()
+		s := &app.State{NextSend: r.int(), AppClock: sim.Duration(r.varint())}
+		if n := r.count(minJournalRec); n > 0 {
+			s.Journal = make([]core.LogicalID, n)
+			for i := range s.Journal {
+				s.Journal[i] = core.LogicalID{Src: r.node(), Seq: r.uint()}
 			}
 		}
 		return s

@@ -11,20 +11,25 @@ import (
 	"math"
 	"reflect"
 	goruntime "runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/app"
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
 func nid(c, i int) topology.NodeID { return topology.NodeID{Cluster: topology.ClusterID(c), Index: i} }
 
-// appState builds a state with n deliveries.
-func appState(sent uint64, n int) AppState {
-	s := AppState{Sent: sent, Delivered: make(map[core.LogicalID]int, n)}
-	for i := 0; i < n; i++ {
-		s.Delivered[core.LogicalID{Src: nid(i%3, i%5), Seq: uint64(1000 + i)}] = 1 + i%4
+// appState builds an application snapshot whose journal holds n
+// deliveries.
+func appState(next, n int) *app.State {
+	s := &app.State{NextSend: next, AppClock: sim.Duration(next) * sim.Second,
+		Journal: make([]core.LogicalID, n)}
+	for i := range s.Journal {
+		s.Journal[i] = core.LogicalID{Src: nid(i%3, i%5), Seq: uint64(1000 + i%(n/2+1))}
 	}
 	return s
 }
@@ -170,10 +175,10 @@ func TestEnvelopeCodecCoversEveryMessage(t *testing.T) {
 // which is what live nodes have always been handed.
 func TestEnvelopeEmptyDecodesNil(t *testing.T) {
 	env := Envelope{Msg: core.RecoverStateResp{
-		State: AppState{Delivered: map[core.LogicalID]int{}},
+		State: &app.State{Journal: []core.LogicalID{}},
 		Chain: core.Chain{Anchor: core.DDV{}, Recs: []core.ChainRec{{SN: 1, Pairs: []core.DDVPair{}}}},
 		Older: []core.OlderState{}, Log: []core.LogMirror{}}}
-	want := Envelope{Msg: core.RecoverStateResp{State: AppState{},
+	want := Envelope{Msg: core.RecoverStateResp{State: &app.State{},
 		Chain: core.Chain{Recs: []core.ChainRec{{SN: 1}}}}}
 	if back := roundTrip(t, env); !reflect.DeepEqual(back, want) {
 		t.Fatalf("got %+v, want %+v", back, want)
@@ -182,6 +187,57 @@ func TestEnvelopeEmptyDecodesNil(t *testing.T) {
 	if back := roundTrip(t, env); !reflect.DeepEqual(back, Envelope{Msg: core.AppMsg{}}) {
 		t.Fatalf("got %+v, want nil slices", back)
 	}
+}
+
+// TestNodeAppRestoreAcrossProcesses: a checkpoint replica carries the
+// application's whole delivery journal, so a fresh process restored
+// from it (no history of its own) knows every delivery the owner had
+// made; and a snapshot stays as it was cut whatever the application
+// does after a restore.
+func TestNodeAppRestoreAcrossProcesses(t *testing.T) {
+	clusters := []int{2, 2}
+	wl := liveWorkload(clusters, &WorkloadFile{PeriodMS: 5, InterProb: 0.3, Size: 64})
+	fed := topology.Small(2, 2)
+	id, src := nid(0, 0), nid(1, 1)
+	newApp := func() *app.NodeApp { return app.NewNodeApp(id, wl, fed, sim.NewRNG(1)) }
+	deliver := func(a *app.NodeApp, seqs ...uint64) {
+		for _, seq := range seqs {
+			a.Deliver(src, core.AppPayload{ID: core.LogicalID{Src: src, Seq: seq}})
+		}
+	}
+
+	t.Run("wire", func(t *testing.T) {
+		owner := newApp()
+		deliver(owner, 1, 2, 2, 3)
+		state, size := owner.Snapshot()
+		back := roundTrip(t, Envelope{Src: id, Dst: nid(0, 1),
+			Msg: core.Replica{Seq: 2, Owner: id, State: state, Size: size}})
+		fresh := newApp()
+		fresh.Restore(back.Msg.(core.Replica).State)
+		if got, want := fresh.DeliveredCount(), owner.DeliveredCount(); got != want {
+			t.Fatalf("restored DeliveredCount %d, owner's %d", got, want)
+		}
+		for seq := uint64(0); seq <= 4; seq++ {
+			lid := core.LogicalID{Src: src, Seq: seq}
+			if got, want := fresh.DeliveredTimes(lid), owner.DeliveredTimes(lid); got != want {
+				t.Errorf("restored DeliveredTimes(%v) = %d, owner's %d", lid, got, want)
+			}
+		}
+	})
+
+	t.Run("immutable", func(t *testing.T) {
+		a := newApp()
+		deliver(a, 1)
+		early, _ := a.Snapshot()
+		deliver(a, 2, 3)
+		first, _ := a.Snapshot()
+		want := slices.Clone(first.(*app.State).Journal)
+		a.Restore(early)
+		deliver(a, 4, 5, 6)
+		if got := first.(*app.State).Journal; !slices.Equal(got, want) {
+			t.Fatalf("snapshot journal changed from %v to %v", want, got)
+		}
+	})
 }
 
 type unknownMsg struct{}
@@ -196,7 +252,7 @@ func TestEnvelopeCodecRefuses(t *testing.T) {
 	for _, m := range []core.Msg{
 		nil, unknownMsg{}, &core.AppMsg{},
 		core.AppMsg{Payload: core.AppPayload{Data: "opaque"}},
-		core.Replica{State: "not an AppState"},
+		core.Replica{State: "not an *app.State"},
 		core.RecoverStateResp{Older: []core.OlderState{{State: 3}}},
 	} {
 		out, err := appendEnvelope(prefix, Envelope{Msg: m})
@@ -227,7 +283,7 @@ func TestEnvelopeCodecRefuses(t *testing.T) {
 		"bool 2":         append(head, tagHello, 0, 0, 2),
 		"state kind 9":   append(head, tagReplica, 1, 1, 0, 0, 9),
 		"2^40 DDV":       binary.AppendUvarint(append(head, tagCLCCommit, 1, 1), 1<<40),
-		"2^40 map":       binary.AppendUvarint(append(head, tagReplica, 1, 1, 0, 0, stateApp, 0), 1<<40),
+		"2^40 journal":   binary.AppendUvarint(append(head, tagReplica, 1, 1, 0, 0, stateApp, 0, 0), 1<<40),
 		"int32 overflow": binary.AppendVarint(append(head, tagCLCAck, 1, 1, 0, 1), 1<<40),
 		"varint overrun": append(head, tagGCRequest, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
 	} {
@@ -319,7 +375,7 @@ func bytesAllocated(f func()) uint64 {
 
 // benchEnvelopes are the codec benchmark's shapes: an intra-cluster
 // AppMsg, an inter-cluster one with a 2-wide piggybacked DDV, and a
-// checkpoint Replica whose state holds 50 000 deliveries.
+// checkpoint Replica whose state's journal holds 50 000 deliveries.
 func benchEnvelopes() []struct {
 	name string
 	env  Envelope
