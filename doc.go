@@ -234,7 +234,8 @@
 // dense. It is the only representation: a node's records, the GC
 // report (GCReport.Chain), the recovery answer (RecoverStateResp.Chain)
 // and the oracle's shadow history are all a Chain, and the
-// recovery-line analysis (core.SimulateFailure, core.SmallestSNs) runs
+// recovery-line analysis (core.SimulateFailure, core.SmallestSNs, and
+// core.LineAnalyzer, which keeps its memory between GC rounds) runs
 // on chains directly — per chain a column index built once from the
 // pairs, "oldest record whose entry for c is >= s" a binary search over
 // the column's changes, dense only for each cluster's one current

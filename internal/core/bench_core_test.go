@@ -277,11 +277,11 @@ func BenchmarkForcedCLCRound(b *testing.B) {
 		// Keep the newest CLC of each cluster; the sender's entries were
 		// acked at the receiver's SN, so one above it trims them.
 		minSNs[0], minSNs[1] = receiver.SN(), sender.SN()
-		bed.node(0, 0).applyGCDrop(minSNs)
-		receiver.applyGCDrop(minSNs)
+		bed.node(0, 0).applyGCDrop(1, minSNs)
+		receiver.applyGCDrop(1, minSNs)
 		minSNs[0]++
-		bed.node(1, 0).applyGCDrop(minSNs)
-		sender.applyGCDrop(minSNs)
+		bed.node(1, 0).applyGCDrop(1, minSNs)
+		sender.applyGCDrop(1, minSNs)
 		bed.pump()
 	}
 	for i := 0; i < 10; i++ {
@@ -354,8 +354,8 @@ func BenchmarkCommitWidth1024(b *testing.B) {
 		// The collector's drop keeps the steady state: one stored CLC
 		// and its replica per node.
 		minSNs[0] = leader.SN()
-		leader.applyGCDrop(minSNs)
-		peer.applyGCDrop(minSNs)
+		leader.applyGCDrop(1, minSNs)
+		peer.applyGCDrop(1, minSNs)
 	}
 	if leader.StoredCount() != 1 || peer.ReplicaCount() != 1 {
 		b.Fatalf("steady state drifted: %d CLCs, %d replicas", leader.StoredCount(), peer.ReplicaCount())

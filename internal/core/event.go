@@ -72,8 +72,8 @@ const (
 	// pipe to Cluster (DDV: the dense vector the message stands for,
 	// the node's shared piggy clone, immutable once handed out).
 	EventPiggySend
-	// EventGCDrop: the node applies a garbage-collection threshold
-	// vector (DDV: the minimum SN kept per cluster).
+	// EventGCDrop: the node applies round Round's garbage-collection
+	// threshold vector (DDV: the minimum SN kept per cluster).
 	EventGCDrop
 	// numEventKinds bounds the kinds; keep it last.
 	numEventKinds
@@ -171,7 +171,7 @@ func (e Event) String() string {
 	case EventPiggySend:
 		return fmt.Sprintf("piggyback %v to c%d", e.DDV, e.Cluster)
 	case EventGCDrop:
-		return fmt.Sprintf("GC drop below %v", e.DDV)
+		return fmt.Sprintf("GC round %d drop below %v", e.Round, e.DDV)
 	}
 	return fmt.Sprintf("Event(kind=%d)", e.Kind)
 }

@@ -63,7 +63,7 @@ func TestEventStringMatchesTraceFormat(t *testing.T) {
 			fmt.Sprintf("deliver from %v (epoch %d sn=%d) at sn=%d (epoch %d)", peer, Epoch(1), SN(8), SN(5), Epoch(2))},
 		{Event{Kind: EventPiggySend, Cluster: 3, DDV: ddv}, sim.TraceOff,
 			fmt.Sprintf("piggyback %v to c%d", ddv, topology.ClusterID(3))},
-		{Event{Kind: EventGCDrop, DDV: ddv}, sim.TraceOff, fmt.Sprintf("GC drop below %v", ddv)},
+		{Event{Kind: EventGCDrop, Round: 4, DDV: ddv}, sim.TraceOff, fmt.Sprintf("GC round 4 drop below %v", ddv)},
 	}
 	covered := make(map[EventKind]bool)
 	for _, r := range rows {
@@ -146,7 +146,7 @@ func TestCLCRoundAllocsPerPeer(t *testing.T) {
 					// history stays one record deep.
 					minSNs[0] = leader.SN()
 					for i := 0; i < size; i++ {
-						bed.node(0, i).applyGCDrop(minSNs)
+						bed.node(0, i).applyGCDrop(1, minSNs)
 					}
 				}
 				for i := 0; i < 20; i++ {
@@ -189,7 +189,7 @@ func TestLoggedSendAllocs(t *testing.T) {
 		// Every entry was acked at dst's SN: a threshold above it
 		// trims them all.
 		minSNs[0], minSNs[1] = sender.SN(), dst.SN()+1
-		sender.applyGCDrop(minSNs)
+		sender.applyGCDrop(1, minSNs)
 		bed.pump()
 	}
 	for i := 0; i < 4; i++ {

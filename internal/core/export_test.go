@@ -455,7 +455,9 @@ type DenseShadows struct {
 	// recovering is the answer the node now handling a RecoverStateResp
 	// was sent; nil outside Deliver.
 	recovering []Meta
-	err        error
+	// gcRounds is the round each node's last GC drop named.
+	gcRounds map[topology.NodeID]uint64
+	err      error
 }
 
 func NewDenseShadows() *DenseShadows {
@@ -464,6 +466,7 @@ func NewDenseShadows() *DenseShadows {
 		replicas: map[topology.NodeID]map[replicaKey]Replica{},
 		lists:    map[topology.NodeID][]Meta{},
 		answers:  map[*ChainRec][]Meta{},
+		gcRounds: map[topology.NodeID]uint64{},
 	}
 }
 
@@ -493,6 +496,7 @@ func (d *DenseShadows) NodeEvent(id topology.NodeID, ev Event) {
 		d.checkHeldUnpinned(id)
 		d.restore(id, ev.Seq, ev.DDV)
 	case EventGCDrop:
+		d.gcRounds[id] = ev.Round
 		d.gcDrop(id, ev.DDV)
 	case EventRestarted:
 		d.checkHeldUnpinned(id)

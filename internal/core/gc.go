@@ -183,18 +183,36 @@ func (n *Node) maybeFinishGCRound() {
 		n.env.Send(n.leaderOf(c), controlSize(coll), coll)
 	}
 	n.env.Stat("gc.rounds_completed", 1)
-	n.distributeDropLocally(coll.MinSNs)
+	n.distributeDropLocally(coll.Round, coll.MinSNs)
+}
+
+// gcScratch is the GC initiator's analysis memory, kept between
+// rounds: the per-cluster chains and current vectors handed to the
+// analysis, and the width² cells those vectors live in.
+type gcScratch struct {
+	lines    LineAnalyzer
+	chains   []Chain
+	currents []DDV
+	cells    []SN
 }
 
 // computeMinSNs runs the paper's analysis: simulate a failure in every
 // cluster and keep, per cluster, the smallest SN it might roll back to.
 // The analysis reads the reported chains as they are; the one dense
-// vector it needs per cluster is the current DDV.
+// vector it needs per cluster is the current DDV. Every buffer but the
+// returned thresholds is the initiator's scratch, reused each round.
 func (n *Node) computeMinSNs(reports map[topology.ClusterID]GCReport) ([]SN, error) {
 	width := n.cfg.Clusters
-	chains := make([]Chain, width)
-	currents := make([]DDV, width)
-	cells := make([]SN, width*width)
+	s := n.gcScratch
+	if s == nil {
+		s = &gcScratch{
+			chains:   make([]Chain, width),
+			currents: make([]DDV, width),
+			cells:    make([]SN, width*width),
+		}
+		n.gcScratch = s
+	}
+	defer clear(s.chains) // the reports' chains are not ours to keep
 	for c := 0; c < width; c++ {
 		rep, ok := reports[topology.ClusterID(c)]
 		if !ok {
@@ -203,12 +221,12 @@ func (n *Node) computeMinSNs(reports map[topology.ClusterID]GCReport) ([]SN, err
 		if len(rep.Chain.Anchor) != width {
 			return nil, fmt.Errorf("core: cluster %d reports a %d-entry anchor in a %d-cluster federation", c, len(rep.Chain.Anchor), width)
 		}
-		cur := DDV(cells[c*width : (c+1)*width : (c+1)*width])
+		cur := DDV(s.cells[c*width : (c+1)*width : (c+1)*width])
 		rep.Chain.Vector(rep.Chain.Len()-1, cur)
 		cur.applyPairs(rep.CurPairs)
-		chains[c], currents[c] = rep.Chain, cur
+		s.chains[c], s.currents[c] = rep.Chain, cur
 	}
-	mins, err := SmallestSNs(chains, currents)
+	mins, err := s.lines.SmallestSNs(s.chains, s.currents)
 	if err == nil && Mutate.GCOverCollect {
 		// Seeded protocol break for oracle smoke tests: threshold one
 		// past the safe minimum discards a checkpoint a future recovery
@@ -226,15 +244,15 @@ func (n *Node) onGCCollect(src topology.NodeID, m GCCollect) {
 	if !n.leader() {
 		return
 	}
-	n.distributeDropLocally(m.MinSNs)
+	n.distributeDropLocally(m.Round, m.MinSNs)
 }
 
-// distributeDropLocally broadcasts the drop thresholds inside the
+// distributeDropLocally broadcasts round's drop thresholds inside the
 // cluster and applies them here.
-func (n *Node) distributeDropLocally(minSNs []SN) {
-	drop := GCDrop{Round: n.gcRound, Epoch: n.epoch, MinSNs: minSNs}
+func (n *Node) distributeDropLocally(round uint64, minSNs []SN) {
+	drop := GCDrop{Round: round, Epoch: n.epoch, MinSNs: minSNs}
 	sendToCluster(n, nil, drop)
-	n.applyGCDrop(minSNs)
+	n.applyGCDrop(round, minSNs)
 }
 
 // onGCDrop applies the thresholds on a cluster member.
@@ -242,7 +260,7 @@ func (n *Node) onGCDrop(src topology.NodeID, m GCDrop) {
 	if m.Epoch != n.epoch || src.Cluster != n.cluster {
 		return
 	}
-	n.applyGCDrop(m.MinSNs)
+	n.applyGCDrop(m.Round, m.MinSNs)
 }
 
 // applyGCDrop discards checkpoints that can never again be a rollback
@@ -250,11 +268,11 @@ func (n *Node) onGCDrop(src topology.NodeID, m GCDrop) {
 // whose delivery is captured by every checkpoint the receiver cluster
 // might restore ("acknowledged with a SN smaller than the receiver's
 // cluster smallest SN").
-func (n *Node) applyGCDrop(minSNs []SN) {
+func (n *Node) applyGCDrop(round uint64, minSNs []SN) {
 	if len(minSNs) != n.cfg.Clusters {
 		return
 	}
-	n.emit(Event{Kind: EventGCDrop, DDV: minSNs})
+	n.emit(Event{Kind: EventGCDrop, Round: round, DDV: minSNs})
 	before := len(n.clcs)
 	threshold := minSNs[n.cluster]
 	// The log goes first: the records only its trimmed entries name need
@@ -321,7 +339,7 @@ func (n *Node) onGCToken(src topology.NodeID, m GCToken) {
 				return
 			}
 			n.env.Stat("gc.rounds_completed", 1)
-			n.distributeDropLocally(minSNs)
+			n.distributeDropLocally(m.Round, minSNs)
 			n.forwardToken(GCToken{Round: m.Round, Phase: 1, MinSNs: minSNs})
 			return
 		}
@@ -334,7 +352,7 @@ func (n *Node) onGCToken(src topology.NodeID, m GCToken) {
 		if n.cfg.GCInitiator {
 			return // token completed the distribution lap
 		}
-		n.distributeDropLocally(m.MinSNs)
+		n.distributeDropLocally(m.Round, m.MinSNs)
 		n.forwardToken(m)
 	}
 }

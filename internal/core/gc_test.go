@@ -241,3 +241,31 @@ func TestMemoryDemandsRateLimited(t *testing.T) {
 }
 
 var _ = topology.NodeID{} // test helpers address nodes by ID
+
+// TestGCDropCarriesInitiatorRound: every node of every cluster applies
+// a round's thresholds under the initiator's round number, star and
+// ring alike — not only the initiator's own cluster, which is the one
+// whose leader advances the counter.
+func TestGCDropCarriesInitiatorRound(t *testing.T) {
+	for _, ring := range []bool{false, true} {
+		b := newTestbed(t, []int{2, 2, 2}, 1, false)
+		init := b.node(0, 0)
+		init.cfg.GCInitiator = true
+		init.cfg.RingGC = ring
+		for round := uint64(1); round <= 3; round++ {
+			for c := 0; c < 3; c++ {
+				b.commitCLC(c)
+			}
+			init.OnTimer(TimerGC)
+			b.pump()
+			if got := b.stats["gc.rounds_completed"]; got != round {
+				t.Fatalf("ring=%v: %d rounds completed, want %d", ring, got, round)
+			}
+			for id := range b.nodes {
+				if got := b.shadows.gcRounds[id]; got != round {
+					t.Errorf("ring=%v: %v applied round %d's drop as round %d", ring, id, round, got)
+				}
+			}
+		}
+	}
+}

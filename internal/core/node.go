@@ -398,7 +398,8 @@ type Node struct {
 	gcAlertsMark  uint64
 	gcLastStart   sim.Time
 	gcStartedOnce bool
-	gcDemanded    bool // a memory-pressure demand is outstanding here
+	gcDemanded    bool       // a memory-pressure demand is outstanding here
+	gcScratch     *gcScratch // the initiator's, allocated by its first round
 
 	// forceScratch is the reusable buffer for building forced-CLC
 	// targets. Ownership: valid only until the next buildForceTarget

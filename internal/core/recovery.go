@@ -160,17 +160,22 @@ type rbAlert struct {
 
 // lineAnalysis is the recovery-line computation over a federation's
 // stored chains: the column indexes are built once and every simulated
-// failure reuses them and the scratch.
+// failure reuses them and the scratch. reset rebuilds it in place, so
+// one lineAnalysis kept across calls (LineAnalyzer) allocates nothing
+// once its buffers have grown to the federation's size.
 type lineAnalysis struct {
 	idx      []chainIndex
 	currents []DDV
 	queue    []rbAlert
+	cols     []colChange // backing store of every idx[j].cols
+	rl       RecoveryLine
 }
 
-func newLineAnalysis(chains []Chain, currents []DDV) (*lineAnalysis, error) {
+// reset indexes chains and currents, reusing a's memory.
+func (a *lineAnalysis) reset(chains []Chain, currents []DDV) error {
 	n := len(chains)
 	if len(currents) != n {
-		return nil, fmt.Errorf("core: %d checkpoint chains but %d current DDVs", n, len(currents))
+		return fmt.Errorf("core: %d checkpoint chains but %d current DDVs", n, len(currents))
 	}
 	pairs := 0
 	for _, c := range chains {
@@ -178,26 +183,38 @@ func newLineAnalysis(chains []Chain, currents []DDV) (*lineAnalysis, error) {
 			pairs += len(c.Recs[r].Pairs)
 		}
 	}
-	a := &lineAnalysis{idx: make([]chainIndex, n), currents: currents}
-	buf := make([]colChange, 0, pairs)
+	a.idx = slices.Grow(a.idx[:0], n)[:n]
+	a.cols = slices.Grow(a.cols[:0], pairs)
+	a.currents = currents
+	buf := a.cols
 	for j, c := range chains {
 		if len(currents[j]) != n {
-			return nil, fmt.Errorf("core: cluster %d reports a %d-entry DDV in a %d-cluster federation", j, len(currents[j]), n)
+			return fmt.Errorf("core: cluster %d reports a %d-entry DDV in a %d-cluster federation", j, len(currents[j]), n)
 		}
 		x, err := indexChain(c, n, buf[len(buf):])
 		if err != nil {
-			return nil, fmt.Errorf("cluster %d: %w", j, err)
+			return fmt.Errorf("cluster %d: %w", j, err)
 		}
 		a.idx[j] = x
 		buf = buf[:len(buf)+len(x.cols)]
 	}
-	return a, nil
+	return nil
 }
 
-// line returns a RecoveryLine sized for the analysis.
-func (a *lineAnalysis) line() RecoveryLine {
+// release drops the references a kept analysis holds to its last
+// input, so the chains it indexed can be collected.
+func (a *lineAnalysis) release() {
+	clear(a.idx)
+	a.currents = nil
+}
+
+// line sizes a's scratch recovery line for the analysis.
+func (a *lineAnalysis) line() *RecoveryLine {
 	n := len(a.idx)
-	return RecoveryLine{Index: make([]int, n), SN: make([]SN, n), RolledBack: make([]bool, n)}
+	a.rl.Index = slices.Grow(a.rl.Index[:0], n)[:n]
+	a.rl.SN = slices.Grow(a.rl.SN[:0], n)[:n]
+	a.rl.RolledBack = slices.Grow(a.rl.RolledBack[:0], n)[:n]
+	return &a.rl
 }
 
 // simulate computes into rl the recovery line for a failure in cluster
@@ -264,12 +281,12 @@ func (a *lineAnalysis) simulate(f topology.ClusterID, rl *RecoveryLine) error {
 // rule must make impossible; the error path exists so tests can prove
 // it never fires.
 func SimulateFailure(chains []Chain, currents []DDV, f topology.ClusterID) (RecoveryLine, error) {
-	a, err := newLineAnalysis(chains, currents)
-	if err != nil {
+	var a lineAnalysis
+	if err := a.reset(chains, currents); err != nil {
 		return RecoveryLine{}, err
 	}
 	rl := a.line()
-	return rl, a.simulate(f, &rl)
+	return *rl, a.simulate(f, rl)
 }
 
 // SmallestSNs implements the garbage collector's analysis (§3.5): it
@@ -278,8 +295,23 @@ func SimulateFailure(chains []Chain, currents []DDV, f topology.ClusterID) (Reco
 // strictly older than this threshold can never be a rollback target and
 // may be discarded.
 func SmallestSNs(chains []Chain, currents []DDV) ([]SN, error) {
-	a, err := newLineAnalysis(chains, currents)
-	if err != nil {
+	var z LineAnalyzer
+	return z.SmallestSNs(chains, currents)
+}
+
+// LineAnalyzer runs the §3.5 analysis on memory it keeps between calls:
+// the column indexes, the alert queue and the recovery line are reused,
+// so a caller that analyses once per GC round allocates only the
+// thresholds each call returns. The zero value is ready to use; it is
+// not safe for concurrent use.
+type LineAnalyzer struct{ a lineAnalysis }
+
+// SmallestSNs is the package-level SmallestSNs on z's memory. The
+// returned slice is freshly allocated: thresholds travel in messages.
+func (z *LineAnalyzer) SmallestSNs(chains []Chain, currents []DDV) ([]SN, error) {
+	a := &z.a
+	defer a.release()
+	if err := a.reset(chains, currents); err != nil {
 		return nil, err
 	}
 	n := len(chains)
@@ -289,7 +321,7 @@ func SmallestSNs(chains []Chain, currents []DDV) ([]SN, error) {
 	}
 	rl := a.line()
 	for f := 0; f < n; f++ {
-		if err := a.simulate(topology.ClusterID(f), &rl); err != nil {
+		if err := a.simulate(topology.ClusterID(f), rl); err != nil {
 			return nil, err
 		}
 		for j := 0; j < n; j++ {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/federation"
+	"repro/internal/sim"
 )
 
 // The chaos-tier suite: adversarial schedules (bounded reordering,
@@ -169,7 +171,9 @@ func TestOracleCatchesMutations(t *testing.T) {
 // every classic failure pattern and the 64-cluster wide slice (whose
 // transitive piggybacks exercise the pipe-lockstep check) — with the
 // oracle attached: the CSV must stay byte-identical to the recordings,
-// proving the oracle is pure observation.
+// proving the oracle is pure observation. A 128-cluster transitive run
+// with garbage collection on, where the oracle checks every GC round,
+// must match its oracle-off twin statistic for statistic.
 func TestOracleGoldenByteIdentity(t *testing.T) {
 	for _, failure := range tierNamed("classic").axes[axisFailure] {
 		failure := failure
@@ -209,6 +213,39 @@ func TestOracleGoldenByteIdentity(t *testing.T) {
 		}
 		if got := tab.CSV(); got != string(want) {
 			t.Errorf("oracle-attached wide CSV diverged from the golden:\n--- got\n%s--- want\n%s", got, want)
+		}
+	})
+	t.Run("wide-gc", func(t *testing.T) {
+		// 128 clusters, transitive piggybacks, garbage collection on:
+		// the oracle checks every round's drops, and the run's
+		// statistics must not notice.
+		if testing.Short() {
+			t.Skip("wide GC oracle identity skipped in -short mode")
+		}
+		sc := Scenario{Topology: "128c", Workload: "ring", Failure: "crash", Network: "lan"}
+		run := func(attach bool) *federation.Result {
+			opts, err := ScenarioOptions(Config{Seed: 11, Quick: true}, sc, "hc3i")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !opts.Transitive {
+				t.Fatal("the wide tier no longer runs transitive piggybacks")
+			}
+			opts.GCPeriod = 5 * sim.Minute
+			opts.Oracle = attach
+			res, err := runFed(opts)
+			if err != nil {
+				t.Fatalf("oracle=%v: %v", attach, err)
+			}
+			return res
+		}
+		off, on := run(false), run(true)
+		if len(on.GCRounds) == 0 {
+			t.Fatal("no GC round completed: the drops went unchecked")
+		}
+		t.Logf("%d GC rounds, %d events, %d failures", len(on.GCRounds), on.Events, on.Failures)
+		if a, b := off.Stats.Dump(), on.Stats.Dump(); a != b || off.Events != on.Events {
+			t.Errorf("oracle-attached run diverged: %d vs %d events\n--- off\n%s--- on\n%s", off.Events, on.Events, a, b)
 		}
 	})
 }

@@ -16,7 +16,10 @@
 //   - recovery-line sanity (§3.4: rollbacks restore checkpoints that
 //     exist, agree cluster-wide, and epochs never skip),
 //   - garbage-collection safety (§3.5: no collection discards a
-//     checkpoint some future recovery could still need),
+//     checkpoint some future recovery could still need; the collector's
+//     analysis is rerun over the shadow state once per GC round — at the
+//     first drop of each threshold vector, again after any rollback —
+//     see gcDrop),
 //   - delta-codec/pipe lockstep (the wire-encoding contract of
 //     core/delta.go: at every pipe exit the decoder holds exactly the
 //     dense vector the message stood for).
@@ -34,6 +37,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -45,7 +49,8 @@ import (
 const MaxViolations = 16
 
 // rollbackRec is one observed epoch bump of a cluster: the checkpoint
-// it restored and the vector it resumed from.
+// it restored and the vector it resumed from. Epochs advance one at a
+// time, so a cluster's rolls[i] is the rollback into epoch i+1.
 type rollbackRec struct {
 	epoch core.Epoch
 	toSN  core.SN
@@ -90,6 +95,8 @@ type Oracle struct {
 	pipes [][]core.DDV
 	// vec is the scratch a stored vector is materialised into.
 	vec core.DDV
+	// gc caches the garbage-collection safety analysis (gcDrop).
+	gc gcCheck
 
 	// Clock supplies the virtual clock for violation context (optional).
 	Clock func() sim.Time
@@ -117,6 +124,10 @@ func New(nClusters int) *Oracle {
 		clusters: make([]clusterShadow, nClusters),
 		pipes:    make([][]core.DDV, nClusters*nClusters),
 		vec:      core.NewDDV(nClusters),
+		gc: gcCheck{
+			chains:   make([]core.Chain, nClusters),
+			currents: make([]core.DDV, nClusters),
+		},
 	}
 	for i := range o.clusters {
 		c := &o.clusters[i]
@@ -260,7 +271,9 @@ func (o *Oracle) restore(id topology.NodeID, toSN core.SN, newEpoch core.Epoch, 
 	c := &o.clusters[id.Cluster]
 	switch {
 	case newEpoch == c.epoch+1:
-		// First observation of this epoch's rollback.
+		// First observation of this epoch's rollback: it may lower a
+		// safe minimum, so the cached GC analysis is stale.
+		o.gc.valid = false
 		c.chain.TruncateAfter(toSN)
 		if idx := c.chain.Index(toSN); idx < 0 {
 			o.violatef("rollback: %v restored CLC %d which the cluster no longer stores (GC unsafe?)", id, toSN)
@@ -317,20 +330,20 @@ func (o *Oracle) restore(id topology.NodeID, toSN core.SN, newEpoch core.Epoch, 
 		}
 	case newEpoch < c.epoch:
 		// A straggler executing a superseded rollback command: legal,
-		// but it must match the rollback that created that epoch.
-		for _, r := range c.rolls {
-			if r.epoch == newEpoch {
-				if r.toSN != toSN {
-					o.violatef("rollback agreement: %v restored CLC %d for epoch %d, cluster restored %d",
-						id, toSN, newEpoch, r.toSN)
-				} else if !ddv.Equal(r.ddv) {
-					o.violatef("rollback agreement: %v epoch %d vector %v, cluster restored %v",
-						id, newEpoch, ddv, r.ddv)
-				}
-				return
-			}
+		// but it must match the rollback that created that epoch,
+		// rolls[newEpoch-1]. Epoch 0 is entered by no rollback.
+		if newEpoch == 0 {
+			o.violatef("rollback: %v restored epoch %d the cluster never entered", id, newEpoch)
+			return
 		}
-		o.violatef("rollback: %v restored epoch %d the cluster never entered", id, newEpoch)
+		r := &c.rolls[newEpoch-1]
+		if r.toSN != toSN {
+			o.violatef("rollback agreement: %v restored CLC %d for epoch %d, cluster restored %d",
+				id, toSN, newEpoch, r.toSN)
+		} else if !ddv.Equal(r.ddv) {
+			o.violatef("rollback agreement: %v epoch %d vector %v, cluster restored %v",
+				id, newEpoch, ddv, r.ddv)
+		}
 	default:
 		o.violatef("rollback: %v skipped from epoch %d to %d", id, c.epoch, newEpoch)
 	}
@@ -358,9 +371,11 @@ func (o *Oracle) deliver(dst, src topology.NodeID, srcEpoch core.Epoch, sendSN, 
 	}
 	d := delivRec{src: src.Cluster, srcEpoch: srcEpoch, sendSN: sendSN, recvSN: recvSN}
 	// A prior-epoch delivery is an orphan obligation from birth when
-	// some rollback after its epoch already discarded the send.
-	for _, r := range s.rolls {
-		if r.epoch > srcEpoch && sendSN >= r.toSN {
+	// some rollback after its epoch already discarded the send. rolls
+	// holds one record per epoch (rolls[i] created epoch i+1), so only
+	// the newest len(rolls)-srcEpoch records are after the send's epoch.
+	for i := len(s.rolls) - 1; i >= 0 && s.rolls[i].epoch > srcEpoch; i-- {
+		if sendSN >= s.rolls[i].toSN {
 			d.orphaned = true
 			break
 		}
@@ -389,12 +404,37 @@ func (o *Oracle) CheckPipeExit(src, dst topology.ClusterID, decoded core.DDV) {
 	}
 }
 
+// gcCheck is the §3.5 analysis of the shadow state, kept for the
+// threshold vector it was last run for. A GC round's drops all name one
+// vector, so the oracle analyses once per round, on memory it reuses.
+type gcCheck struct {
+	valid bool
+	key   []core.SN // the threshold vector the analysis was run for
+	fresh []core.SN // the analysis's minimums
+	err   error
+	// uncached makes every drop rerun the analysis: the reference the
+	// cache is tested against (export_test.go).
+	uncached bool
+
+	lines    core.LineAnalyzer
+	chains   []core.Chain
+	currents []core.DDV
+}
+
 // gcDrop checks garbage-collection safety: the distributed
 // thresholds must never exceed what the recovery-line analysis over
 // the oracle's own shadow state allows (a higher threshold discards a
 // checkpoint some simulated failure still needs). It then prunes the
 // shadow chain like the protocol does and retires delivery records the
 // collection proved permanently safe.
+//
+// The analysis runs at the first drop of a threshold vector and is
+// reused by the round's later drops. Reuse is sound because, in
+// between, shadow commits only raise the safe minimums and shadow
+// drops below a safe threshold discard nothing a simulated failure
+// needs; a rollback can lower a minimum, so restore invalidates the
+// cache. The first drop of every round therefore checks exactly what a
+// fresh analysis checks.
 func (o *Oracle) gcDrop(id topology.NodeID, minSNs []core.SN) {
 	if len(minSNs) != o.width {
 		o.violatef("gc: %v applied a %d-entry threshold vector in a %d-cluster federation",
@@ -406,24 +446,28 @@ func (o *Oracle) gcDrop(id topology.NodeID, minSNs []core.SN) {
 	if c.chain.Len() == 0 || c.chain.Recs[0].SN >= threshold {
 		return // nothing to drop here: a later node of the same round
 	}
-	// Safety: rerun the §3.5 analysis on the shadow history. Shadow
-	// commits since the reports only raise the safe minimums, so any
-	// distributed threshold above the freshly computed one discards a
-	// checkpoint a simulated failure still needs.
-	chains := make([]core.Chain, o.width)
-	currents := make([]core.DDV, o.width)
-	for i := range o.clusters {
-		chains[i] = o.clusters[i].chain
-		currents[i] = o.clusters[i].cur
+	g := &o.gc
+	if !g.valid || g.uncached || !slices.Equal(g.key, minSNs) {
+		// Rerun the §3.5 analysis on the shadow history. Shadow
+		// commits since the reports only raise the safe minimums, so
+		// any distributed threshold above the freshly computed one
+		// discards a checkpoint a simulated failure still needs.
+		for i := range o.clusters {
+			g.chains[i] = o.clusters[i].chain
+			g.currents[i] = o.clusters[i].cur
+		}
+		g.fresh, g.err = g.lines.SmallestSNs(g.chains, g.currents)
+		clear(g.chains) // copies of chains that later drops and commits replace
+		g.key = append(g.key[:0], minSNs...)
+		g.valid = true
 	}
-	fresh, err := core.SmallestSNs(chains, currents)
-	if err != nil {
-		o.violatef("gc safety: recovery-line analysis over the shadow state failed: %v", err)
+	if g.err != nil {
+		o.violatef("gc safety: recovery-line analysis over the shadow state failed: %v", g.err)
 	} else {
 		for i, m := range minSNs {
-			if m > fresh[i] {
+			if m > g.fresh[i] {
 				o.violatef("gc safety: threshold %d for cluster %d, but a failure could roll it back to %d",
-					m, i, fresh[i])
+					m, i, g.fresh[i])
 				break
 			}
 		}

@@ -189,6 +189,57 @@ func TestGCSafeDropAccepted(t *testing.T) {
 	}
 }
 
+// TestGCCacheInvalidatedByRollback: two drops of one threshold vector
+// with a rollback between them. The first drop's analysis allows the
+// vector; the rollback lowers cluster 1's safe minimum below its
+// threshold, so the second drop must analyse again and flag it.
+func TestGCCacheInvalidatedByRollback(t *testing.T) {
+	o := New(2)
+	commitCluster(o, 0, 2, 0, ddv(2, 0))
+	commitCluster(o, 0, 3, 0, ddv(3, 0))
+	commitCluster(o, 1, 2, 0, ddv(0, 2))
+	commitCluster(o, 1, 3, 0, ddv(0, 3))
+	mins := []core.SN{3, 3}
+	gcDrop(o, node(0, 0), mins)
+	if o.Err() != nil {
+		t.Fatalf("safe thresholds flagged: %v", o.Err())
+	}
+	restore(o, node(1, 0), 2, 1, ddv(0, 2))
+	gcDrop(o, node(1, 0), mins)
+	wantViolation(t, o, "threshold 3 for cluster 1, but a failure could roll it back to 2")
+}
+
+// TestPriorEpochDeliveryBornOrphaned: a delivery whose send an earlier
+// rollback already discarded is an orphan obligation from birth, found
+// however many rollbacks came after the one that discarded it.
+func TestPriorEpochDeliveryBornOrphaned(t *testing.T) {
+	cases := []struct {
+		srcEpoch core.Epoch
+		sendSN   core.SN
+		orphan   bool
+	}{
+		{0, 1, false}, // before both rollbacks' targets
+		{0, 2, true},  // discarded by the epoch-1 rollback to CLC 2
+		{1, 3, false}, // epoch 1, below the epoch-2 rollback's target
+		{1, 4, true},  // discarded by the epoch-2 rollback to CLC 4
+		{2, 4, false}, // the current epoch
+	}
+	for _, tc := range cases {
+		o := New(2)
+		commitCluster(o, 0, 2, 0, ddv(2, 0))
+		restore(o, node(0, 0), 2, 1, ddv(2, 0))
+		commitCluster(o, 0, 3, 1, ddv(3, 0))
+		commitCluster(o, 0, 4, 1, ddv(4, 0))
+		restore(o, node(0, 0), 4, 2, ddv(4, 0))
+		deliver(o, node(1, 0), node(0, 0), tc.srcEpoch, tc.sendSN, 0, 1)
+		err := o.Finish()
+		if got := err != nil && strings.Contains(err.Error(), "orphan"); got != tc.orphan {
+			t.Errorf("delivery of epoch %d SendSN %d: orphan=%v, want %v (%v)",
+				tc.srcEpoch, tc.sendSN, got, tc.orphan, err)
+		}
+	}
+}
+
 func TestPipeLockstep(t *testing.T) {
 	o := New(2)
 	piggySend(o, node(0, 0), 1, ddv(2, 0))

@@ -23,7 +23,8 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Kind: core.EventCLCCommitted, Seq: 5, Epoch: 2, DDV: v},
 		{Kind: core.EventRestore, Seq: 3, Epoch: 2, DDV: v},
 		{Kind: core.EventDeliver, Peer: peer, PeerEpoch: 1, Seq: 7, Epoch: 2, SN: 5},
-		{Kind: core.EventGCDrop, DDV: v},
+		{Kind: core.EventGCDrop, Round: 3, DDV: v},
+		{Kind: core.EventGCDrop, DDV: v}, // a journal from before rounds were recorded
 	} {
 		rec, ok := Record(id, ev)
 		if !ok {

@@ -68,7 +68,9 @@ type Event struct {
 	RecvEpoch uint64 `json:"recv_epoch,omitempty"`
 	RecvSN    uint64 `json:"recv_sn,omitempty"`
 
-	// gcdrop: the applied threshold vector.
+	// gcdrop: the GC round and its applied threshold vector (journals
+	// written before the round was recorded carry none).
+	Round  uint64   `json:"round,omitempty"`
 	MinSNs []uint64 `json:"min_sns,omitempty"`
 
 	// send / suspect / drop: the control message type or suspected
@@ -103,7 +105,7 @@ func Record(id topology.NodeID, ev core.Event) (Event, bool) {
 			SrcEpoch: uint64(ev.PeerEpoch), SendSN: uint64(ev.Seq),
 			RecvEpoch: uint64(ev.Epoch), RecvSN: uint64(ev.SN)}, true
 	case core.EventGCDrop:
-		return Event{Node: id.String(), Kind: "gcdrop", MinSNs: fromSNs(ev.DDV)}, true
+		return Event{Node: id.String(), Kind: "gcdrop", Round: ev.Round, MinSNs: fromSNs(ev.DDV)}, true
 	}
 	return Event{}, false
 }
@@ -134,7 +136,7 @@ func (e Event) Observation() (core.Event, bool) {
 			PeerEpoch: core.Epoch(e.SrcEpoch), Seq: core.SN(e.SendSN),
 			Epoch: core.Epoch(e.RecvEpoch), SN: core.SN(e.RecvSN)}, err == nil
 	case "gcdrop":
-		return core.Event{Kind: core.EventGCDrop, DDV: toSNs(e.MinSNs)}, true
+		return core.Event{Kind: core.EventGCDrop, Round: e.Round, DDV: toSNs(e.MinSNs)}, true
 	}
 	return core.Event{}, false
 }
