@@ -211,12 +211,16 @@
 //     vector aliases the node's commit base, which the next commit
 //     overwrites.
 //   - Application snapshots are O(1): NodeApp records deliveries in an
-//     append-only journal and a snapshot is a journal prefix, cut
-//     without copying; restores rewind the tail instead of copying the
-//     delivered map on every checkpoint (which dominated the CPU
-//     profile), and clip the journal so no later append writes into a
-//     prefix a snapshot holds. The prefix travels in live replicas, so
-//     a fresh process restores from it alone.
+//     append-only journal, its only delivery record, and a snapshot is
+//     a journal prefix, cut without copying. A delivery is one append;
+//     a restore truncates the journal to the snapshot's prefix (or, in
+//     a fresh process, adopts it) and clips it so no later append
+//     writes into a prefix a snapshot holds. The prefix travels in live
+//     replicas, so a fresh process restores from it alone. Per-message
+//     delivery counts are derived from the journal when asked for; the
+//     end-of-run completeness check and the stable-latency dedupe share
+//     one flat bitset over every node's sends, indexed by (sender
+//     ordinal, Seq-1), which deterministic replay makes dense.
 //   - federation.Arena pools per-run scratch (the event engine) across
 //     the sweep points of one runner invocation; Engine.Reset wipes the
 //     clock, queue and generation stamps, so pooled and fresh runs are

@@ -3,6 +3,7 @@ package app
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -21,24 +22,24 @@ type sendEvent struct {
 // is intentionally tiny: the simulated application's "virtual memory"
 // is priced separately through Workload.StateSize. Delivery state is
 // captured as a prefix of the node's append-only delivery journal, cut
-// without copying — snapshotting is O(1) instead of copying the whole
-// delivered map per checkpoint (which dominated the simulator's CPU
-// profile). Snapshot hands out a *State cut from the application's
-// slab; a snapshot is immutable once cut (Restore never lets an append
-// write into a prefix a snapshot holds), so replicas shipped to
-// neighbours share nothing mutable.
+// without copying, so snapshotting is O(1). Snapshot hands out a
+// *State cut from the application's slab; a snapshot is immutable once
+// cut (Restore never lets an append write into a prefix a snapshot
+// holds), so replicas shipped to neighbours share nothing mutable.
 type State struct {
 	NextSend int
 	AppClock sim.Duration
 	// Journal is the delivery journal at snapshot time; Restore rewinds
-	// the journal (and the derived delivered counts) to it.
+	// the application's journal to it.
 	Journal []core.LogicalID
 }
 
 // NodeApp is the simulated application process on one node: it draws a
 // Poisson send schedule from the workload's rate matrix and records
-// every delivery. It implements core.AppHooks so the protocol can
-// snapshot and restore it transparently.
+// every delivery in its journal, the only delivery record it keeps:
+// per-message counts are derived from the journal when asked for. It
+// implements core.AppHooks so the protocol can snapshot and restore it
+// transparently.
 type NodeApp struct {
 	id  topology.NodeID
 	wl  *Workload
@@ -54,10 +55,9 @@ type NodeApp struct {
 	next      int // index of the next send in schedule
 	appStart  sim.Duration
 	clockBase sim.Time // sim time corresponding to appStart of current incarnation
-	delivered map[core.LogicalID]int
-	// journal records every delivery in order; delivered is the derived
-	// count index. A snapshot is a journal prefix, a restore rewinds the
-	// tail (decrementing the counts it added).
+	// journal records every delivery in order, duplicates included. A
+	// snapshot is a journal prefix; a restore truncates the journal to
+	// it (or adopts it, in a fresh process).
 	journal []core.LogicalID
 	epoch   uint64
 	// states backs the snapshots: one chunk per many checkpoints instead
@@ -106,17 +106,15 @@ type genCursor struct {
 }
 
 // NewNodeApp builds the application of one node. rng must be a private
-// stream for this node.
+// stream for this node. The send schedule is sized from the node's
+// outbound rate; the delivery journal starts empty and grows by append.
 func NewNodeApp(id topology.NodeID, wl *Workload, fed *topology.Federation, rng *sim.RNG) *NodeApp {
-	// The schedule is sized from the node's outbound rate (its row of
-	// the rate matrix), the delivery map from its inbound rate (column).
-	row, col := wl.rateSums()
+	row := wl.rateSums()
 	a := &NodeApp{
 		id:          id,
 		wl:          wl,
 		fed:         fed,
 		rng:         rng,
-		delivered:   make(map[core.LogicalID]int, sizeHint(col[id.Cluster], id, wl, fed)),
 		schedule:    make([]sendEvent, 0, sizeHint(row[id.Cluster], id, wl, fed)),
 		trackStable: wl.OpenLoop != nil,
 	}
@@ -336,31 +334,16 @@ func (a *NodeApp) Restore(state any) {
 		}
 		a.SyncClock(now, s.AppClock)
 	}
+	// Rewind the delivery journal to the snapshot's prefix, forgetting
+	// (exactly) the deliveries that happened after it — or, in a fresh
+	// process restored from a replica that holds less history than the
+	// snapshot, adopt the snapshot's journal. Clipped: the next append
+	// reallocates instead of writing into a prefix some snapshot still
+	// shares.
 	n := len(s.Journal)
-	if n <= len(a.journal) {
-		// Rewind the delivery journal: forget (exactly) the deliveries
-		// that happened after the snapshot.
-		for _, id := range a.journal[n:] {
-			if c := a.delivered[id] - 1; c > 0 {
-				a.delivered[id] = c
-			} else {
-				delete(a.delivered, id)
-			}
-		}
-	} else {
-		// The application holds less history than the snapshot — a
-		// fresh process restored from a replica: adopt the snapshot's
-		// journal and rebuild the delivery index from it.
-		clear(a.delivered)
-		for _, id := range s.Journal {
-			a.delivered[id]++
-		}
-		if a.trackStable {
-			a.stableAt = append(a.stableAt, make([]sim.Time, n-len(a.stableAt))...)
-		}
+	if a.trackStable && n > len(a.stableAt) {
+		a.stableAt = append(a.stableAt, make([]sim.Time, n-len(a.stableAt))...)
 	}
-	// Clipped: the next append reallocates instead of writing into a
-	// prefix some snapshot still shares.
 	a.journal = s.Journal[:n:n]
 	if a.trackStable {
 		// Stability marks past the restore point were premature — the
@@ -396,7 +379,6 @@ func (a *NodeApp) Restore(state any) {
 
 // Deliver records a payload receipt.
 func (a *NodeApp) Deliver(from topology.NodeID, p core.AppPayload) {
-	a.delivered[p.ID]++
 	a.journal = append(a.journal, p.ID)
 	if a.trackStable {
 		a.stableAt = append(a.stableAt, 0) // unstable until a commit covers it
@@ -437,6 +419,10 @@ func (a *NodeApp) StableCount() int { return a.stableMark }
 // node's current journal.
 func (a *NodeApp) JournalEntry(j int) core.LogicalID { return a.journal[j] }
 
+// JournalLen returns how many deliveries the node's current journal
+// holds, duplicates included.
+func (a *NodeApp) JournalLen() int { return len(a.journal) }
+
 // StableTime returns when the j-th delivery became stable; valid for
 // j < StableCount().
 func (a *NodeApp) StableTime(j int) sim.Time { return a.stableAt[j] }
@@ -450,11 +436,44 @@ func (a *NodeApp) ArrivalTime(i int) sim.Time {
 }
 
 // DeliveredCount returns how many distinct logical messages this node
-// has received in its current state.
-func (a *NodeApp) DeliveredCount() int { return len(a.delivered) }
+// has received in its current state. It groups the journal's sequence
+// numbers by sender and sorts each group: plain integers sort several
+// times faster than logical IDs under a comparator. Meant for
+// end-of-run checks, not hot paths; a node hears from few senders, so
+// the sender lookup is a scan.
+func (a *NodeApp) DeliveredCount() int {
+	var senders []topology.NodeID
+	var seqs [][]uint64
+	g := -1
+	for _, id := range a.journal {
+		if g < 0 || senders[g] != id.Src {
+			if g = slices.Index(senders, id.Src); g < 0 {
+				g = len(senders)
+				senders = append(senders, id.Src)
+				seqs = append(seqs, nil)
+			}
+		}
+		seqs[g] = append(seqs[g], id.Seq)
+	}
+	n := 0
+	for _, s := range seqs {
+		slices.Sort(s)
+		n += len(slices.Compact(s))
+	}
+	return n
+}
 
-// DeliveredTimes returns the delivery count of one logical message.
-func (a *NodeApp) DeliveredTimes(id core.LogicalID) int { return a.delivered[id] }
+// DeliveredTimes returns the delivery count of one logical message: one
+// scan of the journal per call.
+func (a *NodeApp) DeliveredTimes(id core.LogicalID) int {
+	times := 0
+	for _, j := range a.journal {
+		if j == id {
+			times++
+		}
+	}
+	return times
+}
 
 // SentCount returns how many sends this node has performed in its
 // current incarnation's history.

@@ -85,18 +85,18 @@ func TestOpenLoopValidate(t *testing.T) {
 // run's totals.
 func TestWorkloadFreezeRebuildsRateSums(t *testing.T) {
 	wl := Uniform(2, 100, 10, sim.Hour)
-	row1, col1 := wl.rateSums()
-	if row1[0] != 110 || col1[0] != 110 {
-		t.Fatalf("initial sums = %v, %v", row1, col1)
+	row1 := wl.rateSums()
+	if row1[0] != 110 || row1[1] != 110 {
+		t.Fatalf("initial sums = %v", row1)
 	}
 	wl.RatesPerHour[0][1] = 1000
 	wl.Freeze()
-	row2, col2 := wl.rateSums()
-	if row2[0] != 1100 || col2[1] != 1100 {
-		t.Fatalf("sums stale after Freeze: %v, %v", row2, col2)
+	row2 := wl.rateSums()
+	if row2[0] != 1100 || row2[1] != 110 {
+		t.Fatalf("sums stale after Freeze: %v", row2)
 	}
 	// A second read without further edits keeps the rebuilt values.
-	row3, _ := wl.rateSums()
+	row3 := wl.rateSums()
 	if row3[0] != 1100 {
 		t.Fatalf("sums changed without an edit: %v", row3)
 	}

@@ -51,38 +51,34 @@ type Workload struct {
 	// the harness tracks per-request stable-delivery latency.
 	OpenLoop *OpenLoop
 
-	// sums caches the row and column totals of RatesPerHour. The
-	// per-node sizing hints each need one row sum (outbound rate) and
-	// one column sum (inbound rate); recomputing them per node is an
-	// O(width) scan that dominated wide-federation setup. Computed on
-	// first use and rebuilt by Freeze — a harness that edits
-	// RatesPerHour between runs must call Freeze (federation.Options
-	// does) or the cached sums go stale.
-	sums      struct{ row, col []float64 }
+	// rowSums caches the row totals of RatesPerHour. The per-node
+	// schedule sizing hint needs one row sum (outbound rate);
+	// recomputing it per node is an O(width) scan that dominated
+	// wide-federation setup. Computed on first use and rebuilt by
+	// Freeze — a harness that edits RatesPerHour between runs must call
+	// Freeze (federation.Options does) or the cached sums go stale.
+	rowSums   []float64
 	sumsMu    sync.Mutex
 	sumsValid bool
 }
 
-// rateSums returns the cached per-cluster outbound (row) and inbound
-// (column) rate totals, computing them on first call.
-func (w *Workload) rateSums() (row, col []float64) {
+// rateSums returns the cached per-cluster outbound rate totals (the
+// rows of RatesPerHour), computing them on first call.
+func (w *Workload) rateSums() []float64 {
 	w.sumsMu.Lock()
 	defer w.sumsMu.Unlock()
 	if !w.sumsValid {
 		w.rebuildSums()
 	}
-	return w.sums.row, w.sums.col
+	return w.rowSums
 }
 
 // rebuildSums recomputes the cached totals; callers hold sumsMu.
 func (w *Workload) rebuildSums() {
-	n := len(w.RatesPerHour)
-	w.sums.row = make([]float64, n)
-	w.sums.col = make([]float64, n)
+	w.rowSums = make([]float64, len(w.RatesPerHour))
 	for i, r := range w.RatesPerHour {
-		for j, v := range r {
-			w.sums.row[i] += v
-			w.sums.col[j] += v
+		for _, v := range r {
+			w.rowSums[i] += v
 		}
 	}
 	w.sumsValid = true

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -498,22 +500,62 @@ type statKeys struct {
 }
 
 func makeStatKeys(c topology.ClusterID) statKeys {
-	suffix := fmt.Sprintf(".c%d", c)
+	// All fourteen names are substrings of one exactly sized string:
+	// the registry builds a node per cluster member, thousands per
+	// sweep, and per-name concatenation was a top allocation site.
+	var num [24]byte
+	suffix := strconv.AppendInt(append(num[:0], ".c"...), int64(c), 10)
+	names := [...]struct{ base, tail string }{
+		{"rollback.restarted", ""},
+		{"rollback.count", ""},
+		{"rollback.duration_seconds", ""},
+		{"clc.requested", ""},
+		{"clc.committed", ""},
+		{"clc.committed", ".forced"},
+		{"clc.committed", ".unforced"},
+		{"clc.aborted", ""},
+		{"clc.freeze_seconds", ""},
+		{"storage.bytes", ""},
+		{"clc.stored", ""},
+		{"log.size", ""},
+		{"gc.before", ""},
+		{"gc.after", ""},
+	}
+	size := 0
+	for _, nm := range names {
+		size += len(nm.base) + len(suffix) + len(nm.tail)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var ends [len(names)]int
+	for i, nm := range names {
+		b.WriteString(nm.base)
+		b.Write(suffix)
+		b.WriteString(nm.tail)
+		ends[i] = b.Len()
+	}
+	all := b.String()
+	name := func(i int) string {
+		if i == 0 {
+			return all[:ends[0]]
+		}
+		return all[ends[i-1]:ends[i]]
+	}
 	return statKeys{
-		rollbackRestarted: "rollback.restarted" + suffix,
-		rollbackCount:     "rollback.count" + suffix,
-		rollbackDuration:  "rollback.duration_seconds" + suffix,
-		clcRequested:      "clc.requested" + suffix,
-		clcCommitted:      "clc.committed" + suffix,
-		clcForced:         "clc.committed" + suffix + ".forced",
-		clcUnforced:       "clc.committed" + suffix + ".unforced",
-		clcAborted:        "clc.aborted" + suffix,
-		clcFreeze:         "clc.freeze_seconds" + suffix,
-		storageBytes:      "storage.bytes" + suffix,
-		clcStored:         "clc.stored" + suffix,
-		logSize:           "log.size" + suffix,
-		gcBefore:          "gc.before" + suffix,
-		gcAfter:           "gc.after" + suffix,
+		rollbackRestarted: name(0),
+		rollbackCount:     name(1),
+		rollbackDuration:  name(2),
+		clcRequested:      name(3),
+		clcCommitted:      name(4),
+		clcForced:         name(5),
+		clcUnforced:       name(6),
+		clcAborted:        name(7),
+		clcFreeze:         name(8),
+		storageBytes:      name(9),
+		clcStored:         name(10),
+		logSize:           name(11),
+		gcBefore:          name(12),
+		gcAfter:           name(13),
 	}
 }
 

@@ -892,3 +892,33 @@ func ExampleDDV_String() {
 	fmt.Println(DDV{3, 0, 4})
 	// Output: [3 0 4]
 }
+
+// TestStatKeysNames pins the per-cluster stat names a node emits and
+// that rendering them costs one allocation per node.
+func TestStatKeysNames(t *testing.T) {
+	for _, c := range []topology.ClusterID{0, 7, 1023} {
+		s := fmt.Sprintf(".c%d", c)
+		want := statKeys{
+			rollbackRestarted: "rollback.restarted" + s,
+			rollbackCount:     "rollback.count" + s,
+			rollbackDuration:  "rollback.duration_seconds" + s,
+			clcRequested:      "clc.requested" + s,
+			clcCommitted:      "clc.committed" + s,
+			clcForced:         "clc.committed" + s + ".forced",
+			clcUnforced:       "clc.committed" + s + ".unforced",
+			clcAborted:        "clc.aborted" + s,
+			clcFreeze:         "clc.freeze_seconds" + s,
+			storageBytes:      "storage.bytes" + s,
+			clcStored:         "clc.stored" + s,
+			logSize:           "log.size" + s,
+			gcBefore:          "gc.before" + s,
+			gcAfter:           "gc.after" + s,
+		}
+		if got := makeStatKeys(c); got != want {
+			t.Errorf("cluster %d: stat names %+v, want %+v", c, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { makeStatKeys(42) }); n != 1 {
+		t.Errorf("makeStatKeys allocates %v times, want 1", n)
+	}
+}

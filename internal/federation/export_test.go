@@ -34,3 +34,6 @@ func (e tapEnv) Event(ev core.Event) {
 	}
 	e.tap(e.f.engine.Now(), e.id, ev)
 }
+
+// CheckInvariants runs the end-of-run invariant checks on demand.
+func (f *Fed) CheckInvariants() error { return f.checkInvariants() }

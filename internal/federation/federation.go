@@ -226,6 +226,9 @@ type Fed struct {
 	// the adversarial scheduler. Both are nil on plain runs.
 	oracle     *oracle.Oracle
 	chaosSched *chaos.Scheduler
+
+	// sends is the end-of-run send bitset (see Fed.sendSet).
+	sends sendSet
 }
 
 // msgBoxes recycles the wire-message boxes of the per-message protocol
@@ -679,9 +682,16 @@ func (f *Fed) coordinatorFor(failed topology.NodeID) ProtocolNode {
 		if id == failed {
 			continue
 		}
-		if n := f.nodes[f.ix.Ord(id)]; !n.Failed() {
-			return n
+		// A restarted node that has not recovered yet holds no
+		// checkpoints to roll back to: it cannot coordinate.
+		n := f.nodes[f.ix.Ord(id)]
+		if n.Failed() {
+			continue
 		}
+		if ls, ok := n.(interface{ LostState() bool }); ok && ls.LostState() {
+			continue
+		}
+		return n
 	}
 	return nil
 }

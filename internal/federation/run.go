@@ -64,9 +64,8 @@ func (f *Fed) Run() (*Result, error) {
 	if d := f.opts.Watchdog; d > 0 {
 		defer armWatchdog(d, f.engine.Interrupt)()
 	}
-	for _, id := range f.opts.Topology.AllNodes() {
-		ord := f.ix.Ord(id)
-		f.nodes[ord].Start()
+	for ord, n := range f.nodes {
+		n.Start()
 		f.scheduleNextSend(ord)
 	}
 
@@ -185,18 +184,16 @@ func (f *Fed) checkInvariants() error {
 	}
 	// A node that never finished recovering would leave its cluster's
 	// rollback incomplete: surface it as a frozen/lost node.
-	for _, id := range topo.AllNodes() {
-		if hn, ok := f.Node(id).(*core.Node); ok && !hn.Failed() {
-			if hn.LostState() {
-				return fmt.Errorf("federation: node %v never recovered its state", id)
-			}
+	for _, n := range f.nodes {
+		if hn, ok := n.(*core.Node); ok && !hn.Failed() && hn.LostState() {
+			return fmt.Errorf("federation: node %v never recovered its state", hn.ID())
 		}
 	}
 	// SN and DDV agreement inside each cluster (HC3I only).
-	for c := 0; c < topo.NumClusters(); c++ {
+	for c, cl := range topo.Clusters {
 		var first *core.Node
-		for _, id := range topo.Nodes(topology.ClusterID(c)) {
-			hn, ok := f.Node(id).(*core.Node)
+		for i := 0; i < cl.Nodes; i++ {
+			hn, ok := f.Node(topology.NodeID{Cluster: topology.ClusterID(c), Index: i}).(*core.Node)
 			if !ok {
 				break
 			}
@@ -219,20 +216,86 @@ func (f *Fed) checkInvariants() error {
 	}
 	// Message completeness under deterministic replay: every send a
 	// node performed (in its final history) was delivered at its
-	// destination at least once.
+	// destination at least once. One pass over the journals marks the
+	// sends each destination holds; a second finds any unmarked one.
 	if f.opts.Workload.Deterministic {
-		for _, id := range topo.AllNodes() {
-			a := f.App(id)
-			for i := 0; i < a.SentCount(); i++ {
-				dst := a.DestinationOf(i)
-				lid := core.LogicalID{Src: id, Seq: uint64(i + 1)}
-				if f.App(dst).DeliveredTimes(lid) == 0 {
-					return fmt.Errorf("federation: message %v to %v lost", lid, dst)
+		sends := f.sendSet()
+		for _, a := range f.apps {
+			id := a.ID()
+			for j := 0; j < a.JournalLen(); j++ {
+				lid := a.JournalEntry(j)
+				src := f.ix.Ord(lid.Src)
+				if k := lid.Seq - 1; k < uint64(f.apps[src].SentCount()) && f.apps[src].DestinationOf(int(k)) == id {
+					sends.mark(src, k)
 				}
+			}
+		}
+		for src, a := range f.apps {
+			if k, ok := sends.firstUnmarked(src); ok {
+				lid := core.LogicalID{Src: a.ID(), Seq: uint64(k + 1)}
+				return fmt.Errorf("federation: message %v to %v lost", lid, a.DestinationOf(k))
 			}
 		}
 	}
 	return nil
+}
+
+// sendSet is a flat bitset over every node's sends in its current
+// history, indexed by (sender ordinal, Seq-1): under deterministic
+// replay a node's sends are numbered 1..SentCount with no gaps, so the
+// index is dense. The end-of-run passes that need to know which sends
+// a journal holds share it instead of hashing logical IDs.
+type sendSet struct {
+	start []int // node ord's sends are bits [start[ord], start[ord+1])
+	bits  []uint64
+}
+
+// sendSet returns the run's send bitset, laid out for the nodes'
+// current send counts and cleared. The backing slices are allocated by
+// the first call and reused by later ones.
+func (f *Fed) sendSet() *sendSet {
+	s := &f.sends
+	if s.start == nil {
+		s.start = make([]int, len(f.apps)+1)
+	}
+	total := 0
+	for ord, a := range f.apps {
+		s.start[ord] = total
+		total += a.SentCount()
+	}
+	s.start[len(f.apps)] = total
+	words := (total + 63) / 64
+	if cap(s.bits) < words {
+		s.bits = make([]uint64, words)
+	} else {
+		s.bits = s.bits[:words]
+		clear(s.bits)
+	}
+	return s
+}
+
+// mark sets the bit of node ord's send k (0-based) and reports whether
+// it was set already. A k past the node's send count marks nothing and
+// reports false.
+func (s *sendSet) mark(ord int, k uint64) (seen bool) {
+	if k >= uint64(s.start[ord+1]-s.start[ord]) {
+		return false
+	}
+	b := s.start[ord] + int(k)
+	w, m := b/64, uint64(1)<<(b%64)
+	seen = s.bits[w]&m != 0
+	s.bits[w] |= m
+	return seen
+}
+
+// firstUnmarked returns node ord's lowest unmarked send, if any.
+func (s *sendSet) firstUnmarked(ord int) (k int, ok bool) {
+	for b := s.start[ord]; b < s.start[ord+1]; b++ {
+		if s.bits[b/64]&(1<<(b%64)) == 0 {
+			return b - s.start[ord], true
+		}
+	}
+	return 0, false
 }
 
 // collect builds the Result from the statistics registry.
@@ -245,20 +308,15 @@ func (f *Fed) collect() *Result {
 		Events:   f.engine.Executed,
 		Failures: st.CounterValue("failures.injected"),
 	}
-	var kb []byte
-	key := func(base string, c int) string {
-		kb = append(append(kb[:0], base...), ".c"...)
-		kb = strconv.AppendInt(kb, int64(c), 10)
-		return string(kb)
-	}
+	var kb keyBuf
 	for c := 0; c < n; c++ {
-		cc := key("clc.committed", c)
+		cc := kb.key("clc.committed", c)
 		cr := ClusterResult{
 			Cluster:   topology.ClusterID(c),
 			Forced:    st.CounterValue(cc + ".forced"),
 			Unforced:  st.CounterValue(cc + ".unforced"),
 			Committed: st.CounterValue(cc),
-			Rollbacks: st.CounterValue(key("rollback.count", c)),
+			Rollbacks: st.CounterValue(kb.key("rollback.count", c)),
 			Stored:    f.Node(topology.NodeID{Cluster: topology.ClusterID(c)}).StoredCount(),
 		}
 		res.Clusters = append(res.Clusters, cr)
@@ -294,8 +352,7 @@ func (f *Fed) collect() *Result {
 	// pessimistic-log baseline trims at every snapshot) report their
 	// true mid-run peak, not the deflated end-of-run length. Protocols
 	// without a peak tracker fall back to the end-of-run sample.
-	for _, id := range topo.AllNodes() {
-		pn := f.Node(id)
+	for _, pn := range f.nodes {
 		if ln, ok := pn.(interface{ LogPeak() int }); ok {
 			if l := ln.LogPeak(); l > res.MaxLoggedMessages {
 				res.MaxLoggedMessages = l
@@ -307,6 +364,15 @@ func (f *Fed) collect() *Result {
 		}
 	}
 	return res
+}
+
+// keyBuf renders per-cluster stat names through one reused buffer.
+type keyBuf []byte
+
+// key returns the stat name base + ".c" + c.
+func (kb *keyBuf) key(base string, c int) string {
+	*kb = strconv.AppendInt(append(append((*kb)[:0], base...), ".c"...), int64(c), 10)
+	return string(*kb)
 }
 
 // StableLatencyMetric names the histogram of user-perceived
@@ -329,47 +395,56 @@ func (f *Fed) collectStableLatency() {
 		return
 	}
 	h := f.stats.Histogram(StableLatencyMetric)
-	for _, id := range f.opts.Topology.AllNodes() {
-		a := f.App(id)
+	sends := f.sendSet()
+	for _, a := range f.apps {
 		stable := a.StableCount()
-		seen := make(map[core.LogicalID]struct{}, stable)
 		for j := 0; j < stable; j++ {
 			lid := a.JournalEntry(j)
-			if _, dup := seen[lid]; dup {
+			// Open-loop workloads are deterministic, so Seq is the
+			// 1-based schedule index with no epoch salt.
+			src := f.ix.Ord(lid.Src)
+			if sends.mark(src, lid.Seq-1) {
 				// Duplicate delivery (replayed send): the first journal
 				// occurrence stabilized no later, so it is the sample.
 				continue
 			}
-			seen[lid] = struct{}{}
-			src := f.App(lid.Src)
-			// Open-loop workloads are deterministic, so Seq is the
-			// 1-based schedule index with no epoch salt.
-			arrival := src.ArrivalTime(int(lid.Seq - 1))
+			arrival := f.apps[src].ArrivalTime(int(lid.Seq - 1))
 			h.Observe(a.StableTime(j).Sub(arrival).Seconds())
 		}
 	}
 }
 
 // gcRounds reassembles per-round before/after pairs from the
-// gc.before/gc.after series of each cluster leader.
+// gc.before/gc.after series of each cluster leader. A round is complete
+// when every cluster recorded it, so the complete rounds are the first
+// min-over-series-lengths ones. Each cluster's series are looked up
+// once, and only while some round can still be complete — the lookup
+// registers a series, and the registry's contents are part of a run's
+// reported statistics.
 func (f *Fed) gcRounds(n int) []GCRound {
-	var rounds []GCRound
 	ref := f.stats.Series("gc.before.c0")
-	for k := 0; k < ref.Len(); k++ {
-		r := GCRound{At: ref.Times[k], Before: make([]int, n), After: make([]int, n)}
-		complete := true
+	complete := ref.Len()
+	before := make([]*sim.Series, 0, n)
+	after := make([]*sim.Series, 0, n)
+	var kb keyBuf
+	for c := 0; c < n && complete > 0; c++ {
+		b, a := f.stats.Series(kb.key("gc.before", c)), f.stats.Series(kb.key("gc.after", c))
+		before, after = append(before, b), append(after, a)
+		complete = min(complete, b.Len(), a.Len())
+	}
+	if complete == 0 {
+		return nil
+	}
+	rounds := make([]GCRound, complete)
+	vals := make([]int, 2*n*complete)
+	for k := range rounds {
+		r := &rounds[k]
+		r.At = ref.Times[k]
+		r.Before = vals[2*n*k : 2*n*k+n : 2*n*k+n]
+		r.After = vals[2*n*k+n : 2*n*(k+1) : 2*n*(k+1)]
 		for c := 0; c < n; c++ {
-			b := f.stats.Series(fmt.Sprintf("gc.before.c%d", c))
-			a := f.stats.Series(fmt.Sprintf("gc.after.c%d", c))
-			if k >= b.Len() || k >= a.Len() {
-				complete = false
-				break
-			}
-			r.Before[c] = int(b.Values[k])
-			r.After[c] = int(a.Values[k])
-		}
-		if complete {
-			rounds = append(rounds, r)
+			r.Before[c] = int(before[c].Values[k])
+			r.After[c] = int(after[c].Values[k])
 		}
 	}
 	return rounds

@@ -707,12 +707,13 @@ func (f *Live) NodeSN(id topology.NodeID) core.SN { return f.nodes[id].node.SN()
 func (f *Live) NodeStored(id topology.NodeID) int { return f.nodes[id].node.StoredCount() }
 
 // Delivered reads how often a node received a logical message (after
-// Stop).
+// Stop): one scan of the node's delivery journal.
 func (f *Live) Delivered(id topology.NodeID, lid core.LogicalID) int {
 	return f.nodes[id].app.DeliveredTimes(lid)
 }
 
-// DeliveredCount reads a node's distinct delivery count (after Stop).
+// DeliveredCount reads a node's distinct delivery count (after Stop):
+// it sorts a copy of the node's delivery journal.
 func (f *Live) DeliveredCount(id topology.NodeID) int {
 	return f.nodes[id].app.DeliveredCount()
 }

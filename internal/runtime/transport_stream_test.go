@@ -2,10 +2,12 @@ package runtime
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -18,17 +20,37 @@ func recorder(t *testing.T, tr *TCPTransport, id topology.NodeID) func() []uint6
 	t.Helper()
 	var mu sync.Mutex
 	var got []uint64
-	if err := tr.Register(id, func(env Envelope) {
-		mu.Lock()
-		got = append(got, env.Msg.(core.AppMsg).MsgID)
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
+	retryAddrInUse(t, func() error {
+		return tr.Register(id, func(env Envelope) {
+			mu.Lock()
+			got = append(got, env.Msg.(core.AppMsg).MsgID)
+			mu.Unlock()
+		})
+	})
 	return func() []uint64 {
 		mu.Lock()
 		defer mu.Unlock()
 		return append([]uint64(nil), got...)
+	}
+}
+
+// retryAddrInUse runs bind until it succeeds, retrying for up to five
+// seconds while it fails with EADDRINUSE. A fixed test port released
+// by reservePorts (or by a previous listener) can be held for a moment
+// by the ephemeral end of some outbound connection, such as another
+// package's test dialing in parallel.
+func retryAddrInUse(t *testing.T, bind func() error) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		err := bind()
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) || time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -146,10 +168,11 @@ func TestTCPTransportReceiverRestartDropsWritten(t *testing.T) {
 
 	// The first incarnation speaks the protocol by hand: it opens the
 	// stream, reads ten frames without acknowledging any, and dies.
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var ln net.Listener
+	retryAddrInUse(t, func() (err error) {
+		ln, err = net.Listen("tcp", addr)
+		return err
+	})
 	first := make(chan error, 1)
 	go func() {
 		defer ln.Close()

@@ -165,8 +165,10 @@ func (f *Federation) Nodes(c ClusterID) []NodeID {
 // AllNodes returns every node ID in the federation, cluster by cluster.
 func (f *Federation) AllNodes() []NodeID {
 	ids := make([]NodeID, 0, f.NumNodes())
-	for c := range f.Clusters {
-		ids = append(ids, f.Nodes(ClusterID(c))...)
+	for c, cl := range f.Clusters {
+		for i := 0; i < cl.Nodes; i++ {
+			ids = append(ids, NodeID{Cluster: ClusterID(c), Index: i})
+		}
 	}
 	return ids
 }
