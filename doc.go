@@ -150,6 +150,18 @@
 //     timers, protocol nodes) lives in flat slices indexed by the
 //     topology's dense node ordinal (topology.NodeIndex); struct-keyed
 //     maps put hashing on every delivery and were a top profile entry.
+//   - Nothing is allocated for a pair of clusters that never interact.
+//     Per-pair state (netsim's counters and pipe, the trace perturber's
+//     streams, the federation's delta codecs, the oracle's pipe
+//     queues) lives in one open-addressing topology.PairTable per
+//     owner, added on the pair's first traffic; the topology keeps one
+//     federation-wide link class plus per-pair overrides. Inside a
+//     node, only the DDV, the commit base and the chain anchor are
+//     width-sized from the start: the epoch table holds just the
+//     clusters that rolled back, the dense-wire force target and the
+//     leader's ack accumulator appear on first use, and dirty sets mark
+//     in a bitset. BenchmarkFederationNewWide measures what assembling
+//     a 1024-cluster federation allocates.
 //   - internal/core flattens DDV storage into per-node arenas
 //     (core.DDVArena): every vector that escapes an event —
 //     piggybacked vectors, dense commit broadcasts, the anchors of

@@ -107,6 +107,31 @@ func TestLoadTopology(t *testing.T) {
 	}
 }
 
+// TestLoadTopologyPerPairLinks: each [link a b] block sets its own
+// pair, in either order, and a pair with no block fails validation.
+func TestLoadTopologyPerPairLinks(t *testing.T) {
+	head := "clusters = 3\n[cluster 0]\nnodes = 1\n[cluster 1]\nnodes = 1\n[cluster 2]\nnodes = 1\n"
+	fed, err := LoadTopology(strings.NewReader(head +
+		"[link 0 1]\nlatency = 1ms\n[link 2 0]\nlatency = 2ms\nbandwidth = 10Mbps\n[link 1 2]\nlatency = 3ms\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[[2]topology.ClusterID]topology.Link{
+		{0, 1}: {Latency: sim.Millisecond, Bandwidth: 100e6},
+		{0, 2}: {Latency: 2 * sim.Millisecond, Bandwidth: 10e6},
+		{1, 2}: {Latency: 3 * sim.Millisecond, Bandwidth: 100e6},
+	}
+	for p, l := range want {
+		if fed.InterLink(p[0], p[1]) != l || fed.InterLink(p[1], p[0]) != l {
+			t.Fatalf("link %v = %+v / %+v, want %+v", p, fed.InterLink(p[0], p[1]), fed.InterLink(p[1], p[0]), l)
+		}
+	}
+	_, err = LoadTopology(strings.NewReader(head + "[link 0 1]\n[link 1 2]\n"))
+	if err == nil || !strings.Contains(err.Error(), "between clusters 0 and 2") {
+		t.Fatalf("missing [link 0 2]: err = %v, want the pair named", err)
+	}
+}
+
 func TestLoadTopologyErrors(t *testing.T) {
 	cases := map[string]string{
 		"no clusters":   "clusters = 0\n",

@@ -58,6 +58,9 @@ func (n *Node) requestForceAlwaysPairs(pairs []DDVPair) {
 // and must never be stored; sendForce clones it when the target leaves
 // the node over the network.
 func (n *Node) buildForceTarget() DDV {
+	if n.forceScratch == nil {
+		n.forceScratch = NewDDV(n.cfg.Clusters)
+	}
 	n.forceScratch.CopyFrom(n.ddv)
 	return n.forceScratch
 }
@@ -310,6 +313,9 @@ func (n *Node) ackFrom(index int, seq SN, nodeDDV DDV, nodePairs []DDVPair) {
 	if len(nodePairs) > 0 {
 		// Element-wise max is order-independent: accumulating on
 		// arrival equals the dense path's merge-at-commit.
+		if n.ackAccum == nil {
+			n.ackAccum = NewDDV(n.cfg.Clusters)
+		}
 		n.ackAccum.mergePairs(nodePairs, &n.ackDirty)
 	}
 	if n.ackedCount < n.size {

@@ -48,7 +48,7 @@ func (n *Node) doSend(dst topology.NodeID, p AppPayload) {
 		// the doomed state and then erased by the restore, with no
 		// later alert to trigger a resend. The receiver defers such
 		// messages until its epoch catches up.
-		m.DstEpoch = n.knownEpoch[dst.Cluster]
+		m.DstEpoch = n.epochs.known(dst.Cluster)
 		// Inter-cluster: piggyback the dependency information and log
 		// the message optimistically in volatile memory (§3.3),
 		// mirroring the entry to the stable-storage neighbour so a
@@ -156,7 +156,7 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 		}
 	} else {
 		// Inter-cluster: epochs of other clusters are learned lazily.
-		known := n.knownEpoch[src.Cluster]
+		known := n.epochs.known(src.Cluster)
 		if m.SrcEpoch < known {
 			// One epoch behind, sent before the rollback point the
 			// alert announced: the send is part of the sender's
@@ -170,7 +170,7 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 			n.env.Stat("app.accepted_prior_epoch", 1)
 		}
 		if m.SrcEpoch > known {
-			n.knownEpoch[src.Cluster] = m.SrcEpoch
+			n.epochs.setKnown(src.Cluster, m.SrcEpoch)
 		}
 		if m.DstEpoch > n.epoch || n.lostState {
 			// A resent message overtook our own rollback command (or
@@ -485,10 +485,11 @@ func (n *Node) materializePiggy(m *AppMsg, src topology.NodeID) {
 // one epoch behind whose send predates the alerted rollback point is
 // part of the sender's restored state and still valid.
 func (n *Node) priorEpochValid(src topology.NodeID, m AppMsg) bool {
-	known := n.knownEpoch[src.Cluster]
+	known := n.epochs.known(src.Cluster)
+	alertEpoch, alertSN := n.epochs.alert(src.Cluster)
 	return m.SrcEpoch+1 == known &&
-		known == n.alertEpoch[src.Cluster] &&
-		m.SendSN < n.alertSN[src.Cluster]
+		known == alertEpoch &&
+		m.SendSN < alertSN
 }
 
 // staleWhileHeld reports whether a held inter-cluster message turned
@@ -501,7 +502,7 @@ func (n *Node) priorEpochValid(src topology.NodeID, m AppMsg) bool {
 // the §3.4 discipline re-applied at delivery time. Found by the
 // invariant oracle under chaos schedules.
 func (n *Node) staleWhileHeld(src topology.NodeID, m AppMsg) bool {
-	if src.Cluster == n.cluster || m.SrcEpoch >= n.knownEpoch[src.Cluster] {
+	if src.Cluster == n.cluster || m.SrcEpoch >= n.epochs.known(src.Cluster) {
 		return false
 	}
 	return !n.priorEpochValid(src, m)
@@ -581,12 +582,10 @@ func (n *Node) deliverInter(src topology.NodeID, m AppMsg) {
 
 // onAppAck records the receiver SN on the matching log entry.
 func (n *Node) onAppAck(src topology.NodeID, m AppAck) {
-	if m.SrcEpoch < n.knownEpoch[src.Cluster] {
+	if m.SrcEpoch < n.epochs.known(src.Cluster) {
 		return
 	}
-	if m.SrcEpoch > n.knownEpoch[src.Cluster] {
-		n.knownEpoch[src.Cluster] = m.SrcEpoch
-	}
+	n.epochs.raiseKnown(src.Cluster, m.SrcEpoch)
 	if e := n.logIndex[m.MsgID]; e != nil {
 		e.acked = true
 		e.ackSN = m.ReceiverSN

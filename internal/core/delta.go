@@ -77,25 +77,31 @@ func diffPairs(buf []DDVPair, cur, base DDV) []DDVPair {
 
 // DirtySet tracks which DDV indices changed since it was last reset,
 // so merges and scans iterate O(dirty entries) instead of O(width).
+// A node holds several sets, so the marks are a bitset: 128 bytes per
+// set at width 1024.
 // The zero value is unusable; call Init first.
 type DirtySet struct {
-	mark []bool
+	mark []uint64 // bit i%64 of word i/64 marks index i
 	idx  []int32
 }
 
 // Init sizes the set for vectors of the given width.
 func (s *DirtySet) Init(width int) {
-	s.mark = make([]bool, width)
+	s.mark = make([]uint64, (width+63)/64)
 	s.idx = s.idx[:0]
 }
 
 // Add marks index i dirty.
 func (s *DirtySet) Add(i int) {
-	if !s.mark[i] {
-		s.mark[i] = true
+	w, b := i>>6, uint64(1)<<(i&63)
+	if s.mark[w]&b == 0 {
+		s.mark[w] |= b
 		s.idx = append(s.idx, int32(i))
 	}
 }
+
+// unmark clears index i's mark.
+func (s *DirtySet) unmark(i int32) { s.mark[i>>6] &^= 1 << (i & 63) }
 
 // Len returns the number of dirty indices.
 func (s *DirtySet) Len() int { return len(s.idx) }
@@ -107,7 +113,7 @@ func (s *DirtySet) Indices() []int32 { return s.idx }
 // Reset clears the set in O(dirty entries).
 func (s *DirtySet) Reset() {
 	for _, i := range s.idx {
-		s.mark[i] = false
+		s.unmark(i)
 	}
 	s.idx = s.idx[:0]
 }
@@ -120,7 +126,7 @@ func (s *DirtySet) Refresh(keep func(i int) bool) {
 		if keep(int(i)) {
 			kept = append(kept, i)
 		} else {
-			s.mark[i] = false
+			s.unmark(i)
 		}
 	}
 	s.idx = kept

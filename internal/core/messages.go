@@ -63,7 +63,7 @@ type AppMsg struct {
 	Resend     bool
 	// DstEpoch carries the receiver cluster's newest epoch known to the
 	// sender — on every inter-cluster send, not just resends (plain
-	// sends target n.knownEpoch so a delivery cannot land in a state
+	// sends target the known epoch so a delivery cannot land in a state
 	// the receiver's in-flight rollback is about to erase): a receiver
 	// that has not yet executed its local rollback defers the message
 	// instead of delivering it into doomed state.

@@ -258,14 +258,12 @@ type Node struct {
 	// on all non-failed nodes of the cluster outside commit windows, and
 	// re-synced from the restored record on every rollback/recovery.
 	commitBase DDV
-	knownEpoch []Epoch // latest known epoch per cluster
-	// alertEpoch/alertSN record the most recent rollback alert per
-	// cluster: a message one epoch behind whose SendSN is below the
-	// alerted SN was sent *before* the rollback point — its send is
-	// part of the sender's restored state, so the content is valid
-	// even though the epoch tag is stale.
-	alertEpoch []Epoch
-	alertSN    []SN
+	// epochs holds, per cluster that rolled back, the latest known
+	// epoch and the most recent rollback alert: a message one epoch
+	// behind whose SendSN is below the alerted SN was sent *before* the
+	// rollback point — its send is part of the sender's restored state,
+	// so the content is valid even though the epoch tag is stale.
+	epochs epochTable
 
 	// ---- two-phase commit (participant side) ----
 	phase   cpPhase
@@ -289,6 +287,7 @@ type Node struct {
 	// ackAccum/ackDirty accumulate delta-encoded ack pairs by
 	// element-wise max (order-independent, so merging on arrival equals
 	// the dense path's merge-at-commit); reset at startCLC/abort.
+	// ackAccum is allocated by a leader's first delta ack.
 	ackAccum DDV
 	ackDirty DirtySet
 	// pendingForce accumulates the force targets not yet committed while
@@ -404,9 +403,10 @@ type Node struct {
 	gcScratch     *gcScratch // the initiator's, allocated by its first round
 
 	// forceScratch is the reusable buffer for building forced-CLC
-	// targets. Ownership: valid only until the next buildForceTarget
-	// call on this node; sendForce clones it before anything escapes
-	// the current event (see cic.go), so it must never be stored.
+	// targets on the dense wire, allocated by its first use. Ownership:
+	// valid only until the next buildForceTarget call on this node;
+	// sendForce clones it before anything escapes the current event
+	// (see cic.go), so it must never be stored.
 	forceScratch DDV
 	// commitScratchVec is where a delta-wire leader raises the vector of
 	// the commit it is about to broadcast (ackFrom); only the pairs that
@@ -581,26 +581,22 @@ type AppPayloadTo struct {
 func NewNode(cfg Config, env Env, app AppHooks) *Node {
 	cfg.validate()
 	n := &Node{
-		cfg:        cfg,
-		env:        env,
-		app:        app,
-		id:         cfg.ID,
-		cluster:    cfg.ID.Cluster,
-		size:       cfg.ClusterSizes[cfg.ID.Cluster],
-		sn:         1,
-		ddv:        NewDDV(cfg.Clusters),
-		knownEpoch: make([]Epoch, cfg.Clusters),
-		alertEpoch: make([]Epoch, cfg.Clusters),
-		alertSN:    make([]SN, cfg.Clusters),
+		cfg:     cfg,
+		env:     env,
+		app:     app,
+		id:      cfg.ID,
+		cluster: cfg.ID.Cluster,
+		size:    cfg.ClusterSizes[cfg.ID.Cluster],
+		sn:      1,
+		ddv:     NewDDV(cfg.Clusters),
 		// A node mirrors the logs of its cfg.Replicas ring predecessors.
 		mirrorLogs: make(map[topology.NodeID]*mirrorLog, cfg.Replicas),
 		// cascadeMemo stays unsized: it only ever holds the few clusters
 		// that alerted a rollback, so a width-sized hint wastes ~50KB of
 		// empty buckets per node on wide federations.
-		cascadeMemo:  make(map[topology.ClusterID]cascadeRecord),
-		forceScratch: NewDDV(cfg.Clusters),
-		ackedNodes:   make([]bool, cfg.ClusterSizes[cfg.ID.Cluster]),
-		keys:         makeStatKeys(cfg.ID.Cluster),
+		cascadeMemo: make(map[topology.ClusterID]cascadeRecord),
+		ackedNodes:  make([]bool, cfg.ClusterSizes[cfg.ID.Cluster]),
+		keys:        makeStatKeys(cfg.ID.Cluster),
 	}
 	n.arena.Init(cfg.Clusters)
 	n.boxes, _ = env.(BoxPool)
@@ -611,7 +607,6 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 	n.denseWire = cfg.DenseWire
 	n.ddvGen = 1
 	n.commitBase = NewDDV(cfg.Clusters)
-	n.ackAccum = NewDDV(cfg.Clusters)
 	n.ackDirty.Init(cfg.Clusters)
 	n.pendingDirty.Init(cfg.Clusters)
 	n.recvDirty.Init(cfg.Clusters)
@@ -1118,9 +1113,7 @@ func (n *Node) Restart() {
 	n.ddv = NewDDV(n.cfg.Clusters)
 	n.ddvChanged()
 	n.resetDeltaState()
-	n.knownEpoch = make([]Epoch, n.cfg.Clusters)
-	n.alertEpoch = make([]Epoch, n.cfg.Clusters)
-	n.alertSN = make([]SN, n.cfg.Clusters)
+	n.epochs.reset()
 	n.resetCLCs()
 	n.resetReplicas()
 	n.mirrorLogs = make(map[topology.NodeID]*mirrorLog, n.cfg.Replicas)

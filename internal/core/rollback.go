@@ -136,7 +136,7 @@ func (n *Node) finishLocalRollback(idx int, toSN SN, newEpoch Epoch) {
 	}
 	n.restoreVector(idx, toSN)
 	n.epoch = newEpoch
-	n.knownEpoch[n.cluster] = newEpoch
+	n.epochs.setKnown(n.cluster, newEpoch)
 	n.pruneLogForOwnRollback(toSN)
 	n.anchorPending = true
 	n.frozenSends = true // until RollbackResume
@@ -300,7 +300,7 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 	n.app.Restore(m.State)
 	n.restoreVector(idx, pend.cmd.ToSN)
 	n.epoch = pend.cmd.NewEpoch
-	n.knownEpoch[n.cluster] = n.epoch
+	n.epochs.setKnown(n.cluster, n.epoch)
 	n.anchorPending = true
 	n.frozenSends = true
 	n.frozenDelivs = false
@@ -520,7 +520,7 @@ func (n *Node) resumeAfterRollback() {
 			// own rollback command is still in flight (it can queue
 			// behind bulk state transfers), the receiver defers this
 			// copy instead of consuming it in the doomed state.
-			DstEpoch: n.knownEpoch[e.dstCluster],
+			DstEpoch: n.epochs.known(e.dstCluster),
 		}
 		n.env.Stat("log.resent_after_recovery", 1)
 		n.env.SendApp(e.dst, m.WireSize(), m)
@@ -539,13 +539,8 @@ func (n *Node) onRollbackAlert(src topology.NodeID, m RollbackAlert) {
 	if m.Cluster == n.cluster {
 		return // echo of our own alert; impossible in practice
 	}
-	if m.NewEpoch > n.knownEpoch[m.Cluster] {
-		n.knownEpoch[m.Cluster] = m.NewEpoch
-	}
-	if m.NewEpoch > n.alertEpoch[m.Cluster] {
-		n.alertEpoch[m.Cluster] = m.NewEpoch
-		n.alertSN[m.Cluster] = m.NewSN
-	}
+	n.epochs.raiseKnown(m.Cluster, m.NewEpoch)
+	n.epochs.raiseAlert(m.Cluster, m.NewEpoch, m.NewSN)
 	n.alertsSeen++
 	// "Even if its cluster does not need to rollback, a node receiving
 	// a rollback alert broadcasts it in its cluster. Logged messages

@@ -212,14 +212,14 @@ type Fed struct {
 	inject  *failure.Injector
 	boxes   msgBoxes
 
-	// piggyCodecs, when non-nil, holds the delta codec of each directed
-	// cluster-pair pipe (slot src*nClusters+dst), allocated lazily per
-	// pipe actually used — w^2 pointer slots but only O(active pipes)
-	// vectors. Enabled for transitive runs on the delta wire; the
-	// codecs conceptually live in the cluster gateways (the pipes
-	// netsim serializes inter-cluster traffic through), which is why
-	// node crashes do not reset them.
-	piggyCodecs []*core.DeltaCodec
+	// piggyCodecs holds the delta codec of each directed cluster-pair
+	// pipe (pair src*nClusters+dst) that carried a piggyback, when
+	// deltaWire is set: transitive runs on the delta wire. The codecs
+	// conceptually live in the cluster gateways (the pipes netsim
+	// serializes inter-cluster traffic through), which is why node
+	// crashes do not reset them.
+	piggyCodecs topology.PairTable[*core.DeltaCodec]
+	deltaWire   bool
 	nClusters   int
 
 	// oracle, when non-nil, is the run's invariant checker; chaosSched
@@ -295,7 +295,7 @@ func New(opts Options) (*Fed, error) {
 		if opts.Chaos != nil {
 			return nil, fmt.Errorf("federation: chaos scheduling cannot run on delta-encoded transitive piggybacks (duplicate deliveries would desync the pipe codecs); set DenseWire")
 		}
-		f.piggyCodecs = make([]*core.DeltaCodec, nc*nc)
+		f.deltaWire = true
 		f.net.PipeExit = f.pipeExit
 	}
 	if opts.Oracle {
@@ -461,17 +461,16 @@ func (b *msgBoxes) reclaim(msg core.Msg) {
 // directed pipe src→dst, or nil when the run transports piggybacks
 // dense.
 func (f *Fed) piggyCodec(src, dst topology.ClusterID) *core.DeltaCodec {
-	if f.piggyCodecs == nil {
+	if !f.deltaWire {
 		return nil
 	}
-	slot := int(src)*f.nClusters + int(dst)
-	cd := f.piggyCodecs[slot]
-	if cd == nil {
-		cd = new(core.DeltaCodec)
+	slot := f.piggyCodecs.Get(int(src)*f.nClusters + int(dst))
+	if *slot == nil {
+		cd := new(core.DeltaCodec)
 		cd.Init(f.nClusters)
-		f.piggyCodecs[slot] = cd
+		*slot = cd
 	}
-	return cd
+	return *slot
 }
 
 // pipeExit is the netsim.PipeExit hook: it advances the pipe's decoder
@@ -549,14 +548,11 @@ func (e *nodeEnv) PiggyCodec(src, dst topology.ClusterID) *core.DeltaCodec {
 
 func (e *nodeEnv) ResetPiggyExam(dst topology.ClusterID) {
 	f := e.f
-	if f.piggyCodecs == nil {
-		return
-	}
-	for src := 0; src < f.nClusters; src++ {
-		if cd := f.piggyCodecs[src*f.nClusters+int(dst)]; cd != nil {
-			cd.ResetSeen()
+	f.piggyCodecs.Each(func(pair int, cd **core.DeltaCodec) {
+		if pair%f.nClusters == int(dst) {
+			(*cd).ResetSeen()
 		}
-	}
+	})
 }
 
 func (e *nodeEnv) AppAckBox() *core.AppAck {

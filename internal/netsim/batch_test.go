@@ -98,9 +98,9 @@ func TestBatchPoolRecycles(t *testing.T) {
 	if len(n.batchFree) > 2 {
 		t.Fatalf("batch free list holds %d buffers after sequential rounds, want <= 2 (pooling broken)", len(n.batchFree))
 	}
-	for slot, pb := range n.openBatch {
-		if pb != nil {
-			t.Fatalf("slot %d still holds a drained batch pointer", slot)
+	n.pairs.Each(func(pair int, p *pairState) {
+		if p.open != nil {
+			t.Fatalf("pair %d still holds a drained batch pointer", pair)
 		}
-	}
+	})
 }

@@ -32,11 +32,21 @@
 // off the batch path entirely (they deliver standalone); unperturbed
 // members stay batched, and the differential suites prove the split
 // leaves the observable run untouched.
+//
+// # Per-pair state
+//
+// Everything the network keeps per directed cluster pair — the pair's
+// counters and its pipe (busy-until mark, latest arrival, delivery
+// sequence, open batch) — is one record in a topology.PairTable, added
+// when the pair first carries traffic. A wide federation talks on a few
+// pairs per cluster, so the state grows with the pairs in use, not with
+// the square of the width, and a send finds all of it in one lookup.
+// Per-node state (the NIC serialization slots, handlers, failure marks)
+// stays in flat slices indexed by node ordinal.
 package netsim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -78,12 +88,6 @@ type Message struct {
 // Handler receives delivered messages at a node.
 type Handler func(m Message)
 
-// Serialization resources: intra-cluster traffic serializes at the
-// sender's NIC (one slot per node ordinal); inter-cluster traffic
-// shares one directed pipe per cluster pair (the LAN/WAN uplink, one
-// slot per src*nClusters+dst). Flat slices replace the struct-keyed
-// maps the seed used — link lookups are on the per-message hot path.
-
 // Accounting events. Counter names are fixed at these constants so the
 // per-message path never builds key strings (see count).
 const (
@@ -111,23 +115,18 @@ type Network struct {
 	ix     topology.NodeIndex
 	stats  *sim.Stats
 	tracer *sim.Tracer
-	// Indexed by node ordinal.
+	// Indexed by node ordinal: intra-cluster traffic serializes at the
+	// sender's NIC.
 	handlers  []Handler
 	busyIntra []sim.Time
 	lastIntra []sim.Time // latest scheduled arrival, for FIFO under jitter
 	down      []bool
-	// Indexed by src*nClusters+dst.
-	busyInter []sim.Time
-	lastInter []sim.Time
-	// pipeSeq numbers every delivery scheduled through a directed
-	// cluster-pair pipe (duplicates included). Combined with the pair
-	// index it forms the post-tick dispatch key that makes same-tick
-	// inter-cluster delivery order a pure function of the wire content,
-	// not of how the deliveries were scheduled — the property that keeps
-	// batched and unbatched runs byte-identical.
-	pipeSeq []uint64
-	nextID  uint64
-	rng     *sim.RNG // jitter draws; nil disables jitter
+	// pairs holds the state of every directed cluster pair that carried
+	// traffic, keyed by src*nClusters+dst: its counters and, between
+	// distinct clusters, its pipe (see pairState).
+	pairs  topology.PairTable[pairState]
+	nextID uint64
+	rng    *sim.RNG // jitter draws; nil disables jitter
 
 	nClusters int
 	// deliverFn is the closure-free delivery handler, bound once so
@@ -140,13 +139,8 @@ type Network struct {
 	// Batched pipe deliveries: same-tick messages on one directed
 	// cluster-pair pipe coalesce into a pipeBatch — one engine slot and
 	// one slice of in-flight messages instead of one scheduled event and
-	// one pooled box each. openBatch[slot] is the batch still accepting
-	// members, valid only while openTick[slot] equals the engine clock
-	// (all batch members are appended within one tick; arrivals are
-	// strictly later, so a firing batch is never still open). batchFn is
-	// the member-delivery trampoline, bound once.
-	openBatch []*pipeBatch
-	openTick  []sim.Time
+	// one pooled box each (see pairState.open). batchFn is the
+	// member-delivery trampoline, bound once.
 	batchFree []*pipeBatch
 	batchFn   func(any)
 	noBatch   bool
@@ -154,13 +148,9 @@ type Network struct {
 	// Cached counter pointers, resolved on first use so the set of
 	// registered counters stays exactly what a run actually touched
 	// (identical Stats output to building keys per call). The per-pair
-	// counters are keyed by src*nClusters+dst and hold only the pairs
-	// that carried traffic: a wide federation talks on a few pairs per
-	// cluster, and a width-squared table per counter is megabytes of
-	// cache misses.
+	// ones live in pairs.
 	evTotal   [numEvents]*sim.Counter
 	evKind    [numEvents][numKinds]*sim.Counter
-	evPair    pairTable
 	bytesKind [numKinds]*sim.Counter
 
 	// DropInterCluster, when non-nil, lets tests inject partitions: a
@@ -233,11 +223,6 @@ func New(e *sim.Engine, fed *topology.Federation, stats *sim.Stats, tracer *sim.
 		busyIntra: make([]sim.Time, ix.Len()),
 		lastIntra: make([]sim.Time, ix.Len()),
 		down:      make([]bool, ix.Len()),
-		busyInter: make([]sim.Time, nc*nc),
-		lastInter: make([]sim.Time, nc*nc),
-		pipeSeq:   make([]uint64, nc*nc),
-		openBatch: make([]*pipeBatch, nc*nc),
-		openTick:  make([]sim.Time, nc*nc),
 		nClusters: nc,
 	}
 	n.deliverFn = n.deliverPooled
@@ -261,7 +246,7 @@ func (n *Network) DisableBatching() { n.noBatch = true }
 // hand the same backing storage to a new batch, so nothing may retain a
 // pointer into items.
 type pipeBatch struct {
-	slot  int
+	pair  int
 	items []Message
 	next  int
 	pb    sim.PostBatch
@@ -290,20 +275,20 @@ func (n *Network) releaseBatch(pb *pipeBatch) {
 // arrivals per pipe (the busy-until mark only advances, the link
 // latency is constant, and jittered arrivals are clamped to the pipe's
 // latest), with strictly increasing pipe keys.
-func (n *Network) enqueueBatched(slot int, m Message, arrival sim.Time, key uint64) {
+func (n *Network) enqueueBatched(p *pairState, pair int, m Message, arrival sim.Time, key uint64) {
 	now := n.engine.Now()
-	if pb := n.openBatch[slot]; pb != nil && n.openTick[slot] == now {
+	if pb := p.open; pb != nil && p.openTick == now {
 		pb.items = append(pb.items, m)
 		pb.pb.Add(arrival, key)
 		return
 	}
 	pb := n.allocBatch()
-	pb.slot = slot
+	pb.pair = pair
 	pb.items = append(pb.items, m)
 	pb.pb = n.engine.NewPostBatch(n.batchFn, pb)
 	pb.pb.Add(arrival, key)
-	n.openBatch[slot] = pb
-	n.openTick[slot] = now
+	p.open = pb
+	p.openTick = now
 }
 
 // deliverBatched fires one batch member: pop the next message in FIFO
@@ -317,8 +302,8 @@ func (n *Network) deliverBatched(arg any) {
 	pb.items[pb.next] = Message{}
 	pb.next++
 	if pb.next == len(pb.items) {
-		if n.openBatch[pb.slot] == pb {
-			n.openBatch[pb.slot] = nil
+		if p := n.pairs.Find(pb.pair); p.open == pb {
+			p.open = nil
 		}
 		n.releaseBatch(pb)
 	}
@@ -387,7 +372,7 @@ func (n *Network) Send(src, dst topology.NodeID, kind Kind, size int, payload an
 	id := n.nextID
 	if n.down[n.ix.Ord(src)] {
 		// A failed node sends nothing (fail-stop assumption §2.1).
-		n.count(evDroppedSrcDown, kind, src, dst, size)
+		n.count(evDroppedSrcDown, kind, nil, src, dst, size)
 		return id
 	}
 	if src.Cluster != dst.Cluster && n.DropInterCluster != nil &&
@@ -400,30 +385,31 @@ func (n *Network) Send(src, dst topology.NodeID, kind Kind, size int, payload an
 			// run on the dense wire.
 			panic("netsim: DropInterCluster cannot be combined with a PipeExit hook (delta-encoded piggybacks would desync)")
 		}
-		n.count(evDroppedInjected, kind, src, dst, size)
+		n.count(evDroppedInjected, kind, nil, src, dst, size)
 		return id
 	}
 
 	// Resolve the serialization slot: the sender's NIC for SAN traffic,
-	// the directed cluster-pair pipe otherwise.
+	// the directed cluster-pair pipe otherwise. The pair's state is the
+	// one table lookup of the send; nothing below adds a pair.
+	pair := int(src.Cluster)*n.nClusters + int(dst.Cluster)
+	p := n.pairs.Get(pair)
 	var link topology.Link
-	var busy, last []sim.Time
-	var slot int
+	var busy, last *sim.Time
 	if src.Cluster == dst.Cluster {
 		link = n.fed.Clusters[src.Cluster].Intra
-		busy, last = n.busyIntra, n.lastIntra
-		slot = n.ix.Ord(src)
+		ord := n.ix.Ord(src)
+		busy, last = &n.busyIntra[ord], &n.lastIntra[ord]
 	} else {
 		link = n.fed.InterLink(src.Cluster, dst.Cluster)
-		busy, last = n.busyInter, n.lastInter
-		slot = int(src.Cluster)*n.nClusters + int(dst.Cluster)
+		busy, last = &p.busy, &p.last
 	}
 	start := n.engine.Now()
-	if free := busy[slot]; free > start {
+	if free := *busy; free > start {
 		start = free
 	}
 	endSerial := start.Add(link.TransmitTime(size))
-	busy[slot] = endSerial
+	*busy = endSerial
 	arrival := endSerial.Add(link.Latency)
 	var pert Perturbation
 	perturbed := false
@@ -447,14 +433,14 @@ func (n *Network) Send(src, dst topology.NodeID, kind Kind, size int, payload an
 		if perturbed && pert.Unclamped {
 			// Neither clamped nor advancing the slot's clamp state.
 		} else {
-			if prev := last[slot]; arrival < prev {
+			if prev := *last; arrival < prev {
 				arrival = prev
 			}
-			last[slot] = arrival
+			*last = arrival
 		}
 	}
 
-	n.count(evSent, kind, src, dst, size)
+	n.count(evSent, kind, p, src, dst, size)
 	if n.tracer.Enabled(sim.TraceAll) {
 		n.tracer.Allf(src.String(), "send #%d %s %dB -> %v (arrives %v)", id, kind, size, dst, arrival)
 	}
@@ -470,13 +456,13 @@ func (n *Network) Send(src, dst topology.NodeID, kind Kind, size int, payload an
 		// open batch; perturbed ones stay standalone so the chaos
 		// layer's arrival rewrites can never violate a batch's
 		// monotone-arrival contract.
-		key := n.nextPipeKey(slot)
+		key := p.nextKey(pair)
 		if n.noBatch || perturbed {
 			m := n.allocMsg()
 			*m = msg
 			n.engine.SchedulePostCallAt(arrival, key, n.deliverFn, m)
 		} else {
-			n.enqueueBatched(slot, msg, arrival, key)
+			n.enqueueBatched(p, pair, msg, arrival, key)
 		}
 	} else {
 		m := n.allocMsg()
@@ -491,7 +477,7 @@ func (n *Network) Send(src, dst topology.NodeID, kind Kind, size int, payload an
 		}
 		at := arrival.Add(pert.Duplicate)
 		if inter {
-			n.engine.SchedulePostCallAt(at, n.nextPipeKey(slot), n.deliverFn, d)
+			n.engine.SchedulePostCallAt(at, p.nextKey(pair), n.deliverFn, d)
 		} else {
 			n.engine.ScheduleCallAt(at, n.deliverFn, d)
 		}
@@ -505,11 +491,11 @@ func (n *Network) Send(src, dst topology.NodeID, kind Kind, size int, payload an
 // run this simulator performs.
 const pipeSeqBits = 40
 
-// nextPipeKey advances the directed pipe's delivery sequence and
-// returns the post-tick dispatch key for the next delivery.
-func (n *Network) nextPipeKey(slot int) uint64 {
-	n.pipeSeq[slot]++
-	return uint64(slot)<<pipeSeqBits | n.pipeSeq[slot]
+// nextKey advances the directed pipe's delivery sequence and returns
+// the post-tick dispatch key for the next delivery on pair.
+func (p *pairState) nextKey(pair int) uint64 {
+	p.seq++
+	return uint64(pair)<<pipeSeqBits | p.seq
 }
 
 // deliverPooled is the event-engine entry point: it copies the pooled
@@ -529,14 +515,14 @@ func (n *Network) deliver(m Message) {
 	dst := n.ix.Ord(m.Dst)
 	if n.down[dst] {
 		// The destination died while the message was in flight.
-		n.count(evDroppedDstDown, m.Kind, m.Src, m.Dst, m.Size)
+		n.count(evDroppedDstDown, m.Kind, nil, m.Src, m.Dst, m.Size)
 		return
 	}
 	h := n.handlers[dst]
 	if h == nil {
 		panic(fmt.Sprintf("netsim: no handler for %v", m.Dst))
 	}
-	n.count(evDelivered, m.Kind, m.Src, m.Dst, m.Size)
+	n.count(evDelivered, m.Kind, nil, m.Src, m.Dst, m.Size)
 	if n.tracer.Enabled(sim.TraceAll) {
 		n.tracer.Allf(m.Dst.String(), "recv #%d %s %dB from %v", m.ID, m.Kind, m.Size, m.Src)
 	}
@@ -553,76 +539,36 @@ func (n *Network) Broadcast(src topology.NodeID, kind Kind, size int, payload an
 	}
 }
 
-// pairCounters is one directed cluster pair's counters, per event and
-// kind, each registered on its first touch.
-type pairCounters [numEvents][numKinds]*sim.Counter
-
-// pairTable finds a directed cluster pair's counters by the pair's
-// index src*nClusters+dst: open addressing with linear probing over a
-// power-of-two table kept at most half full, so it grows with the pairs
-// that carry traffic and a lookup is one multiply and a short scan of
-// the key array.
-type pairTable struct {
-	keys  []uint32 // pair index + 1; 0 marks a free slot
-	vals  []pairCounters
-	used  int
-	shift uint32 // 32 - log2(len(keys))
-}
-
-// get returns the counters of pair, adding zeroed ones when absent. The
-// pointer is valid until the next get.
-func (t *pairTable) get(pair int) *pairCounters {
-	key := uint32(pair) + 1
-	if len(t.keys) > 0 {
-		mask := uint32(len(t.keys) - 1)
-		for i := (key * pairHash) >> t.shift; t.keys[i] != 0; i = (i + 1) & mask {
-			if t.keys[i] == key {
-				return &t.vals[i]
-			}
-		}
-	}
-	if 2*(t.used+1) > len(t.keys) {
-		t.grow()
-	}
-	t.used++
-	return &t.vals[t.insert(key)]
-}
-
-// pairHash is the multiplicative (Fibonacci) hash constant: a pair's
-// slot is the top bits of key*pairHash.
-const pairHash = 0x9E3779B1
-
-// insert claims the first free slot of key's probe sequence and returns
-// it; the table must have one.
-func (t *pairTable) insert(key uint32) uint32 {
-	mask := uint32(len(t.keys) - 1)
-	i := (key * pairHash) >> t.shift
-	for t.keys[i] != 0 {
-		i = (i + 1) & mask
-	}
-	t.keys[i] = key
-	return i
-}
-
-// grow doubles the table (to 16 slots at first) and reinserts every pair.
-func (t *pairTable) grow() {
-	keys, vals := t.keys, t.vals
-	size := max(16, 2*len(keys))
-	t.keys, t.vals = make([]uint32, size), make([]pairCounters, size)
-	t.shift = uint32(32 - bits.TrailingZeros(uint(size)))
-	for j, key := range keys {
-		if key != 0 {
-			t.vals[t.insert(key)] = vals[j]
-		}
-	}
+// pairState is one directed cluster pair's state: the pair's counters
+// per event and kind, each registered on its first touch, and, between
+// distinct clusters, the pipe (the LAN/WAN uplink) that serializes the
+// pair's traffic.
+type pairState struct {
+	counters [numEvents][numKinds]*sim.Counter
+	busy     sim.Time // end of the pipe's current serialization
+	last     sim.Time // latest scheduled arrival, for FIFO under jitter
+	// seq numbers every delivery scheduled through the pipe (duplicates
+	// included). Combined with the pair index it forms the post-tick
+	// dispatch key that makes same-tick inter-cluster delivery order a
+	// pure function of the wire content, not of how the deliveries were
+	// scheduled — the property that keeps batched and unbatched runs
+	// byte-identical.
+	seq uint64
+	// open is the batch still accepting members, valid only while
+	// openTick equals the engine clock (all batch members are appended
+	// within one tick; arrivals are strictly later, so a firing batch is
+	// never still open). A drained batch clears it.
+	open     *pipeBatch
+	openTick sim.Time
 }
 
 // count increments the per-event counters (total, per kind, per
 // cluster pair, plus sent bytes). Counter pointers are cached after the
 // first touch, so the steady state builds no key strings; keys are
 // composed lazily — exactly the set a per-call fmt.Sprintf would have
-// registered, so Stats output is unchanged.
-func (n *Network) count(ev int, kind Kind, src, dst topology.NodeID, size int) {
+// registered, so Stats output is unchanged. p is the pair's state when
+// the caller holds it, nil to look it up.
+func (n *Network) count(ev int, kind Kind, p *pairState, src, dst topology.NodeID, size int) {
 	if n.stats == nil {
 		return
 	}
@@ -642,11 +588,13 @@ func (n *Network) count(ev int, kind Kind, src, dst topology.NodeID, size int) {
 		n.evKind[ev][k] = ck
 	}
 	ck.Inc()
-	pc := n.evPair.get(int(src.Cluster)*n.nClusters + int(dst.Cluster))
-	cp := pc[ev][k]
+	if p == nil {
+		p = n.pairs.Get(int(src.Cluster)*n.nClusters + int(dst.Cluster))
+	}
+	cp := p.counters[ev][k]
 	if cp == nil {
 		cp = n.stats.Counter(fmt.Sprintf("%s.%s.c%d.c%d", eventNames[ev], kind, src.Cluster, dst.Cluster))
-		pc[ev][k] = cp
+		p.counters[ev][k] = cp
 	}
 	cp.Inc()
 	if ev == evSent {

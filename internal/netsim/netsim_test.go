@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -228,22 +229,47 @@ func mustPanic(t *testing.T, name string, f func()) {
 	f()
 }
 
-// TestPairTableKeepsEveryPair: the per-pair counter table finds every
+// TestPairTableKeepsEveryPair: the per-pair state table finds every
 // pair it was given, with what was stored for it, across the growths a
-// thousand pairs of a 1024-cluster federation cause.
+// thousand pairs of a 1024-cluster federation cause. (The table's load
+// factor is pinned in package topology.)
 func TestPairTableKeepsEveryPair(t *testing.T) {
-	var tab pairTable
+	var tab topology.PairTable[pairState]
 	counters := make([]sim.Counter, 1000)
 	pair := func(i int) int { return (i*7919)%1024*1024 + (i*104729)%1024 }
 	for i := range counters {
-		tab.get(pair(i))[evSent][KindApp] = &counters[i]
+		p := tab.Get(pair(i))
+		p.counters[evSent][KindApp] = &counters[i]
+		p.seq = uint64(i)
 	}
 	for i := range counters {
-		if got := tab.get(pair(i))[evSent][KindApp]; got != &counters[i] {
-			t.Fatalf("pair %d: found %p, stored %p", pair(i), got, &counters[i])
+		p := tab.Get(pair(i))
+		if got := p.counters[evSent][KindApp]; got != &counters[i] || p.seq != uint64(i) {
+			t.Fatalf("pair %d: found %p seq %d, stored %p seq %d", pair(i), got, p.seq, &counters[i], i)
 		}
 	}
-	if tab.used != len(counters) || 2*tab.used > len(tab.keys) {
-		t.Fatalf("%d pairs in %d slots, want %d at most half full", tab.used, len(tab.keys), len(counters))
+	if tab.Len() != len(counters) {
+		t.Fatalf("%d pairs, want %d", tab.Len(), len(counters))
+	}
+}
+
+// TestWideSetupAllocatesLinear: assembling the topology and the network
+// of a 1024-cluster federation allocates state for its nodes and for
+// no cluster pair, since pairs get state when they first carry
+// traffic. A width-squared table of any kind is megabytes here.
+func TestWideSetupAllocatesLinear(t *testing.T) {
+	clusters := make([]topology.Cluster, 1024)
+	for i := range clusters {
+		clusters[i] = topology.Cluster{Nodes: 2, Intra: topology.MyrinetLike()}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fed := topology.New(clusters...)
+	fed.SetAllInterLinks(topology.EthernetLike())
+	n := New(sim.NewEngine(), fed, nil, nil)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(n)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("topology.New + SetAllInterLinks + netsim.New at 1024 clusters allocated %d bytes, want < 1 MiB", got)
 	}
 }

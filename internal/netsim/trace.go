@@ -187,7 +187,7 @@ type TracePerturber struct {
 	now   func() sim.Time
 	seed  uint64
 	nc    int
-	slots []*sim.RNG // by src*nClusters+dst, lazily created
+	slots topology.PairTable[*sim.RNG] // by src*nClusters+dst, lazily created
 
 	// Retransmits, when non-nil, counts simulated loss retransmissions.
 	Retransmits *sim.Counter
@@ -200,14 +200,12 @@ const traceRetryCap = 16
 // NewTracePerturber builds the perturber for one run. seed is the run
 // seed and now the owning engine's clock.
 func NewTracePerturber(trace *LinkTrace, fed *topology.Federation, seed uint64, now func() sim.Time) *TracePerturber {
-	nc := fed.NumClusters()
 	return &TracePerturber{
 		trace: trace,
 		fed:   fed,
 		now:   now,
 		seed:  seed,
-		nc:    nc,
-		slots: make([]*sim.RNG, nc*nc),
+		nc:    fed.NumClusters(),
 	}
 }
 
@@ -215,13 +213,12 @@ func NewTracePerturber(trace *LinkTrace, fed *topology.Federation, seed uint64, 
 // The 3<<32 tag keeps it disjoint from netsim's intra (1<<32) and
 // inter (2<<32) jitter streams under the same seed.
 func (p *TracePerturber) slotRNG(slot int) *sim.RNG {
-	if r := p.slots[slot]; r != nil {
-		return r
+	r := p.slots.Get(slot)
+	if *r == nil {
+		tag := 3<<32 | uint64(slot)
+		*r = sim.NewRNG(p.seed + tag*0x9e3779b97f4a7c15)
 	}
-	tag := 3<<32 | uint64(slot)
-	r := sim.NewRNG(p.seed + tag*0x9e3779b97f4a7c15)
-	p.slots[slot] = r
-	return r
+	return *r
 }
 
 // Perturb implements Perturber. Intra-cluster traffic is untouched

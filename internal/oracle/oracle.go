@@ -87,12 +87,13 @@ type clusterShadow struct {
 type Oracle struct {
 	width    int
 	clusters []clusterShadow
-	// pipes holds, per directed cluster pair (src*width+dst), the FIFO
-	// queue of dense vectors entering the pipe whose decoded
-	// counterparts must reappear at pipe exit. The vectors are the
-	// senders' shared piggy clones — immutable once handed out — so
-	// the queue stores references, never copies.
-	pipes [][]core.DDV
+	// pipes holds, per directed cluster pair (src*width+dst) that
+	// carried a delta piggyback, the FIFO queue of dense vectors
+	// entering the pipe whose decoded counterparts must reappear at
+	// pipe exit. The vectors are the senders' shared piggy clones —
+	// immutable once handed out — so the queue stores references,
+	// never copies.
+	pipes topology.PairTable[[]core.DDV]
 	// vec is the scratch a stored vector is materialised into.
 	vec core.DDV
 	// gc caches the garbage-collection safety analysis (gcDrop).
@@ -122,7 +123,6 @@ func New(nClusters int) *Oracle {
 	o := &Oracle{
 		width:    nClusters,
 		clusters: make([]clusterShadow, nClusters),
-		pipes:    make([][]core.DDV, nClusters*nClusters),
 		vec:      core.NewDDV(nClusters),
 		gc: gcCheck{
 			chains:   make([]core.Chain, nClusters),
@@ -193,8 +193,8 @@ func (o *Oracle) Observe(id topology.NodeID, ev core.Event) {
 	case core.EventDeliver:
 		o.deliver(id, ev.Peer, ev.PeerEpoch, ev.Seq, ev.SN)
 	case core.EventPiggySend:
-		slot := int(id.Cluster)*o.width + int(ev.Cluster)
-		o.pipes[slot] = append(o.pipes[slot], ev.DDV)
+		q := o.pipes.Get(int(id.Cluster)*o.width + int(ev.Cluster))
+		*q = append(*q, ev.DDV)
 	case core.EventGCDrop:
 		o.gcDrop(id, ev.DDV)
 	}
@@ -390,15 +390,14 @@ func (o *Oracle) deliver(dst, src topology.NodeID, srcEpoch core.Epoch, sendSN, 
 // harness calls it for every delta-piggybacked message leaving a pipe,
 // in pipe order.
 func (o *Oracle) CheckPipeExit(src, dst topology.ClusterID, decoded core.DDV) {
-	slot := int(src)*o.width + int(dst)
-	q := o.pipes[slot]
-	if len(q) == 0 {
+	q := o.pipes.Find(int(src)*o.width + int(dst))
+	if q == nil || len(*q) == 0 {
 		o.violatef("pipe lockstep: c%d->c%d exit without an observed send", src, dst)
 		return
 	}
-	want := q[0]
-	q[0] = nil
-	o.pipes[slot] = q[1:]
+	want := (*q)[0]
+	(*q)[0] = nil
+	*q = (*q)[1:]
 	if !decoded.Equal(want) {
 		o.violatef("pipe lockstep: c%d->c%d decoder holds %v, sender shipped %v", src, dst, decoded, want)
 	}

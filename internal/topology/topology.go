@@ -74,13 +74,16 @@ type Cluster struct {
 	Intra Link
 }
 
-// Federation is the full architecture model: clusters plus a triangular
-// matrix of inter-cluster link classes and the federation MTBF.
+// Federation is the full architecture model: clusters, the
+// inter-cluster link classes and the federation MTBF.
 type Federation struct {
 	Clusters []Cluster
-	// inter[i][j] with i < j holds the link class between clusters i
-	// and j. Built through SetInterLink, read through InterLink.
-	inter [][]Link
+	// interAll is the link class of every pair of distinct clusters
+	// that interOver does not name (SetAllInterLinks); interOver holds
+	// the per-pair classes set by SetInterLink, keyed by triangleIndex.
+	// Read through InterLink.
+	interAll  Link
+	interOver PairTable[Link]
 	// MTBF is the federation-wide mean time between failures used by
 	// the failure injector (0 = no failures).
 	MTBF sim.Duration
@@ -89,13 +92,7 @@ type Federation struct {
 // New returns a federation with the given clusters and no inter-cluster
 // links configured yet.
 func New(clusters ...Cluster) *Federation {
-	f := &Federation{Clusters: clusters}
-	n := len(clusters)
-	f.inter = make([][]Link, n)
-	for i := range f.inter {
-		f.inter[i] = make([]Link, n)
-	}
-	return f
+	return &Federation{Clusters: clusters}
 }
 
 // NumClusters returns the number of clusters.
@@ -116,20 +113,14 @@ func (f *Federation) SetInterLink(a, b ClusterID, l Link) {
 	if a == b {
 		panic("topology: SetInterLink with identical clusters")
 	}
-	f.inter[a][b] = l
-	f.inter[b][a] = l
+	*f.interOver.Get(triangleIndex(a, b)) = l
 }
 
 // SetAllInterLinks sets the same link class between every pair of
-// distinct clusters.
+// distinct clusters, replacing every earlier SetInterLink.
 func (f *Federation) SetAllInterLinks(l Link) {
-	for i := range f.Clusters {
-		for j := range f.Clusters {
-			if i != j {
-				f.inter[i][j] = l
-			}
-		}
-	}
+	f.interAll = l
+	f.interOver = PairTable[Link]{}
 }
 
 // InterLink returns the link class between two distinct clusters.
@@ -137,7 +128,20 @@ func (f *Federation) InterLink(a, b ClusterID) Link {
 	if a == b {
 		panic("topology: InterLink with identical clusters")
 	}
-	return f.inter[a][b]
+	if l := f.interOver.Find(triangleIndex(a, b)); l != nil {
+		return *l
+	}
+	return f.interAll
+}
+
+// triangleIndex numbers the unordered pair {a, b} of distinct clusters
+// densely, whatever the cluster count: hi*(hi-1)/2 + lo.
+func triangleIndex(a, b ClusterID) int {
+	lo, hi := int(a), int(b)
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return hi*(hi-1)/2 + lo
 }
 
 // LinkBetween returns the link class used for a message from node a to
@@ -231,10 +235,14 @@ func (f *Federation) Validate() error {
 			return fmt.Errorf("topology: cluster %d (%s) has invalid SAN link %+v", i, c.Name, c.Intra)
 		}
 	}
-	for i := range f.Clusters {
+	// With a valid class for every pair, only the overrides can be bad:
+	// check those alone unless one is, then name the first bad pair.
+	badLink := func(l Link) bool { return l.Bandwidth <= 0 || l.Latency < 0 }
+	bad := badLink(f.interAll)
+	f.interOver.Each(func(_ int, l *Link) { bad = bad || badLink(*l) })
+	for i := 0; bad && i < len(f.Clusters); i++ {
 		for j := i + 1; j < len(f.Clusters); j++ {
-			l := f.inter[i][j]
-			if l.Bandwidth <= 0 || l.Latency < 0 {
+			if l := f.InterLink(ClusterID(i), ClusterID(j)); badLink(l) {
 				return fmt.Errorf("topology: missing or invalid link between clusters %d and %d: %+v", i, j, l)
 			}
 		}

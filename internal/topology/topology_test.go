@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -139,6 +140,97 @@ func TestLinkDelayMonotoneProperty(t *testing.T) {
 		return l.Delay(a) <= l.Delay(b) && l.Delay(a) >= l.Latency
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func threeClusters() *Federation {
+	return New(
+		Cluster{Name: "a", Nodes: 1, Intra: MyrinetLike()},
+		Cluster{Name: "b", Nodes: 1, Intra: MyrinetLike()},
+		Cluster{Name: "c", Nodes: 1, Intra: MyrinetLike()},
+	)
+}
+
+// SetInterLink after SetAllInterLinks overrides one pair, both ways,
+// and leaves every other pair on the federation-wide class.
+func TestSetInterLinkOverridesOnePair(t *testing.T) {
+	f := threeClusters()
+	f.SetAllInterLinks(EthernetLike())
+	f.SetInterLink(2, 1, WANLike())
+	for _, p := range [][2]ClusterID{{0, 1}, {1, 0}, {0, 2}, {2, 0}} {
+		if got := f.InterLink(p[0], p[1]); got != EthernetLike() {
+			t.Fatalf("InterLink%v = %+v, want the SetAllInterLinks class", p, got)
+		}
+	}
+	if f.InterLink(1, 2) != WANLike() || f.InterLink(2, 1) != WANLike() {
+		t.Fatalf("override lost: %+v / %+v", f.InterLink(1, 2), f.InterLink(2, 1))
+	}
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// SetAllInterLinks after SetInterLink resets every pair, overridden
+// ones included.
+func TestSetAllInterLinksResetsOverrides(t *testing.T) {
+	f := threeClusters()
+	f.SetInterLink(0, 1, WANLike())
+	f.SetInterLink(1, 2, HighJitterWAN())
+	f.SetAllInterLinks(EthernetLike())
+	for a := ClusterID(0); a < 3; a++ {
+		for b := ClusterID(0); b < 3; b++ {
+			if a != b && f.InterLink(a, b) != EthernetLike() {
+				t.Fatalf("InterLink(%d, %d) = %+v after SetAllInterLinks", a, b, f.InterLink(a, b))
+			}
+		}
+	}
+}
+
+// Validate names the first pair that was never set, even when others
+// were.
+func TestValidateNamesUnsetPair(t *testing.T) {
+	f := threeClusters()
+	f.SetInterLink(0, 1, EthernetLike())
+	err := f.Validate()
+	if err == nil || !strings.Contains(err.Error(), "between clusters 0 and 2") {
+		t.Fatalf("Validate = %v, want the unset pair (0, 2) named", err)
+	}
+	f.SetInterLink(2, 0, EthernetLike())
+	f.SetInterLink(1, 2, Link{Latency: sim.Microsecond})
+	if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "between clusters 1 and 2") {
+		t.Fatalf("Validate = %v, want the zero-bandwidth pair (1, 2) named", err)
+	}
+	f.SetInterLink(1, 2, EthernetLike())
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Every pair keeps its own class: no two pairs share an override.
+func TestInterLinkEveryPairDistinct(t *testing.T) {
+	const n = 6
+	clusters := make([]Cluster, n)
+	for i := range clusters {
+		clusters[i] = Cluster{Nodes: 1, Intra: MyrinetLike()}
+	}
+	f := New(clusters...)
+	link := func(a, b ClusterID) Link {
+		return Link{Latency: sim.Duration(1 + min(a, b)*n + max(a, b)), Bandwidth: Mbps(1)}
+	}
+	for a := ClusterID(0); a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			f.SetInterLink(b, a, link(a, b))
+		}
+	}
+	for a := ClusterID(0); a < n; a++ {
+		for b := ClusterID(0); b < n; b++ {
+			if a != b && f.InterLink(a, b) != link(a, b) {
+				t.Fatalf("InterLink(%d, %d) = %+v, want %+v", a, b, f.InterLink(a, b), link(a, b))
+			}
+		}
+	}
+	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
