@@ -235,26 +235,13 @@ func BenchmarkEndToEndSimulation(b *testing.B) {
 // slice (ring workload, none+crash failures, HC3I with transitive
 // piggybacking plus all three baselines) through the parallel runner —
 // the macro counterpart of core's width-parameterized
-// BenchmarkPiggybackMessage. The Dense variant re-runs it on the dense
-// DDV wire encoding; results are byte-identical, only simulator cost
-// differs. (Kept last in the file: its runs allocate tens of MB each,
-// and the GC debt would otherwise bleed into the benchmarks after it.)
+// BenchmarkPiggybackMessage. Its dense-wire reference run,
+// BenchmarkWideSliceDense, lives in internal/experiments. (The wide
+// benchmarks close the file: their runs allocate tens of MB each, and
+// the GC debt would otherwise bleed into the benchmarks after them.)
 func BenchmarkWideSlice(b *testing.B) {
-	benchWideSlice(b, false)
-}
-
-// BenchmarkWideSliceDense is the dense-wire reference run of the same
-// slice.
-func BenchmarkWideSliceDense(b *testing.B) {
-	benchWideSlice(b, true)
-}
-
-func benchWideSlice(b *testing.B, dense bool) {
 	for i := 0; i < b.N; i++ {
-		opts := hc3i.RunnerOptions{
-			Workers: hc3i.DefaultWorkers(), Seed: uint64(i + 1), Quick: true,
-			DenseWire: dense,
-		}
+		opts := hc3i.RunnerOptions{Workers: hc3i.DefaultWorkers(), Seed: uint64(i + 1), Quick: true}
 		res, err := hc3i.RunMatrix(opts, "tier=wide,topology=64c")
 		if err != nil {
 			b.Fatal(err)

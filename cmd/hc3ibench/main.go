@@ -13,7 +13,6 @@
 //	hc3ibench -matrix         # run the full scenario matrix instead
 //	hc3ibench -matrix -filter topology=8c,failure=churn
 //	hc3ibench -matrix -filter tier=wide            # 64-256 cluster tier
-//	hc3ibench -matrix -filter tier=wide -dense-ddv # dense reference wire
 //	hc3ibench -oracle -matrix                      # invariant-checked matrix
 //	hc3ibench -matrix -filter tier=chaos -chaos-seeds 50   # adversarial tier
 //	hc3ibench -matrix -filter tier=chaos -seed 3 -chaos-seed 1337  # replay one run
@@ -70,10 +69,6 @@ func bindFlags(fs *flag.FlagSet) *cli {
 	fs.Uint64Var(&opts.Seed, "seed", 1, "simulation seed")
 	fs.IntVar(&opts.Workers, "parallel", hc3i.DefaultWorkers(),
 		"max federations simulated concurrently (1 = sequential; output is identical either way)")
-	fs.BoolVar(&opts.DenseWire, "dense-ddv", false,
-		"transport dependency vectors in the dense wire encoding (identical results; for A/B timing the delta encoding)")
-	fs.BoolVar(&opts.UnbatchedWire, "unbatched-wire", false,
-		"schedule every inter-cluster delivery as its own engine event instead of batching same-pipe same-tick messages (identical results; for A/B timing the batched wire)")
 	fs.BoolVar(&opts.Oracle, "oracle", false,
 		"attach the online protocol invariant checker to every run (identical results; violations fail the run)")
 	fs.Uint64Var(&opts.ChaosSeed, "chaos-seed", 0,

@@ -45,6 +45,15 @@ func TestCLI(t *testing.T) {
 			t.Fatalf("exit %d, stderr:\n%s", code, msg)
 		}
 	})
+	// The reference wires are test fixtures, not run options.
+	for _, name := range []string{"dense-ddv", "unbatched-wire"} {
+		t.Run(name+" flag is gone", func(t *testing.T) {
+			code, msg := run(t, "-quick", "-matrix", "-"+name)
+			if code != 2 || !strings.Contains(msg, "flag provided but not defined: -"+name) {
+				t.Fatalf("exit %d, stderr:\n%s", code, msg)
+			}
+		})
+	}
 
 	badTrace := filepath.Join(dir, "bad.jsonl")
 	if err := os.WriteFile(badTrace, []byte("not json\n"), 0o644); err != nil {

@@ -60,9 +60,10 @@
 // experiments.Config: hc3i.RunnerOptions is an alias of it, hc3ibench
 // binds its flags into it, and experiments.Run / RunMatrix consume it,
 // attaching the shared worker semaphore and scratch arena themselves.
-// Config.apply is the only place a run option (DenseWire,
-// UnbatchedWire, Oracle, RunTimeout) becomes a federation.Options
-// field; ScenarioOptions and the runner's execution path both call it.
+// Config.apply is the only place a run option (Oracle, RunTimeout, and
+// the reference wires the differential tests select through unexported
+// fields) becomes a federation.Options field; ScenarioOptions and the
+// runner's execution path both call it.
 // Rendered results are one type as well (hc3i.ExperimentResult =
 // experiments.Table). A protocol is named in one table:
 // federation.ProtocolFactory resolves the six names (hc3i, force-all,
@@ -314,8 +315,8 @@
 // Both encodings are priced identically — at the dense width — in the
 // network model, so modeled delays, byte counters and all goldens are
 // invariant under the switch; the delta form saves simulator time and
-// allocations, not modeled bytes. core.Config.DenseWire (hc3ibench
-// -dense-ddv) selects the dense reference encoding; differential
+// allocations, not modeled bytes. core.Config.DenseWire selects the
+// dense reference encoding, which only tests reach; differential
 // suites pin byte-identical output across the matrix goldens, the
 // transitive/GC ablations, crash-recovery seed sweeps, and
 // transitive-with-crash runs compared on full statistics dumps.

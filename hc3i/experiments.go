@@ -44,9 +44,9 @@ func RunExperiment(id string, seed uint64, quick bool) (*ExperimentResult, error
 // simulated federations (each one is an isolated single-threaded
 // simulation, so results are byte-identical to a sequential run of the
 // same seed; <= 1 runs sequentially, DefaultWorkers picks one worker
-// per CPU); Seed and Quick act exactly as in RunExperiment; DenseWire,
-// UnbatchedWire, Oracle, ChaosSeed, ChaosSeeds, ChaosOps, TraceFile and
-// RunTimeout are documented on the fields.
+// per CPU); Seed and Quick act exactly as in RunExperiment; Oracle,
+// ChaosSeed, ChaosSeeds, ChaosOps, TraceFile and RunTimeout are
+// documented on the fields.
 type RunnerOptions = experiments.Config
 
 // DefaultWorkers returns the machine-sized worker count.

@@ -122,12 +122,6 @@ type Config struct {
 	RingGC bool
 	// TransitiveDDV piggybacks whole DDVs instead of single SNs.
 	TransitiveDDV bool
-	// DenseDDVWire transports dependency metadata in the dense
-	// one-SN-per-cluster wire encoding instead of the default delta
-	// form. Results are identical either way (both encodings are priced
-	// at the dense width); the switch exists for differential testing
-	// and for measuring the delta encoding's simulator speedup.
-	DenseDDVWire bool
 	// Replicas is the stable-storage replication degree (default 1).
 	Replicas int
 
@@ -246,7 +240,6 @@ func Run(cfg Config) (*Result, error) {
 		GCMemoryThreshold: cfg.GCMemoryThreshold,
 		RingGC:            cfg.RingGC,
 		Transitive:        cfg.TransitiveDDV,
-		DenseWire:         cfg.DenseDDVWire,
 		Replicas:          cfg.Replicas,
 		Seed:              cfg.Seed,
 		MTBFFailures:      cfg.MTBFFailures,

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/sim"
@@ -310,18 +312,86 @@ func TestMatrixFilterUnknownKeyErrors(t *testing.T) {
 	}
 }
 
-// TestChaosRejectsDeltaTransitive pins the wire-contract guard: the
-// chaos scheduler cannot run on delta-encoded transitive piggybacks
-// (duplicate deliveries would desync the per-pipe codecs).
+// TestChaosRejectsDeltaTransitive pins the three combinations
+// federation.New refuses, each with its message: chaos and trace links
+// together (both claim the network's perturbation hook), and either one
+// on delta-encoded transitive piggybacks (duplicates or reordered exits
+// would desync the per-pipe codecs).
 func TestChaosRejectsDeltaTransitive(t *testing.T) {
-	sc := Scenario{Topology: "2c", Workload: "uniform", Failure: "storm", Network: "jitter"}
-	opts, err := ScenarioOptions(Config{Seed: 1, Quick: true}, sc, "hc3i")
+	chaosSc := Scenario{Topology: "2c", Workload: "uniform", Failure: "storm", Network: "jitter"}
+	traceSc := Scenario{Topology: "2c", Workload: "openloop", Failure: "none", Network: "trace"}
+	cases := []struct {
+		name string
+		sc   Scenario
+		edit func(*federation.Options)
+		want string
+	}{
+		{"trace with chaos", traceSc, func(o *federation.Options) { o.Chaos = &chaos.Config{Seed: 1} },
+			"federation: LinkTrace and Chaos both claim the network perturbation hook; run them separately"},
+		{"trace on delta transitive", traceSc, func(o *federation.Options) { o.Transitive = true },
+			"federation: trace-driven links cannot run on delta-encoded transitive piggybacks (reordered exits would desync the pipe codecs); set DenseWire"},
+		{"chaos on delta transitive", chaosSc, func(o *federation.Options) { o.Transitive = true },
+			"federation: chaos scheduling cannot run on delta-encoded transitive piggybacks (duplicate deliveries would desync the pipe codecs); set DenseWire"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts, err := ScenarioOptions(Config{Seed: 1, Quick: true}, tc.sc, "hc3i")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := runFed(opts); err != nil {
+				t.Fatalf("the unedited scenario must run: %v", err)
+			}
+			tc.edit(&opts)
+			if _, err := runFed(opts); err == nil || err.Error() != tc.want {
+				t.Fatalf("got %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestDenseWireRunsTransitiveChaosAndTrace: the escape the refusals
+// name — the dense reference wire — runs every chaos-tier and
+// trace-tier scenario in transitive mode with the oracle clean and the
+// harness invariants intact.
+func TestDenseWireRunsTransitiveChaosAndTrace(t *testing.T) {
+	chaosSeeds, traceSeeds := 20, 3
+	if testing.Short() {
+		chaosSeeds, traceSeeds = 2, 1
+	}
+	type run struct {
+		sc   Scenario
+		seed uint64
+	}
+	var runs []run
+	for _, sc := range ChaosMatrix() {
+		for k := 1; k <= chaosSeeds; k++ {
+			runs = append(runs, run{sc, uint64(k)})
+		}
+	}
+	traces, err := MatrixScenarios("tier=trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Transitive = true
-	opts.DenseWire = false
-	if _, err := runFed(opts); err == nil || !strings.Contains(err.Error(), "chaos") {
-		t.Fatalf("delta-transitive chaos run accepted: %v", err)
+	for _, sc := range traces {
+		for k := 1; k <= traceSeeds; k++ {
+			runs = append(runs, run{sc, uint64(k)})
+		}
+	}
+	err = forEach(DefaultWorkers(), len(runs), func(i int) error {
+		r := runs[i]
+		cfg := Config{Seed: r.seed, Quick: true, ChaosSeed: r.seed, Oracle: true, denseWire: true}
+		opts, err := ScenarioOptions(cfg, r.sc, "hc3i")
+		if err != nil {
+			return err
+		}
+		opts.Transitive = true
+		if _, err := runFed(opts); err != nil {
+			return fmt.Errorf("%s seed %d: %w", r.sc.Name(), r.seed, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

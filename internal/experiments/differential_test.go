@@ -26,7 +26,7 @@ func TestDenseWireMatchesGoldenSlices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tab, err := RunMatrix(Config{Workers: 4, Seed: 11, Quick: true, DenseWire: true}, scs)
+			tab, err := RunMatrix(Config{Workers: 4, Seed: 11, Quick: true, denseWire: true}, scs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +53,7 @@ func runBothEncodings(t *testing.T, id string, seed uint64) {
 	if err != nil {
 		t.Fatalf("%s seed %d (delta): %v", id, seed, err)
 	}
-	dense, err := e.Run(Config{Seed: seed, Quick: true, DenseWire: true})
+	dense, err := e.Run(Config{Seed: seed, Quick: true, denseWire: true})
 	if err != nil {
 		t.Fatalf("%s seed %d (dense): %v", id, seed, err)
 	}

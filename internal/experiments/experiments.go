@@ -37,17 +37,6 @@ type Config struct {
 	// registry finishes in seconds (tests, smoke runs). Full mode uses
 	// the paper's parameters: 100-node clusters and 10-hour runs.
 	Quick bool
-	// DenseWire runs every federation with the dense DDV wire encoding
-	// instead of the default delta form. Results are identical by
-	// construction (the differential suite proves it); the switch
-	// exists for those tests and for width-scaling benchmarks.
-	DenseWire bool
-	// UnbatchedWire runs every federation with per-message delivery
-	// events instead of the default batched pipe deliveries
-	// (federation.Options.UnbatchedWire). Results are byte-identical by
-	// construction (the batching differential suite proves it); the
-	// switch exists for those tests.
-	UnbatchedWire bool
 	// Oracle attaches the online protocol invariant checker
 	// (internal/oracle) to every federation run, whatever tier or
 	// experiment launches it. Results stay byte-identical; a violated
@@ -88,6 +77,12 @@ type Config struct {
 	// previous run's event-engine buffers instead of rebuilding from
 	// zero per sweep point (see federation.Arena).
 	arena *federation.Arena
+	// denseWire and unbatchedWire run every federation on a reference
+	// wire: dense DDVs instead of the delta form, one engine event per
+	// delivery instead of batched pipes (federation.Options.DenseWire,
+	// UnbatchedWire). Results are byte-identical by construction; only
+	// the differential suites in this package set them.
+	denseWire, unbatchedWire bool
 }
 
 func (c Config) workers() int {
@@ -102,10 +97,10 @@ func (c Config) workers() int {
 // field; it only ever turns a switch on, so options a scenario sets for
 // itself (the chaos tier's oracle) survive.
 func (c Config) apply(opts *federation.Options) {
-	if c.DenseWire {
+	if c.denseWire {
 		opts.DenseWire = true
 	}
-	if c.UnbatchedWire {
+	if c.unbatchedWire {
 		opts.UnbatchedWire = true
 	}
 	if c.Oracle {

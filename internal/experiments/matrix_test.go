@@ -117,8 +117,8 @@ func TestScenarioOptionsApplyWholeConfig(t *testing.T) {
 		cfg   Config
 		got   func(federation.Options) bool
 	}{
-		{"DenseWire", Config{DenseWire: true}, func(o federation.Options) bool { return o.DenseWire }},
-		{"UnbatchedWire", Config{UnbatchedWire: true}, func(o federation.Options) bool { return o.UnbatchedWire }},
+		{"denseWire", Config{denseWire: true}, func(o federation.Options) bool { return o.DenseWire }},
+		{"unbatchedWire", Config{unbatchedWire: true}, func(o federation.Options) bool { return o.UnbatchedWire }},
 		{"Oracle", Config{Oracle: true}, func(o federation.Options) bool { return o.Oracle }},
 		{"RunTimeout", Config{RunTimeout: time.Minute}, func(o federation.Options) bool { return o.Watchdog == time.Minute }},
 	}

@@ -59,9 +59,9 @@ func TestTraceLatencyIdentityAcrossExecutionModes(t *testing.T) {
 		name string
 		rc   Config
 	}{
-		{"unbatched", Config{Workers: 1, UnbatchedWire: true}},
+		{"unbatched", Config{Workers: 1, unbatchedWire: true}},
 		{"oracle", Config{Workers: 1, Oracle: true}},
-		{"unbatched-oracle", Config{Workers: 1, UnbatchedWire: true, Oracle: true}},
+		{"unbatched-oracle", Config{Workers: 1, unbatchedWire: true, Oracle: true}},
 	}
 	for _, v := range variants {
 		v := v

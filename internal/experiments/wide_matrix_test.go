@@ -62,7 +62,7 @@ func wideCSV(t *testing.T, workers int, dense bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := RunMatrix(Config{Workers: workers, Seed: 11, Quick: true, DenseWire: dense}, scs)
+	tab, err := RunMatrix(Config{Workers: workers, Seed: 11, Quick: true, denseWire: dense}, scs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestWide256Differential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := RunScenario(Config{Seed: 7, Quick: true, DenseWire: true}, sc, "hc3i")
+	dense, err := RunScenario(Config{Seed: 7, Quick: true, denseWire: true}, sc, "hc3i")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,5 +169,26 @@ func TestWide1024Smoke(t *testing.T) {
 	}
 	if res.Failures != 1 {
 		t.Fatalf("expected the scheduled crash, got %d failures", res.Failures)
+	}
+}
+
+// BenchmarkWideSliceDense runs the root package's BenchmarkWideSlice —
+// the wide tier's 64-cluster slice through the parallel runner — on the
+// dense DDV wire encoding. Results are byte-identical to the delta
+// default; only simulator cost differs.
+func BenchmarkWideSliceDense(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		scs, err := MatrixScenarios("tier=wide,topology=64c")
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := Config{Workers: DefaultWorkers(), Seed: uint64(i + 1), Quick: true, denseWire: true}
+		tab, err := RunMatrix(cfg, scs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(tab.Rows) == 0 {
+			b.Fatal("wide slice produced no rows")
+		}
 	}
 }

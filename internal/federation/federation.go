@@ -67,14 +67,18 @@ type Options struct {
 	Transitive bool
 	// DenseWire selects the dense DDV wire encoding instead of the
 	// default delta form (see core/delta.go). Both are priced
-	// identically and produce identical results; dense is the reference
-	// for differential tests and width-scaling benchmarks.
+	// identically and produce identical results. Only tests set it:
+	// this package's delta-wire differentials, and internal/experiments'
+	// differential suites and transitive chaos and trace-link runs
+	// (through an unexported Config field). The delta wire refuses
+	// transitive Chaos and LinkTrace (see fill, New); this one runs them.
 	DenseWire bool
 	// UnbatchedWire schedules every network delivery as its own event
 	// instead of the default batched pipe deliveries (see
 	// netsim.DisableBatching). Purely a scheduling-mechanics switch —
-	// results are byte-identical either way; the unbatched form is the
-	// reference for the batching differential suites.
+	// results are byte-identical either way. Only the batching
+	// differential suites set it, through an unexported
+	// experiments.Config field.
 	UnbatchedWire bool
 	// Replicas is the stable-storage replication degree (default 1,
 	// capped at cluster size - 1). -1 disables replication entirely
@@ -120,9 +124,11 @@ type Options struct {
 	// Chaos layers the seeded adversarial scheduler (internal/chaos)
 	// over the network: bounded inter-cluster reordering, duplicate
 	// deliveries and crash injection targeted at protocol-sensitive
-	// windows, all replayable from Chaos.Seed. Incompatible with
-	// delta-encoded transitive piggybacks (duplicates would desync the
-	// pipe codecs); combine with DenseWire for transitive chaos runs.
+	// windows, all replayable from Chaos.Seed. The chaos tier sets it
+	// (experiments.ScenarioOptions), for hc3ibench, hc3isoak and the
+	// benchmark alike. Incompatible with delta-encoded transitive
+	// piggybacks (duplicates would desync the pipe codecs); only the
+	// DenseWire reference runs transitive chaos.
 	Chaos *chaos.Config
 
 	// LinkTrace replays a measured (latency, jitter, loss) schedule

@@ -20,7 +20,7 @@
 // exactly where its unbatched delivery would have, and unpacks in
 // append order — so batched and unbatched runs are byte-identical,
 // which the differential suites in internal/experiments pin against
-// the matrix goldens (DisableBatching / Config.UnbatchedWire is the
+// the matrix goldens (DisableBatching / Options.UnbatchedWire is the
 // per-message reference wire).
 //
 // Buffer ownership: a pipeBatch owns its items slice. A fired
@@ -95,16 +95,14 @@ const (
 	evDelivered
 	evDroppedSrcDown
 	evDroppedDstDown
-	evDroppedInjected
 	numEvents
 )
 
 var eventNames = [numEvents]string{
-	evSent:            "net.sent",
-	evDelivered:       "net.delivered",
-	evDroppedSrcDown:  "net.dropped.src_down",
-	evDroppedDstDown:  "net.dropped.dst_down",
-	evDroppedInjected: "net.dropped.injected",
+	evSent:           "net.sent",
+	evDelivered:      "net.delivered",
+	evDroppedSrcDown: "net.dropped.src_down",
+	evDroppedDstDown: "net.dropped.dst_down",
 }
 
 // Network simulates the federation fabric. All methods must be called
@@ -152,14 +150,6 @@ type Network struct {
 	evTotal   [numEvents]*sim.Counter
 	evKind    [numEvents][numKinds]*sim.Counter
 	bytesKind [numKinds]*sim.Counter
-
-	// DropInterCluster, when non-nil, lets tests inject partitions: a
-	// true return drops the message silently. The HC3I paper assumes a
-	// reliable network, so nothing in the protocol path sets this; it
-	// exists to verify that our harness notices violated assumptions.
-	// Injected drops bypass the pipe (and PipeExit), so they must not
-	// be combined with delta-encoded piggybacks (transitive runs).
-	DropInterCluster func(m Message) bool
 
 	// PipeExit, when non-nil, observes every inter-cluster message at
 	// the exit of its cluster-pair pipe, in pipe (FIFO) order, exactly
@@ -375,20 +365,6 @@ func (n *Network) Send(src, dst topology.NodeID, kind Kind, size int, payload an
 		n.count(evDroppedSrcDown, kind, nil, src, dst, size)
 		return id
 	}
-	if src.Cluster != dst.Cluster && n.DropInterCluster != nil &&
-		n.DropInterCluster(Message{ID: id, Src: src, Dst: dst, Kind: kind, Size: size, Payload: payload}) {
-		if n.PipeExit != nil {
-			// An injected drop bypasses the pipe — and therefore the
-			// delta-piggyback decoder hooked at PipeExit — which would
-			// silently desynchronize the codec for the rest of the
-			// run. Fail loudly instead: partition-injection tests must
-			// run on the dense wire.
-			panic("netsim: DropInterCluster cannot be combined with a PipeExit hook (delta-encoded piggybacks would desync)")
-		}
-		n.count(evDroppedInjected, kind, nil, src, dst, size)
-		return id
-	}
-
 	// Resolve the serialization slot: the sender's NIC for SAN traffic,
 	// the directed cluster-pair pipe otherwise. The pair's state is the
 	// one table lookup of the send; nothing below adds a pair.

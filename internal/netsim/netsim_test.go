@@ -190,24 +190,6 @@ func TestAccounting(t *testing.T) {
 	}
 }
 
-func TestInjectedDrops(t *testing.T) {
-	e, n, _ := testNet(t, 2, 1)
-	a := topology.NodeID{Cluster: 0, Index: 0}
-	b := topology.NodeID{Cluster: 1, Index: 0}
-	n.Register(a, func(Message) {})
-	delivered := 0
-	n.Register(b, func(Message) { delivered++ })
-	n.DropInterCluster = func(m Message) bool { return m.Kind == KindApp }
-	n.Send(a, b, KindApp, 10, nil)
-	n.Send(a, b, KindProto, 10, nil)
-	if _, err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if delivered != 1 {
-		t.Fatalf("delivered = %d, want only the proto message", delivered)
-	}
-}
-
 func TestSendPanics(t *testing.T) {
 	_, n, _ := testNet(t, 1, 2)
 	a := topology.NodeID{Cluster: 0, Index: 0}
