@@ -157,16 +157,17 @@
 //     queues) lives in one open-addressing topology.PairTable per
 //     owner, added on the pair's first traffic; the topology keeps one
 //     federation-wide link class plus per-pair overrides. Inside a
-//     node, only the DDV, the commit base and the chain anchor are
-//     width-sized from the start: the epoch table holds just the
-//     clusters that rolled back, the dense-wire force target and the
-//     leader's ack accumulator appear on first use, and dirty sets mark
-//     in a bitset. BenchmarkFederationNewWide measures what assembling
-//     a 1024-cluster federation allocates.
+//     node, only the DDV and the commit base are width-sized from the
+//     start (the chain anchor is sparse): the epoch table holds just
+//     the clusters that rolled back, the dense-wire force target and
+//     the leader's ack accumulator appear on first use, and dirty sets
+//     mark in a bitset. A pipe's delta codec holds one width-sized
+//     vector. BenchmarkFederationNewWide measures what assembling a
+//     1024-cluster federation allocates.
 //   - internal/core flattens DDV storage into per-node arenas
 //     (core.DDVArena): every vector that escapes an event —
-//     piggybacked vectors, dense commit broadcasts, the anchors of
-//     shipped chains — is sliced from a
+//     piggybacked vectors, dense commit broadcasts, resolved chain
+//     references — is sliced from a
 //     chunked backing []SN owned by the node, one chunk allocation per
 //     64 clones, cache-contiguous at 64 clusters. Ownership rules: a
 //     handed-out vector is immutable-by-convention once shared, chunks
@@ -244,8 +245,9 @@
 // The paper attaches one DDV to every stored CLC (§3.2) and has the
 // collector gather all of them (§3.5). Stored literally that is
 // O(width x stored CLCs) per node and three width-sized copies per
-// commit. core.Chain stores the same history as one dense anchor (the
-// oldest stored CLC's vector), then per stored CLC its SN and the
+// commit. core.Chain stores the same history as one sparse anchor (the
+// oldest stored CLC's vector as its width and its non-zero entries),
+// then per stored CLC its SN and the
 // entries its commit changed — the pairs the delta wire already
 // carries — with Node.commitBase holding the newest stored vector
 // dense. It is the only representation: a node's records, the GC
@@ -262,11 +264,13 @@
 //
 // Ownership rules:
 //
-//   - Anchor is owned by its chain and mutated only by a prefix drop
-//     (Chain.DropBelow folds the dropped records' pairs into it, so it
-//     stays the oldest surviving record's vector). A chain that leaves
-//     its node in a message is a snapshot — own anchor, own record
-//     list — and a receiver that keeps it copies it again.
+//   - Anchor and pairs are immutable; a shipped chain shares them. A
+//     prefix drop (Chain.DropBelow) builds a new anchor from the node's
+//     PairArena with the dropped records' pairs folded in, and leaves
+//     the old one to whoever shares it. A chain that leaves its node (a
+//     GC report, a recovery answer, the retired history) copies only
+//     its record list, and a receiver that keeps it copies that list
+//     again.
 //   - A pair slice is immutable once appended (cut from a PairArena by
 //     the committing leader, or decoded fresh by the live runtime) and
 //     is shared freely: between the nodes of a cluster, their reports
@@ -282,8 +286,8 @@
 //     vector the send carried (piggySN), resolved from the chain only
 //     when a resend, a re-replication or a recovery reads it. A
 //     collection moves a record some reference still names into the
-//     node's retired history (one dense vector plus the records'
-//     pairs) instead of forgetting it; a rollback materializes the
+//     node's retired history (the records' pairs and an anchor shared
+//     with the chain) instead of forgetting it; a rollback materializes the
 //     references to the records it discards. A reference that cannot
 //     be resolved panics. A message the receiver holds for a forced
 //     CLC keeps only the pairs it raised: the DDV never decreases
@@ -309,7 +313,10 @@
 // pipe-exit codec in the cluster gateways (core.DeltaCodec +
 // netsim.PipeExit, in sync across node crashes because the pipe is
 // loss-free and decoding happens before the destination down-check)
-// for transitive piggybacks. The garbage collector's reports carry the
+// for transitive piggybacks; the codec keeps one dense vector, the
+// decoder's, and sees what the encoder last shipped through the ring of
+// deltas encoded but not yet decoded, which must reach Decode exactly
+// once and in pipe order. The garbage collector's reports carry the
 // stored chain under either wire.
 //
 // Both encodings are priced identically — at the dense width — in the

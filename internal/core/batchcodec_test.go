@@ -7,7 +7,8 @@ import (
 
 // TestEncodeBatchMatchesPerMessage pins the batch encode contract
 // deterministically: for every batch size and generation discipline,
-// EncodeBatch emits exactly what sequential Encode calls would.
+// EncodeBatch emits exactly what sequential Encode calls would, and
+// the two pipes, drained at random points, decode the same vectors.
 func TestEncodeBatchMatchesPerMessage(t *testing.T) {
 	for _, withGen := range []bool{true, false} {
 		rng := rand.New(rand.NewSource(7))
@@ -15,8 +16,10 @@ func TestEncodeBatchMatchesPerMessage(t *testing.T) {
 		batched.Init(16)
 		seq.Init(16)
 		var arB, arS PairArena
+		var tmp DDV
 		cur := NewDDV(16)
 		gen := uint64(0)
+		var pipeB, pipeS [][]DDVPair
 		for round := 0; round < 50; round++ {
 			if rng.Intn(2) == 0 {
 				cur[rng.Intn(16)] += SN(rng.Intn(3) + 1)
@@ -27,16 +30,22 @@ func TestEncodeBatchMatchesPerMessage(t *testing.T) {
 				g = 0
 			}
 			count := rng.Intn(4) + 1
-			got := batched.EncodeBatch(nil, cur, g, count, &arB)
+			got := batched.EncodeBatch(nil, cur, g, count, &arB, &tmp)
 			if len(got) != count {
 				t.Fatalf("EncodeBatch emitted %d entries for count %d", len(got), count)
 			}
 			for k := 0; k < count; k++ {
-				want := seq.Encode(cur, g, &arS)
+				want := seq.Encode(cur, g, &arS, &tmp)
 				comparePairs(t, "EncodeBatch", 16, got[k], want)
+				pipeB, pipeS = append(pipeB, got[k]), append(pipeS, want)
 			}
-			if !batched.enc.Equal(seq.enc) {
-				t.Fatalf("encoder vectors diverged: batch %v, seq %v", batched.enc, seq.enc)
+			if rng.Intn(3) == 0 {
+				batched.DecodeBatch(pipeB)
+				seq.DecodeBatch(pipeS)
+				pipeB, pipeS = pipeB[:0], pipeS[:0]
+				if !batched.Current().Equal(seq.Current()) {
+					t.Fatalf("decoded vectors diverged: batch %v, seq %v", batched.Current(), seq.Current())
+				}
 			}
 		}
 	}
@@ -59,6 +68,7 @@ func FuzzBatchCodec(f *testing.F) {
 		batched.Init(width)
 		seq.Init(width)
 		var arB, arS PairArena
+		var tmp DDV
 		cur := NewDDV(width)
 		gen := uint64(1)
 
@@ -74,9 +84,9 @@ func FuzzBatchCodec(f *testing.F) {
 				if rng.Intn(4) == 0 {
 					g = 0 // sender without a generation counter
 				}
-				outB := batched.EncodeBatch(nil, cur, g, count, &arB)
+				outB := batched.EncodeBatch(nil, cur, g, count, &arB, &tmp)
 				for k := 0; k < count; k++ {
-					outS := seq.Encode(cur, g, &arS)
+					outS := seq.Encode(cur, g, &arS, &tmp)
 					comparePairs(t, "batch member", width, outB[k], outS)
 					pipeB = append(pipeB, outB[k])
 					pipeS = append(pipeS, outS)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -362,12 +363,11 @@ func BenchmarkCommitWidth1024(b *testing.B) {
 	}
 }
 
-// ringReports builds the GC reports of a width-cluster federation
-// whose clusters exchange messages on a ring (i to i+1, whole-DDV
-// piggybacks) between unforced checkpoints, for rounds rounds. All
-// messages of a round are sent before any is received, so a dependency
-// travels one hop per round.
-func ringReports(width, rounds int) map[topology.ClusterID]GCReport {
+// ringFederation is a width-cluster federation whose clusters exchange
+// messages on a ring (i to i+1, whole-DDV piggybacks) between unforced
+// checkpoints, for rounds rounds. All messages of a round are sent
+// before any is received, so a dependency travels one hop per round.
+func ringFederation(width, rounds int) *abstractFederation {
 	f := newAbstractFederation(width, 1)
 	for r := 0; r < rounds; r++ {
 		piggy := make([]DDV, width)
@@ -379,9 +379,16 @@ func ringReports(width, rounds int) map[topology.ClusterID]GCReport {
 			f.commit((i+1)%width, piggy[i])
 		}
 	}
-	reports := make(map[topology.ClusterID]GCReport, width)
-	for i := 0; i < width; i++ {
-		reports[topology.ClusterID(i)] = GCReport{Cluster: topology.ClusterID(i), Chain: f.chains[i]}
+	return f
+}
+
+// ringReports builds the GC reports of ringFederation(width, rounds),
+// cluster c's in slot c.
+func ringReports(width, rounds int) []GCReport {
+	f := ringFederation(width, rounds)
+	reports := make([]GCReport, width)
+	for i := range reports {
+		reports[i] = GCReport{Cluster: topology.ClusterID(i), Chain: f.chains[i]}
 	}
 	return reports
 }
@@ -409,8 +416,7 @@ func BenchmarkGCAnalysis1024(b *testing.B) {
 			lists := make([][]Meta, width)
 			currents := make([]DDV, width)
 			for c := range lists {
-				rep := reports[topology.ClusterID(c)]
-				lists[c] = rep.Chain.metas()
+				lists[c] = reports[c].Chain.metas()
 				currents[c] = lists[c][len(lists[c])-1].DDV
 			}
 			if _, err := denseSmallestSNs(lists, currents); err != nil {
@@ -418,6 +424,48 @@ func BenchmarkGCAnalysis1024(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkGCRound1024 measures one collection round's reports and
+// analysis at 1024 clusters: every cluster leader (one node per
+// cluster, each storing ringFederation's chain with 3 rounds) builds
+// its GC report, then the initiator runs computeMinSNs on them. Read
+// B/op: a report copies its record list and shares the chain's anchor
+// and pairs, so nothing in the round is as wide as the federation but
+// the initiator's reused scratch.
+func BenchmarkGCRound1024(b *testing.B) {
+	const width = 1024
+	f := ringFederation(width, 3)
+	sizes := make([]int, width)
+	for i := range sizes {
+		sizes[i] = 1
+	}
+	bed := &testbed{t: b, stats: map[string]uint64{}, width: width}
+	leaders := make([]*Node, width)
+	for c := range leaders {
+		id := topology.NodeID{Cluster: topology.ClusterID(c)}
+		n := NewNode(Config{ID: id, Clusters: width, ClusterSizes: sizes,
+			CLCPeriod: sim.Forever, GCPeriod: sim.Forever, GCInitiator: c == 0},
+			&mockEnv{id: id, bed: bed, timers: map[TimerKind]sim.Duration{}}, &mockApp{})
+		// The node stores the ring's history: its chain, and a current
+		// vector equal to the newest stored one (the steady state
+		// between two commits).
+		n.chain.copyFrom(f.chains[c])
+		n.ddv.CopyFrom(f.ddv[c])
+		n.commitBase.CopyFrom(f.ddv[c])
+		leaders[c] = n
+	}
+	reports := make([]GCReport, width)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c, n := range leaders {
+			reports[c] = n.makeGCReport(1)
+		}
+		if _, err := leaders[0].computeMinSNs(reports); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkAppAckDeepLog measures one AppAck at a sender whose log

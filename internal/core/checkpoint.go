@@ -348,10 +348,10 @@ func (n *Node) ackFrom(index int, seq SN, nodeDDV DDV, nodePairs []DDVPair) {
 	// diff against the previous commit, which every node of the cluster,
 	// this one included, patches into its own base; the vector itself
 	// goes nowhere.
-	if n.commitScratchVec == nil {
-		n.commitScratchVec = NewDDV(n.cfg.Clusters)
+	if n.vecScratch == nil {
+		n.vecScratch = NewDDV(n.cfg.Clusters)
 	}
-	newDDV := n.commitScratchVec
+	newDDV := n.vecScratch
 	newDDV.CopyFrom(n.ddv)
 	dirty := &n.commitScratch
 	dirty.Reset()

@@ -63,7 +63,7 @@ func (n *Node) doSend(dst topology.NodeID, p AppPayload) {
 				// newest stored record's, so piggySN references it (see
 				// logEntry). The other modes share one dense copy per
 				// DDV generation.
-				m.PiggyPairs = cd.Encode(n.ddv, n.piggyVecID(), &n.pairArena)
+				m.PiggyPairs = cd.Encode(n.ddv, n.piggyVecID(), &n.pairArena, &n.vecScratch)
 				m.PiggyWidth = int32(n.cfg.Clusters)
 				if n.cfg.Mode != ModeHC3I {
 					logPiggy = n.sharedPiggy()

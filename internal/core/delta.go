@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/topology"
+import (
+	"fmt"
+
+	"repro/internal/topology"
+)
 
 // This file implements the delta wire representation of Direct
 // Dependencies Vectors: instead of shipping one SN per cluster on every
@@ -32,7 +36,7 @@ import "repro/internal/topology"
 //     write sequence (see netsim.PipeExit).
 //
 // The pairs a commit ships are also how it is stored: a node's stored
-// CLCs are a Chain (chain.go) — one dense anchor plus each commit's
+// CLCs are a Chain (chain.go) — one sparse anchor plus each commit's
 // pairs — under either wire.
 //
 // The network model keeps pricing dependency metadata at its dense
@@ -134,17 +138,23 @@ func (s *DirtySet) Refresh(keep func(i int) bool) {
 
 // PairArena hands out DDVPair slices cut from chunked backing storage,
 // the sparse counterpart of DDVArena: one chunk allocation per
-// pairArenaChunk pairs instead of one slice per escaping message.
-// Slices are full-capacity cuts, so appends can never bleed into a
-// neighbouring slice, and chunks stay valid as long as any cut
-// references them.
+// pairArenaChunk pairs instead of one slice per escaping message or
+// per chain anchor a prefix drop builds. Slices are full-capacity
+// cuts, so appends can never bleed into a neighbouring slice, and
+// chunks stay valid as long as any cut references them.
 type PairArena struct {
 	chunk []DDVPair
 	off   int
 }
 
-// pairArenaChunk is how many pairs one backing chunk holds.
-const pairArenaChunk = 256
+// pairArenaChunk is how many pairs one backing chunk holds;
+// pairArenaFirst is the size of an arena's first chunk, so a node that
+// only ever folds a few-entry chain anchor (a cluster member that
+// sends no pairs) does not hold a full chunk for it.
+const (
+	pairArenaChunk = 256
+	pairArenaFirst = 32
+)
 
 // Clone returns an arena-backed copy of pairs; nil stays nil (and empty
 // stays empty without consuming arena space).
@@ -152,19 +162,36 @@ func (a *PairArena) Clone(pairs []DDVPair) []DDVPair {
 	if len(pairs) == 0 {
 		return pairs
 	}
-	n := len(pairs)
+	c := a.cut(len(pairs))
+	copy(c, pairs)
+	return c
+}
+
+// cut returns n pairs of arena storage as a full-capacity slice; a nil
+// arena allocates them.
+func (a *PairArena) cut(n int) []DDVPair {
+	if a == nil {
+		return make([]DDVPair, n)
+	}
 	if a.off+n > len(a.chunk) {
 		size := pairArenaChunk
-		if n > size {
-			size = n
+		if a.chunk == nil {
+			size = pairArenaFirst
 		}
-		a.chunk = make([]DDVPair, size)
+		a.chunk = make([]DDVPair, max(n, size))
 		a.off = 0
 	}
 	c := a.chunk[a.off : a.off+n : a.off+n]
 	a.off += n
-	copy(c, pairs)
 	return c
+}
+
+// giveBack returns the last n pairs of the most recent cut, which its
+// caller has shortened (capacity included) and will not touch again.
+func (a *PairArena) giveBack(n int) {
+	if a != nil {
+		a.off -= n
+	}
 }
 
 // codecJournal is how many decoded deltas a DeltaCodec remembers. A
@@ -175,20 +202,42 @@ const codecJournal = 32
 
 // DeltaCodec is the piggyback codec of one directed inter-cluster pipe
 // (the LAN/WAN uplink netsim serializes src→dst traffic through). The
-// encoder half lives at the sending cluster's gateway: enc is the last
-// vector shipped on the pipe, and Encode emits the pairs that changed
-// since. The decoder half lives at the receiving gateway: dec replays
-// the encoder's writes in pipe (FIFO) order, so after decoding message
-// m, dec is byte-identical to the dense vector m would have carried.
+// encoder half lives at the sending cluster's gateway and emits the
+// pairs that changed since the last vector shipped on the pipe; the
+// decoder half lives at the receiving gateway: dec replays the
+// encoder's writes in pipe (FIFO) order, so after decoding message m,
+// dec is byte-identical to the dense vector m would have carried.
 // Node restarts do not touch the codec — like the pipe itself, the
 // gateway is part of the network model, not of node volatile memory.
+//
+// The codec keeps one dense vector. The last vector shipped is dec
+// overlaid, oldest first, with the deltas encoded but not yet decoded
+// (the in-flight ring): Encode diffs against dec itself when nothing
+// is in flight, and against that overlay, built in the caller's
+// scratch, when something is.
+//
+// Invariant: every non-empty delta Encode returns is decoded exactly
+// once, in pipe order — netsim.PipeExit fires for messages to down
+// nodes too. Decode panics when it is handed anything but the oldest
+// in-flight delta, as Node.chainVector panics on a dead reference: a
+// pipe that dropped, duplicated or reordered a delta would otherwise
+// desynchronise the codec silently. Any transport that can do that to
+// delta piggybacks (chaos scheduling over the delta wire among them)
+// must keep this invariant first.
 type DeltaCodec struct {
-	enc DDV // last vector encoded onto the pipe
 	dec DDV // last vector decoded off the pipe
 
-	// encGen is the sender-side DDV generation enc reflects: when the
-	// sending node's generation still matches, nothing changed and
-	// Encode is O(1). Generation 0 means "never encoded".
+	// flight is the ring of in-flight deltas: the inFlight slots from
+	// head on (modulo its length), oldest first. It grows by doubling
+	// and is reused.
+	flight   [][]DDVPair
+	head     int
+	inFlight int
+
+	// encGen is the sender-side DDV generation the last encode
+	// reflects: when the sending node's generation still matches,
+	// nothing changed and Encode is O(1). Generation 0 means "never
+	// encoded".
 	encGen uint64
 
 	// ver counts non-empty decodes; journal[ (ver-1) % codecJournal ]
@@ -220,35 +269,73 @@ type DeltaCodec struct {
 // Init sizes the codec for the federation width. Both ends start from
 // the all-zero vector, matching a DDV's initial state.
 func (c *DeltaCodec) Init(width int) {
-	c.enc = NewDDV(width)
 	c.dec = NewDDV(width)
 }
 
 // Encode emits the pairs that changed since the last vector shipped on
 // this pipe and advances the encoder state. gen is the sender's DDV
 // generation: if it matches the previous call's, the vector is
-// unchanged and no diff runs. The returned slice is cut from ar and
-// owned by the message (journalled by the decoder later).
-func (c *DeltaCodec) Encode(cur DDV, gen uint64, ar *PairArena) []DDVPair {
+// unchanged and no diff runs. With deltas in flight the last vector
+// shipped is rebuilt in tmp, a width-sized scratch the caller owns
+// (allocated here on first need). The returned slice is cut from ar and
+// owned by the message; the codec holds it until Decode takes it back.
+func (c *DeltaCodec) Encode(cur DDV, gen uint64, ar *PairArena, tmp *DDV) []DDVPair {
 	if gen != 0 && gen == c.encGen {
 		return nil
 	}
-	pairs := diffPairs(c.scratch[:0], cur, c.enc)
-	c.scratch = pairs
 	c.encGen = gen
+	shipped := c.dec
+	if c.inFlight > 0 {
+		if len(*tmp) != len(c.dec) {
+			*tmp = NewDDV(len(c.dec))
+		}
+		shipped = *tmp
+		copy(shipped, c.dec)
+		for i := 0; i < c.inFlight; i++ {
+			shipped.applyPairs(c.flight[(c.head+i)%len(c.flight)])
+		}
+	}
+	pairs := diffPairs(c.scratch[:0], cur, shipped)
+	c.scratch = pairs
 	if len(pairs) == 0 {
 		return nil
 	}
-	c.enc.applyPairs(pairs)
-	return ar.Clone(pairs)
+	out := ar.Clone(pairs)
+	c.push(out)
+	return out
+}
+
+// push appends an encoded delta to the in-flight ring.
+func (c *DeltaCodec) push(pairs []DDVPair) {
+	if c.inFlight == len(c.flight) {
+		grown := make([][]DDVPair, max(2*len(c.flight), 4))
+		for i := 0; i < c.inFlight; i++ {
+			grown[i] = c.flight[(c.head+i)%len(c.flight)]
+		}
+		c.flight, c.head = grown, 0
+	}
+	c.flight[(c.head+c.inFlight)%len(c.flight)] = pairs
+	c.inFlight++
 }
 
 // Decode patches the decoder vector with one message's pairs, in pipe
-// order. Empty deltas never reach the decoder (Encode returns nil).
+// order. Empty deltas never reach the decoder (Encode returns nil). It
+// panics unless pairs is the oldest in-flight delta (see DeltaCodec).
 func (c *DeltaCodec) Decode(pairs []DDVPair) {
+	if c.inFlight == 0 || !sameSlice(c.flight[c.head], pairs) {
+		panic(fmt.Sprintf("core: pipe codec decodes %v, which is not the oldest of its %d in-flight deltas", pairs, c.inFlight))
+	}
+	c.flight[c.head] = nil
+	c.head = (c.head + 1) % len(c.flight)
+	c.inFlight--
 	c.dec.applyPairs(pairs)
 	c.journal[c.ver%codecJournal] = pairs
 	c.ver++
+}
+
+// sameSlice reports whether a and b are the same non-empty slice.
+func sameSlice(a, b []DDVPair) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 // EncodeBatch encodes count same-tick messages onto the pipe in one
@@ -260,17 +347,17 @@ func (c *DeltaCodec) Decode(pairs []DDVPair) {
 // whenever the sender has no generation counter. Byte-equivalent to
 // count sequential Encode calls with the same arguments; FuzzBatchCodec
 // pins the equivalence.
-func (c *DeltaCodec) EncodeBatch(out [][]DDVPair, cur DDV, gen uint64, count int, ar *PairArena) [][]DDVPair {
+func (c *DeltaCodec) EncodeBatch(out [][]DDVPair, cur DDV, gen uint64, count int, ar *PairArena, tmp *DDV) [][]DDVPair {
 	if count <= 0 {
 		return out
 	}
-	out = append(out, c.Encode(cur, gen, ar))
+	out = append(out, c.Encode(cur, gen, ar, tmp))
 	for i := 1; i < count; i++ {
 		out = append(out, nil)
 	}
 	// A successful Encode recorded gen; when the sender has no
 	// generation counter (gen 0), the members after the first would
-	// each re-diff against an already-synced enc and find nothing —
+	// each re-diff against a synced encoder and find nothing —
 	// the loop above skips those no-op passes outright.
 	return out
 }

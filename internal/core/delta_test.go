@@ -181,6 +181,7 @@ func FuzzDeltaCodec(f *testing.F) {
 		var cd DeltaCodec
 		cd.Init(width)
 		var ar PairArena
+		var tmp DDV
 		cur := NewDDV(width)
 		gen := uint64(1)
 
@@ -247,7 +248,7 @@ func FuzzDeltaCodec(f *testing.F) {
 				cur[i] = SN(rng.Intn(30))
 				gen++
 			case 1: // encode one message onto the pipe
-				pairs := cd.Encode(cur, gen, &ar)
+				pairs := cd.Encode(cur, gen, &ar, &tmp)
 				if pairs == nil {
 					// Unchanged-generation or no-diff sends ship no
 					// delta and never reach the decoder.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -82,8 +83,10 @@ func (n *Node) clcsOrdered() error {
 }
 
 // chainConsistent checks the stored chain against the rest of the
-// node: one chain entry per record, every column non-decreasing along
-// the chain, and commitBase equal to the newest record's vector.
+// node: one chain entry per record, an anchor in sparse form (non-zero
+// entries inside the width, strictly ascending), every column
+// non-decreasing along the chain, and commitBase equal to the newest
+// record's vector.
 func (n *Node) chainConsistent() error {
 	c := &n.chain
 	if len(c.Recs) != len(n.clcs) {
@@ -92,7 +95,11 @@ func (n *Node) chainConsistent() error {
 	if len(c.Recs) == 0 {
 		return nil
 	}
-	cur := c.Anchor.Clone()
+	if err := sparseForm(c.Anchor, len(n.ddv)); err != nil {
+		return err
+	}
+	cur := NewDDV(c.Anchor.Width)
+	c.Anchor.Dense(cur)
 	for i := 1; i < len(c.Recs); i++ {
 		for _, p := range c.Recs[i].Pairs {
 			if p.SN < cur[p.Idx] {
@@ -103,6 +110,17 @@ func (n *Node) chainConsistent() error {
 	}
 	if !cur.Equal(n.commitBase) {
 		return fmt.Errorf("newest stored vector %v, commitBase %v", cur, n.commitBase)
+	}
+	return nil
+}
+
+// sparseForm checks that a is a sparse vector of the given width.
+func sparseForm(a SparseDDV, width int) error {
+	if a.Width != width {
+		return fmt.Errorf("anchor is %d entries wide in a %d-cluster federation", a.Width, width)
+	}
+	if !a.Valid() {
+		return fmt.Errorf("anchor %v is not in sparse form", a.Pairs)
 	}
 	return nil
 }
@@ -191,7 +209,7 @@ func (n *Node) dropOldestCLC() {
 	n.clcs[0] = clcRecord{}
 	n.clcs = n.clcs[1:]
 	c := &n.chain
-	c.Anchor.applyPairs(c.Recs[1].Pairs)
+	c.Anchor = c.Anchor.fold(c.Recs[1:2], &n.pairArena)
 	c.Recs = c.Recs[1:]
 }
 
@@ -217,7 +235,7 @@ type Meta struct {
 func (c *Chain) metas() []Meta {
 	ms := make([]Meta, c.Len())
 	for i := range ms {
-		ms[i] = Meta{SN: c.Recs[i].SN, DDV: NewDDV(len(c.Anchor))}
+		ms[i] = Meta{SN: c.Recs[i].SN, DDV: NewDDV(c.Anchor.Width)}
 		c.Vector(i, ms[i].DDV)
 	}
 	return ms
@@ -230,7 +248,7 @@ func (n *Node) StoredMetas() []Meta { return n.chain.metas() }
 // chainFromMetas is the inverse of metas for a list whose vectors are
 // width wide.
 func chainFromMetas(list []Meta, width int) Chain {
-	c := Chain{Anchor: NewDDV(width)}
+	c := Chain{Anchor: SparseDDV{Width: width}}
 	for i, m := range list {
 		if i == 0 {
 			c.Init(m.SN, m.DDV)
@@ -376,7 +394,7 @@ func oldestWith(t testing.TB, list []Meta, c topology.ClusterID, s SN) int {
 	if got := ch.OldestWith(c, s); got != want {
 		t.Fatalf("Chain.OldestWith(c%d, %d) = %d, dense reference %d", c, s, got, want)
 	}
-	x, err := indexChain(ch, len(ch.Anchor), nil)
+	x, err := indexChain(ch, ch.Anchor.Width, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,6 +689,11 @@ func (d *DenseShadows) Check(n *Node) error {
 		}
 	}
 	return nil
+}
+
+// Equal reports whether s and o are the same vector.
+func (s SparseDDV) Equal(o SparseDDV) bool {
+	return s.Width == o.Width && slices.Equal(s.Pairs, o.Pairs)
 }
 
 // StoredChainDiff reports how the stored chains of a and b differ —

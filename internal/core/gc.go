@@ -54,7 +54,7 @@ func (n *Node) onGCDemand(src topology.NodeID, m GCDemand) {
 	}
 	// Rate-limit: at most one demand-driven round per minute, and none
 	// while a round is already gathering reports.
-	if n.gcReports != nil ||
+	if n.gcHave > 0 ||
 		(n.gcStartedOnce && n.env.Now().Sub(n.gcLastStart) < sim.Minute) {
 		n.env.Stat("gc.demands_coalesced", 1)
 		return
@@ -87,7 +87,9 @@ func (n *Node) startGCRound() {
 		n.forwardToken(tok)
 		return
 	}
-	n.gcReports = map[topology.ClusterID]GCReport{n.cluster: n.makeGCReport(n.gcRound)}
+	reports := n.gcSlots()
+	reports[n.cluster] = n.makeGCReport(n.gcRound)
+	n.gcHave = 1
 	req := GCRequest{Round: n.gcRound}
 	for c := topology.ClusterID(0); int(c) < n.cfg.Clusters; c++ {
 		if c == n.cluster {
@@ -99,16 +101,25 @@ func (n *Node) startGCRound() {
 	n.maybeFinishGCRound()
 }
 
-// makeGCReport ships the stored chain as it is stored — a snapshot of
-// the anchor and the record list, the pair slices shared — plus the
-// pairs that patch the newest record's vector into the current DDV.
+// gcSlots returns the initiator's per-cluster report slots, emptied.
+func (n *Node) gcSlots() []GCReport {
+	if n.gcReports == nil {
+		n.gcReports = make([]GCReport, n.cfg.Clusters)
+	}
+	clear(n.gcReports)
+	return n.gcReports
+}
+
+// makeGCReport ships the stored chain as it is stored — the record list
+// copied, the anchor and the pair slices shared — plus the pairs that
+// patch the newest record's vector into the current DDV.
 func (n *Node) makeGCReport(round uint64) GCReport {
 	n.pairScratch = n.curPairsVsNewest(n.pairScratch[:0])
 	return GCReport{
 		Round:    round,
 		Cluster:  n.cluster,
 		Epoch:    n.epoch,
-		Chain:    n.chain.snapshot(n.chain.Len(), &n.arena),
+		Chain:    Chain{Anchor: n.chain.Anchor, Recs: append([]ChainRec(nil), n.chain.Recs...)},
 		CurPairs: n.pairArena.Clone(n.pairScratch),
 	}
 }
@@ -148,19 +159,23 @@ func (n *Node) onGCRequest(src topology.NodeID, m GCRequest) {
 
 // onGCReport collects cluster reports at the initiator.
 func (n *Node) onGCReport(src topology.NodeID, m GCReport) {
-	if !n.cfg.GCInitiator || m.Round != n.gcRound || n.gcReports == nil {
+	if !n.cfg.GCInitiator || m.Round != n.gcRound || n.gcHave == 0 ||
+		m.Cluster < 0 || int(m.Cluster) >= n.cfg.Clusters {
 		return
+	}
+	if n.gcReports[m.Cluster].Round != m.Round {
+		n.gcHave++
 	}
 	n.gcReports[m.Cluster] = m
 	n.maybeFinishGCRound()
 }
 
 func (n *Node) maybeFinishGCRound() {
-	if len(n.gcReports) < n.cfg.Clusters {
+	if n.gcHave < n.cfg.Clusters {
 		return
 	}
-	reports := n.gcReports
-	n.gcReports = nil
+	n.gcHave = 0
+	defer clear(n.gcReports) // the reports' chains are not ours to keep
 	if n.alertsSeen != n.gcAlertsMark {
 		// A rollback happened mid-round: the reports may be mutually
 		// inconsistent, so the round is abandoned (safe: GC only ever
@@ -168,7 +183,7 @@ func (n *Node) maybeFinishGCRound() {
 		n.env.Stat("gc.rounds_aborted", 1)
 		return
 	}
-	minSNs, err := n.computeMinSNs(reports)
+	minSNs, err := n.computeMinSNs(n.gcReports)
 	if err != nil {
 		n.env.Stat("gc.rounds_aborted", 1)
 		n.emit(Event{Kind: EventGCFailed, Round: n.gcRound, Err: err})
@@ -198,10 +213,11 @@ type gcScratch struct {
 
 // computeMinSNs runs the paper's analysis: simulate a failure in every
 // cluster and keep, per cluster, the smallest SN it might roll back to.
-// The analysis reads the reported chains as they are; the one dense
-// vector it needs per cluster is the current DDV. Every buffer but the
-// returned thresholds is the initiator's scratch, reused each round.
-func (n *Node) computeMinSNs(reports map[topology.ClusterID]GCReport) ([]SN, error) {
+// reports holds cluster c's report in slot c. The analysis reads the
+// reported chains as they are; the one dense vector it needs per
+// cluster is the current DDV. Every buffer but the returned thresholds
+// is the initiator's scratch, reused each round.
+func (n *Node) computeMinSNs(reports []GCReport) ([]SN, error) {
 	width := n.cfg.Clusters
 	s := n.gcScratch
 	if s == nil {
@@ -213,13 +229,15 @@ func (n *Node) computeMinSNs(reports map[topology.ClusterID]GCReport) ([]SN, err
 		n.gcScratch = s
 	}
 	defer clear(s.chains) // the reports' chains are not ours to keep
-	for c := 0; c < width; c++ {
-		rep, ok := reports[topology.ClusterID(c)]
-		if !ok {
+	if len(reports) != width {
+		return nil, fmt.Errorf("core: GC round has %d report slots for %d clusters", len(reports), width)
+	}
+	for c, rep := range reports {
+		if rep.Cluster != topology.ClusterID(c) {
 			return nil, fmt.Errorf("core: GC round missing report for cluster %d", c)
 		}
-		if len(rep.Chain.Anchor) != width {
-			return nil, fmt.Errorf("core: cluster %d reports a %d-entry anchor in a %d-cluster federation", c, len(rep.Chain.Anchor), width)
+		if rep.Chain.Anchor.Width != width {
+			return nil, fmt.Errorf("core: cluster %d reports a %d-entry anchor in a %d-cluster federation", c, rep.Chain.Anchor.Width, width)
 		}
 		cur := DDV(s.cells[c*width : (c+1)*width : (c+1)*width])
 		rep.Chain.Vector(rep.Chain.Len()-1, cur)
@@ -329,11 +347,14 @@ func (n *Node) onGCToken(src topology.NodeID, m GCToken) {
 				n.env.Stat("gc.rounds_aborted", 1)
 				return
 			}
-			byCluster := make(map[topology.ClusterID]GCReport, len(m.Reports))
+			reports := n.gcSlots()
 			for _, r := range m.Reports {
-				byCluster[r.Cluster] = r
+				if r.Cluster >= 0 && int(r.Cluster) < len(reports) {
+					reports[r.Cluster] = r
+				}
 			}
-			minSNs, err := n.computeMinSNs(byCluster)
+			minSNs, err := n.computeMinSNs(reports)
+			clear(reports)
 			if err != nil {
 				n.env.Stat("gc.rounds_aborted", 1)
 				return

@@ -236,7 +236,10 @@ type OlderState struct {
 // RecoverStateResp returns the replica plus the cluster's checkpoint
 // metadata — the holder's stored chain up to Seq, which is the
 // cluster's — so the restarted node can rebuild its (lost) CLC list.
-// All of the owner's surviving states are repatriated in bulk (Older),
+// The chain's record list is the message's own; its anchor and pairs
+// are shared with the holder's chain (immutable, see Chain), and the
+// network prices it at one SN per record, as before the chain was
+// sparse. All of the owner's surviving states are repatriated in bulk (Older),
 // so that after recovery both the owner and the neighbour again hold a
 // full copy — successive single faults stay tolerable.
 type RecoverStateResp struct {
@@ -326,7 +329,10 @@ func (GCRequest) ProtocolMessage() {}
 // GCReport returns a cluster's stored-CLC metadata and current DDV to
 // the initiator: the stored chain (see Chain), and CurPairs, which
 // patches the newest CLC's vector into the cluster's current DDV (empty
-// in ModeHC3I, where the DDV only changes at commits).
+// in ModeHC3I, where the DDV only changes at commits). The chain's
+// record list is the report's own; its anchor and pairs are shared with
+// the cluster's stored chain (immutable, see Chain). The network prices
+// the report at its dense footprint (gcReportVectorCells).
 type GCReport struct {
 	Round    uint64
 	Cluster  topology.ClusterID
@@ -435,5 +441,5 @@ func controlSize(m Msg) int {
 // gcReportVectorCells prices a GC report's dependency metadata at its
 // dense footprint: width x (current vector + one per stored CLC).
 func gcReportVectorCells(r GCReport) int {
-	return len(r.Chain.Anchor) * (1 + r.Chain.Len())
+	return r.Chain.Anchor.Width * (1 + r.Chain.Len())
 }

@@ -393,8 +393,12 @@ type Node struct {
 	cascadeMemo map[topology.ClusterID]cascadeRecord
 
 	// ---- garbage collection (initiator side) ----
-	gcRound       uint64
-	gcReports     map[topology.ClusterID]GCReport
+	gcRound uint64
+	// gcReports holds the open round's reports, cluster c's in slot c
+	// (reused across rounds); gcHave counts the slots this round filled
+	// and is 0 while no round is gathering.
+	gcReports     []GCReport
+	gcHave        int
 	alertsSeen    uint64
 	gcAlertsMark  uint64
 	gcLastStart   sim.Time
@@ -408,14 +412,15 @@ type Node struct {
 	// sendForce clones it before anything escapes the current event
 	// (see cic.go), so it must never be stored.
 	forceScratch DDV
-	// commitScratchVec is where a delta-wire leader raises the vector of
-	// the commit it is about to broadcast (ackFrom); only the pairs that
-	// differ from commitBase leave it. Allocated by a leader's first
-	// commit.
-	commitScratchVec DDV
+	// vecScratch is a width-sized scratch, allocated by its first use:
+	// a delta-wire leader raises the vector of the commit it is about to
+	// broadcast in it (ackFrom; only the pairs that differ from
+	// commitBase leave it), and a pipe encoder rebuilds the last vector
+	// shipped in it while deltas are in flight (DeltaCodec.Encode).
+	vecScratch DDV
 	// arena backs every DDV this node hands out at an escape point
-	// (piggybacked vectors, dense commit broadcasts, shipped chain
-	// anchors); see DDVArena for the ownership rules.
+	// (piggybacked vectors, dense commit broadcasts, resolved chain
+	// references); see DDVArena for the ownership rules.
 	arena DDVArena
 	// pairArena backs every DDVPair slice that escapes on a wire
 	// message or into a stored record; pairScratch is the reusable
@@ -856,8 +861,8 @@ func (n *Node) pinPiggies(gone func(SN) bool) {
 // drops them, and forgets retired records nothing names any more. The
 // retired history ends where the stored chain begins (records leave
 // the chain only as a prefix, and Recs[0].Pairs links the two), so it
-// costs one dense vector plus the records' own pairs, however many
-// references there are.
+// costs the records' own pairs and an anchor it shares with the chain
+// it started from, however many references there are.
 func (n *Node) retire(threshold SN) {
 	var oldest SN
 	found := false
@@ -873,20 +878,20 @@ func (n *Node) retire(threshold SN) {
 	if cut := n.chain.firstAbove(threshold - 1); cut > 0 {
 		from := 0
 		if n.retired.Len() == 0 {
-			n.retired.Init(n.chain.Recs[0].SN, n.chain.Anchor)
+			n.retired.start(n.chain.Recs[0].SN, n.chain.Anchor)
 			from = 1
 		}
 		for _, r := range n.chain.Recs[from:cut] {
 			n.retired.Append(r.SN, r.Pairs)
 		}
 	}
-	n.retired.DropBelow(oldest)
+	n.retired.DropBelow(oldest, &n.pairArena)
 }
 
 // dropCLCsBelow discards the stored CLCs with SN < threshold (a prefix).
 func (n *Node) dropCLCsBelow(threshold SN) {
 	n.retire(threshold)
-	cut := n.chain.DropBelow(threshold)
+	cut := n.chain.DropBelow(threshold, &n.pairArena)
 	for i := range n.clcs[:cut] {
 		n.clcBytes -= n.clcs[i].storedBytes()
 	}

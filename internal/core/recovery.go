@@ -67,11 +67,16 @@ type chainIndex struct {
 }
 
 // indexChain builds c's column index in buf (len 0, capacity for every
-// pair of c) and checks what the searches rely on: entries inside the
-// federation's width, columns that never decrease.
+// pair of c's records after the first) and checks what the searches
+// rely on: a sparse anchor and entries inside the federation's width,
+// columns that never decrease. The anchor stays out of the index: an
+// entry no record changed is read from it (SparseDDV.Get).
 func indexChain(c Chain, width int, buf []colChange) (chainIndex, error) {
-	if len(c.Anchor) != width {
-		return chainIndex{}, fmt.Errorf("core: chain anchor has %d entries in a %d-cluster federation", len(c.Anchor), width)
+	if c.Anchor.Width != width {
+		return chainIndex{}, fmt.Errorf("core: chain anchor is %d entries wide in a %d-cluster federation", c.Anchor.Width, width)
+	}
+	if !c.Anchor.Valid() {
+		return chainIndex{}, fmt.Errorf("core: chain anchor %v is not a sparse vector", c.Anchor.Pairs)
 	}
 	for r := 1; r < len(c.Recs); r++ {
 		for _, p := range c.Recs[r].Pairs {
@@ -88,12 +93,14 @@ func indexChain(c Chain, width int, buf []colChange) (chainIndex, error) {
 		return cmp.Compare(a.rec, b.rec)
 	})
 	for i, ch := range buf {
-		prev := c.Anchor[ch.col]
+		var prev SN
 		if i > 0 && buf[i-1].col == ch.col {
 			if buf[i-1].rec == ch.rec {
 				return chainIndex{}, fmt.Errorf("core: chain record %d changes entry %d twice", c.Recs[ch.rec].SN, ch.col)
 			}
 			prev = buf[i-1].sn
+		} else {
+			prev = c.Anchor.Get(int(ch.col))
 		}
 		if ch.sn < prev {
 			return chainIndex{}, fmt.Errorf("core: chain record %d lowers entry %d from %d to %d", c.Recs[ch.rec].SN, ch.col, prev, ch.sn)
@@ -136,12 +143,12 @@ func (x *chainIndex) entry(rec int, col topology.ClusterID) SN {
 	if k > 0 && x.cols[k-1].col == int32(col) {
 		return x.cols[k-1].sn
 	}
-	return x.c.Anchor[col]
+	return x.c.Anchor.Get(int(col))
 }
 
 // oldestWith is Chain.OldestWith by binary search over the column.
 func (x *chainIndex) oldestWith(col topology.ClusterID, s SN) int {
-	if x.c.Len() > 0 && x.c.Anchor[col] >= s {
+	if x.c.Len() > 0 && x.c.Anchor.Get(int(col)) >= s {
 		return 0
 	}
 	k := x.search(int32(col), 0, s, true)

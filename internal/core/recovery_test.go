@@ -204,7 +204,7 @@ func (f *abstractFederation) rollback(j, idx int) {
 // collection would — whether or not a recovery could still need them.
 func (f *abstractFederation) dropPrefix(j, k int) {
 	f.lists[j] = f.lists[j][k:]
-	f.chains[j].DropBelow(f.lists[j][0].SN)
+	f.chains[j].DropBelow(f.lists[j][0].SN, nil)
 }
 
 func (f *abstractFederation) step() {

@@ -232,7 +232,7 @@ func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
 	}
 	resp := RecoverStateResp{
 		Seq: m.Seq, Epoch: m.Epoch, Owner: m.Owner,
-		State: rep.State, Size: rep.Size, Chain: n.chain.snapshot(keep, &n.arena), Older: older,
+		State: rep.State, Size: rep.Size, Chain: Chain{Anchor: n.chain.Anchor, Recs: append([]ChainRec(nil), n.chain.Recs[:keep]...)}, Older: older,
 	}
 	if ml := n.mirrorLogs[m.Owner]; ml != nil {
 		resp.Log = append([]LogMirror(nil), ml.entries...)

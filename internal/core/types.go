@@ -62,12 +62,12 @@ func (d DDV) CopyFrom(o DDV) {
 
 // DDVArena hands out DDVs sliced from chunked backing storage, so the
 // vectors that escape an event (dense-wire piggybacks and commit
-// broadcasts, shipped chain anchors, resolved piggyback references,
-// held copies pinned while a remote restore is pending) allocate one
-// chunk per 64 vectors instead of one slice per Clone. Each Node owns
-// one arena; a vector handed out lives as long as whatever retains it
-// (the chunk is garbage-collected once every vector cut from it is
-// dropped), and chunks are never reallocated, so outstanding slices
+// broadcasts, resolved piggyback references, held copies pinned while
+// a remote restore is pending) allocate one chunk per 64 vectors
+// instead of one slice per Clone. Each Node owns one arena; a vector
+// handed out lives as long as whatever retains it (the chunk is
+// garbage-collected once every vector cut from it is dropped), and
+// chunks are never reallocated, so outstanding slices
 // stay valid forever. Full-capacity slicing means a misplaced append
 // can never bleed into a neighbouring vector.
 //

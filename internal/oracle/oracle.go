@@ -79,6 +79,13 @@ type clusterShadow struct {
 	chain  core.Chain // stored checkpoints
 	rolls  []rollbackRec
 	delivs []delivRec // inter-cluster deliveries INTO this cluster
+
+	// anchorBufs are the two buffers the chain's prefix drops build its
+	// anchor in, alternately: anchorBufs[anchorIn] may be the anchor's
+	// storage, the other never is. Nothing shares a shadow chain's
+	// anchor, so a drop reuses the buffer the previous anchor left.
+	anchorBufs [2][]core.DDVPair
+	anchorIn   int
 }
 
 // Oracle is one run's invariant checker. All methods must be invoked
@@ -115,6 +122,10 @@ type Oracle struct {
 	dropped    int // violations beyond MaxViolations
 }
 
+// anchorRoom is how many entries each of a shadow chain's anchor
+// buffers holds before it first grows.
+const anchorRoom = 8
+
 // New returns an oracle for a federation of nClusters clusters, seeded
 // with the protocol's initial state: every cluster starts at epoch 0,
 // SN 1, with its initial checkpoint stored (core.NewNode's "the
@@ -129,12 +140,17 @@ func New(nClusters int) *Oracle {
 			currents: make([]core.DDV, nClusters),
 		},
 	}
+	room := make([]core.DDVPair, 2*nClusters*anchorRoom)
 	for i := range o.clusters {
 		c := &o.clusters[i]
 		c.sn = 1
 		c.cur = core.NewDDV(nClusters)
 		c.cur[i] = 1
 		c.chain.Init(1, c.cur)
+		for k := range c.anchorBufs {
+			off := (2*i + k) * anchorRoom
+			c.anchorBufs[k] = room[off : off : off+anchorRoom]
+		}
 	}
 	return o
 }
@@ -471,7 +487,10 @@ func (o *Oracle) gcDrop(id topology.NodeID, minSNs []core.SN) {
 			}
 		}
 	}
-	c.chain.DropBelow(threshold)
+	k := 1 - c.anchorIn
+	if n, buf := c.chain.DropBelowInto(threshold, c.anchorBufs[k]); n > 0 {
+		c.anchorBufs[k], c.anchorIn = buf, k
+	}
 	// The collection proves no cluster ever rolls back below its
 	// threshold again: deliveries whose send predates the sender's
 	// threshold can never become orphans — drop their records.
@@ -506,8 +525,8 @@ func (o *Oracle) Finish() error {
 		}
 		for i, r := range c.chain.Recs {
 			if i == 0 {
-				for k, v := range c.chain.Anchor {
-					dominated(r.SN, k, v)
+				for _, p := range c.chain.Anchor.Pairs {
+					dominated(r.SN, int(p.Idx), p.SN)
 				}
 				continue
 			}

@@ -28,7 +28,8 @@ import (
 //   - bool: one byte, 0 or 1;
 //   - slices ([]SN, DDV, []DDVPair, []uint64, []OlderState, []LogMirror,
 //     []GCReport): an element count, then the elements;
-//   - Chain: its anchor, then its records;
+//   - Chain: its anchor's width, the anchor's non-zero entries as a
+//     count of ascending (index, SN) pairs, then its records;
 //   - state (Replica.State, RecoverStateResp.State, OlderState.State):
 //     one kind byte (nil or *app.State), then the app.State's fields,
 //     its delivery journal as a count plus LogicalIDs;
@@ -38,7 +39,10 @@ import (
 // before it on the connection. Decoding never trusts a count: a count
 // larger than the rest of the body could hold is an error before
 // anything is allocated, and an unknown tag, an out-of-range value or
-// trailing bytes are errors too. An empty slice or map decodes as nil.
+// trailing bytes are errors too. A chain anchor whose width exceeds
+// maxWidth, that holds more pairs than its width, or whose pairs are
+// out of range, zero, repeated or descending is refused. An empty slice
+// or map decodes as nil.
 // Decoded messages never alias the frame they were read from.
 const (
 	// wireVersion 2: LogMirror gained Epoch and lost SendSN.
@@ -46,9 +50,14 @@ const (
 	// (StreamOpen first, StreamAck back).
 	// wireVersion 4: checkpoint state is an *app.State (journal prefix)
 	// instead of a delivery map.
-	wireVersion = 4
+	// wireVersion 5: a chain's anchor is its width and its non-zero
+	// entries, not a dense vector.
+	wireVersion = 5
 	// maxFrame caps one frame's body.
 	maxFrame = 64 << 20
+	// maxWidth caps a decoded chain anchor's width: a width costs no
+	// frame bytes, and whoever reads the chain sizes dense vectors by it.
+	maxWidth = 1 << 20
 )
 
 var wirePreamble = [5]byte{'H', 'C', '3', 'I', wireVersion}
@@ -403,7 +412,8 @@ func (w *encoder) pairs(ps []core.DDVPair) {
 }
 
 func (w *encoder) chain(c core.Chain) {
-	w.sns(c.Anchor)
+	w.uint(uint64(c.Anchor.Width))
+	w.pairs(c.Anchor.Pairs)
 	w.uint(uint64(len(c.Recs)))
 	for _, r := range c.Recs {
 		w.uint(uint64(r.SN))
@@ -468,7 +478,7 @@ const (
 	minChainRec   = 2  // SN, pair count
 	minOlder      = 3  // SN, state kind, Size
 	minLogMirror  = 12 // two nodes, MsgID, payload (node, Seq, Size), PiggySN, DDV count, Epoch
-	minGCReport   = 6  // Round, Cluster, Epoch, anchor count, record count, pair count
+	minGCReport   = 7  // Round, Cluster, Epoch, anchor width, anchor pair count, record count, pair count
 	minJournalRec = 3  // LogicalID (node, Seq)
 )
 
@@ -626,7 +636,7 @@ func (r *decoder) u64s() []uint64 {
 }
 
 func (r *decoder) chain() core.Chain {
-	c := core.Chain{Anchor: r.sns()}
+	c := core.Chain{Anchor: r.anchor()}
 	if n := r.count(minChainRec); n > 0 {
 		c.Recs = make([]core.ChainRec, n)
 		for i := range c.Recs {
@@ -634,6 +644,21 @@ func (r *decoder) chain() core.Chain {
 		}
 	}
 	return c
+}
+
+// anchor reads a chain anchor and refuses one wider than maxWidth or
+// not in sparse form (core.SparseDDV.Valid).
+func (r *decoder) anchor() core.SparseDDV {
+	width := r.uint()
+	if width > maxWidth {
+		r.fail(errRange)
+		return core.SparseDDV{}
+	}
+	a := core.SparseDDV{Width: int(width), Pairs: r.pairs()}
+	if !a.Valid() {
+		r.fail(errRange)
+	}
+	return a
 }
 
 func (r *decoder) payload() core.AppPayload {

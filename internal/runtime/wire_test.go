@@ -35,7 +35,7 @@ func appState(next, n int) *app.State {
 }
 
 func testChain() core.Chain {
-	return core.Chain{Anchor: core.DDV{4, 0, 9}, Recs: []core.ChainRec{
+	return core.Chain{Anchor: core.SparseDDV{Width: 3, Pairs: []core.DDVPair{{Idx: 0, SN: 4}, {Idx: 2, SN: 9}}}, Recs: []core.ChainRec{
 		{SN: 4, Pairs: []core.DDVPair{{Idx: 2, SN: 9}}},
 		{SN: 5, Pairs: []core.DDVPair{{Idx: 0, SN: 5}, {Idx: 1, SN: 1 << 40}}},
 	}}
@@ -176,7 +176,7 @@ func TestEnvelopeCodecCoversEveryMessage(t *testing.T) {
 func TestEnvelopeEmptyDecodesNil(t *testing.T) {
 	env := Envelope{Msg: core.RecoverStateResp{
 		State: &app.State{Journal: []core.LogicalID{}},
-		Chain: core.Chain{Anchor: core.DDV{}, Recs: []core.ChainRec{{SN: 1, Pairs: []core.DDVPair{}}}},
+		Chain: core.Chain{Anchor: core.SparseDDV{Pairs: []core.DDVPair{}}, Recs: []core.ChainRec{{SN: 1, Pairs: []core.DDVPair{}}}},
 		Older: []core.OlderState{}, Log: []core.LogMirror{}}}
 	want := Envelope{Msg: core.RecoverStateResp{State: &app.State{},
 		Chain: core.Chain{Recs: []core.ChainRec{{SN: 1}}}}}
@@ -293,6 +293,48 @@ func TestEnvelopeCodecRefuses(t *testing.T) {
 	}
 }
 
+// hostileAnchors are chain anchors the decoder must refuse, by what is
+// wrong with them. The encoder writes them as they are.
+var hostileAnchors = map[string]core.SparseDDV{
+	"index past the width":  {Width: 3, Pairs: []core.DDVPair{{Idx: 3, SN: 1}}},
+	"negative index":        {Width: 3, Pairs: []core.DDVPair{{Idx: -1, SN: 1}}},
+	"repeated index":        {Width: 3, Pairs: []core.DDVPair{{Idx: 1, SN: 1}, {Idx: 1, SN: 2}}},
+	"descending indices":    {Width: 3, Pairs: []core.DDVPair{{Idx: 2, SN: 1}, {Idx: 0, SN: 2}}},
+	"zero SN":               {Width: 3, Pairs: []core.DDVPair{{Idx: 0, SN: 0}}},
+	"more pairs than width": {Width: 1, Pairs: []core.DDVPair{{Idx: 0, SN: 1}, {Idx: 1, SN: 1}}},
+	"width past the limit":  {Width: maxWidth + 1},
+}
+
+// hostileReport is a GC report whose chain has anchor a.
+func hostileReport(a core.SparseDDV) core.GCReport {
+	r := testReport()
+	r.Chain.Anchor = a
+	return r
+}
+
+// TestEnvelopeRefusesHostileAnchor: a chain anchor that is not a
+// sparse vector of its width is a range error, in a GC report, a token
+// and a recovery response alike; the widest legal one round-trips.
+func TestEnvelopeRefusesHostileAnchor(t *testing.T) {
+	for name, a := range hostileAnchors {
+		r := hostileReport(a)
+		for _, m := range []core.Msg{r, core.GCToken{Reports: []core.GCReport{testReport(), r}},
+			core.RecoverStateResp{Chain: r.Chain}} {
+			body, err := appendEnvelope(nil, Envelope{Msg: m})
+			if err != nil {
+				t.Fatalf("%s: %s did not encode: %v", name, typeName(m), err)
+			}
+			if _, err := decodeEnvelope(body); !errors.Is(err, errRange) {
+				t.Errorf("%s: %s decoded with err %v", name, typeName(m), err)
+			}
+		}
+	}
+	widest := Envelope{Msg: hostileReport(core.SparseDDV{Width: maxWidth, Pairs: []core.DDVPair{{Idx: 0, SN: 1}, {Idx: maxWidth - 1, SN: 2}}})}
+	if back := roundTrip(t, widest); !reflect.DeepEqual(back, widest) {
+		t.Fatalf("got %+v, want %+v", back, widest)
+	}
+}
+
 // TestEnvelopeDecodeDoesNotAlias: a decoded message owns its memory, so
 // the receive buffer can be reused for the next frame.
 func TestEnvelopeDecodeDoesNotAlias(t *testing.T) {
@@ -333,6 +375,11 @@ func FuzzEnvelopeCodec(f *testing.F) {
 		}
 		f.Add(body)
 	}
+	body, err := appendEnvelope(nil, Envelope{Msg: hostileReport(hostileAnchors["descending indices"])})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(body)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		env, err := decodeEnvelope(body)
 		// Per wire byte a decode builds at most one map slot or a 16-byte
