@@ -252,6 +252,24 @@ func BenchmarkWideSlice(b *testing.B) {
 	}
 }
 
+// BenchmarkWideSliceOracle is BenchmarkWideSlice with the invariant
+// oracle attached: the transitive runs feed its pipe-lockstep check
+// one shared sparse piggyback per DDV generation, so what the checker
+// costs at width is tracked and gated.
+func BenchmarkWideSliceOracle(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		opts := hc3i.RunnerOptions{Workers: hc3i.DefaultWorkers(), Seed: uint64(i + 1), Quick: true,
+			Oracle: true}
+		res, err := hc3i.RunMatrix(opts, "tier=wide,topology=64c")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			b.Fatal("wide slice produced no rows")
+		}
+	}
+}
+
 // BenchmarkWideSlice1024 runs the widest matrix rung — 1024 clusters,
 // 2048 protocol nodes, 1024-entry DDVs, both wide failure patterns
 // under all four protocols — as a real benchmark rather than the

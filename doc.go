@@ -166,8 +166,8 @@
 //     1024-cluster federation allocates.
 //   - internal/core flattens DDV storage into per-node arenas
 //     (core.DDVArena): every vector that escapes an event —
-//     piggybacked vectors, dense commit broadcasts, resolved chain
-//     references — is sliced from a
+//     piggybacked vectors, dense commit broadcasts, resent piggybacks
+//     — is sliced from a
 //     chunked backing []SN owned by the node, one chunk allocation per
 //     64 clones, cache-contiguous at 64 clusters. Ownership rules: a
 //     handed-out vector is immutable-by-convention once shared, chunks
@@ -268,9 +268,8 @@
 //     prefix drop (Chain.DropBelow) builds a new anchor from the node's
 //     PairArena with the dropped records' pairs folded in, and leaves
 //     the old one to whoever shares it. A chain that leaves its node (a
-//     GC report, a recovery answer, the retired history) copies only
-//     its record list, and a receiver that keeps it copies that list
-//     again.
+//     GC report, a recovery answer) copies only its record list, and a
+//     receiver that keeps it copies that list again.
 //   - A pair slice is immutable once appended (cut from a PairArena by
 //     the committing leader, or decoded fresh by the live runtime) and
 //     is shared freely: between the nodes of a cluster, their reports
@@ -281,19 +280,15 @@
 //   - Reading a stored vector whole (rollback, recovery) walks anchor
 //     plus pairs into the caller's buffer: O(width + pairs), on the
 //     rare paths only.
-//   - A transitive send under ModeHC3I on the delta wire logs no
-//     vector: its log entry and mirror name the stored record whose
-//     vector the send carried (piggySN), resolved from the chain only
-//     when a resend, a re-replication or a recovery reads it. A
-//     collection moves a record some reference still names into the
-//     node's retired history (the records' pairs and an anchor shared
-//     with the chain) instead of forgetting it; a rollback materializes the
-//     references to the records it discards. A reference that cannot
-//     be resolved panics. A message the receiver holds for a forced
-//     CLC keeps only the pairs it raised: the DDV never decreases
-//     while a message is held. The other modes, the dense wire and an
-//     event sink's piggyback event share one dense copy per DDV
-//     generation (Node.sharedPiggy).
+//   - A transitive send logs its piggyback as one immutable
+//     core.SparseDDV, built once per DDV generation from the node's
+//     PairArena (Node.piggy) and shared by every log entry of that
+//     generation, their mirrors, a recovery answer and an event sink's
+//     piggyback event — in every mode and on both wires. A resend
+//     writes it out dense; nothing else ever does. Go's collector frees
+//     a vector when the last entry naming it goes. A message the
+//     receiver holds for a forced CLC keeps only the pairs it raised:
+//     the DDV never decreases while a message is held.
 //
 // # The delta DDV wire representation
 //

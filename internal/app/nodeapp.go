@@ -122,20 +122,18 @@ func NewNodeApp(id topology.NodeID, wl *Workload, fed *topology.Federation, rng 
 	return a
 }
 
-// sizeHint estimates how many of perHour's cluster-aggregate messages
-// one node of id's cluster handles over the run, so a buffer is sized
-// once instead of repeatedly regrowing. An open-ended workload (the
-// live runtime's) has no total to size for.
+// sizeHint bounds how many of perHour's cluster-aggregate messages one
+// node of id's cluster handles over the run, so a buffer is sized once
+// instead of regrowing. The count is Poisson: the mean plus three
+// standard deviations covers all but about one node in a thousand. An
+// open-ended workload (the live runtime's) has no total to size for.
 func sizeHint(perHour float64, id topology.NodeID, wl *Workload, fed *topology.Federation) int {
 	if wl.TotalTime >= sim.Forever {
 		return 0
 	}
-	expected := perHour * wl.TotalTime.Seconds() / 3600 / float64(fed.Clusters[id.Cluster].Nodes)
+	mean := perHour * wl.TotalTime.Seconds() / 3600 / float64(fed.Clusters[id.Cluster].Nodes)
 	const maxHint = 1 << 16 // hint only: never pre-reserve absurd amounts
-	if expected > maxHint {
-		return maxHint
-	}
-	return int(expected)
+	return int(min(mean+3*math.Sqrt(mean), maxHint))
 }
 
 func (a *NodeApp) initCursor(rng *sim.RNG) {

@@ -78,7 +78,7 @@ func TestControlSizeBoxParity(t *testing.T) {
 		boxRow(ForceCLC{NewDDV: ddv}),
 		boxRow(Replica{Seq: 4, Owner: id, Size: 1 << 20}),
 		boxRow(ReplicaAck{Seq: 4, From: id}),
-		boxRow(LogMirror{Owner: id, MsgID: 7, Payload: AppPayload{Size: 4096}, PiggyDDV: ddv}),
+		boxRow(LogMirror{Owner: id, MsgID: 7, Payload: AppPayload{Size: 4096}, Piggy: sparseOf(ddv, nil)}),
 	}
 	for _, r := range rows {
 		if got, want := controlSize(r[1]), controlSize(r[0]); got != want {

@@ -26,24 +26,18 @@ import (
 // Ownership: the anchor and the pair slices are immutable once built
 // and may be shared between chains. A prefix drop builds a new anchor
 // instead of folding into the old one, so shipping a chain (in a GC
-// report, a recovery response, or into the retired history) shares
-// the anchor and the pairs and copies only the record list. A chain
-// that shares its anchor with nothing (the oracle's shadow chains) may
-// instead reuse the anchor's storage through DropBelowInto. The fields
-// are exported because internal/oracle reads them and the live
-// runtime's wire codec encodes them.
-//
-// A node's chain is also where its logged transitive piggybacks live
-// (see logEntry): a log entry or mirror names record SN, and the node
-// resolves the vector with Vector. Records a collection drops while a
-// reference names them move to the node's retired history, a second
-// Chain that ends where this one begins (Node.retire).
+// report or a recovery response) shares the anchor and the pairs and
+// copies only the record list. A chain that shares its anchor with
+// nothing (the oracle's shadow chains) may instead reuse the anchor's
+// storage through DropBelowInto. The fields are exported because
+// internal/oracle reads them and the live runtime's wire codec encodes
+// them.
 type Chain struct {
 	// Anchor is record 0's vector.
 	Anchor SparseDDV
 	// Recs are the stored records, oldest first, strictly increasing in
 	// SN. Recs[0].Pairs is already folded into Anchor: walks never read
-	// it, but a node's retired history (Node.retired) continues from it.
+	// it.
 	Recs []ChainRec
 }
 
@@ -58,15 +52,27 @@ type ChainRec struct {
 // SparseDDV is a DDV in sparse form: its width and its non-zero entries
 // as pairs in ascending index order. It is immutable once built, so
 // copies share Pairs. At 1024 clusters a stored vector has a few dozen
-// non-zero entries, where the dense form copies 8 KB.
+// non-zero entries, where the dense form copies 8 KB. Chain anchors and
+// logged transitive piggybacks (Node.piggy) take this form.
 type SparseDDV struct {
 	Width int
 	Pairs []DDVPair
 }
 
-// sparseOf returns vec's non-zero entries in a slice of their own.
-func sparseOf(vec DDV) SparseDDV {
+// sparseOf returns vec's non-zero entries in storage cut from ar (nil
+// allocates), exactly as many as there are.
+func sparseOf(vec DDV, ar *PairArena) SparseDDV {
 	s := SparseDDV{Width: len(vec)}
+	nz := 0
+	for _, v := range vec {
+		if v != 0 {
+			nz++
+		}
+	}
+	if nz == 0 {
+		return s
+	}
+	s.Pairs = ar.cut(nz)[:0]
 	for i, v := range vec {
 		if v != 0 {
 			s.Pairs = append(s.Pairs, DDVPair{Idx: int32(i), SN: v})
@@ -155,12 +161,8 @@ const chainRoom = 16
 
 // Init resets the chain to the single record (sn, vec); vec is copied
 // in sparse form.
-func (c *Chain) Init(sn SN, vec DDV) { c.start(sn, sparseOf(vec)) }
-
-// start resets the chain to the single record (sn, anchor), sharing
-// anchor.
-func (c *Chain) start(sn SN, anchor SparseDDV) {
-	c.Anchor = anchor
+func (c *Chain) Init(sn SN, vec DDV) {
+	c.Anchor = sparseOf(vec, nil)
 	if c.Recs == nil {
 		c.Recs = make([]ChainRec, 0, chainRoom)
 	}

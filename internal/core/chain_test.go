@@ -93,7 +93,7 @@ func TestChainAnchorSparseAndShared(t *testing.T) {
 // dense one of another width panics, as DDV.CopyFrom does, instead of
 // leaving a vector of the wrong width behind.
 func TestSparseDenseRefusesOtherWidth(t *testing.T) {
-	s := sparseOf(DDV{0, 3, 0})
+	s := sparseOf(DDV{0, 3, 0}, nil)
 	for _, n := range []int{2, 4} {
 		func() {
 			defer func() {

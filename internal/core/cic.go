@@ -52,30 +52,21 @@ func (n *Node) doSend(dst topology.NodeID, p AppPayload) {
 		// Inter-cluster: piggyback the dependency information and log
 		// the message optimistically in volatile memory (§3.3),
 		// mirroring the entry to the stable-storage neighbour so a
-		// crash of *this* node does not lose it.
-		var logPiggy DDV
+		// crash of *this* node does not lose it. The entry and the
+		// mirror share the generation's sparse vector (see piggy).
+		var piggy SparseDDV
 		if n.cfg.Transitive {
+			piggy = n.piggy()
 			if cd := n.pipeCodecTo(dst.Cluster); cd != nil {
 				// Delta wire: the message carries only the entries that
 				// changed since the last message on this pipe (O(1)
-				// while the DDV generation is unchanged). Under ModeHC3I
-				// the log entry keeps no vector at all: the DDV is the
-				// newest stored record's, so piggySN references it (see
-				// logEntry). The other modes share one dense copy per
-				// DDV generation.
+				// while the DDV generation is unchanged).
 				m.PiggyPairs = cd.Encode(n.ddv, n.piggyVecID(), &n.pairArena, &n.vecScratch)
 				m.PiggyWidth = int32(n.cfg.Clusters)
-				if n.cfg.Mode != ModeHC3I {
-					logPiggy = n.sharedPiggy()
-				}
-				if n.sink != nil {
-					n.emit(Event{Kind: EventPiggySend, Cluster: dst.Cluster, DDV: n.sharedPiggy()})
-				}
+				n.emit(Event{Kind: EventPiggySend, Cluster: dst.Cluster, Pairs: piggy.Pairs})
 			} else {
-				// Dense wire: retained by both the wire message and the
-				// log entry below, so it needs an owned copy.
+				// Dense wire: the message owns a copy.
 				m.PiggyDDV = n.arena.Clone(n.ddv)
-				logPiggy = m.PiggyDDV
 			}
 		}
 		e := n.logSlab.New()
@@ -85,14 +76,14 @@ func (n *Node) doSend(dst topology.NodeID, p AppPayload) {
 			dstCluster: dst.Cluster,
 			payload:    p,
 			piggySN:    n.sn,
-			piggyDDV:   logPiggy,
+			piggy:      piggy,
 		}
 		n.appendLog(e)
 		n.env.Stat("log.appended", 1)
 		if n.cfg.Replicas > 0 {
 			sendCtl(n, &n.ctl.mirror, n.holderFor(), LogMirror{
 				Owner: n.id, MsgID: m.MsgID, Dst: dst, Payload: p,
-				PiggySN: n.sn, PiggyDDV: logPiggy, Epoch: n.epoch,
+				PiggySN: n.sn, Piggy: piggy, Epoch: n.epoch,
 			})
 		}
 	}
@@ -603,7 +594,6 @@ func (n *Node) onAppAck(src topology.NodeID, m AppAck) {
 // carrying the delivery-time SN the equivalent test is ackSN >= alertSN
 // (a delivery at SN k is first captured by the checkpoint with SN k+1).
 func (n *Node) resendLoggedTo(c topology.ClusterID, alertSN SN, newEpoch Epoch) {
-	var memo piggyMemo
 	for _, e := range n.log {
 		if e.dstCluster != c {
 			continue
@@ -618,7 +608,7 @@ func (n *Node) resendLoggedTo(c topology.ClusterID, alertSN SN, newEpoch Epoch) 
 			SrcCluster: n.cluster,
 			SrcEpoch:   n.epoch,
 			SendSN:     e.piggySN,
-			PiggyDDV:   n.logPiggy(e, &memo),
+			PiggyDDV:   n.densePiggy(e.piggy),
 			Resend:     true,
 			DstEpoch:   newEpoch,
 		}

@@ -219,11 +219,10 @@ const codecJournal = 32
 // Invariant: every non-empty delta Encode returns is decoded exactly
 // once, in pipe order — netsim.PipeExit fires for messages to down
 // nodes too. Decode panics when it is handed anything but the oldest
-// in-flight delta, as Node.chainVector panics on a dead reference: a
-// pipe that dropped, duplicated or reordered a delta would otherwise
-// desynchronise the codec silently. Any transport that can do that to
-// delta piggybacks (chaos scheduling over the delta wire among them)
-// must keep this invariant first.
+// in-flight delta: a pipe that dropped, duplicated or reordered a delta
+// would otherwise desynchronise the codec silently. Any transport that
+// can do that to delta piggybacks (chaos scheduling over the delta wire
+// among them) must keep this invariant first.
 type DeltaCodec struct {
 	dec DDV // last vector decoded off the pipe
 

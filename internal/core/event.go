@@ -69,8 +69,9 @@ const (
 	// piggybacked epoch and SN, Epoch and SN: the receiver's).
 	EventDeliver
 	// EventPiggySend: a fresh delta-encoded transitive send enters the
-	// pipe to Cluster (DDV: the dense vector the message stands for,
-	// the node's shared piggy clone, immutable once handed out).
+	// pipe to Cluster (Pairs: the non-zero entries of the vector the
+	// message stands for, in ascending index order — the node's shared
+	// sparse piggyback, immutable once handed out).
 	EventPiggySend
 	// EventGCDrop: the node applies round Round's garbage-collection
 	// threshold vector (DDV: the minimum SN kept per cluster).
@@ -86,7 +87,8 @@ const (
 // DDV and Pairs alias node-owned buffers (a committed vector is the
 // node's commit base, which the next commit overwrites): a sink that
 // keeps either past its Event call must copy it. A commit's Pairs and
-// a piggyback send's DDV are immutable (see Chain) and may be retained.
+// a piggyback send's Pairs are immutable (see Chain and SparseDDV) and
+// may be retained.
 type Event struct {
 	Kind      EventKind
 	Mode      ProtocolMode
@@ -169,7 +171,7 @@ func (e Event) String() string {
 	case EventDeliver:
 		return fmt.Sprintf("deliver from %v (epoch %d sn=%d) at sn=%d (epoch %d)", e.Peer, e.PeerEpoch, e.Seq, e.SN, e.Epoch)
 	case EventPiggySend:
-		return fmt.Sprintf("piggyback %v to c%d", e.DDV, e.Cluster)
+		return fmt.Sprintf("piggyback %v to c%d", e.Pairs, e.Cluster)
 	case EventGCDrop:
 		return fmt.Sprintf("GC round %d drop below %v", e.Round, e.DDV)
 	}

@@ -293,8 +293,6 @@ func (n *Node) applyGCDrop(round uint64, minSNs []SN) {
 	n.emit(Event{Kind: EventGCDrop, Round: round, DDV: minSNs})
 	before := len(n.clcs)
 	threshold := minSNs[n.cluster]
-	// The log goes first: the records only its trimmed entries name need
-	// not be retired (see Node.retire).
 	logBefore := len(n.log)
 	n.filterLog(func(e *logEntry) bool { return !e.acked || e.ackSN >= minSNs[e.dstCluster] })
 	n.dropCLCsBelow(threshold)

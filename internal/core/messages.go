@@ -264,14 +264,6 @@ func (RecoverStateResp) ProtocolMessage() {}
 // back would then miss resends. Mirroring the log alongside the
 // checkpoint replicas closes that hole for the price of one cheap
 // intra-cluster (SAN) message per rare inter-cluster send.
-//
-// Like the log entry it copies, a mirror of a transitive send may carry
-// no PiggyDDV: the vector is then the cluster's stored record PiggySN,
-// which the holder stores too (see logEntry). The holder keeps such a
-// reference resolvable as the owner does: a collection retires the
-// record instead of forgetting it while the mirror names it, a
-// rollback discards the mirror with the record, and a recovery answer
-// resolves the references the recovering owner could not.
 type LogMirror struct {
 	Owner   topology.NodeID
 	MsgID   uint64
@@ -280,8 +272,11 @@ type LogMirror struct {
 	// PiggySN is the owner cluster's SN at the send, as on the log
 	// entry: a rollback keeps the mirror only if it is below the
 	// restored SN.
-	PiggySN  SN
-	PiggyDDV DDV
+	PiggySN SN
+	// Piggy is the transitive piggyback the send carried (zero unless
+	// transitive), shared with the owner's log entry: immutable, and
+	// stored and shipped as it is.
+	Piggy SparseDDV
 	// Epoch is the owner's epoch at the send: a holder that has rolled
 	// back since judges the mirror as that rollback would have (see
 	// Node.onLogMirror).

@@ -135,19 +135,13 @@ type logEntry struct {
 	// wire, and what a rollback prunes by (a send below the restored SN
 	// is part of the restored state).
 	piggySN SN
-	// piggyDDV is the transitive piggyback the send carried. Under
-	// ModeHC3I on the delta wire it starts nil, a reference: sends are
-	// frozen through commit and rollback windows, so the DDV at a send
-	// is the vector of stored record piggySN, and logPiggy resolves it
-	// from the chain when something reads it (a resend, re-replication).
-	// A collection that drops the record moves it to the node's retired
-	// history while references name it; a rollback that discards it
-	// first materializes the references (pinPiggies). A reference that
-	// can still not be resolved panics. The other modes and the dense
-	// reference wire store the vector at the send.
-	piggyDDV DDV
-	acked    bool
-	ackSN    SN
+	// piggy is the transitive piggyback the send carried (zero unless
+	// transitive): the node's shared vector of that DDV generation (see
+	// Node.piggy), which the entry's mirror and a recovery answer share
+	// too. A resend writes it out dense.
+	piggy SparseDDV
+	acked bool
+	ackSN SN
 }
 
 // storedBytes is the record's share of StorageBytes: the local state
@@ -248,9 +242,9 @@ type Node struct {
 	epoch Epoch
 	ddv   DDV
 	// ddvGen counts mutations of ddv (any site that can change an
-	// entry bumps it); the piggyback encoder and the shared log-entry
-	// piggy clone use it to skip O(width) work while the vector is
-	// unchanged. Starts at 1; 0 means "never" on consumers.
+	// entry bumps it); the piggyback encoder and the shared sparse
+	// piggyback (piggy) use it to skip O(width) work while the vector
+	// is unchanged. Starts at 1; 0 means "never" on consumers.
 	ddvGen uint64
 	// commitBase is the dense vector of the newest committed CLC — the
 	// base every delta-encoded CLCCommit patches, and the one stored
@@ -322,11 +316,6 @@ type Node struct {
 	// value and zeroed when dropped.
 	clcs  []clcRecord
 	chain Chain
-	// retired holds the records a collection dropped from chain while a
-	// piggyback reference of the log or the mirrored logs still names
-	// them (see retire); it ends where chain begins, and is empty when
-	// nothing names a dropped record.
-	retired Chain
 	// replicas holds neighbours' checkpoint states, one SN-ordered list
 	// per owner. A holder serves only its cfg.Replicas ring predecessors,
 	// so owners are found by a linear scan; commits append, GC drops a
@@ -419,14 +408,14 @@ type Node struct {
 	// shipped in it while deltas are in flight (DeltaCodec.Encode).
 	vecScratch DDV
 	// arena backs every DDV this node hands out at an escape point
-	// (piggybacked vectors, dense commit broadcasts, resolved chain
-	// references); see DDVArena for the ownership rules.
+	// (piggybacked vectors, resends, dense commit broadcasts); see
+	// DDVArena for the ownership rules.
 	arena DDVArena
 	// pairArena backs every DDVPair slice that escapes on a wire
-	// message or into a stored record; pairScratch is the reusable
-	// build buffer (valid until the next pair-building call, cloned
-	// through pairArena before escaping — same discipline as
-	// forceScratch).
+	// message, into a stored record or into a shared piggyback;
+	// pairScratch is the reusable build buffer (valid until the next
+	// pair-building call, cloned through pairArena before escaping —
+	// same discipline as forceScratch).
 	pairArena   PairArena
 	pairScratch []DDVPair
 	// recvDirty tracks the entries this node raised above commitBase
@@ -453,11 +442,11 @@ type Node struct {
 	// have decreased (rollback, recovery), forcing a full-width
 	// re-examination per pipe.
 	piggyCodecs PiggyCodecs
-	// lastPiggy is the shared dense clone of ddv at generation
-	// lastPiggyGen: log entries of all sends between two DDV changes
-	// reference one immutable vector instead of cloning per message. Cut
-	// by the first transitive inter-cluster send of a generation.
-	lastPiggy    DDV
+	// lastPiggy is the sparse form of ddv at generation lastPiggyGen:
+	// the log entries, mirrors and piggyback events of all sends
+	// between two DDV changes share one immutable vector. Built by the
+	// first transitive inter-cluster send of a generation.
+	lastPiggy    SparseDDV
 	lastPiggyGen uint64
 	// denseWire mirrors cfg.DenseWire (hot-path read).
 	denseWire bool
@@ -705,7 +694,7 @@ func (n *Node) DDVSnapshot() DDV { return n.arena.Clone(n.ddv) }
 func (n *Node) SameDDV(o *Node) bool { return n.ddv.Equal(o.ddv) }
 
 // ddvChanged records a mutation of n.ddv (or of an entry of it): the
-// piggyback encoder and the shared log-piggy clone key off the
+// piggyback encoder and the shared sparse piggyback key off the
 // generation to skip O(width) work while the vector is unchanged.
 func (n *Node) ddvChanged() { n.ddvGen++ }
 
@@ -728,20 +717,29 @@ func (n *Node) piggyVecID() uint64 {
 	return uint64(n.epoch)<<32 | uint64(n.sn)
 }
 
-// sharedPiggy returns a dense copy of the current DDV shared by every
-// reader of a delta-wire send made while the vector is unchanged: at
-// most one O(width) copy per DDV generation instead of one per
-// inter-cluster send. Its readers are the log entries of the modes
-// other than ModeHC3I (whose entries reference the chain instead) and
-// an event sink's EventPiggySend; with neither, nothing cuts it. The
-// returned vector is immutable once shared (log entries, resends and
-// the oracle's pipe queue only read it).
-func (n *Node) sharedPiggy() DDV {
+// piggy returns the current DDV in sparse form, shared by every
+// transitive send made while the vector is unchanged: at most one
+// O(width) scan per DDV generation, and pairs cut from the pair arena
+// instead of a dense copy. The vector is immutable once shared: log
+// entries, their mirrors, recovery answers and an event sink's
+// EventPiggySend only read it.
+func (n *Node) piggy() SparseDDV {
 	if n.lastPiggyGen != n.ddvGen {
-		n.lastPiggy = n.arena.Clone(n.ddv)
+		n.lastPiggy = sparseOf(n.ddv, &n.pairArena)
 		n.lastPiggyGen = n.ddvGen
 	}
 	return n.lastPiggy
+}
+
+// densePiggy writes a logged piggyback out dense for a resend, into a
+// vector cut from the arena; nil for a send that carried none.
+func (n *Node) densePiggy(p SparseDDV) DDV {
+	if p.Width == 0 {
+		return nil
+	}
+	v := n.arena.cut()
+	p.Dense(v)
+	return v
 }
 
 // StoredCount returns how many CLCs this node currently stores.
@@ -781,116 +779,8 @@ func (n *Node) appendCLC(rec clcRecord, sn SN, pairs []DDVPair) {
 	n.clcBytes += rec.storedBytes()
 }
 
-// logPiggy returns the dense transitive piggyback of logged send e,
-// resolving a chain reference (see logEntry) through memo and keeping
-// the result on the entry.
-func (n *Node) logPiggy(e *logEntry, memo *piggyMemo) DDV {
-	if e.piggyDDV == nil && n.cfg.Transitive {
-		e.piggyDDV = memo.resolve(n, e.piggySN)
-	}
-	return e.piggyDDV
-}
-
-// piggyMemo lets the references to one record that a walk over the log
-// or the mirrors meets in a row share one resolved vector. A walk owns
-// its memo: the chain does not change under it.
-type piggyMemo struct {
-	sn  SN
-	vec DDV
-}
-
-func (m *piggyMemo) resolve(n *Node, sn SN) DDV {
-	if m.vec == nil || m.sn != sn {
-		m.sn, m.vec = sn, n.chainVector(sn)
-	}
-	return m.vec
-}
-
-// chainVector returns a dense copy of record sn's vector — stored, or
-// retired while references name it — cut from the arena. It panics
-// when neither history holds sn: a piggyback reference that outlived
-// its record is a bug, and no other vector may stand in for it.
-func (n *Node) chainVector(sn SN) DDV {
-	c := &n.chain
-	i := c.Index(sn)
-	if i < 0 {
-		c = &n.retired
-		if i = c.Index(sn); i < 0 {
-			panic(fmt.Sprintf("core: %v resolves a piggyback from record %d, which it no longer holds", n.id, sn))
-		}
-	}
-	v := n.arena.cut()
-	c.Vector(i, v)
-	return v
-}
-
-// eachRef calls f with every piggyback reference of the log and the
-// mirrored logs: where its resolved vector belongs, and the record SN
-// it names.
-func (n *Node) eachRef(f func(vec *DDV, sn SN)) {
-	if !n.cfg.Transitive {
-		return
-	}
-	for _, e := range n.log {
-		if e.piggyDDV == nil {
-			f(&e.piggyDDV, e.piggySN)
-		}
-	}
-	for _, ml := range n.mirrorLogs {
-		for i := range ml.entries {
-			if e := &ml.entries[i]; e.PiggyDDV == nil {
-				f(&e.PiggyDDV, e.PiggySN)
-			}
-		}
-	}
-}
-
-// pinPiggies materializes every reference whose record gone reports,
-// before a rollback or a recovery discards those records.
-func (n *Node) pinPiggies(gone func(SN) bool) {
-	var memo piggyMemo
-	n.eachRef(func(vec *DDV, sn SN) {
-		if gone(sn) {
-			*vec = memo.resolve(n, sn)
-		}
-	})
-}
-
-// retire moves the stored records below threshold that a piggyback
-// reference still names into the retired history, before a collection
-// drops them, and forgets retired records nothing names any more. The
-// retired history ends where the stored chain begins (records leave
-// the chain only as a prefix, and Recs[0].Pairs links the two), so it
-// costs the records' own pairs and an anchor it shares with the chain
-// it started from, however many references there are.
-func (n *Node) retire(threshold SN) {
-	var oldest SN
-	found := false
-	n.eachRef(func(_ *DDV, sn SN) {
-		if !found || sn < oldest {
-			oldest, found = sn, true
-		}
-	})
-	if !found || oldest >= threshold {
-		n.retired.TruncateAfter(0)
-		return
-	}
-	if cut := n.chain.firstAbove(threshold - 1); cut > 0 {
-		from := 0
-		if n.retired.Len() == 0 {
-			n.retired.start(n.chain.Recs[0].SN, n.chain.Anchor)
-			from = 1
-		}
-		for _, r := range n.chain.Recs[from:cut] {
-			n.retired.Append(r.SN, r.Pairs)
-		}
-	}
-	n.retired.DropBelow(oldest, &n.pairArena)
-}
-
 // dropCLCsBelow discards the stored CLCs with SN < threshold (a prefix).
 func (n *Node) dropCLCsBelow(threshold SN) {
-	n.retire(threshold)
 	cut := n.chain.DropBelow(threshold, &n.pairArena)
 	for i := range n.clcs[:cut] {
 		n.clcBytes -= n.clcs[i].storedBytes()
@@ -901,11 +791,7 @@ func (n *Node) dropCLCsBelow(threshold SN) {
 }
 
 // truncateCLCsAfter discards the stored CLCs with SN > sn (a suffix).
-// The log's sends above sn belong to the aborted execution and are
-// pruned once the restore completes; until then a resend may still
-// read them, so they are materialized.
 func (n *Node) truncateCLCsAfter(sn SN) {
-	n.pinPiggies(func(s SN) bool { return s > sn })
 	n.chain.TruncateAfter(sn)
 	keep := n.chain.Len()
 	for i := range n.clcs[keep:] {
@@ -915,11 +801,8 @@ func (n *Node) truncateCLCsAfter(sn SN) {
 	n.clcs = n.clcs[:keep]
 }
 
-// resetCLCs empties the stored-CLC list and the retired history. The
-// callers (restart, recovery) reset the log, and hold no mirrored
-// references by then.
+// resetCLCs empties the stored-CLC list.
 func (n *Node) resetCLCs() {
-	n.retired.TruncateAfter(0)
 	n.chain.TruncateAfter(0)
 	clear(n.clcs)
 	n.clcs = n.clcs[:0]
@@ -1145,7 +1028,7 @@ func (n *Node) Restart() {
 // resetDeltaState clears the delta-tracking state that derives from the
 // DDV/commit history: the commit base (re-synced from the restored
 // record by the recovery path), the lazy-receipt and ack accumulators,
-// the shared log-piggy clone, and the per-pipe examination cursors (a
+// the shared sparse piggyback, and the per-pipe examination cursors (a
 // reset forces a full-width re-exam, which any decrease of this node's
 // own DDV requires for equivalence with the dense encoding).
 func (n *Node) resetDeltaState() {
@@ -1156,7 +1039,7 @@ func (n *Node) resetDeltaState() {
 	n.gcScanValid = false
 	n.resetAckAccum()
 	n.lastPiggyGen = 0
-	n.lastPiggy = nil
+	n.lastPiggy = SparseDDV{}
 	n.resetPiggyExam()
 }
 

@@ -10,10 +10,11 @@ import (
 )
 
 // The transitive piggyback is held by reference on the delta wire: a
-// held message keeps only the pairs it raised, and a log entry (and its
-// mirror) only the SN of the stored record whose vector it carried. The
-// tests below run one scenario on the delta wire and on its dense-wire
-// twin, which copies every vector, and require the same observations.
+// held message keeps only the pairs it raised. A log entry and its
+// mirror share the sender's sparse vector of the DDV generation the
+// send was made in, on both wires. The tests below run one scenario on
+// the delta wire and on its dense-wire twin, which copies every vector
+// onto the message, and require the same observations.
 
 // twinRun runs scenario on both wires and fails unless they report the
 // same lines; it returns the delta wire's.
@@ -121,8 +122,9 @@ func TestHeldMessageReexaminedFromPinnedPairs(t *testing.T) {
 
 // gcDroppedSend runs a send whose stored record a collection then
 // drops while the log entry survives: c1's node 1 sends to c0 at SN 1,
-// c1 commits twice, and c0's initiator collects. It returns the sender
-// and the vector the send carried.
+// c1 commits twice, and c0's initiator collects. The entry and the
+// holder's mirror still share one sparse vector, the one the send
+// carried. It returns the sender and that vector.
 func gcDroppedSend(t *testing.T, b *testbed) (*Node, DDV) {
 	t.Helper()
 	snd, recv := b.node(1, 1), b.node(0, 0)
@@ -141,16 +143,85 @@ func gcDroppedSend(t *testing.T, b *testbed) (*Node, DDV) {
 	if snd.chain.Index(e.piggySN) >= 0 {
 		t.Fatalf("record %d still stored: the collection dropped nothing", e.piggySN)
 	}
-	if b.useCodecs {
-		holder := b.node(1, 0)
-		if e.piggyDDV != nil || snd.retired.Index(e.piggySN) < 0 {
-			t.Fatalf("delta wire: entry piggy=%v, retired holds %d records: want a reference to a retired record", e.piggyDDV, snd.retired.Len())
-		}
-		if m := holder.mirrorLogs[snd.ID()].entries[0]; m.PiggyDDV != nil || holder.retired.Index(m.PiggySN) < 0 {
-			t.Fatalf("delta wire: mirror piggy=%v: want a reference to a record the holder retired", m.PiggyDDV)
-		}
+	m := b.node(1, 0).mirrorLogs[snd.ID()].entries[0]
+	if !sharesPairs(e.piggy, m.Piggy) {
+		t.Fatalf("entry piggy %v and mirror piggy %v do not share one vector", e.piggy, m.Piggy)
+	}
+	if got := dense(e.piggy); !got.Equal(want) {
+		t.Fatalf("entry piggy %v, want the vector at the send %v", got, want)
 	}
 	return snd, want
+}
+
+// sharesPairs reports whether a and b are one shared sparse vector.
+func sharesPairs(a, b SparseDDV) bool {
+	return a.Width == b.Width && len(a.Pairs) > 0 && len(a.Pairs) == len(b.Pairs) && &a.Pairs[0] == &b.Pairs[0]
+}
+
+// dense returns s written out.
+func dense(s SparseDDV) DDV {
+	v := NewDDV(s.Width)
+	s.Dense(v)
+	return v
+}
+
+// TestPiggyOneVectorPerGeneration: the sends a node makes while its DDV
+// is unchanged share one sparse piggyback — their log entries and the
+// holder's mirrors hold the same pairs — and a commit starts a new one,
+// under ModeHC3I and ModeIndependent, on both wires.
+func TestPiggyOneVectorPerGeneration(t *testing.T) {
+	for _, mode := range []ProtocolMode{ModeHC3I, ModeIndependent} {
+		for _, denseWire := range []bool{false, true} {
+			b := newTwinTestbed(t, []int{2, 2}, 1, denseWire)
+			for _, n := range b.nodes {
+				n.cfg.Mode = mode
+			}
+			snd, holder := b.node(1, 1), b.node(1, 0)
+			sendAt := func(seq uint64) SparseDDV {
+				want := snd.DDVSnapshot()
+				snd.Send(b.node(0, int(seq%2)).ID(), payload(snd.ID(), seq))
+				b.pump()
+				e := snd.log[len(snd.log)-1]
+				if got := dense(e.piggy); !got.Equal(want) {
+					t.Fatalf("%v dense=%v: send %d logged %v, want %v", mode, denseWire, seq, got, want)
+				}
+				ml := holder.mirrorLogs[snd.ID()]
+				if m := ml.entries[len(ml.entries)-1]; m.MsgID != e.msgID || !sharesPairs(m.Piggy, e.piggy) {
+					t.Fatalf("%v dense=%v: send %d: mirror %+v does not share the entry's vector", mode, denseWire, seq, m)
+				}
+				return e.piggy
+			}
+			first, second := sendAt(1), sendAt(2)
+			if !sharesPairs(first, second) {
+				t.Errorf("%v dense=%v: two sends of one generation hold %v and %v, not one vector", mode, denseWire, first, second)
+			}
+			b.commitCLC(1)
+			if third := sendAt(3); sharesPairs(first, third) || dense(first).Equal(dense(third)) {
+				t.Errorf("%v dense=%v: the send after a commit holds %v, the generation before's %v", mode, denseWire, third, first)
+			}
+		}
+	}
+}
+
+// TestLogMirrorRefusesOtherWidth: a holder stores a mirror whose
+// piggyback is none or of the federation's width, and refuses, with a
+// counter, one of any other width, which a resend could not write out.
+func TestLogMirrorRefusesOtherWidth(t *testing.T) {
+	b := newTwinTestbed(t, []int{2, 2}, 1, false)
+	owner, holder := b.node(1, 1), b.node(1, 0)
+	mirror := func(id uint64, p SparseDDV) LogMirror {
+		return LogMirror{Owner: owner.ID(), MsgID: id, Dst: b.node(0, 0).ID(), Payload: payload(owner.ID(), id), PiggySN: 1, Piggy: p}
+	}
+	holder.OnMessage(owner.ID(), mirror(1, SparseDDV{}))
+	holder.OnMessage(owner.ID(), mirror(2, SparseDDV{Width: 2, Pairs: []DDVPair{{Idx: 1, SN: 1}}}))
+	holder.OnMessage(owner.ID(), mirror(3, SparseDDV{Width: 3, Pairs: []DDVPair{{Idx: 2, SN: 1}}}))
+	holder.OnMessage(owner.ID(), mirror(4, SparseDDV{Width: 1}))
+	if got := holder.mirrorLen(owner.ID()); got != 2 {
+		t.Fatalf("holder stores %d mirrors, want the 2 of width 0 and 2", got)
+	}
+	if got := b.stats["log.mirror_refused_width"]; got != 2 {
+		t.Fatalf("log.mirror_refused_width = %d, want 2", got)
+	}
 }
 
 // TestResendAfterGCDropUsesExactVector: a logged send whose record was
@@ -172,7 +243,7 @@ func TestResendAfterGCDropUsesExactVector(t *testing.T) {
 
 // TestOwnerCrashReadoptsExactVectors: the sender crashes; it re-adopts
 // its log from the holder's mirrors — one entry whose record both have
-// retired, one whose record is still stored — and the resends after
+// collected, one whose record is still stored — and the resends after
 // its recovery carry the exact vectors of both sends.
 func TestOwnerCrashReadoptsExactVectors(t *testing.T) {
 	twinRun(t, []int{2, 2}, func(b *testbed) []string {

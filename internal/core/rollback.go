@@ -236,15 +236,6 @@ func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
 	}
 	if ml := n.mirrorLogs[m.Owner]; ml != nil {
 		resp.Log = append([]LogMirror(nil), ml.entries...)
-		// The owner resolves references from the chain it adopts, which
-		// starts at this node's oldest stored record: those naming a
-		// retired record travel resolved.
-		var memo piggyMemo
-		for i := range resp.Log {
-			if e := &resp.Log[i]; e.PiggyDDV == nil && n.cfg.Transitive && n.retired.Index(e.PiggySN) >= 0 {
-				e.PiggyDDV = memo.resolve(n, e.PiggySN)
-			}
-		}
 	}
 	n.env.Send(src, controlSize(resp), resp)
 }
@@ -266,12 +257,9 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 	}
 	// The chain is about to be replaced by the holder's. The log goes
 	// (re-adopted below). Mirrors that arrived while this node waited for
-	// the restore are judged as a rollback judges them (see onLogMirror),
-	// and the references of those kept are resolved against the history
-	// that named them.
+	// the restore are judged as a rollback judges them (see onLogMirror).
 	n.resetLog()
 	n.dropMirrorsFrom(pend.cmd.ToSN)
-	n.pinPiggies(func(SN) bool { return true })
 	n.resetCLCs()
 	n.chain.copyFrom(m.Chain)
 	n.chain.TruncateAfter(pend.cmd.ToSN)
@@ -310,9 +298,7 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 	// Re-adopt the mirrored message log: entries whose send belongs to
 	// the restored state, conservatively unacknowledged — the resume
 	// barrier re-pushes them and receivers deduplicate. Re-adoption
-	// appends like doSend does, so a crash never deflates LogPeak. A
-	// reference names a record of the chain just adopted from the
-	// holder, which resolved those naming a record it retired.
+	// appends like doSend does, so a crash never deflates LogPeak.
 	for _, e := range m.Log {
 		if e.PiggySN >= pend.cmd.ToSN {
 			continue
@@ -320,7 +306,7 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 		le := n.logSlab.New()
 		*le = logEntry{
 			msgID: e.MsgID, dst: e.Dst, dstCluster: e.Dst.Cluster,
-			payload: e.Payload, piggySN: e.PiggySN, piggyDDV: e.PiggyDDV,
+			payload: e.Payload, piggySN: e.PiggySN, piggy: e.Piggy,
 		}
 		n.appendLog(le)
 		n.env.Stat("log.recovered_entries", 1)
@@ -359,13 +345,10 @@ func (n *Node) onReReplicateReq(src topology.NodeID, m ReReplicateReq) {
 		sendCtl(n, &n.ctl.rep, src, Replica{Seq: n.chain.Recs[i].SN, Epoch: n.epoch, Owner: n.id, State: rec.state, Size: rec.stateSize})
 		n.env.Stat("storage.rereplicated", 1)
 	}
-	// Older entries may name records the restarted holder's recovered
-	// chain has lost to a collection: they travel resolved.
-	var memo piggyMemo
 	for _, e := range n.log {
 		sendCtl(n, &n.ctl.mirror, src, LogMirror{
 			Owner: n.id, MsgID: e.msgID, Dst: e.dst, Payload: e.payload,
-			PiggySN: e.piggySN, PiggyDDV: n.logPiggy(e, &memo), Epoch: n.epoch,
+			PiggySN: e.piggySN, Piggy: e.piggy, Epoch: n.epoch,
 		})
 	}
 }
@@ -378,16 +361,21 @@ func (n *Node) onReReplicateReq(src topology.NodeID, m ReReplicateReq) {
 // its send is part of the restored state. The owner's mirrors and
 // replicas share one FIFO link, and the holder commits nothing in a
 // newer epoch without the owner's next replica, so the holder's chain
-// still ends at the restored record: PiggySN below it is that test, and
-// every record a kept entry's reference names is the one the owner
-// sent it with.
+// still ends at the restored record: PiggySN below it is that test.
 //
 // A restarted holder that has not recovered yet has no chain to judge
 // by, and refuses every mirror: those of the owner's aborted execution
-// must go, and the owner re-pushes the rest, resolved, once the holder
-// has recovered (onReReplicateReq).
+// must go, and the owner re-pushes the rest once the holder has
+// recovered (onReReplicateReq). A mirror whose piggyback is neither
+// empty nor the federation's width is refused too.
 func (n *Node) onLogMirror(src topology.NodeID, m LogMirror) {
 	if src.Cluster != n.cluster || n.lostState {
+		return
+	}
+	if w := m.Piggy.Width; w != 0 && w != n.cfg.Clusters {
+		// A peer's vector of another federation's width: a resend
+		// could never write it out.
+		n.env.Stat("log.mirror_refused_width", 1)
 		return
 	}
 	if m.Epoch < n.epoch && (n.chain.Len() == 0 || m.PiggySN >= n.chain.Recs[n.chain.Len()-1].SN) {
@@ -503,7 +491,6 @@ func (n *Node) resumeAfterRollback() {
 	// (its send is part of the restored state), so pushing it again
 	// under the new epoch guarantees delivery. Duplicates are
 	// acceptable — receivers deduplicate by logical message identity.
-	var memo piggyMemo
 	for _, e := range n.log {
 		if e.acked {
 			continue
@@ -514,7 +501,7 @@ func (n *Node) resumeAfterRollback() {
 			SrcCluster: n.cluster,
 			SrcEpoch:   n.epoch,
 			SendSN:     e.piggySN,
-			PiggyDDV:   n.logPiggy(e, &memo),
+			PiggyDDV:   n.densePiggy(e.piggy),
 			Resend:     true,
 			// Target the receiver cluster's newest known epoch: if its
 			// own rollback command is still in flight (it can queue

@@ -62,8 +62,8 @@ func (d DDV) CopyFrom(o DDV) {
 
 // DDVArena hands out DDVs sliced from chunked backing storage, so the
 // vectors that escape an event (dense-wire piggybacks and commit
-// broadcasts, resolved piggyback references, held copies pinned while
-// a remote restore is pending) allocate one chunk per 64 vectors
+// broadcasts, resent piggybacks, held copies pinned while a remote
+// restore is pending) allocate one chunk per 64 vectors
 // instead of one slice per Clone. Each Node owns one arena; a vector
 // handed out lives as long as whatever retains it (the chunk is
 // garbage-collected once every vector cut from it is dropped), and
@@ -74,9 +74,9 @@ func (d DDV) CopyFrom(o DDV) {
 // An arena hides its cost from allocation counts: a chunk is one
 // allocation however many width-sized vectors it serves. The delta
 // wire therefore cuts nothing per inter-cluster message: a log entry
-// references its chain record, a held message keeps its raised pairs
-// (PairArena), and sharedPiggy cuts one vector per DDV generation only
-// where a reader needs it dense.
+// shares its generation's sparse piggyback and a held message keeps
+// its raised pairs (both PairArena), and only a resend writes a
+// logged piggyback out dense.
 type DDVArena struct {
 	width int
 	chunk []SN

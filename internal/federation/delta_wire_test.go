@@ -53,10 +53,9 @@ func TestTransitiveDeltaCrashDifferential(t *testing.T) {
 
 // TestTransitiveDeltaGCDifferential adds periodic garbage collection
 // to a transitive run, exercising the chain-delta GC reports together
-// with the piggyback codec — and, on the delta wire, the log entries
-// and mirrors that reference chain records: collections retire the
-// records they name, crashes re-adopt them from mirrors, rollbacks
-// resend them. Collection period, ring or central collector and
+// with the piggyback codec and the logged sparse piggybacks: collections
+// drop the records the log's sends were made at, crashes re-adopt the
+// entries from mirrors, rollbacks resend them. Collection period, ring or central collector and
 // replication degree vary by seed; the oracle watches every run.
 func TestTransitiveDeltaGCDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {

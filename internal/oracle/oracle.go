@@ -95,12 +95,12 @@ type Oracle struct {
 	width    int
 	clusters []clusterShadow
 	// pipes holds, per directed cluster pair (src*width+dst) that
-	// carried a delta piggyback, the FIFO queue of dense vectors
-	// entering the pipe whose decoded counterparts must reappear at
-	// pipe exit. The vectors are the senders' shared piggy clones —
-	// immutable once handed out — so the queue stores references,
-	// never copies.
-	pipes topology.PairTable[[]core.DDV]
+	// carried a delta piggyback, the FIFO queue of vectors entering the
+	// pipe, as their non-zero pairs, whose decoded counterparts must
+	// reappear at pipe exit. The pairs are the senders' shared sparse
+	// piggybacks — immutable once handed out — so the queue stores
+	// references, never copies.
+	pipes topology.PairTable[[][]core.DDVPair]
 	// vec is the scratch a stored vector is materialised into.
 	vec core.DDV
 	// gc caches the garbage-collection safety analysis (gcDrop).
@@ -210,7 +210,7 @@ func (o *Oracle) Observe(id topology.NodeID, ev core.Event) {
 		o.deliver(id, ev.Peer, ev.PeerEpoch, ev.Seq, ev.SN)
 	case core.EventPiggySend:
 		q := o.pipes.Get(int(id.Cluster)*o.width + int(ev.Cluster))
-		*q = append(*q, ev.DDV)
+		*q = append(*q, ev.Pairs)
 	case core.EventGCDrop:
 		o.gcDrop(id, ev.DDV)
 	}
@@ -400,11 +400,11 @@ func (o *Oracle) deliver(dst, src topology.NodeID, srcEpoch core.Epoch, sendSN, 
 }
 
 // CheckPipeExit verifies the delta-codec lockstep contract at a pipe
-// exit: decoded (the pipe decoder's vector after this message) must be
-// byte-identical to the dense vector the matching EventPiggySend stood
-// for, which Observe queued on the pipe's expectation queue. The
-// harness calls it for every delta-piggybacked message leaving a pipe,
-// in pipe order.
+// exit: decoded (the pipe decoder's vector after this message) must
+// equal the vector the matching EventPiggySend stood for, which Observe
+// queued on the pipe's expectation queue — every listed entry matches
+// and every other entry is zero. The harness calls it for every
+// delta-piggybacked message leaving a pipe, in pipe order.
 func (o *Oracle) CheckPipeExit(src, dst topology.ClusterID, decoded core.DDV) {
 	q := o.pipes.Find(int(src)*o.width + int(dst))
 	if q == nil || len(*q) == 0 {
@@ -414,9 +414,26 @@ func (o *Oracle) CheckPipeExit(src, dst topology.ClusterID, decoded core.DDV) {
 	want := (*q)[0]
 	(*q)[0] = nil
 	*q = (*q)[1:]
-	if !decoded.Equal(want) {
+	if !sparseEqual(decoded, want) {
 		o.violatef("pipe lockstep: c%d->c%d decoder holds %v, sender shipped %v", src, dst, decoded, want)
 	}
+}
+
+// sparseEqual reports whether vec equals the vector whose non-zero
+// entries are pairs, in ascending index order.
+func sparseEqual(vec core.DDV, pairs []core.DDVPair) bool {
+	k := 0
+	for i, v := range vec {
+		var w core.SN
+		if k < len(pairs) && int(pairs[k].Idx) == i {
+			w = pairs[k].SN
+			k++
+		}
+		if v != w {
+			return false
+		}
+	}
+	return k == len(pairs)
 }
 
 // gcCheck is the §3.5 analysis of the shadow state, kept for the

@@ -28,8 +28,10 @@ import (
 //   - bool: one byte, 0 or 1;
 //   - slices ([]SN, DDV, []DDVPair, []uint64, []OlderState, []LogMirror,
 //     []GCReport): an element count, then the elements;
-//   - Chain: its anchor's width, the anchor's non-zero entries as a
-//     count of ascending (index, SN) pairs, then its records;
+//   - SparseDDV (a Chain's anchor, a LogMirror's piggyback): its width,
+//     then its non-zero entries as a count of ascending (index, SN)
+//     pairs;
+//   - Chain: its anchor, then its records;
 //   - state (Replica.State, RecoverStateResp.State, OlderState.State):
 //     one kind byte (nil or *app.State), then the app.State's fields,
 //     its delivery journal as a count plus LogicalIDs;
@@ -39,7 +41,7 @@ import (
 // before it on the connection. Decoding never trusts a count: a count
 // larger than the rest of the body could hold is an error before
 // anything is allocated, and an unknown tag, an out-of-range value or
-// trailing bytes are errors too. A chain anchor whose width exceeds
+// trailing bytes are errors too. A sparse vector whose width exceeds
 // maxWidth, that holds more pairs than its width, or whose pairs are
 // out of range, zero, repeated or descending is refused. An empty slice
 // or map decodes as nil.
@@ -52,11 +54,12 @@ const (
 	// instead of a delivery map.
 	// wireVersion 5: a chain's anchor is its width and its non-zero
 	// entries, not a dense vector.
-	wireVersion = 5
+	// wireVersion 6: a LogMirror's piggyback is a sparse vector too.
+	wireVersion = 6
 	// maxFrame caps one frame's body.
 	maxFrame = 64 << 20
-	// maxWidth caps a decoded chain anchor's width: a width costs no
-	// frame bytes, and whoever reads the chain sizes dense vectors by it.
+	// maxWidth caps a decoded sparse vector's width: a width costs no
+	// frame bytes, and whoever reads the vector sizes dense ones by it.
 	maxWidth = 1 << 20
 )
 
@@ -411,9 +414,13 @@ func (w *encoder) pairs(ps []core.DDVPair) {
 	}
 }
 
+func (w *encoder) sparse(s core.SparseDDV) {
+	w.uint(uint64(s.Width))
+	w.pairs(s.Pairs)
+}
+
 func (w *encoder) chain(c core.Chain) {
-	w.uint(uint64(c.Anchor.Width))
-	w.pairs(c.Anchor.Pairs)
+	w.sparse(c.Anchor)
 	w.uint(uint64(len(c.Recs)))
 	for _, r := range c.Recs {
 		w.uint(uint64(r.SN))
@@ -456,7 +463,7 @@ func (w *encoder) logMirror(l core.LogMirror) {
 	w.node(l.Dst)
 	w.payload(l.Payload)
 	w.uint(uint64(l.PiggySN))
-	w.sns(l.PiggyDDV)
+	w.sparse(l.Piggy)
 	w.uint(uint64(l.Epoch))
 }
 
@@ -477,7 +484,7 @@ const (
 	minPair       = 2  // Idx, SN
 	minChainRec   = 2  // SN, pair count
 	minOlder      = 3  // SN, state kind, Size
-	minLogMirror  = 12 // two nodes, MsgID, payload (node, Seq, Size), PiggySN, DDV count, Epoch
+	minLogMirror  = 13 // two nodes, MsgID, payload (node, Seq, Size), PiggySN, piggy width, pair count, Epoch
 	minGCReport   = 7  // Round, Cluster, Epoch, anchor width, anchor pair count, record count, pair count
 	minJournalRec = 3  // LogicalID (node, Seq)
 )
@@ -636,7 +643,7 @@ func (r *decoder) u64s() []uint64 {
 }
 
 func (r *decoder) chain() core.Chain {
-	c := core.Chain{Anchor: r.anchor()}
+	c := core.Chain{Anchor: r.sparse()}
 	if n := r.count(minChainRec); n > 0 {
 		c.Recs = make([]core.ChainRec, n)
 		for i := range c.Recs {
@@ -646,9 +653,9 @@ func (r *decoder) chain() core.Chain {
 	return c
 }
 
-// anchor reads a chain anchor and refuses one wider than maxWidth or
+// sparse reads a sparse vector and refuses one wider than maxWidth or
 // not in sparse form (core.SparseDDV.Valid).
-func (r *decoder) anchor() core.SparseDDV {
+func (r *decoder) sparse() core.SparseDDV {
 	width := r.uint()
 	if width > maxWidth {
 		r.fail(errRange)
@@ -685,7 +692,7 @@ func (r *decoder) state() any {
 
 func (r *decoder) logMirror() core.LogMirror {
 	return core.LogMirror{Owner: r.node(), MsgID: r.uint(), Dst: r.node(), Payload: r.payload(),
-		PiggySN: r.sn(), PiggyDDV: r.sns(), Epoch: r.epoch()}
+		PiggySN: r.sn(), Piggy: r.sparse(), Epoch: r.epoch()}
 }
 
 func (r *decoder) gcReport() core.GCReport {

@@ -44,7 +44,7 @@ func testChain() core.Chain {
 func testLog() core.LogMirror {
 	return core.LogMirror{Owner: nid(1, 2), MsgID: 77, Dst: nid(0, 1),
 		Payload: core.AppPayload{ID: core.LogicalID{Src: nid(1, 2), Seq: 12}, Size: 256},
-		PiggySN: 6, PiggyDDV: core.DDV{3, 6}, Epoch: 2}
+		PiggySN: 6, Piggy: core.SparseDDV{Width: 3, Pairs: []core.DDVPair{{Idx: 0, SN: 3}, {Idx: 1, SN: 6}}}, Epoch: 2}
 }
 
 func testReport() core.GCReport {
@@ -335,6 +335,38 @@ func TestEnvelopeRefusesHostileAnchor(t *testing.T) {
 	}
 }
 
+// hostileMirror is a log mirror whose piggyback is p.
+func hostileMirror(p core.SparseDDV) core.LogMirror {
+	l := testLog()
+	l.Piggy = p
+	return l
+}
+
+// TestEnvelopeLogMirrorPiggyback: a mirror's piggyback travels as a
+// sparse vector — none (a send without the transitive extension) and
+// the widest legal one round-trip, and every hostile anchor is refused
+// here too, alone and inside a recovery response.
+func TestEnvelopeLogMirrorPiggyback(t *testing.T) {
+	for _, p := range []core.SparseDDV{{}, {Width: maxWidth, Pairs: []core.DDVPair{{Idx: 0, SN: 1}, {Idx: maxWidth - 1, SN: 2}}}} {
+		env := Envelope{Msg: hostileMirror(p)}
+		if back := roundTrip(t, env); !reflect.DeepEqual(back, env) {
+			t.Fatalf("got %+v, want %+v", back, env)
+		}
+	}
+	for name, a := range hostileAnchors {
+		l := hostileMirror(a)
+		for _, m := range []core.Msg{l, core.RecoverStateResp{Chain: testChain(), Log: []core.LogMirror{testLog(), l}}} {
+			body, err := appendEnvelope(nil, Envelope{Msg: m})
+			if err != nil {
+				t.Fatalf("%s: %s did not encode: %v", name, typeName(m), err)
+			}
+			if _, err := decodeEnvelope(body); !errors.Is(err, errRange) {
+				t.Errorf("%s: %s decoded with err %v", name, typeName(m), err)
+			}
+		}
+	}
+}
+
 // TestEnvelopeDecodeDoesNotAlias: a decoded message owns its memory, so
 // the receive buffer can be reused for the next frame.
 func TestEnvelopeDecodeDoesNotAlias(t *testing.T) {
@@ -375,11 +407,13 @@ func FuzzEnvelopeCodec(f *testing.F) {
 		}
 		f.Add(body)
 	}
-	body, err := appendEnvelope(nil, Envelope{Msg: hostileReport(hostileAnchors["descending indices"])})
-	if err != nil {
-		f.Fatal(err)
+	for _, m := range []core.Msg{hostileReport(hostileAnchors["descending indices"]), hostileMirror(hostileAnchors["index past the width"])} {
+		body, err := appendEnvelope(nil, Envelope{Msg: m})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
 	}
-	f.Add(body)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		env, err := decodeEnvelope(body)
 		// Per wire byte a decode builds at most one map slot or a 16-byte
