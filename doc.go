@@ -203,10 +203,24 @@
 //     (TestCLCRoundAllocsPerPeer): the provisional record is a value,
 //     NodeApp cuts its snapshots (*app.State, immutable once cut) and
 //     the log its entries from chunked core.Slab arenas, the replica
-//     store is one SN-ordered slice per owner (commits append, GC cuts
+//     store is one SN-ordered list per owner (commits append, GC cuts
 //     a prefix, a rollback a suffix, lookups binary-search), and the
 //     frozen-send, deferred and held queues keep their backing arrays
 //     across rounds.
+//   - Histories that grow between two GC rounds — a node's stored
+//     records, each owner's held replicas and log mirror — and every
+//     sim.Series are sim.Blocks lists. Layout: a list that fits in one
+//     64 KiB block is a plain slice grown by append (inline, no block
+//     table); past it, further elements go to fixed-size 64 KiB
+//     blocks, so an append never copies what is stored. A GC drop cuts
+//     whole leading blocks, a rollback or reset whole trailing ones,
+//     onto the list's own spare stack, which the next appends take
+//     from before allocating; a cut that leaves one block compacts it
+//     by copying. Ownership rules: every dropped slot is zeroed at
+//     once (a dropped record releases its checkpoint state, a dropped
+//     mirror its payload), a pointer from At is valid until the list's
+//     next mutation, and a recovery answer copies the mirror out
+//     (Blocks.AppendTo) rather than sharing a block.
 //   - Observation points build nothing nobody reads. Each of them
 //     emits a core.Event — a value struct (kind, mode, SN, epoch,
 //     forced, pairs, DDV, message, peer, ...) with a fixed Level and a

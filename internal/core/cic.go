@@ -146,6 +146,12 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 			return
 		}
 	} else {
+		if !n.piggyFits(m) {
+			// A peer's vector of another federation's width: merging it
+			// would index past this node's DDV.
+			n.env.Stat("app.refused_width", 1)
+			return
+		}
 		// Inter-cluster: epochs of other clusters are learned lazily.
 		known := n.epochs.known(src.Cluster)
 		if m.SrcEpoch < known {
@@ -186,6 +192,26 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 	}
 }
 
+// piggyFits reports whether m's piggyback can be merged into this
+// node's DDV: a dense one empty or of the federation's width, a delta
+// one of that width on a node that decodes deltas, and every pair
+// index inside the width.
+func (n *Node) piggyFits(m AppMsg) bool {
+	w := n.cfg.Clusters
+	if len(m.PiggyDDV) != 0 && len(m.PiggyDDV) != w {
+		return false
+	}
+	if m.PiggyWidth != 0 && (int(m.PiggyWidth) != w || n.piggyCodecs == nil) {
+		return false
+	}
+	for _, p := range m.PiggyPairs {
+		if p.Idx < 0 || int(p.Idx) >= w {
+			return false
+		}
+	}
+	return true
+}
+
 // drainInbound re-runs deferred messages whose guards may now pass
 // (after a commit unfreezes delivery or a rollback bumps the epoch).
 func (n *Node) drainInbound() {
@@ -212,9 +238,9 @@ func (n *Node) drainInbound() {
 func (n *Node) deliverIntra(src topology.NodeID, m AppMsg) {
 	if m.SendSN < n.sn {
 		// n.clcs is SN-ordered: only a suffix can lie above the send.
-		for i := len(n.clcs) - 1; i >= 0 && n.chain.Recs[i].SN > m.SendSN; i-- {
+		for i := n.clcs.Len() - 1; i >= 0 && n.chain.Recs[i].SN > m.SendSN; i-- {
 			if n.chain.Recs[i].SN <= n.sn {
-				n.logLate(&n.clcs[i], inbound{src: src, msg: m})
+				n.logLate(n.clcs.At(i), inbound{src: src, msg: m})
 			}
 		}
 		n.env.Stat("app.late_logged", 1)

@@ -5,8 +5,12 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
+
+// all copies a block list out, for the walks below to range over.
+func all[T any](b *sim.Blocks[T]) []T { return b.AppendTo(nil) }
 
 // The full-history walks the running totals and indexes replaced. They
 // are the reference the O(1) paths are checked against: after every
@@ -15,7 +19,7 @@ import (
 // recomputeStorageBytes is StorageBytes by walking every store.
 func (n *Node) recomputeStorageBytes() uint64 {
 	var total uint64
-	for _, r := range n.clcs {
+	for _, r := range all(&n.clcs) {
 		if !r.remote {
 			total += uint64(r.stateSize)
 		}
@@ -24,7 +28,7 @@ func (n *Node) recomputeStorageBytes() uint64 {
 		}
 	}
 	for _, l := range n.replicas {
-		for _, rep := range l.reps {
+		for _, rep := range all(&l.reps) {
 			total += uint64(rep.Size)
 		}
 	}
@@ -32,7 +36,7 @@ func (n *Node) recomputeStorageBytes() uint64 {
 		total += uint64(e.payload.Size)
 	}
 	for _, ml := range n.mirrorLogs {
-		for _, e := range ml.entries {
+		for _, e := range all(&ml.entries) {
 			total += uint64(e.Payload.Size)
 		}
 	}
@@ -58,10 +62,10 @@ func (n *Node) logIndexConsistent() error {
 // mirrored slice: same ids, no duplicates.
 func (n *Node) mirrorSetConsistent() error {
 	for owner, ml := range n.mirrorLogs {
-		if len(ml.ids) != len(ml.entries) {
-			return fmt.Errorf("mirror of %v: %d ids for %d entries", owner, len(ml.ids), len(ml.entries))
+		if len(ml.ids) != ml.entries.Len() {
+			return fmt.Errorf("mirror of %v: %d ids for %d entries", owner, len(ml.ids), ml.entries.Len())
 		}
-		for _, e := range ml.entries {
+		for _, e := range all(&ml.entries) {
 			if _, ok := ml.ids[e.MsgID]; !ok {
 				return fmt.Errorf("mirror of %v: msg %d is not in the id set", owner, e.MsgID)
 			}
@@ -89,8 +93,8 @@ func (n *Node) clcsOrdered() error {
 // record's vector.
 func (n *Node) chainConsistent() error {
 	c := &n.chain
-	if len(c.Recs) != len(n.clcs) {
-		return fmt.Errorf("chain holds %d entries for %d records", len(c.Recs), len(n.clcs))
+	if len(c.Recs) != n.clcs.Len() {
+		return fmt.Errorf("chain holds %d entries for %d records", len(c.Recs), n.clcs.Len())
 	}
 	if len(c.Recs) == 0 {
 		return nil
@@ -144,12 +148,13 @@ func (n *Node) replicaStoreConsistent() error {
 			return fmt.Errorf("replica store lists owner %v twice", l.owner)
 		}
 		owners[l.owner] = true
-		for i, r := range l.reps {
+		reps := all(&l.reps)
+		for i, r := range reps {
 			if r.Owner != l.owner {
 				return fmt.Errorf("replica of %v in the list of %v", r.Owner, l.owner)
 			}
-			if i > 0 && l.reps[i-1].Seq >= r.Seq {
-				return fmt.Errorf("replicas of %v out of order: SN %d before SN %d", l.owner, l.reps[i-1].Seq, r.Seq)
+			if i > 0 && reps[i-1].Seq >= r.Seq {
+				return fmt.Errorf("replicas of %v out of order: SN %d before SN %d", l.owner, reps[i-1].Seq, r.Seq)
 			}
 			bytes += uint64(r.Size)
 		}
@@ -164,7 +169,7 @@ func (n *Node) replicaStoreConsistent() error {
 func (n *Node) lookupReplica(k replicaKey) (Replica, bool) {
 	reps := n.replicasOf(k.owner)
 	if i, ok := searchReplica(reps, k.seq); ok {
-		return reps[i], true
+		return *reps.At(i), true
 	}
 	return Replica{}, false
 }
@@ -196,18 +201,18 @@ func (n *Node) CheckStoredHistory() error {
 // mirrorLen is the number of log entries mirrored here for owner.
 func (n *Node) mirrorLen(owner topology.NodeID) int {
 	if ml := n.mirrorLogs[owner]; ml != nil {
-		return len(ml.entries)
+		return ml.entries.Len()
 	}
 	return 0
 }
 
-// dropOldestCLC and dropNewestMirror undo one append in O(1), so a
+// dropOldestCLC and dropNewestMirror undo one append in O(1) (past one
+// block; a short list compacts by copying, as the stores do), so a
 // benchmark can hold its history at a fixed depth.
 
 func (n *Node) dropOldestCLC() {
-	n.clcBytes -= n.clcs[0].storedBytes()
-	n.clcs[0] = clcRecord{}
-	n.clcs = n.clcs[1:]
+	n.clcBytes -= n.clcs.At(0).storedBytes()
+	n.clcs.DropFront(1)
 	c := &n.chain
 	c.Anchor = c.Anchor.fold(c.Recs[1:2], &n.pairArena)
 	c.Recs = c.Recs[1:]
@@ -215,8 +220,8 @@ func (n *Node) dropOldestCLC() {
 
 func (n *Node) dropNewestMirror(owner topology.NodeID) {
 	ml := n.mirrorLogs[owner]
-	last := ml.entries[len(ml.entries)-1]
-	ml.entries = ml.entries[:len(ml.entries)-1]
+	last := *ml.entries.At(ml.entries.Len() - 1)
+	ml.entries.Truncate(ml.entries.Len() - 1)
 	delete(ml.ids, last.MsgID)
 	n.mirrorBytes -= uint64(last.Payload.Size)
 }

@@ -291,7 +291,7 @@ func (n *Node) applyGCDrop(round uint64, minSNs []SN) {
 		return
 	}
 	n.emit(Event{Kind: EventGCDrop, Round: round, DDV: minSNs})
-	before := len(n.clcs)
+	before := n.clcs.Len()
 	threshold := minSNs[n.cluster]
 	logBefore := len(n.log)
 	n.filterLog(func(e *logEntry) bool { return !e.acked || e.ackSN >= minSNs[e.dstCluster] })
@@ -306,13 +306,13 @@ func (n *Node) applyGCDrop(round uint64, minSNs []SN) {
 		n.env.Send(n.holderFor(), controlSize(trim), trim)
 	}
 
-	n.env.Stat("gc.clcs_removed", uint64(before-len(n.clcs)))
+	n.env.Stat("gc.clcs_removed", uint64(before-n.clcs.Len()))
 	n.env.Stat("gc.log_entries_removed", uint64(logBefore-len(n.log)))
 	n.gcDemanded = false // saturation episode over; may demand again
 	if n.leader() {
 		// The before/after pairs of Tables 2 and 3.
 		n.env.StatSeries(n.keys.gcBefore, float64(before))
-		n.env.StatSeries(n.keys.gcAfter, float64(len(n.clcs)))
+		n.env.StatSeries(n.keys.gcAfter, float64(n.clcs.Len()))
 		n.env.StatSeries(n.keys.storageBytes, float64(n.StorageBytes()))
 		n.recordStoredStat()
 	}

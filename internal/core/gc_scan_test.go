@@ -38,7 +38,7 @@ func pairSet(t *testing.T, what string, ps []DDVPair) map[int32]SN {
 func checkScanMatchesReference(t *testing.T, b *testbed) (incremental int) {
 	t.Helper()
 	for _, n := range b.nodes {
-		if n.Failed() || n.lostState || len(n.clcs) == 0 {
+		if n.Failed() || n.lostState || n.clcs.Len() == 0 {
 			continue
 		}
 		got := pairSet(t, "curPairsVsNewest", n.curPairsVsNewest(nil))

@@ -172,8 +172,9 @@ func seriesDigest(res *federation.Result) string {
 		}
 		s := res.Stats.Series(name)
 		fmt.Fprintf(h, "%s %d\n", name, s.Len())
-		for i := range s.Times {
-			fmt.Fprintf(h, "%d %v\n", s.Times[i], s.Values[i])
+		for i := 0; i < s.Len(); i++ {
+			at, v := s.Point(i)
+			fmt.Fprintf(h, "%d %v\n", at, v)
 		}
 	}
 	fmt.Fprintf(h, "log.ack_orphan %d\n", res.Stats.CounterValue("log.ack_orphan"))

@@ -108,21 +108,22 @@ func (c Config) validate() {
 
 // clcRecord is this node's local part of one stored cluster-level
 // checkpoint; the cluster-wide metadata (SN, DDV) of record i is entry
-// i of Node.chain.
+// i of Node.chain. Its two flags sit together at the end, which keeps
+// it at 64 bytes: a block of Node.clcs holds 1024 records.
 type clcRecord struct {
-	forced    bool
 	at        sim.Time
 	state     any
 	stateSize int
-	// remote marks a record whose local state was lost in a crash and
-	// lives only on the neighbour replicas; restoring it requires a
-	// RecoverStateReq round-trip.
-	remote bool
 	// lateLog holds intra-cluster application messages that crossed
 	// this checkpoint's line (sent before it, received after it); they
 	// are re-delivered on restore so the checkpoint stays consistent
 	// (no lost in-transit messages, §2.2).
 	lateLog []inbound
+	forced  bool
+	// remote marks a record whose local state was lost in a crash and
+	// lives only on the neighbour replicas; restoring it requires a
+	// RecoverStateReq round-trip.
+	remote bool
 }
 
 // logEntry is one optimistically logged inter-cluster message (§3.3).
@@ -162,24 +163,21 @@ func (r *clcRecord) storedBytes() uint64 {
 // Node.mirrorLogs). ids holds the MsgID of every entry, so a
 // re-replicated duplicate is refused without scanning.
 type mirrorLog struct {
-	entries []LogMirror
+	entries sim.Blocks[LogMirror]
 	ids     map[uint64]struct{}
 }
 
 // filter keeps the entries keep accepts, in order, forgets the MsgIDs
 // of the rest and returns the payload bytes it dropped.
 func (ml *mirrorLog) filter(keep func(*LogMirror) bool) (dropped uint64) {
-	kept := ml.entries[:0]
-	for i := range ml.entries {
-		e := &ml.entries[i]
+	ml.entries.Filter(func(e *LogMirror) bool {
 		if keep(e) {
-			kept = append(kept, *e)
-		} else {
-			dropped += uint64(e.Payload.Size)
-			delete(ml.ids, e.MsgID)
+			return true
 		}
-	}
-	ml.entries = kept
+		dropped += uint64(e.Payload.Size)
+		delete(ml.ids, e.MsgID)
+		return false
+	})
 	return dropped
 }
 
@@ -187,22 +185,25 @@ func (ml *mirrorLog) filter(keep func(*LogMirror) bool) (dropped uint64) {
 // node's memory (see Node.replicas), strictly increasing in Seq.
 type ownerReplicas struct {
 	owner topology.NodeID
-	reps  []Replica
+	reps  sim.Blocks[Replica]
 }
 
 // searchReplica returns the position of the first replica in reps with
-// Seq >= seq, and whether that replica's Seq is seq.
-func searchReplica(reps []Replica, seq SN) (int, bool) {
-	lo, hi := 0, len(reps)
+// Seq >= seq, and whether that replica's Seq is seq; reps may be nil.
+func searchReplica(reps *sim.Blocks[Replica], seq SN) (int, bool) {
+	if reps == nil {
+		return 0, false
+	}
+	lo, hi := 0, reps.Len()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if reps[mid].Seq < seq {
+		if reps.At(mid).Seq < seq {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(reps) && reps[lo].Seq == seq
+	return lo, lo < reps.Len() && reps.At(lo).Seq == seq
 }
 
 // inbound is an application message awaiting processing (frozen during
@@ -313,8 +314,8 @@ type Node struct {
 	// suffix, and recovery rebuilds both from a holder's chain. Mutated
 	// only through appendCLC/dropCLCsBelow/truncateCLCsAfter/resetCLCs/
 	// logLate, which keep the two the same length. Records are stored by
-	// value and zeroed when dropped.
-	clcs  []clcRecord
+	// value, in blocks (see sim.Blocks), and zeroed when dropped.
+	clcs  sim.Blocks[clcRecord]
 	chain Chain
 	// replicas holds neighbours' checkpoint states, one SN-ordered list
 	// per owner. A holder serves only its cfg.Replicas ring predecessors,
@@ -619,8 +620,8 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 	n.commitBase.CopyFrom(n.ddv)
 	state, size := app.Snapshot()
 	n.chain.Init(1, n.ddv)
-	n.clcs = append(n.clcs, clcRecord{at: env.Now(), state: state, stateSize: size})
-	n.clcBytes = n.clcs[0].storedBytes()
+	n.clcs.Append(clcRecord{at: env.Now(), state: state, stateSize: size})
+	n.clcBytes = n.clcs.At(0).storedBytes()
 	// ddv equals the initial CLC's vector: the incremental GC-report
 	// scan starts valid (see gcScanDirty).
 	n.gcScanValid = true
@@ -743,7 +744,7 @@ func (n *Node) densePiggy(p SparseDDV) DDV {
 }
 
 // StoredCount returns how many CLCs this node currently stores.
-func (n *Node) StoredCount() int { return len(n.clcs) }
+func (n *Node) StoredCount() int { return n.clcs.Len() }
 
 // LogLen returns the number of logged inter-cluster messages.
 func (n *Node) LogLen() int { return len(n.log) }
@@ -757,7 +758,7 @@ func (n *Node) LogPeak() int { return n.logPeak }
 func (n *Node) ReplicaCount() int {
 	count := 0
 	for _, l := range n.replicas {
-		count += len(l.reps)
+		count += l.reps.Len()
 	}
 	return count
 }
@@ -775,37 +776,33 @@ func (n *Node) StorageBytes() uint64 {
 // with pairs (what changed since the newest stored record; retained).
 func (n *Node) appendCLC(rec clcRecord, sn SN, pairs []DDVPair) {
 	n.chain.Append(sn, pairs)
-	n.clcs = append(n.clcs, rec)
+	n.clcs.Append(rec)
 	n.clcBytes += rec.storedBytes()
 }
 
 // dropCLCsBelow discards the stored CLCs with SN < threshold (a prefix).
 func (n *Node) dropCLCsBelow(threshold SN) {
 	cut := n.chain.DropBelow(threshold, &n.pairArena)
-	for i := range n.clcs[:cut] {
-		n.clcBytes -= n.clcs[i].storedBytes()
+	for i := 0; i < cut; i++ {
+		n.clcBytes -= n.clcs.At(i).storedBytes()
 	}
-	kept := copy(n.clcs, n.clcs[cut:])
-	clear(n.clcs[kept:])
-	n.clcs = n.clcs[:kept]
+	n.clcs.DropFront(cut)
 }
 
 // truncateCLCsAfter discards the stored CLCs with SN > sn (a suffix).
 func (n *Node) truncateCLCsAfter(sn SN) {
 	n.chain.TruncateAfter(sn)
 	keep := n.chain.Len()
-	for i := range n.clcs[keep:] {
-		n.clcBytes -= n.clcs[keep+i].storedBytes()
+	for i := keep; i < n.clcs.Len(); i++ {
+		n.clcBytes -= n.clcs.At(i).storedBytes()
 	}
-	clear(n.clcs[keep:])
-	n.clcs = n.clcs[:keep]
+	n.clcs.Truncate(keep)
 }
 
 // resetCLCs empties the stored-CLC list.
 func (n *Node) resetCLCs() {
 	n.chain.TruncateAfter(0)
-	clear(n.clcs)
-	n.clcs = n.clcs[:0]
+	n.clcs.Truncate(0)
 	n.clcBytes = 0
 }
 
@@ -867,10 +864,10 @@ func (n *Node) replicaList(owner topology.NodeID) *ownerReplicas {
 }
 
 // replicasOf returns the SN-ordered replicas held for owner (nil when
-// none). The slice is the store's own — callers must not mutate it.
-func (n *Node) replicasOf(owner topology.NodeID) []Replica {
+// none). The list is the store's own — callers must not mutate it.
+func (n *Node) replicasOf(owner topology.NodeID) *sim.Blocks[Replica] {
 	if l := n.replicaList(owner); l != nil {
-		return l.reps
+		return &l.reps
 	}
 	return nil
 }
@@ -886,19 +883,18 @@ func (n *Node) storeReplica(r Replica) {
 		l = &n.replicas[len(n.replicas)-1]
 	}
 	n.replicaBytes += uint64(r.Size)
-	if last := len(l.reps) - 1; last < 0 || l.reps[last].Seq < r.Seq {
-		l.reps = append(l.reps, r)
+	if last := l.reps.Len() - 1; last < 0 || l.reps.At(last).Seq < r.Seq {
+		l.reps.Append(r)
 		return
 	}
-	i, found := searchReplica(l.reps, r.Seq)
+	i, found := searchReplica(&l.reps, r.Seq)
 	if found {
-		n.replicaBytes -= uint64(l.reps[i].Size)
-		l.reps[i] = r
+		p := l.reps.At(i)
+		n.replicaBytes -= uint64(p.Size)
+		*p = r
 		return
 	}
-	l.reps = append(l.reps, Replica{})
-	copy(l.reps[i+1:], l.reps[i:])
-	l.reps[i] = r
+	l.reps.Insert(i, r)
 }
 
 // dropReplicasBelow discards every held replica with Seq < threshold: a
@@ -906,13 +902,11 @@ func (n *Node) storeReplica(r Replica) {
 func (n *Node) dropReplicasBelow(threshold SN) {
 	for i := range n.replicas {
 		l := &n.replicas[i]
-		cut, _ := searchReplica(l.reps, threshold)
-		for _, r := range l.reps[:cut] {
-			n.replicaBytes -= uint64(r.Size)
+		cut, _ := searchReplica(&l.reps, threshold)
+		for j := 0; j < cut; j++ {
+			n.replicaBytes -= uint64(l.reps.At(j).Size)
 		}
-		kept := copy(l.reps, l.reps[cut:])
-		clear(l.reps[kept:])
-		l.reps = l.reps[:kept]
+		l.reps.DropFront(cut)
 	}
 }
 
@@ -921,20 +915,16 @@ func (n *Node) dropReplicasBelow(threshold SN) {
 func (n *Node) dropReplicasAbove(sn SN) {
 	for i := range n.replicas {
 		l := &n.replicas[i]
-		keep, _ := searchReplica(l.reps, sn+1)
-		for _, r := range l.reps[keep:] {
-			n.replicaBytes -= uint64(r.Size)
+		keep, _ := searchReplica(&l.reps, sn+1)
+		for j := keep; j < l.reps.Len(); j++ {
+			n.replicaBytes -= uint64(l.reps.At(j).Size)
 		}
-		clear(l.reps[keep:])
-		l.reps = l.reps[:keep]
+		l.reps.Truncate(keep)
 	}
 }
 
 // resetReplicas empties the replica store.
 func (n *Node) resetReplicas() {
-	for i := range n.replicas {
-		clear(n.replicas[i].reps)
-	}
 	clear(n.replicas)
 	n.replicas = n.replicas[:0]
 	n.replicaBytes = 0
@@ -958,7 +948,7 @@ func (n *Node) SeedReplica(r Replica) { n.storeReplica(r) }
 // InitialReplica returns the Replica record of this node's initial
 // checkpoint, for bootstrap seeding.
 func (n *Node) InitialReplica() Replica {
-	r0 := &n.clcs[0]
+	r0 := n.clcs.At(0)
 	return Replica{Seq: n.chain.Recs[0].SN, Owner: n.id, State: r0.state, Size: r0.stateSize}
 }
 
@@ -1169,7 +1159,7 @@ func (n *Node) OnFailureDetected(failedNode topology.NodeID) {
 // (leader only, so it is recorded once per cluster).
 func (n *Node) recordStoredStat() {
 	if n.leader() {
-		n.env.StatSeries(n.keys.clcStored, float64(len(n.clcs)))
+		n.env.StatSeries(n.keys.clcStored, float64(n.clcs.Len()))
 		n.env.StatSeries(n.keys.logSize, float64(len(n.log)))
 	}
 }

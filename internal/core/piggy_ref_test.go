@@ -143,7 +143,7 @@ func gcDroppedSend(t *testing.T, b *testbed) (*Node, DDV) {
 	if snd.chain.Index(e.piggySN) >= 0 {
 		t.Fatalf("record %d still stored: the collection dropped nothing", e.piggySN)
 	}
-	m := b.node(1, 0).mirrorLogs[snd.ID()].entries[0]
+	m := b.node(1, 0).mirrorLogs[snd.ID()].entries.At(0)
 	if !sharesPairs(e.piggy, m.Piggy) {
 		t.Fatalf("entry piggy %v and mirror piggy %v do not share one vector", e.piggy, m.Piggy)
 	}
@@ -186,7 +186,7 @@ func TestPiggyOneVectorPerGeneration(t *testing.T) {
 					t.Fatalf("%v dense=%v: send %d logged %v, want %v", mode, denseWire, seq, got, want)
 				}
 				ml := holder.mirrorLogs[snd.ID()]
-				if m := ml.entries[len(ml.entries)-1]; m.MsgID != e.msgID || !sharesPairs(m.Piggy, e.piggy) {
+				if m := ml.entries.At(ml.entries.Len() - 1); m.MsgID != e.msgID || !sharesPairs(m.Piggy, e.piggy) {
 					t.Fatalf("%v dense=%v: send %d: mirror %+v does not share the entry's vector", mode, denseWire, seq, m)
 				}
 				return e.piggy
@@ -221,6 +221,38 @@ func TestLogMirrorRefusesOtherWidth(t *testing.T) {
 	}
 	if got := b.stats["log.mirror_refused_width"]; got != 2 {
 		t.Fatalf("log.mirror_refused_width = %d, want 2", got)
+	}
+}
+
+// TestAppMsgRefusesOtherWidth: a node refuses, with a counter and
+// without panicking, an inter-cluster message whose piggyback it could
+// not merge — a dense vector wider than the federation, a pair index
+// outside it, a delta of another width — on either wire.
+func TestAppMsgRefusesOtherWidth(t *testing.T) {
+	for _, dense := range []bool{true, false} {
+		b := newTwinTestbed(t, []int{2, 2}, 1, dense)
+		recv, src := b.node(0, 0), b.node(1, 0).ID()
+		msg := func(id uint64) AppMsg {
+			return AppMsg{MsgID: id, Payload: payload(src, id), SendSN: 1}
+		}
+		wide := msg(1)
+		wide.PiggyDDV = DDV{1, 1, 5}
+		recv.OnMessage(src, wide)
+		negative := msg(2)
+		negative.PiggyPairs = []DDVPair{{Idx: -1, SN: 1}}
+		recv.OnMessage(src, negative)
+		if got := b.stats["app.refused_width"]; got != 2 {
+			t.Fatalf("dense=%v: app.refused_width = %d, want 2", dense, got)
+		}
+		delta := msg(3)
+		delta.PiggyPairs, delta.PiggyWidth = []DDVPair{{Idx: 1, SN: 1}}, 3
+		recv.OnMessage(src, delta)
+		if got := b.stats["app.refused_width"]; got != 3 {
+			t.Fatalf("dense=%v: a delta of width 3: app.refused_width = %d, want 3", dense, got)
+		}
+		if got := b.stats["app.delivered.inter"] + b.stats["cic.held"]; got != 0 {
+			t.Fatalf("dense=%v: %d refused messages were delivered or held", dense, got)
+		}
 	}
 }
 

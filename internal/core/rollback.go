@@ -108,7 +108,7 @@ func (n *Node) performLocalRollback(toSN SN, newEpoch Epoch, coordinator topolog
 	if idx < 0 {
 		panic(fmt.Sprintf("core: %v has no checkpoint %d to restore", n.id, toSN))
 	}
-	if n.clcs[idx].remote {
+	if n.clcs.At(idx).remote {
 		// Our local copy was lost in an earlier crash; fetch it back
 		// from the replica holders before acking (async). All holders
 		// are asked — one of them may be down itself under multiple
@@ -128,7 +128,7 @@ func (n *Node) performLocalRollback(toSN SN, newEpoch Epoch, coordinator topolog
 }
 
 func (n *Node) finishLocalRollback(idx int, toSN SN, newEpoch Epoch) {
-	rec := &n.clcs[idx]
+	rec := n.clcs.At(idx)
 	n.app.Restore(rec.state)
 	for _, late := range rec.lateLog {
 		n.env.Stat("app.redelivered_late", 1)
@@ -209,7 +209,7 @@ func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
 		n.emit(Event{Kind: EventReplicaMiss, Seq: m.Seq, Peer: m.Owner})
 		return
 	}
-	rep := reps[at]
+	rep := reps.At(at)
 	// The cluster's checkpoint metadata is this node's own chain, up to
 	// the requested record; the older states are the owner's replicas at
 	// those records — a merge walk, both lists being SN-ordered.
@@ -223,11 +223,12 @@ func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
 		if r.SN == m.Seq {
 			continue
 		}
-		for j < len(reps) && reps[j].Seq < r.SN {
+		for j < reps.Len() && reps.At(j).Seq < r.SN {
 			j++
 		}
-		if j < len(reps) && reps[j].Seq == r.SN {
-			older = append(older, OlderState{SN: r.SN, State: reps[j].State, Size: reps[j].Size})
+		if j < reps.Len() && reps.At(j).Seq == r.SN {
+			o := reps.At(j)
+			older = append(older, OlderState{SN: r.SN, State: o.State, Size: o.Size})
 		}
 	}
 	resp := RecoverStateResp{
@@ -235,7 +236,7 @@ func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
 		State: rep.State, Size: rep.Size, Chain: Chain{Anchor: n.chain.Anchor, Recs: append([]ChainRec(nil), n.chain.Recs[:keep]...)}, Older: older,
 	}
 	if ml := n.mirrorLogs[m.Owner]; ml != nil {
-		resp.Log = append([]LogMirror(nil), ml.entries...)
+		resp.Log = ml.entries.AppendTo(nil)
 	}
 	n.env.Send(src, controlSize(resp), resp)
 }
@@ -278,7 +279,7 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 				rec.remote = false
 			}
 		}
-		n.clcs = append(n.clcs, rec)
+		n.clcs.Append(rec)
 		n.clcBytes += rec.storedBytes()
 	}
 	idx := n.chain.Index(pend.cmd.ToSN)
@@ -337,8 +338,8 @@ func (n *Node) onReReplicateReq(src topology.NodeID, m ReReplicateReq) {
 	if m.Epoch != n.epoch || src.Cluster != n.cluster {
 		return
 	}
-	for i := range n.clcs {
-		rec := &n.clcs[i]
+	for i := 0; i < n.clcs.Len(); i++ {
+		rec := n.clcs.At(i)
 		if rec.remote {
 			continue // our own copy lives remotely; nothing to push
 		}
@@ -390,7 +391,7 @@ func (n *Node) onLogMirror(src topology.NodeID, m LogMirror) {
 		return // re-replication
 	}
 	ml.ids[m.MsgID] = struct{}{}
-	ml.entries = append(ml.entries, m)
+	ml.entries.Append(m)
 	n.mirrorBytes += uint64(m.Payload.Size)
 }
 

@@ -37,7 +37,7 @@ func TestStoredCLCsStaySNOrdered(t *testing.T) {
 		// later line; one sent under the current SN crosses none.
 		sns := storedSNs(receiver)
 		before := make([]int, len(sns))
-		for i, r := range receiver.clcs {
+		for i, r := range all(&receiver.clcs) {
 			before[i] = len(r.lateLog)
 		}
 		for _, sendSN := range []SN{sns[0], sns[len(sns)/2], receiver.SN()} {
@@ -46,7 +46,7 @@ func TestStoredCLCsStaySNOrdered(t *testing.T) {
 				MsgID: 9000 + seq, Payload: payload(peer.ID(), 9000+seq),
 				SrcEpoch: receiver.CurrentEpoch(), SendSN: sendSN,
 			})
-			for i, r := range receiver.clcs {
+			for i, r := range all(&receiver.clcs) {
 				want := before[i]
 				if sns[i] > sendSN {
 					want++
@@ -119,7 +119,7 @@ func TestLogTrimThenReReplicate(t *testing.T) {
 	if got := holder.mirrorLen(sender.ID()); got != 3 {
 		t.Fatalf("mirrored = %d, want 3", got)
 	}
-	mirrored := append([]LogMirror(nil), holder.mirrorLogs[sender.ID()].entries...)
+	mirrored := all(&holder.mirrorLogs[sender.ID()].entries)
 	bytesBefore := holder.StorageBytes()
 
 	// The owner keeps only the middle entry.

@@ -370,7 +370,8 @@ func runA7(cfg Config) (*Table, error) {
 		}
 		s := res.Stats.Series("clc.freeze_seconds.c0")
 		var mean float64
-		for _, v := range s.Values {
+		for i := 0; i < s.Len(); i++ {
+			_, v := s.Point(i)
 			mean += v
 		}
 		if s.Len() > 0 {
@@ -490,7 +491,8 @@ func runA9(cfg Config) (*Table, error) {
 		}
 		s := res.Stats.Series("storage.bytes.c0")
 		var high, final float64
-		for _, v := range s.Values {
+		for i := 0; i < s.Len(); i++ {
+			_, v := s.Point(i)
 			if v > high {
 				high = v
 			}

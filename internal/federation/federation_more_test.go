@@ -1,6 +1,7 @@
 package federation_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -100,13 +101,14 @@ func TestRollbackDurationRecorded(t *testing.T) {
 	if s.Len() == 0 {
 		t.Fatal("no rollback duration recorded")
 	}
-	if s.Values[0] <= 0 {
-		t.Fatalf("duration = %v", s.Values[0])
+	_, d := s.Point(0)
+	if d <= 0 {
+		t.Fatalf("duration = %v", d)
 	}
 	// A recovery involving a state fetch should finish within seconds
 	// of virtual time (state transfers over the SAN).
-	if s.Values[0] > 60 {
-		t.Fatalf("implausible recovery time %vs", s.Values[0])
+	if d > 60 {
+		t.Fatalf("implausible recovery time %vs", d)
 	}
 }
 
@@ -156,4 +158,17 @@ func TestCrashDuringGarbageCollectionWindow(t *testing.T) {
 		t.Fatalf("GC vs crash: %d invariant violations", v)
 	}
 	_ = res
+}
+
+// TestStatsDumpGolden pins the statistics dump of one small run —
+// every counter, summary, series point count and histogram — to the
+// dump the commit before the series moved into block lists recorded.
+func TestStatsDumpGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/small_stats_dump.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustRun(t, smallOptions(1)).Stats.Dump(); got != string(want) {
+		t.Fatalf("stats dump differs from testdata/small_stats_dump.golden:\n%s", got)
+	}
 }

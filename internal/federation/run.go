@@ -439,12 +439,13 @@ func (f *Fed) gcRounds(n int) []GCRound {
 	vals := make([]int, 2*n*complete)
 	for k := range rounds {
 		r := &rounds[k]
-		r.At = ref.Times[k]
+		r.At, _ = ref.Point(k)
 		r.Before = vals[2*n*k : 2*n*k+n : 2*n*k+n]
 		r.After = vals[2*n*k+n : 2*n*(k+1) : 2*n*(k+1)]
 		for c := 0; c < n; c++ {
-			r.Before[c] = int(before[c].Values[k])
-			r.After[c] = int(after[c].Values[k])
+			_, b := before[c].Point(k)
+			_, a := after[c].Point(k)
+			r.Before[c], r.After[c] = int(b), int(a)
 		}
 	}
 	return rounds

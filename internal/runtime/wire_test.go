@@ -407,7 +407,7 @@ func FuzzEnvelopeCodec(f *testing.F) {
 		}
 		f.Add(body)
 	}
-	for _, m := range []core.Msg{hostileReport(hostileAnchors["descending indices"]), hostileMirror(hostileAnchors["index past the width"])} {
+	for _, m := range []core.Msg{hostileReport(hostileAnchors["descending indices"]), hostileMirror(hostileAnchors["index past the width"]), hostileAppMsg()} {
 		body, err := appendEnvelope(nil, Envelope{Msg: m})
 		if err != nil {
 			f.Fatal(err)
@@ -436,8 +436,44 @@ func FuzzEnvelopeCodec(f *testing.F) {
 		if !reflect.DeepEqual(back, env) {
 			t.Fatalf("re-encode changed the envelope:\n got %+v\nwant %+v", back, env)
 		}
+		if m, ok := env.Msg.(core.AppMsg); ok {
+			// Whatever the peer piggybacked, the receiving node refuses
+			// or handles it; it does not panic.
+			receiver().OnMessage(nid(1, 0), m)
+		}
 	})
 }
+
+// hostileAppMsg is an inter-cluster message whose dense piggyback is
+// one entry wider than receiver's federation and whose delta pairs
+// name a negative index.
+func hostileAppMsg() core.AppMsg {
+	return core.AppMsg{MsgID: 3, Payload: core.AppPayload{ID: core.LogicalID{Src: nid(1, 0), Seq: 3}, Size: 64},
+		SrcCluster: 1, SendSN: 2, PiggyDDV: core.DDV{1, 1, 5}, PiggyPairs: []core.DDVPair{{Idx: -1, SN: 1}}}
+}
+
+// receiver is a fresh node c0n0 of a transitive federation of two
+// 2-node clusters, on the dense wire as a daemon's node is.
+func receiver() *core.Node {
+	return core.NewNode(core.Config{ID: nid(0, 0), Clusters: 2, ClusterSizes: []int{2, 2},
+		CLCPeriod: sim.Second, GCPeriod: sim.Forever, Replicas: 1, Transitive: true}, nullEnv{}, nullApp{})
+}
+
+// nullEnv and nullApp are the least a core node runs on.
+type nullEnv struct{}
+
+func (nullEnv) Now() sim.Time                          { return 0 }
+func (nullEnv) Send(topology.NodeID, int, core.Msg)    {}
+func (nullEnv) SendApp(topology.NodeID, int, core.Msg) {}
+func (nullEnv) SetTimer(core.TimerKind, sim.Duration)  {}
+func (nullEnv) Stat(string, uint64)                    {}
+func (nullEnv) StatSeries(string, float64)             {}
+
+type nullApp struct{}
+
+func (nullApp) Snapshot() (any, int)                     { return nil, 0 }
+func (nullApp) Restore(any)                              {}
+func (nullApp) Deliver(topology.NodeID, core.AppPayload) {}
 
 // bytesAllocated reports the heap bytes f allocates. The counter is
 // process-wide, so it takes the least of three runs: another

@@ -164,3 +164,17 @@ func BenchmarkOpenLoopArrivals(b *testing.B) {
 	}
 	b.ReportMetric(arrivals, "arrivals/op")
 }
+
+// BenchmarkSeriesRecord measures recording a 100 000-point series, the
+// length a per-cluster stored-CLC series reaches in a long open-loop
+// run: points past the first 64 KiB block go to fixed-size blocks, so
+// no recorded point is copied again.
+func BenchmarkSeriesRecord(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var s Series
+		for j := 0; j < 100_000; j++ {
+			s.Record(Time(j), float64(j))
+		}
+	}
+}

@@ -306,27 +306,37 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // Series records (time, value) pairs, e.g. the number of stored CLCs
 // over virtual time; used to reproduce the garbage-collection tables.
+// A series only grows, and over a long run it grows large, so its
+// points live in a block list: recording never copies what is stored.
 type Series struct {
-	Times  []Time
-	Values []float64
+	pts Blocks[point]
+}
+
+// point is one recorded (time, value) pair of a Series.
+type point struct {
+	t Time
+	v float64
 }
 
 // Record appends one point.
-func (s *Series) Record(t Time, v float64) {
-	s.Times = append(s.Times, t)
-	s.Values = append(s.Values, v)
-}
+func (s *Series) Record(t Time, v float64) { s.pts.Append(point{t, v}) }
 
 // Len returns the number of points.
-func (s *Series) Len() int { return len(s.Times) }
+func (s *Series) Len() int { return s.pts.Len() }
+
+// Point returns point i, in [0, Len()), in recording order.
+func (s *Series) Point(i int) (Time, float64) {
+	p := s.pts.At(i)
+	return p.t, p.v
+}
 
 // At returns the last value recorded at or before t (0 if none).
 func (s *Series) At(t Time) float64 {
-	i := sort.Search(len(s.Times), func(i int) bool { return s.Times[i] > t })
+	i := sort.Search(s.pts.Len(), func(i int) bool { return s.pts.At(i).t > t })
 	if i == 0 {
 		return 0
 	}
-	return s.Values[i-1]
+	return s.pts.At(i - 1).v
 }
 
 // Stats is a named registry of counters, summaries and series shared by
