@@ -227,14 +227,20 @@
 //     String that renders the one-line trace text — to the env's
 //     core.EventSink, an optional upgrade of core.Env resolved once in
 //     NewNode like core.BoxPool. It is the protocol's one observation
-//     channel: the simulator's sink formats only when the tracer
-//     reports the event's level, then hands the event to the run's
-//     oracle; the live runtime's prints every traced event when a
-//     trace writer is set and journals what oracle.Record maps. The
-//     oracle's kinds (node start, restore, delivery, piggyback send,
-//     GC drop) are at sim.TraceOff and never printed. Without a sink a
-//     point is one nil check; with one it is one by-value call (no
-//     []any). A sink runs synchronously on the node's event path and
+//     channel, statistics included: core's one table of statistic
+//     names (stats.go) says which counter or series each kind feeds,
+//     and kinds with no other use exist only to be counted (series
+//     points and bulk adds carry Event.Value). The simulator's sink,
+//     present on every run, counts each event into the run's sim.Stats
+//     through counters and series it resolves once per cluster, formats
+//     only when the tracer reports the event's level, then hands the
+//     event to the run's oracle; the live runtime's counts into its
+//     counter table, prints every traced event when a trace writer is
+//     set and journals what oracle.Record maps. The oracle's kinds
+//     (node start, restore, delivery, piggyback send, GC drop) and the
+//     counting kinds are at sim.TraceOff and never printed. Without a
+//     sink a point is one nil check and counts nothing; with one it is
+//     one by-value call (no []any). A sink runs synchronously on the node's event path and
 //     must copy any DDV or Pairs it keeps: applyCommit's committed
 //     vector aliases the node's commit base, which the next commit
 //     overwrites.

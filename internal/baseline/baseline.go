@@ -19,7 +19,6 @@
 package baseline
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/core"
@@ -78,11 +77,12 @@ func (w wire) size() int {
 
 // common holds what all baseline nodes share.
 type common struct {
-	cfg  core.Config
-	env  core.Env
-	app  core.AppHooks
-	id   topology.NodeID
-	size int // own cluster size
+	cfg   core.Config
+	env   core.Env
+	app   core.AppHooks
+	stats *sim.Stats // the run's registry: baselines count into it directly
+	id    topology.NodeID
+	size  int // own cluster size
 
 	failed bool
 	epoch  core.Epoch
@@ -100,10 +100,9 @@ type common struct {
 	// one in-flight delivery.
 	wireBoxes core.Boxes[wire]
 
-	// Pre-rendered per-cluster stat keys (commit-path Stat calls must
-	// not build strings; see the same discipline in internal/core).
-	keyCommitted string
-	keyUnforced  string
+	// names is the own cluster's statistic names, rendered once
+	// (commit-path counts must not build strings).
+	names core.StatNames
 
 	// nodesCache is the lazily built federation node list allNodes
 	// returns: the coordinated baselines enumerate it on every commit
@@ -112,17 +111,31 @@ type common struct {
 	nodesCache []topology.NodeID
 }
 
-func newCommon(cfg core.Config, env core.Env, app core.AppHooks) common {
-	c := common{
-		cfg:  cfg,
-		env:  env,
-		app:  app,
-		id:   cfg.ID,
-		size: cfg.ClusterSizes[cfg.ID.Cluster],
+func newCommon(cfg core.Config, env core.Env, app core.AppHooks, stats *sim.Stats) common {
+	return common{
+		cfg:   cfg,
+		env:   env,
+		app:   app,
+		stats: stats,
+		id:    cfg.ID,
+		size:  cfg.ClusterSizes[cfg.ID.Cluster],
+		names: core.NewStatNames(cfg.ID.Cluster),
 	}
-	c.keyCommitted = statCluster("clc.committed", int(c.id.Cluster))
-	c.keyUnforced = c.keyCommitted + ".unforced"
-	return c
+}
+
+// count adds d to the named counter of the run.
+func (c *common) count(name string, d uint64) { c.stats.Counter(name).Add(d) }
+
+// countCommit counts one unforced commit of the cluster names names.
+func (c *common) countCommit(names *core.StatNames) {
+	c.count(names.Of(core.EventCLCCommitted), 1)
+	c.count(names.Cluster(core.CommitUnforced), 1)
+}
+
+// countRollback counts one rollback of cluster cl.
+func (c *common) countRollback(cl topology.ClusterID) {
+	names := core.NewStatNames(cl)
+	c.count(names.Of(core.EventRollback), 1)
 }
 
 // Failed reports whether the node is crashed.
@@ -184,10 +197,6 @@ func (c *common) neighbour() topology.NodeID {
 	return topology.NodeID{Cluster: c.id.Cluster, Index: (c.id.Index + 1) % c.size}
 }
 
-func statCluster(base string, c int) string {
-	return fmt.Sprintf("%s.c%d", base, c)
-}
-
 // sortedIDs returns the message IDs of a send log, ascending (IDs are
 // assigned in send order). Go randomizes map iteration, and
 // retransmissions must enter the FIFO pipes in the same order on every
@@ -231,9 +240,9 @@ type coordinated struct {
 	keyResent string // pre-rendered "<protocol>.resent" stat key
 }
 
-func newCoordinated(cfg core.Config, env core.Env, app core.AppHooks, statPrefix string) coordinated {
+func newCoordinated(cfg core.Config, env core.Env, app core.AppHooks, stats *sim.Stats, statPrefix string) coordinated {
 	c := coordinated{
-		common:    newCommon(cfg, env, app),
+		common:    newCommon(cfg, env, app, stats),
 		sendLog:   make(map[uint64]wire),
 		keyResent: statPrefix + ".resent",
 	}
@@ -367,6 +376,6 @@ func (c *coordinated) resendUnacked() {
 		m.Epoch = c.epoch
 		c.sendLog[id] = m
 		c.sendApp(m.Dst, m)
-		c.env.Stat(c.keyResent, 1)
+		c.count(c.keyResent, 1)
 	}
 }

@@ -37,16 +37,16 @@ func run(t *testing.T, opts federation.Options) *federation.Result {
 	return res
 }
 
-func globalFactory(cfg core.Config, env core.Env, hooks core.AppHooks) federation.ProtocolNode {
-	return baseline.NewGlobalCoordinated(cfg, env, hooks)
+func globalFactory(cfg core.Config, env core.Env, hooks core.AppHooks, stats *sim.Stats) federation.ProtocolNode {
+	return baseline.NewGlobalCoordinated(cfg, env, hooks, stats)
 }
 
-func plogFactory(cfg core.Config, env core.Env, hooks core.AppHooks) federation.ProtocolNode {
-	return baseline.NewPessimisticLog(cfg, env, hooks)
+func plogFactory(cfg core.Config, env core.Env, hooks core.AppHooks, stats *sim.Stats) federation.ProtocolNode {
+	return baseline.NewPessimisticLog(cfg, env, hooks, stats)
 }
 
-func hierFactory(cfg core.Config, env core.Env, hooks core.AppHooks) federation.ProtocolNode {
-	return baseline.NewHierCoord(cfg, env, hooks)
+func hierFactory(cfg core.Config, env core.Env, hooks core.AppHooks, stats *sim.Stats) federation.ProtocolNode {
+	return baseline.NewHierCoord(cfg, env, hooks, stats)
 }
 
 func TestGlobalCoordinatedCheckpoints(t *testing.T) {
@@ -130,7 +130,7 @@ func TestHierCoordRollsBackWholeFederation(t *testing.T) {
 }
 
 func TestForceAllModeForcesPerMessage(t *testing.T) {
-	opts := baseOptions(6, func(cfg core.Config, env core.Env, hooks core.AppHooks) federation.ProtocolNode {
+	opts := baseOptions(6, func(cfg core.Config, env core.Env, hooks core.AppHooks, _ *sim.Stats) federation.ProtocolNode {
 		cfg.Mode = core.ModeForceAll
 		return core.NewNode(cfg, env, hooks)
 	})
@@ -163,7 +163,7 @@ func TestIndependentModeDominoes(t *testing.T) {
 	// Bidirectional traffic weaves dependencies in both directions;
 	// with no forced checkpoints a failure should drag both clusters
 	// far back (domino), where HC3I would stop at a forced CLC.
-	opts := baseOptions(7, func(cfg core.Config, env core.Env, hooks core.AppHooks) federation.ProtocolNode {
+	opts := baseOptions(7, func(cfg core.Config, env core.Env, hooks core.AppHooks, _ *sim.Stats) federation.ProtocolNode {
 		cfg.Mode = core.ModeIndependent
 		return core.NewNode(cfg, env, hooks)
 	})

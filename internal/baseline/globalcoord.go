@@ -16,11 +16,10 @@ import (
 type GlobalCoordinated struct {
 	coordinated // seq is the global checkpoint sequence number
 
-	// Per-cluster commit keys, rendered once (the initiator commits on
-	// behalf of every cluster, so common's own-cluster pair is not
-	// enough here).
-	keysCommitted []string
-	keysUnforced  []string
+	// Every cluster's statistic names, rendered once (the initiator
+	// commits on behalf of every cluster, so common's own-cluster names
+	// are not enough here).
+	clusterNames []core.StatNames
 
 	// initiator state
 	inFlight bool
@@ -32,8 +31,8 @@ type GlobalCoordinated struct {
 
 // NewGlobalCoordinated builds one node of the global-coordinated
 // baseline; use it as a federation.NodeFactory.
-func NewGlobalCoordinated(cfg core.Config, env core.Env, app core.AppHooks) *GlobalCoordinated {
-	return &GlobalCoordinated{coordinated: newCoordinated(cfg, env, app, "gcoord")}
+func NewGlobalCoordinated(cfg core.Config, env core.Env, app core.AppHooks, stats *sim.Stats) *GlobalCoordinated {
+	return &GlobalCoordinated{coordinated: newCoordinated(cfg, env, app, stats, "gcoord")}
 }
 
 // Restart revives the node. For simplicity of the baseline, the state
@@ -133,19 +132,17 @@ func (g *GlobalCoordinated) maybeCommit() {
 	g.broadcast(com)
 	g.applyCommit(seq)
 	freeze := g.env.Now().Sub(g.reqAt)
-	g.env.Stat("gcoord.committed", 1)
-	g.env.Stat("gcoord.freeze_us_total", uint64(freeze/sim.Microsecond))
-	if g.keysCommitted == nil {
+	g.count("gcoord.committed", 1)
+	g.count("gcoord.freeze_us_total", uint64(freeze/sim.Microsecond))
+	if g.clusterNames == nil {
 		// Rendered lazily: only the initiator commits on behalf of every
-		// cluster, so the other nodes never pay for these nc key strings.
+		// cluster, so the other nodes never pay for these nc names.
 		for c := 0; c < g.cfg.Clusters; c++ {
-			g.keysCommitted = append(g.keysCommitted, statCluster("clc.committed", c))
-			g.keysUnforced = append(g.keysUnforced, statCluster("clc.committed", c)+".unforced")
+			g.clusterNames = append(g.clusterNames, core.NewStatNames(topology.ClusterID(c)))
 		}
 	}
-	for c := 0; c < g.cfg.Clusters; c++ {
-		g.env.Stat(g.keysCommitted[c], 1)
-		g.env.Stat(g.keysUnforced[c], 1)
+	for c := range g.clusterNames {
+		g.countCommit(&g.clusterNames[c])
 	}
 	g.env.SetTimer(core.TimerCLC, g.cfg.CLCPeriod)
 }
@@ -172,9 +169,9 @@ func (g *GlobalCoordinated) OnFailureDetected(failed topology.NodeID) {
 	cmd := wire{Kind: "rollback", Seq: last.Seq, Epoch: newEpoch}
 	g.broadcast(cmd)
 	for c := 0; c < g.cfg.Clusters; c++ {
-		g.env.Stat(statCluster("rollback.count", c), 1)
+		g.countRollback(topology.ClusterID(c))
 	}
-	g.env.Stat("gcoord.rollbacks", 1)
+	g.count("gcoord.rollbacks", 1)
 	g.restore(last.Seq, newEpoch)
 }
 

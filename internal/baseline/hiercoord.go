@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -31,8 +32,8 @@ type HierCoord struct {
 
 // NewHierCoord builds one node of the hierarchical-coordinated
 // baseline.
-func NewHierCoord(cfg core.Config, env core.Env, app core.AppHooks) *HierCoord {
-	return &HierCoord{coordinated: newCoordinated(cfg, env, app, "hiercoord")}
+func NewHierCoord(cfg core.Config, env core.Env, app core.AppHooks, stats *sim.Stats) *HierCoord {
+	return &HierCoord{coordinated: newCoordinated(cfg, env, app, stats, "hiercoord")}
 }
 
 func (h *HierCoord) leader() bool { return h.id.Index == 0 }
@@ -91,8 +92,7 @@ func (h *HierCoord) maybeClusterCommit(seq core.SN) {
 		h.send(topology.NodeID{Cluster: h.id.Cluster, Index: i}, com)
 	}
 	h.applyCommit(seq)
-	h.env.Stat(h.keyCommitted, 1)
-	h.env.Stat(h.keyUnforced, 1)
+	h.countCommit(&h.names)
 	// Report line completion to the federation initiator.
 	if h.initiator() {
 		h.lineReports[0] = true
@@ -108,7 +108,7 @@ func (h *HierCoord) maybeLineDone() {
 		return
 	}
 	h.lineInFlight = false
-	h.env.Stat("hiercoord.lines_completed", 1)
+	h.count("hiercoord.lines_completed", 1)
 }
 
 func (h *HierCoord) applyCommit(seq core.SN) {
@@ -201,9 +201,9 @@ func (h *HierCoord) OnFailureDetected(failed topology.NodeID) {
 	cmd := wire{Kind: "rollback", Seq: target, Epoch: newEpoch}
 	h.broadcast(cmd)
 	for c := 0; c < h.cfg.Clusters; c++ {
-		h.env.Stat(statCluster("rollback.count", c), 1)
+		h.countRollback(topology.ClusterID(c))
 	}
-	h.env.Stat("hiercoord.rollbacks", 1)
+	h.count("hiercoord.rollbacks", 1)
 	h.restore(target, newEpoch)
 }
 
@@ -222,7 +222,7 @@ func (h *HierCoord) restore(seq core.SN, epoch core.Epoch) {
 		// Should be unreachable given the one-line spread; falling
 		// back to the oldest held line is flagged loudly because the
 		// cut is then inconsistent.
-		h.env.Stat("hiercoord.inconsistent_restore", 1)
+		h.count("hiercoord.inconsistent_restore", 1)
 		rec = h.snaps[0]
 		seq = rec.Seq
 	}

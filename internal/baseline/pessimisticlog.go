@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -49,9 +50,9 @@ type pendingSend struct {
 }
 
 // NewPessimisticLog builds one node of the message-logging baseline.
-func NewPessimisticLog(cfg core.Config, env core.Env, app core.AppHooks) *PessimisticLog {
+func NewPessimisticLog(cfg core.Config, env core.Env, app core.AppHooks, stats *sim.Stats) *PessimisticLog {
 	p := &PessimisticLog{
-		common:     newCommon(cfg, env, app),
+		common:     newCommon(cfg, env, app, stats),
 		mirrorSnap: make(map[topology.NodeID]*snapshotRec),
 		mirrorLog:  make(map[topology.NodeID][]loggedRecv),
 		sendLog:    make(map[uint64]pendingSend),
@@ -117,7 +118,7 @@ func (p *PessimisticLog) Send(dst topology.NodeID, payload core.AppPayload) {
 	p.notePeak(p.LogLen())
 	m := wire{Kind: "app", From: p.id, Payload: payload, MsgID: p.nextMsgID}
 	p.sendApp(dst, m)
-	p.env.Stat("plog.sent", 1)
+	p.count("plog.sent", 1)
 }
 
 // OnTimer takes a local snapshot: no coordination, no freeze — the
@@ -134,8 +135,7 @@ func (p *PessimisticLog) OnTimer(k core.TimerKind) {
 	// storage) and let it truncate our mirrored receive log.
 	m := wire{Kind: "snap", Seq: p.seq, From: p.id, State: state, Size: size}
 	p.send(p.neighbour(), m)
-	p.env.Stat(p.keyCommitted, 1)
-	p.env.Stat(p.keyUnforced, 1)
+	p.countCommit(&p.names)
 	p.env.SetTimer(core.TimerCLC, p.cfg.CLCPeriod)
 }
 
@@ -174,7 +174,7 @@ func (p *PessimisticLog) OnMessage(src topology.NodeID, msg core.Msg) {
 		}
 		p.recovered = true
 		p.awaitingRecovery = false
-		p.env.Stat("plog.recoveries", 1)
+		p.count("plog.recoveries", 1)
 		p.env.SetTimer(core.TimerCLC, p.cfg.CLCPeriod)
 		// Messages buffered during recovery now deliver normally; the
 		// mirrored-log replay entries precede them on the wire, so
@@ -189,7 +189,7 @@ func (p *PessimisticLog) OnMessage(src topology.NodeID, msg core.Msg) {
 		p.recvLog = append(p.recvLog, loggedRecv{From: m.From, Payload: m.Payload, AtSeq: p.seq})
 		p.notePeak(p.LogLen())
 		p.app.Deliver(m.From, m.Payload)
-		p.env.Stat("plog.replayed", 1)
+		p.count("plog.replayed", 1)
 	case "alert":
 		p.resendTo(m.From)
 	}
@@ -219,7 +219,7 @@ func (p *PessimisticLog) resendTo(failed topology.NodeID) {
 		if s := p.sendLog[id]; s.Dst == failed {
 			rm := wire{Kind: "app", From: p.id, Payload: s.Payload, MsgID: id}
 			p.sendApp(s.Dst, rm)
-			p.env.Stat("plog.resent", 1)
+			p.count("plog.resent", 1)
 		}
 	}
 }
@@ -235,7 +235,7 @@ func (p *PessimisticLog) deliverApp(m wire) {
 	p.app.Deliver(m.From, m.Payload)
 	ack := wire{Kind: "logged", From: p.id, MsgID: m.MsgID}
 	p.send(m.From, ack)
-	p.env.Stat("plog.logged", 1)
+	p.count("plog.logged", 1)
 }
 
 // OnFailureDetected recovers the failed node alone: "a faulty node
@@ -246,7 +246,7 @@ func (p *PessimisticLog) OnFailureDetected(failed topology.NodeID) {
 	if p.failed {
 		return
 	}
-	p.env.Stat(statCluster("rollback.count", int(failed.Cluster)), 1)
+	p.countRollback(failed.Cluster)
 	// Tell the failed (now restarted) node to pull its state from its
 	// neighbour's channel memory. In a two-node cluster the notified
 	// survivor IS the holder: serve the recovery locally instead of

@@ -15,8 +15,6 @@ type recEnv struct{ appSends []wire }
 func (e *recEnv) Now() sim.Time                         { return 0 }
 func (e *recEnv) Send(topology.NodeID, int, core.Msg)   {}
 func (e *recEnv) SetTimer(core.TimerKind, sim.Duration) {}
-func (e *recEnv) Stat(string, uint64)                   {}
-func (e *recEnv) StatSeries(string, float64)            {}
 func (e *recEnv) SendApp(_ topology.NodeID, _ int, msg core.Msg) {
 	w, _ := unwrap(msg)
 	e.appSends = append(e.appSends, w)
@@ -56,20 +54,20 @@ func TestResendOrderIsSendOrder(t *testing.T) {
 		recover func(node)
 	}{
 		{"global-coordinated",
-			func(e *recEnv) node { return NewGlobalCoordinated(cfg, e, nopApp{}) },
+			func(e *recEnv) node { return NewGlobalCoordinated(cfg, e, nopApp{}, sim.NewStats()) },
 			func(n node) {
 				commit2(n)
 				n.OnMessage(leader, wire{Kind: "rollback", Seq: 2, Epoch: 1})
 				n.OnMessage(leader, wire{Kind: "resume", Epoch: 1})
 			}},
 		{"hier-coordinated",
-			func(e *recEnv) node { return NewHierCoord(cfg, e, nopApp{}) },
+			func(e *recEnv) node { return NewHierCoord(cfg, e, nopApp{}, sim.NewStats()) },
 			func(n node) {
 				commit2(n)
 				n.OnMessage(leader, wire{Kind: "rollback", Seq: 2, Epoch: 1})
 			}},
 		{"pessimistic-log",
-			func(e *recEnv) node { return NewPessimisticLog(cfg, e, nopApp{}) },
+			func(e *recEnv) node { return NewPessimisticLog(cfg, e, nopApp{}, sim.NewStats()) },
 			func(n node) { n.OnMessage(leader, wire{Kind: "alert", From: dst}) }},
 	}
 	for _, tc := range cases {

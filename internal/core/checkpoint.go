@@ -66,7 +66,7 @@ func (n *Node) buildForceTarget() DDV {
 }
 
 func (n *Node) sendForce(target DDV, always bool) {
-	n.env.Stat("cic.force_requested", 1)
+	n.emit(Event{Kind: EventForceRequested})
 	if n.leader() {
 		// absorbForce only merges target into pendingForce, so the
 		// scratch buffer never escapes on the local path.
@@ -80,7 +80,7 @@ func (n *Node) sendForce(target DDV, always bool) {
 }
 
 func (n *Node) sendForcePairs(pairs []DDVPair, always bool) {
-	n.env.Stat("cic.force_requested", 1)
+	n.emit(Event{Kind: EventForceRequested})
 	if n.leader() {
 		n.absorbForcePairs(pairs, always)
 		return
@@ -184,7 +184,6 @@ func (n *Node) startCLC(forced bool, updatePairs []DDVPair) {
 	}
 	n.ackedCount = 0
 	n.emit(Event{Kind: EventCLCRequest, Seq: seq, Forced: forced, Pairs: updatePairs})
-	n.env.Stat(n.keys.clcRequested, 1)
 
 	req := CLCRequest{Seq: seq, Epoch: n.epoch, Forced: forced}
 	if forced {
@@ -479,14 +478,7 @@ func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) 
 		n.inFlight = false
 		// The 2PC window during which application traffic was frozen:
 		// dominated by the state replication to stable storage.
-		n.env.StatSeries(n.keys.clcFreeze,
-			n.env.Now().Sub(n.inFlightSince).Seconds())
-		n.env.Stat(n.keys.clcCommitted, 1)
-		if forced {
-			n.env.Stat(n.keys.clcForced, 1)
-		} else {
-			n.env.Stat(n.keys.clcUnforced, 1)
-		}
+		n.emit(Event{Kind: EventCLCFreeze, Value: n.env.Now().Sub(n.inFlightSince).Seconds()})
 		// "the timer is reset when a forced CLC is established" (§5.2):
 		// every commit re-arms the unforced-CLC delay.
 		n.env.SetTimer(TimerCLC, n.cfg.CLCPeriod)
@@ -512,7 +504,7 @@ func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) 
 	n.drainInbound()
 	n.reexamineHeld()
 	if n.leader() {
-		n.env.StatSeries(n.keys.storageBytes, float64(n.StorageBytes()))
+		n.emit(Event{Kind: EventStorageBytes, Value: float64(n.StorageBytes())})
 		n.tryStartForced()
 	}
 	n.checkMemoryPressure()
@@ -522,7 +514,7 @@ func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) 
 // rollback path, which supersedes whatever the checkpoint was doing.
 func (n *Node) abortCheckpoint() {
 	if n.phase == cpPrepared || n.inFlight {
-		n.env.Stat(n.keys.clcAborted, 1)
+		n.emit(Event{Kind: EventCLCAbort})
 	}
 	n.phase = cpIdle
 	n.provisional = clcRecord{}

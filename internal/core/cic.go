@@ -26,7 +26,7 @@ func (n *Node) Send(dst topology.NodeID, p AppPayload) {
 	}
 	if n.frozenSends || n.lostState {
 		n.sendQueue = append(n.sendQueue, AppPayloadTo{Dst: dst, Payload: p})
-		n.env.Stat("app.sends_frozen", 1)
+		n.emit(Event{Kind: EventSendFrozen})
 		return
 	}
 	n.doSend(dst, p)
@@ -79,7 +79,7 @@ func (n *Node) doSend(dst topology.NodeID, p AppPayload) {
 			piggy:      piggy,
 		}
 		n.appendLog(e)
-		n.env.Stat("log.appended", 1)
+		n.emit(Event{Kind: EventLogAppended})
 		if n.cfg.Replicas > 0 {
 			sendCtl(n, &n.ctl.mirror, n.holderFor(), LogMirror{
 				Owner: n.id, MsgID: m.MsgID, Dst: dst, Payload: p,
@@ -142,14 +142,14 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 	if src.Cluster == n.cluster {
 		// Intra-cluster: drop traffic from an aborted execution.
 		if m.SrcEpoch != n.epoch || n.lostState {
-			n.env.Stat("app.dropped_stale", 1)
+			n.emit(Event{Kind: EventDropStale})
 			return
 		}
 	} else {
 		if !n.piggyFits(m) {
 			// A peer's vector of another federation's width: merging it
 			// would index past this node's DDV.
-			n.env.Stat("app.refused_width", 1)
+			n.emit(Event{Kind: EventRefuseWidth})
 			return
 		}
 		// Inter-cluster: epochs of other clusters are learned lazily.
@@ -161,10 +161,10 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 			// the only surviving copy of a resend that raced our own
 			// rollback). Anything else is aborted-execution traffic.
 			if !n.priorEpochValid(src, m) && !Mutate.AcceptStaleEpoch {
-				n.env.Stat("app.dropped_stale", 1)
+				n.emit(Event{Kind: EventDropStale})
 				return
 			}
-			n.env.Stat("app.accepted_prior_epoch", 1)
+			n.emit(Event{Kind: EventAcceptPriorEpoch})
 		}
 		if m.SrcEpoch > known {
 			n.epochs.setKnown(src.Cluster, m.SrcEpoch)
@@ -174,7 +174,7 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 			// we are mid-recovery): defer it.
 			n.materializePiggy(&m, src)
 			n.inboundQueue = append(n.inboundQueue, inbound{src: src, msg: m})
-			n.env.Stat("app.deferred_epoch", 1)
+			n.emit(Event{Kind: EventDeferEpoch})
 			return
 		}
 	}
@@ -182,7 +182,7 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 		// Frozen by an in-progress 2PC: queue until commit (§3.1).
 		n.materializePiggy(&m, src)
 		n.inboundQueue = append(n.inboundQueue, inbound{src: src, msg: m})
-		n.env.Stat("app.deferred_frozen", 1)
+		n.emit(Event{Kind: EventDeferFrozen})
 		return
 	}
 	if src.Cluster == n.cluster {
@@ -243,9 +243,9 @@ func (n *Node) deliverIntra(src topology.NodeID, m AppMsg) {
 				n.logLate(n.clcs.At(i), inbound{src: src, msg: m})
 			}
 		}
-		n.env.Stat("app.late_logged", 1)
+		n.emit(Event{Kind: EventLateLogged})
 	}
-	n.env.Stat("app.delivered.intra", 1)
+	n.emit(Event{Kind: EventDeliverIntra})
 	n.app.Deliver(src, m.Payload)
 }
 
@@ -261,7 +261,7 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 		// The Figure 4 strawman: every inter-cluster message forces a
 		// CLC before delivery, useful or not.
 		n.heldInter = append(n.heldInter, inbound{src: src, msg: m, heldAt: n.sn})
-		n.env.Stat("cic.held", 1)
+		n.emit(Event{Kind: EventHoldForced})
 		if n.denseWire {
 			target := n.buildForceTarget()
 			if m.SendSN > target[src.Cluster] {
@@ -357,8 +357,8 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 			// First covered delivery since the restore: take the
 			// post-restore anchor CLC first (see Node.anchorPending).
 			n.heldInter = append(n.heldInter, inbound{src: src, msg: m})
-			n.env.Stat("cic.held", 1)
-			n.env.Stat("cic.post_restore_anchor", 1)
+			n.emit(Event{Kind: EventHoldForced})
+			n.emit(Event{Kind: EventPostRestoreAnchor})
 			if n.denseWire {
 				n.requestForceAlways(n.buildForceTarget())
 			} else {
@@ -372,7 +372,6 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 	// "a CLC is forced in the receiver's cluster only when a CLC has
 	// been stored in the sender's cluster since the last communication"
 	n.heldInter = append(n.heldInter, inbound{src: src, msg: m})
-	n.env.Stat("cic.held", 1)
 	n.emit(Event{Kind: EventHoldMsg, Msg: m.Payload.ID, Peer: src, Seq: m.SendSN, DDV: n.ddv})
 	if n.denseWire {
 		n.requestForce(target)
@@ -560,7 +559,7 @@ func (n *Node) reexamineHeld() {
 			return
 		}
 		if n.staleWhileHeld(in.src, in.msg) && !Mutate.AcceptStaleEpoch {
-			n.env.Stat("app.dropped_stale_held", 1)
+			n.emit(Event{Kind: EventDropStaleHeld})
 			continue
 		}
 		if n.cfg.Mode == ModeForceAll {
@@ -581,9 +580,8 @@ func (n *Node) reexamineHeld() {
 // sender attaches that SN to its log entry (§3.3). Forced-CLC
 // deliveries therefore carry "the local SN + 1" exactly as in §4.
 func (n *Node) deliverInter(src topology.NodeID, m AppMsg) {
-	n.env.Stat("app.delivered.inter", 1)
 	if m.Resend {
-		n.env.Stat("app.delivered.resent", 1)
+		n.emit(Event{Kind: EventDeliverResent})
 	}
 	n.emit(Event{Kind: EventDeliver, Peer: src, PeerEpoch: m.SrcEpoch, Seq: m.SendSN, Epoch: n.epoch, SN: n.sn})
 	n.app.Deliver(src, m.Payload)
@@ -609,7 +607,7 @@ func (n *Node) onAppAck(src topology.NodeID, m AppAck) {
 		return
 	}
 	// Entry already garbage-collected or pruned by a rollback: ignore.
-	n.env.Stat("log.ack_orphan", 1)
+	n.emit(Event{Kind: EventAckOrphan})
 }
 
 // resendLoggedTo retransmits the logged messages the rolled-back
@@ -638,7 +636,6 @@ func (n *Node) resendLoggedTo(c topology.ClusterID, alertSN SN, newEpoch Epoch) 
 			Resend:     true,
 			DstEpoch:   newEpoch,
 		}
-		n.env.Stat("log.resent", 1)
 		n.emit(Event{Kind: EventResend, Msg: e.payload.ID, Peer: e.dst, Seq: alertSN})
 		n.sendAppMsg(e.dst, m)
 	}

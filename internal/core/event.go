@@ -12,8 +12,8 @@ type EventKind uint8
 
 // Event kinds, one per observation point. The comment of each names
 // the fields it sets; every other field is zero. The kinds from
-// EventNodeStart on carry the oracle's safety picture, not trace text:
-// their Level is sim.TraceOff, so no tracer prints them.
+// EventNodeStart on carry the oracle's safety picture or a statistic,
+// not trace text: their Level is sim.TraceOff, so no tracer prints them.
 const (
 	// EventCLCRequest: the leader opens a 2PC (Seq, Forced, Pairs: the
 	// forced update, nil for an unforced CLC).
@@ -76,8 +76,57 @@ const (
 	// EventGCDrop: the node applies round Round's garbage-collection
 	// threshold vector (DDV: the minimum SN kept per cluster).
 	EventGCDrop
-	// numEventKinds bounds the kinds; keep it last.
-	numEventKinds
+
+	// The counting kinds: each only feeds the statistic statDefs names
+	// for it, at sim.TraceOff, and neither the oracle nor the journal
+	// reads it. The series kinds (clc.freeze_seconds through gc.after)
+	// and the bulk adds (gc.clcs_removed, gc.log_entries_removed)
+	// carry their number in Value; every other one counts one.
+	EventForceRequested
+	EventSendFrozen
+	EventLogAppended
+	EventDropStale
+	EventRefuseWidth
+	EventAcceptPriorEpoch
+	EventDeferEpoch
+	EventDeferFrozen
+	EventLateLogged
+	EventDeliverIntra
+	EventHoldForced
+	EventPostRestoreAnchor
+	EventDropStaleHeld
+	EventDeliverResent
+	EventAckOrphan
+	EventGCDemand
+	EventGCDemandCoalesced
+	EventGCDemandRound
+	EventGCUnsupported
+	EventGCSkipBusy
+	EventGCMessage
+	EventGCAbort
+	EventGCComplete
+	EventGCCLCsRemoved
+	EventGCLogRemoved
+	EventFailureDetected
+	EventAlertSent
+	EventRedeliverLate
+	EventRecoverState
+	EventRecoverLogEntry
+	EventRereplicate
+	EventMirrorRefuseWidth
+	EventResendRecovered
+	EventCascadeSuppressed
+	EventCascade
+	EventRollbackRestart
+	EventCLCAbort
+	EventCLCFreeze
+	EventStorageBytes
+	EventCLCStored
+	EventLogSize
+	EventGCBefore
+	EventGCAfter
+	// NumEventKinds bounds the kinds; keep it last.
+	NumEventKinds
 )
 
 // Event is one protocol observation: a value, emitted synchronously at
@@ -92,11 +141,11 @@ const (
 type Event struct {
 	Kind      EventKind
 	Mode      ProtocolMode
+	Forced    bool
 	Seq       SN
 	SN        SN
 	Epoch     Epoch
 	PeerEpoch Epoch
-	Forced    bool
 	Phase     int
 	Round     uint64
 	Cluster   topology.ClusterID
@@ -105,13 +154,16 @@ type Event struct {
 	Pairs     []DDVPair
 	DDV       DDV
 	Err       error
+	// Value is the number a statistic records: a series point, a bulk
+	// add, or the rollback duration EventRollbackDone carries.
+	Value float64
 }
 
 // EventSink is an optional upgrade interface of Env, resolved once at
 // node construction like BoxPool: an environment that implements it
 // receives every protocol Event — the protocol's one observation
-// channel, feeding the tracer, the invariant oracle and the live
-// journal. Event runs synchronously on the node's event path and must
+// channel, feeding the tracer, the invariant oracle, the live journal
+// and the run's statistics (see StatForm). Event runs synchronously on the node's event path and must
 // copy any DDV or Pairs it keeps. Environments that do not implement
 // it pay one nil check per observation point.
 type EventSink interface {
@@ -120,15 +172,16 @@ type EventSink interface {
 
 // Level is the trace level the event is reported at: lifecycle events
 // (rollbacks, GC rounds, crashes) at TraceInfo, per-checkpoint and
-// per-message events at TraceDebug, and the oracle's observations
-// (EventNodeStart on) at TraceOff — never printed.
+// per-message events at TraceDebug, and the oracle's observations and
+// the counting kinds (EventNodeStart on) at TraceOff — never printed.
 func (e Event) Level() sim.TraceLevel {
+	if e.Kind >= EventNodeStart {
+		return sim.TraceOff
+	}
 	switch e.Kind {
 	case EventGCStart, EventGCFailed, EventRollback, EventReplicaMiss,
 		EventRollbackDone, EventNoRollbackTarget, EventFailed, EventRestarted:
 		return sim.TraceInfo
-	case EventNodeStart, EventRestore, EventDeliver, EventPiggySend, EventGCDrop:
-		return sim.TraceOff
 	}
 	return sim.TraceDebug
 }
@@ -174,6 +227,9 @@ func (e Event) String() string {
 		return fmt.Sprintf("piggyback %v to c%d", e.Pairs, e.Cluster)
 	case EventGCDrop:
 		return fmt.Sprintf("GC round %d drop below %v", e.Round, e.DDV)
+	}
+	if e.Kind > EventGCDrop && e.Kind < NumEventKinds {
+		return fmt.Sprintf("stat %s %v", e.Kind.StatName(), e.Value)
 	}
 	return fmt.Sprintf("Event(kind=%d)", e.Kind)
 }

@@ -15,7 +15,8 @@ import (
 // live runtime) print what they always printed. Most of these sites
 // never fire in the hc3itrace golden. The oracle's observation kinds
 // are pinned at sim.TraceOff, and a kind without a row fails, so no
-// new kind reaches trace output unnoticed.
+// new kind reaches trace output unnoticed. The counting kinds past
+// EventGCDrop have their own test (TestStatKindTable).
 func TestEventStringMatchesTraceFormat(t *testing.T) {
 	ddv := DDV{1, 0, 3}
 	pairs := []DDVPair{{Idx: 0, SN: 4}, {Idx: 2, SN: 7}}
@@ -75,7 +76,7 @@ func TestEventStringMatchesTraceFormat(t *testing.T) {
 			t.Errorf("kind %d: Level() = %v, want %v", r.ev.Kind, got, r.level)
 		}
 	}
-	for k := EventCLCRequest; k < numEventKinds; k++ {
+	for k := EventCLCRequest; k <= EventGCDrop; k++ {
 		if !covered[k] {
 			t.Errorf("kind %d has no row", k)
 		}

@@ -37,7 +37,7 @@ func (n *Node) checkMemoryPressure() {
 		return
 	}
 	n.gcDemanded = true
-	n.env.Stat("gc.demands", 1)
+	n.emit(Event{Kind: EventGCDemand})
 	d := GCDemand{From: n.id, Bytes: bytes}
 	if n.cfg.GCInitiator {
 		n.onGCDemand(n.id, d)
@@ -56,10 +56,10 @@ func (n *Node) onGCDemand(src topology.NodeID, m GCDemand) {
 	// while a round is already gathering reports.
 	if n.gcHave > 0 ||
 		(n.gcStartedOnce && n.env.Now().Sub(n.gcLastStart) < sim.Minute) {
-		n.env.Stat("gc.demands_coalesced", 1)
+		n.emit(Event{Kind: EventGCDemandCoalesced})
 		return
 	}
-	n.env.Stat("gc.demand_rounds", 1)
+	n.emit(Event{Kind: EventGCDemandRound})
 	n.startGCRound()
 }
 
@@ -68,18 +68,17 @@ func (n *Node) startGCRound() {
 	if n.cfg.Mode != ModeHC3I {
 		// The GC analysis simulates failures under the HC3I rollback
 		// rule; the baseline modes keep everything.
-		n.env.Stat("gc.unsupported_mode", 1)
+		n.emit(Event{Kind: EventGCUnsupported})
 		return
 	}
 	if n.rbActive || n.lostState {
-		n.env.Stat("gc.skipped_busy", 1)
+		n.emit(Event{Kind: EventGCSkipBusy})
 		return
 	}
 	n.gcLastStart = n.env.Now()
 	n.gcStartedOnce = true
 	n.gcRound++
 	n.gcAlertsMark = n.alertsSeen
-	n.env.Stat("gc.rounds_started", 1)
 	n.emit(Event{Kind: EventGCStart, Round: n.gcRound})
 
 	if n.cfg.RingGC {
@@ -95,7 +94,7 @@ func (n *Node) startGCRound() {
 		if c == n.cluster {
 			continue
 		}
-		n.env.Stat("gc.messages", 1)
+		n.emit(Event{Kind: EventGCMessage})
 		n.env.Send(n.leaderOf(c), controlSize(req), req)
 	}
 	n.maybeFinishGCRound()
@@ -153,7 +152,7 @@ func (n *Node) onGCRequest(src topology.NodeID, m GCRequest) {
 		return
 	}
 	rep := n.makeGCReport(m.Round)
-	n.env.Stat("gc.messages", 1)
+	n.emit(Event{Kind: EventGCMessage})
 	n.env.Send(src, controlSize(rep), rep)
 }
 
@@ -180,12 +179,11 @@ func (n *Node) maybeFinishGCRound() {
 		// A rollback happened mid-round: the reports may be mutually
 		// inconsistent, so the round is abandoned (safe: GC only ever
 		// delays reclamation).
-		n.env.Stat("gc.rounds_aborted", 1)
+		n.emit(Event{Kind: EventGCAbort})
 		return
 	}
 	minSNs, err := n.computeMinSNs(n.gcReports)
 	if err != nil {
-		n.env.Stat("gc.rounds_aborted", 1)
 		n.emit(Event{Kind: EventGCFailed, Round: n.gcRound, Err: err})
 		return
 	}
@@ -194,10 +192,10 @@ func (n *Node) maybeFinishGCRound() {
 		if c == n.cluster {
 			continue
 		}
-		n.env.Stat("gc.messages", 1)
+		n.emit(Event{Kind: EventGCMessage})
 		n.env.Send(n.leaderOf(c), controlSize(coll), coll)
 	}
-	n.env.Stat("gc.rounds_completed", 1)
+	n.emit(Event{Kind: EventGCComplete})
 	n.distributeDropLocally(coll.Round, coll.MinSNs)
 }
 
@@ -306,14 +304,14 @@ func (n *Node) applyGCDrop(round uint64, minSNs []SN) {
 		n.env.Send(n.holderFor(), controlSize(trim), trim)
 	}
 
-	n.env.Stat("gc.clcs_removed", uint64(before-n.clcs.Len()))
-	n.env.Stat("gc.log_entries_removed", uint64(logBefore-len(n.log)))
+	n.emit(Event{Kind: EventGCCLCsRemoved, Value: float64(before - n.clcs.Len())})
+	n.emit(Event{Kind: EventGCLogRemoved, Value: float64(logBefore - len(n.log))})
 	n.gcDemanded = false // saturation episode over; may demand again
 	if n.leader() {
 		// The before/after pairs of Tables 2 and 3.
-		n.env.StatSeries(n.keys.gcBefore, float64(before))
-		n.env.StatSeries(n.keys.gcAfter, float64(n.clcs.Len()))
-		n.env.StatSeries(n.keys.storageBytes, float64(n.StorageBytes()))
+		n.emit(Event{Kind: EventGCBefore, Value: float64(before)})
+		n.emit(Event{Kind: EventGCAfter, Value: float64(n.clcs.Len())})
+		n.emit(Event{Kind: EventStorageBytes, Value: float64(n.StorageBytes())})
 		n.recordStoredStat()
 	}
 }
@@ -324,7 +322,7 @@ func (n *Node) applyGCDrop(round uint64, minSNs []SN) {
 // ring.
 func (n *Node) forwardToken(tok GCToken) {
 	next := topology.ClusterID((int(n.cluster) + 1) % n.cfg.Clusters)
-	n.env.Stat("gc.messages", 1)
+	n.emit(Event{Kind: EventGCMessage})
 	n.env.Send(n.leaderOf(next), controlSize(tok), tok)
 }
 
@@ -342,7 +340,7 @@ func (n *Node) onGCToken(src topology.NodeID, m GCToken) {
 				return // stale or incomplete round
 			}
 			if n.alertsSeen != n.gcAlertsMark {
-				n.env.Stat("gc.rounds_aborted", 1)
+				n.emit(Event{Kind: EventGCAbort})
 				return
 			}
 			reports := n.gcSlots()
@@ -354,10 +352,10 @@ func (n *Node) onGCToken(src topology.NodeID, m GCToken) {
 			minSNs, err := n.computeMinSNs(reports)
 			clear(reports)
 			if err != nil {
-				n.env.Stat("gc.rounds_aborted", 1)
+				n.emit(Event{Kind: EventGCAbort})
 				return
 			}
-			n.env.Stat("gc.rounds_completed", 1)
+			n.emit(Event{Kind: EventGCComplete})
 			n.distributeDropLocally(m.Round, minSNs)
 			n.forwardToken(GCToken{Round: m.Round, Phase: 1, MinSNs: minSNs})
 			return

@@ -52,12 +52,13 @@ func (c *checkedNode) Restart() { c.Node.Restart(); c.verify("restart") }
 
 // shadowedEnv is the harness's Env with every Send and protocol event
 // of the node shown to the run's dense shadow. The harness's Env offers
-// BoxPool, BoxReclaimer and PiggyCodecs; the node must keep seeing all
-// three.
+// BoxPool, BoxReclaimer, PiggyCodecs and EventSink; the node must keep
+// seeing all four.
 type shadowedEnv struct {
 	core.Env
 	core.BoxPool
 	core.BoxReclaimer
+	sink core.EventSink
 	core.PiggyCodecs
 	*core.DenseShadows
 	id topology.NodeID
@@ -68,7 +69,10 @@ func (e shadowedEnv) Send(dst topology.NodeID, size int, msg core.Msg) {
 	e.Env.Send(dst, size, msg)
 }
 
-func (e shadowedEnv) Event(ev core.Event) { e.DenseShadows.NodeEvent(e.id, ev) }
+func (e shadowedEnv) Event(ev core.Event) {
+	e.sink.Event(ev)
+	e.DenseShadows.NodeEvent(e.id, ev)
+}
 
 // runChecked runs opts with every node wrapped in a checkedNode and
 // returns the result and the number of checks made. The harness seeds
@@ -79,8 +83,8 @@ func runChecked(t *testing.T, opts federation.Options) (*federation.Result, int)
 	checks := 0
 	nodes := map[topology.NodeID]*core.Node{}
 	shadows := core.NewDenseShadows()
-	opts.NodeFactory = func(cfg core.Config, env core.Env, hooks core.AppHooks) federation.ProtocolNode {
-		n := core.NewNode(cfg, shadowedEnv{env, env.(core.BoxPool), env.(core.BoxReclaimer), env.(core.PiggyCodecs), shadows, cfg.ID}, hooks)
+	opts.NodeFactory = func(cfg core.Config, env core.Env, hooks core.AppHooks, _ *sim.Stats) federation.ProtocolNode {
+		n := core.NewNode(cfg, shadowedEnv{env, env.(core.BoxPool), env.(core.BoxReclaimer), env.(core.EventSink), env.(core.PiggyCodecs), shadows, cfg.ID}, hooks)
 		shadows.Attach(n)
 		nodes[cfg.ID] = n
 		return &checkedNode{Node: n, t: t, checks: &checks, shadows: shadows}
@@ -297,7 +301,7 @@ func TestRecoveryCarriesTheChain(t *testing.T) {
 			{At: sim.Time(0).Add(44 * sim.Minute), Node: first},
 			{At: sim.Time(0).Add(97 * sim.Minute), Node: second},
 		},
-		NodeFactory: func(cfg core.Config, env core.Env, hooks core.AppHooks) federation.ProtocolNode {
+		NodeFactory: func(cfg core.Config, env core.Env, hooks core.AppHooks, _ *sim.Stats) federation.ProtocolNode {
 			n := core.NewNode(cfg, env, hooks)
 			nodes[cfg.ID] = n
 			return &recoveringNode{Node: n, t: t, nodes: nodes, recovered: &recovered, adopted: &adopted}

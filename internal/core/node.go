@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -471,87 +469,6 @@ type Node struct {
 	// stab is the application's stability hook when it offers one
 	// (Stabilizer); nil means commits don't notify the application.
 	stab Stabilizer
-	// keys holds the node's pre-rendered per-cluster stat names, so
-	// hot-path Stat/StatSeries calls build no strings.
-	keys statKeys
-}
-
-// statKeys caches the per-cluster stat names a node emits repeatedly.
-type statKeys struct {
-	rollbackRestarted string
-	rollbackCount     string
-	rollbackDuration  string
-	clcRequested      string
-	clcCommitted      string
-	clcForced         string
-	clcUnforced       string
-	clcAborted        string
-	clcFreeze         string
-	storageBytes      string
-	clcStored         string
-	logSize           string
-	gcBefore          string
-	gcAfter           string
-}
-
-func makeStatKeys(c topology.ClusterID) statKeys {
-	// All fourteen names are substrings of one exactly sized string:
-	// the registry builds a node per cluster member, thousands per
-	// sweep, and per-name concatenation was a top allocation site.
-	var num [24]byte
-	suffix := strconv.AppendInt(append(num[:0], ".c"...), int64(c), 10)
-	names := [...]struct{ base, tail string }{
-		{"rollback.restarted", ""},
-		{"rollback.count", ""},
-		{"rollback.duration_seconds", ""},
-		{"clc.requested", ""},
-		{"clc.committed", ""},
-		{"clc.committed", ".forced"},
-		{"clc.committed", ".unforced"},
-		{"clc.aborted", ""},
-		{"clc.freeze_seconds", ""},
-		{"storage.bytes", ""},
-		{"clc.stored", ""},
-		{"log.size", ""},
-		{"gc.before", ""},
-		{"gc.after", ""},
-	}
-	size := 0
-	for _, nm := range names {
-		size += len(nm.base) + len(suffix) + len(nm.tail)
-	}
-	var b strings.Builder
-	b.Grow(size)
-	var ends [len(names)]int
-	for i, nm := range names {
-		b.WriteString(nm.base)
-		b.Write(suffix)
-		b.WriteString(nm.tail)
-		ends[i] = b.Len()
-	}
-	all := b.String()
-	name := func(i int) string {
-		if i == 0 {
-			return all[:ends[0]]
-		}
-		return all[ends[i-1]:ends[i]]
-	}
-	return statKeys{
-		rollbackRestarted: name(0),
-		rollbackCount:     name(1),
-		rollbackDuration:  name(2),
-		clcRequested:      name(3),
-		clcCommitted:      name(4),
-		clcForced:         name(5),
-		clcUnforced:       name(6),
-		clcAborted:        name(7),
-		clcFreeze:         name(8),
-		storageBytes:      name(9),
-		clcStored:         name(10),
-		logSize:           name(11),
-		gcBefore:          name(12),
-		gcAfter:           name(13),
-	}
 }
 
 // AppPayloadTo pairs a payload with its destination; used for the
@@ -591,7 +508,6 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 		// empty buckets per node on wide federations.
 		cascadeMemo: make(map[topology.ClusterID]cascadeRecord),
 		ackedNodes:  make([]bool, cfg.ClusterSizes[cfg.ID.Cluster]),
-		keys:        makeStatKeys(cfg.ID.Cluster),
 	}
 	n.arena.Init(cfg.Clusters)
 	n.boxes, _ = env.(BoxPool)
@@ -1151,7 +1067,7 @@ func (n *Node) OnFailureDetected(failedNode topology.NodeID) {
 	if failedNode.Cluster != n.cluster {
 		panic("core: failure detected for a foreign cluster")
 	}
-	n.env.Stat("failure.detected", 1)
+	n.emit(Event{Kind: EventFailureDetected})
 	n.startClusterRollback()
 }
 
@@ -1159,7 +1075,7 @@ func (n *Node) OnFailureDetected(failedNode topology.NodeID) {
 // (leader only, so it is recorded once per cluster).
 func (n *Node) recordStoredStat() {
 	if n.leader() {
-		n.env.StatSeries(n.keys.clcStored, float64(n.clcs.Len()))
-		n.env.StatSeries(n.keys.logSize, float64(len(n.log)))
+		n.emit(Event{Kind: EventCLCStored, Value: float64(n.clcs.Len())})
+		n.emit(Event{Kind: EventLogSize, Value: float64(len(n.log))})
 	}
 }

@@ -22,6 +22,7 @@ type mockEnv struct {
 	id     topology.NodeID
 	bed    *testbed
 	timers map[TimerKind]sim.Duration
+	names  *StatNames // rendered by the first counted event
 }
 
 func (e *mockEnv) Now() sim.Time { return e.bed.now }
@@ -34,9 +35,24 @@ func (e *mockEnv) Send(dst topology.NodeID, size int, msg Msg) {
 func (e *mockEnv) SendApp(dst topology.NodeID, size int, msg Msg) {
 	e.bed.queue = append(e.bed.queue, sentMsg{src: e.id, dst: dst, msg: msg, app: true, size: size})
 }
-func (e *mockEnv) SetTimer(k TimerKind, d sim.Duration)  { e.timers[k] = d }
-func (e *mockEnv) Stat(name string, delta uint64)        { e.bed.stats[name] += delta }
-func (e *mockEnv) StatSeries(name string, value float64) {}
+func (e *mockEnv) SetTimer(k TimerKind, d sim.Duration) { e.timers[k] = d }
+
+// Event counts the node's counters into the testbed's table under the
+// names the simulator registers them by; series points are dropped.
+func (e *mockEnv) Event(ev Event) {
+	form := ev.Kind.StatForm(e.id)
+	if form != StatCount && form != StatAdd {
+		return
+	}
+	if e.names == nil {
+		names := NewStatNames(e.id.Cluster)
+		e.names = &names
+	}
+	e.bed.stats[e.names.Of(ev.Kind)] += form.Delta(ev.Value)
+	if i, ok := ev.Kind.AlsoStat(ev.Forced); ok {
+		e.bed.stats[e.names.Cluster(i)]++
+	}
+}
 
 // The testbed implements PiggyCodecs when built with useCodecs, so
 // unit tests and benchmarks can cover the delta transitive path; the
@@ -96,8 +112,11 @@ type shadowedEnv struct {
 	*DenseShadows
 }
 
-// Event shows the node's protocol events to the shadow.
-func (e shadowedEnv) Event(ev Event) { e.DenseShadows.NodeEvent(e.id, ev) }
+// Event counts the node's protocol events and shows them to the shadow.
+func (e shadowedEnv) Event(ev Event) {
+	e.mockEnv.Event(ev)
+	e.DenseShadows.NodeEvent(e.id, ev)
+}
 
 // seedReplicas pre-distributes every node's initial checkpoint to its
 // holders, as the federation harness does (through the shadow when
@@ -891,34 +910,4 @@ func TestMessageWireSizes(t *testing.T) {
 func ExampleDDV_String() {
 	fmt.Println(DDV{3, 0, 4})
 	// Output: [3 0 4]
-}
-
-// TestStatKeysNames pins the per-cluster stat names a node emits and
-// that rendering them costs one allocation per node.
-func TestStatKeysNames(t *testing.T) {
-	for _, c := range []topology.ClusterID{0, 7, 1023} {
-		s := fmt.Sprintf(".c%d", c)
-		want := statKeys{
-			rollbackRestarted: "rollback.restarted" + s,
-			rollbackCount:     "rollback.count" + s,
-			rollbackDuration:  "rollback.duration_seconds" + s,
-			clcRequested:      "clc.requested" + s,
-			clcCommitted:      "clc.committed" + s,
-			clcForced:         "clc.committed" + s + ".forced",
-			clcUnforced:       "clc.committed" + s + ".unforced",
-			clcAborted:        "clc.aborted" + s,
-			clcFreeze:         "clc.freeze_seconds" + s,
-			storageBytes:      "storage.bytes" + s,
-			clcStored:         "clc.stored" + s,
-			logSize:           "log.size" + s,
-			gcBefore:          "gc.before" + s,
-			gcAfter:           "gc.after" + s,
-		}
-		if got := makeStatKeys(c); got != want {
-			t.Errorf("cluster %d: stat names %+v, want %+v", c, got, want)
-		}
-	}
-	if n := testing.AllocsPerRun(100, func() { makeStatKeys(42) }); n != 1 {
-		t.Errorf("makeStatKeys allocates %v times, want 1", n)
-	}
 }

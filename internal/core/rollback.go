@@ -35,7 +35,7 @@ type cascadeRecord struct {
 // still recoverable (§7's configurable-replication extension).
 func (n *Node) startClusterRollback() {
 	if n.rbActive {
-		n.env.Stat(n.keys.rollbackRestarted, 1)
+		n.emit(Event{Kind: EventRollbackRestart})
 	}
 	n.initiateRollback(n.chain.Recs[n.chain.Len()-1].SN)
 }
@@ -50,7 +50,6 @@ func (n *Node) initiateRollback(toSN SN) {
 	n.rbSince = n.env.Now()
 	n.rbAcks = make(map[int]bool, n.size)
 	n.alertsSeen++
-	n.env.Stat(n.keys.rollbackCount, 1)
 	n.emit(Event{Kind: EventRollback, Seq: toSN, Epoch: newEpoch})
 
 	cmd := RollbackCmd{ToSN: toSN, NewEpoch: newEpoch}
@@ -63,7 +62,7 @@ func (n *Node) initiateRollback(toSN SN) {
 		if c == n.cluster {
 			continue
 		}
-		n.env.Stat("rollback.alerts_sent", 1)
+		n.emit(Event{Kind: EventAlertSent})
 		n.env.Send(n.leaderOf(c), controlSize(alert), alert)
 	}
 
@@ -131,7 +130,7 @@ func (n *Node) finishLocalRollback(idx int, toSN SN, newEpoch Epoch) {
 	rec := n.clcs.At(idx)
 	n.app.Restore(rec.state)
 	for _, late := range rec.lateLog {
-		n.env.Stat("app.redelivered_late", 1)
+		n.emit(Event{Kind: EventRedeliverLate})
 		n.app.Deliver(late.src, late.msg.Payload)
 	}
 	n.restoreVector(idx, toSN)
@@ -205,7 +204,6 @@ func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
 		// it restarted recently itself). Another holder usually can —
 		// a truly unrecoverable state shows up as a stalled rollback,
 		// which the harness invariants catch.
-		n.env.Stat("storage.replica_miss_queries", 1)
 		n.emit(Event{Kind: EventReplicaMiss, Seq: m.Seq, Peer: m.Owner})
 		return
 	}
@@ -293,7 +291,7 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 	n.anchorPending = true
 	n.frozenSends = true
 	n.frozenDelivs = false
-	n.env.Stat("storage.recovered_states", 1)
+	n.emit(Event{Kind: EventRecoverState})
 	n.emit(Event{Kind: EventRestore, Seq: pend.cmd.ToSN, Epoch: pend.cmd.NewEpoch, DDV: n.ddv})
 
 	// Re-adopt the mirrored message log: entries whose send belongs to
@@ -310,7 +308,7 @@ func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 			payload: e.Payload, piggySN: e.PiggySN, piggy: e.Piggy,
 		}
 		n.appendLog(le)
-		n.env.Stat("log.recovered_entries", 1)
+		n.emit(Event{Kind: EventRecoverLogEntry})
 	}
 
 	// The crash lost the replicas this node held for its neighbours;
@@ -344,7 +342,7 @@ func (n *Node) onReReplicateReq(src topology.NodeID, m ReReplicateReq) {
 			continue // our own copy lives remotely; nothing to push
 		}
 		sendCtl(n, &n.ctl.rep, src, Replica{Seq: n.chain.Recs[i].SN, Epoch: n.epoch, Owner: n.id, State: rec.state, Size: rec.stateSize})
-		n.env.Stat("storage.rereplicated", 1)
+		n.emit(Event{Kind: EventRereplicate})
 	}
 	for _, e := range n.log {
 		sendCtl(n, &n.ctl.mirror, src, LogMirror{
@@ -376,7 +374,7 @@ func (n *Node) onLogMirror(src topology.NodeID, m LogMirror) {
 	if w := m.Piggy.Width; w != 0 && w != n.cfg.Clusters {
 		// A peer's vector of another federation's width: a resend
 		// could never write it out.
-		n.env.Stat("log.mirror_refused_width", 1)
+		n.emit(Event{Kind: EventMirrorRefuseWidth})
 		return
 	}
 	if m.Epoch < n.epoch && (n.chain.Len() == 0 || m.PiggySN >= n.chain.Recs[n.chain.Len()-1].SN) {
@@ -441,9 +439,8 @@ func (n *Node) checkRollbackDone() {
 	n.rbActive = false
 	// Recovery time: detection-to-resume for the whole cluster,
 	// dominated by state restores (and replica fetches after a crash).
-	n.env.StatSeries(n.keys.rollbackDuration,
-		n.env.Now().Sub(n.rbSince).Seconds())
-	n.emit(Event{Kind: EventRollbackDone, Seq: n.rbSeq, Epoch: n.rbEpoch})
+	n.emit(Event{Kind: EventRollbackDone, Seq: n.rbSeq, Epoch: n.rbEpoch,
+		Value: n.env.Now().Sub(n.rbSince).Seconds()})
 	res := RollbackResume{Epoch: n.rbEpoch}
 	sendToCluster(n, nil, res)
 	n.resumeAfterRollback()
@@ -510,7 +507,7 @@ func (n *Node) resumeAfterRollback() {
 			// copy instead of consuming it in the doomed state.
 			DstEpoch: n.epochs.known(e.dstCluster),
 		}
-		n.env.Stat("log.resent_after_recovery", 1)
+		n.emit(Event{Kind: EventResendRecovered})
 		n.env.SendApp(e.dst, m.WireSize(), m)
 	}
 	if n.leader() {
@@ -565,7 +562,6 @@ func (n *Node) decideRollbackFromAlert(m RollbackAlert) {
 		if idx == -1 {
 			// The garbage collector's safety rule makes this unreachable;
 			// fall back to the initial checkpoint, which depends on nothing.
-			n.env.Stat("invariant.rollback_target_missing", 1)
 			n.emit(Event{Kind: EventNoRollbackTarget, Cluster: m.Cluster, Seq: m.NewSN})
 			idx = 0
 		}
@@ -587,10 +583,10 @@ func (n *Node) decideRollbackFromAlert(m RollbackAlert) {
 	// of being mistaken for a duplicate alert.
 	if memo, ok := n.cascadeMemo[m.Cluster]; ok &&
 		memo.alertSN == m.NewSN && memo.targetSN == target && n.sn == target {
-		n.env.Stat("rollback.cascade_suppressed", 1)
+		n.emit(Event{Kind: EventCascadeSuppressed})
 		return
 	}
 	n.cascadeMemo[m.Cluster] = cascadeRecord{alertSN: m.NewSN, targetSN: target}
-	n.env.Stat("rollback.cascaded", 1)
+	n.emit(Event{Kind: EventCascade})
 	n.initiateRollback(target)
 }

@@ -121,8 +121,6 @@ func (nullEnv) Now() sim.Time                     { return 0 }
 func (nullEnv) Send(topology.NodeID, int, Msg)    {}
 func (nullEnv) SendApp(topology.NodeID, int, Msg) {}
 func (nullEnv) SetTimer(TimerKind, sim.Duration)  {}
-func (nullEnv) Stat(string, uint64)               {}
-func (nullEnv) StatSeries(string, float64)        {}
 
 // TestNewNodeAllocatesThreeVectors: a node of a 1024-cluster federation
 // starts with three width-sized vectors (its DDV, the commit base and

@@ -251,10 +251,6 @@ type Env interface {
 	SendApp(dst topology.NodeID, size int, msg Msg)
 	// SetTimer (re)arms one of the node's timers; sim.Forever disarms.
 	SetTimer(k TimerKind, d sim.Duration)
-	// Stat adds delta to a named counter (per-run statistics).
-	Stat(name string, delta uint64)
-	// StatSeries records a named time-series point (e.g. stored CLCs).
-	StatSeries(name string, value float64)
 }
 
 // BoxPool is an optional upgrade interface of Env: a harness that

@@ -37,8 +37,10 @@ type ProtocolNode interface {
 }
 
 // NodeFactory builds one protocol node; leaving Options.NodeFactory nil
-// selects the HC3I protocol.
-type NodeFactory func(cfg core.Config, env core.Env, hooks core.AppHooks) ProtocolNode
+// selects the HC3I protocol. stats is the run's registry: core nodes
+// report their statistics as events through env, the baselines, which
+// are not core, count into it directly.
+type NodeFactory func(cfg core.Config, env core.Env, hooks core.AppHooks, stats *sim.Stats) ProtocolNode
 
 // Crash is an explicitly scheduled node failure.
 type Crash struct {
@@ -235,6 +237,11 @@ type Fed struct {
 
 	// sends is the end-of-run send bitset (see Fed.sendSet).
 	sends sendSet
+
+	// clusterStats holds each cluster's statistics and globalStats the
+	// federation-wide counters by kind, as the node envs count them.
+	clusterStats []clusterStats
+	globalStats  [core.NumEventKinds]*sim.Counter
 }
 
 // msgBoxes recycles the wire-message boxes of the per-message protocol
@@ -288,6 +295,8 @@ func New(opts Options) (*Fed, error) {
 		timers:    make([]*sim.Timer, int(core.NumTimerKinds)*nodeCount),
 		pending:   make([]sim.EventRef, nodeCount),
 		nClusters: nc,
+
+		clusterStats: make([]clusterStats, nc),
 	}
 	f.engine.MaxEvents = opts.MaxEvents
 	if opts.TraceWriter != nil {
@@ -339,11 +348,7 @@ func New(opts Options) (*Fed, error) {
 			Replicas:          repl,
 			DenseWire:         opts.DenseWire,
 		}
-		ne := &nodeEnv{f: f, id: id, ord: ord, idStr: id.String()}
-		var env core.Env = ne
-		if f.oracle != nil || f.tracer.Enabled(sim.TraceInfo) {
-			env = sinkEnv{ne}
-		}
+		env := &nodeEnv{f: f, id: id, ord: ord, idStr: id.String()}
 		na := app.NewNodeApp(id, opts.Workload, fed, appRNG)
 		na.Now = f.engine.Now
 		na.Restored = func() { f.scheduleNextSend(ord) }
@@ -355,7 +360,7 @@ func New(opts Options) (*Fed, error) {
 
 		var pn ProtocolNode
 		if opts.NodeFactory != nil {
-			pn = opts.NodeFactory(cfg, env, na)
+			pn = opts.NodeFactory(cfg, env, na, f.stats)
 		} else {
 			pn = core.NewNode(cfg, env, na)
 		}
@@ -512,11 +517,9 @@ func (f *Fed) pipeExit(src, dst topology.NodeID, payload any) {
 // nodeEnv adapts the federation to core.Env for one node. It also
 // implements core.BoxPool, handing the protocol recycled message boxes
 // so the steady-state send path performs no interface-boxing allocation,
-// core.BoxReclaimer (msgBoxes.reclaim runs after every OnMessage) and
-// core.PiggyCodecs, exposing the per-pipe delta codecs. It is not a
-// core.EventSink: a run whose tracer or oracle consumes events wraps it
-// in sinkEnv, so a run without either pays one nil check per event and
-// builds nothing for it.
+// core.BoxReclaimer (msgBoxes.reclaim runs after every OnMessage),
+// core.PiggyCodecs, exposing the per-pipe delta codecs, and
+// core.EventSink: every run counts its statistics from the events.
 type nodeEnv struct {
 	f     *Fed
 	id    topology.NodeID
@@ -591,30 +594,81 @@ func (e *nodeEnv) SetTimer(k core.TimerKind, d sim.Duration) {
 	t.Reset(d)
 }
 
-// sinkEnv is nodeEnv with core.EventSink, for a run whose tracer
-// prints at least TraceInfo or that attaches an oracle.
-type sinkEnv struct{ *nodeEnv }
-
-// Event renders a protocol event as one trace line, formatting nothing
-// unless the tracer reports the event's level, then hands it to the
-// run's oracle. The per-message kinds (deliveries, piggyback sends)
-// are at sim.TraceOff: a run that only traces drops them after the two
-// checks.
-func (e sinkEnv) Event(ev core.Event) {
-	if l := ev.Level(); e.f.tracer.Enabled(l) {
-		e.f.tracer.Emit(l, e.idStr, "%s", ev.String())
+// Event counts a protocol event's statistic, renders the event as one
+// trace line, formatting nothing unless the tracer reports its level,
+// then hands it to the run's oracle, if any. The per-message kinds
+// (deliveries, piggyback sends) are at sim.TraceOff: a run that only
+// traces drops them after the check.
+func (e *nodeEnv) Event(ev core.Event) {
+	if form := ev.Kind.StatForm(e.id); form != core.NoStat {
+		e.f.count(e.id.Cluster, form, &ev)
+	}
+	if e.f.tracer != nil {
+		if l := ev.Level(); e.f.tracer.Enabled(l) {
+			e.f.tracer.Emit(l, e.idStr, "%s", ev.String())
+		}
 	}
 	if e.f.oracle != nil {
 		e.f.oracle.Observe(e.id, ev)
 	}
 }
 
-func (e *nodeEnv) Stat(name string, delta uint64) {
-	e.f.stats.Counter(name).Add(delta)
+// count feeds ev, observed in cluster c, to its statistic.
+func (f *Fed) count(c topology.ClusterID, form core.StatForm, ev *core.Event) {
+	i, ok := ev.Kind.ClusterStat()
+	if !ok {
+		g := f.globalStats[ev.Kind]
+		if g == nil {
+			g = f.stats.Counter(ev.Kind.StatName())
+			f.globalStats[ev.Kind] = g
+		}
+		g.Add(form.Delta(ev.Value))
+		return
+	}
+	if form == core.StatPoint {
+		f.series(c, i).Record(f.engine.Now(), ev.Value)
+		return
+	}
+	f.counter(c, i).Add(form.Delta(ev.Value))
+	if j, ok := ev.Kind.AlsoStat(ev.Forced); ok {
+		f.counter(c, j).Inc()
+	}
 }
 
-func (e *nodeEnv) StatSeries(name string, value float64) {
-	e.f.stats.Series(name).Record(e.f.engine.Now(), value)
+// clusterStats is one cluster's statistics, each resolved in the
+// registry on its first use: resolving registers it, so a statistic
+// the run never observed stays out of its dump.
+type clusterStats struct {
+	names    core.StatNames // rendered with the first resolution
+	counters [core.NumClusterStats]*sim.Counter
+	series   [core.NumClusterStats]*sim.Series
+}
+
+// statName returns the name of cluster c's statistic i.
+func (f *Fed) statName(c topology.ClusterID, i int) string {
+	cs := &f.clusterStats[c]
+	if cs.names == (core.StatNames{}) {
+		cs.names = core.NewStatNames(c)
+	}
+	return cs.names.Cluster(i)
+}
+
+// counter returns cluster c's counter i, resolving it on first use.
+func (f *Fed) counter(c topology.ClusterID, i int) *sim.Counter {
+	p := &f.clusterStats[c].counters[i]
+	if *p == nil {
+		*p = f.stats.Counter(f.statName(c, i))
+	}
+	return *p
+}
+
+// series returns cluster c's series i, resolving it on first use.
+func (f *Fed) series(c topology.ClusterID, i int) *sim.Series {
+	p := &f.clusterStats[c].series[i]
+	if *p == nil {
+		*p = f.stats.Series(f.statName(c, i))
+	}
+	return *p
 }
 
 // ---- application driving ----

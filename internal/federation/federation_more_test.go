@@ -2,6 +2,7 @@ package federation_test
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -160,15 +161,104 @@ func TestCrashDuringGarbageCollectionWindow(t *testing.T) {
 	_ = res
 }
 
-// TestStatsDumpGolden pins the statistics dump of one small run —
-// every counter, summary, series point count and histogram — to the
-// dump the commit before the series moved into block lists recorded.
-func TestStatsDumpGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/small_stats_dump.golden")
-	if err != nil {
-		t.Fatal(err)
+// statsDumpRuns are the runs whose statistics dumps are pinned: one
+// small plain run, two HC3I runs with crashes, GC and transitive
+// piggybacks (so the rollback, GC, storage and log counters and every
+// series are live; the second's frequent failures and 32 MiB states
+// also abort CLCs, skip GC rounds and miss replicas), one whose
+// 3-second inter-cluster links let failures abort GC rounds, and one
+// run of each other protocol with a crash and GC.
+var statsDumpRuns = []struct {
+	name, golden string
+	opts         func() federation.Options
+}{
+	{"small", "small_stats_dump.golden", func() federation.Options { return smallOptions(1) }},
+	{"hc3i_crash_gc_transitive", "stats_dump_hc3i_crash_gc_transitive.golden", func() federation.Options {
+		opts := smallOptions(2)
+		opts.Transitive = true
+		opts.GCPeriod = 15 * sim.Minute
+		opts.GCMemoryThreshold = 600 << 10
+		opts.Replicas = 2
+		opts.Crashes = []federation.Crash{
+			{At: sim.Time(25 * sim.Minute), Node: topology.NodeID{Cluster: 0, Index: 1}},
+			{At: sim.Time(25*sim.Minute + 500*sim.Millisecond), Node: topology.NodeID{Cluster: 0, Index: 2}},
+			{At: sim.Time(45 * sim.Minute), Node: topology.NodeID{Cluster: 1, Index: 0}},
+		}
+		return opts
+	}},
+	{"hc3i_mtbf_large_state", "stats_dump_hc3i_mtbf_large_state.golden", func() federation.Options {
+		wl := app.Uniform(2, 600, 30, sim.Hour)
+		wl.StateSize = 32 << 20
+		opts := federation.Options{
+			Topology:     topology.Small(2, 4),
+			Workload:     wl,
+			CLCPeriods:   []sim.Duration{2 * sim.Minute, 3 * sim.Minute},
+			GCPeriod:     4 * sim.Minute,
+			Transitive:   true,
+			Replicas:     2,
+			MTBFFailures: true,
+			Seed:         3,
+		}
+		opts.Topology.MTBF = 5 * sim.Minute
+		return opts
+	}},
+	{"hc3i_slow_links", "stats_dump_hc3i_slow_links.golden", func() federation.Options {
+		fed := topology.Small(3, 3)
+		fed.SetAllInterLinks(topology.Link{Latency: 3 * sim.Second, Bandwidth: topology.Mbps(10)})
+		wl := app.Uniform(3, 300, 30, sim.Hour)
+		wl.StateSize = 1 << 20
+		opts := federation.Options{
+			Topology:     fed,
+			Workload:     wl,
+			CLCPeriods:   []sim.Duration{3 * sim.Minute, 3 * sim.Minute, 3 * sim.Minute},
+			GCPeriod:     sim.Minute,
+			MTBFFailures: true,
+			Seed:         5,
+		}
+		opts.Topology.MTBF = 4 * sim.Minute
+		return opts
+	}},
+	{"force-all", "stats_dump_force-all.golden", protocolDumpOptions("force-all")},
+	{"independent", "stats_dump_independent.golden", protocolDumpOptions("independent")},
+	{"global-coordinated", "stats_dump_global-coordinated.golden", protocolDumpOptions("global-coordinated")},
+	{"hier-coordinated", "stats_dump_hier-coordinated.golden", protocolDumpOptions("hier-coordinated")},
+	{"pessimistic-log", "stats_dump_pessimistic-log.golden", protocolDumpOptions("pessimistic-log")},
+}
+
+// protocolDumpOptions is a small run of the named protocol with two
+// crashes and periodic GC.
+func protocolDumpOptions(name string) func() federation.Options {
+	return func() federation.Options {
+		opts := smallOptions(1)
+		factory, err := federation.ProtocolFactory(name)
+		if err != nil {
+			panic(err)
+		}
+		opts.NodeFactory = factory
+		opts.GCPeriod = 15 * sim.Minute
+		opts.Crashes = []federation.Crash{
+			{At: sim.Time(25 * sim.Minute), Node: topology.NodeID{Cluster: 0, Index: 1}},
+			{At: sim.Time(45 * sim.Minute), Node: topology.NodeID{Cluster: 1, Index: 2}},
+		}
+		return opts
 	}
-	if got := mustRun(t, smallOptions(1)).Stats.Dump(); got != string(want) {
-		t.Fatalf("stats dump differs from testdata/small_stats_dump.golden:\n%s", got)
+}
+
+// TestStatsDumpGolden pins the statistics dump of each statsDumpRuns
+// run — every counter, summary, series point count and histogram — to
+// the dump recorded before statistics moved onto the protocol's event
+// stream. The goldens are never re-recorded: a difference is a change
+// of output.
+func TestStatsDumpGolden(t *testing.T) {
+	for _, r := range statsDumpRuns {
+		t.Run(r.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", r.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mustRun(t, r.opts()).Stats.Dump(); got != string(want) {
+				t.Fatalf("stats dump differs from testdata/%s:\n%s", r.golden, got)
+			}
+		})
 	}
 }

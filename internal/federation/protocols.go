@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // protocols is the one table that names a protocol: the public
@@ -19,20 +20,21 @@ var protocols = []struct {
 	{"hc3i", nil},
 	{"force-all", modeFactory(core.ModeForceAll)},
 	{"independent", modeFactory(core.ModeIndependent)},
-	{"global-coordinated", func(c core.Config, e core.Env, h core.AppHooks) ProtocolNode {
-		return baseline.NewGlobalCoordinated(c, e, h)
+	{"global-coordinated", func(c core.Config, e core.Env, h core.AppHooks, s *sim.Stats) ProtocolNode {
+		return baseline.NewGlobalCoordinated(c, e, h, s)
 	}},
-	{"hier-coordinated", func(c core.Config, e core.Env, h core.AppHooks) ProtocolNode {
-		return baseline.NewHierCoord(c, e, h)
+	{"hier-coordinated", func(c core.Config, e core.Env, h core.AppHooks, s *sim.Stats) ProtocolNode {
+		return baseline.NewHierCoord(c, e, h, s)
 	}},
-	{"pessimistic-log", func(c core.Config, e core.Env, h core.AppHooks) ProtocolNode {
-		return baseline.NewPessimisticLog(c, e, h)
+	{"pessimistic-log", func(c core.Config, e core.Env, h core.AppHooks, s *sim.Stats) ProtocolNode {
+		return baseline.NewPessimisticLog(c, e, h, s)
 	}},
 }
 
-// modeFactory builds core protocol nodes running in mode m.
+// modeFactory builds core protocol nodes running in mode m; they count
+// through env, not into the registry.
 func modeFactory(m core.ProtocolMode) NodeFactory {
-	return func(c core.Config, e core.Env, h core.AppHooks) ProtocolNode {
+	return func(c core.Config, e core.Env, h core.AppHooks, _ *sim.Stats) ProtocolNode {
 		c.Mode = m
 		return core.NewNode(c, e, h)
 	}

@@ -3,8 +3,6 @@ package federation
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -308,41 +306,27 @@ func (f *Fed) collect() *Result {
 		Events:   f.engine.Executed,
 		Failures: st.CounterValue("failures.injected"),
 	}
-	var kb keyBuf
-	for c := 0; c < n; c++ {
-		cc := kb.key("clc.committed", c)
-		cr := ClusterResult{
-			Cluster:   topology.ClusterID(c),
-			Forced:    st.CounterValue(cc + ".forced"),
-			Unforced:  st.CounterValue(cc + ".unforced"),
-			Committed: st.CounterValue(cc),
-			Rollbacks: st.CounterValue(kb.key("rollback.count", c)),
-			Stored:    f.Node(topology.NodeID{Cluster: topology.ClusterID(c)}).StoredCount(),
-		}
-		res.Clusters = append(res.Clusters, cr)
+	// By name, which registers nothing: a baseline counts into the
+	// registry, not through the node envs.
+	committed, _ := core.EventCLCCommitted.ClusterStat()
+	rollbacks, _ := core.EventRollback.ClusterStat()
+	for c := topology.ClusterID(0); int(c) < n; c++ {
+		value := func(i int) uint64 { return st.CounterValue(f.statName(c, i)) }
+		res.Clusters = append(res.Clusters, ClusterResult{
+			Cluster:   c,
+			Forced:    value(core.CommitForced),
+			Unforced:  value(core.CommitUnforced),
+			Committed: value(committed),
+			Rollbacks: value(rollbacks),
+			Stored:    f.Node(topology.NodeID{Cluster: c}).StoredCount(),
+		})
 	}
-	// The per-pair app matrix is sparse relative to n² (pairs register
-	// lazily on first traffic), so walk the registered counters once and
-	// parse the pair out of the name instead of probing all n² keys.
 	res.AppMsgs = make([][]uint64, n)
 	for i := 0; i < n; i++ {
 		res.AppMsgs[i] = make([]uint64, n)
 	}
-	st.ForEachCounter(func(name string, val uint64) {
-		rest, ok := strings.CutPrefix(name, "net.sent.app.c")
-		if !ok {
-			return
-		}
-		dot := strings.IndexByte(rest, '.')
-		if dot < 0 || dot+1 >= len(rest) || rest[dot+1] != 'c' {
-			return
-		}
-		i, err1 := strconv.Atoi(rest[:dot])
-		j, err2 := strconv.Atoi(rest[dot+2:])
-		if err1 != nil || err2 != nil || i < 0 || i >= n || j < 0 || j >= n {
-			return
-		}
-		res.AppMsgs[i][j] = val
+	f.net.EachAppPair(func(src, dst topology.ClusterID, sent uint64) {
+		res.AppMsgs[src][dst] = sent
 	})
 	res.GCRounds = f.gcRounds(n)
 	f.collectStableLatency()
@@ -364,15 +348,6 @@ func (f *Fed) collect() *Result {
 		}
 	}
 	return res
-}
-
-// keyBuf renders per-cluster stat names through one reused buffer.
-type keyBuf []byte
-
-// key returns the stat name base + ".c" + c.
-func (kb *keyBuf) key(base string, c int) string {
-	*kb = strconv.AppendInt(append(append((*kb)[:0], base...), ".c"...), int64(c), 10)
-	return string(*kb)
 }
 
 // StableLatencyMetric names the histogram of user-perceived
@@ -422,13 +397,14 @@ func (f *Fed) collectStableLatency() {
 // registers a series, and the registry's contents are part of a run's
 // reported statistics.
 func (f *Fed) gcRounds(n int) []GCRound {
-	ref := f.stats.Series("gc.before.c0")
+	bi, _ := core.EventGCBefore.ClusterStat()
+	ai, _ := core.EventGCAfter.ClusterStat()
+	ref := f.series(0, bi)
 	complete := ref.Len()
 	before := make([]*sim.Series, 0, n)
 	after := make([]*sim.Series, 0, n)
-	var kb keyBuf
-	for c := 0; c < n && complete > 0; c++ {
-		b, a := f.stats.Series(kb.key("gc.before", c)), f.stats.Series(kb.key("gc.after", c))
+	for c := topology.ClusterID(0); int(c) < n && complete > 0; c++ {
+		b, a := f.series(c, bi), f.series(c, ai)
 		before, after = append(before, b), append(after, a)
 		complete = min(complete, b.Len(), a.Len())
 	}

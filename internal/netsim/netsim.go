@@ -589,8 +589,20 @@ func (n *Network) Stats() *sim.Stats { return n.stats }
 // AppMessages returns how many application messages were sent from
 // cluster a to cluster b, the quantity Table 1 of the paper reports.
 func (n *Network) AppMessages(a, b topology.ClusterID) uint64 {
-	if n.stats == nil {
-		return 0
+	if p := n.pairs.Find(int(a)*n.nClusters + int(b)); p != nil {
+		if c := p.counters[evSent][KindApp]; c != nil {
+			return c.Value()
+		}
 	}
-	return n.stats.CounterValue(fmt.Sprintf("net.sent.app.c%d.c%d", a, b))
+	return 0
+}
+
+// EachAppPair calls fn for every cluster pair that carried application
+// messages, with the number sent, in no particular order.
+func (n *Network) EachAppPair(fn func(src, dst topology.ClusterID, sent uint64)) {
+	n.pairs.Each(func(pair int, p *pairState) {
+		if c := p.counters[evSent][KindApp]; c != nil {
+			fn(topology.ClusterID(pair/n.nClusters), topology.ClusterID(pair%n.nClusters), c.Value())
+		}
+	})
 }

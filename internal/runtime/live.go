@@ -71,6 +71,8 @@ type liveNode struct {
 	fed     *Live
 	timers  map[core.TimerKind]*time.Timer
 	timerMu sync.Mutex
+	// names is the node's cluster statistic names (see liveEnv.Event).
+	names core.StatNames
 	// nextSeq numbers the sends SendApp injects (see scheduledSeq);
 	// sendGen counts armSend calls, so a superseded arming's send is
 	// dropped.
@@ -188,13 +190,20 @@ func (e liveEnv) SetTimer(k core.TimerKind, d sim.Duration) {
 	})
 }
 
-// Event prints every traced protocol event (any level above
+// Event counts a protocol event's counter statistic (the live runtime
+// keeps no series), prints every traced event (any level above
 // sim.TraceOff) when the federation has a trace writer, then journals
 // the events oracle.Record maps. It runs synchronously on the node's
 // event goroutine and the journal marshals immediately, so DDVs that
 // alias node buffers are safe to pass through.
 func (e liveEnv) Event(ev core.Event) {
 	f := e.n.fed
+	if form := ev.Kind.StatForm(e.n.id); form == core.StatCount || form == core.StatAdd {
+		f.stats.add(e.n.names.Of(ev.Kind), form.Delta(ev.Value))
+		if i, ok := ev.Kind.AlsoStat(ev.Forced); ok {
+			f.stats.add(e.n.names.Cluster(i), 1)
+		}
+	}
 	if f.trace != nil && ev.Level() != sim.TraceOff {
 		e.tracef("%s", ev.String())
 	}
@@ -222,9 +231,6 @@ func (e liveEnv) tracef(format string, args ...any) {
 		time.Since(f.start).Truncate(time.Microsecond), e.n.id, fmt.Sprintf(format, args...))
 	f.traceMu.Unlock()
 }
-
-func (e liveEnv) Stat(name string, delta uint64)        { e.n.fed.stats.add(name, delta) }
-func (e liveEnv) StatSeries(name string, value float64) {}
 
 // Start builds and starts a live federation (or, with cfg.LocalNodes,
 // this process's share of one).
@@ -323,6 +329,7 @@ func Start(cfg Config) (*Live, error) {
 				mailbox:   make(chan event, 4096),
 				fed:       f,
 				timers:    make(map[core.TimerKind]*time.Timer),
+				names:     core.NewStatNames(id.Cluster),
 				recovered: make(chan struct{}),
 			}
 			coreCfg := core.Config{

@@ -466,8 +466,6 @@ func (nullEnv) Now() sim.Time                          { return 0 }
 func (nullEnv) Send(topology.NodeID, int, core.Msg)    {}
 func (nullEnv) SendApp(topology.NodeID, int, core.Msg) {}
 func (nullEnv) SetTimer(core.TimerKind, sim.Duration)  {}
-func (nullEnv) Stat(string, uint64)                    {}
-func (nullEnv) StatSeries(string, float64)             {}
 
 type nullApp struct{}
 
