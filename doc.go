@@ -159,9 +159,12 @@
 //     federation-wide link class plus per-pair overrides. Inside a
 //     node, only the DDV and the commit base are width-sized from the
 //     start (the chain anchor is sparse): the epoch table holds just
-//     the clusters that rolled back, the dense-wire force target and
-//     the leader's ack accumulator appear on first use, and dirty sets
-//     mark in a bitset. A pipe's delta codec holds one width-sized
+//     the clusters that rolled back, a forced-CLC demand is the pairs
+//     it raises from the CIC rule to the commit (the leader keeps the
+//     pending demands and the ModeIndependent prepare acks as pair
+//     lists, one pair per index at its largest SN; the dense wire
+//     writes a demand out as a vector only when it sends it), and
+//     dirty sets mark in a bitset. A pipe's delta codec holds one width-sized
 //     vector. BenchmarkFederationNewWide measures what assembling a
 //     1024-cluster federation allocates.
 //   - internal/core flattens DDV storage into per-node arenas
@@ -174,7 +177,7 @@
 //     are never reallocated so outstanding slices stay valid, and the
 //     chunk is garbage-collected when every vector cut from it drops.
 //     Scratch that does not escape still reuses node buffers
-//     (Node.buildForceTarget, DDV.CopyFrom).
+//     (Node.pairScratch, DDV.CopyFrom).
 //   - A stored CLC costs its commit's pairs, not a vector: the stored
 //     history of a node is one core.Chain (next section), so a commit
 //     copies no width-sized vector on any node.
@@ -321,8 +324,8 @@
 // decode reconstructs byte-for-byte the vector the dense encoding
 // would have shipped, each escape point leaning on its own invariant —
 // element-wise-max absorption for forced-CLC demands and prepare acks
-// (omitted entries are provable no-ops, and the pending-force scans
-// iterate a dirty-index set instead of the full width), the
+// (omitted entries are provable no-ops, and the leader keeps both as
+// short pair lists instead of width-sized vectors), the
 // commit-chain base (Node.commitBase, re-anchored from the restored
 // record on every rollback/recovery) for commit broadcasts, a FIFO
 // pipe-exit codec in the cluster gateways (core.DeltaCodec +

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/topology"
 )
 
@@ -26,144 +28,69 @@ func (n *Node) onCLCTimer() {
 	n.startCLC(false, nil)
 }
 
-// requestForce routes a forced-CLC demand to the cluster leader. In the
-// dense encoding target is the full DDV the cluster must reach
-// (element-wise max semantics); callers may pass the node's scratch
-// buffer (buildForceTarget): sendForce copies it before anything
-// escapes the current event.
-func (n *Node) requestForce(target DDV) {
-	n.sendForce(target, false)
-}
-
-// requestForceAlways demands an unconditional forced CLC (ModeForceAll).
-func (n *Node) requestForceAlways(target DDV) {
-	n.sendForce(target, true)
-}
-
-// requestForcePairs is the delta-wire counterpart of requestForce: the
-// target is just the raised entries. pairs may be the node's
-// pairScratch; sendForcePairs copies it before anything escapes.
-func (n *Node) requestForcePairs(pairs []DDVPair) {
-	n.sendForcePairs(pairs, false)
-}
-
-// requestForceAlwaysPairs is the delta-wire requestForceAlways.
-func (n *Node) requestForceAlwaysPairs(pairs []DDVPair) {
-	n.sendForcePairs(pairs, true)
-}
-
-// buildForceTarget resets the node's force-target scratch buffer to the
-// current DDV and returns it. Ownership: the buffer belongs to the
-// current event only — it is overwritten by the next buildForceTarget
-// and must never be stored; sendForce clones it when the target leaves
-// the node over the network.
-func (n *Node) buildForceTarget() DDV {
-	if n.forceScratch == nil {
-		n.forceScratch = NewDDV(n.cfg.Clusters)
-	}
-	n.forceScratch.CopyFrom(n.ddv)
-	return n.forceScratch
-}
-
-func (n *Node) sendForce(target DDV, always bool) {
+// requestForce routes a forced-CLC demand to the cluster leader. pairs
+// are the DDV entries the demand raises (they may be the node's
+// pairScratch: nothing escapes the current event without a copy);
+// always asks for an unconditional forced CLC (ModeForceAll). The delta
+// wire ships the pairs, the dense reference wire this node's DDV with
+// the pairs applied.
+func (n *Node) requestForce(pairs []DDVPair, always bool) {
 	n.emit(Event{Kind: EventForceRequested})
 	if n.leader() {
-		// absorbForce only merges target into pendingForce, so the
-		// scratch buffer never escapes on the local path.
-		n.absorbForce(target, always)
+		n.pending = maxMerge(n.pending, pairs)
+		n.pendingAlways = n.pendingAlways || always
+		n.tryStartForced()
 		return
 	}
-	// The message outlives this event (it sits in the network until
-	// delivery): hand it an owned copy of the scratch target.
-	sendCtl(n, &n.ctl.force, n.leaderOf(n.cluster),
-		ForceCLC{Epoch: n.epoch, NewDDV: n.arena.Clone(target), Always: always})
-}
-
-func (n *Node) sendForcePairs(pairs []DDVPair, always bool) {
-	n.emit(Event{Kind: EventForceRequested})
-	if n.leader() {
-		n.absorbForcePairs(pairs, always)
-		return
+	m := ForceCLC{Epoch: n.epoch, Always: always}
+	if n.denseWire {
+		m.NewDDV = n.arena.Clone(n.ddv)
+		m.NewDDV.applyPairs(pairs)
+	} else {
+		// Width prices the demand at its dense footprint (see
+		// messages.go).
+		m.Pairs, m.Width = n.pairArena.Clone(pairs), n.cfg.Clusters
 	}
-	// Owned copy: the message outlives this event. Width prices the
-	// demand at its dense footprint (see messages.go).
-	sendCtl(n, &n.ctl.force, n.leaderOf(n.cluster), ForceCLC{Epoch: n.epoch,
-		Pairs: n.pairArena.Clone(pairs), Width: n.cfg.Clusters, Always: always})
+	sendCtl(n, &n.ctl.force, n.leaderOf(n.cluster), m)
 }
 
-// onForceCLC handles a forced-CLC demand at the leader, in either
-// encoding.
+// onForceCLC handles a forced-CLC demand at the leader. A dense demand
+// reduces to its entries above this leader's DDV: the DDV only grows
+// until a rollback or an abort, and both empty the pending list, so an
+// entry at or below it could never start a CLC.
 func (n *Node) onForceCLC(src topology.NodeID, m ForceCLC) {
+	if !n.vectorFits(m.NewDDV, m.Pairs) {
+		n.emit(Event{Kind: EventRefuseControl})
+		return
+	}
 	if !n.leader() || m.Epoch != n.epoch {
 		return
 	}
+	pairs := m.Pairs
 	if m.NewDDV != nil {
-		n.absorbForce(m.NewDDV, m.Always)
-		return
+		n.pairScratch = raisedPairs(n.pairScratch[:0], m.NewDDV, n.ddv, -1)
+		pairs = n.pairScratch
 	}
-	n.absorbForcePairs(m.Pairs, m.Always)
-}
-
-// ensurePendingForce opens the pending force set (all-zero, see
-// clearPendingForce) if none is open.
-func (n *Node) ensurePendingForce() {
-	if n.pendingForce == nil {
-		n.pendingForce = NewDDV(n.cfg.Clusters)
-	}
-	n.pendingActive = true
-}
-
-// clearPendingForce closes the pending force set, zeroing the entries
-// it raised in O(dirty).
-func (n *Node) clearPendingForce() {
-	for _, i := range n.pendingDirty.Indices() {
-		n.pendingForce[i] = 0
-	}
-	n.pendingDirty.Reset()
-	n.pendingActive = false
-}
-
-// absorbForce merges a dense force target into the pending set and
-// starts a forced CLC if none is in flight.
-func (n *Node) absorbForce(target DDV, always bool) {
-	n.ensurePendingForce()
-	mergeMaxDirty(n.pendingForce, target, &n.pendingDirty)
-	if always {
-		n.pendingAlways = true
-	}
-	n.tryStartForced()
-}
-
-// absorbForcePairs merges a sparse force target. Entries the pairs omit
-// sit at the demanding node's DDV values — merging them would never
-// raise pendingForce above what the committed DDV already covers, so
-// omitting them is exact.
-func (n *Node) absorbForcePairs(pairs []DDVPair, always bool) {
-	n.ensurePendingForce()
-	n.pendingForce.mergePairs(pairs, &n.pendingDirty)
-	if always {
-		n.pendingAlways = true
-	}
+	n.pending = maxMerge(n.pending, pairs)
+	n.pendingAlways = n.pendingAlways || m.Always
 	n.tryStartForced()
 }
 
 // tryStartForced starts a forced CLC for any pending entries still
-// above the committed DDV (or unconditionally, when one is owed). Only
-// dirty indices are scanned: entries never raised are zero and cannot
-// exceed the DDV.
+// above the committed DDV (or unconditionally, when one is owed).
 func (n *Node) tryStartForced() {
-	if n.inFlight || n.rbActive || n.lostState || n.phase != cpIdle || (!n.pendingActive && !n.pendingAlways) {
+	if n.inFlight || n.rbActive || n.lostState || n.phase != cpIdle || (len(n.pending) == 0 && !n.pendingAlways) {
 		return
 	}
 	pairs := n.pairScratch[:0]
-	for _, i := range n.pendingDirty.Indices() {
-		if v := n.pendingForce[i]; v > n.ddv[i] {
-			pairs = append(pairs, DDVPair{Idx: i, SN: v})
+	for _, p := range n.pending {
+		if p.SN > n.ddv[p.Idx] {
+			pairs = append(pairs, p)
 		}
 	}
 	n.pairScratch = pairs
 	if len(pairs) == 0 && !n.pendingAlways {
-		n.clearPendingForce()
+		n.pending = n.pending[:0]
 		return
 	}
 	n.pendingAlways = false
@@ -295,6 +222,10 @@ func (n *Node) sendPrepAck(seq SN) {
 
 // onCLCAck counts prepare acks at the leader.
 func (n *Node) onCLCAck(src topology.NodeID, m CLCAck) {
+	if !n.vectorFits(m.NodeDDV, m.NodePairs) {
+		n.emit(Event{Kind: EventRefuseControl})
+		return
+	}
 	if !n.inFlight || m.Epoch != n.epoch || m.Seq != n.inFlightSeq {
 		return
 	}
@@ -309,14 +240,9 @@ func (n *Node) ackFrom(index int, seq SN, nodeDDV DDV, nodePairs []DDVPair) {
 	if nodeDDV != nil {
 		n.ackedDDVs = append(n.ackedDDVs, nodeDDV)
 	}
-	if len(nodePairs) > 0 {
-		// Element-wise max is order-independent: accumulating on
-		// arrival equals the dense path's merge-at-commit.
-		if n.ackAccum == nil {
-			n.ackAccum = NewDDV(n.cfg.Clusters)
-		}
-		n.ackAccum.mergePairs(nodePairs, &n.ackDirty)
-	}
+	// Element-wise max is order-independent: accumulating on arrival
+	// equals the dense path's merge-at-commit.
+	n.acked = maxMerge(n.acked, nodePairs)
 	if n.ackedCount < n.size {
 		return
 	}
@@ -324,10 +250,10 @@ func (n *Node) ackFrom(index int, seq SN, nodeDDV DDV, nodePairs []DDVPair) {
 	if n.denseWire {
 		// The committed vector leaves in the broadcast: an owned copy.
 		newDDV := n.arena.Clone(n.ddv)
-		if n.inFlightForced && n.pendingActive {
-			for i, v := range n.pendingForce {
-				if topology.ClusterID(i) != n.cluster && v > newDDV[i] {
-					newDDV[i] = v
+		if n.inFlightForced {
+			for _, p := range n.pending {
+				if topology.ClusterID(p.Idx) != n.cluster && p.SN > newDDV[p.Idx] {
+					newDDV[p.Idx] = p.SN
 				}
 			}
 		}
@@ -357,21 +283,21 @@ func (n *Node) ackFrom(index int, seq SN, nodeDDV DDV, nodePairs []DDVPair) {
 	for _, i := range n.recvDirty.Indices() {
 		dirty.Add(int(i))
 	}
-	if n.inFlightForced && n.pendingActive {
-		for _, i := range n.pendingDirty.Indices() {
-			if v := n.pendingForce[i]; topology.ClusterID(i) != n.cluster && v > newDDV[i] {
-				newDDV[i] = v
-				dirty.Add(int(i))
+	if n.inFlightForced {
+		for _, p := range n.pending {
+			if topology.ClusterID(p.Idx) != n.cluster && p.SN > newDDV[p.Idx] {
+				newDDV[p.Idx] = p.SN
+				dirty.Add(int(p.Idx))
 			}
 		}
 	}
-	for _, i := range n.ackDirty.Indices() {
-		if v := n.ackAccum[i]; v > newDDV[i] {
-			newDDV[i] = v
-			dirty.Add(int(i))
+	for _, p := range n.acked {
+		if p.SN > newDDV[p.Idx] {
+			newDDV[p.Idx] = p.SN
+			dirty.Add(int(p.Idx))
 		}
 	}
-	n.resetAckAccum()
+	n.acked = n.acked[:0]
 	newDDV[n.cluster] = seq
 	dirty.Add(int(n.cluster))
 	pairs := n.pairScratch[:0]
@@ -389,6 +315,10 @@ func (n *Node) ackFrom(index int, seq SN, nodeDDV DDV, nodePairs []DDVPair) {
 // onCLCCommit finalizes the checkpoint on a participant, in either
 // encoding.
 func (n *Node) onCLCCommit(src topology.NodeID, m CLCCommit) {
+	if !n.vectorFits(m.DDV, m.Pairs) {
+		n.emit(Event{Kind: EventRefuseControl})
+		return
+	}
 	if m.Epoch != n.epoch || n.phase != cpPrepared || m.Seq != n.prepSeq {
 		return
 	}
@@ -422,7 +352,7 @@ func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) 
 			// ack are not in the commit; keep them. Entries the pairs
 			// omit equal the previous base, which this node's DDV
 			// already covers — merging just the pairs is exact.
-			n.ddv.mergePairs(pairs, nil)
+			n.ddv.mergePairs(pairs)
 			n.ddv[n.cluster] = seq
 		} else {
 			// n.ddv equals the previous base outside commit windows, so
@@ -483,20 +413,10 @@ func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) 
 		// every commit re-arms the unforced-CLC delay.
 		n.env.SetTimer(TimerCLC, n.cfg.CLCPeriod)
 		n.recordStoredStat()
-		// Drop the pending force set if this commit satisfied it; a
-		// remaining excess starts the next forced CLC below. Only dirty
-		// indices can hold non-zero entries.
-		if n.pendingActive {
-			still := false
-			for _, i := range n.pendingDirty.Indices() {
-				if n.pendingForce[i] > n.ddv[i] {
-					still = true
-					break
-				}
-			}
-			if !still {
-				n.clearPendingForce()
-			}
+		// Drop the pending force list if this commit satisfied it; a
+		// remaining excess starts the next forced CLC below.
+		if !slices.ContainsFunc(n.pending, func(p DDVPair) bool { return p.SN > n.ddv[p.Idx] }) {
+			n.pending = n.pending[:0]
 		}
 	}
 
@@ -519,10 +439,10 @@ func (n *Node) abortCheckpoint() {
 	n.phase = cpIdle
 	n.provisional = clcRecord{}
 	n.inFlight = false
-	n.clearPendingForce()
+	n.pending = n.pending[:0]
 	n.pendingAlways = false
 	n.ackedDDVs = nil
-	n.resetAckAccum()
+	n.acked = n.acked[:0]
 	n.frozenSends = false
 	n.frozenDelivs = false
 }

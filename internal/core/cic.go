@@ -193,18 +193,25 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 }
 
 // piggyFits reports whether m's piggyback can be merged into this
-// node's DDV: a dense one empty or of the federation's width, a delta
-// one of that width on a node that decodes deltas, and every pair
-// index inside the width.
+// node's DDV: a delta one must be of the federation's width on a node
+// that decodes deltas, and its vector and pairs must fit (vectorFits).
 func (n *Node) piggyFits(m AppMsg) bool {
+	if m.PiggyWidth != 0 && (int(m.PiggyWidth) != n.cfg.Clusters || n.piggyCodecs == nil) {
+		return false
+	}
+	return n.vectorFits(m.PiggyDDV, m.PiggyPairs)
+}
+
+// vectorFits reports whether dependency information a peer sent fits
+// this federation: a dense vector empty or of its width, and every pair
+// index inside that width. Merging anything else would index past this
+// node's vectors.
+func (n *Node) vectorFits(d DDV, pairs []DDVPair) bool {
 	w := n.cfg.Clusters
-	if len(m.PiggyDDV) != 0 && len(m.PiggyDDV) != w {
+	if len(d) != 0 && len(d) != w {
 		return false
 	}
-	if m.PiggyWidth != 0 && (int(m.PiggyWidth) != w || n.piggyCodecs == nil) {
-		return false
-	}
-	for _, p := range m.PiggyPairs {
+	for _, p := range pairs {
 		if p.Idx < 0 || int(p.Idx) >= w {
 			return false
 		}
@@ -262,20 +269,12 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 		// CLC before delivery, useful or not.
 		n.heldInter = append(n.heldInter, inbound{src: src, msg: m, heldAt: n.sn})
 		n.emit(Event{Kind: EventHoldForced})
-		if n.denseWire {
-			target := n.buildForceTarget()
-			if m.SendSN > target[src.Cluster] {
-				target[src.Cluster] = m.SendSN
-			}
-			n.requestForceAlways(target)
-			return
-		}
 		pairs := n.pairScratch[:0]
 		if m.SendSN > n.ddv[src.Cluster] {
 			pairs = append(pairs, DDVPair{Idx: int32(src.Cluster), SN: m.SendSN})
 		}
 		n.pairScratch = pairs
-		n.requestForceAlwaysPairs(pairs)
+		n.requestForce(pairs, true)
 		return
 	case ModeIndependent:
 		// Lazy tracking: remember the dependency locally (merged
@@ -290,11 +289,8 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 		return
 	}
 	// ModeHC3I. Collect the entries of the piggybacked dependency
-	// information that exceed the DDV — as a dense force target (dense
-	// wire) or as sparse pairs (delta wire).
-	var target DDV
+	// information that exceed the DDV: the pairs a forced CLC must raise.
 	var pairs []DDVPair
-	raised := false
 	switch {
 	case n.cfg.Transitive && m.PiggyDDV == nil && m.PiggyWidth == 0:
 		// A held copy of a delta-piggybacked message: only its pinned
@@ -306,64 +302,32 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 			}
 		}
 		n.pairScratch = pairs
-		raised = len(pairs) > 0
 	case n.cfg.Transitive && m.PiggyDDV == nil && m.PiggyWidth > 0:
 		// Delta-encoded transitive piggyback: examine only the entries
 		// that changed since this node's last clean exam of the pipe.
 		pairs = n.examineDeltaPiggy(src.Cluster)
-		raised = len(pairs) > 0
 		// A held copy is re-examined after the forced commit, by which
 		// time the pipe decoder has moved on: pin what this message
 		// carried onto it.
-		n.pinHeld(&m, src, pairs, raised)
+		n.pinHeld(&m, src, pairs)
 	case n.cfg.Transitive && m.PiggyDDV != nil:
 		// Transitive extension (§7), dense vector (dense wire, resends
 		// and replayed deferred/held copies): merge the whole DDV; any
 		// raised entry is a new dependency.
-		for i, v := range m.PiggyDDV {
-			if topology.ClusterID(i) == n.cluster {
-				continue
-			}
-			if v > n.ddv[i] {
-				raised = true
-				if n.denseWire {
-					if target == nil {
-						target = n.buildForceTarget()
-					}
-					target[i] = v
-				} else {
-					if pairs == nil {
-						pairs = n.pairScratch[:0]
-					}
-					pairs = append(pairs, DDVPair{Idx: int32(i), SN: v})
-				}
-			}
-		}
-		if pairs != nil {
-			n.pairScratch = pairs
-		}
+		pairs = raisedPairs(n.pairScratch[:0], m.PiggyDDV, n.ddv, int32(n.cluster))
+		n.pairScratch = pairs
 	case m.SendSN > n.ddv[src.Cluster]:
-		raised = true
-		if n.denseWire {
-			target = n.buildForceTarget()
-			target[src.Cluster] = m.SendSN
-		} else {
-			pairs = append(n.pairScratch[:0], DDVPair{Idx: int32(src.Cluster), SN: m.SendSN})
-			n.pairScratch = pairs
-		}
+		pairs = append(n.pairScratch[:0], DDVPair{Idx: int32(src.Cluster), SN: m.SendSN})
+		n.pairScratch = pairs
 	}
-	if !raised {
+	if len(pairs) == 0 {
 		if n.anchorPending {
 			// First covered delivery since the restore: take the
 			// post-restore anchor CLC first (see Node.anchorPending).
 			n.heldInter = append(n.heldInter, inbound{src: src, msg: m})
 			n.emit(Event{Kind: EventHoldForced})
 			n.emit(Event{Kind: EventPostRestoreAnchor})
-			if n.denseWire {
-				n.requestForceAlways(n.buildForceTarget())
-			} else {
-				n.requestForceAlwaysPairs(n.pairScratch[:0])
-			}
+			n.requestForce(nil, true)
 			return
 		}
 		n.deliverInter(src, m)
@@ -373,11 +337,7 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 	// been stored in the sender's cluster since the last communication"
 	n.heldInter = append(n.heldInter, inbound{src: src, msg: m})
 	n.emit(Event{Kind: EventHoldMsg, Msg: m.Payload.ID, Peer: src, Seq: m.SendSN, DDV: n.ddv})
-	if n.denseWire {
-		n.requestForce(target)
-	} else {
-		n.requestForcePairs(pairs)
-	}
+	n.requestForce(pairs, false)
 }
 
 // pipeCodecTo returns the delta codec of the outbound pipe to cluster
@@ -460,8 +420,8 @@ func (n *Node) examineDeltaPiggy(srcCluster topology.ClusterID) []DDVPair {
 // a pinned one. A node awaiting a remote restore (recoverWait) is the
 // exception: the restore will lower the DDV under its held messages,
 // so they keep the exact dense vector.
-func (n *Node) pinHeld(m *AppMsg, src topology.NodeID, pairs []DDVPair, raised bool) {
-	if !raised && !n.anchorPending {
+func (n *Node) pinHeld(m *AppMsg, src topology.NodeID, pairs []DDVPair) {
+	if len(pairs) == 0 && !n.anchorPending {
 		return // delivered now, never held
 	}
 	m.PiggyPairs, m.PiggyWidth = nil, 0
@@ -469,7 +429,7 @@ func (n *Node) pinHeld(m *AppMsg, src topology.NodeID, pairs []DDVPair, raised b
 		m.PiggyDDV = n.arena.Clone(n.pipeCodecFrom(src.Cluster).Current())
 		return
 	}
-	if !raised {
+	if len(pairs) == 0 {
 		return // the post-restore anchor hold: nothing to re-raise
 	}
 	pin := n.pairArena.Clone(pairs)
@@ -567,7 +527,7 @@ func (n *Node) reexamineHeld() {
 				n.deliverInter(in.src, in.msg)
 			} else {
 				n.heldInter = append(n.heldInter, in)
-				n.requestForceAlways(n.buildForceTarget())
+				n.requestForce(nil, true)
 			}
 			continue
 		}
@@ -626,18 +586,25 @@ func (n *Node) resendLoggedTo(c topology.ClusterID, alertSN SN, newEpoch Epoch) 
 			continue
 		}
 		e.acked = false
-		m := AppMsg{
-			MsgID:      e.msgID,
-			Payload:    e.payload,
-			SrcCluster: n.cluster,
-			SrcEpoch:   n.epoch,
-			SendSN:     e.piggySN,
-			PiggyDDV:   n.densePiggy(e.piggy),
-			Resend:     true,
-			DstEpoch:   newEpoch,
-		}
+		m := n.resendMsg(e, newEpoch)
 		n.emit(Event{Kind: EventResend, Msg: e.payload.ID, Peer: e.dst, Seq: alertSN})
 		n.sendAppMsg(e.dst, m)
+	}
+}
+
+// resendMsg rebuilds a logged message for a resend in this node's
+// epoch, addressed to the receiver cluster's epoch dstEpoch, with its
+// piggyback written out dense.
+func (n *Node) resendMsg(e *logEntry, dstEpoch Epoch) AppMsg {
+	return AppMsg{
+		MsgID:      e.msgID,
+		Payload:    e.payload,
+		SrcCluster: n.cluster,
+		SrcEpoch:   n.epoch,
+		SendSN:     e.piggySN,
+		PiggyDDV:   n.densePiggy(e.piggy),
+		Resend:     true,
+		DstEpoch:   dstEpoch,
 	}
 }
 

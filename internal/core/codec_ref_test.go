@@ -38,8 +38,8 @@ func (c *twoVectorCodec) Decode(pairs []DDVPair) { c.dec.applyPairs(pairs) }
 const maxCodecDepth = 8
 
 // FuzzCodecMatchesTwoVector drives DeltaCodec and the two-vector
-// reference through the same random interleaving of Encode,
-// EncodeBatch and Decode, with 0 to maxCodecDepth deltas in flight,
+// reference through the same random interleaving of Encode runs and
+// Decode runs, with 0 to maxCodecDepth deltas in flight,
 // sender vectors that rise and fall (a rollback lowers entries), and
 // generations that advance, repeat or are absent (0). After every step
 // both must have emitted equal pair lists and hold equal Current().
@@ -72,32 +72,22 @@ func FuzzCodecMatchesTwoVector(f *testing.F) {
 				gen++ // a fresh generation for an unchanged vector
 				g = gen
 			}
-			var got [][]DDVPair
-			if count == 1 && rng.Intn(2) == 0 {
-				got = append(got, cd.Encode(cur, g, &ar, &tmp))
-			} else {
-				got = cd.EncodeBatch(nil, cur, g, count, &ar, &tmp)
-			}
 			for k := 0; k < count; k++ {
+				got := cd.Encode(cur, g, &ar, &tmp)
 				want := ref.Encode(cur, g)
-				comparePairs(t, "Encode", width, got[k], want)
+				comparePairs(t, "Encode", width, got, want)
 				if len(want) > 0 {
-					pipe, refPipe = append(pipe, got[k]), append(refPipe, want)
+					pipe, refPipe = append(pipe, got), append(refPipe, want)
 				}
 			}
 		}
 		for s := 0; s < steps; s++ {
 			switch op := rng.Intn(6); {
 			case op == 0 && len(pipe) > 0, len(pipe) >= maxCodecDepth:
-				k := 1
-				if rng.Intn(2) == 0 {
-					k = rng.Intn(len(pipe)) + 1
-					cd.DecodeBatch(pipe[:k])
-				} else {
-					cd.Decode(pipe[0])
-				}
-				for _, pairs := range refPipe[:k] {
-					ref.Decode(pairs)
+				k := rng.Intn(len(pipe)) + 1
+				for i := range k {
+					cd.Decode(pipe[i])
+					ref.Decode(refPipe[i])
 				}
 				pipe, refPipe = pipe[k:], refPipe[k:]
 			case op <= 2:

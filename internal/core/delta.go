@@ -58,17 +58,34 @@ func (d DDV) applyPairs(pairs []DDVPair) {
 	}
 }
 
-// mergePairs raises d to the element-wise maximum with the pairs and
-// reports into dirty which indices changed. dirty may be nil.
-func (d DDV) mergePairs(pairs []DDVPair, dirty *DirtySet) {
+// mergePairs raises d to the element-wise maximum with the pairs.
+func (d DDV) mergePairs(pairs []DDVPair) {
 	for _, p := range pairs {
 		if p.SN > d[p.Idx] {
 			d[p.Idx] = p.SN
-			if dirty != nil {
-				dirty.Add(int(p.Idx))
-			}
 		}
 	}
+}
+
+// maxMerge raises list, a sparse vector whose absent entries are zero,
+// to the element-wise maximum with pairs, and returns it: each index
+// appears once, at its largest SN, in the order it was first raised.
+// A scan per pair: the lists it builds (forced-CLC demands, prepare
+// acks) hold a few entries.
+func maxMerge(list, pairs []DDVPair) []DDVPair {
+next:
+	for _, p := range pairs {
+		for i := range list {
+			if list[i].Idx == p.Idx {
+				list[i].SN = max(list[i].SN, p.SN)
+				continue next
+			}
+		}
+		if p.SN > 0 {
+			list = append(list, p)
+		}
+	}
+	return list
 }
 
 // diffPairs appends to buf one pair per entry where cur differs from
@@ -337,54 +354,11 @@ func sameSlice(a, b []DDVPair) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
-// EncodeBatch encodes count same-tick messages onto the pipe in one
-// codec pass and appends their pair sets to out (one entry per
-// message, nil for "unchanged"). The sender's vector cannot change
-// between same-tick messages, so only the first member can carry a
-// diff — the batch costs one diff and at most one arena claim, where
-// per-message encoding would re-run the (empty) diff for every member
-// whenever the sender has no generation counter. Byte-equivalent to
-// count sequential Encode calls with the same arguments; FuzzBatchCodec
-// pins the equivalence.
-func (c *DeltaCodec) EncodeBatch(out [][]DDVPair, cur DDV, gen uint64, count int, ar *PairArena, tmp *DDV) [][]DDVPair {
-	if count <= 0 {
-		return out
-	}
-	out = append(out, c.Encode(cur, gen, ar, tmp))
-	for i := 1; i < count; i++ {
-		out = append(out, nil)
-	}
-	// A successful Encode recorded gen; when the sender has no
-	// generation counter (gen 0), the members after the first would
-	// each re-diff against a synced encoder and find nothing —
-	// the loop above skips those no-op passes outright.
-	return out
-}
-
-// DecodeBatch replays a batch of same-pipe messages in FIFO order —
-// one journal entry and version step per non-empty member, exactly as
-// per-message decoding would — and returns the decoder vector after
-// the last member. Callers that need the vector a *specific* member
-// carried (the per-message examination does) still call Decode
-// member-by-member at unpack time; this entry point serves consumers
-// that only need the batch's final vector.
-func (c *DeltaCodec) DecodeBatch(members [][]DDVPair) DDV {
-	for _, pairs := range members {
-		if len(pairs) > 0 {
-			c.Decode(pairs)
-		}
-	}
-	return c.dec
-}
-
 // Current returns the decoder vector: the exact dense vector the
 // message just decoded would have carried. Owned by the codec — valid
 // only until the next Decode on this pipe; callers that defer a
 // message clone it first.
 func (c *DeltaCodec) Current() DDV { return c.dec }
-
-// Version returns the decode version.
-func (c *DeltaCodec) Version() uint64 { return c.ver }
 
 // ResetSeen discards the clean-exam cursor: the next examination
 // rescans the full width. Receiving nodes call it (through

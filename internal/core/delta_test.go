@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -63,18 +64,18 @@ func TestPairArenaCloneIsolation(t *testing.T) {
 }
 
 // TestDeltaMergeOracle drives random sparse merges against the dense
-// Merge oracle: a DDV updated through mergePairs (with dirty tracking)
-// must equal one updated through dense element-wise max, and the dirty
-// set must hold exactly the indices that ever rose.
+// Merge oracle: a DDV updated through mergePairs must equal one updated
+// through dense element-wise max, and the list maxMerge builds from the
+// same pairs must hold exactly that vector's non-zero entries, once
+// each, in the order they first rose.
 func TestDeltaMergeOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		w := 2 + rng.Intn(30)
 		sparse := NewDDV(w)
 		dense := NewDDV(w)
-		var dirty DirtySet
-		dirty.Init(w)
-		rose := make(map[int32]bool)
+		var list []DDVPair
+		var rose []int32
 		for step := 0; step < 50; step++ {
 			np := rng.Intn(4)
 			pairs := make([]DDVPair, 0, np)
@@ -88,22 +89,23 @@ func TestDeltaMergeOracle(t *testing.T) {
 				}
 			}
 			for _, pr := range pairs {
-				if pr.SN > sparse[pr.Idx] {
-					rose[pr.Idx] = true
+				if pr.SN > 0 && sparse[pr.Idx] == 0 && !slices.Contains(rose, pr.Idx) {
+					rose = append(rose, pr.Idx)
 				}
 			}
-			sparse.mergePairs(pairs, &dirty)
+			sparse.mergePairs(pairs)
+			list = maxMerge(list, pairs)
 			dense.Merge(other)
 		}
 		if !sparse.Equal(dense) {
 			t.Fatalf("trial %d: sparse %v != dense %v", trial, sparse, dense)
 		}
-		if dirty.Len() != len(rose) {
-			t.Fatalf("trial %d: dirty %v, want %v", trial, dirty.Indices(), rose)
+		if len(list) != len(rose) {
+			t.Fatalf("trial %d: maxMerge list %v, want indices %v", trial, list, rose)
 		}
-		for _, i := range dirty.Indices() {
-			if !rose[i] {
-				t.Fatalf("trial %d: index %d dirty but never rose", trial, i)
+		for k, p := range list {
+			if p.Idx != rose[k] || p.SN != dense[p.Idx] {
+				t.Fatalf("trial %d: maxMerge list %v, want indices %v at %v", trial, list, rose, dense)
 			}
 		}
 	}

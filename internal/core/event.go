@@ -114,6 +114,7 @@ const (
 	EventRecoverLogEntry
 	EventRereplicate
 	EventMirrorRefuseWidth
+	EventRefuseControl
 	EventResendRecovered
 	EventCascadeSuppressed
 	EventCascade

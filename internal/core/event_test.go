@@ -138,7 +138,7 @@ func TestCLCRoundAllocsPerPeer(t *testing.T) {
 				minSNs := make([]SN, 1)
 				round := func() {
 					if forced {
-						asker.requestForceAlwaysPairs(nil)
+						asker.requestForce(nil, true)
 						bed.pump()
 					} else {
 						bed.commitCLC(0)

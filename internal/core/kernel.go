@@ -63,36 +63,6 @@ func mergeMax(d, o []SN) bool {
 	return changed
 }
 
-// mergeMaxDirty is mergeMax recording every raised index into dirty,
-// the kernel behind the pending-force accumulation: later scans walk
-// the dirty set instead of the full width.
-func mergeMaxDirty(d, o []SN, dirty *DirtySet) bool {
-	changed := false
-	i := 0
-	for ; i+ddvBlock <= len(o); i += ddvBlock {
-		db := (*[ddvBlock]SN)(d[i:])
-		ob := (*[ddvBlock]SN)(o[i:])
-		if *db == *ob {
-			continue
-		}
-		for j := 0; j < ddvBlock; j++ {
-			if ob[j] > db[j] {
-				db[j] = ob[j]
-				dirty.Add(i + j)
-				changed = true
-			}
-		}
-	}
-	for ; i < len(o); i++ {
-		if o[i] > d[i] {
-			d[i] = o[i]
-			dirty.Add(i)
-			changed = true
-		}
-	}
-	return changed
-}
-
 // dominatesSN reports whether d[i] >= o[i] for every entry. Equal
 // blocks dominate trivially and are skipped whole.
 func dominatesSN(d, o []SN) bool {

@@ -114,29 +114,6 @@ func TestKernelsMatchReference(t *testing.T) {
 			if !refEqual(d1, d2) {
 				t.Fatalf("width %d: mergeMax result %v, ref %v", w, d1, d2)
 			}
-
-			d3 := a.Clone()
-			var dirty DirtySet
-			dirty.Init(w)
-			mergeMaxDirty(d3, b, &dirty)
-			if !refEqual(d3, d2) {
-				t.Fatalf("width %d: mergeMaxDirty result %v, ref %v", w, d3, d2)
-			}
-			// The dirty set must hold exactly the raised indices.
-			raised := map[int32]bool{}
-			for i := range a {
-				if b[i] > a[i] {
-					raised[int32(i)] = true
-				}
-			}
-			if len(raised) != dirty.Len() {
-				t.Fatalf("width %d: dirty len %d, want %d", w, dirty.Len(), len(raised))
-			}
-			for _, i := range dirty.Indices() {
-				if !raised[i] {
-					t.Fatalf("width %d: index %d dirty but not raised", w, i)
-				}
-			}
 		}
 	}
 }

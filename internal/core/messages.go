@@ -149,14 +149,14 @@ type CLCCommit struct {
 func (CLCCommit) ProtocolMessage() {}
 
 // ForceCLC asks the cluster leader to initiate a forced CLC because an
-// inter-cluster message raised a DDV entry (§3.2). NewDDV carries the
-// required entries (element-wise max semantics). Always requests an
+// inter-cluster message raised a DDV entry (§3.2). Always requests an
 // unconditional checkpoint even without new entries (ModeForceAll).
 type ForceCLC struct {
 	Epoch Epoch
-	// NewDDV is the dense force target; Pairs/Width the delta form
-	// (raised entries only — the leader's element-wise-max absorb makes
-	// entries at the current DDV value exact no-ops).
+	// Pairs/Width are the delta form: the raised entries only. NewDDV is
+	// the dense form: the demanding node's DDV with those entries
+	// applied. The leader merges either by element-wise max, so entries
+	// at or below its own DDV are exact no-ops.
 	NewDDV DDV
 	Pairs  []DDVPair
 	Width  int

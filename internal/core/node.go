@@ -277,23 +277,15 @@ type Node struct {
 	ackedNodes     []bool // reusable per-index ack flags, reset at startCLC
 	ackedCount     int
 	ackedDDVs      []DDV // node DDVs gathered with acks (dense wire, ModeIndependent)
-	// ackAccum/ackDirty accumulate delta-encoded ack pairs by
-	// element-wise max (order-independent, so merging on arrival equals
-	// the dense path's merge-at-commit); reset at startCLC/abort.
-	// ackAccum is allocated by a leader's first delta ack.
-	ackAccum DDV
-	ackDirty DirtySet
-	// pendingForce accumulates the force targets not yet committed while
-	// pendingActive; the buffer is a leader's for its lifetime (allocated
-	// by the first demand) and all-zero while inactive.
-	pendingForce  DDV
-	pendingActive bool
+	// acked accumulates delta-encoded ack pairs by element-wise max
+	// (maxMerge: order-independent, so merging on arrival equals the
+	// dense path's merge-at-commit); emptied at commit and abort.
+	acked []DDVPair
+	// pending holds the forced-CLC demands not yet committed, one pair
+	// per raised index at its largest SN (maxMerge); emptied once a
+	// commit covers it, and by every rollback and abort.
+	pending       []DDVPair
 	pendingAlways bool // an unconditional force is pending (ModeForceAll)
-	// pendingDirty tracks which pendingForce entries were ever raised,
-	// so the forced-CLC scans iterate O(dirty) instead of O(width), and
-	// clearPendingForce zeroes the buffer through it. Entries outside
-	// the set are zero and can never exceed the DDV.
-	pendingDirty DirtySet
 
 	// ---- queues ----
 	// Drains and rollbacks empty the queues in place (clear + [:0]), so
@@ -394,12 +386,6 @@ type Node struct {
 	gcDemanded    bool       // a memory-pressure demand is outstanding here
 	gcScratch     *gcScratch // the initiator's, allocated by its first round
 
-	// forceScratch is the reusable buffer for building forced-CLC
-	// targets on the dense wire, allocated by its first use. Ownership:
-	// valid only until the next buildForceTarget call on this node;
-	// sendForce clones it before anything escapes the current event
-	// (see cic.go), so it must never be stored.
-	forceScratch DDV
 	// vecScratch is a width-sized scratch, allocated by its first use:
 	// a delta-wire leader raises the vector of the commit it is about to
 	// broadcast in it (ackFrom; only the pairs that differ from
@@ -413,8 +399,7 @@ type Node struct {
 	// pairArena backs every DDVPair slice that escapes on a wire
 	// message, into a stored record or into a shared piggyback;
 	// pairScratch is the reusable build buffer (valid until the next
-	// pair-building call, cloned through pairArena before escaping —
-	// same discipline as forceScratch).
+	// pair-building call, cloned through pairArena before escaping).
 	pairArena   PairArena
 	pairScratch []DDVPair
 	// recvDirty tracks the entries this node raised above commitBase
@@ -518,8 +503,6 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 	n.denseWire = cfg.DenseWire
 	n.ddvGen = 1
 	n.commitBase = NewDDV(cfg.Clusters)
-	n.ackDirty.Init(cfg.Clusters)
-	n.pendingDirty.Init(cfg.Clusters)
 	n.recvDirty.Init(cfg.Clusters)
 	n.commitScratch.Init(cfg.Clusters)
 	n.gcScanDirty.Init(cfg.Clusters)
@@ -916,7 +899,7 @@ func (n *Node) Restart() {
 	n.phase = cpIdle
 	n.provisional = clcRecord{}
 	n.inFlight = false
-	n.clearPendingForce()
+	n.pending = n.pending[:0]
 	n.pendingAlways = false
 	n.ackedDDVs = nil
 	n.frozenSends = false
@@ -943,7 +926,7 @@ func (n *Node) resetDeltaState() {
 	}
 	n.recvDirty.Reset()
 	n.gcScanValid = false
-	n.resetAckAccum()
+	n.acked = n.acked[:0]
 	n.lastPiggyGen = 0
 	n.lastPiggy = SparseDDV{}
 	n.resetPiggyExam()
@@ -954,14 +937,6 @@ func (n *Node) resetPiggyExam() {
 	if n.piggyCodecs != nil {
 		n.piggyCodecs.ResetPiggyExam(n.cluster)
 	}
-}
-
-// resetAckAccum zeroes the delta ack accumulator in O(dirty entries).
-func (n *Node) resetAckAccum() {
-	for _, i := range n.ackDirty.Indices() {
-		n.ackAccum[i] = 0
-	}
-	n.ackDirty.Reset()
 }
 
 // ---- event entry points ----

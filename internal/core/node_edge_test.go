@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -184,6 +185,91 @@ func TestForceCoalescing(t *testing.T) {
 	solo.pump()
 	if forced := solo.stats["clc.committed.c2.forced"]; forced != 2 {
 		t.Fatalf("solo forced = %d, want 2", forced)
+	}
+}
+
+// TestForceDemandWireForms: a member's forced-CLC demands leave its
+// leader with the same pending list on both wires. The member ships
+// the raised pairs on the delta wire, and its DDV with the pairs
+// applied on the dense one; the leader, busy with a 2PC, keeps each
+// index once at its largest SN, in first-raise order, and leaves out a
+// dense demand's entries at or below its own DDV. A force-all member's
+// re-demand for a held message names no entry, and on the delta wire
+// carries no dense vector either.
+func TestForceDemandWireForms(t *testing.T) {
+	demands := [][]DDVPair{
+		{{Idx: 3, SN: 2}},
+		{{Idx: 1, SN: 5}},
+		{{Idx: 1, SN: 7}, {Idx: 3, SN: 4}},
+		{{Idx: 1, SN: 6}, {Idx: 3, SN: 1}},
+	}
+	want := []DDVPair{{Idx: 3, SN: 4}, {Idx: 1, SN: 7}}
+	isForce := func(m sentMsg) bool { _, ok := m.msg.(*Box[ForceCLC]); return ok }
+	lastForce := func(b *testbed) ForceCLC {
+		m := b.queue[len(b.queue)-1]
+		if !isForce(m) {
+			t.Fatalf("last message sent is %T, not a ForceCLC", m.msg)
+		}
+		return m.msg.(*Box[ForceCLC]).M
+	}
+	for _, dense := range []bool{false, true} {
+		b := newTestbedWire(t, []int{2, 1, 1, 1}, 1, false, false, dense)
+		leader, member, c2 := b.node(0, 0), b.node(0, 1), b.node(2, 0)
+		// c0 depends on c2: entry 2 is non-zero on both nodes of c0.
+		b.commitCLC(2)
+		c2.Send(member.ID(), payload(c2.ID(), 1))
+		b.pump()
+		if leader.ddv[2] == 0 || member.ddv[2] != leader.ddv[2] {
+			t.Fatalf("dense=%v: entry 2 is %d at the leader, %d at the member", dense, leader.ddv[2], member.ddv[2])
+		}
+
+		// An unforced 2PC stays open: the demands wait at the leader.
+		b.withhold = func(m sentMsg) bool { return !isForce(m) }
+		leader.OnTimer(TimerCLC)
+		for _, d := range demands {
+			member.requestForce(d, false)
+			got := lastForce(b)
+			if dense {
+				target := member.ddv.Clone()
+				target.applyPairs(d)
+				if !got.NewDDV.Equal(target) || got.Pairs != nil {
+					t.Fatalf("dense demand %v went out as %+v, want NewDDV %v", d, got, target)
+				}
+			} else if got.NewDDV != nil || !slices.Equal(got.Pairs, d) || got.Width != 4 {
+				t.Fatalf("delta demand %v went out as %+v", d, got)
+			}
+			b.pump()
+		}
+		if !slices.Equal(leader.pending, want) {
+			t.Fatalf("dense=%v: pending %v, want %v", dense, leader.pending, want)
+		}
+		b.release()
+		b.pump()
+		for _, n := range []*Node{leader, member} {
+			if n.ddv[1] != 7 || n.ddv[3] != 4 {
+				t.Fatalf("dense=%v: %v committed %v, want entries 1 and 3 at 7 and 4", dense, n.ID(), n.ddv)
+			}
+		}
+		if len(leader.pending) != 0 {
+			t.Fatalf("dense=%v: pending %v survives the commit that covers it", dense, leader.pending)
+		}
+
+		fa := newTestbedWire(t, []int{2, 1}, 1, false, false, dense)
+		for _, n := range fa.nodes {
+			n.cfg.Mode = ModeForceAll
+		}
+		member, src := fa.node(0, 1), fa.node(1, 0)
+		held := AppMsg{MsgID: 1, Payload: payload(src.ID(), 1), SrcCluster: 1, SendSN: 1}
+		member.heldInter = append(member.heldInter, inbound{src: src.ID(), msg: held, heldAt: member.sn})
+		member.reexamineHeld()
+		got := lastForce(fa)
+		if !got.Always || got.Pairs != nil || dense != (got.NewDDV != nil) || dense && !got.NewDDV.Equal(member.ddv) {
+			t.Fatalf("dense=%v: force-all re-demand went out as %+v", dense, got)
+		}
+		fa.pump()
+		if n := len(fa.app(0, 1).delivered); n != 1 {
+			t.Fatalf("dense=%v: %d held messages delivered after the re-demanded CLC, want 1", dense, n)
+		}
 	}
 }
 

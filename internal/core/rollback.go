@@ -160,7 +160,7 @@ func (n *Node) restoreVector(idx int, sn SN) {
 	n.commitBase.CopyFrom(n.ddv)
 	n.recvDirty.Reset()
 	n.gcScanValid = false
-	n.resetAckAccum()
+	n.acked = n.acked[:0]
 	n.ddvChanged()
 	n.resetPiggyExam()
 }
@@ -493,20 +493,11 @@ func (n *Node) resumeAfterRollback() {
 		if e.acked {
 			continue
 		}
-		m := AppMsg{
-			MsgID:      e.msgID,
-			Payload:    e.payload,
-			SrcCluster: n.cluster,
-			SrcEpoch:   n.epoch,
-			SendSN:     e.piggySN,
-			PiggyDDV:   n.densePiggy(e.piggy),
-			Resend:     true,
-			// Target the receiver cluster's newest known epoch: if its
-			// own rollback command is still in flight (it can queue
-			// behind bulk state transfers), the receiver defers this
-			// copy instead of consuming it in the doomed state.
-			DstEpoch: n.epochs.known(e.dstCluster),
-		}
+		// Target the receiver cluster's newest known epoch: if its own
+		// rollback command is still in flight (it can queue behind bulk
+		// state transfers), the receiver defers this copy instead of
+		// consuming it in the doomed state.
+		m := n.resendMsg(e, n.epochs.known(e.dstCluster))
 		n.emit(Event{Kind: EventResendRecovered})
 		n.env.SendApp(e.dst, m.WireSize(), m)
 	}
@@ -521,6 +512,10 @@ func (n *Node) resumeAfterRollback() {
 // node): update the known epoch, resend qualifying logged messages and
 // — at the leader — decide whether this cluster must roll back too.
 func (n *Node) onRollbackAlert(src topology.NodeID, m RollbackAlert) {
+	if m.Cluster < 0 || int(m.Cluster) >= n.cfg.Clusters {
+		n.emit(Event{Kind: EventRefuseControl})
+		return
+	}
 	if m.Cluster == n.cluster {
 		return // echo of our own alert; impossible in practice
 	}

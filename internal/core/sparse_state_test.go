@@ -124,8 +124,9 @@ func (nullEnv) SetTimer(TimerKind, sim.Duration)  {}
 
 // TestNewNodeAllocatesThreeVectors: a node of a 1024-cluster federation
 // starts with three width-sized vectors (its DDV, the commit base and
-// the chain anchor) and small change. Epochs, force targets, ack
-// accumulators and dirty marks cost nothing width-sized until used.
+// the chain anchor) and small change. Epochs and dirty marks cost
+// nothing width-sized until used; forced-CLC demands and prepare acks
+// never do.
 func TestNewNodeAllocatesThreeVectors(t *testing.T) {
 	const width = 1024
 	sizes := make([]int, width)

@@ -72,6 +72,7 @@ var statDefs = [NumEventKinds]struct {
 	EventRecoverLogEntry:   {"log.recovered_entries", StatCount, false},
 	EventRereplicate:       {"storage.rereplicated", StatCount, false},
 	EventMirrorRefuseWidth: {"log.mirror_refused_width", StatCount, false},
+	EventRefuseControl:     {"ctl.refused_width", StatCount, false},
 	EventResendRecovered:   {"log.resent_after_recovery", StatCount, false},
 	EventCascadeSuppressed: {"rollback.cascade_suppressed", StatCount, false},
 	EventCascade:           {"rollback.cascaded", StatCount, false},

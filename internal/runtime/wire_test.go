@@ -407,7 +407,8 @@ func FuzzEnvelopeCodec(f *testing.F) {
 		}
 		f.Add(body)
 	}
-	for _, m := range []core.Msg{hostileReport(hostileAnchors["descending indices"]), hostileMirror(hostileAnchors["index past the width"]), hostileAppMsg()} {
+	seeds := []core.Msg{hostileReport(hostileAnchors["descending indices"]), hostileMirror(hostileAnchors["index past the width"]), hostileAppMsg()}
+	for _, m := range append(seeds, hostileControl()...) {
 		body, err := appendEnvelope(nil, Envelope{Msg: m})
 		if err != nil {
 			f.Fatal(err)
@@ -436,12 +437,33 @@ func FuzzEnvelopeCodec(f *testing.F) {
 		if !reflect.DeepEqual(back, env) {
 			t.Fatalf("re-encode changed the envelope:\n got %+v\nwant %+v", back, env)
 		}
-		if m, ok := env.Msg.(core.AppMsg); ok {
-			// Whatever the peer piggybacked, the receiving node refuses
-			// or handles it; it does not panic.
-			receiver().OnMessage(nid(1, 0), m)
+		switch env.Msg.(type) {
+		case Hello, StreamOpen, StreamAck:
+			return // the transport's own, never a node's
 		}
+		// Whatever the peer sent, a leader and a member of the receiving
+		// cluster refuse or handle it; neither panics.
+		receiver(nid(0, 0)).OnMessage(nid(1, 0), env.Msg)
+		receiver(nid(0, 1)).OnMessage(nid(1, 0), env.Msg)
 	})
+}
+
+// hostileControl are control messages that name a cluster outside
+// receiver's two-cluster federation: pair indices past the width, dense
+// vectors of another width, alerts from clusters 9 and -1.
+func hostileControl() []core.Msg {
+	far := []core.DDVPair{{Idx: 7, SN: 1}}
+	wide := core.DDV{1, 1, 5}
+	return []core.Msg{
+		core.ForceCLC{Pairs: far, Width: 2},
+		core.ForceCLC{NewDDV: wide, Always: true},
+		core.RollbackAlert{Cluster: 9, NewSN: 1, NewEpoch: 1},
+		core.RollbackAlert{Cluster: -1, NewSN: 1, NewEpoch: 1},
+		core.CLCCommit{Seq: 1, Pairs: far, Width: 2},
+		core.CLCCommit{Seq: 1, DDV: wide},
+		core.CLCAck{Seq: 1, NodePairs: far},
+		core.CLCAck{Seq: 1, NodeDDV: wide},
+	}
 }
 
 // hostileAppMsg is an inter-cluster message whose dense piggyback is
@@ -452,10 +474,10 @@ func hostileAppMsg() core.AppMsg {
 		SrcCluster: 1, SendSN: 2, PiggyDDV: core.DDV{1, 1, 5}, PiggyPairs: []core.DDVPair{{Idx: -1, SN: 1}}}
 }
 
-// receiver is a fresh node c0n0 of a transitive federation of two
-// 2-node clusters, on the dense wire as a daemon's node is.
-func receiver() *core.Node {
-	return core.NewNode(core.Config{ID: nid(0, 0), Clusters: 2, ClusterSizes: []int{2, 2},
+// receiver is a fresh node id of a transitive federation of two 2-node
+// clusters, on the dense wire as a daemon's node is.
+func receiver(id topology.NodeID) *core.Node {
+	return core.NewNode(core.Config{ID: id, Clusters: 2, ClusterSizes: []int{2, 2},
 		CLCPeriod: sim.Second, GCPeriod: sim.Forever, Replicas: 1, Transitive: true}, nullEnv{}, nullApp{})
 }
 
