@@ -181,10 +181,16 @@
 //   - A stored CLC costs its commit's pairs, not a vector: the stored
 //     history of a node is one core.Chain (next section), so a commit
 //     copies no width-sized vector on any node.
-//   - Wire messages travel in pooled boxes: the harness implements
-//     core.BoxPool (AppMsg/AppAck) and reclaims boxes right after the
-//     destination's OnMessage returns. BenchmarkNodeOnMessage runs at
-//     0 allocs/op end to end.
+//   - Wire messages travel in pooled boxes: the simulator and the live
+//     runtime implement core.BoxPool (AppMsg/AppAck). The simulator
+//     reclaims a box right after the destination's OnMessage returns.
+//     The live runtime keeps one sync.Pool per type: over TCP the
+//     sender's box goes back when its frame leaves the send window for
+//     good (acknowledged or given up, never earlier, since a broken
+//     connection is resent from the window), and the box the decoder
+//     fills goes back after the receiving node's OnMessage returns;
+//     over ChanTransport the sender's box is delivered and goes back
+//     there. BenchmarkNodeOnMessage runs at 0 allocs/op end to end.
 //   - The checkpoint round's control messages (CLCRequest, CLCAck,
 //     CLCCommit, ForceCLC, Replica, ReplicaAck, LogMirror) travel in
 //     core.Box[T], as the baseline protocols' wire envelopes do
@@ -196,9 +202,9 @@
 //     box per delivery, so a broadcast or a Replica to several holders
 //     takes a box per destination, its size computed once from the
 //     value. Boxing is opt-in (core.BoxReclaimer, the harness's promise
-//     to reclaim): the simulator opts in, the live runtime sends plain
-//     values, so its wire codec and journal see exactly the value
-//     types. Chaos duplicates only copies, never a box. A broadcast of
+//     to reclaim): the simulator opts in, the live runtime sends these
+//     as plain values, so its wire codec and journal see exactly their
+//     value types. Chaos duplicates only copies, never a box. A broadcast of
 //     a type that is not boxed (GCDrop, the rollback messages) boxes
 //     its value into core.Msg once and hands every peer that interface
 //     value.

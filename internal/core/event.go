@@ -115,6 +115,7 @@ const (
 	EventRereplicate
 	EventMirrorRefuseWidth
 	EventRefuseControl
+	EventRefuseRollback
 	EventResendRecovered
 	EventCascadeSuppressed
 	EventCascade

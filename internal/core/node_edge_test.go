@@ -500,3 +500,62 @@ func TestRandomizedProtocolStress(t *testing.T) {
 		}
 	}
 }
+
+// TestRollbackRefusesMissingCheckpoint: a RollbackCmd naming a
+// checkpoint the node does not hold, and a RecoverStateResp whose chain
+// lacks the awaited one or whose state is of another width, are refused
+// and counted before they change anything. The recovering node keeps waiting, and a holder's real
+// answer still completes its recovery.
+func TestRollbackRefusesMissingCheckpoint(t *testing.T) {
+	b := newTestbed(t, []int{3}, 1, false)
+	b.commitCLC(0) // SN 2: records 1 and 2
+	leader, member, holder := b.node(0, 0), b.node(0, 1), b.node(0, 2)
+
+	sn, stored, epoch := member.SN(), member.StoredCount(), member.epoch
+	member.OnMessage(leader.ID(), RollbackCmd{ToSN: 7, NewEpoch: epoch + 1})
+	if member.SN() != sn || member.StoredCount() != stored || member.epoch != epoch || len(b.queue) != 0 {
+		t.Fatalf("a refused command changed the node: sn %d->%d, stored %d->%d, epoch %d->%d, %d sends",
+			sn, member.SN(), stored, member.StoredCount(), epoch, member.epoch, len(b.queue))
+	}
+	if got := b.stats["ctl.refused_rollback"]; got != 1 {
+		t.Fatalf("ctl.refused_rollback = %d after the command, want 1", got)
+	}
+
+	// Restarted, the member asks the holders for checkpoint 2's state.
+	member.Fail()
+	member.Restart()
+	member.OnMessage(leader.ID(), RollbackCmd{ToSN: 2, NewEpoch: epoch + 1})
+	if member.recoverWait == nil || len(b.queue) == 0 {
+		t.Fatal("the restarted member did not ask for its state")
+	}
+	asked := b.queue
+	b.queue = nil
+	anchor := SparseDDV{Width: 1, Pairs: []DDVPair{{Idx: 0, SN: 1}}}
+	for i, c := range []struct {
+		name  string
+		chain Chain
+		log   []LogMirror
+	}{
+		{"no checkpoint 2", Chain{Anchor: anchor, Recs: []ChainRec{{SN: 1}}}, nil},
+		{"a 5-wide anchor", Chain{Anchor: SparseDDV{Width: 5, Pairs: []DDVPair{{Idx: 4, SN: 1}}}, Recs: []ChainRec{{SN: 1}, {SN: 2}}}, nil},
+		{"a pair past the width", Chain{Anchor: anchor, Recs: []ChainRec{{SN: 1}, {SN: 2, Pairs: []DDVPair{{Idx: 9, SN: 3}}}}}, nil},
+		{"a 3-wide mirrored piggyback", Chain{Anchor: anchor, Recs: []ChainRec{{SN: 1}, {SN: 2}}},
+			[]LogMirror{{Owner: member.ID(), MsgID: 1, Piggy: SparseDDV{Width: 3}}}},
+	} {
+		member.OnMessage(holder.ID(), RecoverStateResp{Seq: 2, Epoch: epoch + 1, Owner: member.ID(),
+			State: mockState{}, Chain: c.chain, Log: c.log})
+		if !member.LostState() || member.recoverWait == nil || member.StoredCount() != 0 || len(b.queue) != 0 {
+			t.Fatalf("%s: a refused response changed the node: lost %v, waiting %v, stored %d, %d sends",
+				c.name, member.LostState(), member.recoverWait != nil, member.StoredCount(), len(b.queue))
+		}
+		if got, want := b.stats["ctl.refused_rollback"], uint64(i+2); got != want {
+			t.Fatalf("%s: ctl.refused_rollback = %d, want %d", c.name, got, want)
+		}
+	}
+
+	b.queue = asked
+	b.pump()
+	if member.LostState() || member.SN() != 2 || member.epoch != epoch+1 {
+		t.Fatalf("recovery did not complete: lost %v, sn %d, epoch %d", member.LostState(), member.SN(), member.epoch)
+	}
+}

@@ -185,6 +185,12 @@ func (n *Node) onRollbackCmd(src topology.NodeID, m RollbackCmd) {
 	if m.NewEpoch <= n.epoch {
 		return // stale duplicate
 	}
+	if n.chain.Index(m.ToSN) < 0 {
+		// A command naming a checkpoint this node does not hold cannot
+		// be obeyed: refuse it before anything changes.
+		n.emit(Event{Kind: EventRefuseRollback})
+		return
+	}
 	if n.rbActive && m.NewEpoch > n.rbEpoch {
 		// A newer rollback supersedes the one we were coordinating.
 		n.rbActive = false
@@ -239,11 +245,39 @@ func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
 	n.env.Send(src, controlSize(resp), resp)
 }
 
+// recoveryFits reports whether a recovery response fits this
+// federation: the chain's anchor of its width, every record's pairs
+// inside it (vectorFits), and every mirrored send's piggyback empty or
+// of its width, as onLogMirror demands.
+func (n *Node) recoveryFits(m RecoverStateResp) bool {
+	if m.Chain.Anchor.Width != n.cfg.Clusters {
+		return false
+	}
+	for _, r := range m.Chain.Recs {
+		if !n.vectorFits(nil, r.Pairs) {
+			return false
+		}
+	}
+	for _, l := range m.Log {
+		if w := l.Piggy.Width; w != 0 && w != n.cfg.Clusters {
+			return false
+		}
+	}
+	return true
+}
+
 // onRecoverStateResp completes a restarted node's recovery: adopt the
 // holder's chain as the checkpoint list (local states stay remote on
 // the neighbour), restore the fetched state and ack the rollback.
 func (n *Node) onRecoverStateResp(src topology.NodeID, m RecoverStateResp) {
 	if n.recoverWait == nil || m.Seq != n.recoverWait.cmd.ToSN {
+		return
+	}
+	if m.Chain.Index(m.Seq) < 0 || !n.recoveryFits(m) {
+		// A chain without the target, or state of another federation's
+		// width, cannot be restored: refuse it before anything changes,
+		// and wait for another holder.
+		n.emit(Event{Kind: EventRefuseRollback})
 		return
 	}
 	pend := *n.recoverWait

@@ -260,10 +260,17 @@ type Env interface {
 // their free list, where the checkpoint round's control messages travel
 // in sender-owned Boxes instead (see BoxReclaimer). Ownership contract:
 // a box obtained here is filled and passed to exactly one Send/SendApp
-// call; the harness reclaims it after the destination's OnMessage
-// returns (receivers copy anything they keep, never the box).
-// Environments that do not implement BoxPool (e.g. the live runtime)
-// get plain value messages.
+// call; the harness takes it back once nothing reads it, never before
+// the destination's OnMessage returns (receivers copy anything they
+// keep, never the box). The simulator reclaims it right after that
+// OnMessage. The live runtime pools AppMsg and AppAck, one sync.Pool
+// per type: over TCP the sender's box goes back when its frame leaves
+// the send window for good (acknowledged or given up, never earlier:
+// a broken connection is resent from the window), and the box the
+// decoder fills goes back after the receiving node's OnMessage
+// returns; over in-process channels the sender's box is the one
+// delivered, and it goes back there. Environments that do not
+// implement BoxPool get plain value messages.
 type BoxPool interface {
 	AppMsgBox() *AppMsg
 	AppAckBox() *AppAck

@@ -140,7 +140,8 @@ func (s *liveStats) value(name string) uint64 {
 	return s.counters[name]
 }
 
-// liveEnv adapts the live federation to core.Env for one node.
+// liveEnv adapts the live federation to core.Env for one node. It also
+// implements core.BoxPool (see boxes.go).
 type liveEnv struct{ n *liveNode }
 
 func (e liveEnv) Now() sim.Time { return sim.Time(time.Since(e.n.fed.start)) }
@@ -151,7 +152,7 @@ func (e liveEnv) Send(dst topology.NodeID, size int, msg core.Msg) {
 		// the offline artifact that shows *why* a run did what it did,
 		// and the hook the chaos harness uses to aim its SIGKILLs.
 		switch msg.(type) {
-		case core.AppMsg, core.AppAck, core.LogMirror, core.LogTrim:
+		case *core.AppMsg, *core.AppAck, core.AppMsg, core.AppAck, core.LogMirror, core.LogTrim:
 		default:
 			j.Event(oracle.Event{Node: e.n.id.String(), Kind: "send",
 				Dst: dst.String(), Msg: msgName(msg)})
@@ -543,6 +544,7 @@ func (n *liveNode) loop() {
 			switch e.kind {
 			case 0:
 				n.node.OnMessage(e.src, e.msg)
+				reclaim(e.msg)
 			case 1:
 				n.node.OnTimer(e.timer)
 			case 2:

@@ -59,7 +59,9 @@ type Transport interface {
 	Register(id topology.NodeID, deliver func(Envelope)) error
 	// Send transmits an envelope (asynchronously). An error reports a
 	// message that was definitely not sent (unknown destination, full
-	// queue); nil means "accepted", not "delivered".
+	// queue); nil means "accepted", not "delivered". An accepted pooled
+	// box (*core.AppMsg, *core.AppAck) is the transport's: the sender
+	// must not touch it again (see boxes.go).
 	Send(env Envelope) error
 	// SetDown cuts a node off (fail-stop): traffic from and to it is
 	// dropped.
@@ -710,9 +712,11 @@ func (ps *peerSender) run() {
 func (ps *peerSender) at(i int) *timedEnv { return &ps.win[(ps.head+i)%len(ps.win)] }
 
 // popFront removes the window's first k frames without renumbering:
-// the frames behind them take their numbers.
+// the frames behind them take their numbers. A frame leaves the window
+// only for good, so its pooled box goes back here (see boxes.go).
 func (ps *peerSender) popFront(k int) {
 	for ; k > 0; k-- {
+		reclaim(ps.at(0).env.Msg)
 		*ps.at(0) = timedEnv{}
 		ps.head = (ps.head + 1) % len(ps.win)
 		ps.n--
@@ -730,6 +734,7 @@ func (ps *peerSender) release(k int) {
 // truncate releases every frame from the window's i-th on.
 func (ps *peerSender) truncate(i int) {
 	for ; ps.n > i; ps.n-- {
+		reclaim(ps.at(ps.n - 1).env.Msg)
 		*ps.at(ps.n - 1) = timedEnv{}
 	}
 }
@@ -751,6 +756,7 @@ func (ps *peerSender) unsent() bool {
 func (ps *peerSender) admit(te timedEnv, now time.Time) {
 	if now.After(te.at.Add(ps.t.cfg.SendDeadline)) {
 		ps.t.stat("transport.dropped", 1)
+		reclaim(te.env.Msg)
 		return
 	}
 	*ps.at(ps.n) = te
@@ -797,7 +803,8 @@ func (ps *peerSender) discard() {
 	}
 	for {
 		select {
-		case <-ps.ch:
+		case te := <-ps.ch:
+			reclaim(te.env.Msg)
 		default:
 			return
 		}
@@ -891,8 +898,9 @@ func (ps *peerSender) encode() {
 		if err != nil {
 			ps.t.stat("transport.send_errors", 1)
 			ps.t.stat("transport.dropped", 1)
+			// Move the refused frame to the end, then truncate it.
 			for j := i; j+1 < ps.n; j++ {
-				*ps.at(j) = *ps.at(j + 1)
+				*ps.at(j), *ps.at(j + 1) = *ps.at(j + 1), *ps.at(j)
 			}
 			ps.truncate(ps.n - 1)
 			continue

@@ -72,7 +72,7 @@ func TestTCPTransportPeerRestart(t *testing.T) {
 	send := func(id uint64) {
 		// Queue acceptance never fails here; delivery is what the
 		// collectors assert.
-		if err := sender.Send(Envelope{Src: a(), Dst: bN(), Msg: core.AppMsg{MsgID: id}}); err != nil {
+		if err := sender.Send(Envelope{Src: a(), Dst: bN(), Msg: boxedMsg(id)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,9 +114,9 @@ func TestTCPTransportPeerRestart(t *testing.T) {
 	}
 	waitFor(t, func() bool { return len(got2()) == 100 })
 	for i, env := range got2() {
-		if want := uint64(61 + i); env.Msg.(core.AppMsg).MsgID != want {
+		if want := uint64(61 + i); env.Msg.(*core.AppMsg).MsgID != want {
 			t.Fatalf("FIFO violated after reconnect at %d: got %d want %d",
-				i, env.Msg.(core.AppMsg).MsgID, want)
+				i, env.Msg.(*core.AppMsg).MsgID, want)
 		}
 	}
 }
@@ -169,7 +169,7 @@ func TestTCPTransportTornFrame(t *testing.T) {
 
 		// The listener must still accept and decode fresh connections.
 		next++
-		if err := tr.Send(Envelope{Src: a(), Dst: bN(), Msg: core.AppAck{MsgID: next}}); err != nil {
+		if err := tr.Send(Envelope{Src: a(), Dst: bN(), Msg: boxedAck(next)}); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, func() bool {
@@ -177,7 +177,7 @@ func TestTCPTransportTornFrame(t *testing.T) {
 			defer mu.Unlock()
 			return len(got) == int(next)
 		})
-		if m := got[next-1].Msg.(core.AppAck); m.MsgID != next {
+		if m := got[next-1].Msg.(*core.AppAck); m.MsgID != next {
 			t.Fatalf("%s: wrong message after the attack: %+v", name, m)
 		}
 	}

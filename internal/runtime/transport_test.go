@@ -30,6 +30,20 @@ func collect(t Transport, id topology.NodeID) func() []Envelope {
 	}
 }
 
+// boxedMsg and boxedAck return pooled boxes carrying id: the forms a
+// live node sends (see boxes.go).
+func boxedMsg(id uint64) *core.AppMsg {
+	m := appMsgBoxes.Get().(*core.AppMsg)
+	m.MsgID = id
+	return m
+}
+
+func boxedAck(id uint64) *core.AppAck {
+	m := appAckBoxes.Get().(*core.AppAck)
+	m.MsgID = id
+	return m
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -48,14 +62,13 @@ func testTransportFIFO(t *testing.T, tr Transport) {
 	tr.Register(a(), func(Envelope) {})
 	const n = 200
 	for i := 0; i < n; i++ {
-		msg := core.AppMsg{MsgID: uint64(i + 1)}
-		if err := tr.Send(Envelope{Src: a(), Dst: bN(), Msg: msg}); err != nil {
+		if err := tr.Send(Envelope{Src: a(), Dst: bN(), Msg: boxedMsg(uint64(i + 1))}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitFor(t, func() bool { return len(got()) == n })
 	for i, env := range got() {
-		if env.Msg.(core.AppMsg).MsgID != uint64(i+1) {
+		if env.Msg.(*core.AppMsg).MsgID != uint64(i+1) {
 			t.Fatalf("FIFO violated at %d: %+v", i, env.Msg)
 		}
 		if env.Src != a() {
@@ -74,21 +87,21 @@ func testTransportDown(t *testing.T, tr Transport) {
 	tr.Register(a(), func(Envelope) {})
 
 	tr.SetDown(bN(), true)
-	_ = tr.Send(Envelope{Src: a(), Dst: bN(), Msg: core.AppAck{MsgID: 1}})
+	_ = tr.Send(Envelope{Src: a(), Dst: bN(), Msg: boxedAck(1)})
 	time.Sleep(20 * time.Millisecond)
 	if len(got()) != 0 {
 		t.Fatal("delivered to a down node")
 	}
 	tr.SetDown(bN(), false)
-	_ = tr.Send(Envelope{Src: a(), Dst: bN(), Msg: core.AppAck{MsgID: 2}})
+	_ = tr.Send(Envelope{Src: a(), Dst: bN(), Msg: boxedAck(2)})
 	waitFor(t, func() bool { return len(got()) == 1 })
-	if got()[0].Msg.(core.AppAck).MsgID != 2 {
+	if got()[0].Msg.(*core.AppAck).MsgID != 2 {
 		t.Fatal("wrong message after repair")
 	}
 
 	// A down *source* is muted too.
 	tr.SetDown(a(), true)
-	_ = tr.Send(Envelope{Src: a(), Dst: bN(), Msg: core.AppAck{MsgID: 3}})
+	_ = tr.Send(Envelope{Src: a(), Dst: bN(), Msg: boxedAck(3)})
 	time.Sleep(20 * time.Millisecond)
 	if len(got()) != 1 {
 		t.Fatal("down source delivered")

@@ -43,7 +43,8 @@ import (
 // anything is allocated, and an unknown tag, an out-of-range value or
 // trailing bytes are errors too. A sparse vector whose width exceeds
 // maxWidth, that holds more pairs than its width, or whose pairs are
-// out of range, zero, repeated or descending is refused. An empty slice
+// out of range, zero, repeated or descending is refused, and so is a
+// chain whose records are not strictly increasing in SN. An empty slice
 // or map decodes as nil.
 // Decoded messages never alias the frame they were read from.
 const (
@@ -55,7 +56,9 @@ const (
 	// wireVersion 5: a chain's anchor is its width and its non-zero
 	// entries, not a dense vector.
 	// wireVersion 6: a LogMirror's piggyback is a sparse vector too.
-	wireVersion = 6
+	// wireVersion 7: the pooled forms of AppMsg and AppAck have tags of
+	// their own, so each decodes in the form it was sent.
+	wireVersion = 7
 	// maxFrame caps one frame's body.
 	maxFrame = 64 << 20
 	// maxWidth caps a decoded sparse vector's width: a width costs no
@@ -93,6 +96,12 @@ const (
 	tagHello
 	tagStreamOpen
 	tagStreamAck
+	// The pooled forms, *core.AppMsg and *core.AppAck: the fields are
+	// those of the value forms, and the decoder hands them back in boxes
+	// from the live runtime's pools (see boxes.go). A live node sends
+	// these; the value forms stay for whoever sends values.
+	tagAppMsgBox
+	tagAppAckBox
 	numTags
 )
 
@@ -109,12 +118,21 @@ var msgNames = [numTags]string{
 	tagGCReport: "GCReport", tagGCCollect: "GCCollect", tagGCDrop: "GCDrop",
 	tagGCDemand: "GCDemand", tagGCToken: "GCToken", tagHello: "Hello",
 	tagStreamOpen: "StreamOpen", tagStreamAck: "StreamAck",
+	tagAppMsgBox: "AppMsg", tagAppAckBox: "AppAck",
 }
 
 // msgTag returns the wire tag of a message, 0 for a type the codec
 // does not carry.
 func msgTag(m core.Msg) byte {
-	switch m.(type) {
+	switch m := m.(type) {
+	case *core.AppMsg:
+		if m != nil {
+			return tagAppMsgBox
+		}
+	case *core.AppAck:
+		if m != nil {
+			return tagAppAckBox
+		}
 	case core.AppMsg:
 		return tagAppMsg
 	case core.AppAck:
@@ -202,24 +220,14 @@ func appendEnvelope(b []byte, env Envelope) ([]byte, error) {
 	tag := msgTag(env.Msg)
 	w.b = append(w.b, tag)
 	switch tag {
+	case tagAppMsgBox:
+		w.appMsg(*env.Msg.(*core.AppMsg))
 	case tagAppMsg:
-		m := env.Msg.(core.AppMsg)
-		w.uint(m.MsgID)
-		w.payload(m.Payload)
-		w.int(int64(m.SrcCluster))
-		w.uint(uint64(m.SrcEpoch))
-		w.uint(uint64(m.SendSN))
-		w.sns(m.PiggyDDV)
-		w.pairs(m.PiggyPairs)
-		w.int(int64(m.PiggyWidth))
-		w.bool(m.Resend)
-		w.uint(uint64(m.DstEpoch))
+		w.appMsg(env.Msg.(core.AppMsg))
+	case tagAppAckBox:
+		w.appAck(*env.Msg.(*core.AppAck))
 	case tagAppAck:
-		m := env.Msg.(core.AppAck)
-		w.uint(m.MsgID)
-		w.int(int64(m.SrcCluster))
-		w.uint(uint64(m.SrcEpoch))
-		w.uint(uint64(m.ReceiverSN))
+		w.appAck(env.Msg.(core.AppAck))
 	case tagCLCRequest:
 		m := env.Msg.(core.CLCRequest)
 		w.uint(uint64(m.Seq))
@@ -457,6 +465,26 @@ func (w *encoder) state(s any) {
 	}
 }
 
+func (w *encoder) appMsg(m core.AppMsg) {
+	w.uint(m.MsgID)
+	w.payload(m.Payload)
+	w.int(int64(m.SrcCluster))
+	w.uint(uint64(m.SrcEpoch))
+	w.uint(uint64(m.SendSN))
+	w.sns(m.PiggyDDV)
+	w.pairs(m.PiggyPairs)
+	w.int(int64(m.PiggyWidth))
+	w.bool(m.Resend)
+	w.uint(uint64(m.DstEpoch))
+}
+
+func (w *encoder) appAck(m core.AppAck) {
+	w.uint(m.MsgID)
+	w.int(int64(m.SrcCluster))
+	w.uint(uint64(m.SrcEpoch))
+	w.uint(uint64(m.ReceiverSN))
+}
+
 func (w *encoder) logMirror(l core.LogMirror) {
 	w.node(l.Owner)
 	w.uint(l.MsgID)
@@ -642,12 +670,17 @@ func (r *decoder) u64s() []uint64 {
 	return s
 }
 
+// chain reads a chain and refuses one whose records are not strictly
+// increasing in SN (core.Chain's invariant, which its lookups rely on).
 func (r *decoder) chain() core.Chain {
 	c := core.Chain{Anchor: r.sparse()}
 	if n := r.count(minChainRec); n > 0 {
 		c.Recs = make([]core.ChainRec, n)
 		for i := range c.Recs {
 			c.Recs[i] = core.ChainRec{SN: r.sn(), Pairs: r.pairs()}
+			if i > 0 && c.Recs[i].SN <= c.Recs[i-1].SN {
+				r.fail(errRange)
+			}
 		}
 	}
 	return c
@@ -690,6 +723,16 @@ func (r *decoder) state() any {
 	return nil
 }
 
+func (r *decoder) appMsg() core.AppMsg {
+	return core.AppMsg{MsgID: r.uint(), Payload: r.payload(), SrcCluster: r.cluster(),
+		SrcEpoch: r.epoch(), SendSN: r.sn(), PiggyDDV: r.sns(), PiggyPairs: r.pairs(),
+		PiggyWidth: r.int32(), Resend: r.bool(), DstEpoch: r.epoch()}
+}
+
+func (r *decoder) appAck() core.AppAck {
+	return core.AppAck{MsgID: r.uint(), SrcCluster: r.cluster(), SrcEpoch: r.epoch(), ReceiverSN: r.sn()}
+}
+
 func (r *decoder) logMirror() core.LogMirror {
 	return core.LogMirror{Owner: r.node(), MsgID: r.uint(), Dst: r.node(), Payload: r.payload(),
 		PiggySN: r.sn(), Piggy: r.sparse(), Epoch: r.epoch()}
@@ -705,12 +748,18 @@ func (r *decoder) gcReport() core.GCReport {
 // fields in wire order.
 func (r *decoder) msg(tag byte) core.Msg {
 	switch tag {
+	case tagAppMsgBox:
+		m := appMsgBoxes.Get().(*core.AppMsg)
+		*m = r.appMsg()
+		return m
 	case tagAppMsg:
-		return core.AppMsg{MsgID: r.uint(), Payload: r.payload(), SrcCluster: r.cluster(),
-			SrcEpoch: r.epoch(), SendSN: r.sn(), PiggyDDV: r.sns(), PiggyPairs: r.pairs(),
-			PiggyWidth: r.int32(), Resend: r.bool(), DstEpoch: r.epoch()}
+		return r.appMsg()
+	case tagAppAckBox:
+		m := appAckBoxes.Get().(*core.AppAck)
+		*m = r.appAck()
+		return m
 	case tagAppAck:
-		return core.AppAck{MsgID: r.uint(), SrcCluster: r.cluster(), SrcEpoch: r.epoch(), ReceiverSN: r.sn()}
+		return r.appAck()
 	case tagCLCRequest:
 		return core.CLCRequest{Seq: r.sn(), Epoch: r.epoch(), Forced: r.bool(),
 			DDVUpdate: r.sns(), UpdatePairs: r.pairs(), UpdateWidth: r.int()}

@@ -54,14 +54,17 @@ func testReport() core.GCReport {
 
 // wireRows holds one fully populated value of every message type the
 // codec carries (every slice non-empty, every field non-zero where it
-// can be); the Replica's state has entries deliveries.
+// can be), then the pooled forms of AppMsg and AppAck; the Replica's
+// state has entries deliveries.
 func wireRows(entries int) []core.Msg {
 	pairs := []core.DDVPair{{Idx: 0, SN: 3}, {Idx: 2, SN: 1<<63 + 5}}
+	appMsg := core.AppMsg{MsgID: 1 << 50, Payload: core.AppPayload{ID: core.LogicalID{Src: nid(0, 1), Seq: 9}, Size: 256},
+		SrcCluster: 1, SrcEpoch: 3, SendSN: 8, PiggyDDV: core.DDV{8, 2}, PiggyPairs: pairs,
+		PiggyWidth: -2, Resend: true, DstEpoch: 4}
+	appAck := core.AppAck{MsgID: 5, SrcCluster: 2, SrcEpoch: 1, ReceiverSN: 6}
 	return []core.Msg{
-		core.AppMsg{MsgID: 1 << 50, Payload: core.AppPayload{ID: core.LogicalID{Src: nid(0, 1), Seq: 9}, Size: 256},
-			SrcCluster: 1, SrcEpoch: 3, SendSN: 8, PiggyDDV: core.DDV{8, 2}, PiggyPairs: pairs,
-			PiggyWidth: -2, Resend: true, DstEpoch: 4},
-		core.AppAck{MsgID: 5, SrcCluster: 2, SrcEpoch: 1, ReceiverSN: 6},
+		appMsg,
+		appAck,
 		core.CLCRequest{Seq: 7, Epoch: 1, Forced: true, DDVUpdate: core.DDV{7, 3}, UpdatePairs: pairs, UpdateWidth: 2},
 		core.CLCAck{Seq: 7, Epoch: 1, NodeDDV: core.DDV{7, 3}, NodePairs: pairs},
 		core.CLCCommit{Seq: 7, Epoch: 1, DDV: core.DDV{7, 3}, Pairs: pairs, Width: 2},
@@ -89,6 +92,8 @@ func wireRows(entries int) []core.Msg {
 		Hello{From: nid(0, 2), LostState: true},
 		StreamOpen{Stream: 1<<63 + 7, Next: 1 << 40},
 		StreamAck{Stream: 1<<63 + 7, Seq: 1<<40 - 1, Fresh: true},
+		&appMsg,
+		&appAck,
 	}
 }
 
@@ -112,7 +117,8 @@ func roundTrip(t *testing.T, env Envelope) Envelope {
 }
 
 // TestEnvelopeCodecRoundTrip: every message type survives encode →
-// decode intact, encodes without allocating into a buffer that has
+// decode intact and in the form it was sent (a pooled box or a value),
+// encodes without allocating into a buffer that has
 // room, and its tag names it the way the journal always has.
 func TestEnvelopeCodecRoundTrip(t *testing.T) {
 	buf := make([]byte, 0, 1<<20)
@@ -250,8 +256,9 @@ func (unknownMsg) ProtocolMessage() {}
 func TestEnvelopeCodecRefuses(t *testing.T) {
 	prefix := []byte("keep")
 	for _, m := range []core.Msg{
-		nil, unknownMsg{}, &core.AppMsg{},
+		nil, unknownMsg{}, (*core.AppMsg)(nil), (*core.AppAck)(nil),
 		core.AppMsg{Payload: core.AppPayload{Data: "opaque"}},
+		&core.AppMsg{Payload: core.AppPayload{Data: "opaque"}},
 		core.Replica{State: "not an *app.State"},
 		core.RecoverStateResp{Older: []core.OlderState{{State: 3}}},
 	} {
@@ -289,6 +296,14 @@ func TestEnvelopeCodecRefuses(t *testing.T) {
 	} {
 		if _, err := decodeEnvelope(body); err == nil {
 			t.Errorf("%s: decoded", name)
+		}
+	}
+
+	// A chain's records must be strictly increasing in SN.
+	for _, recs := range [][]core.ChainRec{{{SN: 5}, {SN: 4}}, {{SN: 4}, {SN: 4}}} {
+		body, _ := appendEnvelope(nil, Envelope{Msg: core.RecoverStateResp{Chain: core.Chain{Recs: recs}}})
+		if _, err := decodeEnvelope(body); !errors.Is(err, errRange) {
+			t.Errorf("chain records %v decoded with err %v", recs, err)
 		}
 	}
 }
@@ -441,10 +456,13 @@ func FuzzEnvelopeCodec(f *testing.F) {
 		case Hello, StreamOpen, StreamAck:
 			return // the transport's own, never a node's
 		}
-		// Whatever the peer sent, a leader and a member of the receiving
-		// cluster refuse or handle it; neither panics.
+		// Whatever the peer sent, from another cluster or from their own,
+		// a leader and a member of the receiving cluster refuse or handle
+		// it; neither panics.
 		receiver(nid(0, 0)).OnMessage(nid(1, 0), env.Msg)
 		receiver(nid(0, 1)).OnMessage(nid(1, 0), env.Msg)
+		receiver(nid(0, 0)).OnMessage(nid(0, 1), env.Msg)
+		receiver(nid(0, 1)).OnMessage(nid(0, 0), env.Msg)
 	})
 }
 
@@ -511,8 +529,9 @@ func bytesAllocated(f func()) uint64 {
 }
 
 // benchEnvelopes are the codec benchmark's shapes: an intra-cluster
-// AppMsg, an inter-cluster one with a 2-wide piggybacked DDV, and a
-// checkpoint Replica whose state's journal holds 50 000 deliveries.
+// AppMsg, an inter-cluster one with a 2-wide piggybacked DDV, both in
+// the pooled form a live node sends, and a checkpoint Replica whose
+// state's journal holds 50 000 deliveries.
 func benchEnvelopes() []struct {
 	name string
 	env  Envelope
@@ -522,8 +541,8 @@ func benchEnvelopes() []struct {
 		name string
 		env  Envelope
 	}{
-		{"intra", Envelope{Src: nid(0, 1), Dst: nid(0, 0), Msg: core.AppMsg{MsgID: 123456, Payload: payload, SendSN: 17}}},
-		{"inter", Envelope{Src: nid(0, 1), Dst: nid(1, 0), Msg: core.AppMsg{MsgID: 123456, Payload: payload,
+		{"intra", Envelope{Src: nid(0, 1), Dst: nid(0, 0), Msg: &core.AppMsg{MsgID: 123456, Payload: payload, SendSN: 17}}},
+		{"inter", Envelope{Src: nid(0, 1), Dst: nid(1, 0), Msg: &core.AppMsg{MsgID: 123456, Payload: payload,
 			SendSN: 17, SrcEpoch: 1, PiggyDDV: core.DDV{17, 9}, DstEpoch: 1}}},
 		{"replica50k", Envelope{Src: nid(0, 1), Dst: nid(0, 0), Msg: core.Replica{Seq: 17, Owner: nid(0, 1),
 			State: appState(50_000, 50_000), Size: 1024}}},
@@ -544,6 +563,8 @@ func BenchmarkEnvelopeEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkEnvelopeDecode decodes each shape and gives a pooled box
+// back, as a live node's event loop does after OnMessage.
 func BenchmarkEnvelopeDecode(b *testing.B) {
 	for _, bc := range benchEnvelopes() {
 		b.Run(bc.name, func(b *testing.B) {
@@ -552,9 +573,11 @@ func BenchmarkEnvelopeDecode(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := decodeEnvelope(body); err != nil {
+				env, err := decodeEnvelope(body)
+				if err != nil {
 					b.Fatal(err)
 				}
+				reclaim(env.Msg)
 			}
 		})
 	}

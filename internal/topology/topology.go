@@ -4,7 +4,10 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -20,23 +23,33 @@ type NodeID struct {
 	Index   int
 }
 
-// String formats the node as "c<cluster>n<index>".
-func (n NodeID) String() string { return fmt.Sprintf("c%dn%d", n.Cluster, n.Index) }
+// String formats the node as "c<cluster>n<index>", in one allocation:
+// the live journal names two nodes per delivery.
+func (n NodeID) String() string {
+	var buf [42]byte // "c", "n" and two 20-byte int64s
+	b := strconv.AppendInt(append(buf[:0], 'c'), int64(n.Cluster), 10)
+	b = strconv.AppendInt(append(b, 'n'), int64(n.Index), 10)
+	return string(b)
+}
 
 // ParseNodeID parses the canonical "c<cluster>n<index>" form produced
 // by NodeID.String — the identifier format of federation config files
-// and live-run journals.
+// and live-run journals. Both numbers are non-negative decimals with no
+// sign and no leading zero.
 func ParseNodeID(s string) (NodeID, error) {
-	var c, i int
-	n, err := fmt.Sscanf(s, "c%dn%d", &c, &i)
-	if err != nil || n != 2 || c < 0 || i < 0 {
-		return NodeID{}, fmt.Errorf("topology: bad node id %q (want cXnY)", s)
-	}
-	if got := (NodeID{Cluster: ClusterID(c), Index: i}).String(); got != s {
-		return NodeID{}, fmt.Errorf("topology: bad node id %q (want cXnY)", s)
+	rest, okC := strings.CutPrefix(s, "c")
+	cs, is, okN := strings.Cut(rest, "n")
+	c, errC := strconv.Atoi(cs)
+	i, errI := strconv.Atoi(is)
+	if !okC || !okN || errC != nil || errI != nil || !canonical(cs) || !canonical(is) {
+		return NodeID{}, errors.New("topology: bad node id " + strconv.Quote(s) + " (want cXnY)")
 	}
 	return NodeID{Cluster: ClusterID(c), Index: i}, nil
 }
+
+// canonical reports whether a decimal that strconv.Atoi accepted is
+// written the way strconv.Itoa writes a non-negative number.
+func canonical(d string) bool { return d[0] != '+' && d[0] != '-' && (d[0] != '0' || len(d) == 1) }
 
 // Link models one network class by latency and bandwidth, exactly the
 // two parameters the paper's topology file specifies per link, plus an

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -232,5 +234,49 @@ func TestInterLinkEveryPairDistinct(t *testing.T) {
 	}
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// parseNodeIDRef is ParseNodeID as it was written with fmt: the
+// reference the strconv version must agree with.
+func parseNodeIDRef(s string) (NodeID, bool) {
+	var c, i int
+	n, err := fmt.Sscanf(s, "c%dn%d", &c, &i)
+	if err != nil || n != 2 || c < 0 || i < 0 {
+		return NodeID{}, false
+	}
+	if fmt.Sprintf("c%dn%d", c, i) != s {
+		return NodeID{}, false
+	}
+	return NodeID{Cluster: ClusterID(c), Index: i}, true
+}
+
+// TestNodeIDStringRoundTrip: String writes exactly what Sprintf wrote,
+// negative numbers included, ParseNodeID reads back every non-negative
+// ID, and it accepts and refuses exactly what the fmt version did.
+func TestNodeIDStringRoundTrip(t *testing.T) {
+	for _, id := range []NodeID{{0, 0}, {1, 7}, {12, 305}, {-1, 0}, {3, -4},
+		{math.MaxInt, math.MaxInt}, {math.MinInt, math.MinInt}} {
+		s := id.String()
+		if want := fmt.Sprintf("c%dn%d", id.Cluster, id.Index); s != want {
+			t.Fatalf("String = %q, want %q", s, want)
+		}
+		back, err := ParseNodeID(s)
+		if ok := id.Cluster >= 0 && id.Index >= 0; ok != (err == nil) || ok && back != id {
+			t.Fatalf("ParseNodeID(%q) = %v, %v", s, back, err)
+		}
+	}
+	for _, s := range []string{"c0n0", "c1n7", "c10n200", "", "c", "n", "cn", "c1", "c1n", "cn1",
+		"n1", "c-1n0", "c1n-2", "c-0n0", "c01n2", "c1n02", "c00n0", "c+1n2", "c1n+2", "c 1n2",
+		"c1n 2", " c1n2", "c1n2 ", "c1n2x", "x1n2", "C1N2", "c1n2n3", "c1x2", "c0x1n2", "c1_0n2",
+		"c9223372036854775807n0", "c9223372036854775808n0", "c1n99999999999999999999"} {
+		got, err := ParseNodeID(s)
+		want, ok := parseNodeIDRef(s)
+		if ok != (err == nil) || got != want {
+			t.Errorf("ParseNodeID(%q) = %v, %v; the fmt version gave %v, %v", s, got, err, want, ok)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = NodeID{Cluster: 12, Index: 305}.String() }); allocs != 1 {
+		t.Errorf("String allocates %.0f times, want 1", allocs)
 	}
 }
