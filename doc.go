@@ -162,15 +162,14 @@
 //     the clusters that rolled back, a forced-CLC demand is the pairs
 //     it raises from the CIC rule to the commit (the leader keeps the
 //     pending demands and the ModeIndependent prepare acks as pair
-//     lists, one pair per index at its largest SN; the dense wire
-//     writes a demand out as a vector only when it sends it), and
-//     dirty sets mark in a bitset. A pipe's delta codec holds one width-sized
+//     lists, one pair per index at its largest SN), and dirty sets
+//     mark in a bitset. A pipe's delta codec holds one width-sized
 //     vector. BenchmarkFederationNewWide measures what assembling a
 //     1024-cluster federation allocates.
 //   - internal/core flattens DDV storage into per-node arenas
 //     (core.DDVArena): every vector that escapes an event —
-//     piggybacked vectors, dense commit broadcasts, resent piggybacks
-//     — is sliced from a
+//     dense piggybacks, resent piggybacks, pinned held copies — is
+//     sliced from a
 //     chunked backing []SN owned by the node, one chunk allocation per
 //     64 clones, cache-contiguous at 64 clusters. Ownership rules: a
 //     handed-out vector is immutable-by-convention once shared, chunks
@@ -313,8 +312,9 @@
 //     core.SparseDDV, built once per DDV generation from the node's
 //     PairArena (Node.piggy) and shared by every log entry of that
 //     generation, their mirrors, a recovery answer and an event sink's
-//     piggyback event — in every mode and on both wires. A resend
-//     writes it out dense; nothing else ever does. Go's collector frees
+//     piggyback event — in every mode, with delta or dense
+//     piggybacks. A resend writes it out dense; nothing else ever
+//     does. Go's collector frees
 //     a vector when the last entry naming it goes. A message the
 //     receiver holds for a forced CLC keeps only the pairs it raised:
 //     the DDV never decreases while a message is held.
@@ -343,14 +343,20 @@
 // once and in pipe order. The garbage collector's reports carry the
 // stored chain under either wire.
 //
-// Both encodings are priced identically — at the dense width — in the
-// network model, so modeled delays, byte counters and all goldens are
-// invariant under the switch; the delta form saves simulator time and
-// allocations, not modeled bytes. core.Config.DenseWire selects the
-// dense reference encoding, which only tests reach; differential
-// suites pin byte-identical output across the matrix goldens, the
-// transitive/GC ablations, crash-recovery seed sweeps, and
-// transitive-with-crash runs compared on full statistics dumps.
+// The checkpoint round's control messages have this one form; a
+// mutation catalogue (federation's TestMutationCatalogue) drops one
+// pair from a commit, a prepare ack or a forced-CLC demand and shows
+// that the oracle, the harness's end-of-run checks or the goldens
+// catch each. Transitive piggybacks travel dense when the harness
+// offers no pipe codecs: the live runtime, and the dense-piggyback
+// test fixture (federation.Options.DenseWire). Both forms are priced
+// identically — at the dense width — in the network model, so modeled
+// delays, byte counters and all goldens are the same whichever form a
+// piggyback takes; the delta form saves simulator time and
+// allocations, not modeled bytes. Differential suites pin
+// byte-identical output for the transitive wide-tier golden, the
+// transitive ablation and transitive-with-crash runs compared on full
+// statistics dumps.
 // BenchmarkPiggybackMessage parameterizes the steady-state per-message
 // path by width: the delta encoding is near-flat in ns/op and B/op
 // from 8 to 256 clusters while the dense path grows linearly (~3x

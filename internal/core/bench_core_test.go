@@ -19,34 +19,6 @@ func benchHistory(nClusters, steps int) ([][]Meta, []DDV) {
 	return f.lists, f.ddv
 }
 
-// BenchmarkDDVMerge measures the clone+merge pair exactly as the
-// production commit path performs it: the copy is cut from the node's
-// DDV arena (one chunk allocation per 64 vectors, 0 amortized
-// allocs/op), then raised element-wise.
-func BenchmarkDDVMerge(b *testing.B) {
-	var ar DDVArena
-	ar.Init(8)
-	a := DDV{5, 3, 9, 0, 2, 7, 1, 4}
-	c := DDV{4, 6, 8, 1, 3, 5, 2, 0}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d := ar.Clone(a)
-		d.Merge(c)
-	}
-}
-
-// BenchmarkDDVMergeHeap is the pre-arena variant (one heap slice per
-// clone), kept for comparison.
-func BenchmarkDDVMergeHeap(b *testing.B) {
-	a := DDV{5, 3, 9, 0, 2, 7, 1, 4}
-	c := DDV{4, 6, 8, 1, 3, 5, 2, 0}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d := a.Clone()
-		d.Merge(c)
-	}
-}
-
 // BenchmarkDDVClone isolates the clone itself — it runs on every
 // inter-cluster receive that raises a dependency and on every
 // checkpoint commit, so its allocation count is a protocol hot path.

@@ -67,15 +67,11 @@ func TestControlSizeBoxParity(t *testing.T) {
 	ddv := DDV{1, 2, 3, 4, 5, 6}
 	id := topology.NodeID{Cluster: 1, Index: 2}
 	rows := [][2]Msg{
-		boxRow(CLCRequest{Seq: 2, Forced: true, UpdatePairs: pairs, UpdateWidth: 16}),
-		boxRow(CLCRequest{Seq: 2, Forced: true, DDVUpdate: ddv}),
+		boxRow(CLCRequest{Seq: 2, Forced: true, UpdateWidth: 16}),
 		boxRow(CLCRequest{Seq: 3}),
 		boxRow(CLCAck{Seq: 2, NodePairs: pairs}),
-		boxRow(CLCAck{Seq: 2, NodeDDV: ddv}),
 		boxRow(CLCCommit{Seq: 2, Pairs: pairs, Width: 16}),
-		boxRow(CLCCommit{Seq: 2, DDV: ddv}),
 		boxRow(ForceCLC{Pairs: pairs, Width: 16, Always: true}),
-		boxRow(ForceCLC{NewDDV: ddv}),
 		boxRow(Replica{Seq: 4, Owner: id, Size: 1 << 20}),
 		boxRow(ReplicaAck{Seq: 4, From: id}),
 		boxRow(LogMirror{Owner: id, MsgID: 7, Payload: AppPayload{Size: 4096}, Piggy: sparseOf(ddv, nil)}),

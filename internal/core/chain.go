@@ -182,8 +182,9 @@ func (c *Chain) Append(sn SN, pairs []DDVPair) {
 }
 
 // AppendVector is Append for a caller that holds the record's dense
-// vector instead of its pairs (the dense reference wire): prev is the
-// newest stored record's vector.
+// vector instead of its pairs (the oracle, whose offline replay of a
+// live journal sees dense commit vectors): prev is the newest stored
+// record's vector.
 func (c *Chain) AppendVector(sn SN, vec, prev DDV) {
 	c.Append(sn, diffPairs(nil, vec, prev))
 }

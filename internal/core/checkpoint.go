@@ -31,9 +31,7 @@ func (n *Node) onCLCTimer() {
 // requestForce routes a forced-CLC demand to the cluster leader. pairs
 // are the DDV entries the demand raises (they may be the node's
 // pairScratch: nothing escapes the current event without a copy);
-// always asks for an unconditional forced CLC (ModeForceAll). The delta
-// wire ships the pairs, the dense reference wire this node's DDV with
-// the pairs applied.
+// always asks for an unconditional forced CLC (ModeForceAll).
 func (n *Node) requestForce(pairs []DDVPair, always bool) {
 	n.emit(Event{Kind: EventForceRequested})
 	if n.leader() {
@@ -42,36 +40,24 @@ func (n *Node) requestForce(pairs []DDVPair, always bool) {
 		n.tryStartForced()
 		return
 	}
-	m := ForceCLC{Epoch: n.epoch, Always: always}
-	if n.denseWire {
-		m.NewDDV = n.arena.Clone(n.ddv)
-		m.NewDDV.applyPairs(pairs)
-	} else {
-		// Width prices the demand at its dense footprint (see
-		// messages.go).
-		m.Pairs, m.Width = n.pairArena.Clone(pairs), n.cfg.Clusters
+	if Mutate.DropForcePair && len(pairs) > 0 {
+		pairs = pairs[:len(pairs)-1]
 	}
-	sendCtl(n, &n.ctl.force, n.leaderOf(n.cluster), m)
+	// Width prices the demand at its dense footprint (see messages.go).
+	sendCtl(n, &n.ctl.force, n.leaderOf(n.cluster),
+		ForceCLC{Epoch: n.epoch, Pairs: n.pairArena.Clone(pairs), Width: n.cfg.Clusters, Always: always})
 }
 
-// onForceCLC handles a forced-CLC demand at the leader. A dense demand
-// reduces to its entries above this leader's DDV: the DDV only grows
-// until a rollback or an abort, and both empty the pending list, so an
-// entry at or below it could never start a CLC.
+// onForceCLC handles a forced-CLC demand at the leader.
 func (n *Node) onForceCLC(src topology.NodeID, m ForceCLC) {
-	if !n.vectorFits(m.NewDDV, m.Pairs) {
+	if !n.pairsFit(m.Pairs) {
 		n.emit(Event{Kind: EventRefuseControl})
 		return
 	}
 	if !n.leader() || m.Epoch != n.epoch {
 		return
 	}
-	pairs := m.Pairs
-	if m.NewDDV != nil {
-		n.pairScratch = raisedPairs(n.pairScratch[:0], m.NewDDV, n.ddv, -1)
-		pairs = n.pairScratch
-	}
-	n.pending = maxMerge(n.pending, pairs)
+	n.pending = maxMerge(n.pending, m.Pairs)
 	n.pendingAlways = n.pendingAlways || m.Always
 	n.tryStartForced()
 }
@@ -99,7 +85,7 @@ func (n *Node) tryStartForced() {
 
 // startCLC opens the two-phase commit for the next checkpoint. Runs on
 // the leader only. updatePairs (raised entries; may alias pairScratch)
-// is nil for unforced CLCs.
+// is nil for unforced CLCs; the participants adopt them at commit.
 func (n *Node) startCLC(forced bool, updatePairs []DDVPair) {
 	seq := n.sn + 1
 	n.inFlight = true
@@ -114,14 +100,7 @@ func (n *Node) startCLC(forced bool, updatePairs []DDVPair) {
 
 	req := CLCRequest{Seq: seq, Epoch: n.epoch, Forced: forced}
 	if forced {
-		if n.denseWire {
-			update := n.arena.New()
-			update.applyPairs(updatePairs)
-			req.DDVUpdate = update
-		} else {
-			req.UpdatePairs = n.pairArena.Clone(updatePairs)
-			req.UpdateWidth = n.cfg.Clusters
-		}
+		req.UpdateWidth = n.cfg.Clusters
 	}
 	sendToCluster(n, &n.ctl.req, req)
 	n.prepareLocal(seq, forced)
@@ -190,89 +169,64 @@ func (n *Node) onReplicaAck(src topology.NodeID, m ReplicaAck) {
 }
 
 // sendPrepAck acknowledges the prepare phase to the leader. In
-// ModeIndependent the ack carries the node's local DDV so the commit
-// can merge the dependencies accumulated since the last checkpoint —
-// dense, or as just the entries this node raised above the last
-// committed vector (recvDirty): the commit merge starts from a
-// superset of that base, so the omitted entries are exact no-ops.
+// ModeIndependent the ack carries the entries this node raised above
+// the last committed vector (recvDirty), so the commit can merge the
+// dependencies accumulated since the last checkpoint: the commit merge
+// starts from a superset of that base, so the omitted entries are
+// exact no-ops.
 func (n *Node) sendPrepAck(seq SN) {
-	var nodeDDV DDV
 	var nodePairs []DDVPair
 	if n.cfg.Mode == ModeIndependent {
-		if n.denseWire {
-			nodeDDV = n.arena.Clone(n.ddv)
-		} else {
-			pairs := n.pairScratch[:0]
-			for _, i := range n.recvDirty.Indices() {
-				if v := n.ddv[i]; v > n.commitBase[i] {
-					pairs = append(pairs, DDVPair{Idx: i, SN: v})
-				}
+		pairs := n.pairScratch[:0]
+		for _, i := range n.recvDirty.Indices() {
+			if v := n.ddv[i]; v > n.commitBase[i] {
+				pairs = append(pairs, DDVPair{Idx: i, SN: v})
 			}
-			n.pairScratch = pairs
-			nodePairs = n.pairArena.Clone(pairs)
 		}
+		if Mutate.DropAckPair && len(pairs) > 0 {
+			pairs = pairs[:len(pairs)-1]
+		}
+		n.pairScratch = pairs
+		nodePairs = n.pairArena.Clone(pairs)
 	}
 	if n.leader() {
-		n.ackFrom(n.id.Index, seq, nodeDDV, nodePairs)
+		n.ackFrom(n.id.Index, seq, nodePairs)
 		return
 	}
-	sendCtl(n, &n.ctl.ack, n.leaderOf(n.cluster),
-		CLCAck{Seq: seq, Epoch: n.epoch, NodeDDV: nodeDDV, NodePairs: nodePairs})
+	sendCtl(n, &n.ctl.ack, n.leaderOf(n.cluster), CLCAck{Seq: seq, Epoch: n.epoch, NodePairs: nodePairs})
 }
 
 // onCLCAck counts prepare acks at the leader.
 func (n *Node) onCLCAck(src topology.NodeID, m CLCAck) {
-	if !n.vectorFits(m.NodeDDV, m.NodePairs) {
+	if !n.pairsFit(m.NodePairs) {
 		n.emit(Event{Kind: EventRefuseControl})
 		return
 	}
 	if !n.inFlight || m.Epoch != n.epoch || m.Seq != n.inFlightSeq {
 		return
 	}
-	n.ackFrom(src.Index, m.Seq, m.NodeDDV, m.NodePairs)
+	n.ackFrom(src.Index, m.Seq, m.NodePairs)
 }
 
-func (n *Node) ackFrom(index int, seq SN, nodeDDV DDV, nodePairs []DDVPair) {
+func (n *Node) ackFrom(index int, seq SN, nodePairs []DDVPair) {
 	if !n.ackedNodes[index] {
 		n.ackedNodes[index] = true
 		n.ackedCount++
 	}
-	if nodeDDV != nil {
-		n.ackedDDVs = append(n.ackedDDVs, nodeDDV)
-	}
 	// Element-wise max is order-independent: accumulating on arrival
-	// equals the dense path's merge-at-commit.
+	// equals merging every ack at commit.
 	n.acked = maxMerge(n.acked, nodePairs)
 	if n.ackedCount < n.size {
 		return
 	}
-	// Every node saved and replicated its state: commit.
-	if n.denseWire {
-		// The committed vector leaves in the broadcast: an owned copy.
-		newDDV := n.arena.Clone(n.ddv)
-		if n.inFlightForced {
-			for _, p := range n.pending {
-				if topology.ClusterID(p.Idx) != n.cluster && p.SN > newDDV[p.Idx] {
-					newDDV[p.Idx] = p.SN
-				}
-			}
-		}
-		for _, d := range n.ackedDDVs {
-			newDDV.Merge(d)
-		}
-		n.ackedDDVs = nil
-		newDDV[n.cluster] = seq
-		sendToCluster(n, &n.ctl.commit, CLCCommit{Seq: seq, Epoch: n.epoch, DDV: newDDV})
-		n.applyCommit(seq, newDDV, nil, n.inFlightForced)
-		return
-	}
-	// Delta wire: raise the commit vector in this leader's scratch and
-	// track every index that can differ from commitBase — the leader's
-	// own lazy receipts (recvDirty), forced entries, ack-accumulated
-	// entries and the new sequence number. The pair list is the exact
-	// diff against the previous commit, which every node of the cluster,
-	// this one included, patches into its own base; the vector itself
-	// goes nowhere.
+	// Every node saved and replicated its state: commit. Raise the
+	// commit vector in this leader's scratch and track every index that
+	// can differ from commitBase — the leader's own lazy receipts
+	// (recvDirty), forced entries, ack-accumulated entries and the new
+	// sequence number. The pair list is the exact diff against the
+	// previous commit, which every node of the cluster, this one
+	// included, patches into its own base; the vector itself goes
+	// nowhere.
 	if n.vecScratch == nil {
 		n.vecScratch = NewDDV(n.cfg.Clusters)
 	}
@@ -309,76 +263,52 @@ func (n *Node) ackFrom(index int, seq SN, nodeDDV DDV, nodePairs []DDVPair) {
 	n.pairScratch = pairs
 	owned := n.pairArena.Clone(pairs)
 	sendToCluster(n, &n.ctl.commit, CLCCommit{Seq: seq, Epoch: n.epoch, Pairs: owned, Width: n.cfg.Clusters})
-	n.applyCommit(seq, nil, owned, n.inFlightForced)
+	n.applyCommit(seq, owned, n.inFlightForced)
 }
 
-// onCLCCommit finalizes the checkpoint on a participant, in either
-// encoding.
+// onCLCCommit finalizes the checkpoint on a participant.
 func (n *Node) onCLCCommit(src topology.NodeID, m CLCCommit) {
-	if !n.vectorFits(m.DDV, m.Pairs) {
+	if !n.pairsFit(m.Pairs) {
 		n.emit(Event{Kind: EventRefuseControl})
 		return
 	}
 	if m.Epoch != n.epoch || n.phase != cpPrepared || m.Seq != n.prepSeq {
 		return
 	}
-	if m.DDV != nil {
-		n.applyCommit(m.Seq, m.DDV, nil, n.provisional.forced)
-		return
+	pairs := m.Pairs
+	if Mutate.DropCommitPair {
+		if k := slices.IndexFunc(pairs, func(p DDVPair) bool { return p.Idx != int32(n.cluster) }); k >= 0 {
+			pairs = slices.Delete(slices.Clone(pairs), k, k+1) // the commit's pairs are shared
+		}
 	}
-	n.applyCommit(m.Seq, nil, m.Pairs, n.provisional.forced)
+	n.applyCommit(m.Seq, pairs, n.provisional.forced)
 }
 
 // applyCommit installs the committed checkpoint: adopt the SN and DDV,
 // store the record, unfreeze application traffic and drain the queues.
-// The committed vector arrives dense (commitVec, the dense wire) or as
-// the pairs that changed since the previous commit (pairs, the delta
-// wire, leader included) — the commitBase invariant reconstructs the
-// dense vector in O(changed entries). Either way the stored record
-// keeps only the pairs: no vector is copied for it.
-func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) {
+// The committed vector arrives as the pairs that changed since the
+// previous commit (leader included): the commitBase invariant
+// reconstructs the dense vector in O(changed entries), and the stored
+// record keeps only the pairs — owned and immutable, cut from a pair
+// arena here or on the leader, or decoded fresh by the live runtime.
+func (n *Node) applyCommit(seq SN, pairs []DDVPair, forced bool) {
 	n.sn = seq
 	n.anchorPending = false
-	// chainPairs is what the stored chain appends: owned and immutable —
-	// cut from a pair arena here or on the leader, or decoded fresh by
-	// the live runtime.
-	chainPairs := pairs
-	if commitVec == nil {
-		// Delta wire: patch the base into the committed vector.
-		n.commitBase.applyPairs(pairs)
-		commitVec = n.commitBase
-		if n.cfg.Mode == ModeIndependent {
-			// Lazy tracking: receipts that arrived after this node's
-			// ack are not in the commit; keep them. Entries the pairs
-			// omit equal the previous base, which this node's DDV
-			// already covers — merging just the pairs is exact.
-			n.ddv.mergePairs(pairs)
-			n.ddv[n.cluster] = seq
-		} else {
-			// n.ddv equals the previous base outside commit windows, so
-			// patching the same pairs lands on the committed vector.
-			n.ddv.applyPairs(pairs)
-		}
+	n.commitBase.applyPairs(pairs)
+	if n.cfg.Mode == ModeIndependent {
+		// Lazy tracking: receipts that arrived after this node's ack
+		// are not in the commit; keep them. Entries the pairs omit
+		// equal the previous base, which this node's DDV already
+		// covers — merging just the pairs is exact.
+		n.ddv.mergePairs(pairs)
+		n.ddv[n.cluster] = seq
 	} else {
-		// Dense reference wire: the record's pairs are the diff against
-		// the previous commit.
-		n.pairScratch = diffPairs(n.pairScratch[:0], commitVec, n.commitBase)
-		chainPairs = n.pairArena.Clone(n.pairScratch)
-		if n.cfg.Mode == ModeIndependent {
-			// Merging in place yields the same element-wise maximum the
-			// seed computed into a fresh clone.
-			n.ddv.Merge(commitVec)
-			n.ddv[n.cluster] = seq
-		} else {
-			// n.ddv is this node's owned buffer (nothing aliases it:
-			// every escape point clones), so the commit DDV is copied
-			// in place.
-			n.ddv.CopyFrom(commitVec)
-		}
-		n.commitBase.CopyFrom(commitVec)
+		// n.ddv equals the previous base outside commit windows, so
+		// patching the same pairs lands on the committed vector.
+		n.ddv.applyPairs(pairs)
 	}
 	n.ddvChanged()
-	if !n.denseWire && n.cfg.Mode == ModeIndependent {
+	if n.cfg.Mode == ModeIndependent {
 		// Entries still above the new base stay dirty for the next ack.
 		n.recvDirty.Refresh(func(i int) bool { return n.ddv[i] > n.commitBase[i] })
 	}
@@ -391,12 +321,12 @@ func (n *Node) applyCommit(seq SN, commitVec DDV, pairs []DDVPair, forced bool) 
 		n.gcScanValid = true
 	}
 	rec := n.provisional
-	n.appendCLC(rec, seq, chainPairs)
+	n.appendCLC(rec, seq, pairs)
 	n.provisional = clcRecord{}
 	n.phase = cpIdle
 	n.frozenSends = false
 	n.frozenDelivs = false
-	n.emit(Event{Kind: EventCLCCommitted, Seq: seq, Epoch: n.epoch, DDV: commitVec, Pairs: pairs, Forced: forced})
+	n.emit(Event{Kind: EventCLCCommitted, Seq: seq, Epoch: n.epoch, DDV: n.commitBase, Pairs: pairs, Forced: forced})
 	if n.stab != nil {
 		// The committed record's snapshot is now on stable storage:
 		// everything it covers is permanent unless a later rollback
@@ -441,7 +371,6 @@ func (n *Node) abortCheckpoint() {
 	n.inFlight = false
 	n.pending = n.pending[:0]
 	n.pendingAlways = false
-	n.ackedDDVs = nil
 	n.acked = n.acked[:0]
 	n.frozenSends = false
 	n.frozenDelivs = false

@@ -65,7 +65,7 @@ func (n *Node) doSend(dst topology.NodeID, p AppPayload) {
 				m.PiggyWidth = int32(n.cfg.Clusters)
 				n.emit(Event{Kind: EventPiggySend, Cluster: dst.Cluster, Pairs: piggy.Pairs})
 			} else {
-				// Dense wire: the message owns a copy.
+				// No pipe codec: the message owns a dense copy.
 				m.PiggyDDV = n.arena.Clone(n.ddv)
 			}
 		}
@@ -116,10 +116,10 @@ func (n *Node) drainSendQueue() {
 }
 
 // MutationFlags deliberately break one protocol rule each, so the
-// invariant oracle's mutation smoke tests can prove it detects real
+// mutation catalogue can prove the project's checks detect real
 // protocol damage (a checker that never fires proves nothing). Test
-// instrumentation only — never set outside oracle smoke tests, and
-// always reset afterwards.
+// instrumentation only — never set outside tests, and always reset
+// afterwards.
 var Mutate MutationFlags
 
 // MutationFlags is the set of seedable protocol breaks.
@@ -134,6 +134,15 @@ type MutationFlags struct {
 	// future recovery could still need — violating the §3.5 safety
 	// rule.
 	GCOverCollect bool
+	// DropCommitPair: a member applies a CLCCommit with one pair
+	// missing, other than its own cluster's entry.
+	DropCommitPair bool
+	// DropAckPair: a ModeIndependent prepare ack leaves out one raised
+	// pair.
+	DropAckPair bool
+	// DropForcePair: a member's forced-CLC demand leaves out one raised
+	// pair.
+	DropForcePair bool
 }
 
 // onAppMsg applies the receive-side guards, then routes the message to
@@ -194,23 +203,24 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 
 // piggyFits reports whether m's piggyback can be merged into this
 // node's DDV: a delta one must be of the federation's width on a node
-// that decodes deltas, and its vector and pairs must fit (vectorFits).
+// that decodes deltas, a dense one empty or of that width, and its
+// pairs must fit (pairsFit).
 func (n *Node) piggyFits(m AppMsg) bool {
-	if m.PiggyWidth != 0 && (int(m.PiggyWidth) != n.cfg.Clusters || n.piggyCodecs == nil) {
+	w := n.cfg.Clusters
+	if m.PiggyWidth != 0 && (int(m.PiggyWidth) != w || n.piggyCodecs == nil) {
 		return false
 	}
-	return n.vectorFits(m.PiggyDDV, m.PiggyPairs)
+	if len(m.PiggyDDV) != 0 && len(m.PiggyDDV) != w {
+		return false
+	}
+	return n.pairsFit(m.PiggyPairs)
 }
 
-// vectorFits reports whether dependency information a peer sent fits
-// this federation: a dense vector empty or of its width, and every pair
-// index inside that width. Merging anything else would index past this
+// pairsFit reports whether every pair index a peer sent lies inside
+// this federation's width. Merging anything else would index past this
 // node's vectors.
-func (n *Node) vectorFits(d DDV, pairs []DDVPair) bool {
+func (n *Node) pairsFit(pairs []DDVPair) bool {
 	w := n.cfg.Clusters
-	if len(d) != 0 && len(d) != w {
-		return false
-	}
 	for _, p := range pairs {
 		if p.Idx < 0 || int(p.Idx) >= w {
 			return false
@@ -311,9 +321,9 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 		// carried onto it.
 		n.pinHeld(&m, src, pairs)
 	case n.cfg.Transitive && m.PiggyDDV != nil:
-		// Transitive extension (§7), dense vector (dense wire, resends
-		// and replayed deferred/held copies): merge the whole DDV; any
-		// raised entry is a new dependency.
+		// Transitive extension (§7), dense vector (no pipe codec,
+		// resends and replayed deferred/held copies): merge the whole
+		// DDV; any raised entry is a new dependency.
 		pairs = raisedPairs(n.pairScratch[:0], m.PiggyDDV, n.ddv, int32(n.cluster))
 		n.pairScratch = pairs
 	case m.SendSN > n.ddv[src.Cluster]:

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestDDVCloneIndependent(t *testing.T) {
 	d := DDV{1, 2, 3}
@@ -14,20 +11,6 @@ func TestDDVCloneIndependent(t *testing.T) {
 	}
 	if !d.Equal(DDV{1, 2, 3}) {
 		t.Fatal("original mutated")
-	}
-}
-
-func TestDDVMerge(t *testing.T) {
-	d := DDV{5, 0, 3}
-	changed := d.Merge(DDV{4, 2, 3})
-	if !changed {
-		t.Fatal("Merge should report change")
-	}
-	if !d.Equal(DDV{5, 2, 3}) {
-		t.Fatalf("merged = %v", d)
-	}
-	if d.Merge(DDV{1, 1, 1}) {
-		t.Fatal("Merge reported change when nothing rose")
 	}
 }
 
@@ -43,41 +26,5 @@ func TestDDVEqual(t *testing.T) {
 func TestDDVString(t *testing.T) {
 	if s := (DDV{1, 0, 3}).String(); s != "[1 0 3]" {
 		t.Fatalf("String = %q", s)
-	}
-}
-
-// Properties: merge is idempotent, commutative in outcome, monotone.
-func TestDDVMergeProperties(t *testing.T) {
-	mk := func(raw []uint8) DDV {
-		d := NewDDV(4)
-		for i := range d {
-			if i < len(raw) {
-				d[i] = SN(raw[i])
-			}
-		}
-		return d
-	}
-	f := func(aRaw, bRaw []uint8) bool {
-		a, b := mk(aRaw), mk(bRaw)
-		ab := a.Clone()
-		ab.Merge(b)
-		ba := b.Clone()
-		ba.Merge(a)
-		if !ab.Equal(ba) {
-			return false
-		}
-		again := ab.Clone()
-		if again.Merge(b) || again.Merge(a) {
-			return false // idempotent
-		}
-		for i := range ab {
-			if ab[i] < a[i] || ab[i] < b[i] {
-				return false // monotone
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -18,9 +18,9 @@ import (
 // byte-for-byte the vector the dense encoding would have shipped. Each
 // escape point gets it from a different invariant:
 //
-//   - Forced-CLC demands (ForceCLC, CLCRequest) carry only raised
-//     entries; the leader merges them element-wise, and entries equal
-//     to the cluster DDV merge to nothing — so omitting them is exact.
+//   - Forced-CLC demands (ForceCLC) carry only raised entries; the
+//     leader merges them element-wise, and entries equal to the
+//     cluster DDV merge to nothing — so omitting them is exact.
 //   - Prepare acks (CLCAck, ModeIndependent) carry the entries this
 //     node raised above the last committed vector; the commit merge
 //     starts from a superset of that base, so unraised entries are
@@ -37,13 +37,10 @@ import (
 //
 // The pairs a commit ships are also how it is stored: a node's stored
 // CLCs are a Chain (chain.go) — one sparse anchor plus each commit's
-// pairs — under either wire.
-//
-// The network model keeps pricing dependency metadata at its dense
-// width (perClusterByte per cluster): transmission delays, byte
-// counters and therefore all recorded goldens are invariant under the
-// encoding switch (core.Config.DenseWire selects the dense reference
-// encoding for differential tests and benchmarks).
+// pairs. Only a transitive piggyback may travel dense, when the harness
+// offers no pipe codecs (see PiggyCodecs). The network model prices
+// dependency metadata at its dense width either way, so all recorded
+// goldens are invariant under the encoding.
 
 // DDVPair is one sparse DDV entry: the cluster index and its SN.
 type DDVPair struct {
@@ -377,7 +374,7 @@ const examReplayMax = 8
 // PiggyCodecs is an optional upgrade interface of Env: a harness that
 // transports transitive piggybacks in delta form returns the codec of
 // the directed inter-cluster pipe src→dst (nil when the pipe has no
-// codec, e.g. dense-wire runs). Environments that do not implement it
+// codec, e.g. dense-piggyback runs). Environments that do not implement it
 // (the live runtime) get dense piggybacks.
 type PiggyCodecs interface {
 	PiggyCodec(src, dst topology.ClusterID) *DeltaCodec

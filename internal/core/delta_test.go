@@ -63,8 +63,8 @@ func TestPairArenaCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestDeltaMergeOracle drives random sparse merges against the dense
-// Merge oracle: a DDV updated through mergePairs must equal one updated
+// TestDeltaMergeOracle drives random sparse merges against a dense
+// oracle: a DDV updated through mergePairs must equal one updated
 // through dense element-wise max, and the list maxMerge builds from the
 // same pairs must hold exactly that vector's non-zero entries, once
 // each, in the order they first rose.
@@ -95,7 +95,9 @@ func TestDeltaMergeOracle(t *testing.T) {
 			}
 			sparse.mergePairs(pairs)
 			list = maxMerge(list, pairs)
-			dense.Merge(other)
+			for i, v := range other {
+				dense[i] = max(dense[i], v)
+			}
 		}
 		if !sparse.Equal(dense) {
 			t.Fatalf("trial %d: sparse %v != dense %v", trial, sparse, dense)

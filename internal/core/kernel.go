@@ -1,11 +1,11 @@
 package core
 
-// This file holds the width-strided DDV kernels: the element-wise merge,
+// This file holds the width-strided DDV kernels: the element-wise
 // compare and diff loops of the protocol rewritten to stride over the
 // vector in fixed-size blocks. Each block is viewed through an array
 // pointer, which both eliminates bounds checks in the inner loop and
 // lets a whole block be compared in one shot — the common case on wide
-// federations is that almost every block is untouched, so merges and
+// federations is that almost every block is untouched, so compares and
 // diffs become a sequence of 64-byte equality probes that skip straight
 // past the unchanged regions, and the loops run at memory bandwidth
 // rather than per-element branch cost. The kernels are exact drop-in
@@ -33,34 +33,6 @@ func equalSN(d, o []SN) bool {
 		}
 	}
 	return true
-}
-
-// mergeMax raises d to the element-wise maximum with o and reports
-// whether any entry changed. Blocks where o equals d cannot raise
-// anything and are skipped whole.
-func mergeMax(d, o []SN) bool {
-	changed := false
-	i := 0
-	for ; i+ddvBlock <= len(o); i += ddvBlock {
-		db := (*[ddvBlock]SN)(d[i:])
-		ob := (*[ddvBlock]SN)(o[i:])
-		if *db == *ob {
-			continue
-		}
-		for j := 0; j < ddvBlock; j++ {
-			if ob[j] > db[j] {
-				db[j] = ob[j]
-				changed = true
-			}
-		}
-	}
-	for ; i < len(o); i++ {
-		if o[i] > d[i] {
-			d[i] = o[i]
-			changed = true
-		}
-	}
-	return changed
 }
 
 // dominatesSN reports whether d[i] >= o[i] for every entry. Equal

@@ -24,13 +24,12 @@ type ReclaimableMsg interface {
 // model. Piggybacked vectors add 8 bytes per cluster.
 //
 // Pricing note for the delta wire representation (delta.go): messages
-// carry dependency metadata either as a dense DDV or as sparse
-// (index, SN) pairs plus the width they stand for, and both forms are
-// priced at the dense width. Transmission delays, byte counters and
-// recorded goldens are therefore invariant under the encoding switch;
-// the delta form saves simulator time and allocations, not modeled
-// bytes. (A real deployment would also shrink the wire; modeling that
-// would change every recorded result, so it is deliberately not done.)
+// carry dependency metadata as sparse (index, SN) pairs plus the width
+// they stand for (an AppMsg piggyback may travel as a dense DDV), and
+// every form is priced at the dense width, so transmission delays,
+// byte counters and recorded goldens are invariant under the encoding.
+// (A real deployment would also shrink the wire; modeling that would
+// change every recorded result, so it is deliberately not done.)
 const (
 	snBytes        = 8
 	headerBytes    = 16 // ids, flags
@@ -96,17 +95,12 @@ type AppAck struct {
 func (AppAck) ProtocolMessage() {}
 
 // CLCRequest opens the two-phase commit for checkpoint Seq within a
-// cluster (§3.1). For a forced CLC, DDVUpdate carries the new
-// dependency entries that every node must adopt at commit.
+// cluster (§3.1). A forced request is priced at the dense width of the
+// entries that forced it (UpdateWidth); the commit delivers them.
 type CLCRequest struct {
-	Seq    SN
-	Epoch  Epoch
-	Forced bool
-	// DDVUpdate is the dense form (nil for unforced CLCs);
-	// UpdatePairs/UpdateWidth the delta form (raised entries only,
-	// priced at the dense width). One of the two is set when forced.
-	DDVUpdate   DDV
-	UpdatePairs []DDVPair
+	Seq         SN
+	Epoch       Epoch
+	Forced      bool
 	UpdateWidth int
 }
 
@@ -114,16 +108,13 @@ func (CLCRequest) ProtocolMessage() {}
 
 // CLCAck tells the initiator a node has saved its local state (and
 // replicated it to stable storage) for checkpoint Seq. In
-// ModeIndependent it also carries the node's locally accumulated DDV,
-// which the commit merges cluster-wide (lazy dependency tracking).
+// ModeIndependent it also carries the entries this node raised above
+// the last committed vector, which the commit merges cluster-wide by
+// element-wise max (lazy dependency tracking; omitted entries are
+// exact no-ops).
 type CLCAck struct {
-	Seq   SN
-	Epoch Epoch
-	// NodeDDV is the dense form; NodePairs the delta form (only the
-	// entries this node raised above the last committed vector — the
-	// commit's element-wise-max merge makes the omitted entries exact
-	// no-ops). Both are nil outside ModeIndependent.
-	NodeDDV   DDV
+	Seq       SN
+	Epoch     Epoch
 	NodePairs []DDVPair
 }
 
@@ -131,17 +122,14 @@ func (CLCAck) ProtocolMessage() {}
 
 // CLCCommit completes the two-phase commit: every node adopts the new
 // SN and DDV, unfreezes application traffic and finalizes the stored
-// checkpoint.
+// checkpoint. Pairs are every entry that differs from the previous
+// commit's vector, which each participant holds as its commitBase (the
+// 2PC's Seq continuity guarantees no commit is ever skipped, and every
+// rollback/recovery path restores the base from the restored record);
+// Width prices them at the dense width.
 type CLCCommit struct {
 	Seq   SN
 	Epoch Epoch
-	// DDV is the dense committed vector; Pairs/Width the delta form:
-	// every entry that differs from the previous commit's vector, which
-	// each participant holds as its commitBase (the 2PC's Seq
-	// continuity guarantees no commit is ever skipped, and every
-	// rollback/recovery path restores the base from the restored
-	// record). Priced at the dense width either way.
-	DDV   DDV
 	Pairs []DDVPair
 	Width int
 }
@@ -149,15 +137,11 @@ type CLCCommit struct {
 func (CLCCommit) ProtocolMessage() {}
 
 // ForceCLC asks the cluster leader to initiate a forced CLC because an
-// inter-cluster message raised a DDV entry (§3.2). Always requests an
-// unconditional checkpoint even without new entries (ModeForceAll).
+// inter-cluster message raised a DDV entry (§3.2): Pairs are the raised
+// entries, priced at the dense width. Always requests an unconditional
+// checkpoint even without new entries (ModeForceAll).
 type ForceCLC struct {
-	Epoch Epoch
-	// Pairs/Width are the delta form: the raised entries only. NewDDV is
-	// the dense form: the demanding node's DDV with those entries
-	// applied. The leader merges either by element-wise max, so entries
-	// at or below its own DDV are exact no-ops.
-	NewDDV DDV
+	Epoch  Epoch
 	Pairs  []DDVPair
 	Width  int
 	Always bool
@@ -386,10 +370,8 @@ func (GCToken) ProtocolMessage() {}
 // identically to their values, so pooling and plain environments
 // account traffic the same way; the boxed types with a default price
 // (CLCAck, ReplicaAck, LogMirror) fall to the default like their
-// values. The delta wire forms price identically to their dense
-// equivalents (see the pricing note above): a message sets either the
-// dense vector or the delta width, and the formulas sum both so one
-// expression covers both encodings.
+// values. Dependency pairs are priced at the dense width they stand
+// for (see the pricing note above).
 func controlSize(m Msg) int {
 	switch v := m.(type) {
 	case *Box[CLCRequest]:
@@ -403,11 +385,11 @@ func controlSize(m Msg) int {
 	case AppAck, *AppAck:
 		return controlBytes
 	case CLCRequest:
-		return controlBytes + perClusterByte*(len(v.DDVUpdate)+v.UpdateWidth)
+		return controlBytes + perClusterByte*v.UpdateWidth
 	case CLCCommit:
-		return controlBytes + perClusterByte*(len(v.DDV)+v.Width)
+		return controlBytes + perClusterByte*v.Width
 	case ForceCLC:
-		return controlBytes + perClusterByte*(len(v.NewDDV)+v.Width)
+		return controlBytes + perClusterByte*v.Width
 	case Replica:
 		return controlBytes + v.Size
 	case RecoverStateResp:

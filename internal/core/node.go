@@ -78,12 +78,6 @@ type Config struct {
 	// part is replicated to (§3.1 uses 1; §7 suggests making it
 	// configurable to tolerate more simultaneous faults per cluster).
 	Replicas int
-	// DenseWire selects the dense (one SN per cluster) wire encoding
-	// for dependency metadata instead of the default delta form (see
-	// delta.go). Both encodings are priced identically and produce
-	// identical runs; the dense path is kept as the reference for
-	// differential tests and width-scaling benchmarks.
-	DenseWire bool
 }
 
 // validate panics on malformed configurations: these are programming
@@ -276,10 +270,9 @@ type Node struct {
 	inFlightSince  sim.Time
 	ackedNodes     []bool // reusable per-index ack flags, reset at startCLC
 	ackedCount     int
-	ackedDDVs      []DDV // node DDVs gathered with acks (dense wire, ModeIndependent)
-	// acked accumulates delta-encoded ack pairs by element-wise max
-	// (maxMerge: order-independent, so merging on arrival equals the
-	// dense path's merge-at-commit); emptied at commit and abort.
+	// acked accumulates the acks' pairs by element-wise max (maxMerge:
+	// order-independent, so merging on arrival equals merging every
+	// ack at commit); emptied at commit and abort.
 	acked []DDVPair
 	// pending holds the forced-CLC demands not yet committed, one pair
 	// per raised index at its largest SN (maxMerge); emptied once a
@@ -432,8 +425,6 @@ type Node struct {
 	// first transitive inter-cluster send of a generation.
 	lastPiggy    SparseDDV
 	lastPiggyGen uint64
-	// denseWire mirrors cfg.DenseWire (hot-path read).
-	denseWire bool
 	// replTargets is the fixed ring of neighbour nodes holding this
 	// node's checkpoint parts, computed once (the per-prepare slice
 	// build showed up as a top allocation site).
@@ -500,16 +491,13 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 	n.sink, _ = env.(EventSink)
 	n.emit(Event{Kind: EventNodeStart, Mode: cfg.Mode})
 	n.stab, _ = app.(Stabilizer)
-	n.denseWire = cfg.DenseWire
 	n.ddvGen = 1
 	n.commitBase = NewDDV(cfg.Clusters)
 	n.recvDirty.Init(cfg.Clusters)
 	n.commitScratch.Init(cfg.Clusters)
 	n.gcScanDirty.Init(cfg.Clusters)
 	n.pairScratch = make([]DDVPair, 0, 8)
-	if !n.denseWire {
-		n.piggyCodecs, _ = env.(PiggyCodecs)
-	}
+	n.piggyCodecs, _ = env.(PiggyCodecs)
 	n.replTargets = make([]topology.NodeID, 0, cfg.Replicas)
 	for r := 1; r <= cfg.Replicas; r++ {
 		n.replTargets = append(n.replTargets,
@@ -901,7 +889,6 @@ func (n *Node) Restart() {
 	n.inFlight = false
 	n.pending = n.pending[:0]
 	n.pendingAlways = false
-	n.ackedDDVs = nil
 	n.frozenSends = false
 	n.frozenDelivs = false
 	n.sendQueue = nil

@@ -188,14 +188,11 @@ func TestForceCoalescing(t *testing.T) {
 	}
 }
 
-// TestForceDemandWireForms: a member's forced-CLC demands leave its
-// leader with the same pending list on both wires. The member ships
-// the raised pairs on the delta wire, and its DDV with the pairs
-// applied on the dense one; the leader, busy with a 2PC, keeps each
-// index once at its largest SN, in first-raise order, and leaves out a
-// dense demand's entries at or below its own DDV. A force-all member's
-// re-demand for a held message names no entry, and on the delta wire
-// carries no dense vector either.
+// TestForceDemandWireForms: a member's forced-CLC demands ship the
+// raised pairs, priced at the federation's width; the leader, busy
+// with a 2PC, keeps each index once at its largest SN, in first-raise
+// order, and the commit that follows covers them all. A force-all
+// member's re-demand for a held message names no entry.
 func TestForceDemandWireForms(t *testing.T) {
 	demands := [][]DDVPair{
 		{{Idx: 3, SN: 2}},
@@ -212,64 +209,54 @@ func TestForceDemandWireForms(t *testing.T) {
 		}
 		return m.msg.(*Box[ForceCLC]).M
 	}
-	for _, dense := range []bool{false, true} {
-		b := newTestbedWire(t, []int{2, 1, 1, 1}, 1, false, false, dense)
-		leader, member, c2 := b.node(0, 0), b.node(0, 1), b.node(2, 0)
-		// c0 depends on c2: entry 2 is non-zero on both nodes of c0.
-		b.commitCLC(2)
-		c2.Send(member.ID(), payload(c2.ID(), 1))
-		b.pump()
-		if leader.ddv[2] == 0 || member.ddv[2] != leader.ddv[2] {
-			t.Fatalf("dense=%v: entry 2 is %d at the leader, %d at the member", dense, leader.ddv[2], member.ddv[2])
-		}
+	b := newTestbed(t, []int{2, 1, 1, 1}, 1, false)
+	leader, member, c2 := b.node(0, 0), b.node(0, 1), b.node(2, 0)
+	// c0 depends on c2: entry 2 is non-zero on both nodes of c0.
+	b.commitCLC(2)
+	c2.Send(member.ID(), payload(c2.ID(), 1))
+	b.pump()
+	if leader.ddv[2] == 0 || member.ddv[2] != leader.ddv[2] {
+		t.Fatalf("entry 2 is %d at the leader, %d at the member", leader.ddv[2], member.ddv[2])
+	}
 
-		// An unforced 2PC stays open: the demands wait at the leader.
-		b.withhold = func(m sentMsg) bool { return !isForce(m) }
-		leader.OnTimer(TimerCLC)
-		for _, d := range demands {
-			member.requestForce(d, false)
-			got := lastForce(b)
-			if dense {
-				target := member.ddv.Clone()
-				target.applyPairs(d)
-				if !got.NewDDV.Equal(target) || got.Pairs != nil {
-					t.Fatalf("dense demand %v went out as %+v, want NewDDV %v", d, got, target)
-				}
-			} else if got.NewDDV != nil || !slices.Equal(got.Pairs, d) || got.Width != 4 {
-				t.Fatalf("delta demand %v went out as %+v", d, got)
-			}
-			b.pump()
+	// An unforced 2PC stays open: the demands wait at the leader.
+	b.withhold = func(m sentMsg) bool { return !isForce(m) }
+	leader.OnTimer(TimerCLC)
+	for _, d := range demands {
+		member.requestForce(d, false)
+		if got := lastForce(b); !slices.Equal(got.Pairs, d) || got.Width != 4 {
+			t.Fatalf("demand %v went out as %+v", d, got)
 		}
-		if !slices.Equal(leader.pending, want) {
-			t.Fatalf("dense=%v: pending %v, want %v", dense, leader.pending, want)
-		}
-		b.release()
 		b.pump()
-		for _, n := range []*Node{leader, member} {
-			if n.ddv[1] != 7 || n.ddv[3] != 4 {
-				t.Fatalf("dense=%v: %v committed %v, want entries 1 and 3 at 7 and 4", dense, n.ID(), n.ddv)
-			}
+	}
+	if !slices.Equal(leader.pending, want) {
+		t.Fatalf("pending %v, want %v", leader.pending, want)
+	}
+	b.release()
+	b.pump()
+	for _, n := range []*Node{leader, member} {
+		if n.ddv[1] != 7 || n.ddv[3] != 4 {
+			t.Fatalf("%v committed %v, want entries 1 and 3 at 7 and 4", n.ID(), n.ddv)
 		}
-		if len(leader.pending) != 0 {
-			t.Fatalf("dense=%v: pending %v survives the commit that covers it", dense, leader.pending)
-		}
+	}
+	if len(leader.pending) != 0 {
+		t.Fatalf("pending %v survives the commit that covers it", leader.pending)
+	}
 
-		fa := newTestbedWire(t, []int{2, 1}, 1, false, false, dense)
-		for _, n := range fa.nodes {
-			n.cfg.Mode = ModeForceAll
-		}
-		member, src := fa.node(0, 1), fa.node(1, 0)
-		held := AppMsg{MsgID: 1, Payload: payload(src.ID(), 1), SrcCluster: 1, SendSN: 1}
-		member.heldInter = append(member.heldInter, inbound{src: src.ID(), msg: held, heldAt: member.sn})
-		member.reexamineHeld()
-		got := lastForce(fa)
-		if !got.Always || got.Pairs != nil || dense != (got.NewDDV != nil) || dense && !got.NewDDV.Equal(member.ddv) {
-			t.Fatalf("dense=%v: force-all re-demand went out as %+v", dense, got)
-		}
-		fa.pump()
-		if n := len(fa.app(0, 1).delivered); n != 1 {
-			t.Fatalf("dense=%v: %d held messages delivered after the re-demanded CLC, want 1", dense, n)
-		}
+	fa := newTestbed(t, []int{2, 1}, 1, false)
+	for _, n := range fa.nodes {
+		n.cfg.Mode = ModeForceAll
+	}
+	member, src := fa.node(0, 1), fa.node(1, 0)
+	held := AppMsg{MsgID: 1, Payload: payload(src.ID(), 1), SrcCluster: 1, SendSN: 1}
+	member.heldInter = append(member.heldInter, inbound{src: src.ID(), msg: held, heldAt: member.sn})
+	member.reexamineHeld()
+	if got := lastForce(fa); !got.Always || got.Pairs != nil {
+		t.Fatalf("force-all re-demand went out as %+v", got)
+	}
+	fa.pump()
+	if n := len(fa.app(0, 1).delivered); n != 1 {
+		t.Fatalf("%d held messages delivered after the re-demanded CLC, want 1", n)
 	}
 }
 

@@ -249,17 +249,17 @@ func (b *testbed) checkBoxes(queued []sentMsg) error {
 // newTestbed builds clusters with sizes[i] nodes each, replicas state
 // copies, and the given per-cluster CLC periods.
 func newTestbed(t testing.TB, sizes []int, replicas int, transitive bool) *testbed {
-	return newTestbedWire(t, sizes, replicas, transitive, false, false)
+	return newTestbedWire(t, sizes, replicas, transitive, false)
 }
 
 // newTwinTestbed is newTestbed with transitive piggybacks on one of the
-// two wires a differential test compares: delta-encoded over per-pipe
-// codecs, or the dense reference (dense).
+// two forms a differential test compares: delta-encoded over per-pipe
+// codecs, or dense (dense: the testbed offers no codecs).
 func newTwinTestbed(t testing.TB, sizes []int, replicas int, dense bool) *testbed {
-	return newTestbedWire(t, sizes, replicas, true, !dense, dense)
+	return newTestbedWire(t, sizes, replicas, true, !dense)
 }
 
-func newTestbedWire(t testing.TB, sizes []int, replicas int, transitive, codecs, dense bool) *testbed {
+func newTestbedWire(t testing.TB, sizes []int, replicas int, transitive, codecs bool) *testbed {
 	bed := &testbed{
 		t:         t,
 		nodes:     make(map[topology.NodeID]*Node),
@@ -290,7 +290,6 @@ func newTestbedWire(t testing.TB, sizes []int, replicas int, transitive, codecs,
 				GCPeriod:     sim.Forever,
 				Replicas:     repl,
 				Transitive:   transitive,
-				DenseWire:    dense,
 			}
 			n := bed.newNode(cfg, env, app)
 			bed.nodes[id] = n
@@ -307,7 +306,7 @@ func newTestbedWire(t testing.TB, sizes []int, replicas int, transitive, codecs,
 // but instantiates only clusters 0 and 1 — enough to drive one
 // directed inter-cluster pipe at an arbitrary dependency-vector width
 // without building hundreds of nodes. Transitive piggybacking is on;
-// dense selects the reference wire encoding (delta otherwise).
+// dense makes piggybacks travel dense (delta otherwise).
 func newWideTestbed(t testing.TB, width int, dense bool) *testbed {
 	return newWideTestbedSized(t, width, dense, 1)
 }
@@ -347,7 +346,6 @@ func newWideTestbedSized(t testing.TB, width int, dense bool, nodes int) *testbe
 				GCPeriod:     sim.Forever,
 				Replicas:     min(1, nodes-1),
 				Transitive:   true,
-				DenseWire:    dense,
 			}
 			n := bed.newNode(cfg, env, app)
 			bed.nodes[id] = n

@@ -95,8 +95,8 @@ func TestControlSizePositiveProperty(t *testing.T) {
 	f := func(sz uint16, nClusters uint8) bool {
 		n := int(nClusters%8) + 1
 		msgs := []Msg{
-			AppAck{}, CLCAck{}, CLCRequest{DDVUpdate: NewDDV(n)},
-			CLCCommit{DDV: NewDDV(n)}, ForceCLC{NewDDV: NewDDV(n)},
+			AppAck{}, CLCAck{}, CLCRequest{UpdateWidth: n},
+			CLCCommit{Width: n}, ForceCLC{Width: n},
 			RollbackAlert{}, RollbackCmd{}, RollbackAck{}, RollbackResume{},
 			GCRequest{}, GCCollect{MinSNs: make([]SN, n)},
 			GCDrop{MinSNs: make([]SN, n)}, GCDemand{},

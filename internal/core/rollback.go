@@ -247,14 +247,14 @@ func (n *Node) onRecoverStateReq(src topology.NodeID, m RecoverStateReq) {
 
 // recoveryFits reports whether a recovery response fits this
 // federation: the chain's anchor of its width, every record's pairs
-// inside it (vectorFits), and every mirrored send's piggyback empty or
+// inside it (pairsFit), and every mirrored send's piggyback empty or
 // of its width, as onLogMirror demands.
 func (n *Node) recoveryFits(m RecoverStateResp) bool {
 	if m.Chain.Anchor.Width != n.cfg.Clusters {
 		return false
 	}
 	for _, r := range m.Chain.Recs {
-		if !n.vectorFits(nil, r.Pairs) {
+		if !n.pairsFit(r.Pairs) {
 			return false
 		}
 	}

@@ -144,22 +144,19 @@ func TestNewNodeAllocatesThreeVectors(t *testing.T) {
 	}
 	const vector = width * 8 // bytes of one DDV
 	const smallChange = 6 << 10
-	for _, dense := range []bool{false, true} {
-		cfg.DenseWire = dense
-		NewNode(cfg, nullEnv{}, &mockApp{}) // warm up one-time allocations
-		var before, after runtime.MemStats
-		const runs = 10
-		nodes := make([]*Node, runs)
-		runtime.ReadMemStats(&before)
-		for i := range nodes {
-			nodes[i] = NewNode(cfg, nullEnv{}, &mockApp{})
-		}
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(nodes)
-		per := (after.TotalAlloc - before.TotalAlloc) / runs
-		if per > 3*vector+smallChange {
-			t.Fatalf("dense wire %v: NewNode at width %d allocated %d bytes, want at most 3 vectors (%d) + %d",
-				dense, width, per, 3*vector, smallChange)
-		}
+	NewNode(cfg, nullEnv{}, &mockApp{}) // warm up one-time allocations
+	var before, after runtime.MemStats
+	const runs = 10
+	nodes := make([]*Node, runs)
+	runtime.ReadMemStats(&before)
+	for i := range nodes {
+		nodes[i] = NewNode(cfg, nullEnv{}, &mockApp{})
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(nodes)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	if per > 3*vector+smallChange {
+		t.Fatalf("NewNode at width %d allocated %d bytes, want at most 3 vectors (%d) + %d",
+			width, per, 3*vector, smallChange)
 	}
 }

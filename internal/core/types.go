@@ -61,9 +61,9 @@ func (d DDV) CopyFrom(o DDV) {
 }
 
 // DDVArena hands out DDVs sliced from chunked backing storage, so the
-// vectors that escape an event (dense-wire piggybacks and commit
-// broadcasts, resent piggybacks, held copies pinned while a remote
-// restore is pending) allocate one chunk per 64 vectors
+// vectors that escape an event (dense piggybacks, resent piggybacks,
+// held copies pinned while a remote restore is pending, DDV snapshots)
+// allocate one chunk per 64 vectors
 // instead of one slice per Clone. Each Node owns one arena; a vector
 // handed out lives as long as whatever retains it (the chunk is
 // garbage-collected once every vector cut from it is dropped), and
@@ -118,15 +118,6 @@ func (a *DDVArena) cut() DDV {
 	return DDV(d)
 }
 
-// New returns a zeroed DDV backed by the arena.
-func (a *DDVArena) New() DDV {
-	d := a.cut()
-	for i := range d {
-		d[i] = 0
-	}
-	return d
-}
-
 // Clone returns an arena-backed copy of d.
 func (a *DDVArena) Clone(d DDV) DDV {
 	c := a.cut()
@@ -167,11 +158,6 @@ func (s *Slab[T]) New() *T {
 	s.chunk = s.chunk[1:]
 	return p
 }
-
-// Merge raises each entry to the element-wise maximum with o and
-// reports whether any entry changed. Used by the transitive-dependency
-// extension (paper §7 future work).
-func (d DDV) Merge(o DDV) bool { return mergeMax(d, o) }
 
 // Equal reports element-wise equality.
 func (d DDV) Equal(o DDV) bool { return equalSN(d, o) }

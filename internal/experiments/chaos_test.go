@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/sim"
 )
@@ -116,56 +115,6 @@ func TestChaosReplayDeterminism(t *testing.T) {
 	}
 	if a.Failures == 0 {
 		t.Error("chaos run injected no crashes; the schedule is not adversarial")
-	}
-}
-
-// TestOracleCatchesMutations is the oracle's mutation smoke test: each
-// seeded protocol break (core.Mutate) must be flagged by the oracle
-// within a bounded number of adversarial schedules — a checker that
-// stays silent while the protocol is deliberately broken proves
-// nothing.
-func TestOracleCatchesMutations(t *testing.T) {
-	sc := Scenario{Topology: "4c", Workload: "uniform", Failure: "storm", Network: "jitter"}
-	cases := []struct {
-		name   string
-		arm    func()
-		expect string // substring of the oracle violation
-		seeds  int
-	}{
-		{
-			name:   "AcceptStaleEpoch",
-			arm:    func() { core.Mutate.AcceptStaleEpoch = true },
-			expect: "oracle:",
-			seeds:  40,
-		},
-		{
-			name:   "GCOverCollect",
-			arm:    func() { core.Mutate.GCOverCollect = true },
-			expect: "gc safety",
-			seeds:  10,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			tc.arm()
-			defer func() { core.Mutate = core.MutationFlags{} }()
-			for seed := uint64(1); seed <= uint64(tc.seeds); seed++ {
-				cfg := Config{Seed: seed, Quick: true, ChaosSeed: seed}
-				_, err := RunScenario(cfg, sc, "hc3i")
-				if err == nil {
-					continue // this schedule never reached the broken path
-				}
-				if !strings.Contains(err.Error(), "oracle:") {
-					t.Fatalf("seed %d failed outside the oracle: %v", seed, err)
-				}
-				if !strings.Contains(err.Error(), tc.expect) {
-					t.Fatalf("seed %d: oracle fired but not the expected check (%q): %v", seed, tc.expect, err)
-				}
-				t.Logf("caught at seed %d: %v", seed, err)
-				return
-			}
-			t.Fatalf("oracle never flagged mutation %s within %d seeds", tc.name, tc.seeds)
-		})
 	}
 }
 

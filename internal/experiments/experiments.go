@@ -77,11 +77,11 @@ type Config struct {
 	// previous run's event-engine buffers instead of rebuilding from
 	// zero per sweep point (see federation.Arena).
 	arena *federation.Arena
-	// denseWire and unbatchedWire run every federation on a reference
-	// wire: dense DDVs instead of the delta form, one engine event per
-	// delivery instead of batched pipes (federation.Options.DenseWire,
-	// UnbatchedWire). Results are byte-identical by construction; only
-	// the differential suites in this package set them.
+	// denseWire and unbatchedWire are test fixtures: dense transitive
+	// piggybacks, one engine event per delivery
+	// (federation.Options.DenseWire, UnbatchedWire). Results are
+	// byte-identical by construction; only tests in this package set
+	// them.
 	denseWire, unbatchedWire bool
 }
 

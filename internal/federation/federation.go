@@ -67,13 +67,12 @@ type Options struct {
 	RingGC bool
 	// Transitive enables full-DDV piggybacking.
 	Transitive bool
-	// DenseWire selects the dense DDV wire encoding instead of the
-	// default delta form (see core/delta.go). Both are priced
-	// identically and produce identical results. Only tests set it:
-	// this package's delta-wire differentials, and internal/experiments'
-	// differential suites and transitive chaos and trace-link runs
-	// (through an unexported Config field). The delta wire refuses
-	// transitive Chaos and LinkTrace (see fill, New); this one runs them.
+	// DenseWire is the dense-piggyback test fixture: the nodes get no
+	// pipe codecs, so transitive piggybacks travel as dense DDVs (see
+	// core/delta.go); a run that is not transitive is unchanged. Only
+	// tests set it, here and in internal/experiments (through an
+	// unexported Config field). Delta piggybacks refuse transitive
+	// Chaos and LinkTrace (see fill, New); dense ones run them.
 	DenseWire bool
 	// UnbatchedWire schedules every network delivery as its own event
 	// instead of the default batched pipe deliveries (see
@@ -130,7 +129,7 @@ type Options struct {
 	// (experiments.ScenarioOptions), for hc3ibench, hc3isoak and the
 	// benchmark alike. Incompatible with delta-encoded transitive
 	// piggybacks (duplicates would desync the pipe codecs); only the
-	// DenseWire reference runs transitive chaos.
+	// DenseWire fixture runs transitive chaos.
 	Chaos *chaos.Config
 
 	// LinkTrace replays a measured (latency, jitter, loss) schedule
@@ -346,7 +345,6 @@ func New(opts Options) (*Fed, error) {
 			RingGC:            opts.RingGC,
 			Transitive:        opts.Transitive,
 			Replicas:          repl,
-			DenseWire:         opts.DenseWire,
 		}
 		env := &nodeEnv{f: f, id: id, ord: ord, idStr: id.String()}
 		na := app.NewNodeApp(id, opts.Workload, fed, appRNG)

@@ -29,8 +29,9 @@
 // chain being the very core.Chain the nodes store and the collector
 // analyses — patched with the same delta pairs the wire carries, so the
 // steady-state checks are O(changed entries), not O(federation width);
-// the dense-wire reference path pays the full-width compare the dense
-// encoding itself pays. It never touches statistics, RNG streams or
+// the dense commit path, which the offline replay of a live journal
+// feeds (journals record commits as dense vectors), pays a full-width
+// compare. It never touches statistics, RNG streams or
 // the event queue: runs are byte-identical with the oracle attached,
 // which the determinism suite pins against the recorded goldens.
 package oracle
@@ -73,8 +74,13 @@ type delivRec struct {
 
 // clusterShadow is the oracle's causal history of one cluster.
 type clusterShadow struct {
-	epoch  core.Epoch
-	sn     core.SN
+	epoch core.Epoch
+	sn    core.SN
+	// nPairs is the pair count of the first observation of commit sn,
+	// -1 when sn was not committed in pairs (the initial checkpoint, a
+	// dense commit, a restore): every node's commit of sn must ship
+	// that many.
+	nPairs int
 	cur    core.DDV   // committed line: the newest committed vector
 	chain  core.Chain // stored checkpoints
 	rolls  []rollbackRec
@@ -144,6 +150,7 @@ func New(nClusters int) *Oracle {
 	for i := range o.clusters {
 		c := &o.clusters[i]
 		c.sn = 1
+		c.nPairs = -1
 		c.cur = core.NewDDV(nClusters)
 		c.cur[i] = 1
 		c.chain.Init(1, c.cur)
@@ -220,7 +227,10 @@ func (o *Oracle) Observe(id topology.NodeID, ev core.Event) {
 // cluster-wide commit agreement, then advances the shadow chain. With
 // delta pairs the work is O(changed entries): unchanged entries equal
 // the previous commit, which an earlier commit already verified — the
-// induction the commitBase wire invariant rests on.
+// induction the commitBase wire invariant rests on. That induction
+// needs every node to ship the same pairs, so a later node's commit
+// must also match the first one's pair count: a missing pair is not a
+// disagreeing one.
 func (o *Oracle) commit(id topology.NodeID, seq core.SN, epoch core.Epoch, ddv core.DDV, pairs []core.DDVPair) {
 	c := &o.clusters[id.Cluster]
 	if epoch != c.epoch {
@@ -232,6 +242,11 @@ func (o *Oracle) commit(id topology.NodeID, seq core.SN, epoch core.Epoch, ddv c
 		// A later node applying the commit the shadow already holds:
 		// every node of the cluster must install the identical vector.
 		if pairs != nil {
+			if c.nPairs >= 0 && len(pairs) != c.nPairs {
+				o.violatef("commit agreement: %v CLC %d ships %d pairs, cluster committed %d",
+					id, seq, len(pairs), c.nPairs)
+				return
+			}
 			for _, p := range pairs {
 				if c.cur[p.Idx] != p.SN {
 					o.violatef("commit agreement: %v CLC %d entry %d = %d, cluster committed %d",
@@ -257,6 +272,7 @@ func (o *Oracle) commit(id topology.NodeID, seq core.SN, epoch core.Epoch, ddv c
 				c.cur[p.Idx] = p.SN
 			}
 			c.chain.Append(seq, pairs)
+			c.nPairs = len(pairs)
 		} else {
 			for i, v := range ddv {
 				if v < c.cur[i] {
@@ -267,6 +283,7 @@ func (o *Oracle) commit(id topology.NodeID, seq core.SN, epoch core.Epoch, ddv c
 			}
 			c.chain.AppendVector(seq, ddv, c.cur)
 			c.cur.CopyFrom(ddv)
+			c.nPairs = -1
 		}
 		if c.cur[id.Cluster] != seq {
 			o.violatef("commit: %v CLC %d own entry is %d", id, seq, c.cur[id.Cluster])
@@ -312,6 +329,7 @@ func (o *Oracle) restore(id topology.NodeID, toSN core.SN, newEpoch core.Epoch, 
 		oldEpoch := c.epoch
 		c.epoch = newEpoch
 		c.sn = toSN
+		c.nPairs = -1
 		c.rolls = append(c.rolls, rollbackRec{epoch: newEpoch, toSN: toSN, ddv: c.cur.Clone()})
 		// Deliveries into this cluster made at or after the restored
 		// checkpoint are erased by the restore.

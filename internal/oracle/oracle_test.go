@@ -89,6 +89,21 @@ func TestCommitAgreementViolation(t *testing.T) {
 	wantViolation(t, o, "agreement")
 }
 
+// TestCommitAgreementCountsPairs: a node whose commit leaves out a pair
+// the first node's commit shipped agrees on every pair it lists, and is
+// still flagged.
+func TestCommitAgreementCountsPairs(t *testing.T) {
+	o := New(3)
+	full := []core.DDVPair{{Idx: 0, SN: 2}, {Idx: 1, SN: 4}, {Idx: 2, SN: 1}}
+	commit(o, node(0, 0), 2, 0, nil, full)
+	commit(o, node(0, 1), 2, 0, nil, full)
+	if err := o.Err(); err != nil {
+		t.Fatalf("agreeing commits flagged: %v", err)
+	}
+	commit(o, node(0, 2), 2, 0, nil, full[:2])
+	wantViolation(t, o, "commit agreement: c0n2 CLC 2 ships 2 pairs, cluster committed 3")
+}
+
 func TestCommitContinuityViolation(t *testing.T) {
 	o := New(2)
 	commit(o, node(0, 0), 4, 0, ddv(4, 0), nil) // skips 2 and 3

@@ -86,8 +86,8 @@ func (e Event) NodeID() (topology.NodeID, error) { return topology.ParseNodeID(e
 // Record maps node id's protocol event to its journal record — the one
 // mapping between the two, which Observation inverts. ok is false for
 // the kinds the journal does not carry: the trace points, and
-// piggyback sends (the live runtime speaks the dense wire, so it has
-// no delta pipes to check). A start record names no federation shape;
+// piggyback sends (the live runtime sends dense piggybacks and delta
+// control messages, so it has no delta pipes to check). A start record names no federation shape;
 // the journaling runtime adds Clusters and Recovering. A commit is
 // journaled as its dense vector: Pairs is a wire shortcut.
 func Record(id topology.NodeID, ev core.Event) (Event, bool) {

@@ -139,11 +139,11 @@ func TestTCPTransportTornFrame(t *testing.T) {
 	}
 
 	preamble := wirePreamble[:]
-	// A well-formed CLCCommit frame whose DDV claims 2^40 entries.
-	hugeDDV := binary.AppendUvarint([]byte{0, 0, 0, 1, tagCLCCommit, 1, 1}, 1<<40)
+	// A well-formed CLCCommit frame whose pair list claims 2^40 entries.
+	hugePairs := binary.AppendUvarint([]byte{0, 0, 0, 1, tagCLCCommit, 1, 1}, 1<<40)
 	attacks := map[string][]byte{
 		"garbage":              []byte("this is not a wire stream\xff\x00\x01"),
-		"2^40 DDV entries":     append(binary.AppendUvarint(append([]byte(nil), preamble...), uint64(len(hugeDDV))), hugeDDV...),
+		"2^40 commit pairs":    append(binary.AppendUvarint(append([]byte(nil), preamble...), uint64(len(hugePairs))), hugePairs...),
 		"2^40-byte frame":      binary.AppendUvarint(append([]byte(nil), preamble...), 1<<40),
 		"60 MiB claim, 3 sent": append(binary.AppendUvarint(append([]byte(nil), preamble...), 60<<20), 1, 2, 3),
 	}

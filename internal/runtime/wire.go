@@ -58,7 +58,10 @@ const (
 	// wireVersion 6: a LogMirror's piggyback is a sparse vector too.
 	// wireVersion 7: the pooled forms of AppMsg and AppAck have tags of
 	// their own, so each decodes in the form it was sent.
-	wireVersion = 7
+	// wireVersion 8: the checkpoint round's control messages (CLCRequest,
+	// CLCAck, CLCCommit, ForceCLC) carry dependency pairs only: their
+	// dense vectors and the request's update pairs are gone.
+	wireVersion = 8
 	// maxFrame caps one frame's body.
 	maxFrame = 64 << 20
 	// maxWidth caps a decoded sparse vector's width: a width costs no
@@ -233,26 +236,21 @@ func appendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		w.uint(uint64(m.Seq))
 		w.uint(uint64(m.Epoch))
 		w.bool(m.Forced)
-		w.sns(m.DDVUpdate)
-		w.pairs(m.UpdatePairs)
 		w.int(int64(m.UpdateWidth))
 	case tagCLCAck:
 		m := env.Msg.(core.CLCAck)
 		w.uint(uint64(m.Seq))
 		w.uint(uint64(m.Epoch))
-		w.sns(m.NodeDDV)
 		w.pairs(m.NodePairs)
 	case tagCLCCommit:
 		m := env.Msg.(core.CLCCommit)
 		w.uint(uint64(m.Seq))
 		w.uint(uint64(m.Epoch))
-		w.sns(m.DDV)
 		w.pairs(m.Pairs)
 		w.int(int64(m.Width))
 	case tagForceCLC:
 		m := env.Msg.(core.ForceCLC)
 		w.uint(uint64(m.Epoch))
-		w.sns(m.NewDDV)
 		w.pairs(m.Pairs)
 		w.int(int64(m.Width))
 		w.bool(m.Always)
@@ -761,14 +759,13 @@ func (r *decoder) msg(tag byte) core.Msg {
 	case tagAppAck:
 		return r.appAck()
 	case tagCLCRequest:
-		return core.CLCRequest{Seq: r.sn(), Epoch: r.epoch(), Forced: r.bool(),
-			DDVUpdate: r.sns(), UpdatePairs: r.pairs(), UpdateWidth: r.int()}
+		return core.CLCRequest{Seq: r.sn(), Epoch: r.epoch(), Forced: r.bool(), UpdateWidth: r.int()}
 	case tagCLCAck:
-		return core.CLCAck{Seq: r.sn(), Epoch: r.epoch(), NodeDDV: r.sns(), NodePairs: r.pairs()}
+		return core.CLCAck{Seq: r.sn(), Epoch: r.epoch(), NodePairs: r.pairs()}
 	case tagCLCCommit:
-		return core.CLCCommit{Seq: r.sn(), Epoch: r.epoch(), DDV: r.sns(), Pairs: r.pairs(), Width: r.int()}
+		return core.CLCCommit{Seq: r.sn(), Epoch: r.epoch(), Pairs: r.pairs(), Width: r.int()}
 	case tagForceCLC:
-		return core.ForceCLC{Epoch: r.epoch(), NewDDV: r.sns(), Pairs: r.pairs(), Width: r.int(), Always: r.bool()}
+		return core.ForceCLC{Epoch: r.epoch(), Pairs: r.pairs(), Width: r.int(), Always: r.bool()}
 	case tagReplica:
 		return core.Replica{Seq: r.sn(), Epoch: r.epoch(), Owner: r.node(), State: r.state(), Size: r.int()}
 	case tagReplicaAck:

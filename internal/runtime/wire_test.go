@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -65,10 +66,10 @@ func wireRows(entries int) []core.Msg {
 	return []core.Msg{
 		appMsg,
 		appAck,
-		core.CLCRequest{Seq: 7, Epoch: 1, Forced: true, DDVUpdate: core.DDV{7, 3}, UpdatePairs: pairs, UpdateWidth: 2},
-		core.CLCAck{Seq: 7, Epoch: 1, NodeDDV: core.DDV{7, 3}, NodePairs: pairs},
-		core.CLCCommit{Seq: 7, Epoch: 1, DDV: core.DDV{7, 3}, Pairs: pairs, Width: 2},
-		core.ForceCLC{Epoch: 2, NewDDV: core.DDV{1, 9}, Pairs: pairs, Width: 2, Always: true},
+		core.CLCRequest{Seq: 7, Epoch: 1, Forced: true, UpdateWidth: 2},
+		core.CLCAck{Seq: 7, Epoch: 1, NodePairs: pairs},
+		core.CLCCommit{Seq: 7, Epoch: 1, Pairs: pairs, Width: 2},
+		core.ForceCLC{Epoch: 2, Pairs: pairs, Width: 2, Always: true},
 		core.Replica{Seq: 9, Epoch: 2, Owner: nid(0, 1), State: appState(41, entries), Size: 1024},
 		core.ReplicaAck{Seq: 9, Epoch: 2, From: nid(0, 2)},
 		core.RollbackAlert{Cluster: 1, NewSN: 4, NewEpoch: 3},
@@ -192,6 +193,17 @@ func TestEnvelopeEmptyDecodesNil(t *testing.T) {
 	env = Envelope{Msg: core.AppMsg{PiggyDDV: core.DDV{}, PiggyPairs: []core.DDVPair{}}}
 	if back := roundTrip(t, env); !reflect.DeepEqual(back, Envelope{Msg: core.AppMsg{}}) {
 		t.Fatalf("got %+v, want nil slices", back)
+	}
+}
+
+// TestPreambleRefusesOtherVersions: a connection that opens with
+// another wire version's preamble is refused — version 7 is the one
+// whose control messages still carried dense vectors.
+func TestPreambleRefusesOtherVersions(t *testing.T) {
+	for v, want := range map[byte]bool{wireVersion: true, 7: false, wireVersion + 1: false} {
+		if got := readPreamble(bufio.NewReader(bytes.NewReader([]byte{'H', 'C', '3', 'I', v}))); got != want {
+			t.Errorf("version %d preamble accepted = %v, want %v", v, got, want)
+		}
 	}
 }
 
@@ -400,7 +412,7 @@ func TestEnvelopeDecodeDoesNotAlias(t *testing.T) {
 		for i := range buf {
 			buf[i] = 0
 		}
-		b := Envelope{Src: nid(1, 1), Dst: nid(1, 0), Msg: core.CLCCommit{Seq: 99, DDV: core.DDV{99, 99, 99}}}
+		b := Envelope{Src: nid(1, 1), Dst: nid(1, 0), Msg: core.CLCCommit{Seq: 99, Pairs: []core.DDVPair{{Idx: 9, SN: 99}}, Width: 99}}
 		buf, _ = appendEnvelope(buf[:0], b)
 		if _, err := decodeEnvelope(buf); err != nil {
 			t.Fatal(err)
@@ -467,20 +479,20 @@ func FuzzEnvelopeCodec(f *testing.F) {
 }
 
 // hostileControl are control messages that name a cluster outside
-// receiver's two-cluster federation: pair indices past the width, dense
-// vectors of another width, alerts from clusters 9 and -1.
+// receiver's two-cluster federation: pair indices past the width and
+// below zero, alerts from clusters 9 and -1.
 func hostileControl() []core.Msg {
 	far := []core.DDVPair{{Idx: 7, SN: 1}}
-	wide := core.DDV{1, 1, 5}
+	below := []core.DDVPair{{Idx: -1, SN: 1}}
 	return []core.Msg{
 		core.ForceCLC{Pairs: far, Width: 2},
-		core.ForceCLC{NewDDV: wide, Always: true},
+		core.ForceCLC{Pairs: below, Width: 2, Always: true},
 		core.RollbackAlert{Cluster: 9, NewSN: 1, NewEpoch: 1},
 		core.RollbackAlert{Cluster: -1, NewSN: 1, NewEpoch: 1},
 		core.CLCCommit{Seq: 1, Pairs: far, Width: 2},
-		core.CLCCommit{Seq: 1, DDV: wide},
+		core.CLCCommit{Seq: 1, Pairs: below, Width: 2},
 		core.CLCAck{Seq: 1, NodePairs: far},
-		core.CLCAck{Seq: 1, NodeDDV: wide},
+		core.CLCAck{Seq: 1, NodePairs: below},
 	}
 }
 
@@ -493,7 +505,7 @@ func hostileAppMsg() core.AppMsg {
 }
 
 // receiver is a fresh node id of a transitive federation of two 2-node
-// clusters, on the dense wire as a daemon's node is.
+// clusters, with dense piggybacks as a daemon's node has.
 func receiver(id topology.NodeID) *core.Node {
 	return core.NewNode(core.Config{ID: id, Clusters: 2, ClusterSizes: []int{2, 2},
 		CLCPeriod: sim.Second, GCPeriod: sim.Forever, Replicas: 1, Transitive: true}, nullEnv{}, nullApp{})
