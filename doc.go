@@ -244,7 +244,10 @@
 //     only when the tracer reports the event's level, then hands the
 //     event to the run's oracle; the live runtime's counts into its
 //     counter table, prints every traced event when a trace writer is
-//     set and journals what oracle.Record maps. The oracle's kinds
+//     set and journals what oracle.Record maps, encoded by the
+//     hand-written oracle.Event.AppendJSON (byte for byte what
+//     encoding/json writes, which FuzzEventAppendJSON checks, so the
+//     journal reader is unchanged) without allocating. The oracle's kinds
 //     (node start, restore, delivery, piggyback send, GC drop) and the
 //     counting kinds are at sim.TraceOff and never printed. Without a
 //     sink a point is one nil check and counts nothing; with one it is

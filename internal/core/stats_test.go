@@ -38,7 +38,7 @@ func TestStatKindTable(t *testing.T) {
 		if l := ev.Level(); l != sim.TraceOff {
 			t.Errorf("kind %d (%s): Level() = %v, want TraceOff", k, name, l)
 		}
-		if rec, ok := oracle.Record(leader, ev); ok {
+		if rec, ok := oracle.Record(nil, leader, ev); ok {
 			t.Errorf("kind %d (%s): oracle.Record maps it to %+v", k, name, rec)
 		}
 		if _, perCluster := k.ClusterStat(); k.StatForm(leader) == core.StatPoint && !perCluster {

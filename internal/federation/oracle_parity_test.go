@@ -33,7 +33,7 @@ func TestOracleJournalParity(t *testing.T) {
 	seen := map[core.EventKind]int{}
 	federation.TapEvents(&opts, func(at sim.Time, id topology.NodeID, ev core.Event) {
 		seen[ev.Kind]++
-		rec, ok := oracle.Record(id, ev)
+		rec, ok := oracle.Record(nil, id, ev)
 		if !ok {
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/topology"
 )
 
 // TestRecordRoundTrip: every protocol event the live journal carries
@@ -14,6 +15,7 @@ import (
 // stream. The trace points and piggyback sends map to no record.
 func TestRecordRoundTrip(t *testing.T) {
 	id, peer := node(1, 0), node(0, 1)
+	names := topology.NewNameTable([]int{2, 2})
 	v := ddv(4, 2)
 	for _, ev := range []core.Event{
 		{Kind: core.EventNodeStart, Mode: core.ModeHC3I},
@@ -26,7 +28,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Kind: core.EventGCDrop, Round: 3, DDV: v},
 		{Kind: core.EventGCDrop, DDV: v}, // a journal from before rounds were recorded
 	} {
-		rec, ok := Record(id, ev)
+		rec, ok := Record(names, id, ev)
 		if !ok {
 			t.Fatalf("%v: no journal record", ev)
 		}
@@ -49,7 +51,7 @@ func TestRecordRoundTrip(t *testing.T) {
 
 	// A commit's delta pairs are a wire shortcut: the record keeps the
 	// dense vector, which is all the oracle needs.
-	rec, _ := Record(id, core.Event{Kind: core.EventCLCCommitted, Seq: 4, DDV: v,
+	rec, _ := Record(nil, id, core.Event{Kind: core.EventCLCCommitted, Seq: 4, DDV: v,
 		Pairs: []core.DDVPair{{Idx: 0, SN: 4}}})
 	if got, _ := rec.Observation(); got.Pairs != nil || !got.DDV.Equal(v) {
 		t.Errorf("commit with pairs came back as %+v", got)
@@ -59,7 +61,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		core.EventRestore: true, core.EventDeliver: true, core.EventGCDrop: true}
 	for k := core.EventKind(1); k != 0; k++ {
 		ev := core.Event{Kind: k, DDV: v}
-		if rec, ok := Record(id, ev); ok != journaled[k] {
+		if rec, ok := Record(nil, id, ev); ok != journaled[k] {
 			t.Errorf("kind %d (%v) maps to record %q", k, ev, rec.Kind)
 		}
 	}

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -84,30 +85,138 @@ type Event struct {
 func (e Event) NodeID() (topology.NodeID, error) { return topology.ParseNodeID(e.Node) }
 
 // Record maps node id's protocol event to its journal record — the one
-// mapping between the two, which Observation inverts. ok is false for
+// mapping between the two, which Observation inverts. names names the
+// node and a delivery's sender (a nil table names them through
+// NodeID.String, in one allocation each). ok is false for
 // the kinds the journal does not carry: the trace points, and
 // piggyback sends (the live runtime sends dense piggybacks and delta
 // control messages, so it has no delta pipes to check). A start record names no federation shape;
 // the journaling runtime adds Clusters and Recovering. A commit is
 // journaled as its dense vector: Pairs is a wire shortcut.
-func Record(id topology.NodeID, ev core.Event) (Event, bool) {
+func Record(names topology.NameTable, id topology.NodeID, ev core.Event) (Event, bool) {
 	switch ev.Kind {
 	case core.EventNodeStart:
-		return Event{Node: id.String(), Kind: "start", Mode: ev.Mode.String()}, true
+		return Event{Node: names.Name(id), Kind: "start", Mode: ev.Mode.String()}, true
 	case core.EventCLCCommitted:
-		return Event{Node: id.String(), Kind: "commit", Seq: uint64(ev.Seq), Epoch: uint64(ev.Epoch),
+		return Event{Node: names.Name(id), Kind: "commit", Seq: uint64(ev.Seq), Epoch: uint64(ev.Epoch),
 			DDV: fromSNs(ev.DDV), Forced: ev.Forced}, true
 	case core.EventRestore:
-		return Event{Node: id.String(), Kind: "rollback", Seq: uint64(ev.Seq), Epoch: uint64(ev.Epoch),
+		return Event{Node: names.Name(id), Kind: "rollback", Seq: uint64(ev.Seq), Epoch: uint64(ev.Epoch),
 			DDV: fromSNs(ev.DDV)}, true
 	case core.EventDeliver:
-		return Event{Node: id.String(), Kind: "deliver", Src: ev.Peer.String(),
+		return Event{Node: names.Name(id), Kind: "deliver", Src: names.Name(ev.Peer),
 			SrcEpoch: uint64(ev.PeerEpoch), SendSN: uint64(ev.Seq),
 			RecvEpoch: uint64(ev.Epoch), RecvSN: uint64(ev.SN)}, true
 	case core.EventGCDrop:
-		return Event{Node: id.String(), Kind: "gcdrop", Round: ev.Round, MinSNs: fromSNs(ev.DDV)}, true
+		return Event{Node: names.Name(id), Kind: "gcdrop", Round: ev.Round, MinSNs: fromSNs(ev.DDV)}, true
 	}
 	return Event{}, false
+}
+
+// AppendJSON appends the record's JSON encoding to b and returns the
+// extended buffer. The bytes are exactly what json.Marshal writes for
+// the record (FuzzEventAppendJSON holds the two equal): fields in
+// declaration order, omitempty fields left out at their zero value,
+// Stats keys sorted. Apart from sorting a stop record's Stats keys, it
+// allocates only for a string that needs escaping, which json.Marshal
+// of that one string then does.
+func (e *Event) AppendJSON(b []byte) []byte {
+	b = strconv.AppendInt(append(b, `{"t":`...), e.T, 10)
+	b = appendString(append(b, `,"node":`...), e.Node)
+	b = appendString(append(b, `,"kind":`...), e.Kind)
+	if len(e.Clusters) > 0 {
+		b = append(b, `,"clusters":[`...)
+		for i, v := range e.Clusters {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+		b = append(b, ']')
+	}
+	b = appendStringField(b, `,"mode":`, e.Mode)
+	b = appendTrueField(b, `,"recovering":true`, e.Recovering)
+	b = appendUintField(b, `,"seq":`, e.Seq)
+	b = appendUintField(b, `,"epoch":`, e.Epoch)
+	b = appendUintsField(b, `,"ddv":[`, e.DDV)
+	b = appendTrueField(b, `,"forced":true`, e.Forced)
+	b = appendStringField(b, `,"src":`, e.Src)
+	b = appendUintField(b, `,"src_epoch":`, e.SrcEpoch)
+	b = appendUintField(b, `,"send_sn":`, e.SendSN)
+	b = appendUintField(b, `,"recv_epoch":`, e.RecvEpoch)
+	b = appendUintField(b, `,"recv_sn":`, e.RecvSN)
+	b = appendUintField(b, `,"round":`, e.Round)
+	b = appendUintsField(b, `,"min_sns":[`, e.MinSNs)
+	b = appendStringField(b, `,"msg":`, e.Msg)
+	b = appendStringField(b, `,"dst":`, e.Dst)
+	if len(e.Stats) > 0 {
+		keys := make([]string, 0, len(e.Stats))
+		for k := range e.Stats {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		b = append(b, `,"stats":{`...)
+		for i, k := range keys {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendUint(append(appendString(b, k), ':'), e.Stats[k], 10)
+		}
+		b = append(b, '}')
+	}
+	return append(b, '}')
+}
+
+func appendStringField(b []byte, key, s string) []byte {
+	if s == "" {
+		return b
+	}
+	return appendString(append(b, key...), s)
+}
+
+func appendTrueField(b []byte, field string, v bool) []byte {
+	if !v {
+		return b
+	}
+	return append(b, field...)
+}
+
+func appendUintField(b []byte, key string, v uint64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendUint(append(b, key...), v, 10)
+}
+
+func appendUintsField(b []byte, key string, vs []uint64) []byte {
+	if len(vs) == 0 {
+		return b
+	}
+	b = append(b, key...)
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, v, 10)
+	}
+	return append(b, ']')
+}
+
+// appendString quotes s the way encoding/json does. Every byte that
+// json.Marshal escapes (control bytes, '"', '\\', the HTML-sensitive
+// '<', '>' and '&', and all of non-ASCII, where invalid UTF-8 and
+// U+2028/U+2029 are rewritten) sends the whole string to json.Marshal,
+// so the escaping cannot drift from the standard library's.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' || c >= 0x80 {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Observation maps a journal record back to the protocol event Record

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"encoding/json"
 	"sync"
 	"time"
 
@@ -11,15 +10,16 @@ import (
 
 // Journal is a live node daemon's durable event log: oracle.Event
 // lines appended through soak's torn-tail-safe LineJournal, one file
-// per daemon process. Every protocol event is written synchronously
-// inside the core.EventSink call that produced it, before the node
-// acts on it, so a SIGKILL can cost at most the final (torn) line —
-// which both reopening and offline replay tolerate. Timestamps are
-// forced strictly monotone within the file so a stable merge across
-// files preserves each file's exact order.
+// per daemon process. Every protocol event is encoded and written
+// synchronously inside the core.EventSink call that produced it,
+// before the node acts on it, so a SIGKILL can cost at most the final
+// (torn) line — which both reopening and offline replay tolerate.
+// Timestamps are forced strictly monotone within the file so a stable
+// merge across files preserves each file's exact order.
 type Journal struct {
 	mu    sync.Mutex
 	lj    *soak.LineJournal
+	buf   []byte // the line being written, reused under mu
 	lastT int64
 	err   error
 }
@@ -37,8 +37,10 @@ func OpenJournal(path string) (*Journal, error) {
 }
 
 // Event appends one journal line, stamping the current wall-clock time
-// when the event carries none. Write errors are sticky and reported by
-// Close — the protocol never blocks on journal health.
+// when the event carries none. The line is oracle.Event.AppendJSON's
+// encoding, in one write; once the buffer has grown to the longest
+// line, a record costs no allocation. Write errors are sticky and
+// reported by Close — the protocol never blocks on journal health.
 func (j *Journal) Event(ev oracle.Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -52,14 +54,8 @@ func (j *Journal) Event(ev oracle.Event) {
 		ev.T = j.lastT + 1
 	}
 	j.lastT = ev.T
-	b, err := json.Marshal(ev)
-	if err != nil {
-		if j.err == nil {
-			j.err = err
-		}
-		return
-	}
-	if err := j.lj.AppendLine(b); err != nil && j.err == nil {
+	j.buf = append(ev.AppendJSON(j.buf[:0]), '\n')
+	if err := j.lj.WriteLine(j.buf); err != nil && j.err == nil {
 		j.err = err
 	}
 }

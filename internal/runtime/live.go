@@ -114,6 +114,7 @@ type Live struct {
 	trace     io.Writer
 	traceMu   sync.Mutex
 	journal   *Journal
+	names     topology.NameTable // every node's journal name
 	stopped   chan struct{}
 	wg        sync.WaitGroup
 
@@ -154,8 +155,8 @@ func (e liveEnv) Send(dst topology.NodeID, size int, msg core.Msg) {
 		switch msg.(type) {
 		case *core.AppMsg, *core.AppAck, core.AppMsg, core.AppAck, core.LogMirror, core.LogTrim:
 		default:
-			j.Event(oracle.Event{Node: e.n.id.String(), Kind: "send",
-				Dst: dst.String(), Msg: msgName(msg)})
+			j.Event(oracle.Event{Node: e.n.fed.names.Name(e.n.id), Kind: "send",
+				Dst: e.n.fed.names.Name(dst), Msg: msgName(msg)})
 		}
 	}
 	if err := e.n.fed.transport.Send(Envelope{Src: e.n.id, Dst: dst, Msg: msg}); err != nil {
@@ -166,8 +167,8 @@ func (e liveEnv) Send(dst topology.NodeID, size int, msg core.Msg) {
 		e.n.fed.stats.add("live.send_dropped", 1)
 		e.tracef("send to %v dropped: %v", dst, err)
 		if j := e.n.fed.journal; j != nil {
-			j.Event(oracle.Event{Node: e.n.id.String(), Kind: "drop",
-				Dst: dst.String(), Msg: msgName(msg)})
+			j.Event(oracle.Event{Node: e.n.fed.names.Name(e.n.id), Kind: "drop",
+				Dst: e.n.fed.names.Name(dst), Msg: msgName(msg)})
 		}
 	}
 }
@@ -195,8 +196,9 @@ func (e liveEnv) SetTimer(k core.TimerKind, d sim.Duration) {
 // keeps no series), prints every traced event (any level above
 // sim.TraceOff) when the federation has a trace writer, then journals
 // the events oracle.Record maps. It runs synchronously on the node's
-// event goroutine and the journal marshals immediately, so DDVs that
-// alias node buffers are safe to pass through.
+// event goroutine and the journal encodes the record before Event
+// returns, so DDVs that alias node buffers, and the configuration's
+// Clusters, are safe to pass through.
 func (e liveEnv) Event(ev core.Event) {
 	f := e.n.fed
 	if form := ev.Kind.StatForm(e.n.id); form == core.StatCount || form == core.StatAdd {
@@ -211,9 +213,9 @@ func (e liveEnv) Event(ev core.Event) {
 	if f.journal == nil {
 		return
 	}
-	if rec, ok := oracle.Record(e.n.id, ev); ok {
+	if rec, ok := oracle.Record(f.names, e.n.id, ev); ok {
 		if rec.Kind == "start" {
-			rec.Clusters = append([]int(nil), f.cfg.Clusters...)
+			rec.Clusters = f.cfg.Clusters
 			rec.Recovering = f.cfg.Recovering
 		}
 		f.journal.Event(rec)
@@ -285,6 +287,7 @@ func Start(cfg Config) (*Live, error) {
 		stats:      &liveStats{counters: make(map[string]uint64)},
 		trace:      cfg.Trace,
 		journal:    cfg.Journal,
+		names:      topology.NewNameTable(cfg.Clusters),
 		stopped:    make(chan struct{}),
 		lastDetect: make(map[topology.NodeID]time.Time),
 	}
@@ -451,7 +454,7 @@ func (f *Live) announceRejoin(ln *liveNode) {
 			continue
 		}
 		if f.journal != nil {
-			f.journal.Event(oracle.Event{Node: ln.id.String(), Kind: "hello", Dst: peer.String()})
+			f.journal.Event(oracle.Event{Node: f.names.Name(ln.id), Kind: "hello", Dst: f.names.Name(peer)})
 		}
 		if err := f.transport.Send(Envelope{Src: ln.id, Dst: peer, Msg: Hello{From: ln.id, LostState: true}}); err != nil {
 			f.stats.add("live.send_dropped", 1)
@@ -478,7 +481,7 @@ func (f *Live) announceRejoin(ln *liveNode) {
 // so a re-detection means the last round really lost a message.
 func (f *Live) onHello(ln *liveNode, h Hello) {
 	if f.journal != nil {
-		f.journal.Event(oracle.Event{Node: ln.id.String(), Kind: "hello", Src: h.From.String()})
+		f.journal.Event(oracle.Event{Node: f.names.Name(ln.id), Kind: "hello", Src: f.names.Name(h.From)})
 	}
 	if !h.LostState || h.From.Cluster != ln.id.Cluster || h.From == ln.id {
 		return
@@ -507,7 +510,7 @@ func (f *Live) onHello(ln *liveNode, h Hello) {
 func (f *Live) onSuspect(peer topology.NodeID) {
 	f.stats.add("live.suspected", 1)
 	if f.journal != nil {
-		f.journal.Event(oracle.Event{Node: peer.String(), Kind: "suspect"})
+		f.journal.Event(oracle.Event{Node: f.names.Name(peer), Kind: "suspect"})
 	}
 	if f.trace != nil {
 		f.traceMu.Lock()
@@ -702,7 +705,7 @@ func (f *Live) Stop() {
 	if f.journal != nil {
 		stats := f.Stats()
 		for id := range f.nodes {
-			f.journal.Event(oracle.Event{Node: id.String(), Kind: "stop", Stats: stats})
+			f.journal.Event(oracle.Event{Node: f.names.Name(id), Kind: "stop", Stats: stats})
 		}
 		f.journal.Sync()
 	}

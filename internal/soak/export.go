@@ -136,8 +136,12 @@ func OpenLineJournal(path string) (*LineJournal, error) {
 
 // AppendLine writes one record line (the trailing newline is added
 // here) and advances the offset.
-func (j *LineJournal) AppendLine(b []byte) error {
-	n, err := j.f.Write(append(b, '\n'))
+func (j *LineJournal) AppendLine(b []byte) error { return j.WriteLine(append(b, '\n')) }
+
+// WriteLine writes one record line that already ends in its newline,
+// in one write, and advances the offset.
+func (j *LineJournal) WriteLine(b []byte) error {
+	n, err := j.f.Write(b)
 	j.off += int64(n)
 	return err
 }

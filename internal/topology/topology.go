@@ -23,8 +23,8 @@ type NodeID struct {
 	Index   int
 }
 
-// String formats the node as "c<cluster>n<index>", in one allocation:
-// the live journal names two nodes per delivery.
+// String formats the node as "c<cluster>n<index>", in one allocation
+// (a NameTable names a fixed node set in none).
 func (n NodeID) String() string {
 	var buf [42]byte // "c", "n" and two 20-byte int64s
 	b := strconv.AppendInt(append(buf[:0], 'c'), int64(n.Cluster), 10)
@@ -50,6 +50,34 @@ func ParseNodeID(s string) (NodeID, error) {
 // canonical reports whether a decimal that strconv.Atoi accepted is
 // written the way strconv.Itoa writes a non-negative number.
 func canonical(d string) bool { return d[0] != '+' && d[0] != '-' && (d[0] != '0' || len(d) == 1) }
+
+// NameTable holds the NodeID.String names of a fixed node set, built
+// once, so that naming one of its nodes allocates nothing: the live
+// journal names two nodes per delivery. The nil table names every node
+// through NodeID.String.
+type NameTable [][]string
+
+// NewNameTable names every node of a federation with the given
+// per-cluster node counts.
+func NewNameTable(sizes []int) NameTable {
+	t := make(NameTable, len(sizes))
+	for c, size := range sizes {
+		t[c] = make([]string, size)
+		for i := range t[c] {
+			t[c][i] = NodeID{Cluster: ClusterID(c), Index: i}.String()
+		}
+	}
+	return t
+}
+
+// Name returns n's name: the table's entry, or NodeID.String for a
+// node outside the table.
+func (t NameTable) Name(n NodeID) string {
+	if c := int(n.Cluster); c >= 0 && c < len(t) && n.Index >= 0 && n.Index < len(t[c]) {
+		return t[c][n.Index]
+	}
+	return n.String()
+}
 
 // Link models one network class by latency and bandwidth, exactly the
 // two parameters the paper's topology file specifies per link, plus an
