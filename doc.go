@@ -181,15 +181,18 @@
 //     history of a node is one core.Chain (next section), so a commit
 //     copies no width-sized vector on any node.
 //   - Wire messages travel in pooled boxes: the simulator and the live
-//     runtime implement core.BoxPool (AppMsg/AppAck). The simulator
-//     reclaims a box right after the destination's OnMessage returns.
-//     The live runtime keeps one sync.Pool per type: over TCP the
-//     sender's box goes back when its frame leaves the send window for
-//     good (acknowledged or given up, never earlier, since a broken
-//     connection is resent from the window), and the box the decoder
-//     fills goes back after the receiving node's OnMessage returns;
-//     over ChanTransport the sender's box is delivered and goes back
-//     there. BenchmarkNodeOnMessage runs at 0 allocs/op end to end.
+//     runtime implement core.BoxPool (AppMsg/AppAck), and the live
+//     runtime pools LogMirror too (core.MirrorBoxPool, the interim form
+//     of one generic pool). The simulator reclaims a box right after
+//     the destination's OnMessage returns. The live runtime keeps one
+//     sync.Pool per type: over TCP the sender's box goes back when its
+//     frame leaves the send window for good (acknowledged or given up,
+//     never earlier, since a broken connection is resent from the
+//     window), and the box the decoder fills goes back after the
+//     receiving node's OnMessage returns; over ChanTransport the
+//     sender's box is delivered and goes back there. Its stream
+//     acknowledgements are framed and read by value.
+//     BenchmarkNodeOnMessage runs at 0 allocs/op end to end.
 //   - The checkpoint round's control messages (CLCRequest, CLCAck,
 //     CLCCommit, ForceCLC, Replica, ReplicaAck, LogMirror) travel in
 //     core.Box[T], as the baseline protocols' wire envelopes do
@@ -202,11 +205,11 @@
 //     takes a box per destination, its size computed once from the
 //     value. Boxing is opt-in (core.BoxReclaimer, the harness's promise
 //     to reclaim): the simulator opts in, the live runtime sends these
-//     as plain values, so its wire codec and journal see exactly their
-//     value types. Chaos duplicates only copies, never a box. A broadcast of
-//     a type that is not boxed (GCDrop, the rollback messages) boxes
-//     its value into core.Msg once and hands every peer that interface
-//     value.
+//     as plain values, LogMirror aside (its own pool, above), so its
+//     wire codec and journal see their value types. Chaos duplicates
+//     only copies, never a box. A broadcast of a type that is not boxed
+//     (GCDrop, the rollback messages) boxes its value into core.Msg
+//     once and hands every peer that interface value.
 //   - One checkpoint round allocates nothing per node in steady state
 //     (TestCLCRoundAllocsPerPeer): the provisional record is a value,
 //     NodeApp cuts its snapshots (*app.State, immutable once cut) and

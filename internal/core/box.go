@@ -51,8 +51,9 @@ func (l *Boxes[T]) Wrap(m T) *Box[T] {
 // delivers, once, after the destination's OnMessage returns. A node on
 // such an env sends its checkpoint and logging control messages
 // (CLCRequest, CLCAck, CLCCommit, ForceCLC, Replica, ReplicaAck,
-// LogMirror) in recycled Boxes; on any other env (the live runtime) it
-// sends them as plain values.
+// LogMirror) in recycled Boxes; on any other env it sends them as plain
+// values. The live runtime does not implement it: it sends LogMirror in
+// its own pooled boxes (MirrorBoxPool) and the rest as plain values.
 type BoxReclaimer interface {
 	ReclaimsMsgBoxes()
 }
@@ -79,6 +80,19 @@ func sendCtl[T Msg](n *Node, l *Boxes[T], dst topology.NodeID, m T) {
 		return
 	}
 	n.env.Send(dst, size, m)
+}
+
+// sendMirror sends one log mirror to dst, priced from the value: in a
+// box from the env's pool when it offers one (MirrorBoxPool), as
+// sendCtl sends it otherwise.
+func (n *Node) sendMirror(dst topology.NodeID, m LogMirror) {
+	if n.mirrors != nil {
+		b := n.mirrors.LogMirrorBox()
+		*b = m
+		n.env.Send(dst, controlSize(m), b)
+		return
+	}
+	sendCtl(n, &n.ctl.mirror, dst, m)
 }
 
 // sendEach sends one control message to every node of dsts, priced once

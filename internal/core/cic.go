@@ -81,7 +81,7 @@ func (n *Node) doSend(dst topology.NodeID, p AppPayload) {
 		n.appendLog(e)
 		n.emit(Event{Kind: EventLogAppended})
 		if n.cfg.Replicas > 0 {
-			sendCtl(n, &n.ctl.mirror, n.holderFor(), LogMirror{
+			n.sendMirror(n.holderFor(), LogMirror{
 				Owner: n.id, MsgID: m.MsgID, Dst: dst, Payload: p,
 				PiggySN: n.sn, Piggy: piggy, Epoch: n.epoch,
 			})

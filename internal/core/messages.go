@@ -366,7 +366,8 @@ type GCToken struct {
 func (GCToken) ProtocolMessage() {}
 
 // controlSize estimates the wire size of a control message. Boxed forms
-// (*AppAck from BoxPool, *Box[T] from a node's free lists) price
+// (*AppAck from BoxPool, *LogMirror from MirrorBoxPool, *Box[T] from a
+// node's free lists) price
 // identically to their values, so pooling and plain environments
 // account traffic the same way; the boxed types with a default price
 // (CLCAck, ReplicaAck, LogMirror) fall to the default like their

@@ -435,6 +435,9 @@ type Node struct {
 	// boxes is the env's message-box recycler when it offers one
 	// (BoxPool); nil means plain value sends.
 	boxes BoxPool
+	// mirrors is the env's LogMirror box recycler when it offers one
+	// (MirrorBoxPool); nil means mirrors go through sendCtl.
+	mirrors MirrorBoxPool
 	// reclaims records that the env reclaims message boxes
 	// (BoxReclaimer): control messages then travel in boxes from ctl.
 	reclaims bool
@@ -487,6 +490,7 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 	}
 	n.arena.Init(cfg.Clusters)
 	n.boxes, _ = env.(BoxPool)
+	n.mirrors, _ = env.(MirrorBoxPool)
 	_, n.reclaims = env.(BoxReclaimer)
 	n.sink, _ = env.(EventSink)
 	n.emit(Event{Kind: EventNodeStart, Mode: cfg.Mode})
@@ -953,6 +957,8 @@ func (n *Node) OnMessage(src topology.NodeID, msg Msg) {
 		n.onAppMsg(src, *m)
 	case *AppAck:
 		n.onAppAck(src, *m)
+	case *LogMirror:
+		n.onLogMirror(src, *m)
 	case AppMsg:
 		n.onAppMsg(src, m)
 	case AppAck:

@@ -379,7 +379,7 @@ func (n *Node) onReReplicateReq(src topology.NodeID, m ReReplicateReq) {
 		n.emit(Event{Kind: EventRereplicate})
 	}
 	for _, e := range n.log {
-		sendCtl(n, &n.ctl.mirror, src, LogMirror{
+		n.sendMirror(src, LogMirror{
 			Owner: n.id, MsgID: e.msgID, Dst: e.dst, Payload: e.payload,
 			PiggySN: e.piggySN, Piggy: e.piggy, Epoch: n.epoch,
 		})

@@ -255,11 +255,27 @@ type Env interface {
 // a broken connection is resent from the window), and the box the
 // decoder fills goes back after the receiving node's OnMessage
 // returns; over in-process channels the sender's box is the one
-// delivered, and it goes back there. Environments that do not
+// delivered, and it goes back there. The live runtime pools LogMirror
+// the same way, through MirrorBoxPool. Environments that do not
 // implement BoxPool get plain value messages.
 type BoxPool interface {
 	AppMsgBox() *AppMsg
 	AppAckBox() *AppAck
+}
+
+// MirrorBoxPool is an optional upgrade interface of Env, resolved once
+// at node construction like BoxPool: a harness that implements it hands
+// the protocol recycled LogMirror boxes under BoxPool's ownership
+// contract, so the mirror every logged inter-cluster send costs (§3.3)
+// is not boxed into Msg. The live runtime implements it; the simulator
+// does not, and sends mirrors in the node's own Boxes (BoxReclaimer).
+// It is the interim form of one generic per-type pool, which folds it
+// into BoxPool once every harness that implements BoxPool reclaims
+// boxes. Until then it stays apart: a LogMirrorBox method on BoxPool
+// would silently make a harness without it (the benchmark's bed) stop
+// satisfying BoxPool and fall back to value sends.
+type MirrorBoxPool interface {
+	LogMirrorBox() *LogMirror
 }
 
 // AppHooks connects the protocol to the application layer of one node:

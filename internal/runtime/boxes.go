@@ -6,10 +6,11 @@ import (
 	"repro/internal/core"
 )
 
-// The per-message hot path's boxes. liveEnv implements core.BoxPool, so
-// a node sends every AppMsg and AppAck it builds as a pointer into one
-// of these pools instead of boxing the value into core.Msg, and the
-// decoder hands a node what arrives in the pooled form (see
+// The per-message hot path's boxes. liveEnv implements core.BoxPool and
+// core.MirrorBoxPool, so a node sends every AppMsg and AppAck it builds,
+// and the LogMirror of every inter-cluster send it logs, as a pointer
+// into one of these pools instead of boxing the value into core.Msg,
+// and the decoder hands a node what arrives in the pooled form (see
 // tagAppMsgBox) in a box from the same pools. A box goes back exactly
 // once, when nothing can read it any more:
 //
@@ -23,12 +24,14 @@ import (
 // A box that is dropped on the way (a down endpoint, a full queue, a
 // stopped federation) falls to the garbage collector.
 var (
-	appMsgBoxes = sync.Pool{New: func() any { return new(core.AppMsg) }}
-	appAckBoxes = sync.Pool{New: func() any { return new(core.AppAck) }}
+	appMsgBoxes    = sync.Pool{New: func() any { return new(core.AppMsg) }}
+	appAckBoxes    = sync.Pool{New: func() any { return new(core.AppAck) }}
+	logMirrorBoxes = sync.Pool{New: func() any { return new(core.LogMirror) }}
 )
 
-func (liveEnv) AppMsgBox() *core.AppMsg { return appMsgBoxes.Get().(*core.AppMsg) }
-func (liveEnv) AppAckBox() *core.AppAck { return appAckBoxes.Get().(*core.AppAck) }
+func (liveEnv) AppMsgBox() *core.AppMsg       { return appMsgBoxes.Get().(*core.AppMsg) }
+func (liveEnv) AppAckBox() *core.AppAck       { return appAckBoxes.Get().(*core.AppAck) }
+func (liveEnv) LogMirrorBox() *core.LogMirror { return logMirrorBoxes.Get().(*core.LogMirror) }
 
 // reclaim gives a pooled box back, zeroed so that the pool keeps no
 // payload or piggyback alive; any other message is left alone.
@@ -40,5 +43,8 @@ func reclaim(m core.Msg) {
 	case *core.AppAck:
 		*m = core.AppAck{}
 		appAckBoxes.Put(m)
+	case *core.LogMirror:
+		*m = core.LogMirror{}
+		logMirrorBoxes.Put(m)
 	}
 }

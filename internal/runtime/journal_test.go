@@ -141,6 +141,11 @@ func TestJournalReadsBackEveryRecord(t *testing.T) {
 func journaledNode(t testing.TB) liveEnv {
 	j, _ := openTestJournal(t)
 	t.Cleanup(func() { j.Close() })
+	return journaledNodeOn(j)
+}
+
+// journaledNodeOn is journaledNode writing to j.
+func journaledNodeOn(j *Journal) liveEnv {
 	clusters := []int{2, 2}
 	f := &Live{cfg: Config{Clusters: clusters}, stats: &liveStats{counters: map[string]uint64{}},
 		journal: j, names: topology.NewNameTable(clusters)}
@@ -171,5 +176,26 @@ func BenchmarkJournalEvent(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.Event(journaledDelivery)
+	}
+}
+
+// TestJournalDropNamesPooledMirror: a pooled LogMirror the transport
+// refuses is journaled as a drop of a LogMirror, as its value form is.
+func TestJournalDropNamesPooledMirror(t *testing.T) {
+	j, path := openTestJournal(t)
+	env := journaledNodeOn(j)
+	env.n.fed.transport = NewChanTransport() // no node registered: every send is refused
+	dst := topology.NodeID{Cluster: 1, Index: 0}
+	env.Send(dst, 0, &core.LogMirror{Owner: env.n.id, MsgID: 7, Dst: topology.NodeID{Cluster: 0, Index: 1}})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []oracle.Event{{Node: "c1n1", Kind: "drop", Dst: "c1n0", Msg: "LogMirror"}}
+	got := readJournal(t, path)
+	for i := range got {
+		got[i].T = 0
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("journaled %+v, want %+v", got, want)
 	}
 }

@@ -142,7 +142,7 @@ func (s *liveStats) value(name string) uint64 {
 }
 
 // liveEnv adapts the live federation to core.Env for one node. It also
-// implements core.BoxPool (see boxes.go).
+// implements core.BoxPool and core.MirrorBoxPool (see boxes.go).
 type liveEnv struct{ n *liveNode }
 
 func (e liveEnv) Now() sim.Time { return sim.Time(time.Since(e.n.fed.start)) }
@@ -153,7 +153,7 @@ func (e liveEnv) Send(dst topology.NodeID, size int, msg core.Msg) {
 		// the offline artifact that shows *why* a run did what it did,
 		// and the hook the chaos harness uses to aim its SIGKILLs.
 		switch msg.(type) {
-		case *core.AppMsg, *core.AppAck, core.AppMsg, core.AppAck, core.LogMirror, core.LogTrim:
+		case *core.AppMsg, *core.AppAck, *core.LogMirror, core.AppMsg, core.AppAck, core.LogMirror, core.LogTrim:
 		default:
 			j.Event(oracle.Event{Node: e.n.fed.names.Name(e.n.id), Kind: "send",
 				Dst: e.n.fed.names.Name(dst), Msg: msgName(msg)})

@@ -343,3 +343,57 @@ func TestLiveStopRecordIsLast(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveJournalSkipsMirrorSends: a journaled 2+2 run with
+// inter-cluster traffic journals its control-plane sends but none of
+// the message firehose — application messages, their acks, and the log
+// mirror and trim that every logged inter-cluster send costs, pooled or
+// not — and writes exactly the record kinds a journaled run without
+// failures always has.
+func TestLiveJournalSkipsMirrorSends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := startLive(t, Config{
+		Clusters:   []int{2, 2},
+		CLCPeriods: []time.Duration{5 * time.Millisecond, 5 * time.Millisecond},
+		Workload:   liveWorkload([]int{2, 2}, &WorkloadFile{PeriodMS: 1, InterProb: 0.5, Size: 64}),
+		Journal:    j,
+	})
+	for deadline := time.Now().Add(10 * time.Second); f.Stat("clc.committed.c0") < 3 ||
+		f.Stat("clc.committed.c1") < 3 || f.Stat("log.appended") < 20 || f.Stat("app.delivered.inter") < 10; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no steady inter-cluster traffic after 10s: %v", f.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	f.Stop()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := oracle.ReadJournalFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds, sent := map[string]bool{}, map[string]int{}
+	for _, ev := range events {
+		kinds[ev.Kind] = true
+		if ev.Kind == "send" {
+			sent[ev.Msg]++
+		}
+	}
+	for _, name := range []string{"AppMsg", "AppAck", "LogMirror", "LogTrim"} {
+		if sent[name] > 0 {
+			t.Errorf("%d send records of %s", sent[name], name)
+		}
+	}
+	if sent["CLCRequest"] == 0 {
+		t.Errorf("no send record of a CLCRequest: %v", sent)
+	}
+	want := map[string]bool{"start": true, "send": true, "commit": true, "deliver": true, "stop": true}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Errorf("record kinds %v, want %v", kinds, want)
+	}
+}

@@ -60,8 +60,8 @@ type Transport interface {
 	// Send transmits an envelope (asynchronously). An error reports a
 	// message that was definitely not sent (unknown destination, full
 	// queue); nil means "accepted", not "delivered". An accepted pooled
-	// box (*core.AppMsg, *core.AppAck) is the transport's: the sender
-	// must not touch it again (see boxes.go).
+	// box (*core.AppMsg, *core.AppAck, *core.LogMirror) is the
+	// transport's: the sender must not touch it again (see boxes.go).
 	Send(env Envelope) error
 	// SetDown cuts a node off (fail-stop): traffic from and to it is
 	// dropped.
@@ -519,8 +519,7 @@ func (t *TCPTransport) serve(conn net.Conn, deliver func(Envelope)) {
 	rec, fresh := t.openStream(src, dst, open)
 	var out []byte
 	ack := func(seq uint64, fresh bool) bool {
-		out, _ = appendFrame(out[:0], Envelope{Src: src, Dst: dst,
-			Msg: StreamAck{Stream: open.Stream, Seq: seq, Fresh: fresh}})
+		out = appendAckFrame(out[:0], src, dst, StreamAck{Stream: open.Stream, Seq: seq, Fresh: fresh})
 		_, err := conn.Write(out)
 		return err == nil
 	}
@@ -968,12 +967,11 @@ func (ps *peerSender) readAck(br *bufio.Reader, body []byte) (StreamAck, []byte,
 	if err != nil {
 		return StreamAck{}, body, err
 	}
-	env, err := decodeEnvelope(body)
+	a, err := decodeAck(body)
 	if err != nil {
 		return StreamAck{}, body, err
 	}
-	a, ok := env.Msg.(StreamAck)
-	if !ok || a.Stream != ps.t.stream {
+	if a.Stream != ps.t.stream {
 		return StreamAck{}, body, errTag
 	}
 	return a, body, nil

@@ -164,13 +164,33 @@ func filledMsg(id uint64) *core.AppMsg {
 	return m
 }
 
-// TestTCPTransportPooledBoxesAcrossCut: pooled AppMsgs sent through a
-// connection cut mid-stream each arrive once, in order, with every
-// field intact. The sender gives a box back only when its frame leaves
-// the window acknowledged, and the receiver gives each delivered box
-// back at once, so boxes cycle through the pool during the run; a box
-// recycled before its acknowledgement would be resent with another
-// message's fields, or none.
+// filledMirror is a pooled LogMirror whose every field derives from id,
+// its piggyback included.
+func filledMirror(id uint64) *core.LogMirror {
+	m := logMirrorBoxes.Get().(*core.LogMirror)
+	*m = core.LogMirror{Owner: a(), MsgID: id, Dst: nid(1, int(id%3)),
+		Payload: core.AppPayload{ID: core.LogicalID{Src: a(), Seq: 5 * id}, Size: int(id % 700)},
+		PiggySN: core.SN(id + 4), Epoch: core.Epoch(id % 7),
+		Piggy: core.SparseDDV{Width: 4, Pairs: []core.DDVPair{{Idx: int32(id % 4), SN: core.SN(id + 1)}}}}
+	return m
+}
+
+// filledBox is message id of the cut test's stream: every third one a
+// pooled LogMirror, the rest pooled AppMsgs.
+func filledBox(id uint64) core.Msg {
+	if id%3 == 0 {
+		return filledMirror(id)
+	}
+	return filledMsg(id)
+}
+
+// TestTCPTransportPooledBoxesAcrossCut: pooled AppMsgs and LogMirrors
+// sent through a connection cut mid-stream each arrive once, in order,
+// with every field intact. The sender gives a box back only when its
+// frame leaves the window acknowledged, and the receiver gives each
+// delivered box back at once, so boxes cycle through the pools during
+// the run; a box recycled before its acknowledgement would be resent
+// with another message's fields, or none.
 func TestTCPTransportPooledBoxesAcrossCut(t *testing.T) {
 	for _, cut := range []int64{40, 1000, 20_000} {
 		recv := NewTCPTransport()
@@ -179,16 +199,22 @@ func TestTCPTransportPooledBoxesAcrossCut(t *testing.T) {
 		var bad []string
 		retryAddrInUse(t, func() error {
 			return recv.Register(bN(), func(env Envelope) {
-				m := env.Msg.(*core.AppMsg)
-				want := filledMsg(m.MsgID)
+				var id uint64
+				switch m := env.Msg.(type) {
+				case *core.AppMsg:
+					id = m.MsgID
+				case *core.LogMirror:
+					id = m.MsgID
+				}
+				want := filledBox(id)
 				mu.Lock()
-				got = append(got, m.MsgID)
-				if !reflect.DeepEqual(m, want) && len(bad) < 5 {
-					bad = append(bad, fmt.Sprintf("got %+v, want %+v", *m, *want))
+				got = append(got, id)
+				if !reflect.DeepEqual(env.Msg, want) && len(bad) < 5 {
+					bad = append(bad, fmt.Sprintf("got %+v, want %+v", env.Msg, want))
 				}
 				mu.Unlock()
 				reclaim(want)
-				reclaim(m)
+				reclaim(env.Msg)
 			})
 		})
 		proxy := cutProxy(t, recv.Addr(bN()), cut)
@@ -199,7 +225,7 @@ func TestTCPTransportPooledBoxesAcrossCut(t *testing.T) {
 		})
 		const n = 1000
 		for id := uint64(1); id <= n; id++ {
-			if err := sender.Send(Envelope{Src: a(), Dst: bN(), Msg: filledMsg(id)}); err != nil {
+			if err := sender.Send(Envelope{Src: a(), Dst: bN(), Msg: filledBox(id)}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -61,7 +61,9 @@ const (
 	// wireVersion 8: the checkpoint round's control messages (CLCRequest,
 	// CLCAck, CLCCommit, ForceCLC) carry dependency pairs only: their
 	// dense vectors and the request's update pairs are gone.
-	wireVersion = 8
+	// wireVersion 9: the pooled form of LogMirror has a tag of its own,
+	// as AppMsg and AppAck have since version 7.
+	wireVersion = 9
 	// maxFrame caps one frame's body.
 	maxFrame = 64 << 20
 	// maxWidth caps a decoded sparse vector's width: a width costs no
@@ -99,12 +101,13 @@ const (
 	tagHello
 	tagStreamOpen
 	tagStreamAck
-	// The pooled forms, *core.AppMsg and *core.AppAck: the fields are
-	// those of the value forms, and the decoder hands them back in boxes
-	// from the live runtime's pools (see boxes.go). A live node sends
-	// these; the value forms stay for whoever sends values.
+	// The pooled forms, *core.AppMsg, *core.AppAck and *core.LogMirror:
+	// the fields are those of the value forms, and the decoder hands them
+	// back in boxes from the live runtime's pools (see boxes.go). A live
+	// node sends these; the value forms stay for whoever sends values.
 	tagAppMsgBox
 	tagAppAckBox
+	tagLogMirrorBox
 	numTags
 )
 
@@ -121,7 +124,7 @@ var msgNames = [numTags]string{
 	tagGCReport: "GCReport", tagGCCollect: "GCCollect", tagGCDrop: "GCDrop",
 	tagGCDemand: "GCDemand", tagGCToken: "GCToken", tagHello: "Hello",
 	tagStreamOpen: "StreamOpen", tagStreamAck: "StreamAck",
-	tagAppMsgBox: "AppMsg", tagAppAckBox: "AppAck",
+	tagAppMsgBox: "AppMsg", tagAppAckBox: "AppAck", tagLogMirrorBox: "LogMirror",
 }
 
 // msgTag returns the wire tag of a message, 0 for a type the codec
@@ -135,6 +138,10 @@ func msgTag(m core.Msg) byte {
 	case *core.AppAck:
 		if m != nil {
 			return tagAppAckBox
+		}
+	case *core.LogMirror:
+		if m != nil {
+			return tagLogMirrorBox
 		}
 	case core.AppMsg:
 		return tagAppMsg
@@ -303,6 +310,8 @@ func appendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		for _, l := range m.Log {
 			w.logMirror(l)
 		}
+	case tagLogMirrorBox:
+		w.logMirror(*env.Msg.(*core.LogMirror))
 	case tagLogMirror:
 		w.logMirror(env.Msg.(core.LogMirror))
 	case tagLogTrim:
@@ -350,10 +359,7 @@ func appendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		w.uint(m.Stream)
 		w.uint(m.Next)
 	case tagStreamAck:
-		m := env.Msg.(StreamAck)
-		w.uint(m.Stream)
-		w.uint(m.Seq)
-		w.bool(m.Fresh)
+		w.streamAck(env.Msg.(StreamAck))
 	default:
 		w.err = fmt.Errorf("runtime: no wire encoding for %T", env.Msg)
 	}
@@ -367,20 +373,46 @@ func appendEnvelope(b []byte, env Envelope) ([]byte, error) {
 // uvarint, then the body. An envelope the codec cannot carry, or one
 // over maxFrame, is an error, and b comes back as it was.
 func appendFrame(b []byte, env Envelope) ([]byte, error) {
-	// The body is encoded behind room for the longest length prefix a
-	// capped frame needs, then slid down to close the gap.
-	const room = 4 // uvarint bytes of maxFrame
 	start := len(b)
-	out, err := appendEnvelope(append(b, make([]byte, room)...), env)
+	out, err := appendEnvelope(openFrame(b), env)
 	if err != nil {
 		return b, err
 	}
-	n := len(out) - start - room
+	return closeFrame(b, out, start)
+}
+
+// appendAckFrame appends a StreamAck from src to dst as one frame, the
+// same bytes appendFrame writes for it, without boxing the ack into an
+// Envelope.
+func appendAckFrame(b []byte, src, dst topology.NodeID, a StreamAck) []byte {
+	start := len(b)
+	w := encoder{b: openFrame(b)}
+	w.node(src)
+	w.node(dst)
+	w.b = append(w.b, tagStreamAck)
+	w.streamAck(a)
+	out, _ := closeFrame(b, w.b, start) // an ack is far below maxFrame
+	return out
+}
+
+// frameRoom is the room openFrame leaves for the longest length prefix
+// a capped frame needs: the uvarint bytes of maxFrame.
+const frameRoom = 4
+
+// openFrame appends the room a frame's length prefix may need; the
+// body is encoded behind it.
+func openFrame(b []byte) []byte { return append(b, make([]byte, frameRoom)...) }
+
+// closeFrame writes the length prefix of the body encoded into out
+// behind openFrame's room at start, and slides the body down to close
+// the gap. A body over maxFrame is an error, and b comes back as it was.
+func closeFrame(b, out []byte, start int) ([]byte, error) {
+	n := len(out) - start - frameRoom
 	if n > maxFrame {
 		return b, errFrameSize
 	}
 	head := binary.AppendUvarint(out[:start], uint64(n))
-	return append(head, out[start+room:]...), nil
+	return append(head, out[start+frameRoom:]...), nil
 }
 
 // encoder appends wire fields to b; the first failure sticks in err.
@@ -493,6 +525,12 @@ func (w *encoder) logMirror(l core.LogMirror) {
 	w.uint(uint64(l.Epoch))
 }
 
+func (w *encoder) streamAck(a StreamAck) {
+	w.uint(a.Stream)
+	w.uint(a.Seq)
+	w.bool(a.Fresh)
+}
+
 func (w *encoder) gcReport(r core.GCReport) {
 	w.uint(r.Round)
 	w.int(int64(r.Cluster))
@@ -521,13 +559,27 @@ func decodeEnvelope(body []byte) (Envelope, error) {
 	r := decoder{b: body}
 	env := Envelope{Src: r.node(), Dst: r.node()}
 	env.Msg = r.msg(r.byte())
-	if r.err == nil && len(r.b) != 0 {
-		r.err = errTrailing
-	}
-	if r.err != nil {
-		return Envelope{}, r.err
+	if err := r.end(); err != nil {
+		return Envelope{}, err
 	}
 	return env, nil
+}
+
+// decodeAck decodes a frame body that must hold a StreamAck, as
+// decodeEnvelope would but without boxing the ack into an Envelope:
+// any other tag is errTag.
+func decodeAck(body []byte) (StreamAck, error) {
+	r := decoder{b: body}
+	r.node()
+	r.node()
+	if r.byte() != tagStreamAck {
+		r.fail(errTag)
+	}
+	a := r.streamAck()
+	if err := r.end(); err != nil {
+		return StreamAck{}, err
+	}
+	return a, nil
 }
 
 // decoder consumes wire fields from b; the first failure sticks in err
@@ -535,6 +587,14 @@ func decodeEnvelope(body []byte) (Envelope, error) {
 type decoder struct {
 	b   []byte
 	err error
+}
+
+// end reports the first failure, or errTrailing when bytes are left.
+func (r *decoder) end() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.err = errTrailing
+	}
+	return r.err
 }
 
 func (r *decoder) fail(err error) {
@@ -736,6 +796,10 @@ func (r *decoder) logMirror() core.LogMirror {
 		PiggySN: r.sn(), Piggy: r.sparse(), Epoch: r.epoch()}
 }
 
+func (r *decoder) streamAck() StreamAck {
+	return StreamAck{Stream: r.uint(), Seq: r.uint(), Fresh: r.bool()}
+}
+
 func (r *decoder) gcReport() core.GCReport {
 	return core.GCReport{Round: r.uint(), Cluster: r.cluster(), Epoch: r.epoch(),
 		Chain: r.chain(), CurPairs: r.pairs()}
@@ -794,6 +858,10 @@ func (r *decoder) msg(tag byte) core.Msg {
 			}
 		}
 		return m
+	case tagLogMirrorBox:
+		m := logMirrorBoxes.Get().(*core.LogMirror)
+		*m = r.logMirror()
+		return m
 	case tagLogMirror:
 		return r.logMirror()
 	case tagLogTrim:
@@ -827,7 +895,7 @@ func (r *decoder) msg(tag byte) core.Msg {
 	case tagStreamOpen:
 		return StreamOpen{Stream: r.uint(), Next: r.uint()}
 	case tagStreamAck:
-		return StreamAck{Stream: r.uint(), Seq: r.uint(), Fresh: r.bool()}
+		return r.streamAck()
 	}
 	r.fail(errTag)
 	return nil

@@ -55,14 +55,17 @@ func testReport() core.GCReport {
 
 // wireRows holds one fully populated value of every message type the
 // codec carries (every slice non-empty, every field non-zero where it
-// can be), then the pooled forms of AppMsg and AppAck; the Replica's
-// state has entries deliveries.
+// can be), then the pooled forms of AppMsg and AppAck, and two pooled
+// LogMirrors, one without a piggyback and one with a sparse one; the
+// Replica's state has entries deliveries.
 func wireRows(entries int) []core.Msg {
 	pairs := []core.DDVPair{{Idx: 0, SN: 3}, {Idx: 2, SN: 1<<63 + 5}}
 	appMsg := core.AppMsg{MsgID: 1 << 50, Payload: core.AppPayload{ID: core.LogicalID{Src: nid(0, 1), Seq: 9}, Size: 256},
 		SrcCluster: 1, SrcEpoch: 3, SendSN: 8, PiggyDDV: core.DDV{8, 2}, PiggyPairs: pairs,
 		PiggyWidth: -2, Resend: true, DstEpoch: 4}
 	appAck := core.AppAck{MsgID: 5, SrcCluster: 2, SrcEpoch: 1, ReceiverSN: 6}
+	bare, mirror := testLog(), testLog()
+	bare.Piggy = core.SparseDDV{}
 	return []core.Msg{
 		appMsg,
 		appAck,
@@ -95,6 +98,8 @@ func wireRows(entries int) []core.Msg {
 		StreamAck{Stream: 1<<63 + 7, Seq: 1<<40 - 1, Fresh: true},
 		&appMsg,
 		&appAck,
+		&bare,
+		&mirror,
 	}
 }
 
@@ -198,9 +203,10 @@ func TestEnvelopeEmptyDecodesNil(t *testing.T) {
 
 // TestPreambleRefusesOtherVersions: a connection that opens with
 // another wire version's preamble is refused — version 7 is the one
-// whose control messages still carried dense vectors.
+// whose control messages still carried dense vectors, version 8 the
+// last without a pooled LogMirror tag.
 func TestPreambleRefusesOtherVersions(t *testing.T) {
-	for v, want := range map[byte]bool{wireVersion: true, 7: false, wireVersion + 1: false} {
+	for v, want := range map[byte]bool{wireVersion: true, 7: false, 8: false, wireVersion + 1: false} {
 		if got := readPreamble(bufio.NewReader(bytes.NewReader([]byte{'H', 'C', '3', 'I', v}))); got != want {
 			t.Errorf("version %d preamble accepted = %v, want %v", v, got, want)
 		}
@@ -268,7 +274,7 @@ func (unknownMsg) ProtocolMessage() {}
 func TestEnvelopeCodecRefuses(t *testing.T) {
 	prefix := []byte("keep")
 	for _, m := range []core.Msg{
-		nil, unknownMsg{}, (*core.AppMsg)(nil), (*core.AppAck)(nil),
+		nil, unknownMsg{}, (*core.AppMsg)(nil), (*core.AppAck)(nil), (*core.LogMirror)(nil),
 		core.AppMsg{Payload: core.AppPayload{Data: "opaque"}},
 		&core.AppMsg{Payload: core.AppPayload{Data: "opaque"}},
 		core.Replica{State: "not an *app.State"},
@@ -541,9 +547,11 @@ func bytesAllocated(f func()) uint64 {
 }
 
 // benchEnvelopes are the codec benchmark's shapes: an intra-cluster
-// AppMsg, an inter-cluster one with a 2-wide piggybacked DDV, both in
-// the pooled form a live node sends, and a checkpoint Replica whose
-// state's journal holds 50 000 deliveries.
+// AppMsg, an inter-cluster one with a 2-wide piggybacked DDV, the
+// LogMirror that logs such a send (without a piggyback, as a
+// non-transitive run sends it), all in the pooled form a live node
+// sends, and a checkpoint Replica whose state's journal holds 50 000
+// deliveries.
 func benchEnvelopes() []struct {
 	name string
 	env  Envelope
@@ -556,8 +564,96 @@ func benchEnvelopes() []struct {
 		{"intra", Envelope{Src: nid(0, 1), Dst: nid(0, 0), Msg: &core.AppMsg{MsgID: 123456, Payload: payload, SendSN: 17}}},
 		{"inter", Envelope{Src: nid(0, 1), Dst: nid(1, 0), Msg: &core.AppMsg{MsgID: 123456, Payload: payload,
 			SendSN: 17, SrcEpoch: 1, PiggyDDV: core.DDV{17, 9}, DstEpoch: 1}}},
+		{"mirror", Envelope{Src: nid(0, 1), Dst: nid(0, 0), Msg: &core.LogMirror{Owner: nid(0, 1), MsgID: 123456,
+			Dst: nid(1, 0), Payload: payload, PiggySN: 17, Epoch: 1}}},
 		{"replica50k", Envelope{Src: nid(0, 1), Dst: nid(0, 0), Msg: core.Replica{Seq: 17, Owner: nid(0, 1),
 			State: appState(50_000, 50_000), Size: 1024}}},
+	}
+}
+
+// TestPooledMirrorCodecAllocatesNothing: a pooled LogMirror without a
+// piggyback, as a non-transitive live node sends one per logged
+// inter-cluster message, is encoded into a reused buffer, decoded into
+// a pooled box and given back without one allocation.
+func TestPooledMirrorCodecAllocatesNothing(t *testing.T) {
+	mirror := testLog()
+	mirror.Piggy = core.SparseDDV{}
+	env := Envelope{Src: nid(0, 1), Dst: nid(0, 0), Msg: &mirror}
+	var buf []byte
+	allocs := testing.AllocsPerRun(1000, func() {
+		buf, _ = appendEnvelope(buf[:0], env)
+		back, err := decodeEnvelope(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reclaim(back.Msg)
+	})
+	if allocs != 0 {
+		t.Fatalf("a pooled mirror's round trip costs %v allocations, want 0", allocs)
+	}
+}
+
+// TestAckFrameMatchesEnvelope: the by-value ack frame is byte for byte
+// the frame of the same StreamAck in an Envelope, and decodeAck reads
+// it back; it refuses another tag and trailing bytes.
+func TestAckFrameMatchesEnvelope(t *testing.T) {
+	src, dst := nid(1, 2), nid(0, 300)
+	for _, fresh := range []bool{false, true} {
+		for _, seq := range []uint64{0, math.MaxUint64} {
+			ack := StreamAck{Stream: 1<<63 + 7, Seq: seq, Fresh: fresh}
+			want, err := appendFrame(nil, Envelope{Src: src, Dst: dst, Msg: ack})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := appendAckFrame([]byte("keep"), src, dst, ack)
+			if !bytes.Equal(got, append([]byte("keep"), want...)) {
+				t.Fatalf("%+v: ack frame\n%x\nwant\n%x", ack, got[4:], want)
+			}
+			body, err := readFrame(bufio.NewReader(bytes.NewReader(want)), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back, err := decodeAck(body); err != nil || back != ack {
+				t.Fatalf("decodeAck = %+v, %v; want %+v", back, err, ack)
+			}
+			if _, err := decodeAck(append(body, 0)); !errors.Is(err, errTrailing) {
+				t.Fatalf("%+v with a trailing byte: err %v", ack, err)
+			}
+		}
+	}
+	open, _ := appendEnvelope(nil, Envelope{Src: src, Dst: dst, Msg: StreamOpen{Stream: 1, Next: 1}})
+	if _, err := decodeAck(open); !errors.Is(err, errTag) {
+		t.Fatalf("a StreamOpen read as an ack: err %v", err)
+	}
+}
+
+// TestAckFrameAllocatesNothing: a stream acknowledgement is framed by
+// the receiver and read back by the sender's ack reader, which checks
+// its stream, without one allocation; an ack of another stream is
+// refused.
+func TestAckFrameAllocatesNothing(t *testing.T) {
+	ps := &peerSender{t: &TCPTransport{stream: 1<<62 + 3}}
+	ack := StreamAck{Stream: ps.t.stream, Seq: 1 << 40, Fresh: true}
+	var out, body []byte
+	rd := bytes.NewReader(nil)
+	br := bufio.NewReader(rd)
+	read := func(sent StreamAck) (got StreamAck, err error) {
+		out = appendAckFrame(out[:0], bN(), a(), sent)
+		rd.Reset(out)
+		br.Reset(rd)
+		got, body, err = ps.readAck(br, body)
+		return got, err
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if got, err := read(ack); err != nil || got != ack {
+			t.Fatalf("read %+v, %v; want %+v", got, err, ack)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("an ack frame's encode and read cost %v allocations, want 0", allocs)
+	}
+	if _, err := read(StreamAck{Stream: ack.Stream + 1}); !errors.Is(err, errTag) {
+		t.Fatalf("an ack of another stream: err %v", err)
 	}
 }
 
