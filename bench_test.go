@@ -235,7 +235,7 @@ func BenchmarkEndToEndSimulation(b *testing.B) {
 // slice (ring workload, none+crash failures, HC3I with transitive
 // piggybacking plus all three baselines) through the parallel runner —
 // the macro counterpart of core's width-parameterized
-// BenchmarkPiggybackMessage. Its dense-wire reference run,
+// BenchmarkPiggybackMessage. Its codec-free reference run,
 // BenchmarkWideSliceDense, lives in internal/experiments. (The wide
 // benchmarks close the file: their runs allocate tens of MB each, and
 // the GC debt would otherwise bleed into the benchmarks after them.)

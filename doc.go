@@ -166,17 +166,17 @@
 //     mark in a bitset. A pipe's delta codec holds one width-sized
 //     vector. BenchmarkFederationNewWide measures what assembling a
 //     1024-cluster federation allocates.
-//   - internal/core flattens DDV storage into per-node arenas
-//     (core.DDVArena): every vector that escapes an event —
-//     dense piggybacks, resent piggybacks, pinned held copies — is
-//     sliced from a
-//     chunked backing []SN owned by the node, one chunk allocation per
-//     64 clones, cache-contiguous at 64 clusters. Ownership rules: a
-//     handed-out vector is immutable-by-convention once shared, chunks
-//     are never reallocated so outstanding slices stay valid, and the
-//     chunk is garbage-collected when every vector cut from it drops.
-//     Scratch that does not escape still reuses node buffers
-//     (Node.pairScratch, DDV.CopyFrom).
+//   - No message carries a dense vector. A transitive piggyback that
+//     escapes an event is a core.SparseDDV — the sender's vector of
+//     the DDV generation (Node.piggy), shared by every send, resend,
+//     log entry and mirror of that generation — or, on a receiver's
+//     deferred or recover-wait copy, the pipe decoder's vector in
+//     sparse form. Its pairs are cut from the node's PairArena, one
+//     chunk allocation per 256 pairs. Ownership rules: a shared
+//     vector is immutable, chunks are never reallocated so outstanding
+//     slices stay valid, and a chunk is garbage-collected when every
+//     slice cut from it drops. Scratch that does not escape still
+//     reuses node buffers (Node.pairScratch, DDV.CopyFrom).
 //   - A stored CLC costs its commit's pairs, not a vector: the stored
 //     history of a node is one core.Chain (next section), so a commit
 //     copies no width-sized vector on any node.
@@ -318,9 +318,9 @@
 //     core.SparseDDV, built once per DDV generation from the node's
 //     PairArena (Node.piggy) and shared by every log entry of that
 //     generation, their mirrors, a recovery answer and an event sink's
-//     piggyback event — in every mode, with delta or dense
-//     piggybacks. A resend writes it out dense; nothing else ever
-//     does. Go's collector frees
+//     piggyback event — in every mode, with or without pipe codecs.
+//     A codec-free send and every resend carry that vector itself.
+//     Go's collector frees
 //     a vector when the last entry naming it goes. A message the
 //     receiver holds for a forced CLC keeps only the pairs it raised:
 //     the DDV never decreases while a message is held.
@@ -353,10 +353,12 @@
 // mutation catalogue (federation's TestMutationCatalogue) drops one
 // pair from a commit, a prepare ack or a forced-CLC demand and shows
 // that the oracle, the harness's end-of-run checks or the goldens
-// catch each. Transitive piggybacks travel dense when the harness
-// offers no pipe codecs: the live runtime, and the dense-piggyback
-// test fixture (federation.Options.DenseWire). Both forms are priced
-// identically — at the dense width — in the network model, so modeled
+// catch each. When the harness offers no pipe codecs — the live
+// runtime, and the codec-free test fixture
+// (federation.Options.NoPipeCodecs) — a transitive piggyback is the
+// sender's whole vector in sparse form (AppMsg.Piggy), the very one
+// its log entry holds. Both forms are priced identically — at the
+// dense width — in the network model, so modeled
 // delays, byte counters and all goldens are the same whichever form a
 // piggyback takes; the delta form saves simulator time and
 // allocations, not modeled bytes. Differential suites pin
@@ -364,9 +366,9 @@
 // transitive ablation and transitive-with-crash runs compared on full
 // statistics dumps.
 // BenchmarkPiggybackMessage parameterizes the steady-state per-message
-// path by width: the delta encoding is near-flat in ns/op and B/op
-// from 8 to 256 clusters while the dense path grows linearly (~3x
-// slower and ~8.5x more bytes at 256).
+// path by width: both forms are near-flat in B/op from 8 to 1024
+// clusters (its `dense` rows, named for the dense vector they used to
+// copy, now run the codec-free sparse form).
 //
 // # Benchmark gating
 //

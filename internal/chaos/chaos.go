@@ -204,17 +204,14 @@ func dupSafe(payload any) bool {
 // dupCopy returns the payload a duplicate of a dupSafe payload must
 // carry, called only once the duplicate is injected: a copy of a pooled
 // box (*AppMsg, *AppAck), because the harness reclaims a box right
-// after its first delivery — including the piggyback slices, so the
+// after its first delivery — including the delta pairs, so the
 // duplicate's dependency data never depends on the original's backing
-// staying immutable — and nil (the original value is shared) for
-// everything else.
+// staying immutable (a whole Piggy vector is immutable and shared) —
+// and nil (the original value is shared) for everything else.
 func dupCopy(payload any) any {
 	switch v := payload.(type) {
 	case *core.AppMsg:
 		cp := *v
-		if cp.PiggyDDV != nil {
-			cp.PiggyDDV = v.PiggyDDV.Clone()
-		}
 		if len(cp.PiggyPairs) > 0 {
 			cp.PiggyPairs = append([]core.DDVPair(nil), v.PiggyPairs...)
 		}

@@ -247,10 +247,12 @@ func TestDuplicateRefusesBoxes(t *testing.T) {
 	}
 }
 
-// TestDuplicatePayloadRules: pooled boxes are deep-copied, value
-// messages shared, and everything else is never duplicated.
+// TestDuplicatePayloadRules: pooled boxes are deep-copied but for the
+// immutable whole piggyback, value messages shared, and everything else
+// is never duplicated.
 func TestDuplicatePayloadRules(t *testing.T) {
-	box := &core.AppMsg{MsgID: 9, PiggyPairs: []core.DDVPair{{Idx: 1, SN: 2}}}
+	box := &core.AppMsg{MsgID: 9, PiggyPairs: []core.DDVPair{{Idx: 1, SN: 2}},
+		Piggy: core.SparseDDV{Width: 2, Pairs: []core.DDVPair{{Idx: 0, SN: 4}}}}
 	if !dupSafe(box) {
 		t.Fatal("*AppMsg must be duplicate-safe")
 	}
@@ -259,7 +261,10 @@ func TestDuplicatePayloadRules(t *testing.T) {
 		t.Fatal("pooled box duplicated without a deep copy")
 	}
 	if cp.MsgID != 9 || len(cp.PiggyPairs) != 1 || &cp.PiggyPairs[0] == &box.PiggyPairs[0] {
-		t.Fatal("deep copy lost fields or shares the piggyback")
+		t.Fatal("deep copy lost fields or shares the delta pairs")
+	}
+	if cp.Piggy.Width != 2 || &cp.Piggy.Pairs[0] != &box.Piggy.Pairs[0] {
+		t.Fatal("deep copy lost or cloned the immutable whole piggyback")
 	}
 	if !dupSafe(core.RollbackAlert{}) || dupCopy(core.RollbackAlert{}) != nil {
 		t.Fatal("RollbackAlert must be duplicate-safe and shared")

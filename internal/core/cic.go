@@ -65,8 +65,9 @@ func (n *Node) doSend(dst topology.NodeID, p AppPayload) {
 				m.PiggyWidth = int32(n.cfg.Clusters)
 				n.emit(Event{Kind: EventPiggySend, Cluster: dst.Cluster, Pairs: piggy.Pairs})
 			} else {
-				// No pipe codec: the message owns a dense copy.
-				m.PiggyDDV = n.arena.Clone(n.ddv)
+				// No pipe codec: the message carries the whole vector,
+				// the very one the log entry holds.
+				m.Piggy = piggy
 			}
 		}
 		e := n.logSlab.New()
@@ -203,17 +204,17 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 
 // piggyFits reports whether m's piggyback can be merged into this
 // node's DDV: a delta one must be of the federation's width on a node
-// that decodes deltas, a dense one empty or of that width, and its
-// pairs must fit (pairsFit).
+// that decodes deltas, a whole one absent or of that width, and the
+// pairs of both must fit (pairsFit).
 func (n *Node) piggyFits(m AppMsg) bool {
 	w := n.cfg.Clusters
 	if m.PiggyWidth != 0 && (int(m.PiggyWidth) != w || n.piggyCodecs == nil) {
 		return false
 	}
-	if len(m.PiggyDDV) != 0 && len(m.PiggyDDV) != w {
+	if m.Piggy.Width != 0 && m.Piggy.Width != w {
 		return false
 	}
-	return n.pairsFit(m.PiggyPairs)
+	return n.pairsFit(m.PiggyPairs) && n.pairsFit(m.Piggy.Pairs)
 }
 
 // pairsFit reports whether every pair index a peer sent lies inside
@@ -302,7 +303,7 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 	// information that exceed the DDV: the pairs a forced CLC must raise.
 	var pairs []DDVPair
 	switch {
-	case n.cfg.Transitive && m.PiggyDDV == nil && m.PiggyWidth == 0:
+	case n.cfg.Transitive && m.Piggy.Width == 0 && m.PiggyWidth == 0:
 		// A held copy of a delta-piggybacked message: only its pinned
 		// entries can still exceed the DDV (see pinHeld).
 		pairs = n.pairScratch[:0]
@@ -312,7 +313,7 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 			}
 		}
 		n.pairScratch = pairs
-	case n.cfg.Transitive && m.PiggyDDV == nil && m.PiggyWidth > 0:
+	case n.cfg.Transitive && m.Piggy.Width == 0 && m.PiggyWidth > 0:
 		// Delta-encoded transitive piggyback: examine only the entries
 		// that changed since this node's last clean exam of the pipe.
 		pairs = n.examineDeltaPiggy(src.Cluster)
@@ -320,11 +321,17 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 		// time the pipe decoder has moved on: pin what this message
 		// carried onto it.
 		n.pinHeld(&m, src, pairs)
-	case n.cfg.Transitive && m.PiggyDDV != nil:
-		// Transitive extension (§7), dense vector (no pipe codec,
+	case n.cfg.Transitive && m.Piggy.Width > 0:
+		// Transitive extension (§7), whole vector (no pipe codec,
 		// resends and replayed deferred/held copies): merge the whole
-		// DDV; any raised entry is a new dependency.
-		pairs = raisedPairs(n.pairScratch[:0], m.PiggyDDV, n.ddv, int32(n.cluster))
+		// DDV; any raised entry is a new dependency. The sparse pairs
+		// ascend, so the raised ones come out in index order.
+		pairs = n.pairScratch[:0]
+		for _, p := range m.Piggy.Pairs {
+			if p.Idx != int32(n.cluster) && p.SN > n.ddv[p.Idx] {
+				pairs = append(pairs, p)
+			}
+		}
 		n.pairScratch = pairs
 	case m.SendSN > n.ddv[src.Cluster]:
 		pairs = append(n.pairScratch[:0], DDVPair{Idx: int32(src.Cluster), SN: m.SendSN})
@@ -351,7 +358,7 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 }
 
 // pipeCodecTo returns the delta codec of the outbound pipe to cluster
-// dst, nil when piggybacks travel dense.
+// dst, nil when piggybacks carry the whole vector.
 func (n *Node) pipeCodecTo(dst topology.ClusterID) *DeltaCodec {
 	if n.piggyCodecs == nil {
 		return nil
@@ -426,17 +433,17 @@ func (n *Node) examineDeltaPiggy(srcCluster topology.ClusterID) []DDVPair {
 // vector did not raise at hold time cannot raise later. The held copy
 // keeps them as PiggyPairs, sorted by index and deduplicated (the order
 // a dense re-examination yields), with PiggyWidth zeroed: under the
-// transitive extension a copy with neither PiggyWidth nor PiggyDDV is
-// a pinned one. A node awaiting a remote restore (recoverWait) is the
+// transitive extension a copy with neither PiggyWidth nor Piggy is a
+// pinned one. A node awaiting a remote restore (recoverWait) is the
 // exception: the restore will lower the DDV under its held messages,
-// so they keep the exact dense vector.
+// so they keep the exact vector, in Piggy.
 func (n *Node) pinHeld(m *AppMsg, src topology.NodeID, pairs []DDVPair) {
 	if len(pairs) == 0 && !n.anchorPending {
 		return // delivered now, never held
 	}
 	m.PiggyPairs, m.PiggyWidth = nil, 0
 	if n.recoverWait != nil {
-		m.PiggyDDV = n.arena.Clone(n.pipeCodecFrom(src.Cluster).Current())
+		m.Piggy = sparseOf(n.pipeCodecFrom(src.Cluster).Current(), &n.pairArena)
 		return
 	}
 	if len(pairs) == 0 {
@@ -447,22 +454,22 @@ func (n *Node) pinHeld(m *AppMsg, src topology.NodeID, pairs []DDVPair) {
 	m.PiggyPairs = slices.CompactFunc(pin, func(a, b DDVPair) bool { return a.Idx == b.Idx })
 }
 
-// materializePiggy pins the dense piggyback vector onto a
-// delta-encoded transitive message that is about to be stored for
-// later replay (deferred by an epoch gap or a delivery freeze): the
+// materializePiggy pins the whole piggyback vector, in sparse form,
+// onto a delta-encoded transitive message that is about to be stored
+// for later replay (deferred by an epoch gap or a delivery freeze): the
 // pipe decoder advances with every later message, so the exact vector
-// must be captured now. No-op for intra-cluster, dense or
+// must be captured now. No-op for intra-cluster, whole-vector or
 // non-transitive messages.
 func (n *Node) materializePiggy(m *AppMsg, src topology.NodeID) {
-	if m.PiggyWidth == 0 || m.PiggyDDV != nil || src.Cluster == n.cluster {
+	if m.PiggyWidth == 0 || src.Cluster == n.cluster {
 		return
 	}
 	cd := n.pipeCodecFrom(src.Cluster)
 	if cd == nil {
 		return
 	}
-	m.PiggyDDV = n.arena.Clone(cd.Current())
-	m.PiggyPairs = nil
+	m.Piggy = sparseOf(cd.Current(), &n.pairArena)
+	m.PiggyPairs, m.PiggyWidth = nil, 0
 }
 
 // priorEpochValid is the §3.4 prior-epoch validity window, shared by
@@ -603,8 +610,8 @@ func (n *Node) resendLoggedTo(c topology.ClusterID, alertSN SN, newEpoch Epoch) 
 }
 
 // resendMsg rebuilds a logged message for a resend in this node's
-// epoch, addressed to the receiver cluster's epoch dstEpoch, with its
-// piggyback written out dense.
+// epoch, addressed to the receiver cluster's epoch dstEpoch, carrying
+// the logged piggyback itself.
 func (n *Node) resendMsg(e *logEntry, dstEpoch Epoch) AppMsg {
 	return AppMsg{
 		MsgID:      e.msgID,
@@ -612,7 +619,7 @@ func (n *Node) resendMsg(e *logEntry, dstEpoch Epoch) AppMsg {
 		SrcCluster: n.cluster,
 		SrcEpoch:   n.epoch,
 		SendSN:     e.piggySN,
-		PiggyDDV:   n.densePiggy(e.piggy),
+		Piggy:      e.piggy,
 		Resend:     true,
 		DstEpoch:   dstEpoch,
 	}

@@ -37,8 +37,9 @@ import (
 //
 // The pairs a commit ships are also how it is stored: a node's stored
 // CLCs are a Chain (chain.go) — one sparse anchor plus each commit's
-// pairs. Only a transitive piggyback may travel dense, when the harness
-// offers no pipe codecs (see PiggyCodecs). The network model prices
+// pairs. When the harness offers no pipe codecs (see PiggyCodecs), a
+// transitive piggyback is the sender's whole vector in sparse form
+// (AppMsg.Piggy), the one its log entry holds. The network model prices
 // dependency metadata at its dense width either way, so all recorded
 // goldens are invariant under the encoding.
 
@@ -150,10 +151,9 @@ func (s *DirtySet) Refresh(keep func(i int) bool) {
 	s.idx = kept
 }
 
-// PairArena hands out DDVPair slices cut from chunked backing storage,
-// the sparse counterpart of DDVArena: one chunk allocation per
-// pairArenaChunk pairs instead of one slice per escaping message or
-// per chain anchor a prefix drop builds. Slices are full-capacity
+// PairArena hands out DDVPair slices cut from chunked backing storage:
+// one chunk allocation per pairArenaChunk pairs instead of one slice
+// per escaping message or per chain anchor a prefix drop builds. Slices are full-capacity
 // cuts, so appends can never bleed into a neighbouring slice, and
 // chunks stay valid as long as any cut references them.
 type PairArena struct {
@@ -374,8 +374,8 @@ const examReplayMax = 8
 // PiggyCodecs is an optional upgrade interface of Env: a harness that
 // transports transitive piggybacks in delta form returns the codec of
 // the directed inter-cluster pipe src→dst (nil when the pipe has no
-// codec, e.g. dense-piggyback runs). Environments that do not implement it
-// (the live runtime) get dense piggybacks.
+// codec, e.g. codec-free runs). Environments that do not implement it
+// (the live runtime) get whole-vector piggybacks.
 type PiggyCodecs interface {
 	PiggyCodec(src, dst topology.ClusterID) *DeltaCodec
 	// ResetPiggyExam discards the clean-exam cursor of every existing

@@ -531,14 +531,14 @@ func (d *DenseShadows) NodeEvent(id topology.NodeID, ev Event) {
 // pairs rest on (see pinHeld): a restore or a restart, the only events
 // that lower a node's DDV, leaves no held message pinned to the pairs
 // it raised. Rollback and restart empty heldInter; a message held while
-// a remote restore was pending keeps its dense vector instead.
+// a remote restore was pending keeps its whole vector (Piggy) instead.
 func (d *DenseShadows) checkHeldUnpinned(id topology.NodeID) {
 	n := d.nodes[id]
 	if n == nil {
 		return
 	}
 	for _, in := range n.heldInter {
-		if n.cfg.Transitive && in.msg.PiggyDDV == nil && in.msg.PiggyWidth == 0 {
+		if n.cfg.Transitive && in.msg.Piggy.Width == 0 && in.msg.PiggyWidth == 0 {
 			d.fail("node %v: held message %v is still pinned to its raised pairs after its DDV was lowered", id, in.msg.Payload.ID)
 		}
 	}

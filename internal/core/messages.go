@@ -25,9 +25,10 @@ type ReclaimableMsg interface {
 //
 // Pricing note for the delta wire representation (delta.go): messages
 // carry dependency metadata as sparse (index, SN) pairs plus the width
-// they stand for (an AppMsg piggyback may travel as a dense DDV), and
-// every form is priced at the dense width, so transmission delays,
-// byte counters and recorded goldens are invariant under the encoding.
+// they stand for (an AppMsg piggyback is either a pipe delta or the
+// sender's whole vector in sparse form), and every form is priced at
+// the dense width, so transmission delays, byte counters and recorded
+// goldens are invariant under the encoding.
 // (A real deployment would also shrink the wire; modeling that would
 // change every recorded result, so it is deliberately not done.)
 const (
@@ -47,14 +48,18 @@ type AppMsg struct {
 	Payload    AppPayload
 	SrcCluster topology.ClusterID
 	SrcEpoch   Epoch
-	SendSN     SN  // sender cluster's SN at send time
-	PiggyDDV   DDV // dense transitive piggyback (nil unless enabled)
+	SendSN     SN // sender cluster's SN at send time
+	// Piggy is the whole transitive piggyback in sparse form, sent
+	// without a pipe codec and by every resend: the sender's log entry
+	// shares it (immutable, see Node.piggy). A receiver's deferred or
+	// recover-wait copy holds the vector its pipe decoder had then.
+	Piggy SparseDDV
 	// PiggyPairs/PiggyWidth are the delta form of the transitive
 	// piggyback: the entries that changed since the last message on the
 	// same directed inter-cluster pipe (see DeltaCodec). PiggyWidth > 0
 	// marks a delta-encoded piggyback (possibly with zero changed
-	// pairs) and prices the message at the dense width. Exactly one of
-	// PiggyDDV / PiggyWidth is set by a sender. A receiver's held copy
+	// pairs) and prices the message at the dense width. A sender sets
+	// at most one of Piggy.Width / PiggyWidth. A receiver's held copy
 	// may set neither: its PiggyPairs are then the entries the vector
 	// raised at hold time (see Node.pinHeld).
 	PiggyPairs []DDVPair
@@ -74,12 +79,7 @@ func (AppMsg) ProtocolMessage() {}
 // WireSize returns the bytes occupied on the network, payload plus
 // protocol overhead ("transmitting an integer (SN) with them", §5.2).
 func (m AppMsg) WireSize() int {
-	s := m.Payload.Size + headerBytes + snBytes
-	if m.PiggyDDV != nil {
-		s += perClusterByte * len(m.PiggyDDV)
-	}
-	s += perClusterByte * int(m.PiggyWidth)
-	return s
+	return m.Payload.Size + headerBytes + snBytes + perClusterByte*(m.Piggy.Width+int(m.PiggyWidth))
 }
 
 // AppAck acknowledges an inter-cluster application message with the

@@ -131,7 +131,7 @@ type logEntry struct {
 	// piggy is the transitive piggyback the send carried (zero unless
 	// transitive): the node's shared vector of that DDV generation (see
 	// Node.piggy), which the entry's mirror and a recovery answer share
-	// too. A resend writes it out dense.
+	// too, and which a resend carries.
 	piggy SparseDDV
 	acked bool
 	ackSN SN
@@ -385,10 +385,6 @@ type Node struct {
 	// commitBase leave it), and a pipe encoder rebuilds the last vector
 	// shipped in it while deltas are in flight (DeltaCodec.Encode).
 	vecScratch DDV
-	// arena backs every DDV this node hands out at an escape point
-	// (piggybacked vectors, resends, dense commit broadcasts); see
-	// DDVArena for the ownership rules.
-	arena DDVArena
 	// pairArena backs every DDVPair slice that escapes on a wire
 	// message, into a stored record or into a shared piggyback;
 	// pairScratch is the reusable build buffer (valid until the next
@@ -413,11 +409,11 @@ type Node struct {
 	gcScanDirty DirtySet
 	gcScanValid bool
 	// piggyCodecs is the env's per-pipe delta codec registry when it
-	// offers one (PiggyCodecs); nil means dense piggybacks. Each codec
-	// carries the cluster-shared clean-exam cursor (DeltaCodec.seen);
-	// resetPiggyExam discards the cursors whenever this node's DDV may
-	// have decreased (rollback, recovery), forcing a full-width
-	// re-examination per pipe.
+	// offers one (PiggyCodecs); nil means whole-vector piggybacks. Each
+	// codec carries the cluster-shared clean-exam cursor
+	// (DeltaCodec.seen); resetPiggyExam discards the cursors whenever
+	// this node's DDV may have decreased (rollback, recovery), forcing a
+	// full-width re-examination per pipe.
 	piggyCodecs PiggyCodecs
 	// lastPiggy is the sparse form of ddv at generation lastPiggyGen:
 	// the log entries, mirrors and piggyback events of all sends
@@ -488,7 +484,6 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 		cascadeMemo: make(map[topology.ClusterID]cascadeRecord),
 		ackedNodes:  make([]bool, cfg.ClusterSizes[cfg.ID.Cluster]),
 	}
-	n.arena.Init(cfg.Clusters)
 	n.boxes, _ = env.(BoxPool)
 	n.mirrors, _ = env.(MirrorBoxPool)
 	_, n.reclaims = env.(BoxReclaimer)
@@ -576,11 +571,9 @@ func (n *Node) SN() SN { return n.sn }
 // CurrentEpoch returns the node's rollback epoch.
 func (n *Node) CurrentEpoch() Epoch { return n.epoch }
 
-// DDVSnapshot returns a copy of the node's current DDV. The copy is
-// cut from the node's arena: the caller owns it indefinitely (chunks
-// live as long as any vector cut from them), and the steady-state
-// cost is zero heap allocations.
-func (n *Node) DDVSnapshot() DDV { return n.arena.Clone(n.ddv) }
+// DDVSnapshot returns a copy of the node's current DDV, which the
+// caller owns.
+func (n *Node) DDVSnapshot() DDV { return n.ddv.Clone() }
 
 // SameDDV reports whether n and o hold equal DDVs, copying neither.
 func (n *Node) SameDDV(o *Node) bool { return n.ddv.Equal(o.ddv) }
@@ -613,25 +606,14 @@ func (n *Node) piggyVecID() uint64 {
 // transitive send made while the vector is unchanged: at most one
 // O(width) scan per DDV generation, and pairs cut from the pair arena
 // instead of a dense copy. The vector is immutable once shared: log
-// entries, their mirrors, recovery answers and an event sink's
-// EventPiggySend only read it.
+// entries, their mirrors, codec-free sends and resends (AppMsg.Piggy),
+// recovery answers and an event sink's EventPiggySend only read it.
 func (n *Node) piggy() SparseDDV {
 	if n.lastPiggyGen != n.ddvGen {
 		n.lastPiggy = sparseOf(n.ddv, &n.pairArena)
 		n.lastPiggyGen = n.ddvGen
 	}
 	return n.lastPiggy
-}
-
-// densePiggy writes a logged piggyback out dense for a resend, into a
-// vector cut from the arena; nil for a send that carried none.
-func (n *Node) densePiggy(p SparseDDV) DDV {
-	if p.Width == 0 {
-		return nil
-	}
-	v := n.arena.cut()
-	p.Dense(v)
-	return v
 }
 
 // StoredCount returns how many CLCs this node currently stores.

@@ -306,7 +306,8 @@ func newTestbedWire(t testing.TB, sizes []int, replicas int, transitive, codecs 
 // but instantiates only clusters 0 and 1 — enough to drive one
 // directed inter-cluster pipe at an arbitrary dependency-vector width
 // without building hundreds of nodes. Transitive piggybacking is on;
-// dense makes piggybacks travel dense (delta otherwise).
+// dense makes piggybacks carry the whole vector, without pipe codecs
+// (delta otherwise).
 func newWideTestbed(t testing.TB, width int, dense bool) *testbed {
 	return newWideTestbedSized(t, width, dense, 1)
 }
@@ -893,7 +894,7 @@ func TestMessageWireSizes(t *testing.T) {
 	if m.WireSize() <= 100 {
 		t.Fatal("wire size must include protocol overhead")
 	}
-	withDDV := AppMsg{Payload: AppPayload{Size: 100}, PiggyDDV: NewDDV(8)}
+	withDDV := AppMsg{Payload: AppPayload{Size: 100}, Piggy: SparseDDV{Width: 8}}
 	if withDDV.WireSize() <= m.WireSize() {
 		t.Fatal("piggybacked DDV must cost wire bytes")
 	}

@@ -13,18 +13,18 @@ import (
 // held message keeps only the pairs it raised. A log entry and its
 // mirror share the sender's sparse vector of the DDV generation the
 // send was made in, on both wires. The tests below run one scenario on
-// the delta wire and on its dense-wire twin, which copies every vector
-// onto the message, and require the same observations.
+// the delta wire and on its codec-free twin, which puts that shared
+// vector itself on every message, and require the same observations.
 
 // twinRun runs scenario on both wires and fails unless they report the
 // same lines; it returns the delta wire's.
 func twinRun(t *testing.T, sizes []int, scenario func(b *testbed) []string) []string {
 	t.Helper()
 	delta := scenario(newTwinTestbed(t, sizes, 1, false))
-	dense := scenario(newTwinTestbed(t, sizes, 1, true))
-	if !reflect.DeepEqual(delta, dense) {
-		t.Fatalf("delta wire observed\n  %s\ndense wire observed\n  %s",
-			strings.Join(delta, "\n  "), strings.Join(dense, "\n  "))
+	whole := scenario(newTwinTestbed(t, sizes, 1, true))
+	if !reflect.DeepEqual(delta, whole) {
+		t.Fatalf("delta wire observed\n  %s\ncodec-free wire observed\n  %s",
+			strings.Join(delta, "\n  "), strings.Join(whole, "\n  "))
 	}
 	return delta
 }
@@ -50,7 +50,7 @@ func observe(b *testbed) []string {
 }
 
 // resends renders the resent application messages queued to cluster
-// dst, with the piggyback each carries.
+// dst, with the piggyback each carries written out dense.
 func resends(q []sentMsg, dst topology.ClusterID) []string {
 	var out []string
 	for _, s := range q {
@@ -64,7 +64,7 @@ func resends(q []sentMsg, dst topology.ClusterID) []string {
 			continue
 		}
 		if s.dst.Cluster == dst && m.Resend {
-			out = append(out, fmt.Sprintf("resend %v piggy=%v", m.Payload.ID, m.PiggyDDV))
+			out = append(out, fmt.Sprintf("resend %v piggy=%v", m.Payload.ID, dense(m.Piggy)))
 		}
 	}
 	return out
@@ -226,8 +226,9 @@ func TestLogMirrorRefusesOtherWidth(t *testing.T) {
 
 // TestAppMsgRefusesOtherWidth: a node refuses, with a counter and
 // without panicking, an inter-cluster message whose piggyback it could
-// not merge — a dense vector wider than the federation, a pair index
-// outside it, a delta of another width — on either wire.
+// not merge — a whole vector wider than the federation, a pair index
+// outside it, a delta of another width, a whole vector of the right
+// width whose pair lies outside it — on either wire.
 func TestAppMsgRefusesOtherWidth(t *testing.T) {
 	for _, dense := range []bool{true, false} {
 		b := newTwinTestbed(t, []int{2, 2}, 1, dense)
@@ -236,7 +237,7 @@ func TestAppMsgRefusesOtherWidth(t *testing.T) {
 			return AppMsg{MsgID: id, Payload: payload(src, id), SendSN: 1}
 		}
 		wide := msg(1)
-		wide.PiggyDDV = DDV{1, 1, 5}
+		wide.Piggy = SparseDDV{Width: 3, Pairs: []DDVPair{{Idx: 0, SN: 1}, {Idx: 1, SN: 1}, {Idx: 2, SN: 5}}}
 		recv.OnMessage(src, wide)
 		negative := msg(2)
 		negative.PiggyPairs = []DDVPair{{Idx: -1, SN: 1}}
@@ -249,6 +250,12 @@ func TestAppMsgRefusesOtherWidth(t *testing.T) {
 		recv.OnMessage(src, delta)
 		if got := b.stats["app.refused_width"]; got != 3 {
 			t.Fatalf("dense=%v: a delta of width 3: app.refused_width = %d, want 3", dense, got)
+		}
+		outside := msg(4)
+		outside.Piggy = SparseDDV{Width: 2, Pairs: []DDVPair{{Idx: 2, SN: 1}}}
+		recv.OnMessage(src, outside)
+		if got := b.stats["app.refused_width"]; got != 4 {
+			t.Fatalf("dense=%v: a pair past a 2-wide vector: app.refused_width = %d, want 4", dense, got)
 		}
 		if got := b.stats["app.delivered.inter"] + b.stats["cic.held"]; got != 0 {
 			t.Fatalf("dense=%v: %d refused messages were delivered or held", dense, got)
@@ -333,7 +340,7 @@ func TestRollbackAndRestartEmptyHeldQueue(t *testing.T) {
 			if len(recv.heldInter) != 1 {
 				t.Fatalf("message %d: %d held, want 1", seq, len(recv.heldInter))
 			}
-			if m := recv.heldInter[0].msg; b.useCodecs && (m.PiggyDDV != nil || m.PiggyWidth != 0 || len(m.PiggyPairs) == 0) {
+			if m := recv.heldInter[0].msg; b.useCodecs && (m.Piggy.Width != 0 || m.PiggyWidth != 0 || len(m.PiggyPairs) == 0) {
 				t.Fatalf("delta wire: held copy %+v is not pinned to its raised pairs", m)
 			}
 		}
@@ -363,4 +370,136 @@ func TestRollbackAndRestartEmptyHeldQueue(t *testing.T) {
 		}
 		return observe(b)
 	})
+}
+
+// queuedAppMsg returns the application message q carries in a pooled
+// box, failing if it travels as a value.
+func queuedAppMsg(t *testing.T, q sentMsg) *AppMsg {
+	t.Helper()
+	switch m := q.msg.(type) {
+	case *AppMsg:
+		return m
+	case AppMsg:
+		t.Fatalf("message %v to %v left as a value, not in a pooled box", m.Payload.ID, q.dst)
+	}
+	return nil
+}
+
+// TestCodecFreeSendAndResendShareLoggedPiggy: without pipe codecs, a
+// transitive send and its resend carry the log entry's sparse vector
+// itself, not a copy, priced at the dense width.
+func TestCodecFreeSendAndResendShareLoggedPiggy(t *testing.T) {
+	b := newTwinTestbed(t, []int{2, 2}, 1, true)
+	snd, recv := b.node(1, 0), b.node(0, 0)
+	check := func(what string, q sentMsg) {
+		t.Helper()
+		m := queuedAppMsg(t, q)
+		e := snd.log[len(snd.log)-1]
+		if !sharesPairs(m.Piggy, e.piggy) {
+			t.Fatalf("%s carries %v, not the log entry's vector %v", what, m.Piggy, e.piggy)
+		}
+		if want := m.Payload.Size + headerBytes + snBytes + perClusterByte*b.width; m.WireSize() != want || q.size != want {
+			t.Fatalf("%s priced %d (sent as %d), want %d", what, m.WireSize(), q.size, want)
+		}
+	}
+	snd.Send(recv.ID(), payload(snd.ID(), 1))
+	if len(b.queue) == 0 || !b.queue[len(b.queue)-1].app {
+		t.Fatalf("the send queued %v, want the application message last", b.queue)
+	}
+	check("the send", b.queue[len(b.queue)-1])
+	b.pump()
+	snd.OnMessage(recv.ID(), RollbackAlert{Cluster: 0, NewSN: recv.SN(), NewEpoch: 1})
+	var resent int
+	for _, q := range b.queue {
+		if q.app {
+			check("the resend", q)
+			resent++
+		}
+	}
+	if resent != 1 {
+		t.Fatalf("%d resends queued, want 1", resent)
+	}
+	b.queue = b.queue[:0]
+}
+
+// TestRecoveredResendsTravelInBoxes: the resends a node issues when its
+// cluster resumes after a rollback leave in pooled boxes, like every
+// other application message, and carry the logged vector itself.
+func TestRecoveredResendsTravelInBoxes(t *testing.T) {
+	for _, dense := range []bool{false, true} {
+		b := newTwinTestbed(t, []int{2, 1}, 1, dense)
+		snd, holder := b.node(0, 1), b.node(0, 0)
+		b.withhold = func(m sentMsg) bool { return m.dst.Cluster == 1 }
+		snd.Send(b.node(1, 0).ID(), payload(snd.ID(), 1)) // never acknowledged
+		b.pump()
+		b.commitCLC(0) // the send is part of the state restored below
+		snd.Fail()
+		snd.Restart()
+		holder.OnFailureDetected(snd.ID())
+		b.pump()
+		if got := b.stats["log.resent_after_recovery"]; got == 0 {
+			t.Fatalf("dense=%v: no resend after the recovery", dense)
+		}
+		resent := 0
+		for _, q := range b.withheld {
+			if !q.app {
+				continue
+			}
+			if m := queuedAppMsg(t, q); m.Resend {
+				resent++
+				if e := snd.log[0]; !sharesPairs(m.Piggy, e.piggy) {
+					t.Fatalf("dense=%v: recovered resend carries %v, not the log entry's vector %v", dense, m.Piggy, e.piggy)
+				}
+			}
+		}
+		if resent == 0 {
+			t.Fatalf("dense=%v: no resend reached the receiver's cluster", dense)
+		}
+		b.release()
+		b.pump()
+	}
+}
+
+// TestHeldWhileAwaitingRestoreKeepsWholeVector: a node whose rollback
+// target is stored remotely (its copy was lost in an earlier crash)
+// waits for the holder's state. A delta-piggybacked message it holds
+// meanwhile keeps the exact vector its sender logged, not the pairs it
+// raised: the restore lowers the DDV beneath it, which the dense
+// shadow checks at the restore.
+func TestHeldWhileAwaitingRestoreKeepsWholeVector(t *testing.T) {
+	b := newTwinTestbed(t, []int{2, 2}, 1, false)
+	leader, recv, snd := b.node(0, 0), b.node(0, 1), b.node(1, 0)
+	b.commitCLC(0)
+	b.commitCLC(1)
+	// Stand in for the earlier crash: recv's copy of record 2 is remote.
+	r := recv.clcs.At(recv.chain.Index(2))
+	recv.clcBytes -= r.storedBytes()
+	r.remote = true
+	recv.clcBytes += r.storedBytes()
+
+	// The state request and everything bound for cluster 1 (the alert
+	// that would make the next send target the new epoch) wait.
+	b.withhold = func(m sentMsg) bool {
+		_, req := m.msg.(RecoverStateReq)
+		return req || m.dst.Cluster == 1
+	}
+	leader.initiateRollback(2)
+	b.pump()
+	if recv.recoverWait == nil {
+		t.Fatal("the rollback did not wait for the remote state")
+	}
+	snd.Send(recv.ID(), payload(snd.ID(), 1))
+	b.pump()
+	if len(recv.heldInter) != 1 {
+		t.Fatalf("%d messages held, want the send", len(recv.heldInter))
+	}
+	held, logged := recv.heldInter[0].msg, snd.log[len(snd.log)-1].piggy
+	if held.PiggyWidth != 0 || len(held.PiggyPairs) != 0 || !dense(held.Piggy).Equal(dense(logged)) {
+		t.Fatalf("held copy %+v, want the vector its sender logged %v", held, logged)
+	}
+	b.release()
+	b.pump()
+	if recv.recoverWait != nil {
+		t.Fatal("the remote restore never completed")
+	}
 }

@@ -533,7 +533,7 @@ func (n *Node) resumeAfterRollback() {
 		// consuming it in the doomed state.
 		m := n.resendMsg(e, n.epochs.known(e.dstCluster))
 		n.emit(Event{Kind: EventResendRecovered})
-		n.env.SendApp(e.dst, m.WireSize(), m)
+		n.sendAppMsg(e.dst, m)
 	}
 	if n.leader() {
 		n.env.SetTimer(TimerCLC, n.cfg.CLCPeriod)

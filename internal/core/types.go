@@ -60,76 +60,11 @@ func (d DDV) CopyFrom(o DDV) {
 	copy(d, o)
 }
 
-// DDVArena hands out DDVs sliced from chunked backing storage, so the
-// vectors that escape an event (dense piggybacks, resent piggybacks,
-// held copies pinned while a remote restore is pending, DDV snapshots)
-// allocate one chunk per 64 vectors
-// instead of one slice per Clone. Each Node owns one arena; a vector
-// handed out lives as long as whatever retains it (the chunk is
-// garbage-collected once every vector cut from it is dropped), and
-// chunks are never reallocated, so outstanding slices
-// stay valid forever. Full-capacity slicing means a misplaced append
-// can never bleed into a neighbouring vector.
-//
-// An arena hides its cost from allocation counts: a chunk is one
-// allocation however many width-sized vectors it serves. The delta
-// wire therefore cuts nothing per inter-cluster message: a log entry
-// shares its generation's sparse piggyback and a held message keeps
-// its raised pairs (both PairArena), and only a resend writes a
-// logged piggyback out dense.
-type DDVArena struct {
-	width int
-	chunk []SN
-	off   int
-	// vecs is the size (in vectors) of the next chunk. Chunks grow
-	// geometrically from arenaFirstVectors to arenaChunkVectors, so a
-	// node that only ever cuts its handful of setup vectors does not
-	// strand a full-size chunk — at 1024 clusters a 64-vector chunk is
-	// half a megabyte, per node.
-	vecs int
-}
-
-// arenaChunkVectors is how many DDVs one steady-state backing chunk
-// holds; arenaFirstVectors is the size of an arena's first chunk.
-const (
-	arenaChunkVectors = 64
-	arenaFirstVectors = 8
-)
-
-// Init sizes the arena for vectors of the given width (the federation's
-// cluster count). Width never changes over a node's lifetime.
-func (a *DDVArena) Init(width int) { a.width = width }
-
-// cut slices the next uninitialized vector off the arena. Callers must
-// overwrite every entry before the vector is read.
-func (a *DDVArena) cut() DDV {
-	if a.off+a.width > len(a.chunk) {
-		switch {
-		case a.vecs == 0:
-			a.vecs = arenaFirstVectors
-		case a.vecs < arenaChunkVectors:
-			a.vecs *= 2
-		}
-		a.chunk = make([]SN, a.width*a.vecs)
-		a.off = 0
-	}
-	d := a.chunk[a.off : a.off+a.width : a.off+a.width]
-	a.off += a.width
-	return DDV(d)
-}
-
-// Clone returns an arena-backed copy of d.
-func (a *DDVArena) Clone(d DDV) DDV {
-	c := a.cut()
-	copy(c, d)
-	return c
-}
-
-// Slab is the DDVArena pattern for single values: it hands out pointers
-// cut from chunked backing arrays, one allocation per chunk instead of
-// one per value. Chunks grow geometrically from slabFirst to slabChunk
-// values and are allocated on first use, so an owner that cuts nothing
-// pays nothing. A value lives as long as anything retains it (a chunk
+// Slab hands out pointers to single values cut from chunked backing
+// arrays, one allocation per chunk instead of one per value. Chunks
+// grow geometrically from slabFirst to slabChunk values and are
+// allocated on first use, so an owner that cuts nothing pays nothing.
+// A value lives as long as anything retains it (a chunk
 // is garbage-collected once every value cut from it is unreachable);
 // slots are never reused, so an owner that drops a value holding
 // references zeroes it.

@@ -278,9 +278,9 @@ func TestChaosRejectsDeltaTransitive(t *testing.T) {
 		{"trace with chaos", traceSc, func(o *federation.Options) { o.Chaos = &chaos.Config{Seed: 1} },
 			"federation: LinkTrace and Chaos both claim the network perturbation hook; run them separately"},
 		{"trace on delta transitive", traceSc, func(o *federation.Options) { o.Transitive = true },
-			"federation: trace-driven links cannot run on delta-encoded transitive piggybacks (reordered exits would desync the pipe codecs); set DenseWire"},
+			"federation: trace-driven links cannot run on delta-encoded transitive piggybacks (reordered exits would desync the pipe codecs); set NoPipeCodecs"},
 		{"chaos on delta transitive", chaosSc, func(o *federation.Options) { o.Transitive = true },
-			"federation: chaos scheduling cannot run on delta-encoded transitive piggybacks (duplicate deliveries would desync the pipe codecs); set DenseWire"},
+			"federation: chaos scheduling cannot run on delta-encoded transitive piggybacks (duplicate deliveries would desync the pipe codecs); set NoPipeCodecs"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -300,7 +300,7 @@ func TestChaosRejectsDeltaTransitive(t *testing.T) {
 }
 
 // TestDenseWireRunsTransitiveChaosAndTrace: the escape the refusals
-// name — the dense reference wire — runs every chaos-tier and
+// name — the codec-free reference wire — runs every chaos-tier and
 // trace-tier scenario in transitive mode with the oracle clean and the
 // harness invariants intact.
 func TestDenseWireRunsTransitiveChaosAndTrace(t *testing.T) {
@@ -329,7 +329,7 @@ func TestDenseWireRunsTransitiveChaosAndTrace(t *testing.T) {
 	}
 	err = forEach(DefaultWorkers(), len(runs), func(i int) error {
 		r := runs[i]
-		cfg := Config{Seed: r.seed, Quick: true, ChaosSeed: r.seed, Oracle: true, denseWire: true}
+		cfg := Config{Seed: r.seed, Quick: true, ChaosSeed: r.seed, Oracle: true, noPipeCodecs: true}
 		opts, err := ScenarioOptions(cfg, r.sc, "hc3i")
 		if err != nil {
 			return err

@@ -4,14 +4,15 @@ import "testing"
 
 // The delta-vs-dense piggyback differential: transitive piggybacks
 // delta-encoded over per-pipe codecs (the default) must be
-// observationally identical to dense piggybacks — same CSV bytes for
-// every table — because both are priced at the dense width and the
-// codec reconstructs every vector exactly. The checkpoint round's
+// observationally identical to codec-free ones, which carry the
+// sender's whole vector — same CSV bytes for every table — because
+// both are priced at the dense width and the codec reconstructs every
+// vector exactly. The checkpoint round's
 // control messages have one form only; the mutation catalogue
 // (internal/federation) shows the checks that guard their deltas.
 
-// runBothEncodings renders one experiment with delta and with dense
-// piggybacks and asserts byte-identical CSV output.
+// runBothEncodings renders one experiment with delta and with
+// codec-free piggybacks and asserts byte-identical CSV output.
 func runBothEncodings(t *testing.T, id string, seed uint64) {
 	t.Helper()
 	e, ok := ByID(id)
@@ -22,7 +23,7 @@ func runBothEncodings(t *testing.T, id string, seed uint64) {
 	if err != nil {
 		t.Fatalf("%s seed %d (delta): %v", id, seed, err)
 	}
-	dense, err := e.Run(Config{Seed: seed, Quick: true, denseWire: true})
+	dense, err := e.Run(Config{Seed: seed, Quick: true, noPipeCodecs: true})
 	if err != nil {
 		t.Fatalf("%s seed %d (dense): %v", id, seed, err)
 	}

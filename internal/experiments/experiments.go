@@ -77,12 +77,12 @@ type Config struct {
 	// previous run's event-engine buffers instead of rebuilding from
 	// zero per sweep point (see federation.Arena).
 	arena *federation.Arena
-	// denseWire and unbatchedWire are test fixtures: dense transitive
-	// piggybacks, one engine event per delivery
-	// (federation.Options.DenseWire, UnbatchedWire). Results are
+	// noPipeCodecs and unbatchedWire are test fixtures: codec-free
+	// transitive piggybacks, one engine event per delivery
+	// (federation.Options.NoPipeCodecs, UnbatchedWire). Results are
 	// byte-identical by construction; only tests in this package set
 	// them.
-	denseWire, unbatchedWire bool
+	noPipeCodecs, unbatchedWire bool
 }
 
 func (c Config) workers() int {
@@ -97,8 +97,8 @@ func (c Config) workers() int {
 // field; it only ever turns a switch on, so options a scenario sets for
 // itself (the chaos tier's oracle) survive.
 func (c Config) apply(opts *federation.Options) {
-	if c.denseWire {
-		opts.DenseWire = true
+	if c.noPipeCodecs {
+		opts.NoPipeCodecs = true
 	}
 	if c.unbatchedWire {
 		opts.UnbatchedWire = true

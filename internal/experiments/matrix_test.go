@@ -117,7 +117,7 @@ func TestScenarioOptionsApplyWholeConfig(t *testing.T) {
 		cfg   Config
 		got   func(federation.Options) bool
 	}{
-		{"denseWire", Config{denseWire: true}, func(o federation.Options) bool { return o.DenseWire }},
+		{"noPipeCodecs", Config{noPipeCodecs: true}, func(o federation.Options) bool { return o.NoPipeCodecs }},
 		{"unbatchedWire", Config{unbatchedWire: true}, func(o federation.Options) bool { return o.UnbatchedWire }},
 		{"Oracle", Config{Oracle: true}, func(o federation.Options) bool { return o.Oracle }},
 		{"RunTimeout", Config{RunTimeout: time.Minute}, func(o federation.Options) bool { return o.Watchdog == time.Minute }},

@@ -62,7 +62,7 @@ func wideCSV(t *testing.T, workers int, dense bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := RunMatrix(Config{Workers: workers, Seed: 11, Quick: true, denseWire: dense}, scs)
+	tab, err := RunMatrix(Config{Workers: workers, Seed: 11, Quick: true, noPipeCodecs: dense}, scs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestWide256Differential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := RunScenario(Config{Seed: 7, Quick: true, denseWire: true}, sc, "hc3i")
+	dense, err := RunScenario(Config{Seed: 7, Quick: true, noPipeCodecs: true}, sc, "hc3i")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func BenchmarkWideSliceDense(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := Config{Workers: DefaultWorkers(), Seed: uint64(i + 1), Quick: true, denseWire: true}
+		cfg := Config{Workers: DefaultWorkers(), Seed: uint64(i + 1), Quick: true, noPipeCodecs: true}
 		tab, err := RunMatrix(cfg, scs)
 		if err != nil {
 			b.Fatal(err)

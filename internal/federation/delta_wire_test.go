@@ -25,12 +25,12 @@ func transitiveCrashOptions(seed uint64, dense bool) federation.Options {
 	wl := app.Uniform(3, 400, 18, sim.Hour)
 	wl.StateSize = 64 << 10
 	return federation.Options{
-		Topology:   fed,
-		Workload:   wl,
-		CLCPeriods: []sim.Duration{8 * sim.Minute, 10 * sim.Minute, 12 * sim.Minute},
-		Transitive: true,
-		DenseWire:  dense,
-		Seed:       seed,
+		Topology:     fed,
+		Workload:     wl,
+		CLCPeriods:   []sim.Duration{8 * sim.Minute, 10 * sim.Minute, 12 * sim.Minute},
+		Transitive:   true,
+		NoPipeCodecs: dense,
+		Seed:         seed,
 		Crashes: []federation.Crash{
 			{At: sim.Time(20 * sim.Minute), Node: topology.NodeID{Cluster: 1, Index: 1}},
 			{At: sim.Time(40 * sim.Minute), Node: topology.NodeID{Cluster: 2, Index: 0}},

@@ -67,13 +67,14 @@ type Options struct {
 	RingGC bool
 	// Transitive enables full-DDV piggybacking.
 	Transitive bool
-	// DenseWire is the dense-piggyback test fixture: the nodes get no
-	// pipe codecs, so transitive piggybacks travel as dense DDVs (see
+	// NoPipeCodecs is the codec-free test fixture: the nodes get no
+	// pipe codecs, so a transitive piggyback travels as the sender's
+	// whole vector in sparse form, shared with its log entry (see
 	// core/delta.go); a run that is not transitive is unchanged. Only
 	// tests set it, here and in internal/experiments (through an
 	// unexported Config field). Delta piggybacks refuse transitive
-	// Chaos and LinkTrace (see fill, New); dense ones run them.
-	DenseWire bool
+	// Chaos and LinkTrace (see fill, New); codec-free ones run them.
+	NoPipeCodecs bool
 	// UnbatchedWire schedules every network delivery as its own event
 	// instead of the default batched pipe deliveries (see
 	// netsim.DisableBatching). Purely a scheduling-mechanics switch —
@@ -129,7 +130,7 @@ type Options struct {
 	// (experiments.ScenarioOptions), for hc3ibench, hc3isoak and the
 	// benchmark alike. Incompatible with delta-encoded transitive
 	// piggybacks (duplicates would desync the pipe codecs); only the
-	// DenseWire fixture runs transitive chaos.
+	// NoPipeCodecs fixture runs transitive chaos.
 	Chaos *chaos.Config
 
 	// LinkTrace replays a measured (latency, jitter, loss) schedule
@@ -169,8 +170,8 @@ func (o *Options) fill() error {
 		if o.Chaos != nil {
 			return fmt.Errorf("federation: LinkTrace and Chaos both claim the network perturbation hook; run them separately")
 		}
-		if o.Transitive && !o.DenseWire {
-			return fmt.Errorf("federation: trace-driven links cannot run on delta-encoded transitive piggybacks (reordered exits would desync the pipe codecs); set DenseWire")
+		if o.Transitive && !o.NoPipeCodecs {
+			return fmt.Errorf("federation: trace-driven links cannot run on delta-encoded transitive piggybacks (reordered exits would desync the pipe codecs); set NoPipeCodecs")
 		}
 	}
 	n := o.Topology.NumClusters()
@@ -305,9 +306,9 @@ func New(opts Options) (*Fed, error) {
 	if opts.UnbatchedWire {
 		f.net.DisableBatching()
 	}
-	if opts.Transitive && !opts.DenseWire {
+	if opts.Transitive && !opts.NoPipeCodecs {
 		if opts.Chaos != nil {
-			return nil, fmt.Errorf("federation: chaos scheduling cannot run on delta-encoded transitive piggybacks (duplicate deliveries would desync the pipe codecs); set DenseWire")
+			return nil, fmt.Errorf("federation: chaos scheduling cannot run on delta-encoded transitive piggybacks (duplicate deliveries would desync the pipe codecs); set NoPipeCodecs")
 		}
 		f.deltaWire = true
 		f.net.PipeExit = f.pipeExit
@@ -498,7 +499,7 @@ func (f *Fed) pipeExit(src, dst topology.NodeID, payload any) {
 		return
 	}
 	if len(pairs) == 0 && (f.oracle == nil || width == 0) {
-		// Dense piggybacks (resends) and empty deltas advance nothing;
+		// Whole-vector piggybacks (resends) and empty deltas advance nothing;
 		// an oracle additionally checks the lockstep of empty deltas
 		// below (the decoder must already hold the message's vector).
 		return

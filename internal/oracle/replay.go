@@ -89,7 +89,7 @@ func (e Event) NodeID() (topology.NodeID, error) { return topology.ParseNodeID(e
 // node and a delivery's sender (a nil table names them through
 // NodeID.String, in one allocation each). ok is false for
 // the kinds the journal does not carry: the trace points, and
-// piggyback sends (the live runtime sends dense piggybacks and delta
+// piggyback sends (the live runtime sends whole-vector piggybacks and delta
 // control messages, so it has no delta pipes to check). A start record names no federation shape;
 // the journaling runtime adds Clusters and Recovering. A commit is
 // journaled as its dense vector: Pairs is a wire shortcut.

@@ -159,8 +159,8 @@ func filledMsg(id uint64) *core.AppMsg {
 	m := boxedMsg(id)
 	m.Payload = core.AppPayload{ID: core.LogicalID{Src: a(), Seq: 3 * id}, Size: int(id % 512)}
 	m.SrcCluster, m.SrcEpoch, m.SendSN = 1, core.Epoch(id%5), core.SN(id+1)
-	m.PiggyPairs = []core.DDVPair{{Idx: int32(id % 4), SN: core.SN(id + 2)}}
-	m.PiggyWidth, m.DstEpoch = 4, core.Epoch(id%3)
+	m.Piggy = core.SparseDDV{Width: 4, Pairs: []core.DDVPair{{Idx: int32(id % 4), SN: core.SN(id + 2)}}}
+	m.DstEpoch = core.Epoch(id % 3)
 	return m
 }
 

@@ -26,16 +26,19 @@ import (
 //   - SN, Epoch, uint64 and NodeID parts: uvarint;
 //   - signed integers (int, int32, ClusterID): zigzag varint;
 //   - bool: one byte, 0 or 1;
-//   - slices ([]SN, DDV, []DDVPair, []uint64, []OlderState, []LogMirror,
+//   - slices ([]SN, []DDVPair, []uint64, []OlderState, []LogMirror,
 //     []GCReport): an element count, then the elements;
-//   - SparseDDV (a Chain's anchor, a LogMirror's piggyback): its width,
-//     then its non-zero entries as a count of ascending (index, SN)
-//     pairs;
+//   - SparseDDV (a Chain's anchor, an AppMsg's or a LogMirror's
+//     piggyback): its width, then its non-zero entries as a count of
+//     ascending (index, SN) pairs;
 //   - Chain: its anchor, then its records;
 //   - state (Replica.State, RecoverStateResp.State, OlderState.State):
 //     one kind byte (nil or *app.State), then the app.State's fields,
 //     its delivery journal as a count plus LogicalIDs;
 //   - AppPayload: its ID and Size; Data must be nil.
+//
+// An AppMsg's delta piggyback (PiggyPairs, PiggyWidth) has no encoding:
+// a live node has no pipe codecs, so it always sends the whole vector.
 //
 // The codec is stateless: a frame decodes on its own, whatever came
 // before it on the connection. Decoding never trusts a count: a count
@@ -63,7 +66,9 @@ const (
 	// dense vectors and the request's update pairs are gone.
 	// wireVersion 9: the pooled form of LogMirror has a tag of its own,
 	// as AppMsg and AppAck have since version 7.
-	wireVersion = 9
+	// wireVersion 10: an AppMsg's piggyback is a sparse vector, and its
+	// delta fields are gone.
+	wireVersion = 10
 	// maxFrame caps one frame's body.
 	maxFrame = 64 << 20
 	// maxWidth caps a decoded sparse vector's width: a width costs no
@@ -501,9 +506,10 @@ func (w *encoder) appMsg(m core.AppMsg) {
 	w.int(int64(m.SrcCluster))
 	w.uint(uint64(m.SrcEpoch))
 	w.uint(uint64(m.SendSN))
-	w.sns(m.PiggyDDV)
-	w.pairs(m.PiggyPairs)
-	w.int(int64(m.PiggyWidth))
+	w.sparse(m.Piggy)
+	if (len(m.PiggyPairs) != 0 || m.PiggyWidth != 0) && w.err == nil {
+		w.err = errors.New("runtime: no wire encoding for a delta-encoded piggyback")
+	}
 	w.bool(m.Resend)
 	w.uint(uint64(m.DstEpoch))
 }
@@ -783,8 +789,7 @@ func (r *decoder) state() any {
 
 func (r *decoder) appMsg() core.AppMsg {
 	return core.AppMsg{MsgID: r.uint(), Payload: r.payload(), SrcCluster: r.cluster(),
-		SrcEpoch: r.epoch(), SendSN: r.sn(), PiggyDDV: r.sns(), PiggyPairs: r.pairs(),
-		PiggyWidth: r.int32(), Resend: r.bool(), DstEpoch: r.epoch()}
+		SrcEpoch: r.epoch(), SendSN: r.sn(), Piggy: r.sparse(), Resend: r.bool(), DstEpoch: r.epoch()}
 }
 
 func (r *decoder) appAck() core.AppAck {

@@ -55,17 +55,19 @@ func testReport() core.GCReport {
 
 // wireRows holds one fully populated value of every message type the
 // codec carries (every slice non-empty, every field non-zero where it
-// can be), then the pooled forms of AppMsg and AppAck, and two pooled
-// LogMirrors, one without a piggyback and one with a sparse one; the
-// Replica's state has entries deliveries.
+// can be; an AppMsg's delta fields have no encoding), then the pooled
+// forms of AppMsg and AppAck, two pooled LogMirrors, one without a
+// piggyback and one with a sparse one, and a pooled AppMsg without a
+// piggyback; the Replica's state has entries deliveries.
 func wireRows(entries int) []core.Msg {
 	pairs := []core.DDVPair{{Idx: 0, SN: 3}, {Idx: 2, SN: 1<<63 + 5}}
 	appMsg := core.AppMsg{MsgID: 1 << 50, Payload: core.AppPayload{ID: core.LogicalID{Src: nid(0, 1), Seq: 9}, Size: 256},
-		SrcCluster: 1, SrcEpoch: 3, SendSN: 8, PiggyDDV: core.DDV{8, 2}, PiggyPairs: pairs,
-		PiggyWidth: -2, Resend: true, DstEpoch: 4}
+		SrcCluster: 1, SrcEpoch: 3, SendSN: 8, Piggy: core.SparseDDV{Width: 3, Pairs: pairs}, Resend: true, DstEpoch: 4}
 	appAck := core.AppAck{MsgID: 5, SrcCluster: 2, SrcEpoch: 1, ReceiverSN: 6}
 	bare, mirror := testLog(), testLog()
 	bare.Piggy = core.SparseDDV{}
+	bareMsg := appMsg
+	bareMsg.Piggy = core.SparseDDV{}
 	return []core.Msg{
 		appMsg,
 		appAck,
@@ -100,6 +102,7 @@ func wireRows(entries int) []core.Msg {
 		&appAck,
 		&bare,
 		&mirror,
+		&bareMsg,
 	}
 }
 
@@ -195,7 +198,7 @@ func TestEnvelopeEmptyDecodesNil(t *testing.T) {
 	if back := roundTrip(t, env); !reflect.DeepEqual(back, want) {
 		t.Fatalf("got %+v, want %+v", back, want)
 	}
-	env = Envelope{Msg: core.AppMsg{PiggyDDV: core.DDV{}, PiggyPairs: []core.DDVPair{}}}
+	env = Envelope{Msg: core.AppMsg{Piggy: core.SparseDDV{Pairs: []core.DDVPair{}}}}
 	if back := roundTrip(t, env); !reflect.DeepEqual(back, Envelope{Msg: core.AppMsg{}}) {
 		t.Fatalf("got %+v, want nil slices", back)
 	}
@@ -204,9 +207,10 @@ func TestEnvelopeEmptyDecodesNil(t *testing.T) {
 // TestPreambleRefusesOtherVersions: a connection that opens with
 // another wire version's preamble is refused — version 7 is the one
 // whose control messages still carried dense vectors, version 8 the
-// last without a pooled LogMirror tag.
+// last without a pooled LogMirror tag, version 9 the last whose AppMsg
+// carried a dense piggyback and delta fields.
 func TestPreambleRefusesOtherVersions(t *testing.T) {
-	for v, want := range map[byte]bool{wireVersion: true, 7: false, 8: false, wireVersion + 1: false} {
+	for v, want := range map[byte]bool{wireVersion: true, 7: false, 8: false, 9: false, wireVersion + 1: false} {
 		if got := readPreamble(bufio.NewReader(bytes.NewReader([]byte{'H', 'C', '3', 'I', v}))); got != want {
 			t.Errorf("version %d preamble accepted = %v, want %v", v, got, want)
 		}
@@ -268,15 +272,19 @@ type unknownMsg struct{}
 
 func (unknownMsg) ProtocolMessage() {}
 
-// TestEnvelopeCodecRefuses: what the codec cannot carry is an encode
-// error that leaves the buffer as it was, and hostile bodies are decode
-// errors, never panics.
+// TestEnvelopeCodecRefuses: what the codec cannot carry (among it an
+// AppMsg's delta piggyback) is an encode error that leaves the buffer
+// as it was, and hostile bodies (among them an AppMsg whose piggyback
+// is not a sparse vector) are decode errors, never panics.
 func TestEnvelopeCodecRefuses(t *testing.T) {
 	prefix := []byte("keep")
 	for _, m := range []core.Msg{
 		nil, unknownMsg{}, (*core.AppMsg)(nil), (*core.AppAck)(nil), (*core.LogMirror)(nil),
 		core.AppMsg{Payload: core.AppPayload{Data: "opaque"}},
 		&core.AppMsg{Payload: core.AppPayload{Data: "opaque"}},
+		core.AppMsg{PiggyPairs: []core.DDVPair{{Idx: 1, SN: 2}}, PiggyWidth: 2},
+		&core.AppMsg{PiggyWidth: 2},
+		core.AppMsg{PiggyPairs: []core.DDVPair{{Idx: 1, SN: 2}}},
 		core.Replica{State: "not an *app.State"},
 		core.RecoverStateResp{Older: []core.OlderState{{State: 3}}},
 	} {
@@ -314,6 +322,16 @@ func TestEnvelopeCodecRefuses(t *testing.T) {
 	} {
 		if _, err := decodeEnvelope(body); err == nil {
 			t.Errorf("%s: decoded", name)
+		}
+	}
+
+	for name, a := range hostileAnchors {
+		body, err := appendEnvelope(nil, Envelope{Msg: &core.AppMsg{Piggy: a}})
+		if err != nil {
+			t.Fatalf("%s: AppMsg did not encode: %v", name, err)
+		}
+		if _, err := decodeEnvelope(body); !errors.Is(err, errRange) {
+			t.Errorf("%s: AppMsg decoded with err %v", name, err)
 		}
 	}
 
@@ -502,16 +520,15 @@ func hostileControl() []core.Msg {
 	}
 }
 
-// hostileAppMsg is an inter-cluster message whose dense piggyback is
-// one entry wider than receiver's federation and whose delta pairs
-// name a negative index.
+// hostileAppMsg is an inter-cluster message whose piggyback is one
+// entry wider than receiver's federation.
 func hostileAppMsg() core.AppMsg {
 	return core.AppMsg{MsgID: 3, Payload: core.AppPayload{ID: core.LogicalID{Src: nid(1, 0), Seq: 3}, Size: 64},
-		SrcCluster: 1, SendSN: 2, PiggyDDV: core.DDV{1, 1, 5}, PiggyPairs: []core.DDVPair{{Idx: -1, SN: 1}}}
+		SrcCluster: 1, SendSN: 2, Piggy: core.SparseDDV{Width: 3, Pairs: []core.DDVPair{{Idx: 0, SN: 1}, {Idx: 1, SN: 1}, {Idx: 2, SN: 5}}}}
 }
 
 // receiver is a fresh node id of a transitive federation of two 2-node
-// clusters, with dense piggybacks as a daemon's node has.
+// clusters, without pipe codecs as a daemon's node has.
 func receiver(id topology.NodeID) *core.Node {
 	return core.NewNode(core.Config{ID: id, Clusters: 2, ClusterSizes: []int{2, 2},
 		CLCPeriod: sim.Second, GCPeriod: sim.Forever, Replicas: 1, Transitive: true}, nullEnv{}, nullApp{})
@@ -547,7 +564,7 @@ func bytesAllocated(f func()) uint64 {
 }
 
 // benchEnvelopes are the codec benchmark's shapes: an intra-cluster
-// AppMsg, an inter-cluster one with a 2-wide piggybacked DDV, the
+// AppMsg, an inter-cluster one with a 2-wide sparse piggyback, the
 // LogMirror that logs such a send (without a piggyback, as a
 // non-transitive run sends it), all in the pooled form a live node
 // sends, and a checkpoint Replica whose state's journal holds 50 000
@@ -563,7 +580,7 @@ func benchEnvelopes() []struct {
 	}{
 		{"intra", Envelope{Src: nid(0, 1), Dst: nid(0, 0), Msg: &core.AppMsg{MsgID: 123456, Payload: payload, SendSN: 17}}},
 		{"inter", Envelope{Src: nid(0, 1), Dst: nid(1, 0), Msg: &core.AppMsg{MsgID: 123456, Payload: payload,
-			SendSN: 17, SrcEpoch: 1, PiggyDDV: core.DDV{17, 9}, DstEpoch: 1}}},
+			SendSN: 17, SrcEpoch: 1, Piggy: core.SparseDDV{Width: 2, Pairs: []core.DDVPair{{Idx: 0, SN: 17}, {Idx: 1, SN: 9}}}, DstEpoch: 1}}},
 		{"mirror", Envelope{Src: nid(0, 1), Dst: nid(0, 0), Msg: &core.LogMirror{Owner: nid(0, 1), MsgID: 123456,
 			Dst: nid(1, 0), Payload: payload, PiggySN: 17, Epoch: 1}}},
 		{"replica50k", Envelope{Src: nid(0, 1), Dst: nid(0, 0), Msg: core.Replica{Seq: 17, Owner: nid(0, 1),
