@@ -291,8 +291,12 @@
 // core.LineAnalyzer, which keeps its memory between GC rounds) runs
 // on chains directly — per chain a column index built once from the
 // pairs, "oldest record whose entry for c is >= s" a binary search over
-// the column's changes, dense only for each cluster's one current
-// vector. The dense list and the dense analysis survive as the test
+// the column's changes. Each cluster's current vector is one more
+// record: the patch from its newest stored record (GCReport.CurPairs)
+// is indexed after the stored ones, and an alert from cluster c visits
+// only the clusters holding a non-zero entry in column c, so nothing
+// in the analysis is dense. The dense list and the dense analysis
+// survive as the test
 // reference (internal/core/export_test.go), against which every history
 // test, the chaos-schedule differential and FuzzChainAnalysis compare.
 //

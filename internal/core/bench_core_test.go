@@ -176,9 +176,10 @@ func BenchmarkSimulateFailure(b *testing.B) {
 		b.Run(size.name, func(b *testing.B) {
 			lists, currents := benchHistory(size.clusters, size.history)
 			chains := chainsFromMetas(lists, size.clusters)
+			patches := currentPatches(chains, currents)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := SimulateFailure(chains, currents, topology.ClusterID(i%size.clusters)); err != nil {
+				if _, err := SimulateFailure(chains, patches, topology.ClusterID(i%size.clusters)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -189,9 +190,10 @@ func BenchmarkSimulateFailure(b *testing.B) {
 func BenchmarkSmallestSNs(b *testing.B) {
 	lists, currents := benchHistory(5, 600)
 	chains := chainsFromMetas(lists, 5)
+	patches := currentPatches(chains, currents)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SmallestSNs(chains, currents); err != nil {
+		if _, err := SmallestSNs(chains, patches); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,9 +301,10 @@ func BenchmarkCommitDeepHistory(b *testing.B) {
 // BenchmarkCommitWidth1024 measures one two-phase commit of a two-node
 // cluster (leader and participant, one replica each) in a 1024-cluster
 // federation. Read B/op: a commit stores its record as the commit's own
-// pairs, so nothing it allocates is as wide as the federation — where
-// every commit used to cut three 8 KB vectors (the leader's commit
-// vector and one stored copy per node).
+// pairs, and the leader reads the commit's entries from its DDV and the
+// raise list, so nothing the commit touches is as wide as the
+// federation — where every commit used to cut three 8 KB vectors, and
+// then copy the leader's DDV into an 8 KB scratch.
 func BenchmarkCommitWidth1024(b *testing.B) {
 	bed := newWideTestbedSized(b, 1024, false, 2)
 	leader, peer := bed.node(0, 0), bed.node(0, 1)
@@ -355,11 +358,22 @@ func ringReports(width, rounds int) []GCReport {
 // round at 1024 clusters (ring-shaped dependencies, 7 stored CLCs per
 // cluster): computeMinSNs on the reported chains, against what it used
 // to do — materialise every report into a dense list, then the dense
-// analysis (now the test reference).
+// analysis (now the test reference). "first" is a fresh initiator's
+// first round, which also sizes the scratch every later round reuses:
+// a once-per-federation cost, read its B/op.
 func BenchmarkGCAnalysis1024(b *testing.B) {
 	const width = 1024
 	reports := ringReports(width, 3)
 	n := newWideTestbed(b, width, false).node(0, 0)
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n.gcScratch = nil
+			if _, err := n.computeMinSNs(reports); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("chain", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

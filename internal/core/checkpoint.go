@@ -219,19 +219,15 @@ func (n *Node) ackFrom(index int, seq SN, nodePairs []DDVPair) {
 	if n.ackedCount < n.size {
 		return
 	}
-	// Every node saved and replicated its state: commit. Raise the
-	// commit vector in this leader's scratch and track every index that
-	// can differ from commitBase — the leader's own lazy receipts
-	// (recvDirty), forced entries, ack-accumulated entries and the new
-	// sequence number. The pair list is the exact diff against the
-	// previous commit, which every node of the cluster, this one
-	// included, patches into its own base; the vector itself goes
-	// nowhere.
-	if n.vecScratch == nil {
-		n.vecScratch = NewDDV(n.cfg.Clusters)
-	}
-	newDDV := n.vecScratch
-	newDDV.CopyFrom(n.ddv)
+	// Every node saved and replicated its state: commit. The commit
+	// vector is this leader's DDV raised by the forced entries and the
+	// ack-accumulated entries, with the new sequence number as its own
+	// entry. It is never built: every index that can differ from
+	// commitBase — the leader's own lazy receipts (recvDirty), the
+	// raises and its own entry — is marked dirty, and each dirty entry
+	// is read from n.ddv and the two short raise lists. The pair list
+	// is the exact diff against the previous commit, which every node
+	// of the cluster, this one included, patches into its own base.
 	dirty := &n.commitScratch
 	dirty.Reset()
 	for _, i := range n.recvDirty.Indices() {
@@ -239,27 +235,31 @@ func (n *Node) ackFrom(index int, seq SN, nodePairs []DDVPair) {
 	}
 	if n.inFlightForced {
 		for _, p := range n.pending {
-			if topology.ClusterID(p.Idx) != n.cluster && p.SN > newDDV[p.Idx] {
-				newDDV[p.Idx] = p.SN
+			if topology.ClusterID(p.Idx) != n.cluster && p.SN > n.ddv[p.Idx] {
 				dirty.Add(int(p.Idx))
 			}
 		}
 	}
 	for _, p := range n.acked {
-		if p.SN > newDDV[p.Idx] {
-			newDDV[p.Idx] = p.SN
+		if p.SN > n.ddv[p.Idx] {
 			dirty.Add(int(p.Idx))
 		}
 	}
-	n.acked = n.acked[:0]
-	newDDV[n.cluster] = seq
 	dirty.Add(int(n.cluster))
 	pairs := n.pairScratch[:0]
 	for _, i := range dirty.Indices() {
-		if v := newDDV[i]; v != n.commitBase[i] {
+		v := seq
+		if topology.ClusterID(i) != n.cluster {
+			v = max(n.ddv[i], entryOf(n.acked, i))
+			if n.inFlightForced {
+				v = max(v, entryOf(n.pending, i))
+			}
+		}
+		if v != n.commitBase[i] {
 			pairs = append(pairs, DDVPair{Idx: i, SN: v})
 		}
 	}
+	n.acked = n.acked[:0]
 	n.pairScratch = pairs
 	owned := n.pairArena.Clone(pairs)
 	sendToCluster(n, &n.ctl.commit, CLCCommit{Seq: seq, Epoch: n.epoch, Pairs: owned, Width: n.cfg.Clusters})

@@ -86,6 +86,17 @@ next:
 	return list
 }
 
+// entryOf returns entry i of list, a maxMerge list (each index at most
+// once), 0 if list does not hold it. A scan, like maxMerge's.
+func entryOf(list []DDVPair, i int32) SN {
+	for _, p := range list {
+		if p.Idx == i {
+			return p.SN
+		}
+	}
+	return 0
+}
+
 // diffPairs appends to buf one pair per entry where cur differs from
 // base, and returns the extended buffer. O(width) worst case, but the
 // chunked kernel skips unchanged blocks whole; callers that know

@@ -272,6 +272,23 @@ func chainsFromMetas(lists [][]Meta, width int) []Chain {
 	return cs
 }
 
+// currentPatches turns dense current vectors into what the analysis
+// takes: per cluster j, the pairs where currents[j] differs from the
+// newest vector chains[j] stores (its anchor when it stores none). A
+// cluster without a chain is patched against the zero vector, so a
+// count mismatch reaches the analysis as one.
+func currentPatches(chains []Chain, currents []DDV) [][]DDVPair {
+	patches := make([][]DDVPair, len(currents))
+	for j, cur := range currents {
+		newest := NewDDV(len(cur))
+		if j < len(chains) {
+			chains[j].Vector(chains[j].Len()-1, newest)
+		}
+		patches[j] = diffPairs(nil, cur, newest)
+	}
+	return patches
+}
+
 // denseOldestWith is Chain.OldestWith on the dense list.
 func denseOldestWith(list []Meta, c topology.ClusterID, s SN) int {
 	for i, m := range list {
@@ -297,7 +314,7 @@ func denseNewestBelow(list []Meta, c topology.ClusterID, s SN) int {
 func denseSimulateFailure(lists [][]Meta, currents []DDV, f topology.ClusterID) (RecoveryLine, error) {
 	n := len(lists)
 	if len(currents) != n {
-		return RecoveryLine{}, fmt.Errorf("core: %d checkpoint chains but %d current DDVs", n, len(currents))
+		return RecoveryLine{}, fmt.Errorf("core: %d checkpoint chains but %d current vectors", n, len(currents))
 	}
 	rl := RecoveryLine{
 		Index:      make([]int, n),
@@ -399,7 +416,7 @@ func oldestWith(t testing.TB, list []Meta, c topology.ClusterID, s SN) int {
 	if got := ch.OldestWith(c, s); got != want {
 		t.Fatalf("Chain.OldestWith(c%d, %d) = %d, dense reference %d", c, s, got, want)
 	}
-	x, err := indexChain(ch, ch.Anchor.Width, nil)
+	x, err := indexChain(ch, nil, ch.Anchor.Width, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +439,8 @@ func newestBelow(t testing.TB, list []Meta, c topology.ClusterID, s SN) int {
 func simulateFailure(t testing.TB, lists [][]Meta, currents []DDV, f topology.ClusterID) (RecoveryLine, error) {
 	t.Helper()
 	want, wantErr := denseSimulateFailure(lists, currents, f)
-	got, err := SimulateFailure(chainsFromMetas(lists, len(lists)), currents, f)
+	chains := chainsFromMetas(lists, len(lists))
+	got, err := SimulateFailure(chains, currentPatches(chains, currents), f)
 	if d := sameErr(err, wantErr); d != "" {
 		t.Fatalf("failure in cluster %d: %s", f, d)
 	}
@@ -435,7 +453,8 @@ func simulateFailure(t testing.TB, lists [][]Meta, currents []DDV, f topology.Cl
 func smallestSNs(t testing.TB, lists [][]Meta, currents []DDV) ([]SN, error) {
 	t.Helper()
 	want, wantErr := denseSmallestSNs(lists, currents)
-	got, err := SmallestSNs(chainsFromMetas(lists, len(lists)), currents)
+	chains := chainsFromMetas(lists, len(lists))
+	got, err := SmallestSNs(chains, currentPatches(chains, currents))
 	if d := sameErr(err, wantErr); d != "" {
 		t.Fatal(d)
 	}

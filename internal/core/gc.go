@@ -158,6 +158,10 @@ func (n *Node) onGCRequest(src topology.NodeID, m GCRequest) {
 
 // onGCReport collects cluster reports at the initiator.
 func (n *Node) onGCReport(src topology.NodeID, m GCReport) {
+	if !n.gcReportFits(m) {
+		n.emit(Event{Kind: EventRefuseControl})
+		return
+	}
 	if !n.cfg.GCInitiator || m.Round != n.gcRound || n.gcHave == 0 ||
 		m.Cluster < 0 || int(m.Cluster) >= n.cfg.Clusters {
 		return
@@ -167,6 +171,14 @@ func (n *Node) onGCReport(src topology.NodeID, m GCReport) {
 	}
 	n.gcReports[m.Cluster] = m
 	n.maybeFinishGCRound()
+}
+
+// gcReportFits reports whether a peer's GC report is as wide as this
+// federation: its anchor, and every index of its current-vector patch.
+// The analysis refuses anything else too, but a misfit must not fill a
+// slot that a well-formed report of the same cluster could still fill.
+func (n *Node) gcReportFits(m GCReport) bool {
+	return m.Chain.Anchor.Width == n.cfg.Clusters && n.pairsFit(m.CurPairs)
 }
 
 func (n *Node) maybeFinishGCRound() {
@@ -200,33 +212,30 @@ func (n *Node) maybeFinishGCRound() {
 }
 
 // gcScratch is the GC initiator's analysis memory, kept between
-// rounds: the per-cluster chains and current vectors handed to the
-// analysis, and the width² cells those vectors live in.
+// rounds: the per-cluster chains and current-vector patches handed to
+// the analysis, which reads them as the reports carry them.
 type gcScratch struct {
-	lines    LineAnalyzer
-	chains   []Chain
-	currents []DDV
-	cells    []SN
+	lines   LineAnalyzer
+	chains  []Chain
+	patches [][]DDVPair
 }
 
 // computeMinSNs runs the paper's analysis: simulate a failure in every
 // cluster and keep, per cluster, the smallest SN it might roll back to.
 // reports holds cluster c's report in slot c. The analysis reads the
-// reported chains as they are; the one dense vector it needs per
-// cluster is the current DDV. Every buffer but the returned thresholds
-// is the initiator's scratch, reused each round.
+// reported chains and patches (CurPairs) as they are: nothing it builds
+// is as wide as the federation squared. Every buffer but the returned
+// thresholds is the initiator's scratch, reused each round.
 func (n *Node) computeMinSNs(reports []GCReport) ([]SN, error) {
 	width := n.cfg.Clusters
 	s := n.gcScratch
 	if s == nil {
-		s = &gcScratch{
-			chains:   make([]Chain, width),
-			currents: make([]DDV, width),
-			cells:    make([]SN, width*width),
-		}
+		s = &gcScratch{chains: make([]Chain, width), patches: make([][]DDVPair, width)}
 		n.gcScratch = s
 	}
-	defer clear(s.chains) // the reports' chains are not ours to keep
+	// The reports' chains and pairs are not ours to keep.
+	defer clear(s.patches)
+	defer clear(s.chains)
 	if len(reports) != width {
 		return nil, fmt.Errorf("core: GC round has %d report slots for %d clusters", len(reports), width)
 	}
@@ -237,12 +246,9 @@ func (n *Node) computeMinSNs(reports []GCReport) ([]SN, error) {
 		if rep.Chain.Anchor.Width != width {
 			return nil, fmt.Errorf("core: cluster %d reports a %d-entry anchor in a %d-cluster federation", c, rep.Chain.Anchor.Width, width)
 		}
-		cur := DDV(s.cells[c*width : (c+1)*width : (c+1)*width])
-		rep.Chain.Vector(rep.Chain.Len()-1, cur)
-		cur.applyPairs(rep.CurPairs)
-		s.chains[c], s.currents[c] = rep.Chain, cur
+		s.chains[c], s.patches[c] = rep.Chain, rep.CurPairs
 	}
-	mins, err := s.lines.SmallestSNs(s.chains, s.currents)
+	mins, err := s.lines.SmallestSNs(s.chains, s.patches)
 	if err == nil && Mutate.GCOverCollect {
 		// Seeded protocol break for oracle smoke tests: threshold one
 		// past the safe minimum discards a checkpoint a future recovery
@@ -345,6 +351,10 @@ func (n *Node) onGCToken(src topology.NodeID, m GCToken) {
 			}
 			reports := n.gcSlots()
 			for _, r := range m.Reports {
+				if !n.gcReportFits(r) {
+					n.emit(Event{Kind: EventRefuseControl})
+					continue
+				}
 				if r.Cluster >= 0 && int(r.Cluster) < len(reports) {
 					reports[r.Cluster] = r
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -265,6 +266,76 @@ func TestGCDropCarriesInitiatorRound(t *testing.T) {
 				if got := b.shadows.gcRounds[id]; got != round {
 					t.Errorf("ring=%v: %v applied round %d's drop as round %d", ring, id, round, got)
 				}
+			}
+		}
+	}
+}
+
+// TestGCRefusesReportOutsideWidth: a GC report whose current-vector
+// patch names an entry outside the federation's width (index width or
+// -1), or whose anchor is another width, is refused at the initiator —
+// counted, filling no slot — instead of reaching the analysis, star
+// and ring alike. The cluster's well-formed report then completes the
+// round.
+func TestGCRefusesReportOutsideWidth(t *testing.T) {
+	const width = 2
+	misfits := []struct {
+		name string
+		bend func(GCReport) GCReport
+	}{
+		{"patch index width", func(r GCReport) GCReport { r.CurPairs = []DDVPair{{Idx: width, SN: 5}}; return r }},
+		{"patch index -1", func(r GCReport) GCReport { r.CurPairs = []DDVPair{{Idx: -1, SN: 5}}; return r }},
+		{"anchor width", func(r GCReport) GCReport { r.Chain.Anchor.Width = width + 1; return r }},
+	}
+	for _, ring := range []bool{false, true} {
+		for _, mf := range misfits {
+			b := newTestbed(t, []int{1, 1}, 0, false)
+			init := b.node(0, 0)
+			init.cfg.GCInitiator = true
+			init.cfg.RingGC = ring
+			b.commitCLC(0)
+			b.commitCLC(1)
+
+			// Hold cluster 1's report (star) or the phase-0 token
+			// carrying it (ring) on its way to the initiator.
+			b.withhold = func(m sentMsg) bool {
+				switch tok := m.msg.(type) {
+				case GCReport:
+					return true
+				case GCToken:
+					return tok.Phase == 0 && m.dst == init.ID()
+				}
+				return false
+			}
+			init.OnTimer(TimerGC)
+			b.pump()
+			b.withhold = nil
+			if len(b.withheld) != 1 {
+				t.Fatalf("ring=%v: %d messages held, want cluster 1's report", ring, len(b.withheld))
+			}
+			good := b.withheld[0]
+			bad := good
+			switch m := good.msg.(type) {
+			case GCReport:
+				bad.msg = mf.bend(m)
+			case GCToken:
+				m.Reports = slices.Clone(m.Reports)
+				m.Reports[1] = mf.bend(m.Reports[1])
+				bad.msg = m
+			}
+
+			b.queue = append(b.queue, bad)
+			b.pump()
+			if got := b.stats["ctl.refused_width"]; got != 1 {
+				t.Fatalf("ring=%v %s: %d refusals, want 1", ring, mf.name, got)
+			}
+			if got := b.stats["gc.rounds_completed"]; got != 0 {
+				t.Fatalf("ring=%v %s: a misfit report completed the round", ring, mf.name)
+			}
+			b.queue = append(b.queue, good)
+			b.pump()
+			if got := b.stats["gc.rounds_completed"]; got != 1 {
+				t.Fatalf("ring=%v %s: the well-formed report completed %d rounds, want 1", ring, mf.name, got)
 			}
 		}
 	}

@@ -379,11 +379,11 @@ type Node struct {
 	gcDemanded    bool       // a memory-pressure demand is outstanding here
 	gcScratch     *gcScratch // the initiator's, allocated by its first round
 
-	// vecScratch is a width-sized scratch, allocated by its first use:
-	// a delta-wire leader raises the vector of the commit it is about to
-	// broadcast in it (ackFrom; only the pairs that differ from
-	// commitBase leave it), and a pipe encoder rebuilds the last vector
-	// shipped in it while deltas are in flight (DeltaCodec.Encode).
+	// vecScratch is the pipe encoder's width-sized tmp, allocated by
+	// its first use: it rebuilds the last vector shipped in it while
+	// deltas are in flight (DeltaCodec.Encode). Nothing else on a node
+	// needs one: a leader's commit reads its entries from n.ddv and the
+	// raise list (ackFrom).
 	vecScratch DDV
 	// pairArena backs every DDVPair slice that escapes on a wire
 	// message, into a stored record or into a shared piggyback;

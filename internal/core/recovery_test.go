@@ -127,6 +127,101 @@ func TestSimulateFailureErrors(t *testing.T) {
 	}
 }
 
+// TestAnalysisNilPatch: nil patches mean every cluster runs on its
+// newest stored record — the same line and thresholds as empty patches
+// and as the dense reference given those records as current vectors.
+func TestAnalysisNilPatch(t *testing.T) {
+	f := newAbstractFederation(4, 3)
+	for s := 0; s < 60; s++ {
+		f.step()
+	}
+	wantMins, err := smallestSNs(t, f.lists, f.ddv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, patches := range [][][]DDVPair{nil, make([][]DDVPair, 4)} {
+		mins, err := SmallestSNs(f.chains, patches)
+		if err != nil || !slices.Equal(mins, wantMins) {
+			t.Fatalf("patches %v: thresholds %v (%v), dense reference %v", patches, mins, err, wantMins)
+		}
+		for faulty := 0; faulty < 4; faulty++ {
+			want, _ := simulateFailure(t, f.lists, f.ddv, topology.ClusterID(faulty))
+			rl, err := SimulateFailure(f.chains, patches, topology.ClusterID(faulty))
+			if d := sameLine(rl, want); err != nil || d != "" {
+				t.Fatalf("patches %v, failure in cluster %d: %v %s", patches, faulty, err, d)
+			}
+		}
+	}
+}
+
+// TestAnalysisColumnNobodyHolds: an alert visits only the clusters
+// holding a non-zero entry in the alerting cluster's column. Cluster 2
+// below holds not even its own (its records carry SN 1 and 0 with
+// all-zero vectors), so its alerts at SN 1 reach nobody; an alert at
+// SN 0 depends on every entry, held or not, and reaches everyone.
+func TestAnalysisColumnNobodyHolds(t *testing.T) {
+	lists := [][]Meta{
+		{{SN: 1, DDV: DDV{1, 0, 0}}, {SN: 2, DDV: DDV{2, 1, 0}}},
+		{{SN: 1, DDV: DDV{0, 1, 0}}, {SN: 2, DDV: DDV{0, 2, 0}}},
+		{{SN: 1, DDV: DDV{0, 0, 0}}},
+	}
+	currents := []DDV{{2, 1, 0}, {0, 2, 0}, {0, 0, 0}}
+	rl, err := simulateFailure(t, lists, currents, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rl.Depth() != 1 || rl.Alerts != 2 {
+		t.Fatalf("alert nobody depends on rolled back %d clusters, %d alerts: %+v", rl.Depth(), rl.Alerts, rl)
+	}
+	if _, err := smallestSNs(t, lists, currents); err != nil {
+		t.Fatal(err)
+	}
+
+	lists[2] = []Meta{{SN: 0, DDV: DDV{0, 0, 0}}}
+	rl, err = simulateFailure(t, lists, currents, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rl.Depth() != 3 || rl.SN[0] != 1 || rl.SN[1] != 1 {
+		t.Fatalf("alert at SN 0 did not reach every cluster: %+v", rl)
+	}
+}
+
+// TestAnalysisRefusesBadPatch: a patch must raise or keep the newest
+// stored record's entries inside the federation's width; one that
+// lowers an entry, names an entry twice or lies outside the width is
+// an error, not an analysis.
+func TestAnalysisRefusesBadPatch(t *testing.T) {
+	lists := [][]Meta{
+		{{SN: 1, DDV: DDV{1, 0}}, {SN: 2, DDV: DDV{2, 1}}},
+		{{SN: 1, DDV: DDV{0, 1}}},
+	}
+	chains := chainsFromMetas(lists, 2)
+	for _, tc := range []struct {
+		patch []DDVPair
+		want  string
+	}{
+		{[]DDVPair{{Idx: 1, SN: 0}}, "cluster 0: core: current vector lowers entry 1 from 1 to 0"},
+		{[]DDVPair{{Idx: 0, SN: 3}, {Idx: 0, SN: 4}}, "cluster 0: core: current vector changes entry 0 twice"},
+		{[]DDVPair{{Idx: 2, SN: 3}}, "cluster 0: core: current vector changes entry 2 of a 2-cluster vector"},
+		{[]DDVPair{{Idx: -1, SN: 3}}, "cluster 0: core: current vector changes entry -1 of a 2-cluster vector"},
+	} {
+		patches := [][]DDVPair{tc.patch, nil}
+		if _, err := SmallestSNs(chains, patches); err == nil || err.Error() != tc.want {
+			t.Errorf("SmallestSNs with patch %v: error %v, want %q", tc.patch, err, tc.want)
+		}
+		if _, err := SimulateFailure(chains, patches, 1); err == nil || err.Error() != tc.want {
+			t.Errorf("SimulateFailure with patch %v: error %v, want %q", tc.patch, err, tc.want)
+		}
+	}
+	// The same lowering patch on a chain a collection emptied: the
+	// current vector patches the anchor.
+	chains[1].DropBelow(2, nil)
+	if _, err := SmallestSNs(chains, [][]DDVPair{nil, {{Idx: 1, SN: 0}}}); err == nil {
+		t.Error("a patch lowering an emptied chain's anchor was analysed")
+	}
+}
+
 // abstractFederation evolves n clusters under the protocol's abstract
 // semantics (unforced CLCs, message receipt forcing CLCs) and yields
 // valid checkpoint histories for property testing. Every history is
@@ -391,7 +486,8 @@ func checkChainAnalysis(t testing.TB, f *abstractFederation, faults []int) {
 			}
 		}
 	}
-	mins, err := SmallestSNs(f.chains, f.ddv)
+	patches := currentPatches(f.chains, f.ddv)
+	mins, err := SmallestSNs(f.chains, patches)
 	wantMins, wantErr := denseSmallestSNs(f.lists, f.ddv)
 	if d := sameErr(err, wantErr); d != "" {
 		t.Fatalf("SmallestSNs: %s", d)
@@ -402,7 +498,7 @@ func checkChainAnalysis(t testing.TB, f *abstractFederation, faults []int) {
 		}
 	}
 	for _, faulty := range faults {
-		rl, err := SimulateFailure(f.chains, f.ddv, topology.ClusterID(faulty))
+		rl, err := SimulateFailure(f.chains, patches, topology.ClusterID(faulty))
 		want, wantErr := denseSimulateFailure(f.lists, f.ddv, topology.ClusterID(faulty))
 		if d := sameErr(err, wantErr); d != "" {
 			t.Fatalf("failure in cluster %d: %s", faulty, d)
@@ -437,7 +533,7 @@ func TestChainAnalysisMatchesDenseProperty(t *testing.T) {
 				faults = append(faults, (int(stepsRaw)+len(faults)*7)%width)
 			}
 			checkChainAnalysis(t, f, faults)
-			if _, err := SmallestSNs(f.chains, f.ddv); err != nil {
+			if _, err := SmallestSNs(f.chains, currentPatches(f.chains, f.ddv)); err != nil {
 				errorsSeen++
 			}
 			return true

@@ -141,10 +141,7 @@ func New(nClusters int) *Oracle {
 		width:    nClusters,
 		clusters: make([]clusterShadow, nClusters),
 		vec:      core.NewDDV(nClusters),
-		gc: gcCheck{
-			chains:   make([]core.Chain, nClusters),
-			currents: make([]core.DDV, nClusters),
-		},
+		gc:       gcCheck{chains: make([]core.Chain, nClusters)},
 	}
 	room := make([]core.DDVPair, 2*nClusters*anchorRoom)
 	for i := range o.clusters {
@@ -466,9 +463,11 @@ type gcCheck struct {
 	// cache is tested against (export_test.go).
 	uncached bool
 
-	lines    core.LineAnalyzer
-	chains   []core.Chain
-	currents []core.DDV
+	// The analysis reads the shadow chains alone: a shadow cluster's
+	// committed line (cur) is always its newest shadow record, so every
+	// current-vector patch is empty.
+	lines  core.LineAnalyzer
+	chains []core.Chain
 }
 
 // gcDrop checks garbage-collection safety: the distributed
@@ -504,9 +503,8 @@ func (o *Oracle) gcDrop(id topology.NodeID, minSNs []core.SN) {
 		// discards a checkpoint a simulated failure still needs.
 		for i := range o.clusters {
 			g.chains[i] = o.clusters[i].chain
-			g.currents[i] = o.clusters[i].cur
 		}
-		g.fresh, g.err = g.lines.SmallestSNs(g.chains, g.currents)
+		g.fresh, g.err = g.lines.SmallestSNs(g.chains, nil)
 		clear(g.chains) // copies of chains that later drops and commits replace
 		g.key = append(g.key[:0], minSNs...)
 		g.valid = true
