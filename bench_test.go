@@ -137,8 +137,8 @@ func BenchmarkMatrixSlice(b *testing.B) {
 // BenchmarkMatrixSliceOracle runs the same 2c matrix slice with the
 // protocol invariant oracle attached to every federation — the
 // BenchmarkMatrixSlice pair prices the oracle's online checking
-// (shadow-history patching at commits, delivery recording, pipe
-// lockstep) so the checker's overhead is tracked and gated like any
+// (shadow-history patching at commits, delivery recording) so the
+// checker's overhead is tracked and gated like any
 // other path. Results are byte-identical to the plain slice; only the
 // observation cost differs.
 func BenchmarkMatrixSliceOracle(b *testing.B) {
@@ -235,9 +235,7 @@ func BenchmarkEndToEndSimulation(b *testing.B) {
 // slice (ring workload, none+crash failures, HC3I with transitive
 // piggybacking plus all three baselines) through the parallel runner —
 // the macro counterpart of core's width-parameterized
-// BenchmarkPiggybackMessage. Its codec-free reference run,
-// BenchmarkWideSliceDense, lives in internal/experiments. (The wide
-// benchmarks close the file: their runs allocate tens of MB each, and
+// BenchmarkPiggybackMessage. (The wide benchmarks close the file: their runs allocate tens of MB each, and
 // the GC debt would otherwise bleed into the benchmarks after them.)
 func BenchmarkWideSlice(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -253,9 +251,9 @@ func BenchmarkWideSlice(b *testing.B) {
 }
 
 // BenchmarkWideSliceOracle is BenchmarkWideSlice with the invariant
-// oracle attached: the transitive runs feed its pipe-lockstep check
-// one shared sparse piggyback per DDV generation, so what the checker
-// costs at width is tracked and gated.
+// oracle attached: the transitive runs' commits, deliveries and GC
+// rounds feed its checks, so what the checker costs at width is tracked
+// and gated.
 func BenchmarkWideSliceOracle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := hc3i.RunnerOptions{Workers: hc3i.DefaultWorkers(), Seed: uint64(i + 1), Quick: true,

@@ -76,16 +76,14 @@
 //
 // The -oracle flag (federation.Options.Oracle) attaches
 // internal/oracle to any run: a subscriber to the protocol's
-// core.Event stream asserting, at every commit, restore, delivery,
-// piggyback send and GC event, the protocol's global
-// safety properties — per-epoch DDV monotonicity and cluster-wide
+// core.Event stream asserting, at every commit, restore, delivery
+// and GC event, the protocol's global safety properties — per-epoch DDV monotonicity and cluster-wide
 // commit agreement (§3.1/§3.2), commit-line domination of all stable
 // checkpoints (§3.2), no orphan deliveries after a rollback (§3.4,
 // tracked as per-delivery obligations discharged only by the
 // receiver's own cascaded rollback), recovery-line sanity (§3.4),
 // garbage-collection safety against the recovery-line analysis
-// (§3.5), and delta-codec/pipe lockstep (core/delta.go's wire
-// contract). A shadow causal history patched with the wire's own
+// (§3.5). A shadow causal history patched with the wire's own
 // delta pairs keeps the steady-state checks O(changed entries).
 // Results are byte-identical with the oracle attached; the first
 // violation stops the run with a diagnostic.
@@ -153,8 +151,7 @@
 //     maps put hashing on every delivery and were a top profile entry.
 //   - Nothing is allocated for a pair of clusters that never interact.
 //     Per-pair state (netsim's counters and pipe, the trace perturber's
-//     streams, the federation's delta codecs, the oracle's pipe
-//     queues) lives in one open-addressing topology.PairTable per
+//     streams) lives in one open-addressing topology.PairTable per
 //     owner, added on the pair's first traffic; the topology keeps one
 //     federation-wide link class plus per-pair overrides. Inside a
 //     node, only the DDV and the commit base are width-sized from the
@@ -321,13 +318,10 @@
 //   - A transitive send logs its piggyback as one immutable
 //     core.SparseDDV, built once per DDV generation from the node's
 //     PairArena (Node.piggy) and shared by every log entry of that
-//     generation, their mirrors, a recovery answer and an event sink's
-//     piggyback event — in every mode, with or without pipe codecs.
-//     A codec-free send and every resend carry that vector itself.
-//     Go's collector frees
-//     a vector when the last entry naming it goes. A message the
-//     receiver holds for a forced CLC keeps only the pairs it raised:
-//     the DDV never decreases while a message is held.
+//     generation, their mirrors and a recovery answer, in every mode.
+//     Every transitive send and resend carries that vector itself, and
+//     a message the receiver holds for a forced CLC keeps it. Go's
+//     collector frees a vector when the last entry naming it goes.
 //
 // # The delta DDV wire representation
 //
@@ -343,36 +337,26 @@
 // (omitted entries are provable no-ops, and the leader keeps both as
 // short pair lists instead of width-sized vectors), the
 // commit-chain base (Node.commitBase, re-anchored from the restored
-// record on every rollback/recovery) for commit broadcasts, a FIFO
-// pipe-exit codec in the cluster gateways (core.DeltaCodec +
-// netsim.PipeExit, in sync across node crashes because the pipe is
-// loss-free and decoding happens before the destination down-check)
-// for transitive piggybacks; the codec keeps one dense vector, the
-// decoder's, and sees what the encoder last shipped through the ring of
-// deltas encoded but not yet decoded, which must reach Decode exactly
-// once and in pipe order. The garbage collector's reports carry the
-// stored chain under either wire.
+// record on every rollback/recovery) for commit broadcasts. The
+// garbage collector's reports carry the stored chain.
 //
 // The checkpoint round's control messages have this one form; a
 // mutation catalogue (federation's TestMutationCatalogue) drops one
 // pair from a commit, a prepare ack or a forced-CLC demand and shows
 // that the oracle, the harness's end-of-run checks or the goldens
-// catch each. When the harness offers no pipe codecs — the live
-// runtime, and the codec-free test fixture
-// (federation.Options.NoPipeCodecs) — a transitive piggyback is the
+// catch each. A transitive piggyback is not a delta: it is the
 // sender's whole vector in sparse form (AppMsg.Piggy), the very one
-// its log entry holds. Both forms are priced identically — at the
-// dense width — in the network model, so modeled
-// delays, byte counters and all goldens are the same whichever form a
-// piggyback takes; the delta form saves simulator time and
-// allocations, not modeled bytes. Differential suites pin
-// byte-identical output for the transitive wide-tier golden, the
-// transitive ablation and transitive-with-crash runs compared on full
-// statistics dumps.
-// BenchmarkPiggybackMessage parameterizes the steady-state per-message
-// path by width: both forms are near-flat in B/op from 8 to 1024
-// clusters (its `dense` rows, named for the dense vector they used to
-// copy, now run the codec-free sparse form).
+// its log entry holds, in the simulator and on the live wire alike.
+// It is priced at the dense width in the network model, so modeled
+// delays, byte counters and all goldens are the same as when it
+// travelled dense, or as per-pipe deltas; the sparse form saves
+// simulator time and allocations, not modeled bytes. Pinned digests
+// hold the transitive wide-tier golden, the transitive ablation and
+// transitive-with-crash runs (full statistics dumps) to the bytes they
+// had under those earlier forms. BenchmarkPiggybackMessage
+// parameterizes the steady-state per-message path by width: it is
+// near-flat in B/op from 8 to 1024 clusters (its `dense` rows are named
+// for the dense vector they used to copy).
 //
 // # Benchmark gating
 //

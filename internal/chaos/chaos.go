@@ -204,17 +204,12 @@ func dupSafe(payload any) bool {
 // dupCopy returns the payload a duplicate of a dupSafe payload must
 // carry, called only once the duplicate is injected: a copy of a pooled
 // box (*AppMsg, *AppAck), because the harness reclaims a box right
-// after its first delivery — including the delta pairs, so the
-// duplicate's dependency data never depends on the original's backing
-// staying immutable (a whole Piggy vector is immutable and shared) —
+// after its first delivery (the Piggy vector is immutable and shared),
 // and nil (the original value is shared) for everything else.
 func dupCopy(payload any) any {
 	switch v := payload.(type) {
 	case *core.AppMsg:
 		cp := *v
-		if len(cp.PiggyPairs) > 0 {
-			cp.PiggyPairs = append([]core.DDVPair(nil), v.PiggyPairs...)
-		}
 		return &cp
 	case *core.AppAck:
 		cp := *v

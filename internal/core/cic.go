@@ -1,11 +1,6 @@
 package core
 
-import (
-	"cmp"
-	"slices"
-
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // This file implements the application-message path: interception of
 // every inter-process message (system model, §2.1), the
@@ -52,23 +47,11 @@ func (n *Node) doSend(dst topology.NodeID, p AppPayload) {
 		// Inter-cluster: piggyback the dependency information and log
 		// the message optimistically in volatile memory (§3.3),
 		// mirroring the entry to the stable-storage neighbour so a
-		// crash of *this* node does not lose it. The entry and the
-		// mirror share the generation's sparse vector (see piggy).
-		var piggy SparseDDV
+		// crash of *this* node does not lose it. The message, the entry
+		// and the mirror share the generation's sparse vector (see
+		// piggy).
 		if n.cfg.Transitive {
-			piggy = n.piggy()
-			if cd := n.pipeCodecTo(dst.Cluster); cd != nil {
-				// Delta wire: the message carries only the entries that
-				// changed since the last message on this pipe (O(1)
-				// while the DDV generation is unchanged).
-				m.PiggyPairs = cd.Encode(n.ddv, n.piggyVecID(), &n.pairArena, &n.vecScratch)
-				m.PiggyWidth = int32(n.cfg.Clusters)
-				n.emit(Event{Kind: EventPiggySend, Cluster: dst.Cluster, Pairs: piggy.Pairs})
-			} else {
-				// No pipe codec: the message carries the whole vector,
-				// the very one the log entry holds.
-				m.Piggy = piggy
-			}
+			m.Piggy = n.piggy()
 		}
 		e := n.logSlab.New()
 		*e = logEntry{
@@ -77,14 +60,14 @@ func (n *Node) doSend(dst topology.NodeID, p AppPayload) {
 			dstCluster: dst.Cluster,
 			payload:    p,
 			piggySN:    n.sn,
-			piggy:      piggy,
+			piggy:      m.Piggy,
 		}
 		n.appendLog(e)
 		n.emit(Event{Kind: EventLogAppended})
 		if n.cfg.Replicas > 0 {
 			n.sendMirror(n.holderFor(), LogMirror{
 				Owner: n.id, MsgID: m.MsgID, Dst: dst, Payload: p,
-				PiggySN: n.sn, Piggy: piggy, Epoch: n.epoch,
+				PiggySN: n.sn, Piggy: m.Piggy, Epoch: n.epoch,
 			})
 		}
 	}
@@ -144,6 +127,11 @@ type MutationFlags struct {
 	// DropForcePair: a member's forced-CLC demand leaves out one raised
 	// pair.
 	DropForcePair bool
+	// SkipCICHold: an inter-cluster message whose piggyback raises the
+	// DDV is delivered at once instead of held for a forced CLC — the
+	// §3.2 rule (and its transitive extension) skipped, so the delivery
+	// depends on a sender checkpoint no CLC of the receiver records.
+	SkipCICHold bool
 }
 
 // onAppMsg applies the receive-side guards, then routes the message to
@@ -182,7 +170,6 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 		if m.DstEpoch > n.epoch || n.lostState {
 			// A resent message overtook our own rollback command (or
 			// we are mid-recovery): defer it.
-			n.materializePiggy(&m, src)
 			n.inboundQueue = append(n.inboundQueue, inbound{src: src, msg: m})
 			n.emit(Event{Kind: EventDeferEpoch})
 			return
@@ -190,7 +177,6 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 	}
 	if n.frozenDelivs {
 		// Frozen by an in-progress 2PC: queue until commit (§3.1).
-		n.materializePiggy(&m, src)
 		n.inboundQueue = append(n.inboundQueue, inbound{src: src, msg: m})
 		n.emit(Event{Kind: EventDeferFrozen})
 		return
@@ -203,18 +189,13 @@ func (n *Node) onAppMsg(src topology.NodeID, m AppMsg) {
 }
 
 // piggyFits reports whether m's piggyback can be merged into this
-// node's DDV: a delta one must be of the federation's width on a node
-// that decodes deltas, a whole one absent or of that width, and the
-// pairs of both must fit (pairsFit).
+// node's DDV: absent, or of the federation's width with every pair
+// inside it (pairsFit).
 func (n *Node) piggyFits(m AppMsg) bool {
-	w := n.cfg.Clusters
-	if m.PiggyWidth != 0 && (int(m.PiggyWidth) != w || n.piggyCodecs == nil) {
+	if m.Piggy.Width != 0 && m.Piggy.Width != n.cfg.Clusters {
 		return false
 	}
-	if m.Piggy.Width != 0 && m.Piggy.Width != w {
-		return false
-	}
-	return n.pairsFit(m.PiggyPairs) && n.pairsFit(m.Piggy.Pairs)
+	return n.pairsFit(m.Piggy.Pairs)
 }
 
 // pairsFit reports whether every pair index a peer sent lies inside
@@ -303,29 +284,10 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 	// information that exceed the DDV: the pairs a forced CLC must raise.
 	var pairs []DDVPair
 	switch {
-	case n.cfg.Transitive && m.Piggy.Width == 0 && m.PiggyWidth == 0:
-		// A held copy of a delta-piggybacked message: only its pinned
-		// entries can still exceed the DDV (see pinHeld).
-		pairs = n.pairScratch[:0]
-		for _, p := range m.PiggyPairs {
-			if p.SN > n.ddv[p.Idx] {
-				pairs = append(pairs, p)
-			}
-		}
-		n.pairScratch = pairs
-	case n.cfg.Transitive && m.Piggy.Width == 0 && m.PiggyWidth > 0:
-		// Delta-encoded transitive piggyback: examine only the entries
-		// that changed since this node's last clean exam of the pipe.
-		pairs = n.examineDeltaPiggy(src.Cluster)
-		// A held copy is re-examined after the forced commit, by which
-		// time the pipe decoder has moved on: pin what this message
-		// carried onto it.
-		n.pinHeld(&m, src, pairs)
 	case n.cfg.Transitive && m.Piggy.Width > 0:
-		// Transitive extension (§7), whole vector (no pipe codec,
-		// resends and replayed deferred/held copies): merge the whole
-		// DDV; any raised entry is a new dependency. The sparse pairs
-		// ascend, so the raised ones come out in index order.
+		// Transitive extension (§7): merge the sender's whole DDV; any
+		// raised entry is a new dependency. The sparse pairs ascend, so
+		// the raised ones come out in index order.
 		pairs = n.pairScratch[:0]
 		for _, p := range m.Piggy.Pairs {
 			if p.Idx != int32(n.cluster) && p.SN > n.ddv[p.Idx] {
@@ -350,126 +312,15 @@ func (n *Node) cicReceive(src topology.NodeID, m AppMsg) {
 		n.deliverInter(src, m)
 		return
 	}
+	if Mutate.SkipCICHold {
+		n.deliverInter(src, m)
+		return
+	}
 	// "a CLC is forced in the receiver's cluster only when a CLC has
 	// been stored in the sender's cluster since the last communication"
 	n.heldInter = append(n.heldInter, inbound{src: src, msg: m})
 	n.emit(Event{Kind: EventHoldMsg, Msg: m.Payload.ID, Peer: src, Seq: m.SendSN, DDV: n.ddv})
 	n.requestForce(pairs, false)
-}
-
-// pipeCodecTo returns the delta codec of the outbound pipe to cluster
-// dst, nil when piggybacks carry the whole vector.
-func (n *Node) pipeCodecTo(dst topology.ClusterID) *DeltaCodec {
-	if n.piggyCodecs == nil {
-		return nil
-	}
-	return n.piggyCodecs.PiggyCodec(n.cluster, dst)
-}
-
-// pipeCodecFrom returns the delta codec of the inbound pipe from
-// cluster src.
-func (n *Node) pipeCodecFrom(src topology.ClusterID) *DeltaCodec {
-	if n.piggyCodecs == nil {
-		return nil
-	}
-	return n.piggyCodecs.PiggyCodec(src, n.cluster)
-}
-
-// examineDeltaPiggy returns the entries of a delta-encoded transitive
-// piggyback that exceed this node's DDV. Only entries that changed
-// since the pipe's last clean exam can newly exceed it (the cluster's
-// DDV is non-decreasing between exams — any decrease resets the
-// cursor through ResetPiggyExam), so the steady state examines
-// nothing; short change windows replay the codec journal, longer ones
-// fall back to one full-width compare loop — the dense encoding's
-// exam, paid only right after a change. The cursor advances only on a
-// clean (no raise) outcome: while a forced CLC is pending, later
-// messages must re-examine the still-uncovered entries, exactly as
-// the dense encoding re-compares the full vector every time.
-func (n *Node) examineDeltaPiggy(srcCluster topology.ClusterID) []DDVPair {
-	cd := n.pipeCodecFrom(srcCluster)
-	// The cursor is only trusted when it was advanced in this node's
-	// epoch: a peer that has not yet executed an in-flight RollbackCmd
-	// examines with the old epoch's higher DDV, and its advances must
-	// not cover a node whose DDV already dropped (see DeltaCodec.seen).
-	cursorValid := cd.seenEpoch == n.epoch
-	if cursorValid && cd.ver == cd.seen {
-		return nil // nothing changed since the last clean exam
-	}
-	cur := cd.dec
-	pairs := n.pairScratch[:0]
-	own := int32(n.cluster)
-	if cursorValid && cd.ver-cd.seen <= examReplayMax {
-		// Replay the journalled change indices directly. No dedup: a
-		// repeated index yields a duplicate pair, and every consumer
-		// merges pairs element-wise-max, so duplicates are no-ops —
-		// cheaper than maintaining a dedup set for windows this short.
-		for v := cd.seen; v < cd.ver; v++ {
-			for _, p := range cd.journal[v%codecJournal] {
-				if p.Idx == own {
-					continue
-				}
-				if v := cur[p.Idx]; v > n.ddv[p.Idx] {
-					pairs = append(pairs, DDVPair{Idx: p.Idx, SN: v})
-				}
-			}
-		}
-	} else {
-		pairs = raisedPairs(pairs, cur, n.ddv, own)
-	}
-	n.pairScratch = pairs
-	if len(pairs) == 0 {
-		cd.seen = cd.ver
-		cd.seenEpoch = n.epoch
-	}
-	return pairs
-}
-
-// pinHeld rewrites m, a delta-piggybacked message from src the CIC
-// rule may hold, into what its re-examination will need once the pipe
-// decoder has moved on. Normally that is only the pairs it raised
-// (pairs): heldInter is emptied by every rollback and restart, so the
-// DDV never decreases between hold and re-exam, and an entry the
-// vector did not raise at hold time cannot raise later. The held copy
-// keeps them as PiggyPairs, sorted by index and deduplicated (the order
-// a dense re-examination yields), with PiggyWidth zeroed: under the
-// transitive extension a copy with neither PiggyWidth nor Piggy is a
-// pinned one. A node awaiting a remote restore (recoverWait) is the
-// exception: the restore will lower the DDV under its held messages,
-// so they keep the exact vector, in Piggy.
-func (n *Node) pinHeld(m *AppMsg, src topology.NodeID, pairs []DDVPair) {
-	if len(pairs) == 0 && !n.anchorPending {
-		return // delivered now, never held
-	}
-	m.PiggyPairs, m.PiggyWidth = nil, 0
-	if n.recoverWait != nil {
-		m.Piggy = sparseOf(n.pipeCodecFrom(src.Cluster).Current(), &n.pairArena)
-		return
-	}
-	if len(pairs) == 0 {
-		return // the post-restore anchor hold: nothing to re-raise
-	}
-	pin := n.pairArena.Clone(pairs)
-	slices.SortFunc(pin, func(a, b DDVPair) int { return cmp.Compare(a.Idx, b.Idx) })
-	m.PiggyPairs = slices.CompactFunc(pin, func(a, b DDVPair) bool { return a.Idx == b.Idx })
-}
-
-// materializePiggy pins the whole piggyback vector, in sparse form,
-// onto a delta-encoded transitive message that is about to be stored
-// for later replay (deferred by an epoch gap or a delivery freeze): the
-// pipe decoder advances with every later message, so the exact vector
-// must be captured now. No-op for intra-cluster, whole-vector or
-// non-transitive messages.
-func (n *Node) materializePiggy(m *AppMsg, src topology.NodeID) {
-	if m.PiggyWidth == 0 || src.Cluster == n.cluster {
-		return
-	}
-	cd := n.pipeCodecFrom(src.Cluster)
-	if cd == nil {
-		return
-	}
-	m.Piggy = sparseOf(cd.Current(), &n.pairArena)
-	m.PiggyPairs, m.PiggyWidth = nil, 0
 }
 
 // priorEpochValid is the §3.4 prior-epoch validity window, shared by

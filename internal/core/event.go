@@ -27,8 +27,7 @@ const (
 	// EventCLCCommitted: a node installed a committed CLC — after it
 	// adopted the new SN and DDV and stored the record, before any
 	// queued traffic drains (Seq, Epoch, DDV: the committed vector,
-	// Pairs: its delta against the previous commit, nil on the dense
-	// wire, Forced).
+	// Pairs: its delta against the previous commit, Forced).
 	EventCLCCommitted
 	// EventHoldMsg: an inter-cluster message is held until a forced CLC
 	// commits (Msg, Peer: the sender, Seq: the piggybacked SN, DDV: the
@@ -68,11 +67,6 @@ const (
 	// application (Peer: the sender, PeerEpoch and Seq: the message's
 	// piggybacked epoch and SN, Epoch and SN: the receiver's).
 	EventDeliver
-	// EventPiggySend: a fresh delta-encoded transitive send enters the
-	// pipe to Cluster (Pairs: the non-zero entries of the vector the
-	// message stands for, in ascending index order — the node's shared
-	// sparse piggyback, immutable once handed out).
-	EventPiggySend
 	// EventGCDrop: the node applies round Round's garbage-collection
 	// threshold vector (DDV: the minimum SN kept per cluster).
 	EventGCDrop
@@ -225,8 +219,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("restored CLC %d ddv=%v (epoch %d)", e.Seq, e.DDV, e.Epoch)
 	case EventDeliver:
 		return fmt.Sprintf("deliver from %v (epoch %d sn=%d) at sn=%d (epoch %d)", e.Peer, e.PeerEpoch, e.Seq, e.SN, e.Epoch)
-	case EventPiggySend:
-		return fmt.Sprintf("piggyback %v to c%d", e.Pairs, e.Cluster)
 	case EventGCDrop:
 		return fmt.Sprintf("GC round %d drop below %v", e.Round, e.DDV)
 	}

@@ -62,8 +62,6 @@ func TestEventStringMatchesTraceFormat(t *testing.T) {
 			fmt.Sprintf("restored CLC %d ddv=%v (epoch %d)", SN(4), ddv, Epoch(2))},
 		{Event{Kind: EventDeliver, Peer: peer, PeerEpoch: 1, Seq: 8, Epoch: 2, SN: 5}, sim.TraceOff,
 			fmt.Sprintf("deliver from %v (epoch %d sn=%d) at sn=%d (epoch %d)", peer, Epoch(1), SN(8), SN(5), Epoch(2))},
-		{Event{Kind: EventPiggySend, Cluster: 3, Pairs: pairs}, sim.TraceOff,
-			fmt.Sprintf("piggyback %v to c%d", pairs, topology.ClusterID(3))},
 		{Event{Kind: EventGCDrop, Round: 4, DDV: ddv}, sim.TraceOff, fmt.Sprintf("GC round 4 drop below %v", ddv)},
 	}
 	covered := make(map[EventKind]bool)

@@ -535,31 +535,12 @@ func (d *DenseShadows) NodeEvent(id topology.NodeID, ev Event) {
 	case EventCLCCommitted:
 		d.lists[id] = append(d.lists[id], Meta{SN: ev.Seq, DDV: ev.DDV.Clone()})
 	case EventRestore:
-		d.checkHeldUnpinned(id)
 		d.restore(id, ev.Seq, ev.DDV)
 	case EventGCDrop:
 		d.gcRounds[id] = ev.Round
 		d.gcDrop(id, ev.DDV)
 	case EventRestarted:
-		d.checkHeldUnpinned(id)
 		clear(d.replicas[id])
-	}
-}
-
-// checkHeldUnpinned asserts the precondition the receive side's pinned
-// pairs rest on (see pinHeld): a restore or a restart, the only events
-// that lower a node's DDV, leaves no held message pinned to the pairs
-// it raised. Rollback and restart empty heldInter; a message held while
-// a remote restore was pending keeps its whole vector (Piggy) instead.
-func (d *DenseShadows) checkHeldUnpinned(id topology.NodeID) {
-	n := d.nodes[id]
-	if n == nil {
-		return
-	}
-	for _, in := range n.heldInter {
-		if n.cfg.Transitive && in.msg.Piggy.Width == 0 && in.msg.PiggyWidth == 0 {
-			d.fail("node %v: held message %v is still pinned to its raised pairs after its DDV was lowered", id, in.msg.Payload.ID)
-		}
 	}
 }
 

@@ -111,19 +111,17 @@ func TestIncrementalScanDeterministic(t *testing.T) {
 // width-parameterized testbed: receipts at width 64 must keep the
 // dirty probe and the chunked full scan in agreement.
 func TestIncrementalScanWide(t *testing.T) {
-	for _, dense := range []bool{false, true} {
-		b := newWideTestbed(t, 64, dense)
-		src, dst := b.node(0, 0), b.node(1, 0)
-		for k := 0; k < 4; k++ {
-			b.commitCLC(0)
-			src.Send(dst.ID(), payload(src.ID(), uint64(k+1)))
-			b.pump()
-			checkScanMatchesReference(t, b)
-		}
-		b.commitCLC(1)
-		if checkScanMatchesReference(t, b) == 0 {
-			t.Fatalf("dense=%v: no node used the incremental path", dense)
-		}
+	b := newWideTestbed(t, 64)
+	src, dst := b.node(0, 0), b.node(1, 0)
+	for k := 0; k < 4; k++ {
+		b.commitCLC(0)
+		src.Send(dst.ID(), payload(src.ID(), uint64(k+1)))
+		b.pump()
+		checkScanMatchesReference(t, b)
+	}
+	b.commitCLC(1)
+	if checkScanMatchesReference(t, b) == 0 {
+		t.Fatal("no node used the incremental path")
 	}
 }
 
@@ -178,7 +176,7 @@ func TestIncrementalScanRandomized(t *testing.T) {
 // hand-raised entries flagged dirty must surface exactly the indices
 // that differ from the stored vector, matching the full-width diff.
 func TestIncrementalScanDirtyProbe(t *testing.T) {
-	b := newWideTestbed(t, 64, false)
+	b := newWideTestbed(t, 64)
 	n := b.node(0, 0)
 	b.commitCLC(0)
 	if !n.gcScanValid {

@@ -52,14 +52,13 @@ func (c *checkedNode) Restart() { c.Node.Restart(); c.verify("restart") }
 
 // shadowedEnv is the harness's Env with every Send and protocol event
 // of the node shown to the run's dense shadow. The harness's Env offers
-// BoxPool, BoxReclaimer, PiggyCodecs and EventSink; the node must keep
-// seeing all four.
+// BoxPool, BoxReclaimer and EventSink; the node must keep seeing all
+// three.
 type shadowedEnv struct {
 	core.Env
 	core.BoxPool
 	core.BoxReclaimer
 	sink core.EventSink
-	core.PiggyCodecs
 	*core.DenseShadows
 	id topology.NodeID
 }
@@ -84,7 +83,7 @@ func runChecked(t *testing.T, opts federation.Options) (*federation.Result, int)
 	nodes := map[topology.NodeID]*core.Node{}
 	shadows := core.NewDenseShadows()
 	opts.NodeFactory = func(cfg core.Config, env core.Env, hooks core.AppHooks, _ *sim.Stats) federation.ProtocolNode {
-		n := core.NewNode(cfg, shadowedEnv{env, env.(core.BoxPool), env.(core.BoxReclaimer), env.(core.EventSink), env.(core.PiggyCodecs), shadows, cfg.ID}, hooks)
+		n := core.NewNode(cfg, shadowedEnv{env, env.(core.BoxPool), env.(core.BoxReclaimer), env.(core.EventSink), shadows, cfg.ID}, hooks)
 		shadows.Attach(n)
 		nodes[cfg.ID] = n
 		return &checkedNode{Node: n, t: t, checks: &checks, shadows: shadows}

@@ -59,32 +59,6 @@ func dominatesSN(d, o []SN) bool {
 	return true
 }
 
-// raisedPairs appends one pair per entry where cur exceeds base,
-// skipping index skip (the examining node's own cluster); equal blocks
-// raise nothing and are skipped whole. This is the dense exam scan of
-// the CIC test.
-func raisedPairs(buf []DDVPair, cur, base []SN, skip int32) []DDVPair {
-	i := 0
-	for ; i+ddvBlock <= len(cur); i += ddvBlock {
-		cb := (*[ddvBlock]SN)(cur[i:])
-		bb := (*[ddvBlock]SN)(base[i:])
-		if *cb == *bb {
-			continue
-		}
-		for j := 0; j < ddvBlock; j++ {
-			if idx := int32(i + j); idx != skip && cb[j] > bb[j] {
-				buf = append(buf, DDVPair{Idx: idx, SN: cb[j]})
-			}
-		}
-	}
-	for ; i < len(cur); i++ {
-		if idx := int32(i); idx != skip && cur[i] > base[i] {
-			buf = append(buf, DDVPair{Idx: idx, SN: cur[i]})
-		}
-	}
-	return buf
-}
-
 // diffPairsKernel appends one pair per entry where cur differs from
 // base; equal blocks contribute nothing and are skipped whole.
 func diffPairsKernel(buf []DDVPair, cur, base []SN) []DDVPair {

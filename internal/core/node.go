@@ -235,9 +235,9 @@ type Node struct {
 	epoch Epoch
 	ddv   DDV
 	// ddvGen counts mutations of ddv (any site that can change an
-	// entry bumps it); the piggyback encoder and the shared sparse
-	// piggyback (piggy) use it to skip O(width) work while the vector
-	// is unchanged. Starts at 1; 0 means "never" on consumers.
+	// entry bumps it); the shared sparse piggyback (piggy) uses it to
+	// skip O(width) work while the vector is unchanged. Starts at 1; 0
+	// means "never" on consumers.
 	ddvGen uint64
 	// commitBase is the dense vector of the newest committed CLC — the
 	// base every delta-encoded CLCCommit patches, and the one stored
@@ -379,12 +379,6 @@ type Node struct {
 	gcDemanded    bool       // a memory-pressure demand is outstanding here
 	gcScratch     *gcScratch // the initiator's, allocated by its first round
 
-	// vecScratch is the pipe encoder's width-sized tmp, allocated by
-	// its first use: it rebuilds the last vector shipped in it while
-	// deltas are in flight (DeltaCodec.Encode). Nothing else on a node
-	// needs one: a leader's commit reads its entries from n.ddv and the
-	// raise list (ackFrom).
-	vecScratch DDV
 	// pairArena backs every DDVPair slice that escapes on a wire
 	// message, into a stored record or into a shared piggyback;
 	// pairScratch is the reusable build buffer (valid until the next
@@ -408,16 +402,9 @@ type Node struct {
 	// chunked full-width diff and the next commit revalidates.
 	gcScanDirty DirtySet
 	gcScanValid bool
-	// piggyCodecs is the env's per-pipe delta codec registry when it
-	// offers one (PiggyCodecs); nil means whole-vector piggybacks. Each
-	// codec carries the cluster-shared clean-exam cursor
-	// (DeltaCodec.seen); resetPiggyExam discards the cursors whenever
-	// this node's DDV may have decreased (rollback, recovery), forcing a
-	// full-width re-examination per pipe.
-	piggyCodecs PiggyCodecs
 	// lastPiggy is the sparse form of ddv at generation lastPiggyGen:
-	// the log entries, mirrors and piggyback events of all sends
-	// between two DDV changes share one immutable vector. Built by the
+	// the log entries, mirrors and messages of all sends between two
+	// DDV changes share one immutable vector. Built by the
 	// first transitive inter-cluster send of a generation.
 	lastPiggy    SparseDDV
 	lastPiggyGen uint64
@@ -496,7 +483,6 @@ func NewNode(cfg Config, env Env, app AppHooks) *Node {
 	n.commitScratch.Init(cfg.Clusters)
 	n.gcScanDirty.Init(cfg.Clusters)
 	n.pairScratch = make([]DDVPair, 0, 8)
-	n.piggyCodecs, _ = env.(PiggyCodecs)
 	n.replTargets = make([]topology.NodeID, 0, cfg.Replicas)
 	for r := 1; r <= cfg.Replicas; r++ {
 		n.replTargets = append(n.replTargets,
@@ -579,35 +565,16 @@ func (n *Node) DDVSnapshot() DDV { return n.ddv.Clone() }
 func (n *Node) SameDDV(o *Node) bool { return n.ddv.Equal(o.ddv) }
 
 // ddvChanged records a mutation of n.ddv (or of an entry of it): the
-// piggyback encoder and the shared sparse piggyback key off the
-// generation to skip O(width) work while the vector is unchanged.
+// shared sparse piggyback keys off the generation to skip O(width)
+// work while the vector is unchanged.
 func (n *Node) ddvChanged() { n.ddvGen++ }
-
-// piggyVecID identifies the current DDV's content for the shared
-// per-pipe piggyback encoder, which is written to by *every* node of
-// this cluster: a per-node mutation counter would collide across
-// nodes, so the identity must be well-defined pipe-wide. In
-// ModeHC3I/ModeForceAll the DDV is a pure function of (epoch, sn) —
-// application sends are frozen throughout commit and rollback windows,
-// so a sending node always holds the committed vector that pair names.
-// Under ModeIndependent vectors are per-node (lazy receipts), so the
-// identity is qualified by the node's index; a node handover on the
-// pipe then re-runs one O(width) diff, which usually finds nothing.
-// Zero is never returned (sn starts at 1): the encoder treats zero as
-// "unknown".
-func (n *Node) piggyVecID() uint64 {
-	if n.cfg.Mode == ModeIndependent {
-		return 1<<63 | uint64(n.id.Index)<<40 | (n.ddvGen & (1<<40 - 1))
-	}
-	return uint64(n.epoch)<<32 | uint64(n.sn)
-}
 
 // piggy returns the current DDV in sparse form, shared by every
 // transitive send made while the vector is unchanged: at most one
 // O(width) scan per DDV generation, and pairs cut from the pair arena
 // instead of a dense copy. The vector is immutable once shared: log
-// entries, their mirrors, codec-free sends and resends (AppMsg.Piggy),
-// recovery answers and an event sink's EventPiggySend only read it.
+// entries, their mirrors, sends and resends (AppMsg.Piggy) and recovery
+// answers only read it.
 func (n *Node) piggy() SparseDDV {
 	if n.lastPiggyGen != n.ddvGen {
 		n.lastPiggy = sparseOf(n.ddv, &n.pairArena)
@@ -890,9 +857,7 @@ func (n *Node) Restart() {
 // resetDeltaState clears the delta-tracking state that derives from the
 // DDV/commit history: the commit base (re-synced from the restored
 // record by the recovery path), the lazy-receipt and ack accumulators,
-// the shared sparse piggyback, and the per-pipe examination cursors (a
-// reset forces a full-width re-exam, which any decrease of this node's
-// own DDV requires for equivalence with the dense encoding).
+// and the shared sparse piggyback.
 func (n *Node) resetDeltaState() {
 	for i := range n.commitBase {
 		n.commitBase[i] = 0
@@ -902,14 +867,6 @@ func (n *Node) resetDeltaState() {
 	n.acked = n.acked[:0]
 	n.lastPiggyGen = 0
 	n.lastPiggy = SparseDDV{}
-	n.resetPiggyExam()
-}
-
-// resetPiggyExam discards the clean-exam cursor of every inbound pipe.
-func (n *Node) resetPiggyExam() {
-	if n.piggyCodecs != nil {
-		n.piggyCodecs.ResetPiggyExam(n.cluster)
-	}
 }
 
 // ---- event entry points ----

@@ -54,32 +54,6 @@ func (e *mockEnv) Event(ev Event) {
 	}
 }
 
-// The testbed implements PiggyCodecs when built with useCodecs, so
-// unit tests and benchmarks can cover the delta transitive path; the
-// pump decodes at pipe exit exactly like netsim.
-func (e *mockEnv) PiggyCodec(src, dst topology.ClusterID) *DeltaCodec {
-	b := e.bed
-	if !b.useCodecs {
-		return nil
-	}
-	k := [2]topology.ClusterID{src, dst}
-	cd := b.codecs[k]
-	if cd == nil {
-		cd = new(DeltaCodec)
-		cd.Init(b.width)
-		b.codecs[k] = cd
-	}
-	return cd
-}
-
-func (e *mockEnv) ResetPiggyExam(dst topology.ClusterID) {
-	for k, cd := range e.bed.codecs {
-		if k[1] == dst {
-			cd.ResetSeen()
-		}
-	}
-}
-
 // The testbed implements BoxPool and BoxReclaimer like the federation
 // harness, so unit tests and benchmarks cover the pooled-box message
 // path.
@@ -184,10 +158,7 @@ type testbed struct {
 	// after every delivery; nil under a benchmark.
 	shadows *DenseShadows
 
-	// Delta piggyback support (see mockEnv.PiggyCodec).
-	useCodecs bool
-	width     int
-	codecs    map[[2]topology.ClusterID]*DeltaCodec
+	width int
 
 	// withhold, when set, makes pump set aside the messages it accepts
 	// instead of delivering them, in order, until release.
@@ -249,26 +220,13 @@ func (b *testbed) checkBoxes(queued []sentMsg) error {
 // newTestbed builds clusters with sizes[i] nodes each, replicas state
 // copies, and the given per-cluster CLC periods.
 func newTestbed(t testing.TB, sizes []int, replicas int, transitive bool) *testbed {
-	return newTestbedWire(t, sizes, replicas, transitive, false)
-}
-
-// newTwinTestbed is newTestbed with transitive piggybacks on one of the
-// two forms a differential test compares: delta-encoded over per-pipe
-// codecs, or dense (dense: the testbed offers no codecs).
-func newTwinTestbed(t testing.TB, sizes []int, replicas int, dense bool) *testbed {
-	return newTestbedWire(t, sizes, replicas, true, !dense)
-}
-
-func newTestbedWire(t testing.TB, sizes []int, replicas int, transitive, codecs bool) *testbed {
 	bed := &testbed{
-		t:         t,
-		nodes:     make(map[topology.NodeID]*Node),
-		apps:      make(map[topology.NodeID]*mockApp),
-		envs:      make(map[topology.NodeID]*mockEnv),
-		stats:     make(map[string]uint64),
-		width:     len(sizes),
-		codecs:    make(map[[2]topology.ClusterID]*DeltaCodec),
-		useCodecs: codecs,
+		t:     t,
+		nodes: make(map[topology.NodeID]*Node),
+		apps:  make(map[topology.NodeID]*mockApp),
+		envs:  make(map[topology.NodeID]*mockEnv),
+		stats: make(map[string]uint64),
+		width: len(sizes),
 	}
 	if _, test := t.(*testing.T); test {
 		bed.shadows = NewDenseShadows()
@@ -305,26 +263,22 @@ func newTestbedWire(t testing.TB, sizes []int, replicas int, transitive, codecs 
 // newWideTestbed declares a federation of `width` single-node clusters
 // but instantiates only clusters 0 and 1 — enough to drive one
 // directed inter-cluster pipe at an arbitrary dependency-vector width
-// without building hundreds of nodes. Transitive piggybacking is on;
-// dense makes piggybacks carry the whole vector, without pipe codecs
-// (delta otherwise).
-func newWideTestbed(t testing.TB, width int, dense bool) *testbed {
-	return newWideTestbedSized(t, width, dense, 1)
+// without building hundreds of nodes. Transitive piggybacking is on.
+func newWideTestbed(t testing.TB, width int) *testbed {
+	return newWideTestbedSized(t, width, 1)
 }
 
 // newWideTestbedSized is newWideTestbed with `nodes` nodes in each of
 // the two instantiated clusters, each replicating to one neighbour when
 // it has one.
-func newWideTestbedSized(t testing.TB, width int, dense bool, nodes int) *testbed {
+func newWideTestbedSized(t testing.TB, width, nodes int) *testbed {
 	bed := &testbed{
-		t:         t,
-		nodes:     make(map[topology.NodeID]*Node),
-		apps:      make(map[topology.NodeID]*mockApp),
-		envs:      make(map[topology.NodeID]*mockEnv),
-		stats:     make(map[string]uint64),
-		width:     width,
-		codecs:    make(map[[2]topology.ClusterID]*DeltaCodec),
-		useCodecs: !dense,
+		t:     t,
+		nodes: make(map[topology.NodeID]*Node),
+		apps:  make(map[topology.NodeID]*mockApp),
+		envs:  make(map[topology.NodeID]*mockEnv),
+		stats: make(map[string]uint64),
+		width: width,
 	}
 	if _, test := t.(*testing.T); test {
 		bed.shadows = NewDenseShadows()
@@ -386,21 +340,6 @@ func (b *testbed) pump() {
 		dst := b.nodes[m.dst]
 		if dst == nil {
 			b.t.Fatalf("message to unknown node %v", m.dst)
-		}
-		// Pipe-exit decode, exactly like netsim: the decoder advances
-		// for every delta-piggybacked message leaving the queue, even
-		// one about to be dropped at a down endpoint.
-		if b.useCodecs && m.src.Cluster != m.dst.Cluster {
-			var pairs []DDVPair
-			switch am := m.msg.(type) {
-			case *AppMsg:
-				pairs = am.PiggyPairs
-			case AppMsg:
-				pairs = am.PiggyPairs
-			}
-			if len(pairs) > 0 {
-				b.codecs[[2]topology.ClusterID{m.src.Cluster, m.dst.Cluster}].Decode(pairs)
-			}
 		}
 		if dst.Failed() || b.nodes[m.src].Failed() {
 			continue // fail-stop: traffic to/from down nodes vanishes

@@ -2,52 +2,16 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/topology"
 )
 
-// The transitive piggyback is held by reference on the delta wire: a
-// held message keeps only the pairs it raised. A log entry and its
-// mirror share the sender's sparse vector of the DDV generation the
-// send was made in, on both wires. The tests below run one scenario on
-// the delta wire and on its codec-free twin, which puts that shared
-// vector itself on every message, and require the same observations.
-
-// twinRun runs scenario on both wires and fails unless they report the
-// same lines; it returns the delta wire's.
-func twinRun(t *testing.T, sizes []int, scenario func(b *testbed) []string) []string {
-	t.Helper()
-	delta := scenario(newTwinTestbed(t, sizes, 1, false))
-	whole := scenario(newTwinTestbed(t, sizes, 1, true))
-	if !reflect.DeepEqual(delta, whole) {
-		t.Fatalf("delta wire observed\n  %s\ncodec-free wire observed\n  %s",
-			strings.Join(delta, "\n  "), strings.Join(whole, "\n  "))
-	}
-	return delta
-}
-
-// observe renders what a scenario's outcome is judged by: every node's
-// SN, DDV and deliveries, every log entry's acknowledgement, and the
-// counters of the CIC rule and the resend paths.
-func observe(b *testbed) []string {
-	var lines []string
-	for c := 0; c < b.width; c++ {
-		for i := 0; b.node(c, i) != nil; i++ {
-			n := b.node(c, i)
-			lines = append(lines, fmt.Sprintf("%v sn=%d ddv=%v delivered=%v", n.ID(), n.SN(), n.ddv, b.app(c, i).delivered))
-			for _, e := range n.log {
-				lines = append(lines, fmt.Sprintf("  log %v acked=%v ackSN=%d", e.payload.ID, e.acked, e.ackSN))
-			}
-		}
-	}
-	for _, k := range []string{"cic.held", "cic.force_requested", "app.delivered.inter", "log.resent", "log.resent_after_recovery", "log.recovered_entries"} {
-		lines = append(lines, fmt.Sprintf("%s=%d", k, b.stats[k]))
-	}
-	return lines
-}
+// A log entry and its mirror share the sender's sparse vector of the
+// DDV generation the send was made in, and every transitive message —
+// send and resend alike — carries that vector itself. The tests below
+// pin what those shared vectors must hold.
 
 // resends renders the resent application messages queued to cluster
 // dst, with the piggyback each carries written out dense.
@@ -70,54 +34,51 @@ func resends(q []sentMsg, dst topology.ClusterID) []string {
 	return out
 }
 
-// TestHeldMessageReexaminedFromPinnedPairs: two messages on one pipe
-// reach a receiver before its forced CLC, the later one raising more
-// than the first. The second's force demand is withheld from the
-// leader until the first CLC commits, so that CLC covers the first
-// message but not the second, and the re-examination after it must
-// judge the first by what the first carried — its pinned pairs —
-// though the pipe decoder now holds the second's vector: the first is
-// delivered after one commit, the second re-held for the next.
-func TestHeldMessageReexaminedFromPinnedPairs(t *testing.T) {
-	twinRun(t, []int{2, 2, 1}, func(b *testbed) []string {
-		recv, snd, third := b.node(0, 1), b.node(1, 0), b.node(2, 0)
-		third.Send(snd.ID(), payload(third.ID(), 1)) // c1 depends on c2
-		b.pump()
+// TestHeldMessagesReexaminedAfterCommit: two messages on one pipe reach
+// a receiver before its forced CLC, the later one raising more than the
+// first. The second's force demand is withheld from the leader until
+// the first CLC commits, so that CLC covers the first message but not
+// the second, and the re-examination after it must judge each by the
+// vector it carried: the first is delivered after one commit, the
+// second re-held for the next.
+func TestHeldMessagesReexaminedAfterCommit(t *testing.T) {
+	b := newTestbed(t, []int{2, 2, 1}, 1, true)
+	recv, snd, third := b.node(0, 1), b.node(1, 0), b.node(2, 0)
+	third.Send(snd.ID(), payload(third.ID(), 1)) // c1 depends on c2
+	b.pump()
 
-		// Nothing reaches cluster 0 until both messages are sent; in
-		// between, c1 commits twice and depends on c2 anew.
-		b.withhold = func(m sentMsg) bool { return m.dst.Cluster == 0 }
-		snd.Send(recv.ID(), payload(snd.ID(), 1))
-		b.commitCLC(2)
-		third.Send(snd.ID(), payload(third.ID(), 2))
-		b.pump()
-		b.commitCLC(1)
-		snd.Send(recv.ID(), payload(snd.ID(), 2))
-		b.release()
-		forces := 0
-		b.withhold = func(m sentMsg) bool {
-			if _, ok := m.msg.(*Box[ForceCLC]); ok {
-				forces++
-				return forces == 2
-			}
-			return false
+	// Nothing reaches cluster 0 until both messages are sent; in
+	// between, c1 commits twice and depends on c2 anew.
+	b.withhold = func(m sentMsg) bool { return m.dst.Cluster == 0 }
+	snd.Send(recv.ID(), payload(snd.ID(), 1))
+	b.commitCLC(2)
+	third.Send(snd.ID(), payload(third.ID(), 2))
+	b.pump()
+	b.commitCLC(1)
+	snd.Send(recv.ID(), payload(snd.ID(), 2))
+	b.release()
+	forces := 0
+	b.withhold = func(m sentMsg) bool {
+		if _, ok := m.msg.(*Box[ForceCLC]); ok {
+			forces++
+			return forces == 2
 		}
-		b.pump()
-		b.release()
-		b.pump()
+		return false
+	}
+	b.pump()
+	b.release()
+	b.pump()
 
-		var ack [3]SN
-		for _, e := range snd.log {
-			if !e.acked {
-				t.Fatalf("message %v never acknowledged", e.payload.ID)
-			}
-			ack[e.payload.ID.Seq] = e.ackSN
+	var ack [3]SN
+	for _, e := range snd.log {
+		if !e.acked {
+			t.Fatalf("message %v never acknowledged", e.payload.ID)
 		}
-		if ack[1] >= ack[2] {
-			t.Errorf("first message delivered at SN %d, second at %d: the first waited for the second's CLC", ack[1], ack[2])
-		}
-		return observe(b)
-	})
+		ack[e.payload.ID.Seq] = e.ackSN
+	}
+	if ack[1] >= ack[2] {
+		t.Errorf("first message delivered at SN %d, second at %d: the first waited for the second's CLC", ack[1], ack[2])
+	}
 }
 
 // gcDroppedSend runs a send whose stored record a collection then
@@ -168,37 +129,35 @@ func dense(s SparseDDV) DDV {
 // TestPiggyOneVectorPerGeneration: the sends a node makes while its DDV
 // is unchanged share one sparse piggyback — their log entries and the
 // holder's mirrors hold the same pairs — and a commit starts a new one,
-// under ModeHC3I and ModeIndependent, on both wires.
+// under ModeHC3I and ModeIndependent.
 func TestPiggyOneVectorPerGeneration(t *testing.T) {
 	for _, mode := range []ProtocolMode{ModeHC3I, ModeIndependent} {
-		for _, denseWire := range []bool{false, true} {
-			b := newTwinTestbed(t, []int{2, 2}, 1, denseWire)
-			for _, n := range b.nodes {
-				n.cfg.Mode = mode
+		b := newTestbed(t, []int{2, 2}, 1, true)
+		for _, n := range b.nodes {
+			n.cfg.Mode = mode
+		}
+		snd, holder := b.node(1, 1), b.node(1, 0)
+		sendAt := func(seq uint64) SparseDDV {
+			want := snd.DDVSnapshot()
+			snd.Send(b.node(0, int(seq%2)).ID(), payload(snd.ID(), seq))
+			b.pump()
+			e := snd.log[len(snd.log)-1]
+			if got := dense(e.piggy); !got.Equal(want) {
+				t.Fatalf("%v: send %d logged %v, want %v", mode, seq, got, want)
 			}
-			snd, holder := b.node(1, 1), b.node(1, 0)
-			sendAt := func(seq uint64) SparseDDV {
-				want := snd.DDVSnapshot()
-				snd.Send(b.node(0, int(seq%2)).ID(), payload(snd.ID(), seq))
-				b.pump()
-				e := snd.log[len(snd.log)-1]
-				if got := dense(e.piggy); !got.Equal(want) {
-					t.Fatalf("%v dense=%v: send %d logged %v, want %v", mode, denseWire, seq, got, want)
-				}
-				ml := holder.mirrorLogs[snd.ID()]
-				if m := ml.entries.At(ml.entries.Len() - 1); m.MsgID != e.msgID || !sharesPairs(m.Piggy, e.piggy) {
-					t.Fatalf("%v dense=%v: send %d: mirror %+v does not share the entry's vector", mode, denseWire, seq, m)
-				}
-				return e.piggy
+			ml := holder.mirrorLogs[snd.ID()]
+			if m := ml.entries.At(ml.entries.Len() - 1); m.MsgID != e.msgID || !sharesPairs(m.Piggy, e.piggy) {
+				t.Fatalf("%v: send %d: mirror %+v does not share the entry's vector", mode, seq, m)
 			}
-			first, second := sendAt(1), sendAt(2)
-			if !sharesPairs(first, second) {
-				t.Errorf("%v dense=%v: two sends of one generation hold %v and %v, not one vector", mode, denseWire, first, second)
-			}
-			b.commitCLC(1)
-			if third := sendAt(3); sharesPairs(first, third) || dense(first).Equal(dense(third)) {
-				t.Errorf("%v dense=%v: the send after a commit holds %v, the generation before's %v", mode, denseWire, third, first)
-			}
+			return e.piggy
+		}
+		first, second := sendAt(1), sendAt(2)
+		if !sharesPairs(first, second) {
+			t.Errorf("%v: two sends of one generation hold %v and %v, not one vector", mode, first, second)
+		}
+		b.commitCLC(1)
+		if third := sendAt(3); sharesPairs(first, third) || dense(first).Equal(dense(third)) {
+			t.Errorf("%v: the send after a commit holds %v, the generation before's %v", mode, third, first)
 		}
 	}
 }
@@ -207,7 +166,7 @@ func TestPiggyOneVectorPerGeneration(t *testing.T) {
 // piggyback is none or of the federation's width, and refuses, with a
 // counter, one of any other width, which a resend could not write out.
 func TestLogMirrorRefusesOtherWidth(t *testing.T) {
-	b := newTwinTestbed(t, []int{2, 2}, 1, false)
+	b := newTestbed(t, []int{2, 2}, 1, true)
 	owner, holder := b.node(1, 1), b.node(1, 0)
 	mirror := func(id uint64, p SparseDDV) LogMirror {
 		return LogMirror{Owner: owner.ID(), MsgID: id, Dst: b.node(0, 0).ID(), Payload: payload(owner.ID(), id), PiggySN: 1, Piggy: p}
@@ -226,40 +185,31 @@ func TestLogMirrorRefusesOtherWidth(t *testing.T) {
 
 // TestAppMsgRefusesOtherWidth: a node refuses, with a counter and
 // without panicking, an inter-cluster message whose piggyback it could
-// not merge — a whole vector wider than the federation, a pair index
-// outside it, a delta of another width, a whole vector of the right
-// width whose pair lies outside it — on either wire.
+// not merge — a vector wider than the federation, a negative pair
+// index, a vector of the right width whose pair lies outside it.
 func TestAppMsgRefusesOtherWidth(t *testing.T) {
-	for _, dense := range []bool{true, false} {
-		b := newTwinTestbed(t, []int{2, 2}, 1, dense)
-		recv, src := b.node(0, 0), b.node(1, 0).ID()
-		msg := func(id uint64) AppMsg {
-			return AppMsg{MsgID: id, Payload: payload(src, id), SendSN: 1}
-		}
-		wide := msg(1)
-		wide.Piggy = SparseDDV{Width: 3, Pairs: []DDVPair{{Idx: 0, SN: 1}, {Idx: 1, SN: 1}, {Idx: 2, SN: 5}}}
-		recv.OnMessage(src, wide)
-		negative := msg(2)
-		negative.PiggyPairs = []DDVPair{{Idx: -1, SN: 1}}
-		recv.OnMessage(src, negative)
-		if got := b.stats["app.refused_width"]; got != 2 {
-			t.Fatalf("dense=%v: app.refused_width = %d, want 2", dense, got)
-		}
-		delta := msg(3)
-		delta.PiggyPairs, delta.PiggyWidth = []DDVPair{{Idx: 1, SN: 1}}, 3
-		recv.OnMessage(src, delta)
-		if got := b.stats["app.refused_width"]; got != 3 {
-			t.Fatalf("dense=%v: a delta of width 3: app.refused_width = %d, want 3", dense, got)
-		}
-		outside := msg(4)
-		outside.Piggy = SparseDDV{Width: 2, Pairs: []DDVPair{{Idx: 2, SN: 1}}}
-		recv.OnMessage(src, outside)
-		if got := b.stats["app.refused_width"]; got != 4 {
-			t.Fatalf("dense=%v: a pair past a 2-wide vector: app.refused_width = %d, want 4", dense, got)
-		}
-		if got := b.stats["app.delivered.inter"] + b.stats["cic.held"]; got != 0 {
-			t.Fatalf("dense=%v: %d refused messages were delivered or held", dense, got)
-		}
+	b := newTestbed(t, []int{2, 2}, 1, true)
+	recv, src := b.node(0, 0), b.node(1, 0).ID()
+	msg := func(id uint64) AppMsg {
+		return AppMsg{MsgID: id, Payload: payload(src, id), SendSN: 1}
+	}
+	wide := msg(1)
+	wide.Piggy = SparseDDV{Width: 3, Pairs: []DDVPair{{Idx: 0, SN: 1}, {Idx: 1, SN: 1}, {Idx: 2, SN: 5}}}
+	recv.OnMessage(src, wide)
+	negative := msg(2)
+	negative.Piggy = SparseDDV{Width: 2, Pairs: []DDVPair{{Idx: -1, SN: 1}}}
+	recv.OnMessage(src, negative)
+	if got := b.stats["app.refused_width"]; got != 2 {
+		t.Fatalf("app.refused_width = %d, want 2", got)
+	}
+	outside := msg(3)
+	outside.Piggy = SparseDDV{Width: 2, Pairs: []DDVPair{{Idx: 2, SN: 1}}}
+	recv.OnMessage(src, outside)
+	if got := b.stats["app.refused_width"]; got != 3 {
+		t.Fatalf("a pair past a 2-wide vector: app.refused_width = %d, want 3", got)
+	}
+	if got := b.stats["app.delivered.inter"] + b.stats["cic.held"]; got != 0 {
+		t.Fatalf("%d refused messages were delivered or held", got)
 	}
 }
 
@@ -267,17 +217,15 @@ func TestAppMsgRefusesOtherWidth(t *testing.T) {
 // collected is resent, on a rollback of its receiver, with the exact
 // vector it carried.
 func TestResendAfterGCDropUsesExactVector(t *testing.T) {
-	twinRun(t, []int{2, 2}, func(b *testbed) []string {
-		snd, want := gcDroppedSend(t, b)
-		recv := b.node(0, 0)
-		snd.OnMessage(recv.ID(), RollbackAlert{Cluster: 0, NewSN: recv.SN(), NewEpoch: 1})
-		got := resends(b.queue, 0)
-		if len(got) != 1 || !strings.HasSuffix(got[0], "piggy="+want.String()) {
-			t.Fatalf("resends %v, want one carrying %v", got, want)
-		}
-		b.queue = b.queue[:0]
-		return append(got, observe(b)...)
-	})
+	b := newTestbed(t, []int{2, 2}, 1, true)
+	snd, want := gcDroppedSend(t, b)
+	recv := b.node(0, 0)
+	snd.OnMessage(recv.ID(), RollbackAlert{Cluster: 0, NewSN: recv.SN(), NewEpoch: 1})
+	got := resends(b.queue, 0)
+	if len(got) != 1 || !strings.HasSuffix(got[0], "piggy="+want.String()) {
+		t.Fatalf("resends %v, want one carrying %v", got, want)
+	}
+	b.queue = b.queue[:0]
 }
 
 // TestOwnerCrashReadoptsExactVectors: the sender crashes; it re-adopts
@@ -285,32 +233,30 @@ func TestResendAfterGCDropUsesExactVector(t *testing.T) {
 // collected, one whose record is still stored — and the resends after
 // its recovery carry the exact vectors of both sends.
 func TestOwnerCrashReadoptsExactVectors(t *testing.T) {
-	twinRun(t, []int{2, 2}, func(b *testbed) []string {
-		snd, want1 := gcDroppedSend(t, b)
-		want2 := snd.DDVSnapshot()
-		snd.Send(b.node(0, 0).ID(), payload(snd.ID(), 2))
-		b.pump()
-		b.commitCLC(1) // the second send is part of the state restored below
+	b := newTestbed(t, []int{2, 2}, 1, true)
+	snd, want1 := gcDroppedSend(t, b)
+	want2 := snd.DDVSnapshot()
+	snd.Send(b.node(0, 0).ID(), payload(snd.ID(), 2))
+	b.pump()
+	b.commitCLC(1) // the second send is part of the state restored below
 
-		snd.Fail()
-		snd.Restart()
-		b.withhold = func(m sentMsg) bool { return len(resends([]sentMsg{m}, 0)) > 0 }
-		b.node(1, 0).OnFailureDetected(snd.ID())
-		b.pump()
-		got := resends(b.withheld, 0)
-		b.release()
-		b.pump()
-		if b.stats["log.recovered_entries"] != 2 {
-			t.Fatalf("re-adopted %d log entries, want 2", b.stats["log.recovered_entries"])
+	snd.Fail()
+	snd.Restart()
+	b.withhold = func(m sentMsg) bool { return len(resends([]sentMsg{m}, 0)) > 0 }
+	b.node(1, 0).OnFailureDetected(snd.ID())
+	b.pump()
+	got := resends(b.withheld, 0)
+	b.release()
+	b.pump()
+	if b.stats["log.recovered_entries"] != 2 {
+		t.Fatalf("re-adopted %d log entries, want 2", b.stats["log.recovered_entries"])
+	}
+	for i, want := range []DDV{want1, want2} {
+		id := payload(snd.ID(), uint64(i+1)).ID
+		if !contains(got, fmt.Sprintf("resend %v piggy=%v", id, want)) {
+			t.Errorf("no resend of %v carrying %v among %v", id, want, got)
 		}
-		for i, want := range []DDV{want1, want2} {
-			id := payload(snd.ID(), uint64(i+1)).ID
-			if !contains(got, fmt.Sprintf("resend %v piggy=%v", id, want)) {
-				t.Errorf("no resend of %v carrying %v among %v", id, want, got)
-			}
-		}
-		return append(got, observe(b)...)
-	})
+	}
 }
 
 func contains(lines []string, s string) bool {
@@ -322,54 +268,48 @@ func contains(lines []string, s string) bool {
 	return false
 }
 
-// TestRollbackAndRestartEmptyHeldQueue pins the precondition of the
-// receive side's pinned pairs: the DDV never decreases under a held
-// message, because the rollback and the restart that lower it empty the
-// held queue. A message is held (its force demand withheld from the
+// TestRollbackAndRestartEmptyHeldQueue: the rollback and the restart
+// that lower a node's DDV empty its held queue, so the DDV never
+// decreases under a held message. A message is held (its force demand withheld from the
 // leader) when the cluster rolls back, and again when the holding node
 // crashes and restarts; both times the queue is empty at once, and the
 // message is still delivered once the resends arrive.
 func TestRollbackAndRestartEmptyHeldQueue(t *testing.T) {
-	twinRun(t, []int{3, 1}, func(b *testbed) []string {
-		recv, snd := b.node(0, 1), b.node(1, 0)
-		leader := b.node(0, 0).ID()
-		hold := func(seq uint64) {
-			b.withhold = func(m sentMsg) bool { return m.dst == leader }
-			snd.Send(recv.ID(), payload(snd.ID(), seq))
-			b.pump()
-			if len(recv.heldInter) != 1 {
-				t.Fatalf("message %d: %d held, want 1", seq, len(recv.heldInter))
-			}
-			if m := recv.heldInter[0].msg; b.useCodecs && (m.Piggy.Width != 0 || m.PiggyWidth != 0 || len(m.PiggyPairs) == 0) {
-				t.Fatalf("delta wire: held copy %+v is not pinned to its raised pairs", m)
-			}
-		}
-
-		hold(1)
-		b.node(0, 2).Fail()
-		b.node(0, 2).Restart()
-		recv.OnFailureDetected(b.node(0, 2).ID()) // recv coordinates the rollback
-		if len(recv.heldInter) != 0 {
-			t.Fatalf("rollback left %d held messages", len(recv.heldInter))
-		}
-		b.release()
+	b := newTestbed(t, []int{3, 1}, 1, true)
+	recv, snd := b.node(0, 1), b.node(1, 0)
+	leader := b.node(0, 0).ID()
+	hold := func(seq uint64) {
+		b.withhold = func(m sentMsg) bool { return m.dst == leader }
+		snd.Send(recv.ID(), payload(snd.ID(), seq))
 		b.pump()
+		if len(recv.heldInter) != 1 {
+			t.Fatalf("message %d: %d held, want 1", seq, len(recv.heldInter))
+		}
+	}
 
-		b.commitCLC(1) // the next message raises c0's entry again
-		hold(2)
-		recv.Fail()
-		recv.Restart()
-		if len(recv.heldInter) != 0 {
-			t.Fatalf("restart left %d held messages", len(recv.heldInter))
-		}
-		b.release()
-		b.node(0, 0).OnFailureDetected(recv.ID())
-		b.pump()
-		if got := b.app(0, 1).delivered; len(got) != 2 {
-			t.Fatalf("receiver delivered %v, want both messages", got)
-		}
-		return observe(b)
-	})
+	hold(1)
+	b.node(0, 2).Fail()
+	b.node(0, 2).Restart()
+	recv.OnFailureDetected(b.node(0, 2).ID()) // recv coordinates the rollback
+	if len(recv.heldInter) != 0 {
+		t.Fatalf("rollback left %d held messages", len(recv.heldInter))
+	}
+	b.release()
+	b.pump()
+
+	b.commitCLC(1) // the next message raises c0's entry again
+	hold(2)
+	recv.Fail()
+	recv.Restart()
+	if len(recv.heldInter) != 0 {
+		t.Fatalf("restart left %d held messages", len(recv.heldInter))
+	}
+	b.release()
+	b.node(0, 0).OnFailureDetected(recv.ID())
+	b.pump()
+	if got := b.app(0, 1).delivered; len(got) != 2 {
+		t.Fatalf("receiver delivered %v, want both messages", got)
+	}
 }
 
 // queuedAppMsg returns the application message q carries in a pooled
@@ -385,11 +325,11 @@ func queuedAppMsg(t *testing.T, q sentMsg) *AppMsg {
 	return nil
 }
 
-// TestCodecFreeSendAndResendShareLoggedPiggy: without pipe codecs, a
-// transitive send and its resend carry the log entry's sparse vector
-// itself, not a copy, priced at the dense width.
+// TestCodecFreeSendAndResendShareLoggedPiggy: a transitive send and its
+// resend carry the log entry's sparse vector itself, not a copy, priced
+// at the dense width.
 func TestCodecFreeSendAndResendShareLoggedPiggy(t *testing.T) {
-	b := newTwinTestbed(t, []int{2, 2}, 1, true)
+	b := newTestbed(t, []int{2, 2}, 1, true)
 	snd, recv := b.node(1, 0), b.node(0, 0)
 	check := func(what string, q sentMsg) {
 		t.Helper()
@@ -426,48 +366,45 @@ func TestCodecFreeSendAndResendShareLoggedPiggy(t *testing.T) {
 // cluster resumes after a rollback leave in pooled boxes, like every
 // other application message, and carry the logged vector itself.
 func TestRecoveredResendsTravelInBoxes(t *testing.T) {
-	for _, dense := range []bool{false, true} {
-		b := newTwinTestbed(t, []int{2, 1}, 1, dense)
-		snd, holder := b.node(0, 1), b.node(0, 0)
-		b.withhold = func(m sentMsg) bool { return m.dst.Cluster == 1 }
-		snd.Send(b.node(1, 0).ID(), payload(snd.ID(), 1)) // never acknowledged
-		b.pump()
-		b.commitCLC(0) // the send is part of the state restored below
-		snd.Fail()
-		snd.Restart()
-		holder.OnFailureDetected(snd.ID())
-		b.pump()
-		if got := b.stats["log.resent_after_recovery"]; got == 0 {
-			t.Fatalf("dense=%v: no resend after the recovery", dense)
-		}
-		resent := 0
-		for _, q := range b.withheld {
-			if !q.app {
-				continue
-			}
-			if m := queuedAppMsg(t, q); m.Resend {
-				resent++
-				if e := snd.log[0]; !sharesPairs(m.Piggy, e.piggy) {
-					t.Fatalf("dense=%v: recovered resend carries %v, not the log entry's vector %v", dense, m.Piggy, e.piggy)
-				}
-			}
-		}
-		if resent == 0 {
-			t.Fatalf("dense=%v: no resend reached the receiver's cluster", dense)
-		}
-		b.release()
-		b.pump()
+	b := newTestbed(t, []int{2, 1}, 1, true)
+	snd, holder := b.node(0, 1), b.node(0, 0)
+	b.withhold = func(m sentMsg) bool { return m.dst.Cluster == 1 }
+	snd.Send(b.node(1, 0).ID(), payload(snd.ID(), 1)) // never acknowledged
+	b.pump()
+	b.commitCLC(0) // the send is part of the state restored below
+	snd.Fail()
+	snd.Restart()
+	holder.OnFailureDetected(snd.ID())
+	b.pump()
+	if got := b.stats["log.resent_after_recovery"]; got == 0 {
+		t.Fatal("no resend after the recovery")
 	}
+	resent := 0
+	for _, q := range b.withheld {
+		if !q.app {
+			continue
+		}
+		if m := queuedAppMsg(t, q); m.Resend {
+			resent++
+			if e := snd.log[0]; !sharesPairs(m.Piggy, e.piggy) {
+				t.Fatalf("recovered resend carries %v, not the log entry's vector %v", m.Piggy, e.piggy)
+			}
+		}
+	}
+	if resent == 0 {
+		t.Fatal("no resend reached the receiver's cluster")
+	}
+	b.release()
+	b.pump()
 }
 
 // TestHeldWhileAwaitingRestoreKeepsWholeVector: a node whose rollback
 // target is stored remotely (its copy was lost in an earlier crash)
-// waits for the holder's state. A delta-piggybacked message it holds
-// meanwhile keeps the exact vector its sender logged, not the pairs it
-// raised: the restore lowers the DDV beneath it, which the dense
-// shadow checks at the restore.
+// waits for the holder's state. A message it holds meanwhile keeps the
+// exact vector its sender logged: the restore lowers the DDV beneath
+// it, which the dense shadow checks at the restore.
 func TestHeldWhileAwaitingRestoreKeepsWholeVector(t *testing.T) {
-	b := newTwinTestbed(t, []int{2, 2}, 1, false)
+	b := newTestbed(t, []int{2, 2}, 1, true)
 	leader, recv, snd := b.node(0, 0), b.node(0, 1), b.node(1, 0)
 	b.commitCLC(0)
 	b.commitCLC(1)
@@ -494,7 +431,7 @@ func TestHeldWhileAwaitingRestoreKeepsWholeVector(t *testing.T) {
 		t.Fatalf("%d messages held, want the send", len(recv.heldInter))
 	}
 	held, logged := recv.heldInter[0].msg, snd.log[len(snd.log)-1].piggy
-	if held.PiggyWidth != 0 || len(held.PiggyPairs) != 0 || !dense(held.Piggy).Equal(dense(logged)) {
+	if !dense(held.Piggy).Equal(dense(logged)) {
 		t.Fatalf("held copy %+v, want the vector its sender logged %v", held, logged)
 	}
 	b.release()

@@ -149,11 +149,8 @@ func (n *Node) finishLocalRollback(idx int, toSN SN, newEpoch Epoch) {
 // chain into the node's own buffer — and re-anchors the delta-tracking
 // state on it: the commit base becomes that vector (the
 // commit chain restarts from it on both leader and participants — they
-// restore the same checkpoint), lazy receipts are gone (the restored
-// DDV covers exactly the checkpoint), and the per-pipe piggyback
-// cursors are zeroed because the DDV may have decreased — the next
-// message on each pipe re-examines the full width, exactly as the dense
-// encoding would compare it.
+// restore the same checkpoint) and lazy receipts are gone (the
+// restored DDV covers exactly the checkpoint).
 func (n *Node) restoreVector(idx int, sn SN) {
 	n.sn = sn
 	n.chain.Vector(idx, n.ddv)
@@ -162,7 +159,6 @@ func (n *Node) restoreVector(idx int, sn SN) {
 	n.gcScanValid = false
 	n.acked = n.acked[:0]
 	n.ddvChanged()
-	n.resetPiggyExam()
 }
 
 // onRollbackCmd executes the coordinator's rollback order on a peer.

@@ -25,7 +25,7 @@ type unshadowed struct{ testing.TB }
 func TestGCFirstRoundAllocationBounded(t *testing.T) {
 	const width = 1024
 	reports := ringReports(width, 3)
-	n := newWideTestbed(t, width, false).node(0, 0)
+	n := newWideTestbed(t, width).node(0, 0)
 	var err error
 	got := bytesAllocated(func() { _, err = n.computeMinSNs(reports) })
 	if err != nil {
@@ -43,7 +43,7 @@ func TestGCFirstRoundAllocationBounded(t *testing.T) {
 // allocates together stays under one width-sized vector (8 KB).
 func TestLeaderFirstCommitAllocatesNoVector(t *testing.T) {
 	const width = 1024
-	bed := newWideTestbed(unshadowed{t}, width, false)
+	bed := newWideTestbed(unshadowed{t}, width)
 	leader := bed.node(0, 0)
 	raise := []DDVPair{{Idx: 5, SN: 3}, {Idx: 900, SN: 2}}
 	got := bytesAllocated(func() {

@@ -119,9 +119,8 @@ func TestChaosReplayDeterminism(t *testing.T) {
 }
 
 // TestOracleGoldenByteIdentity re-runs the pinned golden slices —
-// every classic failure pattern and the 64-cluster wide slice (whose
-// transitive piggybacks exercise the pipe-lockstep check) — with the
-// oracle attached: the CSV must stay byte-identical to the recordings,
+// every classic failure pattern and the 64-cluster wide slice (with
+// transitive piggybacks) — with the oracle attached: the CSV must stay byte-identical to the recordings,
 // proving the oracle is pure observation. A 128-cluster transitive run
 // with garbage collection on, where the oracle checks every GC round,
 // must match its oracle-off twin statistic for statistic.
@@ -261,86 +260,71 @@ func TestMatrixFilterUnknownKeyErrors(t *testing.T) {
 	}
 }
 
-// TestChaosRejectsDeltaTransitive pins the three combinations
-// federation.New refuses, each with its message: chaos and trace links
-// together (both claim the network's perturbation hook), and either one
-// on delta-encoded transitive piggybacks (duplicates or reordered exits
-// would desync the per-pipe codecs).
+// TestChaosRejectsDeltaTransitive pins the refusal federation.New
+// keeps: chaos and trace-driven links together (both claim the
+// network's perturbation hook), matched on its whole message after the
+// unedited scenario runs. The name dates from the delta-encoded
+// transitive piggybacks, on which chaos and trace links were refused
+// too; those refusals went with the codec, and
+// TestDenseWireRunsTransitiveChaosAndTrace runs both combinations.
 func TestChaosRejectsDeltaTransitive(t *testing.T) {
-	chaosSc := Scenario{Topology: "2c", Workload: "uniform", Failure: "storm", Network: "jitter"}
-	traceSc := Scenario{Topology: "2c", Workload: "openloop", Failure: "none", Network: "trace"}
-	cases := []struct {
-		name string
-		sc   Scenario
-		edit func(*federation.Options)
-		want string
-	}{
-		{"trace with chaos", traceSc, func(o *federation.Options) { o.Chaos = &chaos.Config{Seed: 1} },
-			"federation: LinkTrace and Chaos both claim the network perturbation hook; run them separately"},
-		{"trace on delta transitive", traceSc, func(o *federation.Options) { o.Transitive = true },
-			"federation: trace-driven links cannot run on delta-encoded transitive piggybacks (reordered exits would desync the pipe codecs); set NoPipeCodecs"},
-		{"chaos on delta transitive", chaosSc, func(o *federation.Options) { o.Transitive = true },
-			"federation: chaos scheduling cannot run on delta-encoded transitive piggybacks (duplicate deliveries would desync the pipe codecs); set NoPipeCodecs"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			opts, err := ScenarioOptions(Config{Seed: 1, Quick: true}, tc.sc, "hc3i")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := runFed(opts); err != nil {
-				t.Fatalf("the unedited scenario must run: %v", err)
-			}
-			tc.edit(&opts)
-			if _, err := runFed(opts); err == nil || err.Error() != tc.want {
-				t.Fatalf("got %v, want %q", err, tc.want)
-			}
-		})
-	}
+	t.Run("trace with chaos", func(t *testing.T) {
+		sc := Scenario{Topology: "2c", Workload: "openloop", Failure: "none", Network: "trace"}
+		opts, err := ScenarioOptions(Config{Seed: 1, Quick: true}, sc, "hc3i")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runFed(opts); err != nil {
+			t.Fatalf("the unedited scenario must run: %v", err)
+		}
+		opts.Chaos = &chaos.Config{Seed: 1}
+		const want = "federation: LinkTrace and Chaos both claim the network perturbation hook; run them separately"
+		if _, err := runFed(opts); err == nil || err.Error() != want {
+			t.Fatalf("got %v, want %q", err, want)
+		}
+	})
 }
 
-// TestDenseWireRunsTransitiveChaosAndTrace: the escape the refusals
-// name — the codec-free reference wire — runs every chaos-tier and
-// trace-tier scenario in transitive mode with the oracle clean and the
-// harness invariants intact.
+// TestDenseWireRunsTransitiveChaosAndTrace runs every chaos-tier and
+// trace-tier scenario under the transitive extension on default
+// options, with the oracle clean and the harness invariants intact.
+// The name dates from the codec-free ("dense") wire these runs once
+// needed; every transitive piggyback now takes that path.
 func TestDenseWireRunsTransitiveChaosAndTrace(t *testing.T) {
 	chaosSeeds, traceSeeds := 20, 3
 	if testing.Short() {
 		chaosSeeds, traceSeeds = 2, 1
 	}
-	type run struct {
-		sc   Scenario
-		seed uint64
-	}
-	var runs []run
-	for _, sc := range ChaosMatrix() {
-		for k := 1; k <= chaosSeeds; k++ {
-			runs = append(runs, run{sc, uint64(k)})
-		}
-	}
 	traces, err := MatrixScenarios("tier=trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sc := range traces {
-		for k := 1; k <= traceSeeds; k++ {
-			runs = append(runs, run{sc, uint64(k)})
-		}
-	}
-	err = forEach(DefaultWorkers(), len(runs), func(i int) error {
-		r := runs[i]
-		cfg := Config{Seed: r.seed, Quick: true, ChaosSeed: r.seed, Oracle: true, noPipeCodecs: true}
-		opts, err := ScenarioOptions(cfg, r.sc, "hc3i")
-		if err != nil {
-			return err
-		}
-		opts.Transitive = true
-		if _, err := runFed(opts); err != nil {
-			return fmt.Errorf("%s seed %d: %w", r.sc.Name(), r.seed, err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tier := range []struct {
+		name  string
+		scs   []Scenario
+		seeds int
+	}{
+		{"chaos on transitive", ChaosMatrix(), chaosSeeds},
+		{"trace on transitive", traces, traceSeeds},
+	} {
+		t.Run(tier.name, func(t *testing.T) {
+			n := len(tier.scs) * tier.seeds
+			err := forEach(DefaultWorkers(), n, func(i int) error {
+				sc, seed := tier.scs[i/tier.seeds], uint64(i%tier.seeds+1)
+				cfg := Config{Seed: seed, Quick: true, ChaosSeed: seed, Oracle: true}
+				opts, err := ScenarioOptions(cfg, sc, "hc3i")
+				if err != nil {
+					return err
+				}
+				opts.Transitive = true
+				if _, err := runFed(opts); err != nil {
+					return fmt.Errorf("%s seed %d: %w", sc.Name(), seed, err)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

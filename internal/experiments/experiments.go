@@ -77,12 +77,10 @@ type Config struct {
 	// previous run's event-engine buffers instead of rebuilding from
 	// zero per sweep point (see federation.Arena).
 	arena *federation.Arena
-	// noPipeCodecs and unbatchedWire are test fixtures: codec-free
-	// transitive piggybacks, one engine event per delivery
-	// (federation.Options.NoPipeCodecs, UnbatchedWire). Results are
-	// byte-identical by construction; only tests in this package set
-	// them.
-	noPipeCodecs, unbatchedWire bool
+	// unbatchedWire is a test fixture: one engine event per delivery
+	// (federation.Options.UnbatchedWire). Results are byte-identical by
+	// construction; only tests in this package set it.
+	unbatchedWire bool
 }
 
 func (c Config) workers() int {
@@ -97,9 +95,6 @@ func (c Config) workers() int {
 // field; it only ever turns a switch on, so options a scenario sets for
 // itself (the chaos tier's oracle) survive.
 func (c Config) apply(opts *federation.Options) {
-	if c.noPipeCodecs {
-		opts.NoPipeCodecs = true
-	}
 	if c.unbatchedWire {
 		opts.UnbatchedWire = true
 	}

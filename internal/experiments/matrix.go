@@ -150,8 +150,8 @@ var tiers = []tier{{
 	// runs continually exercise the width-sensitive forced-CLC
 	// machinery rather than idling between rare commits. HC3I runs with
 	// the transitive extension: whole-DDV piggybacks are exactly the
-	// O(width) per-message cost the delta wire representation exists
-	// to flatten (baseline protocols ignore the flag).
+	// O(width) per-message cost the sparse piggyback exists to flatten
+	// (baseline protocols ignore the flag).
 	name: "wide",
 	axes: [4][]string{
 		{"64c", "128c", "256c", "1024c"},

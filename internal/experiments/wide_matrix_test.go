@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -12,9 +14,8 @@ import (
 
 // Wide-federation tier coverage: filter/axis plumbing, a pinned
 // determinism golden for the 64-cluster slice (sequential and through
-// the worker pool — the suite runs under -race in CI), a delta-vs-
-// dense differential at width 256, and a smoke run of the remaining
-// widths.
+// the worker pool — the suite runs under -race in CI), a pinned digest
+// at width 256, and a smoke run of the remaining widths.
 
 func TestWideMatrixSelection(t *testing.T) {
 	scs, err := MatrixScenarios("tier=wide")
@@ -56,13 +57,13 @@ func TestWideMatrixSelection(t *testing.T) {
 }
 
 // wideCSV renders the 64c wide slice for the pinned seed.
-func wideCSV(t *testing.T, workers int, dense bool) string {
+func wideCSV(t *testing.T, workers int) string {
 	t.Helper()
 	scs, err := MatrixScenarios("tier=wide,topology=64c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := RunMatrix(Config{Workers: workers, Seed: 11, Quick: true, noPipeCodecs: dense}, scs)
+	tab, err := RunMatrix(Config{Workers: workers, Seed: 11, Quick: true}, scs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +71,12 @@ func wideCSV(t *testing.T, workers int, dense bool) string {
 }
 
 // TestWideMatrixGolden pins the 64-cluster wide slice byte-for-byte,
-// sequentially and through the worker pool; the dense encoding must
-// reproduce the same bytes (the wide tier runs the transitive
-// extension, so this differential covers the piggyback codec at
+// sequentially and through the worker pool (the wide tier runs the
+// transitive extension, so this pins its whole-vector piggybacks at
 // federation scale). Re-record with -update-golden.
 func TestWideMatrixGolden(t *testing.T) {
 	path := goldenPath("wide")
-	seq := wideCSV(t, 1, false)
+	seq := wideCSV(t, 1)
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(seq), 0o644); err != nil {
 			t.Fatal(err)
@@ -89,35 +89,31 @@ func TestWideMatrixGolden(t *testing.T) {
 	if seq != string(want) {
 		t.Errorf("sequential wide CSV diverged:\n--- got\n%s--- want\n%s", seq, want)
 	}
-	if par := wideCSV(t, 8, false); par != string(want) {
+	if par := wideCSV(t, 8); par != string(want) {
 		t.Errorf("parallel wide CSV diverged:\n--- got\n%s--- want\n%s", par, want)
-	}
-	if dense := wideCSV(t, 8, true); dense != string(want) {
-		t.Errorf("dense-wire wide CSV diverged:\n--- got\n%s--- want\n%s", dense, want)
 	}
 }
 
-// TestWide256Differential runs the widest scenario under HC3I in both
-// encodings: identical tables, with the 256-entry vectors riding the
-// delta wire.
+// TestWide256Differential runs the widest classic-sized scenario under
+// HC3I, its 256-entry vectors riding every inter-cluster message, and
+// pins the statistics dump by its SHA-256 digest. The digest was
+// recorded when transitive piggybacks still rode per-pipe delta codecs,
+// which gave the same dump as the whole-vector form.
 func TestWide256Differential(t *testing.T) {
 	if testing.Short() {
-		t.Skip("256-cluster differential skipped in -short mode")
+		t.Skip("256-cluster run skipped in -short mode")
 	}
 	sc := Scenario{Topology: "256c", Workload: "ring", Failure: "crash", Network: "lan"}
-	delta, err := RunScenario(Config{Seed: 7, Quick: true}, sc, "hc3i")
+	res, err := RunScenario(Config{Seed: 7, Quick: true}, sc, "hc3i")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := RunScenario(Config{Seed: 7, Quick: true, noPipeCodecs: true}, sc, "hc3i")
-	if err != nil {
-		t.Fatal(err)
+	if res.Events != 99538 {
+		t.Errorf("%d events, want 99538", res.Events)
 	}
-	if delta.Events != dense.Events {
-		t.Fatalf("event counts diverged: %d vs %d", delta.Events, dense.Events)
-	}
-	if d, s := delta.Stats.Dump(), dense.Stats.Dump(); d != s {
-		t.Errorf("256c stats diverged between encodings:\n--- delta\n%s\n--- dense\n%s", d, s)
+	const want = "0f46fa28ebfa8c4dbcb77c3bc94cf244c2a119a52ee5726b3dcc5da749f43f2b"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(res.Stats.Dump()))); got != want {
+		t.Errorf("256c stats dump digest %s, want %s", got, want)
 	}
 }
 
@@ -169,26 +165,5 @@ func TestWide1024Smoke(t *testing.T) {
 	}
 	if res.Failures != 1 {
 		t.Fatalf("expected the scheduled crash, got %d failures", res.Failures)
-	}
-}
-
-// BenchmarkWideSliceDense runs the root package's BenchmarkWideSlice —
-// the wide tier's 64-cluster slice through the parallel runner — on the
-// dense DDV wire encoding. Results are byte-identical to the delta
-// default; only simulator cost differs.
-func BenchmarkWideSliceDense(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		scs, err := MatrixScenarios("tier=wide,topology=64c")
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := Config{Workers: DefaultWorkers(), Seed: uint64(i + 1), Quick: true, noPipeCodecs: true}
-		tab, err := RunMatrix(cfg, scs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) == 0 {
-			b.Fatal("wide slice produced no rows")
-		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // wideRingOptions is the benchmark's wide_ring federation: 1024
 // two-node clusters, each talking to itself, to its ring neighbour and
-// to one long-haul partner, transitive piggybacks on the delta wire,
-// and one crash halfway through.
+// to one long-haul partner, transitive piggybacks, and one crash
+// halfway through.
 func wideRingOptions() federation.Options {
 	const n = 1024
 	clusters := make([]topology.Cluster, n)

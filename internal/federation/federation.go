@@ -67,14 +67,6 @@ type Options struct {
 	RingGC bool
 	// Transitive enables full-DDV piggybacking.
 	Transitive bool
-	// NoPipeCodecs is the codec-free test fixture: the nodes get no
-	// pipe codecs, so a transitive piggyback travels as the sender's
-	// whole vector in sparse form, shared with its log entry (see
-	// core/delta.go); a run that is not transitive is unchanged. Only
-	// tests set it, here and in internal/experiments (through an
-	// unexported Config field). Delta piggybacks refuse transitive
-	// Chaos and LinkTrace (see fill, New); codec-free ones run them.
-	NoPipeCodecs bool
 	// UnbatchedWire schedules every network delivery as its own event
 	// instead of the default batched pipe deliveries (see
 	// netsim.DisableBatching). Purely a scheduling-mechanics switch —
@@ -128,9 +120,7 @@ type Options struct {
 	// deliveries and crash injection targeted at protocol-sensitive
 	// windows, all replayable from Chaos.Seed. The chaos tier sets it
 	// (experiments.ScenarioOptions), for hc3ibench, hc3isoak and the
-	// benchmark alike. Incompatible with delta-encoded transitive
-	// piggybacks (duplicates would desync the pipe codecs); only the
-	// NoPipeCodecs fixture runs transitive chaos.
+	// benchmark alike.
 	Chaos *chaos.Config
 
 	// LinkTrace replays a measured (latency, jitter, loss) schedule
@@ -169,9 +159,6 @@ func (o *Options) fill() error {
 	if o.LinkTrace != nil {
 		if o.Chaos != nil {
 			return fmt.Errorf("federation: LinkTrace and Chaos both claim the network perturbation hook; run them separately")
-		}
-		if o.Transitive && !o.NoPipeCodecs {
-			return fmt.Errorf("federation: trace-driven links cannot run on delta-encoded transitive piggybacks (reordered exits would desync the pipe codecs); set NoPipeCodecs")
 		}
 	}
 	n := o.Topology.NumClusters()
@@ -219,16 +206,6 @@ type Fed struct {
 	pending []sim.EventRef // next app send event per node
 	inject  *failure.Injector
 	boxes   msgBoxes
-
-	// piggyCodecs holds the delta codec of each directed cluster-pair
-	// pipe (pair src*nClusters+dst) that carried a piggyback, when
-	// deltaWire is set: transitive runs on the delta wire. The codecs
-	// conceptually live in the cluster gateways (the pipes netsim
-	// serializes inter-cluster traffic through), which is why node
-	// crashes do not reset them.
-	piggyCodecs topology.PairTable[*core.DeltaCodec]
-	deltaWire   bool
-	nClusters   int
 
 	// oracle, when non-nil, is the run's invariant checker; chaosSched
 	// the adversarial scheduler. Both are nil on plain runs.
@@ -287,14 +264,13 @@ func New(opts Options) (*Fed, error) {
 		// every workload in the repertoire has bounded per-cluster
 		// fan-out, so size linearly in nc — a quadratic presize
 		// would memclr millions of map slots per federation at 1024c.
-		stats:     sim.NewStatsHint(64 + 96*nc),
-		ix:        ix,
-		nodes:     make([]ProtocolNode, nodeCount),
-		apps:      make([]*app.NodeApp, nodeCount),
-		senders:   make([]*appSender, nodeCount),
-		timers:    make([]*sim.Timer, int(core.NumTimerKinds)*nodeCount),
-		pending:   make([]sim.EventRef, nodeCount),
-		nClusters: nc,
+		stats:   sim.NewStatsHint(64 + 96*nc),
+		ix:      ix,
+		nodes:   make([]ProtocolNode, nodeCount),
+		apps:    make([]*app.NodeApp, nodeCount),
+		senders: make([]*appSender, nodeCount),
+		timers:  make([]*sim.Timer, int(core.NumTimerKinds)*nodeCount),
+		pending: make([]sim.EventRef, nodeCount),
 
 		clusterStats: make([]clusterStats, nc),
 	}
@@ -305,13 +281,6 @@ func New(opts Options) (*Fed, error) {
 	f.net = netsim.New(f.engine, opts.Topology, f.stats, f.tracer)
 	if opts.UnbatchedWire {
 		f.net.DisableBatching()
-	}
-	if opts.Transitive && !opts.NoPipeCodecs {
-		if opts.Chaos != nil {
-			return nil, fmt.Errorf("federation: chaos scheduling cannot run on delta-encoded transitive piggybacks (duplicate deliveries would desync the pipe codecs); set NoPipeCodecs")
-		}
-		f.deltaWire = true
-		f.net.PipeExit = f.pipeExit
 	}
 	if opts.Oracle {
 		f.oracle = oracle.New(nc)
@@ -467,57 +436,10 @@ func (b *msgBoxes) reclaim(msg core.Msg) {
 	}
 }
 
-// piggyCodec returns (allocating on first use) the delta codec of the
-// directed pipe src→dst, or nil when the run transports piggybacks
-// dense.
-func (f *Fed) piggyCodec(src, dst topology.ClusterID) *core.DeltaCodec {
-	if !f.deltaWire {
-		return nil
-	}
-	slot := f.piggyCodecs.Get(int(src)*f.nClusters + int(dst))
-	if *slot == nil {
-		cd := new(core.DeltaCodec)
-		cd.Init(f.nClusters)
-		*slot = cd
-	}
-	return *slot
-}
-
-// pipeExit is the netsim.PipeExit hook: it advances the pipe's decoder
-// for every delta-piggybacked message leaving the pipe, in FIFO order,
-// whether or not the destination node is still up — which keeps the
-// decoder in lockstep with the encoder across node failures.
-func (f *Fed) pipeExit(src, dst topology.NodeID, payload any) {
-	var pairs []core.DDVPair
-	width := int32(0)
-	switch m := payload.(type) {
-	case *core.AppMsg:
-		pairs, width = m.PiggyPairs, m.PiggyWidth
-	case core.AppMsg:
-		pairs, width = m.PiggyPairs, m.PiggyWidth
-	default:
-		return
-	}
-	if len(pairs) == 0 && (f.oracle == nil || width == 0) {
-		// Whole-vector piggybacks (resends) and empty deltas advance nothing;
-		// an oracle additionally checks the lockstep of empty deltas
-		// below (the decoder must already hold the message's vector).
-		return
-	}
-	cd := f.piggyCodec(src.Cluster, dst.Cluster)
-	if len(pairs) > 0 {
-		cd.Decode(pairs)
-	}
-	if f.oracle != nil && width > 0 {
-		f.oracle.CheckPipeExit(src.Cluster, dst.Cluster, cd.Current())
-	}
-}
-
 // nodeEnv adapts the federation to core.Env for one node. It also
 // implements core.BoxPool, handing the protocol recycled message boxes
 // so the steady-state send path performs no interface-boxing allocation,
-// core.BoxReclaimer (msgBoxes.reclaim runs after every OnMessage),
-// core.PiggyCodecs, exposing the per-pipe delta codecs, and
+// core.BoxReclaimer (msgBoxes.reclaim runs after every OnMessage) and
 // core.EventSink: every run counts its statistics from the events.
 type nodeEnv struct {
 	f     *Fed
@@ -549,19 +471,6 @@ func (e *nodeEnv) AppMsgBox() *core.AppMsg {
 // ReclaimsMsgBoxes implements core.BoxReclaimer: every delivery's
 // message goes through msgBoxes.reclaim once its OnMessage returns.
 func (e *nodeEnv) ReclaimsMsgBoxes() {}
-
-func (e *nodeEnv) PiggyCodec(src, dst topology.ClusterID) *core.DeltaCodec {
-	return e.f.piggyCodec(src, dst)
-}
-
-func (e *nodeEnv) ResetPiggyExam(dst topology.ClusterID) {
-	f := e.f
-	f.piggyCodecs.Each(func(pair int, cd **core.DeltaCodec) {
-		if pair%f.nClusters == int(dst) {
-			(*cd).ResetSeen()
-		}
-	})
-}
 
 func (e *nodeEnv) AppAckBox() *core.AppAck {
 	b := &e.f.boxes

@@ -56,6 +56,7 @@ func TestMutationCatalogue(t *testing.T) {
 		{"DropCommitPair", core.MutationFlags{DropCommitPair: true}, "commit agreement"},
 		{"DropAckPair", core.MutationFlags{DropAckPair: true}, "DDV disagreement"},
 		{"DropForcePair", core.MutationFlags{DropForcePair: true}, "lost"},
+		{"SkipCICHold", core.MutationFlags{SkipCICHold: true}, "orphan:"},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {

@@ -11,9 +11,7 @@
 // pipeBatch instead of each scheduling its own event. The framing is
 // in-memory — a batch is the members' Message values in FIFO (append)
 // order plus one scheduled fire per member — so a batch costs one
-// event-payload box for the whole tick instead of one per message,
-// and the piggyback DeltaCodec decodes the members in one pass at
-// pipe exit.
+// event-payload box for the whole tick instead of one per message.
 //
 // The FIFO-unpack contract: every member keeps its own
 // (arrival, pipe-sequence) position in the global event order, fires
@@ -150,15 +148,6 @@ type Network struct {
 	evTotal   [numEvents]*sim.Counter
 	evKind    [numEvents][numKinds]*sim.Counter
 	bytesKind [numKinds]*sim.Counter
-
-	// PipeExit, when non-nil, observes every inter-cluster message at
-	// the exit of its cluster-pair pipe, in pipe (FIFO) order, exactly
-	// once — including messages then dropped because the destination
-	// node is down: the pipe itself is loss-free, only the endpoint
-	// loses. The federation harness hooks the delta-piggyback decoder
-	// here, which is what keeps encoder and decoder in perfect sync
-	// across node failures.
-	PipeExit func(src, dst topology.NodeID, payload any)
 
 	// Perturb, when non-nil, lets an adversarial-schedule harness
 	// (internal/chaos) adjust every message's delivery: extra delay
@@ -485,9 +474,6 @@ func (n *Network) deliverPooled(arg any) {
 }
 
 func (n *Network) deliver(m Message) {
-	if n.PipeExit != nil && m.Src.Cluster != m.Dst.Cluster {
-		n.PipeExit(m.Src, m.Dst, m.Payload)
-	}
 	dst := n.ix.Ord(m.Dst)
 	if n.down[dst] {
 		// The destination died while the message was in flight.

@@ -19,10 +19,7 @@
 //     checkpoint some future recovery could still need; the collector's
 //     analysis is rerun over the shadow state once per GC round — at the
 //     first drop of each threshold vector, again after any rollback —
-//     see gcDrop),
-//   - delta-codec/pipe lockstep (the wire-encoding contract of
-//     core/delta.go: at every pipe exit the decoder holds exactly the
-//     dense vector the message stood for).
+//     see gcDrop).
 //
 // The oracle maintains a cheap shadow causal history — one vector,
 // one rollback log and one stored-checkpoint chain per cluster, the
@@ -100,13 +97,6 @@ type clusterShadow struct {
 type Oracle struct {
 	width    int
 	clusters []clusterShadow
-	// pipes holds, per directed cluster pair (src*width+dst) that
-	// carried a delta piggyback, the FIFO queue of vectors entering the
-	// pipe, as their non-zero pairs, whose decoded counterparts must
-	// reappear at pipe exit. The pairs are the senders' shared sparse
-	// piggybacks — immutable once handed out — so the queue stores
-	// references, never copies.
-	pipes topology.PairTable[[][]core.DDVPair]
 	// vec is the scratch a stored vector is materialised into.
 	vec core.DDV
 	// gc caches the garbage-collection safety analysis (gcDrop).
@@ -212,9 +202,6 @@ func (o *Oracle) Observe(id topology.NodeID, ev core.Event) {
 		o.restore(id, ev.Seq, ev.Epoch, ev.DDV)
 	case core.EventDeliver:
 		o.deliver(id, ev.Peer, ev.PeerEpoch, ev.Seq, ev.SN)
-	case core.EventPiggySend:
-		q := o.pipes.Get(int(id.Cluster)*o.width + int(ev.Cluster))
-		*q = append(*q, ev.Pairs)
 	case core.EventGCDrop:
 		o.gcDrop(id, ev.DDV)
 	}
@@ -412,43 +399,6 @@ func (o *Oracle) deliver(dst, src topology.NodeID, srcEpoch core.Epoch, sendSN, 
 		}
 	}
 	o.clusters[dst.Cluster].delivs = append(o.clusters[dst.Cluster].delivs, d)
-}
-
-// CheckPipeExit verifies the delta-codec lockstep contract at a pipe
-// exit: decoded (the pipe decoder's vector after this message) must
-// equal the vector the matching EventPiggySend stood for, which Observe
-// queued on the pipe's expectation queue — every listed entry matches
-// and every other entry is zero. The harness calls it for every
-// delta-piggybacked message leaving a pipe, in pipe order.
-func (o *Oracle) CheckPipeExit(src, dst topology.ClusterID, decoded core.DDV) {
-	q := o.pipes.Find(int(src)*o.width + int(dst))
-	if q == nil || len(*q) == 0 {
-		o.violatef("pipe lockstep: c%d->c%d exit without an observed send", src, dst)
-		return
-	}
-	want := (*q)[0]
-	(*q)[0] = nil
-	*q = (*q)[1:]
-	if !sparseEqual(decoded, want) {
-		o.violatef("pipe lockstep: c%d->c%d decoder holds %v, sender shipped %v", src, dst, decoded, want)
-	}
-}
-
-// sparseEqual reports whether vec equals the vector whose non-zero
-// entries are pairs, in ascending index order.
-func sparseEqual(vec core.DDV, pairs []core.DDVPair) bool {
-	k := 0
-	for i, v := range vec {
-		var w core.SN
-		if k < len(pairs) && int(pairs[k].Idx) == i {
-			w = pairs[k].SN
-			k++
-		}
-		if v != w {
-			return false
-		}
-	}
-	return k == len(pairs)
 }
 
 // gcCheck is the §3.5 analysis of the shadow state, kept for the

@@ -29,18 +29,6 @@ func deliver(o *Oracle, dst, src topology.NodeID, srcEpoch core.Epoch, sendSN co
 	o.Observe(dst, core.Event{Kind: core.EventDeliver, Peer: src, PeerEpoch: srcEpoch, Seq: sendSN, Epoch: recvEpoch, SN: recvSN})
 }
 
-// piggySend observes a send whose piggyback stands for dense, given to
-// the oracle as its non-zero pairs the way a node emits it.
-func piggySend(o *Oracle, src topology.NodeID, dst topology.ClusterID, dense core.DDV) {
-	var pairs []core.DDVPair
-	for i, v := range dense {
-		if v != 0 {
-			pairs = append(pairs, core.DDVPair{Idx: int32(i), SN: v})
-		}
-	}
-	o.Observe(src, core.Event{Kind: core.EventPiggySend, Cluster: dst, Pairs: pairs})
-}
-
 func gcDrop(o *Oracle, id topology.NodeID, minSNs []core.SN) {
 	o.Observe(id, core.Event{Kind: core.EventGCDrop, DDV: minSNs})
 }
@@ -261,29 +249,6 @@ func TestPriorEpochDeliveryBornOrphaned(t *testing.T) {
 				tc.srcEpoch, tc.sendSN, got, tc.orphan, err)
 		}
 	}
-}
-
-func TestPipeLockstep(t *testing.T) {
-	o := New(2)
-	piggySend(o, node(0, 0), 1, ddv(2, 0))
-	o.CheckPipeExit(0, 1, ddv(2, 0))
-	if o.Err() != nil {
-		t.Fatalf("matching pipe exit flagged: %v", o.Err())
-	}
-	piggySend(o, node(0, 0), 1, ddv(3, 0))
-	o.CheckPipeExit(0, 1, ddv(2, 0)) // decoder lagging: desync
-	wantViolation(t, o, "pipe lockstep")
-
-	o2 := New(2)
-	o2.CheckPipeExit(0, 1, ddv(1, 0)) // exit without a send
-	wantViolation(t, o2, "without an observed send")
-
-	// The send names only its non-zero entries: every other entry of
-	// the decoded vector must be zero.
-	o3 := New(2)
-	piggySend(o3, node(0, 0), 1, ddv(2, 0))
-	o3.CheckPipeExit(0, 1, ddv(2, 1))
-	wantViolation(t, o3, "pipe lockstep")
 }
 
 func TestCommitLineDominationAtFinish(t *testing.T) {

@@ -88,9 +88,8 @@ func (e Event) NodeID() (topology.NodeID, error) { return topology.ParseNodeID(e
 // mapping between the two, which Observation inverts. names names the
 // node and a delivery's sender (a nil table names them through
 // NodeID.String, in one allocation each). ok is false for
-// the kinds the journal does not carry: the trace points, and
-// piggyback sends (the live runtime sends whole-vector piggybacks and delta
-// control messages, so it has no delta pipes to check). A start record names no federation shape;
+// the kinds the journal does not carry: the trace points and the
+// counting kinds. A start record names no federation shape;
 // the journaling runtime adds Clusters and Recovering. A commit is
 // journaled as its dense vector: Pairs is a wire shortcut.
 func Record(names topology.NameTable, id topology.NodeID, ev core.Event) (Event, bool) {

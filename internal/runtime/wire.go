@@ -37,9 +37,6 @@ import (
 //     its delivery journal as a count plus LogicalIDs;
 //   - AppPayload: its ID and Size; Data must be nil.
 //
-// An AppMsg's delta piggyback (PiggyPairs, PiggyWidth) has no encoding:
-// a live node has no pipe codecs, so it always sends the whole vector.
-//
 // The codec is stateless: a frame decodes on its own, whatever came
 // before it on the connection. Decoding never trusts a count: a count
 // larger than the rest of the body could hold is an error before
@@ -507,9 +504,6 @@ func (w *encoder) appMsg(m core.AppMsg) {
 	w.uint(uint64(m.SrcEpoch))
 	w.uint(uint64(m.SendSN))
 	w.sparse(m.Piggy)
-	if (len(m.PiggyPairs) != 0 || m.PiggyWidth != 0) && w.err == nil {
-		w.err = errors.New("runtime: no wire encoding for a delta-encoded piggyback")
-	}
 	w.bool(m.Resend)
 	w.uint(uint64(m.DstEpoch))
 }

@@ -272,19 +272,16 @@ type unknownMsg struct{}
 
 func (unknownMsg) ProtocolMessage() {}
 
-// TestEnvelopeCodecRefuses: what the codec cannot carry (among it an
-// AppMsg's delta piggyback) is an encode error that leaves the buffer
-// as it was, and hostile bodies (among them an AppMsg whose piggyback
-// is not a sparse vector) are decode errors, never panics.
+// TestEnvelopeCodecRefuses: what the codec cannot carry is an encode
+// error that leaves the buffer as it was, and hostile bodies (among them
+// an AppMsg whose piggyback is not a sparse vector) are decode errors,
+// never panics.
 func TestEnvelopeCodecRefuses(t *testing.T) {
 	prefix := []byte("keep")
 	for _, m := range []core.Msg{
 		nil, unknownMsg{}, (*core.AppMsg)(nil), (*core.AppAck)(nil), (*core.LogMirror)(nil),
 		core.AppMsg{Payload: core.AppPayload{Data: "opaque"}},
 		&core.AppMsg{Payload: core.AppPayload{Data: "opaque"}},
-		core.AppMsg{PiggyPairs: []core.DDVPair{{Idx: 1, SN: 2}}, PiggyWidth: 2},
-		&core.AppMsg{PiggyWidth: 2},
-		core.AppMsg{PiggyPairs: []core.DDVPair{{Idx: 1, SN: 2}}},
 		core.Replica{State: "not an *app.State"},
 		core.RecoverStateResp{Older: []core.OlderState{{State: 3}}},
 	} {
@@ -528,7 +525,7 @@ func hostileAppMsg() core.AppMsg {
 }
 
 // receiver is a fresh node id of a transitive federation of two 2-node
-// clusters, without pipe codecs as a daemon's node has.
+// clusters, as a daemon's node has.
 func receiver(id topology.NodeID) *core.Node {
 	return core.NewNode(core.Config{ID: id, Clusters: 2, ClusterSizes: []int{2, 2},
 		CLCPeriod: sim.Second, GCPeriod: sim.Forever, Replicas: 1, Transitive: true}, nullEnv{}, nullApp{})
